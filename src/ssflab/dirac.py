@@ -14,7 +14,6 @@ resolvent power, which are distinct parameters throughout.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
@@ -58,7 +57,6 @@ __all__ = [
     "resolvent_power_difference",
     "schatten_refinement_study",
     "weight_diagonal",
-    "weight_operator",
     "weighted_factorization_report",
     "weighted_resolvent_schatten",
     "zero_potential",
@@ -274,11 +272,6 @@ def weight_diagonal(model: LatticeModel, r: float) -> np.ndarray:
     return np.repeat(w, model.spinor_dim)
 
 
-def weight_operator(model: LatticeModel, r: float) -> np.ndarray:
-    """The same weight as a dense diagonal matrix."""
-    return np.diag(weight_diagonal(model, r))
-
-
 @dataclass(frozen=True)
 class MatrixPotential:
     """Sitewise Hermitian matrix potential, optionally with declared decay.
@@ -354,32 +347,34 @@ def zero_potential(model: LatticeModel) -> MatrixPotential:
     return MatrixPotential(model, np.zeros((model.n_sites, s, s), dtype=complex))
 
 
-def random_decaying_potential(
-    model: LatticeModel, rng: np.random.Generator, c: float, rho: float
-) -> MatrixPotential:
-    """Random sitewise Hermitian matrices saturating 50-100% of the decay bound."""
+def _random_site_matrices(
+    model: LatticeModel, rng: np.random.Generator, bounds: np.ndarray, low_frac: float
+) -> np.ndarray:
+    """Random Hermitian site matrices with norms uniform in ``[low_frac, 1] * bounds``."""
     s = model.spinor_dim
-    bound = c * (1.0 + model.site_distances()) ** (-rho)
     mats = np.empty((model.n_sites, s, s), dtype=complex)
     for i in range(model.n_sites):
         a = random_hermitian(rng, s)
         top = np.linalg.norm(a, ord=2)
-        frac = rng.uniform(0.5, 1.0)
-        mats[i] = a * (bound[i] * frac / max(top, ABS_FLOOR))
+        mats[i] = a * (bounds[i] * rng.uniform(low_frac, 1.0) / max(top, ABS_FLOOR))
+    return mats
+
+
+def random_decaying_potential(
+    model: LatticeModel, rng: np.random.Generator, c: float, rho: float
+) -> MatrixPotential:
+    """Random sitewise Hermitian matrices saturating 50-100% of the decay bound."""
+    bounds = c * (1.0 + model.site_distances()) ** (-rho)
+    mats = _random_site_matrices(model, rng, bounds, 0.5)
     return MatrixPotential(model, mats, decay_c=c, decay_rho=rho)
 
 
 def random_bounded_potential(
     model: LatticeModel, rng: np.random.Generator, bound: float
 ) -> MatrixPotential:
-    """Random sitewise Hermitian matrices with spectral norm <= bound, no decay."""
-    s = model.spinor_dim
-    mats = np.empty((model.n_sites, s, s), dtype=complex)
-    for i in range(model.n_sites):
-        a = random_hermitian(rng, s)
-        top = np.linalg.norm(a, ord=2)
-        mats[i] = a * (bound * rng.uniform(0.2, 1.0) / max(top, ABS_FLOOR))
-    return MatrixPotential(model, mats)
+    """Random sitewise Hermitian matrices with spectral norm in [0.2, 1] * bound, no decay."""
+    bounds = np.full(model.n_sites, float(bound))
+    return MatrixPotential(model, _random_site_matrices(model, rng, bounds, 0.2))
 
 
 def profile_potential(
@@ -443,20 +438,6 @@ class WeightedResolventReport:
     fitted_exponent: float
     exponent_ok: bool
 
-    def to_json(self) -> dict:
-        return {
-            "d": self.d,
-            "n": self.n,
-            "r": self.r,
-            "k": self.k,
-            "z": [self.z.real, self.z.imag],
-            "p_norms": {f"{p:g}": v for p, v in sorted(self.p_norms.items())},
-            "threshold_p": self.threshold_p,
-            "predicted_exponent": self.predicted_exponent,
-            "fitted_exponent": self.fitted_exponent,
-            "exponent_ok": self.exponent_ok,
-        }
-
 
 def weighted_resolvent_schatten(
     model: LatticeModel,
@@ -507,20 +488,6 @@ class RefinementStudy:
     grows: dict
     threshold_p: float
     stab_rtol: float
-
-    def to_json(self) -> dict:
-        return {
-            "d": self.d,
-            "r": self.r,
-            "k": self.k,
-            "z": [self.z.real, self.z.imag],
-            "n_list": list(self.n_list),
-            "norms_by_p": {f"{p:g}": list(v) for p, v in sorted(self.norms_by_p.items())},
-            "stabilized": {f"{p:g}": v for p, v in sorted(self.stabilized.items())},
-            "grows": {f"{p:g}": v for p, v in sorted(self.grows.items())},
-            "threshold_p": self.threshold_p,
-            "stab_rtol": self.stab_rtol,
-        }
 
 
 def schatten_refinement_study(
@@ -595,18 +562,6 @@ class PowerDifferenceReport:
     scale: float
     relative_residual: float
     trace_norm: float
-
-    def to_json(self) -> dict:
-        return {
-            "d": self.d,
-            "n": self.n,
-            "mpow": self.mpow,
-            "z": [self.z.real, self.z.imag],
-            "residual": self.residual,
-            "scale": self.scale,
-            "relative_residual": self.relative_residual,
-            "trace_norm": self.trace_norm,
-        }
 
 
 def resolvent_power_difference(
@@ -705,27 +660,6 @@ class FactorizationReport:
     holder_ok: Optional[bool]
     factorization_residual: float
 
-    def to_json(self) -> dict:
-        return {
-            "d": self.d,
-            "k": self.k,
-            "mpow": self.mpow,
-            "rho": self.rho,
-            "r1": self.r1,
-            "r2": self.r2,
-            "budget": self.budget,
-            "feasible": self.feasible,
-            "p1": self.p1,
-            "p2": self.p2,
-            "norm_left": self.norm_left,
-            "norm_mid": self.norm_mid,
-            "norm_right": self.norm_right,
-            "product_bound": self.product_bound,
-            "direct_trace_norm": self.direct_trace_norm,
-            "holder_ok": self.holder_ok,
-            "factorization_residual": self.factorization_residual,
-        }
-
 
 def weighted_factorization_report(
     model: LatticeModel,
@@ -779,33 +713,16 @@ def weighted_factorization_report(
     product = left @ comp @ right
     factorization_residual = float(np.abs(product - direct).max())
 
-    if not feasible:
-        return FactorizationReport(
-            d=model.d,
-            k=k,
-            mpow=mpow,
-            rho=rho,
-            r1=r1,
-            r2=r2,
-            budget=budget,
-            feasible=False,
-            p1=None,
-            p2=None,
-            norm_left=None,
-            norm_mid=None,
-            norm_right=None,
-            product_bound=None,
-            direct_trace_norm=direct_trace,
-            holder_ok=None,
-            factorization_residual=factorization_residual,
-        )
-
-    p1 = budget / u1
-    p2 = budget / u2
-    norm_left = schatten_norm(singular_values(left), p1)
-    norm_mid = float(np.linalg.norm(comp, ord=2))
-    norm_right = schatten_norm(singular_values(right), p2)
-    product_bound = norm_left * norm_mid * norm_right
+    # an infeasible budget has no Hoelder pairing: its fields stay None
+    p1 = p2 = norm_left = norm_mid = norm_right = product_bound = holder_ok = None
+    if feasible:
+        p1 = budget / u1
+        p2 = budget / u2
+        norm_left = schatten_norm(singular_values(left), p1)
+        norm_mid = float(np.linalg.norm(comp, ord=2))
+        norm_right = schatten_norm(singular_values(right), p2)
+        product_bound = norm_left * norm_mid * norm_right
+        holder_ok = bool(direct_trace <= product_bound * (1.0 + 1e-9))
     return FactorizationReport(
         d=model.d,
         k=k,
@@ -814,7 +731,7 @@ def weighted_factorization_report(
         r1=r1,
         r2=r2,
         budget=budget,
-        feasible=True,
+        feasible=feasible,
         p1=p1,
         p2=p2,
         norm_left=norm_left,
@@ -822,7 +739,7 @@ def weighted_factorization_report(
         norm_right=norm_right,
         product_bound=product_bound,
         direct_trace_norm=direct_trace,
-        holder_ok=bool(direct_trace <= product_bound * (1.0 + 1e-9)),
+        holder_ok=holder_ok,
         factorization_residual=factorization_residual,
     )
 
@@ -880,16 +797,6 @@ class CommutatorDecayReport:
     sup_constant: float
     far_ratio: float
     decays: bool
-
-    def to_json(self) -> dict:
-        return {
-            "r": self.r,
-            "n": self.n,
-            "near_window": self.near_window,
-            "sup_constant": self.sup_constant,
-            "far_ratio": self.far_ratio,
-            "decays": self.decays,
-        }
 
 
 def commutator_decay_report(

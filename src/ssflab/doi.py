@@ -146,9 +146,6 @@ class BoundedRegion:
 
     r: float
 
-    def to_json(self) -> dict:
-        return {"kind": "bounded", "r": self.r}
-
 
 @dataclass(frozen=True)
 class ExteriorRegion:
@@ -156,9 +153,6 @@ class ExteriorRegion:
 
     r: float
     lam_max: float
-
-    def to_json(self) -> dict:
-        return {"kind": "exterior", "r": self.r, "lam_max": self.lam_max}
 
 
 @dataclass(frozen=True)
@@ -171,18 +165,6 @@ class LowerBoundCertificate:
     slack: float
     passed: bool
     min_location: tuple
-
-    def to_json(self) -> dict:
-        return {
-            "m": self.m,
-            "z": [self.z.real, self.z.imag],
-            "region": self.region.to_json(),
-            "grid_n": self.grid_n,
-            "c_observed": self.c_observed,
-            "slack": self.slack,
-            "pass": self.passed,
-            "min_location": list(self.min_location),
-        }
 
 
 _GRAD_SAFETY = 1.5
@@ -277,6 +259,11 @@ def cofactor_lower_bound_cert(
 # kernels
 
 
+def _coincidence_band(lam, mu, delta0: float) -> np.ndarray:
+    """Mask of ``|x - y| <= delta0 * (1 + |x|)``, where kernels use derivative limits."""
+    return np.abs(lam - mu) <= delta0 * (1.0 + np.abs(lam))
+
+
 def divided_difference(f: ScalarFunction, lam, mu, delta0: float = 1e-5):
     """First divided difference of ``f`` with a coincidence band.
 
@@ -285,7 +272,7 @@ def divided_difference(f: ScalarFunction, lam, mu, delta0: float = 1e-5):
     """
     lam_a = np.asarray(lam, dtype=float)
     mu_a = np.asarray(mu, dtype=float)
-    band = np.abs(lam_a - mu_a) <= delta0 * (1.0 + np.abs(lam_a))
+    band = _coincidence_band(lam_a, mu_a, delta0)
     lam_b, mu_b, band = np.broadcast_arrays(lam_a, mu_a, band)
     mid = 0.5 * (lam_b + mu_b)
     out = np.empty(band.shape, dtype=complex)
@@ -349,17 +336,13 @@ def resolvent_kernel(
 _DENOM_ABS_TOL = 1e-13
 
 
-def _band_mask(k: DoiKernel, lam: np.ndarray, mu: np.ndarray) -> np.ndarray:
-    return np.abs(lam - mu) <= k.delta0 * (1.0 + np.abs(lam))
-
-
 def kernel_eval(k: DoiKernel, lam, mu):
     """Evaluate the kernel on broadcastable real arguments."""
     scalar = np.isscalar(lam) and np.isscalar(mu)
     lam_b, mu_b = np.broadcast_arrays(
         np.asarray(lam, dtype=float), np.asarray(mu, dtype=float)
     )
-    band = _band_mask(k, lam_b, mu_b)
+    band = _coincidence_band(lam_b, mu_b, k.delta0)
     mid = 0.5 * (lam_b + mu_b)
     out = np.empty(lam_b.shape, dtype=complex)
     if np.any(band):
@@ -396,7 +379,7 @@ def kernel_dlambda(k: DoiKernel, lam, mu):
     lam_b, mu_b = np.broadcast_arrays(
         np.asarray(lam, dtype=float), np.asarray(mu, dtype=float)
     )
-    band = _band_mask(k, lam_b, mu_b)
+    band = _coincidence_band(lam_b, mu_b, k.delta0)
     mid = 0.5 * (lam_b + mu_b)
     out = np.empty(lam_b.shape, dtype=complex)
     if np.any(band):
@@ -479,10 +462,7 @@ def doi_identity_residual(
     gl = np.asarray(k.g(d0.eigenvalues), dtype=complex)
     gm = np.asarray(k.g(d.eigenvalues), dtype=complex)
     diff = np.abs(gm[:, None] - gl[None, :])
-    band = (
-        np.abs(d.eigenvalues[:, None] - d0.eigenvalues[None, :])
-        <= delta0 * (1.0 + np.abs(d0.eigenvalues[None, :]))
-    )
+    band = _coincidence_band(d0.eigenvalues[None, :], d.eigenvalues[:, None], delta0)
     gscale = max(float(np.abs(gl).max()), float(np.abs(gm).max()), ABS_FLOOR)
     colliding = (~band) & (diff < collision_rtol * gscale)
     if np.any(colliding):
@@ -509,16 +489,6 @@ class KernelHypothesesReport:
     edge: float
     region_sups: dict
     dlambda_tail_exponent: float
-
-    def to_json(self) -> dict:
-        return {
-            "sup_abs": self.sup_abs,
-            "sup_weighted_dlambda": self.sup_weighted_dlambda,
-            "limit_mismatch": self.limit_mismatch,
-            "edge": self.edge,
-            "region_sups": {k: dict(v) for k, v in self.region_sups.items()},
-            "dlambda_tail_exponent": self.dlambda_tail_exponent,
-        }
 
 
 def kernel_hypotheses_report(
@@ -595,16 +565,6 @@ class CutoffSplitReport:
     trace_norm_total: float
     trace_norm_inner: float
     trace_norm_outer: float
-
-    def to_json(self) -> dict:
-        return {
-            "residual": self.residual,
-            "scale": self.scale,
-            "relative_residual": self.relative_residual,
-            "trace_norm_total": self.trace_norm_total,
-            "trace_norm_inner": self.trace_norm_inner,
-            "trace_norm_outer": self.trace_norm_outer,
-        }
 
 
 def resolvent_cutoff_split(

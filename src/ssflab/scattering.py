@@ -24,7 +24,7 @@ from typing import Optional, Sequence
 import numpy as np
 from scipy.linalg import eigvalsh_tridiagonal
 
-from .ssf import track_determinant_phase
+from .ssf import _check_eps_schedule, _richardson_two_point, track_determinant_phase
 
 __all__ = [
     "BAND_EDGE_MARGIN",
@@ -32,7 +32,6 @@ __all__ = [
     "LatticeScatteringModel",
     "band_sweep",
     "birman_krein_point",
-    "birman_krein_residual",
     "bound_state_count_below",
     "free_green",
     "lattice_root",
@@ -168,10 +167,6 @@ def scattering_determinant(model: LatticeScatteringModel, z: complex) -> complex
     return complex(np.linalg.det(np.eye(len(sites)) + v[:, None] * g))
 
 
-def _default_eps_schedule() -> tuple:
-    return tuple(2.0 ** (-k) for k in range(4, 14))
-
-
 def ssf_scattering(
     model: LatticeScatteringModel,
     lam: float,
@@ -181,15 +176,16 @@ def ssf_scattering(
 
     The phase of the perturbation determinant is followed from high in the
     upper half plane down the epsilon schedule, then Richardson-extrapolated
-    to the real axis from the last two epsilons.  Inside the band the result
-    is generically non-integer; below the band it approaches minus the count
-    of discrete eigenvalues below ``lam``.
+    to the real axis from the last two epsilons (by default ``2^-4 .. 2^-13``).
+    Inside the band the result is generically non-integer; below the band it
+    approaches minus the count of discrete eigenvalues below ``lam``.
     """
-    eps = tuple(sorted(eps_schedule or _default_eps_schedule(), reverse=True))
+    if eps_schedule is None:
+        eps_schedule = [2.0 ** (-k) for k in range(4, 14)]
+    eps = sorted(eps_schedule, reverse=True)
     if len(eps) < 2:
         raise ValueError("epsilon schedule needs at least two points")
-    if eps[-1] <= 0:
-        raise ValueError("epsilon schedule must be positive")
+    eps = _check_eps_schedule(eps)
     h_start = 10.0 * (1.0 + model.strength) + abs(lam)
 
     def det_at(h):
@@ -199,19 +195,7 @@ def ssf_scattering(
     # (number of support sites) zeros plus a slowly varying continuum factor
     ratio = math.exp(math.pi / (8.0 * (len(model.sites) + 2)))
     phases = track_determinant_phase(det_at, h_start, eps, max_ratio=ratio)
-    ea, eb = eps[-2], eps[-1]
-    pa, pb = phases[-2], phases[-1]
-    phase0 = (ea * pb - eb * pa) / (ea - eb)
-    return float(phase0 / np.pi)
-
-
-def birman_krein_residual(
-    model: LatticeScatteringModel,
-    lam: float,
-    eps_schedule: Optional[Sequence[float]] = None,
-) -> float:
-    """Distance between ``det S`` and the determinant-phase prediction."""
-    return birman_krein_point(model, lam, eps_schedule).residual
+    return _richardson_two_point(eps, phases) / np.pi
 
 
 @dataclass(frozen=True)
@@ -221,15 +205,6 @@ class BirmanKreinRecord:
     xi: float
     residual: float
     unitarity: float
-
-    def to_json(self) -> dict:
-        return {
-            "lam": self.lam,
-            "det_s": [self.det_s.real, self.det_s.imag],
-            "xi": self.xi,
-            "residual": self.residual,
-            "unitarity": self.unitarity,
-        }
 
 
 def birman_krein_point(

@@ -26,8 +26,6 @@ __all__ = [
     "det_id_plus",
     "eig_hermitian",
     "hermiticity_defect",
-    "matrix_from_json",
-    "matrix_to_json",
     "resolvent_power",
     "schatten_norm",
     "singular_values",
@@ -233,28 +231,3 @@ def det_id_plus(matrix) -> complex:
     if np.isneginf(logabs):
         return 0.0 + 0.0j
     return complex(sign * np.exp(logabs))
-
-
-def matrix_to_json(matrix) -> dict:
-    """Serialize a complex matrix as ``{"dim": n, "re": [[...]], "im": [[...]]}``."""
-    m = _as_square_matrix(matrix)
-    return {
-        "dim": int(m.shape[0]),
-        "re": m.real.tolist(),
-        "im": m.imag.tolist(),
-    }
-
-
-def matrix_from_json(obj: dict) -> np.ndarray:
-    """Inverse of :func:`matrix_to_json`, validating shape consistency."""
-    try:
-        dim = int(obj["dim"])
-        re = np.array(obj["re"], dtype=float)
-        im = np.array(obj["im"], dtype=float)
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ValueError(f"malformed matrix document: {exc}") from exc
-    if re.shape != (dim, dim) or im.shape != (dim, dim):
-        raise ValueError(
-            f"matrix document shape mismatch: dim={dim}, re {re.shape}, im {im.shape}"
-        )
-    return re + 1j * im

@@ -52,7 +52,6 @@ __all__ = [
     "ssf_via_invariance",
     "step_sum",
     "steps_equal",
-    "trace_formula_residual",
     "trace_formula_sides",
     "track_determinant_phase",
 ]
@@ -112,16 +111,6 @@ class StepFunction:
     @property
     def is_zero(self) -> bool:
         return self.breakpoints.size == 0
-
-    def to_json(self) -> dict:
-        return {
-            "breakpoints": self.breakpoints.tolist(),
-            "values": self.values.tolist(),
-        }
-
-    @classmethod
-    def from_json(cls, obj: dict) -> "StepFunction":
-        return cls(np.asarray(obj["breakpoints"], dtype=float), np.asarray(obj["values"]))
 
     @classmethod
     def zero(cls) -> "StepFunction":
@@ -191,12 +180,6 @@ def trace_formula_sides(d0: SpectralDecomposition, d: SpectralDecomposition, f) 
     return lhs, rhs
 
 
-def trace_formula_residual(d0: SpectralDecomposition, d: SpectralDecomposition, f) -> float:
-    """Absolute mismatch between the two sides of the trace identity."""
-    lhs, rhs = trace_formula_sides(d0, d, f)
-    return abs(lhs - rhs)
-
-
 # ---------------------------------------------------------------------------
 # monotone change of variable
 
@@ -228,13 +211,9 @@ def _odd_poly_d2(coeffs: np.ndarray, x):
     degs = 2 * np.arange(coeffs.size) + 1
     for c, k in zip(coeffs[::-1], degs[::-1]):
         acc = acc * u + c * k * (k - 1)
-    # each term k(k-1) x^(k-2) = k(k-1) x^(2j-1): factor one x back out
-    return np.where(x != 0.0, acc / np.where(x != 0.0, x, 1.0), _odd_d2_origin(coeffs, x))
-
-
-def _odd_d2_origin(coeffs: np.ndarray, x):
-    # second derivative of an odd polynomial vanishes at the origin
-    return np.zeros_like(x)
+    # each term k(k-1) x^(k-2) = k(k-1) x^(2j-1): factor one x back out;
+    # the second derivative of an odd polynomial vanishes at the origin
+    return np.where(x != 0.0, acc / np.where(x != 0.0, x, 1.0), 0.0)
 
 
 @dataclass(frozen=True)
@@ -502,6 +481,17 @@ def default_eps_schedule(
     return [gap / 2.0**k for k in range(1, depth + 1)]
 
 
+def _check_eps_schedule(eps_schedule: Sequence[float]) -> list:
+    """The schedule as a list of floats, checked finite, positive and strictly decreasing."""
+    eps = [float(e) for e in eps_schedule]
+    if not eps:
+        raise ValueError("eps schedule needs at least one point")
+    for prev, e in zip([math.inf] + eps, eps):
+        if not (math.isfinite(e) and 0 < e < prev):
+            raise ValueError(f"eps schedule must be finite, positive, strictly decreasing: {eps}")
+    return eps
+
+
 def _richardson_two_point(eps: Sequence[float], vals: Sequence[float]) -> float:
     if len(vals) == 1:
         return float(vals[0])
@@ -538,9 +528,7 @@ def ssf_via_determinant(
         )
     if eps_schedule is None:
         eps_schedule = default_eps_schedule(d0, d, lam)
-    eps = [float(e) for e in eps_schedule]
-    if any(e <= 0 for e in eps) or any(b <= a for a, b in zip(eps[1:], eps[:-1])):
-        raise ValueError("eps schedule must be positive and strictly decreasing")
+    eps = _check_eps_schedule(eps_schedule)
 
     radius = max(d0.spectral_radius, d.spectral_radius, 1.0)
     h_start = 10.0 * radius + abs(lam)

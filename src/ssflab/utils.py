@@ -15,11 +15,6 @@ def random_hermitian(rng: np.random.Generator, n: int, scale: float = 1.0) -> np
     return scale * (a + a.conj().T) / 2.0
 
 
-def random_real_symmetric(rng: np.random.Generator, n: int, scale: float = 1.0) -> np.ndarray:
-    a = rng.standard_normal((n, n))
-    return scale * (a + a.T) / 2.0
-
-
 def random_unitary(rng: np.random.Generator, n: int) -> np.ndarray:
     a = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
     q, r = np.linalg.qr(a)

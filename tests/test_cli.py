@@ -1,5 +1,6 @@
 """Tests for report serialization and the command-line entry point."""
 
+import importlib
 import json
 import subprocess
 import sys
@@ -278,3 +279,14 @@ def test_module_entry_point(tmp_path):
     payload = json.loads(proc.stdout)
     assert payload["aggregate_pass"] is True
     assert "PASS" in proc.stderr
+
+
+@pytest.mark.parametrize(
+    "module", ["cli", "dirac", "doi", "functions", "scattering", "spectral", "ssf", "suites"]
+)
+def test_public_names_resolve(module):
+    # a stale __all__ entry breaks `from ssflab.<module> import *`
+    mod = importlib.import_module(f"ssflab.{module}")
+    missing = [name for name in mod.__all__ if not hasattr(mod, name)]
+    assert not missing, missing
+    exec(f"from ssflab.{module} import *", {})

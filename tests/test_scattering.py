@@ -9,7 +9,6 @@ from ssflab.scattering import (
     LatticeScatteringModel,
     band_sweep,
     birman_krein_point,
-    birman_krein_residual,
     bound_state_count_below,
     free_green,
     lattice_root,
@@ -198,6 +197,13 @@ class TestSsfScattering:
             ssf_scattering(model, 0.5, [0.1])
         with pytest.raises(ValueError, match="positive"):
             ssf_scattering(model, 0.5, [0.1, 0.0])
+        with pytest.raises(ValueError, match="two"):
+            ssf_scattering(model, 0.5, [])
+        for bad in ([0.1, 0.1], [0.1, float("nan")], [float("nan"), 0.1]):
+            with pytest.raises(ValueError, match="eps schedule"):
+                ssf_scattering(model, 0.5, bad)
+        sched = [0.01, 0.02, 0.005]
+        assert ssf_scattering(model, 0.5, np.array(sched)) == ssf_scattering(model, 0.5, sched)
 
     def test_below_band_counts_bound_states(self):
         # v = -1.5 binds one state at -sqrt(v^2 + 4) = -2.5
@@ -240,7 +246,7 @@ class TestBirmanKrein:
     def test_residual_small_single_site(self):
         model = LatticeScatteringModel.single_site(0.7)
         for lam in (-1.5, -0.3, 0.8, 1.6):
-            assert birman_krein_residual(model, lam) <= 1e-5
+            assert birman_krein_point(model, lam).residual <= 1e-5
 
     def test_residual_small_multi_site_both_signs(self):
         for scale in (1.0, -1.0):
@@ -256,9 +262,6 @@ class TestBirmanKrein:
         rec = birman_krein_point(LatticeScatteringModel.single_site(0.5), 0.6)
         want = abs(rec.det_s - np.exp(-2j * np.pi * rec.xi))
         assert rec.residual == pytest.approx(want, abs=1e-15)
-        obj = rec.to_json()
-        assert set(obj) == {"lam", "det_s", "xi", "residual", "unitarity"}
-        assert obj["det_s"] == [rec.det_s.real, rec.det_s.imag]
 
     def test_band_sweep_shape_and_margin(self):
         model = LatticeScatteringModel.single_site(0.4)

@@ -12,8 +12,6 @@ from ssflab.spectral import (
     apply_function,
     det_id_plus,
     eig_hermitian,
-    matrix_from_json,
-    matrix_to_json,
     resolvent_power,
     schatten_norm,
     singular_values,
@@ -138,12 +136,6 @@ def test_det_id_plus_multiplicativity():
     lhs = det_id_plus(a + b + a @ b)
     rhs = det_id_plus(a) * det_id_plus(b)
     assert abs(lhs - rhs) <= 1e-9 * abs(rhs)
-
-
-def test_matrix_json_roundtrip():
-    rng = rng_from(8)
-    m = random_hermitian(rng, 5)
-    np.testing.assert_array_equal(matrix_from_json(matrix_to_json(m)), m)
 
 
 @settings(max_examples=25, deadline=None)

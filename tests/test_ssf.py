@@ -23,7 +23,6 @@ from ssflab.ssf import (
     ssf_via_invariance,
     step_sum,
     steps_equal,
-    trace_formula_residual,
     trace_formula_sides,
     track_determinant_phase,
 )
@@ -67,12 +66,6 @@ class TestStepFunction:
         assert z.is_zero
         assert z(0.0) == 0
         assert not StepFunction([0.0, 1.0], [0, 1, 0]).is_zero
-
-    def test_json_roundtrip_exact(self):
-        s = StepFunction([-0.25, 1.0 / 3.0, 2.0], [0, 1, -2, 0])
-        t = StepFunction.from_json(s.to_json())
-        np.testing.assert_array_equal(t.breakpoints, s.breakpoints)
-        np.testing.assert_array_equal(t.values, s.values)
 
     @pytest.mark.parametrize(
         "bp, vals",
@@ -210,7 +203,8 @@ class TestTraceFormula:
     def test_residual_zero_for_identical_pair(self):
         d0 = eig_hermitian(random_hermitian(rng_from(1), 5))
         f = functions.polynomial([0.0, 1.0, 1.0])
-        assert trace_formula_residual(d0, d0, f) == 0.0
+        lhs, rhs = trace_formula_sides(d0, d0, f)
+        assert abs(lhs - rhs) == 0.0
 
     def test_rank_one_shift_against_hand_sum(self):
         # single eigenvalue moves from 1 to 2: integral side is f(2) - f(1)
@@ -419,6 +413,13 @@ class TestDeterminantRoute:
             ssf_via_determinant(d0, v, 3.0, eps_schedule=[0.1, 0.2])
         with pytest.raises(ValueError, match="decreasing"):
             ssf_via_determinant(d0, v, 3.0, eps_schedule=[0.1, -0.2])
+        for bad in ([], [0.1, 0.1], [0.1, float("nan")], [float("nan"), 0.1]):
+            with pytest.raises(ValueError, match="eps schedule"):
+                ssf_via_determinant(d0, v, 3.0, eps_schedule=bad)
+        sched = [0.1, 0.05, 0.025]
+        assert ssf_via_determinant(d0, v, 3.0, eps_schedule=np.array(sched)) == (
+            ssf_via_determinant(d0, v, 3.0, eps_schedule=sched)
+        )
 
     def test_default_schedule_is_gap_halving(self):
         d0 = eig_hermitian(np.diag([0.0, 2.0]))
