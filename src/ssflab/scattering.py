@@ -17,6 +17,7 @@ left-incident wave is ``exp(-i kappa n)`` (positive group velocity for the
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
@@ -47,7 +48,12 @@ BAND_EDGE_MARGIN = 1e-3
 
 @dataclass(frozen=True)
 class LatticeScatteringModel:
-    """Real potential with finite support on the integer lattice."""
+    """Real potential with finite support on the integer lattice.
+
+    The site distance matrix, the potential column and the identity matrix
+    on the support are built once, at construction, and are read-only, so
+    threads may share a model.
+    """
 
     sites: tuple
     values: tuple
@@ -63,6 +69,15 @@ class LatticeScatteringModel:
             raise ValueError("potential values must be finite")
         object.__setattr__(self, "sites", sites)
         object.__setattr__(self, "values", values)
+        site_arr = np.asarray(sites, dtype=int)
+        distance = np.abs(site_arr[:, None] - site_arr[None, :])
+        column = np.asarray(values, dtype=float)[:, None]
+        identity = np.eye(len(sites))
+        for arr in (distance, column, identity):
+            arr.flags.writeable = False
+        object.__setattr__(self, "_distance", distance)
+        object.__setattr__(self, "_potential_column", column)
+        object.__setattr__(self, "_identity", identity)
 
     @classmethod
     def single_site(cls, value: float, site: int = 0) -> "LatticeScatteringModel":
@@ -93,7 +108,7 @@ def lattice_root(z: complex) -> complex:
     z = complex(z)
     if z.imag == 0.0 and abs(z.real) <= 2.0:
         raise ValueError(f"z={z} lies on the spectral band [-2, 2]")
-    disc = np.sqrt(z * z - 4.0)
+    disc = cmath.sqrt(z * z - 4.0)
     w1 = (z + disc) / 2.0
     w2 = (z - disc) / 2.0
     return w1 if abs(w1) < abs(w2) else w2
@@ -118,13 +133,14 @@ def _kappa(lam: float) -> float:
     return float(np.arccos(lam / 2.0))
 
 
+def _support_green(model: LatticeScatteringModel, w: complex) -> np.ndarray:
+    """Free resolvent kernel ``w^{|n-m|} / (w - 1/w)`` on the potential support."""
+    return w**model._distance / (w - 1.0 / w)
+
+
 def _boundary_green(model: LatticeScatteringModel, lam: float) -> np.ndarray:
     # limit of the |w| < 1 branch from the upper half plane: w = exp(-i kappa)
-    kappa = _kappa(lam)
-    w = np.exp(-1j * kappa)
-    sites = np.asarray(model.sites, dtype=int)
-    dist = np.abs(sites[:, None] - sites[None, :])
-    return w**dist / (w - 1.0 / w)
+    return _support_green(model, np.exp(-1j * _kappa(lam)))
 
 
 def s_matrix(model: LatticeScatteringModel, lam: float) -> np.ndarray:
@@ -161,10 +177,8 @@ def unitarity_defect(s: np.ndarray) -> float:
 
 def scattering_determinant(model: LatticeScatteringModel, z: complex) -> complex:
     """Perturbation determinant restricted to the potential support."""
-    sites = np.asarray(model.sites, dtype=int)
-    v = np.asarray(model.values, dtype=float)
-    g = free_green(z, sites[:, None], sites[None, :])
-    return complex(np.linalg.det(np.eye(len(sites)) + v[:, None] * g))
+    g = _support_green(model, lattice_root(z))
+    return complex(np.linalg.det(model._identity + model._potential_column * g))
 
 
 def ssf_scattering(
@@ -250,8 +264,8 @@ def band_sweep(
 # truncation oracle
 
 
-def truncated_eigenvalues(model: LatticeScatteringModel, l_trunc: int) -> np.ndarray:
-    """Eigenvalues of the perturbed operator truncated to sites |n| <= l_trunc."""
+def _truncated_chain(model: LatticeScatteringModel, l_trunc: int) -> tuple:
+    """Diagonal and off-diagonal of the operator truncated to sites |n| <= l_trunc."""
     if model.support_radius >= l_trunc / 4:
         raise ValueError(
             f"truncation l_trunc={l_trunc} too small for support radius "
@@ -262,7 +276,12 @@ def truncated_eigenvalues(model: LatticeScatteringModel, l_trunc: int) -> np.nda
     for site, value in zip(model.sites, model.values):
         diag[site + l_trunc] = value
     off = np.ones(n_sites - 1)
-    return eigvalsh_tridiagonal(diag, off)
+    return diag, off
+
+
+def truncated_eigenvalues(model: LatticeScatteringModel, l_trunc: int) -> np.ndarray:
+    """Eigenvalues of the perturbed operator truncated to sites |n| <= l_trunc."""
+    return eigvalsh_tridiagonal(*_truncated_chain(model, l_trunc))
 
 
 def bound_state_count_below(
@@ -271,9 +290,14 @@ def bound_state_count_below(
     """Number of discrete eigenvalues below ``lam`` (large-truncation count).
 
     Only meaningful for ``lam < -2``: inside the band the truncation fills
-    the spectrum densely.
+    the spectrum densely.  Bisection finds only the eigenvalues in
+    ``(-inf, nextafter(lam, -inf)]``, that is strictly below ``lam``.
     """
     if lam >= -2.0:
         raise ValueError(f"counting below the band needs lam < -2, got {lam}")
-    vals = truncated_eigenvalues(model, l_trunc)
-    return int(np.searchsorted(vals, lam, side="left"))
+    below = eigvalsh_tridiagonal(
+        *_truncated_chain(model, l_trunc),
+        select="v",
+        select_range=(-np.inf, np.nextafter(float(lam), -np.inf)),
+    )
+    return int(below.size)

@@ -25,6 +25,7 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
+from scipy.linalg import lapack
 
 from .functions import ScalarFunction
 from .spectral import (
@@ -396,10 +397,47 @@ def _validate_perturbation(d0: SpectralDecomposition, v) -> np.ndarray:
 
 
 def perturbation_determinant(d0: SpectralDecomposition, v, z: complex) -> complex:
-    """``det(I + V (H0 - z)^{-1})`` for non-real ``z``."""
+    """``det(I + V (H0 - z)^{-1})`` for non-real ``z``.
+
+    The dense definition, one O(n^3) evaluation per call.
+    :func:`ssf_via_determinant` evaluates the same function of ``z`` through
+    a tridiagonal reduction instead, and the tests hold it to this one.
+    """
     v = _validate_perturbation(d0, v)
     r0 = resolvent_power(d0, z, 1)
     return det_id_plus(v @ r0)
+
+
+def _determinant_on_vertical_line(d0: SpectralDecomposition, h: np.ndarray, lam: float):
+    """``height -> det(I + V (H0 - z)^{-1})`` at ``z = lam + i * height``.
+
+    ``h`` is ``H = H0 + V``.  One unitary reduction (LAPACK ``zhetrd``, the
+    lower triangle, as ``eigh`` reads it) gives a real symmetric tridiagonal
+    ``T`` with ``det(H - z) = det(T - z)``, so each height costs O(n):
+
+        det(I + V (H0 - z)^{-1}) = det(T - z) / prod_i (lambda0_i - z)
+                                 = exp(sum_k log(p_k / (lambda0_k - z))),
+
+    with the pivots ``p_1 = d_1 - z``, ``p_k = (d_k - z) - e_{k-1}^2 / p_{k-1}``.
+    For ``Im z > 0`` every pivot has ``Im p_k <= -Im z``, so the recurrence
+    needs no pivoting and never divides by zero.  The eigenvalues of ``H`` are
+    never used, which keeps this route independent of eigenvalue counting.
+    """
+    _, diag, off, _, _ = lapack.zhetrd(h, lower=1)
+    shifted = (diag - lam).tolist()
+    off_sq = [0.0] + (off * off).tolist()
+    shifted0 = (d0.eigenvalues - lam).tolist()
+
+    def det_fn(height: float) -> complex:
+        ih = 1j * height
+        pivot = 1.0
+        log_det = 0j
+        for a, b2, a0 in zip(shifted, off_sq, shifted0):
+            pivot = (a - ih) - b2 / pivot
+            log_det += cmath.log(pivot / (a0 - ih))
+        return cmath.exp(log_det)
+
+    return det_fn
 
 
 def track_determinant_phase(
@@ -513,10 +551,12 @@ def ssf_via_determinant(
     ``z = lam + i * 10 * (spectral radius)`` down the vertical line, sampled
     on the epsilon schedule, and Richardson-extrapolated (two-point, linear
     order) to the real axis.  ``lam`` within ``jump_margin`` of either
-    spectrum is rejected as a jump point.
+    spectrum is rejected as a jump point.  ``V`` is validated and ``H0 + V``
+    reduced to tridiagonal form once; each tracked height then costs O(n).
     """
     v = _validate_perturbation(d0, v)
-    d = eig_hermitian(d0.reconstruct() + v)
+    h = d0.reconstruct() + v
+    d = eig_hermitian(h)
     lam = float(lam)
     near = min(
         float(np.min(np.abs(d0.eigenvalues - lam))),
@@ -533,9 +573,7 @@ def ssf_via_determinant(
     radius = max(d0.spectral_radius, d.spectral_radius, 1.0)
     h_start = 10.0 * radius + abs(lam)
 
-    def det_fn(height: float) -> complex:
-        return perturbation_determinant(d0, v, lam + 1j * height)
-
+    det_fn = _determinant_on_vertical_line(d0, h, lam)
     # winding speed is at most (d0.dim + d.dim) / h, so this ratio keeps the
     # true per-step increment under pi/4
     ratio = math.exp(math.pi / (4.0 * (d0.dim + d.dim)))

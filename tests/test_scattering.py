@@ -1,5 +1,8 @@
 """Tests for the 1-d lattice scattering model and the determinant-phase identity."""
 
+import sys
+import threading
+
 import numpy as np
 import pytest
 
@@ -176,6 +179,39 @@ class TestScatteringDeterminant:
             complex(np.linalg.det(small)), abs=1e-8
         )
 
+    def test_matches_free_green_determinant(self):
+        model = LatticeScatteringModel((-3, 0, 1, 4), (0.7, -1.1, 0.4, 2.0))
+        sites = np.asarray(model.sites)
+        v = np.asarray(model.values)
+        for z in (0.3 + 1e-3j, -1.9 + 0.2j, 2.5 + 1e-6j, -3.0 + 4.0j):
+            g = free_green(z, sites[:, None], sites[None, :])
+            want = complex(np.linalg.det(np.eye(sites.size) + v[:, None] * g))
+            assert scattering_determinant(model, z) == pytest.approx(want, rel=1e-13)
+
+    def test_threads_sharing_a_model_agree_with_serial(self):
+        # the suites fan out over threads that share frozen models
+        model = LatticeScatteringModel.centered([0.3, -0.2, 0.5, 0.1, -0.4])
+        zs = [complex(lam, h) for lam in np.linspace(-1.9, 1.9, 20) for h in (1e-3, 0.5)]
+        serial = [scattering_determinant(model, z) for z in zs]
+        results = [None] * 6
+
+        def work(i):
+            results[i] = [scattering_determinant(model, z) for z in zs for _ in range(5)]
+
+        old = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=(i,)) for i in range(len(results))]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(old)
+        assert not any(t.is_alive() for t in threads)
+        expected = [v for v in serial for _ in range(5)]
+        assert all(r == expected for r in results)
+
     def test_zero_potential_determinant_is_one(self):
         model = LatticeScatteringModel.single_site(0.0)
         assert scattering_determinant(model, 1j) == pytest.approx(1.0, abs=1e-14)
@@ -227,6 +263,21 @@ class TestTruncationOracle:
         model = LatticeScatteringModel.single_site(-1.5)
         assert bound_state_count_below(model, -2.25) == 1
         assert bound_state_count_below(model, -2.75) == 0
+
+    @pytest.mark.parametrize(
+        "values",
+        [[-1.5], [1.5], [-0.8, -1.2, 0.5], [-3.0, 2.0, -2.5, 0.3], [2.5, -0.4, 3.0]],
+    )
+    def test_count_equals_full_spectrum_count(self, values):
+        model = LatticeScatteringModel.centered(values)
+        l_trunc = 400
+        vals = truncated_eigenvalues(model, l_trunc)
+        bound = vals[vals < -2.0]
+        # just below and just above each bound state, where the count steps
+        lams = [-2.0001, -2.05, -2.3, -2.9, -3.5, -5.0, *(bound - 1e-9), *(bound + 1e-9)]
+        for lam in lams:
+            want = int(np.searchsorted(vals, lam, side="left"))
+            assert bound_state_count_below(model, lam, l_trunc) == want, lam
 
     def test_count_rejects_band_points(self):
         with pytest.raises(ValueError, match="below the band"):

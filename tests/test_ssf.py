@@ -5,11 +5,12 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ssflab import functions
-from ssflab.spectral import eig_hermitian
+from ssflab import functions, spectral, ssf
+from ssflab.spectral import SpectralDecomposition, eig_hermitian
 from ssflab.ssf import (
     AdmissibleFunction,
     BranchTrackingError,
@@ -26,7 +27,7 @@ from ssflab.ssf import (
     trace_formula_sides,
     track_determinant_phase,
 )
-from ssflab.utils import random_hermitian, random_rank_k_hermitian, rng_from
+from ssflab.utils import random_hermitian, random_rank_k_hermitian, random_unitary, rng_from
 
 
 def _random_pair(rng, dim, scale=0.5):
@@ -315,6 +316,108 @@ class TestPerturbationDeterminant:
         d0 = eig_hermitian(np.eye(3))
         with pytest.raises(ValueError, match="shape"):
             perturbation_determinant(d0, np.eye(2), 1j)
+
+
+def _determinant_case(kind, n):
+    """``(d0, v)``: a random pair, an exactly degenerate H0, or V inside a
+    2-dimensional H0-invariant subspace."""
+    rng = rng_from(73, n, ("random", "degenerate", "invariant").index(kind))
+    if kind == "degenerate":
+        # each eigenvalue repeated, stored exactly as repeated
+        vals = np.repeat(np.linspace(-2.0, 2.0, (n + 2) // 3), 3)[:n]
+        d0 = SpectralDecomposition(vals, random_unitary(rng, n))
+    else:
+        d0 = eig_hermitian(random_hermitian(rng, n))
+    if kind == "invariant":
+        basis = d0.eigenvectors[:, :2]
+        v = basis @ random_hermitian(rng, 2, scale=0.5) @ basis.conj().T
+    else:
+        v = random_hermitian(rng, n, scale=0.5)
+    return d0, v
+
+
+def _lambdas(d0, d):
+    """The central breakpoint-interval midpoint farthest from both spectra,
+    and one point on each side of the spectra."""
+    both = np.sort(np.concatenate([d0.eigenvalues, d.eigenvalues]))
+    mids = 0.5 * (both[:-1] + both[1:])
+    mids = mids[mids.size // 4 : mids.size - mids.size // 4]
+    gaps = [
+        min(np.abs(d0.eigenvalues - m).min(), np.abs(d.eigenvalues - m).min()) for m in mids
+    ]
+    return [float(mids[int(np.argmax(gaps))]), float(both[0] - 0.7), float(both[-1] + 0.7)]
+
+
+_DET_CASES = [("random", n) for n in (1, 2, 8, 32, 64)] + [
+    (kind, n) for kind in ("degenerate", "invariant") for n in (2, 8, 32, 64)
+]
+
+
+class TestDeterminantOnVerticalLine:
+    """The route's O(n) per-height value against the dense definitions."""
+
+    @pytest.mark.parametrize("kind,n", _DET_CASES)
+    def test_matches_dense_oracles(self, kind, n):
+        d0, v = _determinant_case(kind, n)
+        h0 = d0.reconstruct()
+        h = h0 + v
+        d = eig_hermitian(h)
+        eye = np.eye(n)
+        for lam in _lambdas(d0, d):
+            det_fn = ssf._determinant_on_vertical_line(d0, h, lam)
+            for height in np.geomspace(1e-8, 1e3, 12):
+                z = lam + 1j * height
+                got = det_fn(height)
+                assert got == pytest.approx(perturbation_determinant(d0, v, z), rel=1e-9)
+                ratio = np.linalg.det(h - z * eye) / np.linalg.det(h0 - z * eye)
+                assert got == pytest.approx(ratio, rel=1e-9)
+
+    def test_size_64_point_matches_counting(self):
+        d0, v = _determinant_case("random", 64)
+        d = eig_hermitian(d0.reconstruct() + v)
+        lam = _lambdas(d0, d)[0]
+        assert abs(ssf_via_determinant(d0, v, lam) - ssf_counting(d0, d)(lam)) < 1e-6
+
+    def test_tracked_heights_never_use_the_eigenvalues_of_h(self, monkeypatch):
+        d0, v = _determinant_case("random", 8)
+        d = eig_hermitian(d0.reconstruct() + v)
+        lam = _lambdas(d0, d)[0]
+        expected = ssf_counting(d0, d)(lam)
+        heights = []
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("an eigensolver ran during phase tracking")
+
+        def tracker(det_fn, *args, **kwargs):
+            for owner, name in (
+                (spectral, "eig_hermitian"),
+                (ssf, "eig_hermitian"),
+                (np.linalg, "eigh"),
+                (np.linalg, "eigvalsh"),
+                (scipy.linalg, "eigh"),
+                (scipy.linalg, "eigvalsh"),
+            ):
+                monkeypatch.setattr(owner, name, forbidden)
+
+            def logged(height):
+                heights.append(height)
+                return det_fn(height)
+
+            return track_determinant_phase(logged, *args, **kwargs)
+
+        monkeypatch.setattr(ssf, "track_determinant_phase", tracker)
+        xi = ssf_via_determinant(d0, v, lam)
+        assert len(heights) > 10
+        assert abs(xi - expected) < 1e-6
+
+    def test_route_validates_the_perturbation(self):
+        d0 = eig_hermitian(np.diag([0.0, 1.0, 2.0]))
+        v = np.zeros((3, 3))
+        v[0, 1] = 1.0
+        with pytest.raises(ValueError, match="Hermitian"):
+            ssf_via_determinant(d0, v, 0.5)
+        with pytest.raises(ValueError, match="shape"):
+            ssf_via_determinant(d0, np.eye(2), 0.5)
 
 
 class TestPhaseTracking:
