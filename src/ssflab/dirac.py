@@ -22,7 +22,7 @@ import numpy as np
 from .spectral import (
     ABS_FLOOR,
     HermitianOperator,
-    SpectralDecomposition,
+    _check_resolvent_args,
     _fix_column_phases,
     eig_hermitian,
     resolvent_power,
@@ -46,8 +46,8 @@ __all__ = [
     "commutator_identity_residual",
     "diagonalize_symbol",
     "dirac_matrices",
-    "free_decomposition",
     "free_hamiltonian",
+    "free_resolvent_power",
     "free_symbol",
     "perturbed_hamiltonian",
     "power_difference_refinement",
@@ -227,21 +227,33 @@ def _fft_integer_grid(n: int) -> np.ndarray:
     return np.rint(np.fft.fftfreq(n) * n).astype(int)
 
 
-def free_hamiltonian(model: LatticeModel) -> HermitianOperator:
-    """Dense free operator: Fourier conjugation of the symbol on the momentum grid.
+def _symbol_grid(model: LatticeModel) -> tuple:
+    """Symbol and branch energy ``E = sqrt(|xi|^2 + mass^2)`` on the FFT momentum grid.
 
-    Block-circulant assembly: the inverse FFT of the symbol over the momentum
-    axes yields the convolution kernel, indexed by the componentwise
-    difference of site vectors modulo N.
+    Shapes ``(n,)*d + (s, s)`` and ``(n,)*d``, in FFT order along each axis.
     """
     n, d, s = model.n, model.d, model.spinor_dim
     kint = _fft_integer_grid(n)
     grids = np.meshgrid(*([kint] * d), indexing="ij")
     scale = 2.0 * np.pi / (n * model.h)
     symbol = np.zeros((n,) * d + (s, s), dtype=complex)
+    energy_sq = np.full((n,) * d, model.mass**2)
     for j, a in enumerate(model.matrices.kinetic):
-        symbol += (scale * grids[j])[..., None, None] * a
+        xi = scale * grids[j]
+        symbol += xi[..., None, None] * a
+        energy_sq += xi**2
     symbol += model.mass * model.matrices.mass_matrix
+    return symbol, np.sqrt(energy_sq)
+
+
+def _block_circulant(model: LatticeModel, symbol: np.ndarray) -> np.ndarray:
+    """Dense site-space matrix of a translation-invariant operator from its symbol.
+
+    The inverse FFT of the symbol over the momentum axes yields the
+    convolution kernel, indexed by the componentwise difference of site
+    vectors modulo N.
+    """
+    n, d, s = model.n, model.d, model.spinor_dim
     kernel = np.fft.ifftn(symbol, axes=tuple(range(d)))
     kernel_flat = kernel.reshape(n**d, s, s)
 
@@ -252,12 +264,36 @@ def free_hamiltonian(model: LatticeModel) -> HermitianOperator:
         lin = lin * n + delta[..., axis]
     blocks = kernel_flat[lin]
     dim = model.total_dim
-    matrix = blocks.transpose(0, 2, 1, 3).reshape(dim, dim)
-    return HermitianOperator(matrix)
+    return blocks.transpose(0, 2, 1, 3).reshape(dim, dim)
 
 
-def free_decomposition(model: LatticeModel) -> SpectralDecomposition:
-    return eig_hermitian(free_hamiltonian(model))
+def free_hamiltonian(model: LatticeModel) -> HermitianOperator:
+    """Dense free operator: Fourier conjugation of the symbol on the momentum grid."""
+    symbol, _ = _symbol_grid(model)
+    return HermitianOperator(_block_circulant(model, symbol))
+
+
+def free_resolvent_power(model: LatticeModel, z: complex, k: int) -> np.ndarray:
+    """``(H0 - z)^{-k}`` assembled from the symbol, without diagonalizing ``H0``.
+
+    The symbol squares to ``E^2 I`` with ``E >= mass > 0``, so its spectral
+    projections are ``(I +- symbol/E)/2`` and, per momentum,
+
+        (symbol - z)^{-k} = [(E-z)^{-k} + (-E-z)^{-k}]/2 I
+                            + [(E-z)^{-k} - (-E-z)^{-k}]/2 symbol/E
+
+    exactly.  The result goes through the same Fourier conjugation as
+    :func:`free_hamiltonian`.
+    """
+    z, k = _check_resolvent_args(z, k)
+    symbol, energy = _symbol_grid(model)
+    upper = (energy - z) ** (-k)
+    lower = (-energy - z) ** (-k)
+    even = 0.5 * (upper + lower)
+    odd = 0.5 * (upper - lower) / energy
+    eye = np.eye(model.spinor_dim)
+    power = even[..., None, None] * eye + odd[..., None, None] * symbol
+    return _block_circulant(model, power)
 
 
 # ---------------------------------------------------------------------------
@@ -453,11 +489,10 @@ def weighted_resolvent_schatten(
     corresponding summability threshold is ``p > d / min(r, k)``.
     """
     for p in p_list:
-        if not p == np.inf and p < 1:
+        if not float(p) >= 1.0:
             raise ValueError(f"schatten order p must be >= 1, got {p!r}")
-    d0 = free_decomposition(model)
     w = weight_diagonal(model, r)
-    weighted = w[:, None] * resolvent_power(d0, z, k)
+    weighted = w[:, None] * free_resolvent_power(model, z, k)
     sv = singular_values(weighted)
     norms = {float(p): schatten_norm(sv, p) for p in p_list}
     fitted = _fit_decay_exponent(sv.values)

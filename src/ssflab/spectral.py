@@ -165,13 +165,23 @@ def apply_function(decomposition: SpectralDecomposition, f) -> np.ndarray:
     return (u * vals) @ u.conj().T
 
 
-def resolvent_power(decomposition: SpectralDecomposition, z: complex, k: int) -> np.ndarray:
-    """``(H - z)^{-k}`` for non-real ``z`` and integer ``k >= 1``."""
-    if not isinstance(k, (int, np.integer)) or k < 1:
+def _check_resolvent_args(z, k) -> tuple:
+    """Validated ``(complex z, int k)`` for a resolvent power ``(H - z)^{-k}``.
+
+    ``z`` must be finite and non-real; ``k`` an integer ``>= 1`` (a ``bool``
+    is rejected, not read as 0 or 1).  The error names the offending value.
+    """
+    if isinstance(k, bool) or not isinstance(k, (int, np.integer)) or k < 1:
         raise ValueError(f"power k must be an integer >= 1, got {k!r}")
     z = complex(z)
-    if z.imag == 0.0:
-        raise ValueError(f"resolvent point must have Im z != 0, got z={z}")
+    if z.imag == 0.0 or not np.isfinite(z):
+        raise ValueError(f"resolvent point must be finite with Im z != 0, got z={z}")
+    return z, int(k)
+
+
+def resolvent_power(decomposition: SpectralDecomposition, z: complex, k: int) -> np.ndarray:
+    """``(H - z)^{-k}`` for non-real ``z`` and integer ``k >= 1``."""
+    z, k = _check_resolvent_args(z, k)
     return apply_function(decomposition, lambda lam: (lam - z) ** (-k))
 
 

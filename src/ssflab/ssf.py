@@ -118,31 +118,62 @@ class StepFunction:
         return cls(np.empty(0), np.zeros(1, dtype=int))
 
 
-def _steps_from_jumps(points: np.ndarray, weights: np.ndarray) -> StepFunction:
+def _cluster_radius(spec0: np.ndarray, spec: np.ndarray) -> float:
+    """Largest gap between two computed copies of one exact eigenvalue.
+
+    A backward-stable Hermitian eigensolver returns the exact eigenvalues of
+    ``H + E`` with ``||E|| <= p(n) eps ||H||``, so by Weyl's inequality each
+    computed eigenvalue lies within ``r = dim * eps * max|lambda|`` of an
+    exact one (taking ``p(n) = n``).  An eigenvalue shared by the two
+    operators (a perturbation acting on an invariant subspace) therefore
+    comes back as two values at most ``r(H0) + r(H)`` apart, and points
+    closer than that cannot be told apart.
+    """
+    eps = float(np.finfo(float).eps)
+    tops = [float(np.abs(sp).max(initial=0.0)) for sp in (spec0, spec)]
+    return spec0.size * eps * sum(tops)
+
+
+def _steps_from_jumps(
+    points: np.ndarray, weights: np.ndarray, radius: float = 0.0
+) -> StepFunction:
+    """Step function with the given jumps; sorted points whose gap is at most
+    ``radius`` merge into one cluster placed at its smallest point, and a
+    cluster whose net jump is zero leaves no breakpoint."""
     order = np.argsort(points, kind="stable")
     pts = points[order]
     wts = weights[order]
-    uniq, start = np.unique(pts, return_index=True)
+    start = np.flatnonzero(np.diff(pts, prepend=-np.inf) > radius)
     jump = np.add.reduceat(wts, start) if pts.size else np.empty(0)
     keep = jump != 0
-    uniq, jump = uniq[keep], jump[keep]
+    uniq, jump = pts[start][keep], jump[keep]
     vals = np.concatenate([[0], np.cumsum(jump)])
     if vals.size and vals[-1] != 0:
         raise ValueError("jump weights must sum to zero")
     return StepFunction(uniq, vals)
 
 
+def _counting_jumps(spec0: np.ndarray, spec: np.ndarray, radius: float) -> StepFunction:
+    """``#{spec0 <= x} - #{spec <= x}`` with clusters inside ``radius`` merged."""
+    if spec0.size != spec.size:
+        raise ValueError(f"dimension mismatch: {spec0.size} vs {spec.size}")
+    points = np.concatenate([spec0, spec])
+    weights = np.concatenate([np.ones(spec0.size, dtype=int), -np.ones(spec.size, dtype=int)])
+    return _steps_from_jumps(points, weights, radius)
+
+
 def ssf_counting(d0: SpectralDecomposition, d: SpectralDecomposition) -> StepFunction:
     """Spectral shift by direct eigenvalue counting.
 
-    Both decompositions must have the same dimension.  Shared eigenvalues of
-    equal multiplicity cancel and produce no breakpoint.
+    Both decompositions must have the same dimension.  Sorted eigenvalues of
+    either spectrum whose gap is within the backward-error radius
+    ``dim * eps * (max|lambda0| + max|lambda|)`` form one cluster, placed at
+    its smallest point; clusters whose counts cancel (shared eigenvalues of
+    equal multiplicity, also when they differ by rounding) produce no
+    breakpoint.
     """
-    if d0.dim != d.dim:
-        raise ValueError(f"dimension mismatch: {d0.dim} vs {d.dim}")
-    points = np.concatenate([d0.eigenvalues, d.eigenvalues])
-    weights = np.concatenate([np.ones(d0.dim, dtype=int), -np.ones(d.dim, dtype=int)])
-    return _steps_from_jumps(points, weights)
+    lam0, lam = d0.eigenvalues, d.eigenvalues
+    return _counting_jumps(lam0, lam, _cluster_radius(lam0, lam))
 
 
 def step_sum(a: StepFunction, b: StepFunction) -> StepFunction:
@@ -371,14 +402,21 @@ def ssf_via_invariance(
     makes these exactly the eigenvalues of ``phi(H0)`` and ``phi(H)``), the
     counting construction runs in the transformed variable, and breakpoints
     are pulled back through the inverse map.
+
+    Clusters merge within the transformed radius: the eigenvalue radius of
+    :func:`ssf_counting` carried through ``phi`` (times the largest
+    ``phi'`` on the spectra, by the mean value theorem) plus the same
+    backward-error rule applied to the mapped spectra as those of
+    ``phi(H0)`` and ``phi(H)``.
     """
-    mapped0 = np.asarray(phi(d0.eigenvalues), dtype=float)
-    mapped = np.asarray(phi(d.eigenvalues), dtype=float)
+    lam0, lam = d0.eigenvalues, d.eigenvalues
+    mapped0 = np.asarray(phi(lam0), dtype=float)
+    mapped = np.asarray(phi(lam), dtype=float)
     if np.any(np.diff(mapped0) < 0) or np.any(np.diff(mapped) < 0):
         raise ValueError("change of variable failed to preserve spectral order")
-    points = np.concatenate([mapped0, mapped])
-    weights = np.concatenate([np.ones(d0.dim, dtype=int), -np.ones(d.dim, dtype=int)])
-    transformed = _steps_from_jumps(points, weights)
+    slope = float(np.max(phi.derivative(np.concatenate([lam0, lam]))))
+    radius = _cluster_radius(lam0, lam) * slope + _cluster_radius(mapped0, mapped)
+    transformed = _counting_jumps(mapped0, mapped, radius)
     pulled = np.array([phi.inverse(b) for b in transformed.breakpoints])
     return StepFunction(pulled, transformed.values)
 

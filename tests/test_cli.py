@@ -138,6 +138,16 @@ TINY_TRACE = {
     "trace-check": {"trials": 3, "dims": [2, 3], "det_trials": 1, "det_points": 2},
 }
 
+TINY_DIRAC = {
+    "seed": 7,
+    "dirac-schatten": {
+        "refinement_n_list": [16, 32],
+        "identity_n_list": [8],
+        "seeds": 2,
+        "decay_n_list": [16, 32],
+    },
+}
+
 TINY_DOI = {
     "doi-check": {
         "dim": 8,
@@ -204,6 +214,17 @@ class TestCliRuns:
         assert main(["doi-check", "--config", cfg, "--seed", "7", "--jobs", "1", "--out", str(out1)]) == 0
         assert main(["doi-check", "--config", cfg, "--seed", "7", "--jobs", "2", "--out", str(out2)]) == 0
         assert out1.read_bytes() == out2.read_bytes()
+
+    def test_jobs_do_not_change_dirac_payload(self, tmp_path):
+        cfg = _write_config(tmp_path, TINY_DIRAC)
+        outs = []
+        for jobs in ("1", "2"):
+            out = tmp_path / f"dirac_{jobs}.json"
+            rc = main(["dirac-schatten", "--config", cfg, "--jobs", jobs, "--out", str(out)])
+            assert rc in (0, 1)
+            outs.append(out.read_bytes())
+        assert json.loads(outs[0])["subcommand"] == "dirac-schatten"
+        assert outs[0] == outs[1]
 
     def test_repeat_run_bit_identical(self, tmp_path):
         cfg = _write_config(tmp_path, TINY_TRACE)

@@ -2,8 +2,9 @@
 
 import numpy as np
 import pytest
+import scipy.linalg
 
-from ssflab import functions
+from ssflab import dirac, functions, spectral
 from ssflab.dirac import (
     DiracMatrices,
     LatticeModel,
@@ -14,8 +15,8 @@ from ssflab.dirac import (
     commutator_identity_residual,
     diagonalize_symbol,
     dirac_matrices,
-    free_decomposition,
     free_hamiltonian,
+    free_resolvent_power,
     free_symbol,
     perturbed_hamiltonian,
     power_difference_refinement,
@@ -29,6 +30,7 @@ from ssflab.dirac import (
     weighted_resolvent_schatten,
     zero_potential,
 )
+from ssflab.spectral import eig_hermitian, resolvent_power
 from ssflab.utils import rng_from
 
 
@@ -170,12 +172,43 @@ class TestFreeHamiltonian:
         )
         half = model.spinor_dim // 2
         want = np.sort(np.concatenate([np.repeat(energies, half), np.repeat(-energies, half)]))
-        got = free_decomposition(model).eigenvalues
+        got = eig_hermitian(free_hamiltonian(model)).eigenvalues
         np.testing.assert_allclose(got, want, atol=1e-10)
 
     def test_hermitian(self):
         h = np.asarray(free_hamiltonian(_model(n=8)).entries)
         assert np.abs(h - h.conj().T).max() < 1e-13
+
+
+def _dense_resolvent_power(model, z, k):
+    """Oracle: resolvent power through a dense eigendecomposition of H0."""
+    return resolvent_power(eig_hermitian(free_hamiltonian(model)), z, k)
+
+
+class TestFreeResolventPower:
+    @pytest.mark.parametrize("d, n", [(1, 32), (2, 8), (3, 4)])
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    @pytest.mark.parametrize("z", [1j, 0.3 - 0.7j, 2 + 0.05j])
+    def test_matches_dense_oracle(self, d, n, k, z):
+        model = LatticeModel(d=d, n=n, h=0.9, mass=0.8)
+        got = free_resolvent_power(model, z, k)
+        want = _dense_resolvent_power(model, z, k)
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+    @pytest.mark.parametrize(
+        "z, k, match",
+        [
+            (1.0, 1, r"z=\(1\+0j\)"),
+            (complex(np.nan, 1.0), 1, "nan"),
+            (1j, 0, "got 0"),
+            (1j, 1.5, "got 1.5"),
+            (1j, True, "got True"),
+        ],
+        ids=["real_z", "nan_z", "k0", "float_k", "bool_k"],
+    )
+    def test_argument_check(self, z, k, match):
+        with pytest.raises(ValueError, match=match):
+            free_resolvent_power(_model(n=4), z, k)
 
 
 # ---------------------------------------------------------------------------
@@ -344,6 +377,15 @@ class TestWeightedResolvent:
         with pytest.raises(ValueError, match="p must"):
             weighted_resolvent_schatten(_model(n=8), 1.0, 1, 1j, [0.5])
 
+    def test_rejects_nan_p_before_assembly(self, monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("assembly or SVD ran before the p check")
+
+        monkeypatch.setattr(dirac, "free_resolvent_power", forbidden)
+        monkeypatch.setattr(dirac, "singular_values", forbidden)
+        with pytest.raises(ValueError, match="nan"):
+            weighted_resolvent_schatten(_model(n=8), 1.0, 1, 1j, [2.0, float("nan")])
+
     @pytest.mark.parametrize("r, k", [(1.0, 1), (2.0, 1)])
     def test_exponent_prediction(self, r, k):
         rep = weighted_resolvent_schatten(_model(n=64), r, k, 1j, [1.0, 2.0])
@@ -390,6 +432,31 @@ class TestRefinementStudy:
     def test_balanced_above_threshold_stabilizes(self):
         study = schatten_refinement_study(1, 2.0, 2, 1j, [1.5], [64, 128, 256])
         assert study.stabilized[1.5], study.norms_by_p
+
+    def test_runs_without_dense_eigensolver(self, monkeypatch):
+        # oracle norms first, through the dense eigendecomposition of H0
+        z, r, k, p_list, n_list = 0.3 + 1j, 1.0, 2, [1.0, 2.0], [16, 32]
+        want = {p: [] for p in p_list}
+        for n in n_list:
+            model = LatticeModel(d=1, n=n, h=balanced_spacing(n), mass=1.0)
+            w = weight_diagonal(model, r)
+            sv = spectral.singular_values(w[:, None] * _dense_resolvent_power(model, z, k))
+            for p in p_list:
+                want[p].append(spectral.schatten_norm(sv, p))
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("dense eigensolver called")
+
+        for owner, name in [
+            (spectral, "eig_hermitian"),
+            (dirac, "eig_hermitian"),
+            (np.linalg, "eigh"),
+            (scipy.linalg, "eigh"),
+        ]:
+            monkeypatch.setattr(owner, name, forbidden)
+        study = schatten_refinement_study(1, r, k, z, p_list, n_list)
+        for p in p_list:
+            np.testing.assert_allclose(study.norms_by_p[p], want[p], rtol=1e-12)
 
 
 class TestFactorization:

@@ -98,6 +98,23 @@ def test_resolvent_power_validation():
         resolvent_power(d, 1j, 0)
 
 
+@pytest.mark.parametrize(
+    "z, k, match",
+    [
+        (2.0, 1, r"z=\(2\+0j\)"),
+        (complex(np.inf, 1.0), 1, "inf"),
+        (1j, -1, "got -1"),
+        (1j, 2.0, "got 2.0"),
+        (1j, True, "got True"),
+    ],
+    ids=["real_z", "inf_z", "negative_k", "float_k", "bool_k"],
+)
+def test_resolvent_power_argument_check_names_value(z, k, match):
+    d = eig_hermitian(np.diag([0.0, 1.0]))
+    with pytest.raises(ValueError, match=match):
+        resolvent_power(d, z, k)
+
+
 def test_singular_values_nonincreasing_and_unitary_invariant():
     rng = rng_from(5)
     m = rng.standard_normal((7, 7)) + 1j * rng.standard_normal((7, 7))

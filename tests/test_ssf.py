@@ -168,6 +168,7 @@ class TestCounting:
         s = StepFunction([0.0, 1.0], [0, 2, 0])
         neg = StepFunction([0.0, 1.0], [0, -2, 0])
         assert step_sum(s, neg).is_zero
+        assert step_sum(StepFunction.zero(), StepFunction.zero()).is_zero
 
     def test_steps_equal_tolerance(self):
         a = StepFunction([0.0, 1.0], [0, 1, 0])
@@ -286,6 +287,62 @@ class TestInvariance:
         phi = build_power_map(1, 1.0)
         d0, d, _ = _random_pair(rng_from(9), 8)
         assert steps_equal(ssf_counting(d0, d), ssf_via_invariance(d0, d, phi), bp_tol=1e-9)
+
+
+class TestClusteredSpectra:
+    """V acts inside a 2-dim H0-invariant subspace: the other ten eigenvalues
+    are shared by H0 and H and come back from eigh differing by rounding."""
+
+    @staticmethod
+    def _pair(cols):
+        a0 = random_hermitian(np.random.default_rng(0), 12)
+        d0 = eig_hermitian(a0)
+        u = d0.eigenvectors[:, list(cols)]
+        b = np.array([[0.4, 0.2 - 0.1j], [0.2 + 0.1j, -0.3]])
+        return d0, eig_hermitian(a0 + u @ b @ u.conj().T)
+
+    @pytest.mark.parametrize("cols", [(3, 7), (0, 11), (5, 6)])
+    def test_counting_merges_rounding_pairs(self, cols):
+        d0, d = self._pair(cols)
+        xi = ssf_counting(d0, d)
+        assert xi.breakpoints.size <= 4, xi.breakpoints
+        lam0, lam = d0.eigenvalues, d.eigenvalues
+        spectra = np.concatenate([lam0, lam])
+        probes = np.concatenate(
+            [
+                np.linspace(spectra.min() - 1.0, spectra.max() + 1.0, 2001),
+                spectra - 1e-9,
+                spectra + 1e-9,
+            ]
+        )
+        far = np.min(np.abs(probes[:, None] - spectra[None, :]), axis=1) >= 1e-9
+        assert far.sum() > 2000
+        for x in probes[far]:
+            assert xi(float(x)) == int(np.sum(lam0 <= x) - np.sum(lam <= x))
+
+    @pytest.mark.parametrize("cols", [(3, 7), (0, 11), (5, 6)])
+    @pytest.mark.parametrize("m", [3, 5])
+    def test_invariance_agrees_with_counting(self, cols, m):
+        d0, d = self._pair(cols)
+        mapped = ssf_via_invariance(d0, d, build_power_map(m, 1.0))
+        assert steps_equal(ssf_counting(d0, d), mapped, bp_tol=1e-9)
+
+    def test_radius_sums_both_spectra_and_follows_phi(self):
+        # a shared eigenvalue whose two computed copies sit 7 ulps apart at
+        # 10: above 4 eps max|lambda| = 8.9e-15, within the summed radius
+        # 4 eps (max|lambda0| + max|lambda|) = 1.8e-14
+        lam0 = np.array([-1.5, 0.3, 2.0, 10.0])
+        lam = np.array([-1.5, 0.7, 2.0, 10.0 + 7 * np.spacing(10.0)])
+        d0 = SpectralDecomposition(lam0, np.eye(4))
+        d = SpectralDecomposition(lam, np.eye(4))
+        xi = ssf_counting(d0, d)
+        np.testing.assert_array_equal(xi.breakpoints, [0.3, 0.7])
+        np.testing.assert_array_equal(xi.values, [0, 1, 0])
+        # x^m stretches that gap by m x^(m-1), past the radius of the mapped
+        # spectra alone
+        for m in (3, 5):
+            mapped = ssf_via_invariance(d0, d, build_power_map(m, 1.0))
+            assert steps_equal(xi, mapped, bp_tol=1e-9)
 
 
 # ---------------------------------------------------------------------------
