@@ -15,7 +15,7 @@ resolvent power, which are distinct parameters throughout.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -23,7 +23,6 @@ from .spectral import (
     ABS_FLOOR,
     HermitianOperator,
     _check_resolvent_args,
-    _fix_column_phases,
     eig_hermitian,
     resolvent_power,
     schatten_norm,
@@ -44,14 +43,11 @@ __all__ = [
     "commutator_decay_report",
     "commutator_decay_study",
     "commutator_identity_residual",
-    "diagonalize_symbol",
     "dirac_matrices",
     "free_hamiltonian",
     "free_resolvent_power",
     "free_symbol",
     "perturbed_hamiltonian",
-    "power_difference_refinement",
-    "profile_potential",
     "random_bounded_potential",
     "random_decaying_potential",
     "resolvent_power_difference",
@@ -116,6 +112,15 @@ class DiracMatrices:
     def mass_matrix(self) -> np.ndarray:
         return self.alphas[self.d]
 
+    def __eq__(self, other):
+        # the generated equality compares tuples of arrays, whose truth value
+        # is ambiguous
+        if not isinstance(other, DiracMatrices):
+            return NotImplemented
+        return self.d == other.d and all(
+            np.array_equal(a, b) for a, b in zip(self.alphas, other.alphas)
+        )
+
 
 def dirac_matrices(d: int) -> DiracMatrices:
     """Standard representation: Pauli pairs for d in {1, 2}, 4x4 set for d=3."""
@@ -145,15 +150,6 @@ def free_symbol(matrices: DiracMatrices, mass: float, xi) -> np.ndarray:
     for j, a in enumerate(matrices.kinetic):
         out = out + xi[j] * a
     return out
-
-
-def diagonalize_symbol(matrices: DiracMatrices, mass: float, xi):
-    """Eigenvalues (positive branch first) and unitary eigenvectors of the symbol."""
-    a = free_symbol(matrices, mass, xi)
-    vals, vecs = np.linalg.eigh(a)
-    half = matrices.spinor_dim // 2
-    order = list(range(half, matrices.spinor_dim)) + list(range(half))
-    return vals[order], _fix_column_phases(vecs[:, order])
 
 
 @dataclass(frozen=True)
@@ -372,11 +368,6 @@ class MatrixPotential:
             out[i * s : (i + 1) * s, i * s : (i + 1) * s] = self.site_matrices[i]
         return out
 
-    def scaled_by_sites(self, factors: np.ndarray) -> "MatrixPotential":
-        """New potential with site i multiplied by the real factor ``factors[i]``."""
-        factors = np.asarray(factors, dtype=float)
-        return MatrixPotential(self.model, self.site_matrices * factors[:, None, None])
-
 
 def zero_potential(model: LatticeModel) -> MatrixPotential:
     s = model.spinor_dim
@@ -413,31 +404,31 @@ def random_bounded_potential(
     return MatrixPotential(model, _random_site_matrices(model, rng, bounds, 0.2))
 
 
-def profile_potential(
-    model: LatticeModel,
-    profile: Callable[[np.ndarray], np.ndarray],
-    spin_matrix: Optional[np.ndarray] = None,
-) -> MatrixPotential:
-    """Deterministic potential: scalar radial profile times a fixed spin matrix.
-
-    The profile is a function of the physical folded distance, so the same
-    profile is comparable across lattice refinements.
-    """
-    s = model.spinor_dim
-    spin = np.eye(s, dtype=complex) if spin_matrix is None else np.asarray(spin_matrix)
-    vals = np.asarray(profile(model.site_distances()), dtype=float)
-    mats = vals[:, None, None] * spin
-    return MatrixPotential(model, mats)
+def _lattice_label(model: LatticeModel) -> str:
+    return f"(d={model.d}, n={model.n}, h={model.h!r}, mass={model.mass!r})"
 
 
 def perturbed_hamiltonian(
     model: LatticeModel, *potentials: MatrixPotential
 ) -> np.ndarray:
+    """Dense ``H0 + V_1 + V_2 + ...``, the potentials added in order.
+
+    Every potential must live on ``model``'s lattice: the same dimension,
+    size, spacing, mass and Dirac matrices, since its declared decay was
+    checked against that lattice's distances.
+    """
     out = np.array(free_hamiltonian(model).entries)
+    s = model.spinor_dim
+    sites = np.arange(model.n_sites)
+    blocks = out.reshape(model.n_sites, s, model.n_sites, s)
     for v in potentials:
-        if v.model.total_dim != model.total_dim:
-            raise ValueError("potential lattice does not match the model")
-        out = out + v.to_operator()
+        if v.model != model:
+            other = "" if v.model.matrices == model.matrices else " (other Dirac matrices)"
+            raise ValueError(
+                f"potential lattice {_lattice_label(v.model)} does not match the "
+                f"model lattice {_lattice_label(model)}{other}"
+            )
+        blocks[sites, :, sites, :] += v.site_matrices
     return out
 
 
@@ -620,8 +611,8 @@ def resolvent_power_difference(
     if z.imag == 0.0:
         raise ValueError("resolvent point must have Im z != 0")
     h0 = perturbed_hamiltonian(model, v0)
+    h = perturbed_hamiltonian(model, v0, v)
     vop = v.to_operator()
-    h = h0 + vop
 
     lhs = resolvent_power(eig_hermitian(h), z, mpow) - resolvent_power(
         eig_hermitian(h0), z, mpow
@@ -645,30 +636,6 @@ def resolvent_power_difference(
         relative_residual=residual / scale,
         trace_norm=schatten_norm(singular_values(lhs), 1),
     )
-
-
-def power_difference_refinement(
-    d: int,
-    n_list: Sequence[int],
-    z: complex,
-    mpow: int,
-    profile: Callable[[np.ndarray], np.ndarray],
-    mass: float = 1.0,
-    stab_rtol: float = 0.05,
-):
-    """Trace norm of the resolvent-power difference across balanced refinement.
-
-    Returns (trace_norms, stabilized flag); the potential is regenerated from
-    the same physical radial profile on every lattice.
-    """
-    norms = []
-    for n in n_list:
-        model = LatticeModel(d=d, n=n, h=balanced_spacing(n), mass=mass)
-        v = profile_potential(model, profile)
-        rep = resolvent_power_difference(model, zero_potential(model), v, z, mpow)
-        norms.append(rep.trace_norm)
-    stabilized = bool(abs(norms[-1] - norms[-2]) <= stab_rtol * abs(norms[-1]))
-    return tuple(norms), stabilized
 
 
 # ---------------------------------------------------------------------------
@@ -702,7 +669,6 @@ def weighted_factorization_report(
     k: int,
     mpow: int,
     z: complex,
-    v0: Optional[MatrixPotential] = None,
 ) -> FactorizationReport:
     """Factor one expansion term through decaying weights and check Hoelder.
 
@@ -712,7 +678,8 @@ def weighted_factorization_report(
     proportionally: r1 = k rho/(mpow+1), r2 = (mpow+1-k) rho/(mpow+1).
     The Schatten budget ``min(r1,k)/d + min(r2,mpow+1-k)/d`` must exceed 1
     for a trace-class Hoelder pairing; at rho = d it is exactly 1 and the
-    factorization is flagged infeasible.
+    factorization is flagged infeasible.  ``R0`` is the free resolvent, built
+    from the symbol by :func:`free_resolvent_power`; only ``R`` is inverted.
     """
     if not v.is_decaying:
         raise ValueError("factorization needs a potential with declared decay")
@@ -730,19 +697,18 @@ def weighted_factorization_report(
     budget = u1 + u2
     feasible = bool(budget > 1.0)
 
-    v0 = zero_potential(model) if v0 is None else v0
-    h0 = perturbed_hamiltonian(model, v0)
-    h = h0 + v.to_operator()
+    h = perturbed_hamiltonian(model, v)
+    vop = v.to_operator()
     rk = _inverse_powers(h, z, k)[k]
-    r0j = _inverse_powers(h0, z, j)[j]
-    direct = rk @ v.to_operator() @ r0j
+    r0j = free_resolvent_power(model, z, j)
+    direct = rk @ vop @ r0j
     direct_trace = schatten_norm(singular_values(direct), 1)
 
     w1 = weight_diagonal(model, r1)
     w2 = weight_diagonal(model, r2)
     # middle factor: weights inverted against the sitewise potential; diagonal
     # weights commute with sitewise blocks, so this is exactly <x>^(r1+r2) V
-    comp = v.to_operator() / (w1[:, None] * w2[None, :])
+    comp = vop / (w1[:, None] * w2[None, :])
     left = rk * w1[None, :]
     right = w2[:, None] * r0j
     product = left @ comp @ right
@@ -808,7 +774,7 @@ def commutator_identity_residual(
     if z.imag == 0.0:
         raise ValueError("resolvent point must have Im z != 0")
     h00 = np.array(free_hamiltonian(model).entries)
-    h = h00 + v0.to_operator() + v.to_operator()
+    h = perturbed_hamiltonian(model, v0, v)
     w = weight_diagonal(model, r)
     powers = _inverse_powers(h, z, k + 1)
     rk = powers[k]
@@ -851,20 +817,6 @@ def commutator_decay_report(
     """
     if near_window <= 0:
         raise ValueError(f"near_window must be positive, got {near_window!r}")
-    if r == 0:
-        dist = model.site_distances()
-        zeros = tuple(0.0 for _ in range(model.n_sites))
-        return CommutatorDecayReport(
-            r=0.0,
-            n=model.n,
-            near_window=float(near_window),
-            distances=tuple(float(x) for x in dist),
-            profile_raw=zeros,
-            profile_weighted=zeros,
-            sup_constant=0.0,
-            far_ratio=0.0,
-            decays=True,
-        )
     h00 = np.array(free_hamiltonian(model).entries)
     w = weight_diagonal(model, r)
     comm = h00 * w[None, :] - w[:, None] * h00
@@ -908,6 +860,8 @@ def commutator_decay_study(
     origin.  Returns (sup_constants, stable flag): stable when the last two
     agree within ``rtol`` relatively.
     """
+    if len(n_list) < 2:
+        raise ValueError("commutator decay study needs at least two lattice sizes")
     sups = []
     for n in n_list:
         model = LatticeModel(d=d, n=n, h=h, mass=mass)

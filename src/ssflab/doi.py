@@ -30,6 +30,7 @@ from .functions import ScalarFunction, resolvent_function, smoothstep_cutoff
 from .spectral import (
     ABS_FLOOR,
     SpectralDecomposition,
+    _check_resolvent_args,
     apply_function,
     schatten_norm,
     singular_values,
@@ -50,7 +51,6 @@ __all__ = [
     "divided_difference",
     "doi_apply",
     "doi_identity_residual",
-    "geometric_sum_roots",
     "kernel_dlambda",
     "kernel_eval",
     "kernel_hypotheses_report",
@@ -127,13 +127,6 @@ class CofactorPolynomial:
         for _ in range(self.m):
             acc = acc * sigma + 1.0
         return a ** (self.m - 1) * acc
-
-
-def geometric_sum_roots(m: int) -> np.ndarray:
-    """Roots of ``1 + s + ... + s^(m-1)``: the non-trivial m-th roots of unity."""
-    if m < 1:
-        raise ValueError("m must be >= 1")
-    return np.exp(2j * np.pi * np.arange(1, m) / m)
 
 
 # ---------------------------------------------------------------------------
@@ -316,21 +309,16 @@ class DoiKernel:
         if self.g.derivative is None or self.f.derivative is None:
             raise ValueError("kernel functions need attached first derivatives")
 
-    def __call__(self, lam, mu):
-        return kernel_eval(self, lam, mu)
-
-    def dlambda(self, lam, mu):
-        return kernel_dlambda(self, lam, mu)
-
 
 def resolvent_kernel(
     f: ScalarFunction, m: int, z: complex, mode: str = "direct", delta0: float = 1e-5
 ) -> DoiKernel:
     """Kernel with denominator function ``g(x) = (x - z)^{-m}``."""
-    if int(m) < 1 or int(m) % 2 == 0:
+    z, m = _check_resolvent_args(z, m)
+    if m % 2 == 0:
         raise ValueError(f"resolvent power must be an odd integer >= 1, got {m!r}")
-    g = resolvent_function(z, int(m))
-    return DoiKernel(f=f, g=g, mode=mode, delta0=delta0, m=int(m), z=complex(z))
+    g = resolvent_function(z, m)
+    return DoiKernel(f=f, g=g, mode=mode, delta0=delta0, m=m, z=z)
 
 
 _DENOM_ABS_TOL = 1e-13

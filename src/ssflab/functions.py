@@ -13,10 +13,11 @@ from typing import Callable, Optional
 
 import numpy as np
 
+from .spectral import _check_resolvent_args
+
 __all__ = [
     "ScalarFunction",
     "bump_c2",
-    "constant",
     "derivative_defect",
     "gaussian_bump",
     "identity",
@@ -26,8 +27,6 @@ __all__ = [
     "product",
     "real_part",
     "resolvent_function",
-    "scalar_sum",
-    "scale",
     "smoothstep_cutoff",
     "squared_lorentzian",
 ]
@@ -79,15 +78,6 @@ def identity() -> ScalarFunction:
         derivative=lambda x: np.ones_like(np.asarray(x, dtype=float)),
         derivative2=lambda x: np.zeros_like(np.asarray(x, dtype=float)),
         name="identity",
-    )
-
-
-def constant(c) -> ScalarFunction:
-    return ScalarFunction(
-        value=lambda x, c=c: np.full_like(np.asarray(x, dtype=float), c, dtype=type(c)),
-        derivative=lambda x: np.zeros_like(np.asarray(x, dtype=float)),
-        derivative2=lambda x: np.zeros_like(np.asarray(x, dtype=float)),
-        name=f"const[{c}]",
     )
 
 
@@ -143,12 +133,7 @@ def squared_lorentzian() -> ScalarFunction:
 
 def resolvent_function(z: complex, m: int = 1, part: Optional[str] = None) -> ScalarFunction:
     """``(x - z)^{-m}`` for non-real ``z``; ``part`` selects "re" or "im"."""
-    z = complex(z)
-    m = int(m)
-    if z.imag == 0.0:
-        raise ValueError("resolvent function requires Im z != 0")
-    if m < 1:
-        raise ValueError("resolvent power must be >= 1")
+    z, m = _check_resolvent_args(z, m)
 
     def val(x):
         return (np.asarray(x, dtype=complex) - z) ** (-m)
@@ -248,25 +233,6 @@ def bump_c2(r: float, height: float = 1.0) -> ScalarFunction:
         return a * np.where(np.abs(u) < 1.0, core, 0.0)
 
     return ScalarFunction(val, der, der2, name=f"bump[r={r}]")
-
-
-def scale(f: ScalarFunction, c) -> ScalarFunction:
-    return ScalarFunction(
-        value=lambda x: c * f(x),
-        derivative=None if f.derivative is None else (lambda x: c * f.d1(x)),
-        derivative2=None if f.derivative2 is None else (lambda x: c * f.d2(x)),
-        name=f"{c}*{f.name}",
-    )
-
-
-def scalar_sum(f: ScalarFunction, g: ScalarFunction) -> ScalarFunction:
-    der = None
-    if f.derivative is not None and g.derivative is not None:
-        der = lambda x: f.d1(x) + g.d1(x)  # noqa: E731
-    der2 = None
-    if f.derivative2 is not None and g.derivative2 is not None:
-        der2 = lambda x: f.d2(x) + g.d2(x)  # noqa: E731
-    return ScalarFunction(lambda x: f(x) + g(x), der, der2, name=f"({f.name}+{g.name})")
 
 
 def product(f: ScalarFunction, g: ScalarFunction) -> ScalarFunction:

@@ -56,11 +56,6 @@ def check_le(name: str, value: float, threshold: float, note: str = "") -> Check
                        bool(value <= threshold), note)
 
 
-def check_ge(name: str, value: float, threshold: float, note: str = "") -> CheckRecord:
-    return CheckRecord(name, float(value), float(threshold), ">=",
-                       bool(value >= threshold), note)
-
-
 def check_gt(name: str, value: float, threshold: float, note: str = "") -> CheckRecord:
     return CheckRecord(name, float(value), float(threshold), ">",
                        bool(value > threshold), note)

@@ -187,10 +187,9 @@ def resolvent_power(decomposition: SpectralDecomposition, z: complex, k: int) ->
 
 @dataclass(frozen=True)
 class SingularValueProfile:
-    """Singular values in non-increasing order, with the source matrix shape."""
+    """Singular values in non-increasing order."""
 
     values: np.ndarray
-    source_shape: tuple
 
     def __post_init__(self):
         vals = np.array(self.values, dtype=float)
@@ -202,7 +201,6 @@ class SingularValueProfile:
             raise ValueError("singular values must be non-increasing")
         vals.flags.writeable = False
         object.__setattr__(self, "values", vals)
-        object.__setattr__(self, "source_shape", tuple(self.source_shape))
 
 
 def singular_values(matrix) -> SingularValueProfile:
@@ -211,7 +209,7 @@ def singular_values(matrix) -> SingularValueProfile:
     if m.ndim != 2:
         raise ValueError(f"expected a matrix, got shape {m.shape}")
     vals = np.linalg.svd(m, compute_uv=False)
-    return SingularValueProfile(np.maximum(vals, 0.0), m.shape)
+    return SingularValueProfile(np.maximum(vals, 0.0))
 
 
 def schatten_norm(profile, p: float) -> float:

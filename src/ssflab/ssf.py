@@ -51,7 +51,6 @@ __all__ = [
     "ssf_counting",
     "ssf_via_determinant",
     "ssf_via_invariance",
-    "step_sum",
     "steps_equal",
     "trace_formula_sides",
     "track_determinant_phase",
@@ -174,13 +173,6 @@ def ssf_counting(d0: SpectralDecomposition, d: SpectralDecomposition) -> StepFun
     """
     lam0, lam = d0.eigenvalues, d.eigenvalues
     return _counting_jumps(lam0, lam, _cluster_radius(lam0, lam))
-
-
-def step_sum(a: StepFunction, b: StepFunction) -> StepFunction:
-    """Pointwise sum of two step functions (exact on shared breakpoints)."""
-    points = np.concatenate([a.breakpoints, b.breakpoints])
-    weights = np.concatenate([a.jumps(), b.jumps()])
-    return _steps_from_jumps(points, weights)
 
 
 def steps_equal(a: StepFunction, b: StepFunction, bp_tol: float = 0.0) -> bool:

@@ -13,7 +13,6 @@ from ssflab.reports import (
     CheckRecord,
     ExperimentReport,
     check_flag,
-    check_ge,
     check_gt,
     check_info,
     check_le,
@@ -28,8 +27,6 @@ class TestCheckRecord:
     def test_comparisons(self):
         assert check_le("a", 1.0, 1.0).passed
         assert not check_le("a", 1.1, 1.0).passed
-        assert check_ge("a", 1.0, 1.0).passed
-        assert not check_ge("a", 0.9, 1.0).passed
         assert check_gt("a", 1.1, 1.0).passed
         assert not check_gt("a", 1.0, 1.0).passed
         assert check_flag("a", True).passed
@@ -73,7 +70,9 @@ class TestExperimentReport:
 
     def test_duplicate_names_rejected(self):
         with pytest.raises(ValueError, match="duplicate"):
-            self._report(records=(check_le("a", 0.0, 1.0), check_ge("a", 0.0, 0.0)))
+            self._report(
+                records=(check_le("a", 0.0, 1.0), CheckRecord("a", 0.0, 0.0, ">=", True))
+            )
 
     def test_timings_not_serialized(self):
         rep = self._report(timings={"total_s": 1.23})

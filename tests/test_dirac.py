@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from ssflab import dirac, functions, spectral
+from ssflab import dirac, spectral
 from ssflab.dirac import (
     DiracMatrices,
     LatticeModel,
@@ -13,14 +13,11 @@ from ssflab.dirac import (
     commutator_decay_report,
     commutator_decay_study,
     commutator_identity_residual,
-    diagonalize_symbol,
     dirac_matrices,
     free_hamiltonian,
     free_resolvent_power,
     free_symbol,
     perturbed_hamiltonian,
-    power_difference_refinement,
-    profile_potential,
     random_bounded_potential,
     random_decaying_potential,
     resolvent_power_difference,
@@ -36,6 +33,12 @@ from ssflab.utils import rng_from
 
 def _model(d=1, n=32, h=None, mass=1.0):
     return LatticeModel(d=d, n=n, h=balanced_spacing(n) if h is None else h, mass=mass)
+
+
+def _flipped_matrices():
+    # a valid d = 1 set other than the standard one
+    s1, s3 = dirac_matrices(1).alphas
+    return DiracMatrices(1, 2, (-s1, s3))
 
 
 # ---------------------------------------------------------------------------
@@ -95,20 +98,16 @@ class TestSymbol:
 
     @pytest.mark.parametrize("d", [1, 2, 3])
     def test_diagonalization(self, d):
+        # two branches -E and +E, each of multiplicity spinor_dim / 2
         mats = dirac_matrices(d)
         rng = rng_from(92, d)
+        half = mats.spinor_dim // 2
         for _ in range(25):
             xi = rng.uniform(-3, 3, size=d)
-            vals, vecs = diagonalize_symbol(mats, 1.3, xi)
+            vals = np.linalg.eigvalsh(free_symbol(mats, 1.3, xi))
             e = np.sqrt(float(xi @ xi) + 1.3**2)
-            half = mats.spinor_dim // 2
-            np.testing.assert_allclose(vals[:half], e, atol=1e-12)
-            np.testing.assert_allclose(vals[half:], -e, atol=1e-12)
-            a = free_symbol(mats, 1.3, xi)
-            np.testing.assert_allclose((vecs * vals) @ vecs.conj().T, a, atol=1e-12)
-            np.testing.assert_allclose(
-                vecs.conj().T @ vecs, np.eye(mats.spinor_dim), atol=1e-12
-            )
+            np.testing.assert_allclose(vals[:half], -e, atol=1e-12)
+            np.testing.assert_allclose(vals[half:], e, atol=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -142,6 +141,15 @@ class TestLatticeModel:
 
     def test_balanced_spacing(self):
         assert balanced_spacing(32) == pytest.approx(np.sqrt(2 * np.pi / 32))
+
+    def test_equality_compares_the_matrices(self):
+        # the d = 3 matrices are built afresh for every model
+        a = LatticeModel(d=3, n=2, h=1.0, mass=1.0)
+        assert a == LatticeModel(d=3, n=2, h=1.0, mass=1.0)
+        assert a != LatticeModel(d=3, n=2, h=0.5, mass=1.0)
+        assert LatticeModel(d=1, n=2, h=1.0, mass=1.0) != LatticeModel(
+            d=1, n=2, h=1.0, mass=1.0, matrices=_flipped_matrices()
+        )
 
 
 class TestFreeHamiltonian:
@@ -281,22 +289,6 @@ class TestMatrixPotential:
             off[i * s : (i + 1) * s, i * s : (i + 1) * s] = 0
         assert np.abs(off).max() == 0.0
 
-    def test_scaled_by_sites(self):
-        model = _model(n=4)
-        v = random_bounded_potential(model, rng_from(4), bound=1.0)
-        fac = np.arange(model.n_sites, dtype=float)
-        w = v.scaled_by_sites(fac)
-        np.testing.assert_allclose(w.site_matrices, v.site_matrices * fac[:, None, None])
-
-    def test_profile_potential(self):
-        model = _model(n=8)
-        bump = functions.bump_c2(1.0)
-        v = profile_potential(model, bump)
-        vals = np.asarray(bump(model.site_distances()))
-        np.testing.assert_allclose(
-            v.site_matrices, vals[:, None, None] * np.eye(model.spinor_dim)
-        )
-
     def test_zero_potential(self):
         model = _model(n=4)
         assert np.abs(zero_potential(model).to_operator()).max() == 0.0
@@ -335,13 +327,6 @@ class TestPowerDifference:
         with pytest.raises(ValueError, match="Im z"):
             resolvent_power_difference(model, v0, v0, 1.0, 3)
 
-    def test_refinement_stabilizes_for_compact_profile(self):
-        norms, stable = power_difference_refinement(
-            1, [32, 64, 128], 1j, 1, functions.bump_c2(1.0)
-        )
-        assert len(norms) == 3
-        assert stable
-
 
 class TestCommutatorIdentity:
     @pytest.mark.parametrize("r, k", [(1.0, 0), (1.0, 2), (2.0, 1), (3.0, 2)])
@@ -366,6 +351,41 @@ class TestCommutatorIdentity:
         w = weight_diagonal(model, 1.0)
         comm = h00 * w[None, :] - w[:, None] * h00
         assert np.abs(comm + comm.conj().T).max() < 1e-12
+
+
+class TestForeignLattice:
+    """A potential built on another lattice is refused by every identity."""
+
+    MODEL = LatticeModel(d=1, n=32, h=1.0, mass=1.0)
+
+    @pytest.fixture(
+        params=[
+            LatticeModel(d=1, n=32, h=0.5, mass=1.0),
+            LatticeModel(d=1, n=16, h=1.0, mass=1.0),
+            LatticeModel(d=1, n=32, h=1.0, mass=1.0, matrices=_flipped_matrices()),
+        ],
+        ids=["spacing", "size", "matrices"],
+    )
+    def foreign(self, request):
+        return random_decaying_potential(request.param, rng_from(96), c=1.0, rho=4.0)
+
+    def test_power_difference(self, foreign):
+        home = zero_potential(self.MODEL)
+        with pytest.raises(ValueError, match="lattice"):
+            resolvent_power_difference(self.MODEL, home, foreign, 1j, 3)
+        with pytest.raises(ValueError, match="lattice"):
+            resolvent_power_difference(self.MODEL, foreign, home, 1j, 3)
+
+    def test_commutator_identity(self, foreign):
+        home = zero_potential(self.MODEL)
+        with pytest.raises(ValueError, match="lattice"):
+            commutator_identity_residual(self.MODEL, home, foreign, 1.0, 1, 1j)
+        with pytest.raises(ValueError, match="lattice"):
+            commutator_identity_residual(self.MODEL, foreign, home, 1.0, 1, 1j)
+
+    def test_factorization(self, foreign):
+        with pytest.raises(ValueError, match="lattice"):
+            weighted_factorization_report(self.MODEL, foreign, 2, 3, 1j)
 
 
 # ---------------------------------------------------------------------------
@@ -490,6 +510,34 @@ class TestFactorization:
         assert rep.p1 is None and rep.holder_ok is None
         assert rep.factorization_residual / rep.direct_trace_norm < 1e-9
 
+    def test_inverts_only_the_perturbed_operator(self, monkeypatch):
+        model, v = self._inputs(4.0, n=16)
+        inverted = []
+        inverse_powers = dirac._inverse_powers
+
+        def recording(h, z, kmax):
+            inverted.append(np.array(h))
+            return inverse_powers(h, z, kmax)
+
+        monkeypatch.setattr(dirac, "_inverse_powers", recording)
+        weighted_factorization_report(model, v, 2, 3, 1j)
+        h00 = np.asarray(free_hamiltonian(model).entries)
+        assert len(inverted) == 1
+        np.testing.assert_array_equal(inverted[0], h00 + v.to_operator())
+
+    @pytest.mark.parametrize("n", [16, 32])
+    def test_direct_trace_norm_matches_dense_free_inverse(self, n):
+        model, v = self._inputs(4.0, n=n)
+        k, mpow, z = 2, 3, 1j
+        rep = weighted_factorization_report(model, v, k, mpow, z)
+        h00 = np.asarray(free_hamiltonian(model).entries)
+        vop = v.to_operator()
+        eye = np.eye(model.total_dim)
+        rk = np.linalg.matrix_power(np.linalg.solve(h00 + vop - z * eye, eye), k)
+        r0j = np.linalg.matrix_power(np.linalg.solve(h00 - z * eye, eye), mpow + 1 - k)
+        want = spectral.schatten_norm(rk @ vop @ r0j, 1)
+        assert rep.direct_trace_norm == pytest.approx(want, rel=1e-12)
+
     def test_validation(self):
         model, v = self._inputs(4.0, n=8)
         with pytest.raises(ValueError, match="decay"):
@@ -505,11 +553,9 @@ class TestFactorization:
 
 
 class TestCommutatorDecay:
-    def test_zero_exponent_gives_zero_commutator(self):
-        rep = commutator_decay_report(_model(n=16, h=1.5), 0.0)
-        assert rep.sup_constant == 0.0
-        assert rep.decays
-        assert max(rep.profile_raw) == 0.0
+    def test_zero_exponent_raises(self):
+        with pytest.raises(ValueError, match="weight exponent"):
+            commutator_decay_report(_model(n=16, h=1.5), 0.0)
 
     def test_raw_profile_decays(self):
         rep = commutator_decay_report(LatticeModel(d=1, n=64, h=1.5, mass=1.0), 1.0)
@@ -520,6 +566,10 @@ class TestCommutatorDecay:
     def test_near_field_constant_stable_under_volume_growth(self):
         sups, stable = commutator_decay_study(1, 1.0, [64, 128])
         assert stable, sups
+
+    def test_study_needs_two_sizes(self):
+        with pytest.raises(ValueError, match="at least two lattice sizes"):
+            commutator_decay_study(1, 1.0, [64])
 
     def test_rejects_bad_window(self):
         with pytest.raises(ValueError, match="near_window"):

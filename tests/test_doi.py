@@ -17,7 +17,6 @@ from ssflab.doi import (
     divided_difference,
     doi_apply,
     doi_identity_residual,
-    geometric_sum_roots,
     kernel_dlambda,
     kernel_eval,
     kernel_hypotheses_report,
@@ -105,19 +104,6 @@ class TestCofactorPolynomial:
             CofactorPolynomial(0, 1j)
         with pytest.raises(ValueError, match="Im z"):
             CofactorPolynomial(3, 1.0)
-
-    @pytest.mark.parametrize("m", [2, 3, 5])
-    def test_geometric_sum_roots(self, m):
-        roots = geometric_sum_roots(m)
-        assert roots.shape == (m - 1,)
-        for s in roots:
-            val = sum(s**k for k in range(m))
-            assert abs(val) < 1e-12
-            assert abs(s) == pytest.approx(1.0, abs=1e-12)
-
-    def test_geometric_sum_roots_validation(self):
-        with pytest.raises(ValueError):
-            geometric_sum_roots(0)
 
 
 # ---------------------------------------------------------------------------
@@ -283,6 +269,15 @@ class TestKernelEval:
             DoiKernel(f=bare, g=functions.identity())
         with pytest.raises(ValueError, match="odd"):
             resolvent_kernel(f, 2, 1j)
+
+    @pytest.mark.parametrize(
+        "m, z",
+        [(3.5, 2j), (True, 2j), (3, complex(np.nan, 1.0))],
+        ids=["float_m", "bool_m", "nan_z"],
+    )
+    def test_resolvent_kernel_argument_check(self, m, z):
+        with pytest.raises(ValueError):
+            resolvent_kernel(functions.gaussian_bump(), m, z)
 
 
 # ---------------------------------------------------------------------------

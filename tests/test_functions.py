@@ -18,7 +18,6 @@ SAMPLE = np.array([-3.2, -1.1, -0.4, 0.0, 0.3, 0.9, 2.5, 4.0])
         fn.resolvent_function(0.5 + 1.5j, 2),
         fn.power_shift_inverse(3),
         fn.product(fn.gaussian_bump(), fn.polynomial([1.0, 0.0])),
-        fn.scalar_sum(fn.squared_lorentzian(), fn.gaussian_bump()),
     ],
     ids=lambda f: f.name,
 )
@@ -51,6 +50,16 @@ def test_polynomial_values():
     assert f(0.0) == pytest.approx(3.0)
     assert f(2.0) == pytest.approx(2 * 4 - 2 + 3)
     assert f.d1(1.0) == pytest.approx(4.0 - 1.0)
+
+
+@pytest.mark.parametrize(
+    "z, m",
+    [(1j, 2.5), (1j, True), (complex(np.nan, 1.0), 1)],
+    ids=["float_m", "bool_m", "nan_z"],
+)
+def test_resolvent_function_argument_check(z, m):
+    with pytest.raises(ValueError):
+        fn.resolvent_function(z, m)
 
 
 def test_resolvent_function_rejects_real_pole():

@@ -22,7 +22,6 @@ from ssflab.ssf import (
     ssf_counting,
     ssf_via_determinant,
     ssf_via_invariance,
-    step_sum,
     steps_equal,
     trace_formula_sides,
     track_determinant_phase,
@@ -161,14 +160,17 @@ class TestCounting:
             d1 = eig_hermitian(a0 + v1)
             d2 = eig_hermitian(a0 + v1 + v2)
             direct = ssf_counting(d0, d2)
-            chained = step_sum(ssf_counting(d1, d2), ssf_counting(d0, d1))
-            assert steps_equal(direct, chained)
-
-    def test_step_sum_cancels_inverse(self):
-        s = StepFunction([0.0, 1.0], [0, 2, 0])
-        neg = StepFunction([0.0, 1.0], [0, -2, 0])
-        assert step_sum(s, neg).is_zero
-        assert step_sum(StepFunction.zero(), StepFunction.zero()).is_zero
+            first = ssf_counting(d0, d1)
+            second = ssf_counting(d1, d2)
+            # every breakpoint of the three, the midpoints between them, and
+            # a point on either side of all of them
+            bps = np.unique(
+                np.concatenate([s.breakpoints for s in (direct, first, second)])
+            )
+            pts = np.concatenate(
+                [bps, 0.5 * (bps[1:] + bps[:-1]), [bps[0] - 1.0, bps[-1] + 1.0]]
+            )
+            np.testing.assert_array_equal(direct(pts), first(pts) + second(pts))
 
     def test_steps_equal_tolerance(self):
         a = StepFunction([0.0, 1.0], [0, 1, 0])
