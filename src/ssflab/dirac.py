@@ -88,7 +88,8 @@ class DiracMatrices:
         mats = []
         eye = np.eye(self.spinor_dim)
         for a in self.alphas:
-            a = np.asarray(a, dtype=complex)
+            # a private copy: freezing must not reach the caller's array
+            a = np.array(a, dtype=complex)
             if a.shape != (self.spinor_dim, self.spinor_dim):
                 raise ValueError("matrix shape does not match spinor_dim")
             if np.abs(a - a.conj().T).max() > _ANTICOMM_TOL:
@@ -120,6 +121,11 @@ class DiracMatrices:
         return self.d == other.d and all(
             np.array_equal(a, b) for a, b in zip(self.alphas, other.alphas)
         )
+
+    def __hash__(self):
+        # agrees with __eq__: adding 0.0 maps -0.0 to 0.0, which array_equal
+        # counts as equal but tobytes would not
+        return hash((self.d, tuple((a + 0.0).tobytes() for a in self.alphas)))
 
 
 def dirac_matrices(d: int) -> DiracMatrices:

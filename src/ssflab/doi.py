@@ -324,86 +324,82 @@ def resolvent_kernel(
 _DENOM_ABS_TOL = 1e-13
 
 
-def kernel_eval(k: DoiKernel, lam, mu):
-    """Evaluate the kernel on broadcastable real arguments."""
+def _kernel_grid(k: DoiKernel, lam, mu, dlambda: bool = False):
+    """``(K, dK/dx)`` on broadcastable real arguments (``dK/dx`` only with ``dlambda``).
+
+    Every one-variable quantity is evaluated on ``lam`` and ``mu`` as passed,
+    before broadcasting, so an outer-product grid costs O(N) function calls;
+    only differences, the cofactor and quotients fill the grid.  Band entries
+    are then overwritten with the midpoint derivative limits.
+    """
     scalar = np.isscalar(lam) and np.isscalar(mu)
-    lam_b, mu_b = np.broadcast_arrays(
-        np.asarray(lam, dtype=float), np.asarray(mu, dtype=float)
-    )
-    band = _coincidence_band(lam_b, mu_b, k.delta0)
-    mid = 0.5 * (lam_b + mu_b)
-    out = np.empty(lam_b.shape, dtype=complex)
-    if np.any(band):
-        gp = np.asarray(k.g.d1(mid[band]), dtype=complex)
-        out[band] = np.asarray(k.f.d1(mid[band]), dtype=complex) / gp
+    lam = np.asarray(lam, dtype=float)
+    mu = np.asarray(mu, dtype=float)
+    band = np.asarray(_coincidence_band(lam, mu, k.delta0))
     reg = ~band
-    if np.any(reg):
-        lr, mr = lam_b[reg], mu_b[reg]
+    lam_b, mu_b = np.broadcast_arrays(lam, mu)
+    fl = np.asarray(k.f(lam), dtype=complex)
+    fm = np.asarray(k.f(mu), dtype=complex)
+    num = fl - fm
+    fp = np.asarray(k.f.d1(lam), dtype=complex) if dlambda else None
+    dk = None
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         if k.mode == "direct":
-            den = np.asarray(k.g(lr), dtype=complex) - np.asarray(k.g(mr), dtype=complex)
-            if np.any(np.abs(den) < _DENOM_ABS_TOL):
-                bad = int(np.argmin(np.abs(den)))
+            den = np.asarray(k.g(lam), dtype=complex) - np.asarray(k.g(mu), dtype=complex)
+            bad = reg & (np.abs(den) < _DENOM_ABS_TOL)
+            if np.any(bad):
+                j = int(np.argmin(np.abs(den[bad])))
                 raise DegenerateKernelError(
-                    f"denominator {np.abs(den).min():.3e} below {_DENOM_ABS_TOL:g} at "
-                    f"(x, y) = ({lr.ravel()[bad]}, {mr.ravel()[bad]}) outside the band"
+                    f"denominator {np.abs(den[bad]).min():.3e} below {_DENOM_ABS_TOL:g} at "
+                    f"(x, y) = ({lam_b[bad][j]}, {mu_b[bad][j]}) outside the band"
                 )
-            num = np.asarray(k.f(lr), dtype=complex) - np.asarray(k.f(mr), dtype=complex)
-            out[reg] = num / den
+            kv = num / den
+            if dlambda:
+                gp = np.asarray(k.g.d1(lam), dtype=complex)
+                dk = fp / den - num * gp / (den * den)
         else:
             m, z = k.m, k.z
-            pv = _p_eval(m, z, lr, mr)
-            pscale = (np.abs(lr - z) + np.abs(mr - z)) ** (m - 1)
-            if np.any(np.abs(pv) < _DENOM_ABS_TOL * np.maximum(pscale, 1.0)):
+            a = lam - z
+            b = mu - z
+            pv = _p_eval(m, z, lam, mu)
+            pscale = (np.abs(a) + np.abs(b)) ** (m - 1)
+            if np.any(reg & (np.abs(pv) < _DENOM_ABS_TOL * np.maximum(pscale, 1.0))):
                 raise DegenerateKernelError("telescoping cofactor vanished off-diagonal")
-            phi = divided_difference(k.f, lr, mr, k.delta0)
-            big_g = (lr - z) ** m * (mr - z) ** m / pv
-            out[reg] = -phi * big_g
-    return complex(out) if scalar else out
+            phi = num / (lam - mu)
+            big_g = a**m * b**m / pv
+            kv = -phi * big_g
+            if dlambda:
+                # derivative of the first divided difference in its first slot
+                dphi = (fm - fl - fp * (mu - lam)) / (lam - mu) ** 2
+                dbig_g = big_g * (m / a - _p_dlam(m, z, lam, mu) / pv)
+                dk = -(dphi * big_g + phi * dbig_g)
+    # 0-d inputs give numpy scalars; the band entries below need arrays
+    kv = np.asarray(kv)
+    dk = None if dk is None else np.asarray(dk)
+    if np.any(band):
+        mid = 0.5 * (lam_b[band] + mu_b[band])
+        fp_mid = np.asarray(k.f.d1(mid), dtype=complex)
+        gp_mid = np.asarray(k.g.d1(mid), dtype=complex)
+        kv[band] = fp_mid / gp_mid
+        if dlambda:
+            if k.f.derivative2 is None or k.g.derivative2 is None:
+                raise ValueError("diagonal kernel derivative needs second derivatives")
+            fpp = np.asarray(k.f.d2(mid), dtype=complex)
+            gpp = np.asarray(k.g.d2(mid), dtype=complex)
+            dk[band] = 0.5 * (fpp * gp_mid - fp_mid * gpp) / (gp_mid * gp_mid)
+    if scalar:
+        return complex(kv), (None if dk is None else complex(dk))
+    return kv, dk
+
+
+def kernel_eval(k: DoiKernel, lam, mu):
+    """Evaluate the kernel on broadcastable real arguments."""
+    return _kernel_grid(k, lam, mu)[0]
 
 
 def kernel_dlambda(k: DoiKernel, lam, mu):
     """Partial derivative of the kernel in its first argument."""
-    scalar = np.isscalar(lam) and np.isscalar(mu)
-    lam_b, mu_b = np.broadcast_arrays(
-        np.asarray(lam, dtype=float), np.asarray(mu, dtype=float)
-    )
-    band = _coincidence_band(lam_b, mu_b, k.delta0)
-    mid = 0.5 * (lam_b + mu_b)
-    out = np.empty(lam_b.shape, dtype=complex)
-    if np.any(band):
-        if k.f.derivative2 is None or k.g.derivative2 is None:
-            raise ValueError("diagonal kernel derivative needs second derivatives")
-        fp = np.asarray(k.f.d1(mid[band]), dtype=complex)
-        fpp = np.asarray(k.f.d2(mid[band]), dtype=complex)
-        gp = np.asarray(k.g.d1(mid[band]), dtype=complex)
-        gpp = np.asarray(k.g.d2(mid[band]), dtype=complex)
-        out[band] = 0.5 * (fpp * gp - fp * gpp) / (gp * gp)
-    reg = ~band
-    if np.any(reg):
-        lr, mr = lam_b[reg], mu_b[reg]
-        if k.mode == "direct":
-            den = np.asarray(k.g(lr), dtype=complex) - np.asarray(k.g(mr), dtype=complex)
-            if np.any(np.abs(den) < _DENOM_ABS_TOL):
-                raise DegenerateKernelError("denominator vanished off-diagonal")
-            num = np.asarray(k.f(lr), dtype=complex) - np.asarray(k.f(mr), dtype=complex)
-            fp = np.asarray(k.f.d1(lr), dtype=complex)
-            gp = np.asarray(k.g.d1(lr), dtype=complex)
-            out[reg] = fp / den - num * gp / (den * den)
-        else:
-            m, z = k.m, k.z
-            pv = _p_eval(m, z, lr, mr)
-            pd = _p_dlam(m, z, lr, mr)
-            phi = divided_difference(k.f, lr, mr, k.delta0)
-            # derivative of the first divided difference in its first slot
-            dphi = (
-                np.asarray(k.f(mr), dtype=complex)
-                - np.asarray(k.f(lr), dtype=complex)
-                - np.asarray(k.f.d1(lr), dtype=complex) * (mr - lr)
-            ) / (lr - mr) ** 2
-            big_g = (lr - z) ** m * (mr - z) ** m / pv
-            dbig_g = big_g * (m / (lr - z) - pd / pv)
-            out[reg] = -(dphi * big_g + phi * dbig_g)
-    return complex(out) if scalar else out
+    return _kernel_grid(k, lam, mu, dlambda=True)[1]
 
 
 # ---------------------------------------------------------------------------
@@ -493,9 +489,9 @@ def kernel_hypotheses_report(
     mu = np.asarray(mu_grid, dtype=float)
     if lam.ndim != 1 or mu.ndim != 1:
         raise ValueError("grids must be 1-d")
-    kv = kernel_eval(k, lam[:, None], mu[None, :])
-    dk = kernel_dlambda(k, lam[:, None], mu[None, :])
-    weighted = (1.0 + lam[:, None] ** 2) * np.abs(dk)
+    kv, dk = _kernel_grid(k, lam[:, None], mu[None, :], dlambda=True)
+    abs_k, abs_dk = np.abs(kv), np.abs(dk)
+    weighted = (1.0 + lam[:, None] ** 2) * abs_dk
 
     edge = float(min(-lam.min(), lam.max()))
     top = kernel_eval(k, np.full_like(mu, edge), mu)
@@ -514,14 +510,14 @@ def kernel_hypotheses_report(
     for name, msk in regions.items():
         if np.any(msk):
             region_sups[name] = {
-                "sup_abs": float(np.abs(kv[msk]).max()),
+                "sup_abs": float(abs_k[msk].max()),
                 "sup_weighted_dlambda": float(weighted[msk].max()),
             }
         else:
             region_sups[name] = {"sup_abs": 0.0, "sup_weighted_dlambda": 0.0}
 
     # tail decay of sup_y |dK/dx| against |x|, fitted on the outer decade
-    sup_rows = np.abs(dk).max(axis=1)
+    sup_rows = abs_dk.max(axis=1)
     tail = np.abs(lam) >= edge / 10.0
     x = np.abs(lam[tail])
     y = sup_rows[tail]
@@ -532,7 +528,7 @@ def kernel_hypotheses_report(
         exponent = float("inf")
 
     return KernelHypothesesReport(
-        sup_abs=float(np.abs(kv).max()),
+        sup_abs=float(abs_k.max()),
         sup_weighted_dlambda=float(weighted.max()),
         limit_mismatch=limit_mismatch,
         edge=edge,

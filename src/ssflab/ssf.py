@@ -240,6 +240,10 @@ def _odd_poly_d2(coeffs: np.ndarray, x):
     return np.where(x != 0.0, acc / np.where(x != 0.0, x, 1.0), 0.0)
 
 
+# a cap only: even pure bisection reaches float resolution well within it
+_NEWTON_MAX_STEPS = 100
+
+
 @dataclass(frozen=True)
 class PowerChangeOfVariable:
     """Odd monotone map equal to ``x^m`` for ``|x| >= cutoff``.
@@ -288,20 +292,42 @@ class PowerChangeOfVariable:
         return out if out.ndim else float(out)
 
     def inverse(self, y, tol: float = 1e-12) -> float:
-        """Scalar inverse: analytic outside the window, bisection inside."""
+        """Scalar inverse: analytic outside the window, safeguarded Newton inside.
+
+        Inside the window the slope is at least ``lower_slope > 0``, so every
+        Newton step is defined; a step that leaves the shrinking bracket
+        (initially ``[-cutoff, cutoff]``) is replaced by bisection.
+        """
         y = float(y)
         edge = self.cutoff ** self.m
         if abs(y) >= edge:
             return math.copysign(abs(y) ** (1.0 / self.m), y)
-        lo, hi = -self.cutoff, self.cutoff
+        # Horner on python floats (numpy's per-call cost dominates on scalars);
+        # coefficient j multiplies x^(2j+1)
+        terms = [(c, 2 * j + 1) for j, c in enumerate(self.inner_coeffs.tolist())][::-1]
         # oddness and monotonicity bracket the root in [-cutoff, cutoff]
-        while hi - lo > tol:
-            mid = 0.5 * (lo + hi)
-            if float(_odd_poly_eval(self.inner_coeffs, np.asarray(mid))) < y:
-                lo = mid
+        lo, hi = -self.cutoff, self.cutoff
+        x = self.cutoff * y / edge
+        for _ in range(_NEWTON_MAX_STEPS):
+            u = x * x
+            val = slope = 0.0
+            for c, k in terms:
+                val = val * u + c
+                slope = slope * u + c * k
+            resid = val * x - y
+            if resid == 0.0:
+                return x
+            if resid < 0.0:
+                lo = x
             else:
-                hi = mid
-        return 0.5 * (lo + hi)
+                hi = x
+            step = resid / slope
+            if abs(step) <= tol:
+                return x - step
+            x -= step
+            if not lo < x < hi:
+                x = 0.5 * (lo + hi)
+        return x
 
     def as_scalar_function(self) -> ScalarFunction:
         return ScalarFunction(

@@ -78,6 +78,25 @@ class TestDiracMatrices:
         with pytest.raises(ValueError, match="identity"):
             DiracMatrices(1, 2, (np.diag([1.0, -1.0]), 2.0 * np.eye(2)))
 
+    def test_building_models_leaves_caller_arrays_writeable(self):
+        owned = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
+        mats = DiracMatrices(1, 2, (owned, np.diag([1.0, -1.0])))
+        for d in (1, 2, 3):
+            LatticeModel(d=d, n=4, h=1.0, mass=1.0)
+        for a in (dirac._SIGMA1, dirac._SIGMA2, dirac._SIGMA3, owned):
+            assert a.flags.writeable
+        # the model keeps a frozen copy of its own
+        assert not mats.alphas[0].flags.writeable
+        owned[0, 1] = 5.0
+        assert mats.alphas[0][0, 1] == 1.0
+
+    def test_signed_zero_entries_hash_equal(self):
+        s1, s3 = dirac_matrices(1).alphas
+        signed = np.array([[-0.0, 1.0], [1.0, -0.0]], dtype=complex)
+        other = DiracMatrices(1, 2, (signed, s3))
+        assert other == dirac_matrices(1)
+        assert hash(other) == hash(dirac_matrices(1))
+
 
 class TestSymbol:
     @pytest.mark.parametrize("d", [1, 2, 3])
@@ -141,6 +160,15 @@ class TestLatticeModel:
 
     def test_balanced_spacing(self):
         assert balanced_spacing(32) == pytest.approx(np.sqrt(2 * np.pi / 32))
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_equal_models_hash_equal(self, d):
+        a = LatticeModel(d=d, n=4, h=1.0, mass=1.0)
+        b = LatticeModel(d=d, n=4, h=1.0, mass=1.0)
+        assert a == b and hash(a) == hash(b)
+        table = {a: "model"}
+        assert table[b] == "model"
+        assert LatticeModel(d=d, n=4, h=0.5, mass=1.0) not in table
 
     def test_equality_compares_the_matrices(self):
         # the d = 3 matrices are built afresh for every model

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from ssflab import functions
+from ssflab import doi, functions
 from ssflab.doi import (
     AntidiagonalCollisionError,
     BoundedRegion,
@@ -278,6 +278,122 @@ class TestKernelEval:
     def test_resolvent_kernel_argument_check(self, m, z):
         with pytest.raises(ValueError):
             resolvent_kernel(functions.gaussian_bump(), m, z)
+
+
+def _rm_cert_kernels(mode):
+    # the two kernels of the rm-cert suite, plus a Gaussian
+    return {
+        "compact_support": resolvent_kernel(functions.bump_c2(1.0), 3, 10.0j, mode=mode),
+        "tail_power": resolvent_kernel(
+            functions.product(
+                functions.smoothstep_cutoff(1.0), functions.power_shift_inverse(3)
+            ),
+            3,
+            0.01j,
+            mode=mode,
+        ),
+        "gaussian": resolvent_kernel(functions.gaussian_bump(0.1, 1.0, 1.0), 5, 1.5j, mode=mode),
+    }
+
+
+def _band_crossing_axes():
+    # shared nodes put exact coincidences off the diagonal of the index grid,
+    # and the nudged copies land inside the band without being equal
+    lam = np.concatenate([np.linspace(-6.0, 6.0, 49), [0.3 + 1e-8, 2.0 - 3e-7, -4.0]])
+    mu = np.concatenate([np.linspace(-6.0, 6.0, 25), [0.3, 2.0, 5.9 + 1e-9]])
+    return lam, mu
+
+
+class _CountingFunction:
+    """Wraps a ScalarFunction and counts the points each slot is asked for."""
+
+    def __init__(self, f):
+        self.points = 0
+        self.function = functions.ScalarFunction(
+            value=self._counted(f.value),
+            derivative=self._counted(f.derivative),
+            derivative2=self._counted(f.derivative2),
+            name=f.name,
+        )
+
+    def _counted(self, fn):
+        def wrapped(x):
+            self.points += np.size(x)
+            return fn(x)
+
+        return wrapped
+
+
+class TestKernelGrids:
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("mode", ["direct", "factored"])
+    @pytest.mark.parametrize("name", ["compact_support", "tail_power", "gaussian"])
+    def test_outer_grid_equals_flat_pairs(self, name, mode):
+        k = _rm_cert_kernels(mode)[name]
+        lam, mu = _band_crossing_axes()
+        big_l, big_m = np.meshgrid(lam, mu, indexing="ij")
+        band = doi._coincidence_band(big_l, big_m, k.delta0)
+        assert band.sum() > min(lam.size, mu.size)  # more than a diagonal
+        for fn in (kernel_eval, kernel_dlambda):
+            grid = fn(k, lam[:, None], mu[None, :])
+            flat = fn(k, big_l.ravel(), big_m.ravel()).reshape(big_l.shape)
+            assert grid.shape == big_l.shape
+            assert np.all(np.isfinite(grid))
+            np.testing.assert_allclose(grid, flat, rtol=1e-14, atol=0.0)
+            # and one pair at a time, band entries included; scalar numpy
+            # arithmetic may round differently from the vector loops
+            for i, j in [(0, 0), (49, 25), (50, 26), (51, 27), (10, 5), (48, 24)]:
+                one = fn(k, float(lam[i]), float(mu[j]))
+                assert one == pytest.approx(grid[i, j], rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize("mode", ["direct", "factored"])
+    def test_one_variable_functions_run_on_the_axes(self, mode):
+        n = 300
+        axis = np.linspace(-5.0, 5.0, n)
+        counted_f = _CountingFunction(functions.gaussian_bump(0.1, 1.0, 1.0))
+        counted_g = _CountingFunction(functions.resolvent_function(2j, 3))
+        k = DoiKernel(
+            f=counted_f.function, g=counted_g.function, mode=mode, m=3, z=2j
+        )
+        band = int(doi._coincidence_band(axis[:, None], axis[None, :], k.delta0).sum())
+        assert band == n
+        for fn in (kernel_eval, kernel_dlambda):
+            counted_f.points = counted_g.points = 0
+            fn(k, axis[:, None], axis[None, :])
+            assert counted_f.points <= 3 * n + 2 * band
+            assert counted_g.points <= 3 * n + 2 * band
+        counted_f.points = 0
+        kernel_hypotheses_report(k, axis, axis, region_r=2.0)
+        # the grid plus the two edge rows, each N pairs with one band entry
+        assert counted_f.points <= 7 * n + 2 * (band + 2)
+
+    @pytest.mark.parametrize("fn", [kernel_eval, kernel_dlambda])
+    @pytest.mark.parametrize("mode, match", [("direct", "denominator"), ("factored", "cofactor")])
+    def test_off_band_collision_raises_on_grids(self, fn, mode, match):
+        # (x - i)^3 takes one value at x = +sqrt(3) and x = -sqrt(3)
+        k = resolvent_kernel(functions.gaussian_bump(), 3, 1j, mode=mode)
+        lam = np.array([-1.0, math.sqrt(3.0), 2.5])
+        mu = np.array([0.5, -math.sqrt(3.0)])
+        with pytest.raises(DegenerateKernelError, match=match):
+            fn(k, lam[:, None], mu[None, :])
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("fn", [kernel_eval, kernel_dlambda])
+    def test_band_entries_never_raise(self, fn):
+        # every diagonal entry has a zero denominator; the band replaces it
+        axis = np.array([-3.0, -1.0, 0.0, 0.5, 0.5 + 1e-9, 4.0])
+        f = functions.polynomial([1.0, 0.0, 0.0])
+        for k in (
+            DoiKernel(f=f, g=functions.identity()),
+            resolvent_kernel(functions.gaussian_bump(), 3, 1j, mode="direct"),
+            resolvent_kernel(functions.gaussian_bump(), 3, 1j, mode="factored"),
+        ):
+            out = fn(k, axis[:, None], axis[None, :])
+            assert np.all(np.isfinite(out))
+        # K(x, y) = x + y and dK/dx = 1 for f = x^2, g = x, band included
+        k = DoiKernel(f=f, g=functions.identity())
+        want = (axis[:, None] + axis[None, :]) if fn is kernel_eval else np.ones((6, 6))
+        np.testing.assert_allclose(fn(k, axis[:, None], axis[None, :]), want, atol=1e-9)
 
 
 # ---------------------------------------------------------------------------

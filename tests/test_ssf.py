@@ -256,6 +256,28 @@ class TestPowerMap:
         for x in [-2.0, -0.9, -0.3, 0.0, 0.4, 0.99, 1.01, 3.0]:
             assert phi.inverse(phi(x)) == pytest.approx(x, abs=1e-10)
 
+    @pytest.mark.parametrize("cutoff", [0.5, 1.0, 2.0])
+    @pytest.mark.parametrize("m", [1, 3, 5])
+    def test_inverse_matches_bisection_reference(self, m, cutoff):
+        phi = build_power_map(m, cutoff)
+
+        def bisect(y):
+            # bisection on the monotone map down to adjacent floats
+            lo, hi = -cutoff, cutoff
+            while True:
+                mid = 0.5 * (lo + hi)
+                if mid in (lo, hi):
+                    return mid
+                lo, hi = (mid, hi) if phi(mid) < y else (lo, mid)
+
+        edge = cutoff**m
+        rng = rng_from(251, m)
+        ys = [0.0, edge, -edge, *rng.uniform(-edge, edge, size=40)]
+        for y in ys:
+            x = phi.inverse(y)
+            assert -cutoff <= x <= cutoff
+            assert x == pytest.approx(bisect(y), abs=1e-12)
+
     @pytest.mark.parametrize("m", [0, 2, 4, -1])
     def test_rejects_even_or_nonpositive_power(self, m):
         with pytest.raises(ValueError):
@@ -285,7 +307,7 @@ class TestInvariance:
 
     def test_identity_map_recovers_breakpoints(self):
         # the pullback runs through scalar inversion, so exactness holds to
-        # the bisection tolerance rather than bit for bit
+        # the inversion tolerance rather than bit for bit
         phi = build_power_map(1, 1.0)
         d0, d, _ = _random_pair(rng_from(9), 8)
         assert steps_equal(ssf_counting(d0, d), ssf_via_invariance(d0, d, phi), bp_tol=1e-9)
