@@ -48,7 +48,6 @@ __all__ = [
     "KernelHypothesesReport",
     "LowerBoundCertificate",
     "cofactor_lower_bound_cert",
-    "divided_difference",
     "doi_apply",
     "doi_identity_residual",
     "kernel_dlambda",
@@ -215,7 +214,8 @@ def cofactor_lower_bound_cert(
     mu = axis[None, :]
     pv = np.abs(p(lam, mu))
     glam = np.abs(p.dlam(lam, mu))
-    gmu = np.abs(p.dmu(lam, mu))
+    # both axes are ``axis`` and p is symmetric, so dp/dmu is the transpose
+    gmu = glam.T
 
     if isinstance(region, BoundedRegion):
         q = pv
@@ -255,30 +255,6 @@ def cofactor_lower_bound_cert(
 def _coincidence_band(lam, mu, delta0: float) -> np.ndarray:
     """Mask of ``|x - y| <= delta0 * (1 + |x|)``, where kernels use derivative limits."""
     return np.abs(lam - mu) <= delta0 * (1.0 + np.abs(lam))
-
-
-def divided_difference(f: ScalarFunction, lam, mu, delta0: float = 1e-5):
-    """First divided difference of ``f`` with a coincidence band.
-
-    Within ``|x - y| <= delta0 * (1 + |x|)`` the derivative at the midpoint
-    replaces the ratio (second-order accurate there).
-    """
-    lam_a = np.asarray(lam, dtype=float)
-    mu_a = np.asarray(mu, dtype=float)
-    band = _coincidence_band(lam_a, mu_a, delta0)
-    lam_b, mu_b, band = np.broadcast_arrays(lam_a, mu_a, band)
-    mid = 0.5 * (lam_b + mu_b)
-    out = np.empty(band.shape, dtype=complex)
-    if np.any(band):
-        out[band] = np.asarray(f.d1(mid[band]), dtype=complex)
-    reg = ~band
-    if np.any(reg):
-        out[reg] = (
-            np.asarray(f(lam_b[reg]), dtype=complex) - np.asarray(f(mu_b[reg]), dtype=complex)
-        ) / (lam_b[reg] - mu_b[reg])
-    if np.isscalar(lam) and np.isscalar(mu):
-        return complex(out)
-    return out
 
 
 @dataclass(frozen=True)

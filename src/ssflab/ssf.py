@@ -13,7 +13,8 @@ whose right-hand side is evaluated exactly interval-by-interval.  The module
 also provides the invariance-principle construction through a monotone
 change of variable equal to ``x^m`` outside a compact window, the
 perturbation-determinant route ``xi = Im log det(I + V (H0-z)^{-1}) / pi``
-with continuous branch tracking, and a sampled admissibility check for
+with its branch read from tridiagonal pivots, continuous phase tracking for
+a determinant known only by value, and a sampled admissibility check for
 functions with symbol-like tails.
 """
 
@@ -465,7 +466,7 @@ def perturbation_determinant(d0: SpectralDecomposition, v, z: complex) -> comple
 
 
 def _determinant_on_vertical_line(d0: SpectralDecomposition, h: np.ndarray, lam: float):
-    """``height -> det(I + V (H0 - z)^{-1})`` at ``z = lam + i * height``.
+    """``height -> log det(I + V (H0 - z)^{-1})`` at ``z = lam + i * height``.
 
     ``h`` is ``H = H0 + V``.  One unitary reduction (LAPACK ``zhetrd``, the
     lower triangle, as ``eigh`` reads it) gives a real symmetric tridiagonal
@@ -476,24 +477,28 @@ def _determinant_on_vertical_line(d0: SpectralDecomposition, h: np.ndarray, lam:
 
     with the pivots ``p_1 = d_1 - z``, ``p_k = (d_k - z) - e_{k-1}^2 / p_{k-1}``.
     For ``Im z > 0`` every pivot has ``Im p_k <= -Im z``, so the recurrence
-    needs no pivoting and never divides by zero.  The eigenvalues of ``H`` are
-    never used, which keeps this route independent of eigenvalue counting.
+    needs no pivoting and never divides by zero.  As ``lambda0_k - z`` lies in
+    the lower half plane too, each term's imaginary part is exactly
+    ``arg p_k - arg(lambda0_k - z)``, and the sum's is the continuous branch
+    of ``arg det`` that vanishes at ``+i * inf``: no phase tracking is needed.
+    The eigenvalues of ``H`` are never used, which keeps this route
+    independent of eigenvalue counting.
     """
     _, diag, off, _, _ = lapack.zhetrd(h, lower=1)
     shifted = (diag - lam).tolist()
     off_sq = [0.0] + (off * off).tolist()
     shifted0 = (d0.eigenvalues - lam).tolist()
 
-    def det_fn(height: float) -> complex:
+    def log_det(height: float) -> complex:
         ih = 1j * height
         pivot = 1.0
-        log_det = 0j
+        acc = 0j
         for a, b2, a0 in zip(shifted, off_sq, shifted0):
             pivot = (a - ih) - b2 / pivot
-            log_det += cmath.log(pivot / (a0 - ih))
-        return cmath.exp(log_det)
+            acc += cmath.log(pivot / (a0 - ih))
+        return acc
 
-    return det_fn
+    return log_det
 
 
 def track_determinant_phase(
@@ -506,6 +511,7 @@ def track_determinant_phase(
 ) -> list:
     """Continuously tracked ``Im log det`` along a descending vertical path.
 
+    The scattering route's tracker, for a determinant known only by value.
     ``det_fn(h)`` evaluates the determinant at height ``h`` above the real
     axis.  The path starts at ``h_start`` (where the determinant is close to
     1 and the principal branch applies) and descends through each target
@@ -603,12 +609,12 @@ def ssf_via_determinant(
 ) -> float:
     """Spectral shift at ``lam`` through the boundary phase of the determinant.
 
-    The phase of ``det(I + V (H0 - z)^{-1})`` is tracked continuously from
-    ``z = lam + i * 10 * (spectral radius)`` down the vertical line, sampled
-    on the epsilon schedule, and Richardson-extrapolated (two-point, linear
-    order) to the real axis.  ``lam`` within ``jump_margin`` of either
-    spectrum is rejected as a jump point.  ``V`` is validated and ``H0 + V``
-    reduced to tridiagonal form once; each tracked height then costs O(n).
+    The continuous phase of ``det(I + V (H0 - z)^{-1})`` is a sum of pivot
+    arguments, read at ``z = lam + i * eps`` for the epsilon-schedule heights
+    only, and Richardson-extrapolated (two-point, linear order) to the real
+    axis.  ``lam`` within ``jump_margin`` of either spectrum is rejected as a
+    jump point.  ``V`` is validated and ``H0 + V`` reduced to tridiagonal
+    form once; each height then costs O(n).
     """
     v = _validate_perturbation(d0, v)
     h = d0.reconstruct() + v
@@ -626,15 +632,8 @@ def ssf_via_determinant(
         eps_schedule = default_eps_schedule(d0, d, lam)
     eps = _check_eps_schedule(eps_schedule)
 
-    radius = max(d0.spectral_radius, d.spectral_radius, 1.0)
-    h_start = 10.0 * radius + abs(lam)
-
-    det_fn = _determinant_on_vertical_line(d0, h, lam)
-    # winding speed is at most (d0.dim + d.dim) / h, so this ratio keeps the
-    # true per-step increment under pi/4
-    ratio = math.exp(math.pi / (4.0 * (d0.dim + d.dim)))
-    phases = track_determinant_phase(det_fn, h_start, eps, max_ratio=ratio)
-    xi_vals = [p / math.pi for p in phases]
+    log_det = _determinant_on_vertical_line(d0, h, lam)
+    xi_vals = [log_det(e).imag / math.pi for e in eps]
     return _richardson_two_point(eps, xi_vals)
 
 

@@ -1,5 +1,6 @@
 """Tests for the divided-difference kernel machinery and grid certificates."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -14,7 +15,6 @@ from ssflab.doi import (
     DoiKernel,
     ExteriorRegion,
     cofactor_lower_bound_cert,
-    divided_difference,
     doi_apply,
     doi_identity_residual,
     kernel_dlambda,
@@ -110,6 +110,45 @@ class TestCofactorPolynomial:
 # grid certificates
 
 
+def _two_partial_cert(p, region, grid_n):
+    # the certificate with dp/dmu evaluated on its own, not as dp/dlam's transpose
+    if isinstance(region, BoundedRegion):
+        axis = np.linspace(-region.r, region.r, grid_n)
+        mask = np.ones((grid_n, grid_n), dtype=bool)
+    else:
+        axis = doi._exterior_axis(region.r, region.lam_max, grid_n)
+        lam_in = np.abs(axis) >= region.r - 1e-12 * region.r
+        mask = lam_in[:, None] | lam_in[None, :]
+    lam, mu = axis[:, None], axis[None, :]
+    pv = np.abs(p(lam, mu))
+    glam = np.abs(p.dlam(lam, mu))
+    gmu = np.abs(p.dmu(lam, mu))
+    if isinstance(region, BoundedRegion):
+        q, grad_lam, grad_mu = pv, glam, gmu
+    else:
+        s = np.where(mask, np.abs(lam) + np.abs(mu), 1.0)
+        norm = s ** (p.m - 1)
+        q = pv / norm
+        grad_lam = glam / norm + (p.m - 1) * pv / (norm * s)
+        grad_mu = gmu / norm + (p.m - 1) * pv / (norm * s)
+    hs = doi._half_spacings(axis)
+    slack_local = doi._GRAD_SAFETY * (hs[:, None] * grad_lam + hs[None, :] * grad_mu)
+    lower = np.where(mask, q - slack_local, np.inf)
+    c_observed = float(np.min(np.where(mask, q, np.inf)))
+    lb = float(np.min(lower))
+    i, j = np.unravel_index(int(np.argmin(lower)), lower.shape)
+    return doi.LowerBoundCertificate(
+        m=p.m,
+        z=p.z,
+        region=region,
+        grid_n=grid_n,
+        c_observed=c_observed,
+        slack=c_observed - lb,
+        passed=bool(lb > 0.0),
+        min_location=(float(axis[i]), float(axis[j])),
+    )
+
+
 class TestLowerBoundCertificates:
     @pytest.mark.parametrize("m, r, a", [(3, 1.0, 10.0), (3, 5.0, 50.0), (5, 1.0, 20.0)])
     def test_bounded_configs_pass(self, m, r, a):
@@ -168,6 +207,35 @@ class TestLowerBoundCertificates:
         with pytest.raises(TypeError):
             cofactor_lower_bound_cert(p, "square", 11)
 
+    @pytest.mark.parametrize(
+        "p, region",
+        [
+            (CofactorPolynomial(3, 10j), BoundedRegion(1.0)),
+            (CofactorPolynomial(5, 1j), BoundedRegion(2.0)),
+            (CofactorPolynomial(3, 0.05j), ExteriorRegion(r=2.0, lam_max=200.0)),
+            (CofactorPolynomial(5, 10j), ExteriorRegion(r=1.0, lam_max=100.0)),
+        ],
+    )
+    def test_fields_equal_the_two_partial_form(self, p, region):
+        got = cofactor_lower_bound_cert(p, region, 301)
+        want = _two_partial_cert(p, region, 301)
+        for field in dataclasses.fields(got):
+            assert getattr(got, field.name) == getattr(want, field.name), field.name
+
+    def test_one_partial_evaluation_per_certificate(self, monkeypatch):
+        calls = []
+        p_dlam = doi._p_dlam
+
+        def counted(*args):
+            calls.append(args)
+            return p_dlam(*args)
+
+        monkeypatch.setattr(doi, "_p_dlam", counted)
+        for region in (BoundedRegion(1.0), ExteriorRegion(r=2.0, lam_max=200.0)):
+            calls.clear()
+            cofactor_lower_bound_cert(CofactorPolynomial(3, 0.05j), region, 101)
+            assert len(calls) == 1
+
     def test_json_payload(self):
         cert = cofactor_lower_bound_cert(CofactorPolynomial(3, 10j), BoundedRegion(1.0), 51)
         assert cert.passed is True
@@ -180,27 +248,31 @@ class TestLowerBoundCertificates:
 
 
 class TestDividedDifference:
+    # f = x^2, g = x: the kernel is the first divided difference x + y
+    def _square(self):
+        return DoiKernel(f=functions.polynomial([1.0, 0.0, 0.0]), g=functions.identity())
+
     def test_square_gives_sum(self):
-        f = functions.polynomial([1.0, 0.0, 0.0])
+        k = self._square()
         rng = rng_from(41)
         for _ in range(30):
             lam, mu = rng.uniform(-4, 4, size=2)
             if abs(lam - mu) <= 1e-5 * (1 + abs(lam)):
                 continue
-            assert divided_difference(f, lam, mu) == pytest.approx(lam + mu, rel=1e-12)
+            assert kernel_eval(k, lam, mu) == pytest.approx(lam + mu, rel=1e-12)
 
     def test_band_uses_midpoint_derivative(self):
-        f = functions.polynomial([1.0, 0.0, 0.0])
+        k = self._square()
         lam = 2.0
         mu = 2.0 + 1e-9
         # inside the coincidence band: exactly f'(midpoint)
-        assert divided_difference(f, lam, mu) == pytest.approx(lam + mu, abs=1e-12)
-        assert divided_difference(f, lam, lam) == pytest.approx(2 * lam, abs=1e-14)
+        assert kernel_eval(k, lam, mu) == pytest.approx(lam + mu, abs=1e-12)
+        assert kernel_eval(k, lam, lam) == pytest.approx(2 * lam, abs=1e-14)
 
     def test_array_broadcast(self):
-        f = functions.polynomial([1.0, 0.0, 0.0])
+        k = self._square()
         lam = np.array([0.0, 1.0, 2.0])
-        out = divided_difference(f, lam[:, None], lam[None, :])
+        out = kernel_eval(k, lam[:, None], lam[None, :])
         np.testing.assert_allclose(out, lam[:, None] + lam[None, :], atol=1e-12)
 
 

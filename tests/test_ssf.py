@@ -445,13 +445,46 @@ class TestDeterminantOnVerticalLine:
         d = eig_hermitian(h)
         eye = np.eye(n)
         for lam in _lambdas(d0, d):
-            det_fn = ssf._determinant_on_vertical_line(d0, h, lam)
+            log_det = ssf._determinant_on_vertical_line(d0, h, lam)
             for height in np.geomspace(1e-8, 1e3, 12):
                 z = lam + 1j * height
-                got = det_fn(height)
+                got = cmath.exp(log_det(height))
                 assert got == pytest.approx(perturbation_determinant(d0, v, z), rel=1e-9)
                 ratio = np.linalg.det(h - z * eye) / np.linalg.det(h0 - z * eye)
                 assert got == pytest.approx(ratio, rel=1e-9)
+
+    def test_phase_equals_the_tracked_phase_at_the_default_heights(self):
+        # the tracker, fed only the principal values exp(log_det), rebuilds the
+        # continuous branch from a ratio-capped ladder; winding speed is at
+        # most (d0.dim + d.dim) / h, so the cap keeps each step under pi/4
+        widest = 0.0
+        for kind, n in _DET_CASES:
+            d0, v = _determinant_case(kind, n)
+            h = d0.reconstruct() + v
+            d = eig_hermitian(h)
+            h_start = 10.0 * max(d0.spectral_radius, d.spectral_radius, 1.0)
+            ratio = math.exp(math.pi / (4.0 * 2 * n))
+            for lam in _lambdas(d0, d):
+                eps = default_eps_schedule(d0, d, lam)
+                log_det = ssf._determinant_on_vertical_line(d0, h, lam)
+                tracked = track_determinant_phase(
+                    lambda t: cmath.exp(log_det(t)), h_start + abs(lam), eps, max_ratio=ratio
+                )
+                for e, want in zip(eps, tracked):
+                    assert log_det(e).imag == pytest.approx(want, abs=1e-12), (kind, n, lam, e)
+                    widest = max(widest, abs(want))
+        # some point has |xi| >= 1 with its phase outside the principal range
+        assert widest > math.pi
+
+    def test_route_never_tracks(self, monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("ssf_via_determinant called the phase tracker")
+
+        monkeypatch.setattr(ssf, "track_determinant_phase", forbidden)
+        d0, v = _determinant_case("degenerate", 32)
+        d = eig_hermitian(d0.reconstruct() + v)
+        lam = _lambdas(d0, d)[0]
+        assert abs(ssf_via_determinant(d0, v, lam) - ssf_counting(d0, d)(lam)) < 1e-6
 
     def test_size_64_point_matches_counting(self):
         d0, v = _determinant_case("random", 64)
@@ -465,11 +498,13 @@ class TestDeterminantOnVerticalLine:
         lam = _lambdas(d0, d)[0]
         expected = ssf_counting(d0, d)(lam)
         heights = []
+        build = ssf._determinant_on_vertical_line
 
         def forbidden(*args, **kwargs):
-            raise AssertionError("an eigensolver ran during phase tracking")
+            raise AssertionError("an eigensolver ran while the phase was read")
 
-        def tracker(det_fn, *args, **kwargs):
+        def guarded(*args, **kwargs):
+            # eigensolvers are forbidden from the closure's construction on
             for owner, name in (
                 (spectral, "eig_hermitian"),
                 (ssf, "eig_hermitian"),
@@ -479,16 +514,17 @@ class TestDeterminantOnVerticalLine:
                 (scipy.linalg, "eigvalsh"),
             ):
                 monkeypatch.setattr(owner, name, forbidden)
+            log_det = build(*args, **kwargs)
 
             def logged(height):
                 heights.append(height)
-                return det_fn(height)
+                return log_det(height)
 
-            return track_determinant_phase(logged, *args, **kwargs)
+            return logged
 
-        monkeypatch.setattr(ssf, "track_determinant_phase", tracker)
+        monkeypatch.setattr(ssf, "_determinant_on_vertical_line", guarded)
         xi = ssf_via_determinant(d0, v, lam)
-        assert len(heights) > 10
+        assert heights == default_eps_schedule(d0, d, lam)
         assert abs(xi - expected) < 1e-6
 
     def test_route_validates_the_perturbation(self):
