@@ -135,6 +135,14 @@ def _cert_list(arity: int):
     return check
 
 
+def _exterior_cert_list(field, value):
+    parsed = _cert_list(4)(field, value)
+    for i, (_, r, _, cap) in enumerate(parsed):
+        if cap <= r:
+            raise ConfigError(f"{field}[{i}][3]", f"expected lam_max > r = {r:g}, got {cap:g}")
+    return parsed
+
+
 def _eps_schedule(field, value):
     if value is None:
         return None
@@ -205,7 +213,7 @@ _SCHEMA = {
             [[3, 1.0, 10.0], [3, 5.0, 50.0], [5, 1.0, 20.0]],
             _cert_list(3),
         ),
-        "exterior_certs": ([[3, 1.0, 0.01, 100.0]], _cert_list(4)),
+        "exterior_certs": ([[3, 1.0, 0.01, 100.0]], _exterior_cert_list),
     },
     "dirac-schatten": {
         "identity_n_list": ([32, 64], _int_list(low=2, even=True)),
@@ -254,6 +262,10 @@ def _validate_section(name: str, given: dict) -> dict:
             merged[key] = validator(f"{name}.{key}", given[key])
         else:
             merged[key] = default
+    # the Hoelder factorization splits R^(mpow+1) as R^k R0^(mpow+1-k)
+    if name == "dirac-schatten" and merged["k"] > merged["mpow"]:
+        k, mpow = merged["k"], merged["mpow"]
+        raise ConfigError(f"{name}.k", f"expected k <= mpow = {mpow}, got {k}")
     return merged
 
 

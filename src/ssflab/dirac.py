@@ -442,10 +442,17 @@ def perturbed_hamiltonian(
 # weighted-resolvent Schatten studies
 
 
-def _fit_decay_exponent(sv: np.ndarray, lo_frac: float = 0.02, hi_frac: float = 0.4):
+# fit window of the decay exponent, as fractions of the singular-value count
+_FIT_LO_FRAC = 0.02
+_FIT_HI_FRAC = 0.4
+# largest accepted |fitted - predicted| decay exponent
+_EXPONENT_TOL = 0.5
+
+
+def _fit_decay_exponent(sv: np.ndarray):
     count = sv.size
-    lo = max(3, int(lo_frac * count))
-    hi = max(lo + 8, int(hi_frac * count))
+    lo = max(3, int(_FIT_LO_FRAC * count))
+    hi = max(lo + 8, int(_FIT_HI_FRAC * count))
     hi = min(hi, count)
     if hi - lo < 5:
         return float("nan")
@@ -478,7 +485,6 @@ def weighted_resolvent_schatten(
     k: int,
     z: complex,
     p_list: Sequence[float],
-    exponent_tol: float = 0.5,
 ) -> WeightedResolventReport:
     """Schatten norms and singular-value decay of weight times free resolvent power.
 
@@ -504,7 +510,7 @@ def weighted_resolvent_schatten(
         threshold_p=model.d / min(r, float(k)),
         predicted_exponent=predicted,
         fitted_exponent=fitted,
-        exponent_ok=bool(abs(fitted - predicted) <= exponent_tol),
+        exponent_ok=bool(abs(fitted - predicted) <= _EXPONENT_TOL),
     )
 
 
@@ -519,7 +525,9 @@ class RefinementStudy:
     stabilized: dict
     grows: dict
     threshold_p: float
-    stab_rtol: float
+
+
+_STAB_RTOL = 0.05
 
 
 def schatten_refinement_study(
@@ -530,7 +538,6 @@ def schatten_refinement_study(
     p_list: Sequence[float],
     n_list: Sequence[int],
     mass: float = 1.0,
-    stab_rtol: float = 0.05,
     h: Optional[float] = None,
 ) -> RefinementStudy:
     """Track weighted-resolvent Schatten norms across lattice refinement.
@@ -539,8 +546,8 @@ def schatten_refinement_study(
     refine together); a fixed ``h`` grows the volume only, which reaches the
     slow position-space tails of weakly decaying weights much faster at the
     same sizes.  A norm is flagged stabilized when the last refinement step
-    moves it by at most ``stab_rtol`` relatively; flagged growing when it
-    increases at every step.
+    moves it by at most 5% relatively; flagged growing when it increases at
+    every step.
     """
     if len(n_list) < 2:
         raise ValueError("refinement study needs at least two lattice sizes")
@@ -555,7 +562,7 @@ def schatten_refinement_study(
     grows = {}
     for p, vals in norms_by_p.items():
         last, prev = vals[-1], vals[-2]
-        stabilized[p] = bool(abs(last - prev) <= stab_rtol * abs(last))
+        stabilized[p] = bool(abs(last - prev) <= _STAB_RTOL * abs(last))
         grows[p] = bool(np.all(np.diff(vals) > 0))
     return RefinementStudy(
         d=d,
@@ -567,7 +574,6 @@ def schatten_refinement_study(
         stabilized=stabilized,
         grows=grows,
         threshold_p=d / min(r, float(k)),
-        stab_rtol=stab_rtol,
     )
 
 
@@ -611,11 +617,9 @@ def resolvent_power_difference(
     the right side by LU-based inversion, so agreement is a genuine
     cross-check rather than a tautology.
     """
-    if mpow < 1 or mpow % 2 == 0:
+    z, mpow = _check_resolvent_args(z, mpow)
+    if mpow % 2 == 0:
         raise ValueError(f"mpow must be an odd integer >= 1, got {mpow!r}")
-    z = complex(z)
-    if z.imag == 0.0:
-        raise ValueError("resolvent point must have Im z != 0")
     h0 = perturbed_hamiltonian(model, v0)
     h = perturbed_hamiltonian(model, v0, v)
     vop = v.to_operator()
@@ -689,11 +693,9 @@ def weighted_factorization_report(
     """
     if not v.is_decaying:
         raise ValueError("factorization needs a potential with declared decay")
+    z, mpow = _check_resolvent_args(z, mpow)
     if not (1 <= k <= mpow):
         raise ValueError(f"k must lie in 1..mpow, got {k!r}")
-    z = complex(z)
-    if z.imag == 0.0:
-        raise ValueError("resolvent point must have Im z != 0")
     rho = float(v.decay_rho)
     j = mpow + 1 - k
     r1 = k * rho / (mpow + 1)
@@ -776,9 +778,8 @@ def commutator_identity_residual(
     """
     if k < 0:
         raise ValueError(f"k must be >= 0, got {k!r}")
-    z = complex(z)
-    if z.imag == 0.0:
-        raise ValueError("resolvent point must have Im z != 0")
+    # the identity carries R^(k+1)
+    z, _ = _check_resolvent_args(z, k + 1)
     h00 = np.array(free_hamiltonian(model).entries)
     h = perturbed_hamiltonian(model, v0, v)
     w = weight_diagonal(model, r)
@@ -797,7 +798,6 @@ def commutator_identity_residual(
 class CommutatorDecayReport:
     r: float
     n: int
-    near_window: float
     distances: tuple
     profile_raw: tuple
     profile_weighted: tuple
@@ -806,9 +806,10 @@ class CommutatorDecayReport:
     decays: bool
 
 
-def commutator_decay_report(
-    model: LatticeModel, r: float, near_window: float = 10.0
-) -> CommutatorDecayReport:
+_NEAR_WINDOW = 10.0
+
+
+def commutator_decay_report(model: LatticeModel, r: float) -> CommutatorDecayReport:
     """Columnwise decay profile of the free-operator/weight commutator.
 
     The raw profile is the spectral norm of each site's column block of the
@@ -816,13 +817,11 @@ def commutator_decay_report(
     envelope ``<x>^-(r+1)`` at that column's site, so a flat weighted profile
     means the columns obey the envelope.  ``sup_constant`` is the fitted
     near-field constant: the max of the weighted profile over columns within
-    ``near_window`` (clipped to 40% of the torus radius).  The free operator
-    is nonlocal on the lattice, so the far-field columns outgrow the envelope
-    and only the near-field constant is a meaningful stand-in for the
+    distance 10 of the origin (clipped to 40% of the torus radius).  The free
+    operator is nonlocal on the lattice, so the far-field columns outgrow the
+    envelope and only the near-field constant is a meaningful stand-in for the
     continuum bound; the full profiles are kept in the report for inspection.
     """
-    if near_window <= 0:
-        raise ValueError(f"near_window must be positive, got {near_window!r}")
     h00 = np.array(free_hamiltonian(model).entries)
     w = weight_diagonal(model, r)
     comm = h00 * w[None, :] - w[:, None] * h00
@@ -833,14 +832,13 @@ def commutator_decay_report(
     cols = comm.reshape(dim, model.n_sites, s).transpose(1, 0, 2)
     raw = np.linalg.svd(cols, compute_uv=False)[:, 0]
     weighted = raw * (1.0 + dist**2) ** ((r + 1) / 2.0)
-    near = dist <= min(near_window, 0.4 * float(dist.max()))
+    near = dist <= min(_NEAR_WINDOW, 0.4 * float(dist.max()))
     far = dist >= 0.75 * dist.max()
     raw_max = max(float(raw.max()), ABS_FLOOR)
     far_ratio = float(raw[far].max()) / raw_max
     return CommutatorDecayReport(
         r=float(r),
         n=model.n,
-        near_window=float(near_window),
         distances=tuple(float(x) for x in dist),
         profile_raw=tuple(float(x) for x in raw),
         profile_weighted=tuple(float(x) for x in weighted),
@@ -850,27 +848,24 @@ def commutator_decay_report(
     )
 
 
-def commutator_decay_study(
-    d: int,
-    r: float,
-    n_list: Sequence[int],
-    mass: float = 1.0,
-    rtol: float = 0.2,
-    h: float = 1.5,
-):
+_DECAY_STUDY_H = 1.5
+_DECAY_STUDY_RTOL = 0.2
+
+
+def commutator_decay_study(d: int, r: float, n_list: Sequence[int], mass: float = 1.0):
     """Near-field sup constants of the weighted commutator across refinement.
 
-    Refinement grows the volume at fixed spacing ``h``, so the near-field
+    Refinement grows the volume at fixed spacing 1.5, so the near-field
     columns converge sitewise and their fitted constant should settle;
     shrinking the spacing instead would keep reshaping the kernel near the
     origin.  Returns (sup_constants, stable flag): stable when the last two
-    agree within ``rtol`` relatively.
+    agree within 20% relatively.
     """
     if len(n_list) < 2:
         raise ValueError("commutator decay study needs at least two lattice sizes")
     sups = []
     for n in n_list:
-        model = LatticeModel(d=d, n=n, h=h, mass=mass)
+        model = LatticeModel(d=d, n=n, h=_DECAY_STUDY_H, mass=mass)
         sups.append(commutator_decay_report(model, r).sup_constant)
-    stable = bool(abs(sups[-1] - sups[-2]) <= rtol * abs(sups[-1]))
+    stable = bool(abs(sups[-1] - sups[-2]) <= _DECAY_STUDY_RTOL * abs(sups[-1]))
     return tuple(sups), stable

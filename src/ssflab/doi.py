@@ -35,7 +35,7 @@ from .spectral import (
     schatten_norm,
     singular_values,
 )
-from .ssf import PowerChangeOfVariable, build_power_map
+from .ssf import build_power_map
 
 __all__ = [
     "AntidiagonalCollisionError",
@@ -100,12 +100,11 @@ class CofactorPolynomial:
     z: complex
 
     def __post_init__(self):
-        if not isinstance(self.m, (int, np.integer)) or self.m < 1 or self.m % 2 == 0:
+        if isinstance(self.m, (int, np.integer)) and self.m % 2 == 0:
             raise ValueError(f"power m must be an odd integer >= 1, got {self.m!r}")
-        if complex(self.z).imag == 0.0:
-            raise ValueError("cofactor certificates require Im z != 0")
-        object.__setattr__(self, "m", int(self.m))
-        object.__setattr__(self, "z", complex(self.z))
+        z, m = _check_resolvent_args(self.z, self.m)
+        object.__setattr__(self, "m", m)
+        object.__setattr__(self, "z", z)
 
     def __call__(self, lam, mu):
         return _p_eval(self.m, self.z, lam, mu)
@@ -252,9 +251,12 @@ def cofactor_lower_bound_cert(
 # kernels
 
 
-def _coincidence_band(lam, mu, delta0: float) -> np.ndarray:
-    """Mask of ``|x - y| <= delta0 * (1 + |x|)``, where kernels use derivative limits."""
-    return np.abs(lam - mu) <= delta0 * (1.0 + np.abs(lam))
+_BAND_DELTA0 = 1e-5
+
+
+def _coincidence_band(lam, mu) -> np.ndarray:
+    """Mask of ``|x - y| <= _BAND_DELTA0 * (1 + |x|)``, where kernels use derivative limits."""
+    return np.abs(lam - mu) <= _BAND_DELTA0 * (1.0 + np.abs(lam))
 
 
 @dataclass(frozen=True)
@@ -264,14 +266,13 @@ class DoiKernel:
     ``mode="direct"`` evaluates the ratio; ``mode="factored"`` uses the
     algebraic factorization through the telescoping cofactor, which requires
     ``g`` to be the resolvent power ``(x - z)^{-m}`` (fields ``m``, ``z``).
-    ``delta0`` scales the diagonal coincidence band, inside which the
+    Inside the diagonal coincidence band ``|x - y| <= 1e-5 (1 + |x|)`` the
     derivative limit ``f'(x)/g'(x)`` is used.
     """
 
     f: ScalarFunction
     g: ScalarFunction
     mode: str = "direct"
-    delta0: float = 1e-5
     m: Optional[int] = None
     z: Optional[complex] = None
 
@@ -280,21 +281,17 @@ class DoiKernel:
             raise ValueError(f"unknown kernel mode {self.mode!r}")
         if self.mode == "factored" and (self.m is None or self.z is None):
             raise ValueError("factored mode requires resolvent parameters m and z")
-        if self.delta0 <= 0:
-            raise ValueError("coincidence band scale must be positive")
         if self.g.derivative is None or self.f.derivative is None:
             raise ValueError("kernel functions need attached first derivatives")
 
 
-def resolvent_kernel(
-    f: ScalarFunction, m: int, z: complex, mode: str = "direct", delta0: float = 1e-5
-) -> DoiKernel:
+def resolvent_kernel(f: ScalarFunction, m: int, z: complex, mode: str = "direct") -> DoiKernel:
     """Kernel with denominator function ``g(x) = (x - z)^{-m}``."""
     z, m = _check_resolvent_args(z, m)
     if m % 2 == 0:
         raise ValueError(f"resolvent power must be an odd integer >= 1, got {m!r}")
     g = resolvent_function(z, m)
-    return DoiKernel(f=f, g=g, mode=mode, delta0=delta0, m=m, z=z)
+    return DoiKernel(f=f, g=g, mode=mode, m=m, z=z)
 
 
 _DENOM_ABS_TOL = 1e-13
@@ -311,7 +308,7 @@ def _kernel_grid(k: DoiKernel, lam, mu, dlambda: bool = False):
     scalar = np.isscalar(lam) and np.isscalar(mu)
     lam = np.asarray(lam, dtype=float)
     mu = np.asarray(mu, dtype=float)
-    band = np.asarray(_coincidence_band(lam, mu, k.delta0))
+    band = np.asarray(_coincidence_band(lam, mu))
     reg = ~band
     lam_b, mu_b = np.broadcast_arrays(lam, mu)
     fl = np.asarray(k.f(lam), dtype=complex)
@@ -400,14 +397,16 @@ def doi_apply(
     return u @ (kmat * mixed) @ u0.conj().T
 
 
+# |g(x) - g(y)| below this times the largest |g| on the spectra is a collision
+_COLLISION_RTOL = 1e-6
+
+
 def doi_identity_residual(
     d0: SpectralDecomposition,
     d: SpectralDecomposition,
     f: ScalarFunction,
     m: int,
     z: complex,
-    collision_rtol: float = 1e-6,
-    delta0: float = 1e-5,
 ) -> float:
     """Max-entry residual of ``f(H) - f(H0) = K o (g(H) - g(H0))``.
 
@@ -418,18 +417,18 @@ def doi_identity_residual(
     """
     if d0.dim != d.dim:
         raise ValueError("dimension mismatch")
-    k = resolvent_kernel(f, m, z, mode="direct", delta0=delta0)
+    k = resolvent_kernel(f, m, z)
     gl = np.asarray(k.g(d0.eigenvalues), dtype=complex)
     gm = np.asarray(k.g(d.eigenvalues), dtype=complex)
     diff = np.abs(gm[:, None] - gl[None, :])
-    band = _coincidence_band(d0.eigenvalues[None, :], d.eigenvalues[:, None], delta0)
+    band = _coincidence_band(d0.eigenvalues[None, :], d.eigenvalues[:, None])
     gscale = max(float(np.abs(gl).max()), float(np.abs(gm).max()), ABS_FLOOR)
-    colliding = (~band) & (diff < collision_rtol * gscale)
+    colliding = (~band) & (diff < _COLLISION_RTOL * gscale)
     if np.any(colliding):
         j, i = np.argwhere(colliding)[0]
         raise AntidiagonalCollisionError(
             f"eigenvalues {d0.eigenvalues[i]:.6g} and {d.eigenvalues[j]:.6g} collide "
-            f"through g (|dg| = {diff[j, i]:.3e} < {collision_rtol:g} * {gscale:.3e})"
+            f"through g (|dg| = {diff[j, i]:.3e} < {_COLLISION_RTOL:g} * {gscale:.3e})"
         )
     t = apply_function(d, k.g) - apply_function(d0, k.g)
     lhs = apply_function(d, k.f) - apply_function(d0, k.f)
@@ -528,25 +527,18 @@ class CutoffSplitReport:
 
 
 def resolvent_cutoff_split(
-    d0: SpectralDecomposition,
-    d: SpectralDecomposition,
-    m: int,
-    r: float,
-    phi: Optional[PowerChangeOfVariable] = None,
+    d0: SpectralDecomposition, d: SpectralDecomposition, m: int, r: float
 ) -> CutoffSplitReport:
     """Split ``(phi(H)-i)^{-1} - (phi(H0)-i)^{-1}`` by a smooth cutoff.
 
     With ``theta`` vanishing on ``[-r, r]`` and equal to 1 outside
-    ``[-2r, 2r]``, and ``phi`` the monotone map equal to ``x^m`` beyond
-    ``r``, the transformed resolvent difference decomposes exactly into an
-    inner part driven by ``(1-theta)/(phi - i)`` and an outer part driven by
-    ``theta/(x^m - i)``.  Reports the max-entry residual of the decomposition
+    ``[-2r, 2r]``, and ``phi = build_power_map(m, r)`` the monotone map equal
+    to ``x^m`` beyond ``r``, the transformed resolvent difference decomposes
+    exactly into an inner part driven by ``(1-theta)/(phi - i)`` and an outer
+    part driven by ``theta/(x^m - i)``.  Reports the max-entry residual of the decomposition
     and the trace norms of all three differences.
     """
-    if phi is None:
-        phi = build_power_map(m, r)
-    elif phi.cutoff > r:
-        raise ValueError("cutoff of the power map must not exceed the split radius")
+    phi = build_power_map(m, r)
     theta = smoothstep_cutoff(r)
 
     def whole(x):

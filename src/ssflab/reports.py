@@ -1,11 +1,12 @@
 """Machine-readable experiment reports.
 
 A report is a config echo plus a sorted list of named check records and an
-aggregate pass flag.  JSON serialization is deterministic for identical
-inputs: keys are sorted, records are sorted by name, and wall-clock timings
-are deliberately kept out of the serialized payload (they stay on the report
-object for the human-readable summary).  Optional named tables carry
-plot-ready per-point data for sweep subcommands.
+aggregate pass flag.  A record serializes to its name, value, threshold,
+comparison op and pass flag, nothing else.  JSON serialization is
+deterministic for identical inputs: keys are sorted, records are sorted by
+name, and wall-clock timings are deliberately kept out of the serialized
+payload (they stay on the report object for the human-readable summary).
+Optional named tables carry plot-ready per-point data for sweep subcommands.
 """
 
 from __future__ import annotations
@@ -28,7 +29,6 @@ class CheckRecord:
     threshold: Optional[float]
     op: str
     passed: bool
-    note: str = ""
 
     def __post_init__(self):
         if not self.name:
@@ -39,35 +39,29 @@ class CheckRecord:
             raise ValueError(f"record {self.name!r} needs a threshold for op {self.op!r}")
 
     def to_json(self) -> dict:
-        out = {
+        return {
             "name": self.name,
             "value": self.value,
             "threshold": self.threshold,
             "op": self.op,
             "passed": self.passed,
         }
-        if self.note:
-            out["note"] = self.note
-        return out
 
 
-def check_le(name: str, value: float, threshold: float, note: str = "") -> CheckRecord:
-    return CheckRecord(name, float(value), float(threshold), "<=",
-                       bool(value <= threshold), note)
+def check_le(name: str, value: float, threshold: float) -> CheckRecord:
+    return CheckRecord(name, float(value), float(threshold), "<=", bool(value <= threshold))
 
 
-def check_gt(name: str, value: float, threshold: float, note: str = "") -> CheckRecord:
-    return CheckRecord(name, float(value), float(threshold), ">",
-                       bool(value > threshold), note)
+def check_gt(name: str, value: float, threshold: float) -> CheckRecord:
+    return CheckRecord(name, float(value), float(threshold), ">", bool(value > threshold))
 
 
-def check_flag(name: str, flag: bool, expected: bool = True, note: str = "") -> CheckRecord:
-    return CheckRecord(name, float(bool(flag)), float(expected), "==",
-                       bool(flag) == expected, note)
+def check_flag(name: str, flag: bool, expected: bool = True) -> CheckRecord:
+    return CheckRecord(name, float(bool(flag)), float(expected), "==", bool(flag) == expected)
 
 
-def check_info(name: str, value: float, note: str = "") -> CheckRecord:
-    return CheckRecord(name, float(value), None, "info", True, note)
+def check_info(name: str, value: float) -> CheckRecord:
+    return CheckRecord(name, float(value), None, "info", True)
 
 
 @dataclass(frozen=True)
@@ -166,7 +160,7 @@ def merge_reports(subcommand: str, seed: int, parts: dict) -> ExperimentReport:
         config[prefix] = rep.config
         for r in rep.records:
             records.append(CheckRecord(f"{prefix}.{r.name}", r.value, r.threshold,
-                                       r.op, r.passed, r.note))
+                                       r.op, r.passed))
         for tname, rows in rep.tables.items():
             tables[f"{prefix}.{tname}"] = rows
         timings["total_s"] += rep.timings.get("total_s", 0.0)

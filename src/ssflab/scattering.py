@@ -190,16 +190,15 @@ def ssf_scattering(
 
     The phase of the perturbation determinant is followed from high in the
     upper half plane down the epsilon schedule, then Richardson-extrapolated
-    to the real axis from the last two epsilons (by default ``2^-4 .. 2^-13``).
+    to the real axis from the last two epsilons (by default ``2^-4 .. 2^-13``;
+    a given schedule must be finite, positive, strictly decreasing and at
+    least two long).
     Inside the band the result is generically non-integer; below the band it
     approaches minus the count of discrete eigenvalues below ``lam``.
     """
     if eps_schedule is None:
         eps_schedule = [2.0 ** (-k) for k in range(4, 14)]
-    eps = sorted(eps_schedule, reverse=True)
-    if len(eps) < 2:
-        raise ValueError("epsilon schedule needs at least two points")
-    eps = _check_eps_schedule(eps)
+    eps = _check_eps_schedule(eps_schedule)
     h_start = 10.0 * (1.0 + model.strength) + abs(lam)
 
     def det_at(h):

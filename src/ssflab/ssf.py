@@ -243,6 +243,8 @@ def _odd_poly_d2(coeffs: np.ndarray, x):
 
 # a cap only: even pure bisection reaches float resolution well within it
 _NEWTON_MAX_STEPS = 100
+# Newton stops once its step is this small
+_INVERSE_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -292,7 +294,7 @@ class PowerChangeOfVariable:
         out = np.where(outer, outer_val, _odd_poly_d2(self.inner_coeffs, x))
         return out if out.ndim else float(out)
 
-    def inverse(self, y, tol: float = 1e-12) -> float:
+    def inverse(self, y) -> float:
         """Scalar inverse: analytic outside the window, safeguarded Newton inside.
 
         Inside the window the slope is at least ``lower_slope > 0``, so every
@@ -323,7 +325,7 @@ class PowerChangeOfVariable:
             else:
                 hi = x
             step = resid / slope
-            if abs(step) <= tol:
+            if abs(step) <= _INVERSE_TOL:
                 return x - step
             x -= step
             if not lo < x < hi:
@@ -566,10 +568,11 @@ def track_determinant_phase(
     return [recorded[t] for t in targets]
 
 
-def default_eps_schedule(
-    d0: SpectralDecomposition, d: SpectralDecomposition, lam: float, depth: int = 8
-) -> list:
-    """Spectral-gap-aware schedule ``gap / 2^k`` for ``k = 1..depth``."""
+_EPS_DEPTH = 8
+
+
+def default_eps_schedule(d0: SpectralDecomposition, d: SpectralDecomposition, lam: float) -> list:
+    """Spectral-gap-aware schedule ``gap / 2^k`` for ``k = 1..8``."""
     gap = float(
         min(
             np.min(np.abs(d0.eigenvalues - lam)),
@@ -578,14 +581,15 @@ def default_eps_schedule(
     )
     if gap <= 0:
         raise ValueError(f"lambda={lam} lies on the spectrum")
-    return [gap / 2.0**k for k in range(1, depth + 1)]
+    return [gap / 2.0**k for k in range(1, _EPS_DEPTH + 1)]
 
 
 def _check_eps_schedule(eps_schedule: Sequence[float]) -> list:
-    """The schedule as a list of floats, checked finite, positive and strictly decreasing."""
+    """The schedule of either phase route as a list of floats: at least two
+    points (Richardson needs two), finite, positive and strictly decreasing."""
     eps = [float(e) for e in eps_schedule]
-    if not eps:
-        raise ValueError("eps schedule needs at least one point")
+    if len(eps) < 2:
+        raise ValueError(f"eps schedule needs at least two points: {eps}")
     for prev, e in zip([math.inf] + eps, eps):
         if not (math.isfinite(e) and 0 < e < prev):
             raise ValueError(f"eps schedule must be finite, positive, strictly decreasing: {eps}")
@@ -593,8 +597,6 @@ def _check_eps_schedule(eps_schedule: Sequence[float]) -> list:
 
 
 def _richardson_two_point(eps: Sequence[float], vals: Sequence[float]) -> float:
-    if len(vals) == 1:
-        return float(vals[0])
     ea, eb = float(eps[-2]), float(eps[-1])
     xa, xb = float(vals[-2]), float(vals[-1])
     return (ea * xb - eb * xa) / (ea - eb)

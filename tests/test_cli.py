@@ -42,10 +42,6 @@ class TestCheckRecord:
         with pytest.raises(ValueError, match="threshold"):
             CheckRecord("a", 1.0, None, "<=", True)
 
-    def test_note_only_when_nonempty(self):
-        assert "note" not in check_le("a", 0.0, 1.0).to_json()
-        assert check_le("a", 0.0, 1.0, note="why").to_json()["note"] == "why"
-
 
 class TestExperimentReport:
     def _report(self, **kw):
@@ -280,6 +276,23 @@ class TestCliConfigErrors:
         rc = main(["doi-check", "--config", cfg])
         assert rc == 2
         assert "mz_list" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "section, given, field",
+        [
+            ("dirac-schatten", {"k": 5}, "dirac-schatten.k"),
+            (
+                "rm-cert",
+                {"exterior_certs": [[3, 1.0, 0.01, 100.0], [3, 5.0, 0.01, 2.0]]},
+                "rm-cert.exterior_certs[1][3]",
+            ),
+        ],
+    )
+    def test_inconsistent_fields_name_the_field(self, tmp_path, capsys, section, given, field):
+        cfg = _write_config(tmp_path, {section: given})
+        rc = main([section, "--config", cfg])
+        assert rc == 2
+        assert f"field '{field}'" in capsys.readouterr().err
 
     def test_unknown_subcommand_exits(self):
         with pytest.raises(SystemExit):

@@ -355,6 +355,13 @@ class TestPowerDifference:
         with pytest.raises(ValueError, match="Im z"):
             resolvent_power_difference(model, v0, v0, 1.0, 3)
 
+    @pytest.mark.parametrize("z", [1.0, complex("nan+1j"), complex("1+infj")])
+    def test_rejects_bad_point_naming_it(self, z):
+        model = _model(n=8)
+        v0 = zero_potential(model)
+        with pytest.raises(ValueError, match=r"finite with Im z != 0, got z="):
+            resolvent_power_difference(model, v0, v0, z, 3)
+
 
 class TestCommutatorIdentity:
     @pytest.mark.parametrize("r, k", [(1.0, 0), (1.0, 2), (2.0, 1), (3.0, 2)])
@@ -372,6 +379,14 @@ class TestCommutatorIdentity:
             commutator_identity_residual(model, v0, v0, 1.0, -1, 1j)
         with pytest.raises(ValueError, match="Im z"):
             commutator_identity_residual(model, v0, v0, 1.0, 1, 2.0)
+
+    @pytest.mark.parametrize("z", [2.0, complex("nan+1j"), complex("1+infj")])
+    def test_rejects_bad_point_naming_it(self, z):
+        # a NaN point used to reach the SVD and fail there to converge
+        model = _model(n=8)
+        v0 = zero_potential(model)
+        with pytest.raises(ValueError, match=r"finite with Im z != 0, got z="):
+            commutator_identity_residual(model, v0, v0, 1.0, 1, z)
 
     def test_weight_commutator_is_anti_hermitian(self):
         model = _model(n=16)
@@ -575,6 +590,12 @@ class TestFactorization:
         with pytest.raises(ValueError, match="Im z"):
             weighted_factorization_report(model, v, 1, 3, 0.5)
 
+    @pytest.mark.parametrize("z", [0.5, complex("nan+1j"), complex("1+infj")])
+    def test_rejects_bad_point_naming_it(self, z):
+        model, v = self._inputs(4.0, n=8)
+        with pytest.raises(ValueError, match=r"finite with Im z != 0, got z="):
+            weighted_factorization_report(model, v, 1, 3, z)
+
 
 # ---------------------------------------------------------------------------
 # commutator decay profiles
@@ -599,13 +620,9 @@ class TestCommutatorDecay:
         with pytest.raises(ValueError, match="at least two lattice sizes"):
             commutator_decay_study(1, 1.0, [64])
 
-    def test_rejects_bad_window(self):
-        with pytest.raises(ValueError, match="near_window"):
-            commutator_decay_report(_model(n=8), 1.0, near_window=0.0)
-
     def test_json_keys(self):
         rep = commutator_decay_report(_model(n=16, h=1.5), 1.0)
-        assert (rep.r, rep.n, rep.near_window) == (1.0, 16, 10.0)
+        assert (rep.r, rep.n) == (1.0, 16)
         assert rep.sup_constant > 0
         assert 0.0 < rep.far_ratio <= 1.0
         assert isinstance(rep.decays, bool)

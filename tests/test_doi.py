@@ -105,6 +105,20 @@ class TestCofactorPolynomial:
         with pytest.raises(ValueError, match="Im z"):
             CofactorPolynomial(3, 1.0)
 
+    @pytest.mark.parametrize(
+        "m, z, match",
+        [
+            (3, complex("nan+1j"), "finite"),
+            (3, complex("1+infj"), "finite"),
+            (True, 1j, "integer"),
+        ],
+    )
+    def test_rejects_what_the_resolvent_check_rejects(self, m, z, match):
+        # a NaN shift used to yield a certificate with c_observed = nan, and
+        # True to run as m = 1
+        with pytest.raises(ValueError, match=match):
+            CofactorPolynomial(m, z)
+
 
 # ---------------------------------------------------------------------------
 # grid certificates
@@ -323,7 +337,7 @@ class TestKernelEval:
             )
 
         x = 0.4
-        t = 1e-3  # outside the band (delta0 = 1e-5), small enough for O(t^2)
+        t = 1e-3  # outside the band (_BAND_DELTA0 = 1e-5), small enough for O(t^2)
         fd = (raw(x + t, x) - raw(x - t, x)) / (2 * t)
         got = kernel_dlambda(direct, x, x)
         assert got == pytest.approx(fd, rel=1e-3)
@@ -334,8 +348,6 @@ class TestKernelEval:
             DoiKernel(f=f, g=functions.identity(), mode="mixed")
         with pytest.raises(ValueError, match="factored"):
             DoiKernel(f=f, g=functions.identity(), mode="factored")
-        with pytest.raises(ValueError, match="band"):
-            DoiKernel(f=f, g=functions.identity(), delta0=0.0)
         bare = functions.ScalarFunction(value=lambda x: x, name="bare")
         with pytest.raises(ValueError, match="derivative"):
             DoiKernel(f=bare, g=functions.identity())
@@ -404,7 +416,7 @@ class TestKernelGrids:
         k = _rm_cert_kernels(mode)[name]
         lam, mu = _band_crossing_axes()
         big_l, big_m = np.meshgrid(lam, mu, indexing="ij")
-        band = doi._coincidence_band(big_l, big_m, k.delta0)
+        band = doi._coincidence_band(big_l, big_m)
         assert band.sum() > min(lam.size, mu.size)  # more than a diagonal
         for fn in (kernel_eval, kernel_dlambda):
             grid = fn(k, lam[:, None], mu[None, :])
@@ -427,7 +439,7 @@ class TestKernelGrids:
         k = DoiKernel(
             f=counted_f.function, g=counted_g.function, mode=mode, m=3, z=2j
         )
-        band = int(doi._coincidence_band(axis[:, None], axis[None, :], k.delta0).sum())
+        band = int(doi._coincidence_band(axis[:, None], axis[None, :]).sum())
         assert band == n
         for fn in (kernel_eval, kernel_dlambda):
             counted_f.points = counted_g.points = 0
@@ -619,13 +631,6 @@ class TestCutoffSplit:
             assert rep.relative_residual < 1e-10
             assert rep.trace_norm_total > 0
             assert rep.trace_norm_inner >= 0 and rep.trace_norm_outer >= 0
-
-    def test_rejects_power_map_wider_than_split(self):
-        from ssflab.ssf import build_power_map
-
-        d0 = eig_hermitian(np.diag([0.0, 1.0]))
-        with pytest.raises(ValueError, match="cutoff"):
-            resolvent_cutoff_split(d0, d0, 3, 1.0, phi=build_power_map(3, 2.0))
 
     def test_json_fields(self):
         d0 = eig_hermitian(np.diag([0.0, 2.0, -1.0]))

@@ -235,10 +235,10 @@ class TestSsfScattering:
             ssf_scattering(model, 0.5, [0.1, 0.0])
         with pytest.raises(ValueError, match="two"):
             ssf_scattering(model, 0.5, [])
-        for bad in ([0.1, 0.1], [0.1, float("nan")], [float("nan"), 0.1]):
+        for bad in ([0.1, 0.1], [0.1, float("nan")], [float("nan"), 0.1], [0.01, 0.02, 0.005]):
             with pytest.raises(ValueError, match="eps schedule"):
                 ssf_scattering(model, 0.5, bad)
-        sched = [0.01, 0.02, 0.005]
+        sched = [0.02, 0.01, 0.005]
         assert ssf_scattering(model, 0.5, np.array(sched)) == ssf_scattering(model, 0.5, sched)
 
     def test_below_band_counts_bound_states(self):

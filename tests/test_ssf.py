@@ -633,7 +633,8 @@ class TestDeterminantRoute:
             ssf_via_determinant(d0, v, 3.0, eps_schedule=[0.1, 0.2])
         with pytest.raises(ValueError, match="decreasing"):
             ssf_via_determinant(d0, v, 3.0, eps_schedule=[0.1, -0.2])
-        for bad in ([], [0.1, 0.1], [0.1, float("nan")], [float("nan"), 0.1]):
+        # one height leaves nothing to extrapolate from
+        for bad in ([], [0.1], [0.1, 0.1], [0.1, float("nan")], [float("nan"), 0.1]):
             with pytest.raises(ValueError, match="eps schedule"):
                 ssf_via_determinant(d0, v, 3.0, eps_schedule=bad)
         sched = [0.1, 0.05, 0.025]
@@ -643,8 +644,8 @@ class TestDeterminantRoute:
 
     def test_default_schedule_is_gap_halving(self):
         d0 = eig_hermitian(np.diag([0.0, 2.0]))
-        sched = default_eps_schedule(d0, d0, 0.5, depth=4)
-        assert sched == pytest.approx([0.25, 0.125, 0.0625, 0.03125])
+        sched = default_eps_schedule(d0, d0, 0.5)
+        assert sched == pytest.approx([0.5 / 2.0**k for k in range(1, 9)])
 
     def test_default_schedule_rejects_spectrum_point(self):
         d0 = eig_hermitian(np.diag([0.0, 2.0]))
