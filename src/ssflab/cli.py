@@ -324,7 +324,10 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", default=None, help="JSON configuration file")
         p.add_argument("--seed", type=int, default=None, help="master seed")
         p.add_argument(
-            "--jobs", type=int, default=None, help="worker threads for trial fan-out"
+            "--jobs",
+            type=int,
+            default=None,
+            help="worker threads for dirac-schatten's dense linear algebra",
         )
         p.add_argument("--out", default=None, help="write the payload to this path")
         p.add_argument(

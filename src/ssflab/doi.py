@@ -70,6 +70,16 @@ class AntidiagonalCollisionError(DegenerateKernelError):
 # telescoping cofactor algebra
 
 
+def _check_odd_resolvent_args(z, m) -> tuple:
+    """:func:`~ssflab.spectral._check_resolvent_args` plus the odd-power rule.
+
+    Shared by the cofactor, :func:`resolvent_kernel` and factored-mode kernels.
+    """
+    if isinstance(m, (int, np.integer)) and m % 2 == 0:
+        raise ValueError(f"power m must be an odd integer >= 1, got {m!r}")
+    return _check_resolvent_args(z, m)
+
+
 def _p_eval(m: int, z: complex, lam, mu) -> np.ndarray:
     a = np.asarray(lam, dtype=complex) - z
     b = np.asarray(mu, dtype=complex) - z
@@ -100,9 +110,7 @@ class CofactorPolynomial:
     z: complex
 
     def __post_init__(self):
-        if isinstance(self.m, (int, np.integer)) and self.m % 2 == 0:
-            raise ValueError(f"power m must be an odd integer >= 1, got {self.m!r}")
-        z, m = _check_resolvent_args(self.z, self.m)
+        z, m = _check_odd_resolvent_args(self.z, self.m)
         object.__setattr__(self, "m", m)
         object.__setattr__(self, "z", z)
 
@@ -259,6 +267,12 @@ def _coincidence_band(lam, mu) -> np.ndarray:
     return np.abs(lam - mu) <= _BAND_DELTA0 * (1.0 + np.abs(lam))
 
 
+# the factored-mode probe of g: a real point where resolvent powers with
+# different m or z differ, short of an m-th root of unity coincidence
+_G_PROBE = 0.5
+_G_PROBE_RTOL = 1e-12
+
+
 @dataclass(frozen=True)
 class DoiKernel:
     """Divided-difference kernel ``(f(x) - f(y)) / (g(x) - g(y))``.
@@ -266,6 +280,8 @@ class DoiKernel:
     ``mode="direct"`` evaluates the ratio; ``mode="factored"`` uses the
     algebraic factorization through the telescoping cofactor, which requires
     ``g`` to be the resolvent power ``(x - z)^{-m}`` (fields ``m``, ``z``).
+    Factored mode checks ``m`` and ``z`` as :func:`resolvent_kernel` does and
+    rejects a ``g`` that differs from ``(x - z)^{-m}`` at ``x = 0.5``.
     Inside the diagonal coincidence band ``|x - y| <= 1e-5 (1 + |x|)`` the
     derivative limit ``f'(x)/g'(x)`` is used.
     """
@@ -283,15 +299,23 @@ class DoiKernel:
             raise ValueError("factored mode requires resolvent parameters m and z")
         if self.g.derivative is None or self.f.derivative is None:
             raise ValueError("kernel functions need attached first derivatives")
+        if self.mode == "factored":
+            z, m = _check_odd_resolvent_args(self.z, self.m)
+            object.__setattr__(self, "m", m)
+            object.__setattr__(self, "z", z)
+            want = (_G_PROBE - z) ** (-m)
+            got = complex(self.g(_G_PROBE))
+            if not abs(got - want) <= _G_PROBE_RTOL * abs(want):
+                raise ValueError(
+                    f"factored mode needs g(x) = (x - z)^(-m) with m={m}, z={z}: "
+                    f"g({_G_PROBE}) = {got}, expected {want}"
+                )
 
 
 def resolvent_kernel(f: ScalarFunction, m: int, z: complex, mode: str = "direct") -> DoiKernel:
     """Kernel with denominator function ``g(x) = (x - z)^{-m}``."""
-    z, m = _check_resolvent_args(z, m)
-    if m % 2 == 0:
-        raise ValueError(f"resolvent power must be an odd integer >= 1, got {m!r}")
-    g = resolvent_function(z, m)
-    return DoiKernel(f=f, g=g, mode=mode, m=m, z=z)
+    z, m = _check_odd_resolvent_args(z, m)
+    return DoiKernel(f=f, g=resolvent_function(z, m), mode=mode, m=m, z=z)
 
 
 _DENOM_ABS_TOL = 1e-13

@@ -151,11 +151,14 @@ def _csv_cell(value) -> str:
 
 
 def merge_reports(subcommand: str, seed: int, parts: dict) -> ExperimentReport:
-    """Concatenate named sub-reports, prefixing record names and table names."""
+    """Concatenate named sub-reports, prefixing record names and table names.
+
+    The merged report carries no timings: the parts may have run concurrently,
+    so only the caller knows the wall they took together.
+    """
     records = []
     tables = {}
     config = {}
-    timings = {"total_s": 0.0}
     for prefix, rep in sorted(parts.items()):
         config[prefix] = rep.config
         for r in rep.records:
@@ -163,12 +166,10 @@ def merge_reports(subcommand: str, seed: int, parts: dict) -> ExperimentReport:
                                        r.op, r.passed))
         for tname, rows in rep.tables.items():
             tables[f"{prefix}.{tname}"] = rows
-        timings["total_s"] += rep.timings.get("total_s", 0.0)
     return ExperimentReport(
         subcommand=subcommand,
         seed=seed,
         config=config,
         records=tuple(records),
         tables=tables,
-        timings=timings,
     )

@@ -1,13 +1,20 @@
 """Seeded verification suites behind the command-line subcommands.
 
-Every suite takes a validated parameter dict plus a seed and returns an
-:class:`~ssflab.reports.ExperimentReport`.  All randomness derives from
-``(seed, suite tag, trial index)`` streams, so reports are deterministic for
-fixed configuration regardless of worker count.
+Every suite takes a validated parameter dict, a seed and a worker count
+``jobs``, and returns an :class:`~ssflab.reports.ExperimentReport`.  All
+randomness derives from ``(seed, suite tag, trial index)`` streams, so reports
+are deterministic for fixed configuration regardless of worker count.
+
+Threads only pay for work that releases the GIL.  With ``jobs >= 2``,
+dirac-schatten fans its identity cases and refinement studies out (dense
+LAPACK work), and ``all`` runs dirac-schatten on a worker thread while the
+calling thread runs the other four suites, whose trials are pure-Python
+work that holds the GIL and so run serially.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import time
 from concurrent.futures import ThreadPoolExecutor
 
@@ -99,7 +106,7 @@ def suite_trace_check(seed: int, params: dict, jobs: int = 1) -> ExperimentRepor
                 mismatches += 1
         return worst, mismatches
 
-    results = _map_ordered(one_trial, range(trials), jobs)
+    results = [one_trial(idx) for idx in range(trials)]
     worst_trace = max(r[0] for r in results)
     total_mismatch = sum(r[1] for r in results)
 
@@ -128,7 +135,7 @@ def suite_trace_check(seed: int, params: dict, jobs: int = 1) -> ExperimentRepor
             used += 1
         return worst
 
-    det_results = _map_ordered(one_det_trial, range(det_trials), jobs)
+    det_results = [one_det_trial(idx) for idx in range(det_trials)]
     records = (
         check_le("trace_formula.max_relative_residual", worst_trace, 1e-10),
         check_le("invariance.step_mismatches", float(total_mismatch), 0.0),
@@ -174,7 +181,7 @@ def suite_doi_check(seed: int, params: dict, jobs: int = 1) -> ExperimentReport:
                     regenerations += 1
             raise RuntimeError("exhausted regeneration attempts for a DOI pair")
 
-        results = _map_ordered(one_trial, range(trials), jobs)
+        results = [one_trial(idx) for idx in range(trials)]
         records.append(
             check_le(
                 f"identity.{tag}.max_residual", max(r[0] for r in results), 1e-8
@@ -205,7 +212,7 @@ def suite_doi_check(seed: int, params: dict, jobs: int = 1) -> ExperimentReport:
         d0, d, _ = _random_pair(rng, 10, 0.3)
         return doi.resolvent_cutoff_split(d0, d, 3, 1.0).residual
 
-    split_results = _map_ordered(one_split, range(split_trials), jobs)
+    split_results = [one_split(idx) for idx in range(split_trials)]
     records.append(check_le("cutoff_split.max_residual", max(split_results), 1e-10))
 
     return ExperimentReport(
@@ -343,27 +350,33 @@ def suite_dirac_schatten(seed: int, params: dict, jobs: int = 1) -> ExperimentRe
         )
     )
 
+    # six refinement studies as (r, k, p_list, h): r=2,k=2 and r=1,k=1 at
+    # balanced spacing, then the threshold law across (r, k) pairs at fixed
+    # spacing (volume refinement), each with the p that must stabilize first
     n_list = params["refinement_n_list"]
-    study_22 = dirac.schatten_refinement_study(1, 2.0, 2, z, [1.5], n_list, mass=mass)
-    records.append(
-        check_flag("threshold.r2k2.p1_5_stabilizes", study_22.stabilized[1.5])
-    )
-    study_11 = dirac.schatten_refinement_study(1, 1.0, 1, z, [1.0], n_list, mass=mass)
-    records.append(check_flag("threshold.r1k1.p1_grows", study_11.grows[1.0]))
-
-    # threshold law across (r, k) pairs at fixed spacing (volume refinement)
-    law_h = params["law_h"]
+    specs = [(2.0, 2, [1.5], None), (1.0, 1, [1.0], None)]
     for r_law, k_law in ((1.0, 1), (2.0, 1), (1.0, 2), (2.0, 3)):
         p_star = 1.0 / min(r_law, float(k_law))
         p_stab = max(1.0, 1.25 * p_star)
         p_list = [p_stab] + ([p_star] if p_star >= 1.0 and p_star != p_stab else [])
-        study = dirac.schatten_refinement_study(
-            1, r_law, k_law, z, p_list, n_list, mass=mass, h=law_h
+        specs.append((r_law, k_law, p_list, params["law_h"]))
+
+    def one_study(spec):
+        r_s, k_s, p_list, h = spec
+        return dirac.schatten_refinement_study(
+            1, r_s, k_s, z, p_list, n_list, mass=mass, h=h
         )
+
+    study_22, study_11, *law_studies = _map_ordered(one_study, specs, jobs)
+    records.append(
+        check_flag("threshold.r2k2.p1_5_stabilizes", study_22.stabilized[1.5])
+    )
+    records.append(check_flag("threshold.r1k1.p1_grows", study_11.grows[1.0]))
+    for (r_law, k_law, (p_stab, *p_grow), _), study in zip(specs[2:], law_studies):
         tag = f"law.r{r_law:g}k{k_law}"
         records.append(check_flag(f"{tag}.p{p_stab:g}_stabilizes", study.stabilized[p_stab]))
-        if p_star >= 1.0 and p_star != p_stab:
-            records.append(check_flag(f"{tag}.p{p_star:g}_grows", study.grows[p_star]))
+        for p in p_grow:
+            records.append(check_flag(f"{tag}.p{p:g}_grows", study.grows[p]))
 
     n_fact = params["factorization_n"]
     model = dirac.LatticeModel(d=1, n=n_fact, h=dirac.balanced_spacing(n_fact), mass=mass)
@@ -415,17 +428,13 @@ def suite_birman_krein(seed: int, params: dict, jobs: int = 1) -> ExperimentRepo
     eps_schedule = params["eps_schedule"]
     models = [_build_potential(s) for s in params["potentials"]]
 
-    def sweep(args):
-        idx, model = args
-        return idx, scattering.band_sweep(
-            model, params["band_points"], params["band_margin"], eps_schedule
-        )
-
-    sweeps = _map_ordered(sweep, list(enumerate(models)), jobs)
     rows = []
     worst_residual = 0.0
     worst_unitarity = 0.0
-    for idx, recs in sweeps:
+    for idx, model in enumerate(models):
+        recs = scattering.band_sweep(
+            model, params["band_points"], params["band_margin"], eps_schedule
+        )
         for rec in recs:
             worst_residual = max(worst_residual, rec.residual)
             worst_unitarity = max(worst_unitarity, rec.unitarity)
@@ -471,14 +480,43 @@ def suite_birman_krein(seed: int, params: dict, jobs: int = 1) -> ExperimentRepo
 
 
 def suite_all(seed: int, all_params: dict, jobs: int = 1) -> ExperimentReport:
-    parts = {
-        "trace": suite_trace_check(seed, all_params["trace-check"], jobs),
-        "doi": suite_doi_check(seed, all_params["doi-check"], jobs),
-        "cert": suite_rm_cert(seed, all_params["rm-cert"], jobs),
-        "dirac": suite_dirac_schatten(seed, all_params["dirac-schatten"], jobs),
-        "bk": suite_birman_krein(seed, all_params["birman-krein"], jobs),
-    }
-    return merge_reports("all", seed, parts)
+    """Every suite, merged in fixed order; ``total_s`` is the wall of the call.
+
+    With ``jobs >= 2`` dirac-schatten runs on a worker thread beside the
+    other four on the calling thread.  rm-cert stays on the calling thread:
+    on a pool thread its kernel grids land in another malloc arena and raise
+    the peak RSS.
+    """
+    t0 = time.perf_counter()
+
+    def run(runner, name):
+        return runner(seed, all_params[name], jobs)
+
+    if jobs <= 1:
+        parts = {
+            "trace": run(suite_trace_check, "trace-check"),
+            "doi": run(suite_doi_check, "doi-check"),
+            "cert": run(suite_rm_cert, "rm-cert"),
+            "dirac": run(suite_dirac_schatten, "dirac-schatten"),
+            "bk": run(suite_birman_krein, "birman-krein"),
+        }
+    else:
+        with ThreadPoolExecutor(max_workers=1) as ex:
+            dirac_part = ex.submit(run, suite_dirac_schatten, "dirac-schatten")
+            try:
+                parts = {
+                    "trace": run(suite_trace_check, "trace-check"),
+                    "doi": run(suite_doi_check, "doi-check"),
+                    "cert": run(suite_rm_cert, "rm-cert"),
+                    "bk": run(suite_birman_krein, "birman-krein"),
+                }
+            finally:
+                # read the result even when a suite above raised, so an
+                # error on the worker thread is never dropped
+                dirac = dirac_part.result()
+            parts["dirac"] = dirac
+    merged = merge_reports("all", seed, parts)
+    return dataclasses.replace(merged, timings={"total_s": time.perf_counter() - t0})
 
 
 SUITE_RUNNERS = {

@@ -4,10 +4,13 @@ import importlib
 import json
 import subprocess
 import sys
+import threading
+import time
 
 import numpy as np
 import pytest
 
+from ssflab import cli, dirac, suites
 from ssflab.cli import main
 from ssflab.reports import (
     CheckRecord,
@@ -228,6 +231,152 @@ class TestCliRuns:
         main(["trace-check", "--config", cfg, "--out", str(out1)])
         main(["trace-check", "--config", cfg, "--out", str(out2)])
         assert out1.read_bytes() == out2.read_bytes()
+
+
+TINY_ALL = {
+    **TINY_TRACE,
+    **TINY_DOI,
+    **TINY_DIRAC,
+    "rm-cert": {"grid_n": 101},
+    "birman-krein": {
+        "band_points": 4,
+        "potentials": [{"kind": "single", "value": 0.7, "site": 0}],
+    },
+}
+
+_SUITE_NAMES = (
+    "suite_trace_check",
+    "suite_doi_check",
+    "suite_rm_cert",
+    "suite_dirac_schatten",
+    "suite_birman_krein",
+)
+
+
+class TestAllScheduling:
+    def test_payload_identical_for_one_and_two_jobs(self, tmp_path):
+        cfg = _write_config(tmp_path, TINY_ALL)
+        outs = []
+        for jobs in ("1", "2"):
+            out = tmp_path / f"all_{jobs}.json"
+            rc = main(["all", "--config", cfg, "--jobs", jobs, "--out", str(out)])
+            assert rc in (0, 1)
+            outs.append(out.read_bytes())
+        payload = json.loads(outs[0])
+        assert payload["subcommand"] == "all"
+        assert set(payload["config"]) == {"bk", "cert", "dirac", "doi", "trace"}
+        assert outs[0] == outs[1]
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_threads_of_suites_and_refinement_studies(self, tmp_path, monkeypatch, jobs):
+        calls = []  # (what, thread ident)
+        lock = threading.Lock()
+
+        def recorded(what, fn):
+            def wrapper(*args, **kwargs):
+                with lock:
+                    calls.append((what, threading.get_ident()))
+                return fn(*args, **kwargs)
+
+            return wrapper
+
+        for name in _SUITE_NAMES:
+            monkeypatch.setattr(suites, name, recorded(name, getattr(suites, name)))
+        monkeypatch.setattr(
+            dirac, "schatten_refinement_study",
+            recorded("study", dirac.schatten_refinement_study),
+        )
+        mapped = []
+        map_ordered = suites._map_ordered
+
+        def recorded_map(fn, items, jobs):
+            items = list(items)
+            mapped.append((fn.__name__, len(items), jobs))
+            return map_ordered(recorded(f"mapped.{fn.__name__}", fn), items, jobs)
+
+        monkeypatch.setattr(suites, "_map_ordered", recorded_map)
+        cfg = _write_config(tmp_path, TINY_ALL)
+        assert main(["all", "--config", cfg, "--jobs", str(jobs)]) in (0, 1)
+
+        main_ident = threading.get_ident()
+        suite_calls = [(w, t) for w, t in calls if w in _SUITE_NAMES]
+        studies = [t for w, t in calls if w == "study"]
+        mapped_studies = [t for w, t in calls if w == "mapped.one_study"]
+        assert sorted(w for w, _ in suite_calls) == sorted(_SUITE_NAMES)
+        assert ("one_study", 6, jobs) in mapped
+        assert len(studies) == 6 and sorted(studies) == sorted(mapped_studies)
+        (dirac_ident,) = [t for w, t in suite_calls if w == "suite_dirac_schatten"]
+        others = {t for w, t in suite_calls if w != "suite_dirac_schatten"}
+        assert others == {main_ident}
+        if jobs == 1:
+            assert [w for w, _ in suite_calls] == list(_SUITE_NAMES)
+            assert dirac_ident == main_ident and set(studies) == {main_ident}
+        else:
+            assert dirac_ident != main_ident
+            assert not set(studies) & {main_ident, dirac_ident}
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_elapsed_is_at_most_the_wall_of_the_call(self, tmp_path, monkeypatch, capsys, jobs):
+        seen = {}
+
+        def timed(seed, sections, jobs):
+            t0 = time.perf_counter()
+            seen["report"] = suites.suite_all(seed, sections, jobs)
+            seen["wall"] = time.perf_counter() - t0
+            return seen["report"]
+
+        monkeypatch.setattr(cli, "suite_all", timed)
+        cfg = _write_config(tmp_path, TINY_ALL)
+        assert main(["all", "--config", cfg, "--jobs", str(jobs)]) in (0, 1)
+        total = seen["report"].timings["total_s"]
+        assert 0.0 < total <= seen["wall"]
+        assert f"elapsed: {total:.2f} s" in capsys.readouterr().err
+
+    def test_elapsed_counts_overlapping_suites_once(self, monkeypatch):
+        # every suite sleeps 0.1 s; at jobs=2 dirac-schatten's sleep overlaps
+        # the other four, so the parts' total_s add up to more than the wall
+        parts = []
+        for name in _SUITE_NAMES:
+            monkeypatch.setattr(suites, name, _fake_suite(name, parts))
+        t0 = time.perf_counter()
+        report = suites.suite_all(0, _EMPTY_SECTIONS, 2)
+        wall = time.perf_counter() - t0
+        assert len(report.records) == 5
+        assert report.timings["total_s"] <= wall < sum(parts)
+
+    @pytest.mark.parametrize("also_failing", [None, "suite_rm_cert"])
+    def test_worker_thread_error_is_raised(self, monkeypatch, also_failing):
+        failing = {"suite_dirac_schatten", also_failing}
+        for name in _SUITE_NAMES:
+            monkeypatch.setattr(suites, name, _fake_suite(name, [], fail=name in failing))
+        with pytest.raises(RuntimeError, match="suite_dirac_schatten failed"):
+            suites.suite_all(0, _EMPTY_SECTIONS, 2)
+
+
+_EMPTY_SECTIONS = dict.fromkeys(
+    ("trace-check", "doi-check", "rm-cert", "dirac-schatten", "birman-krein"), {}
+)
+
+
+def _fake_suite(name, elapsed, fail=False):
+    """A suite runner that sleeps 0.1 s, then raises or returns one record."""
+
+    def run(seed, params, jobs):
+        t0 = time.perf_counter()
+        time.sleep(0.1)
+        if fail:
+            raise RuntimeError(f"{name} failed")
+        dt = time.perf_counter() - t0
+        elapsed.append(dt)
+        return ExperimentReport(
+            subcommand=name,
+            seed=seed,
+            config={},
+            records=(check_info("slept", 0.1),),
+            timings={"total_s": dt},
+        )
+
+    return run
 
 
 class TestCliConfigErrors:

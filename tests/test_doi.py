@@ -363,6 +363,25 @@ class TestKernelEval:
         with pytest.raises(ValueError):
             resolvent_kernel(functions.gaussian_bump(), m, z)
 
+    @pytest.mark.parametrize(
+        "m, z, match",
+        [(3, 5j, r"g\(x\) = \(x - z\)"), (3, complex(np.nan, 1.0), "finite"), (2, 2j, "odd")],
+        ids=["z_disagrees_with_g", "nan_z", "even_m"],
+    )
+    def test_factored_kernel_checks_m_z_and_g(self, m, z, match):
+        # g is (x - 2i)^(-3); each pair (m, z) used to build a kernel that
+        # evaluated without error (z = 5i to 87.95+54.01j at (0.3, 1.1) with
+        # this f, against 1.006+3.293j from the direct kernel)
+        f = functions.gaussian_bump(0.1, 1.0, 1.0)
+        g = functions.resolvent_function(2j, 3)
+        with pytest.raises(ValueError, match=match):
+            DoiKernel(f=f, g=g, mode="factored", m=m, z=z)
+        consistent = DoiKernel(f=f, g=g, mode="factored", m=3, z=2j)
+        direct = DoiKernel(f=f, g=g)
+        assert kernel_eval(consistent, 0.3, 1.1) == pytest.approx(
+            kernel_eval(direct, 0.3, 1.1), rel=1e-12
+        )
+
 
 def _rm_cert_kernels(mode):
     # the two kernels of the rm-cert suite, plus a Gaussian
