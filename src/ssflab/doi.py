@@ -35,7 +35,7 @@ from .spectral import (
     schatten_norm,
     singular_values,
 )
-from .ssf import build_power_map
+from .ssf import PowerChangeOfVariable
 
 __all__ = [
     "AntidiagonalCollisionError",
@@ -556,13 +556,13 @@ def resolvent_cutoff_split(
     """Split ``(phi(H)-i)^{-1} - (phi(H0)-i)^{-1}`` by a smooth cutoff.
 
     With ``theta`` vanishing on ``[-r, r]`` and equal to 1 outside
-    ``[-2r, 2r]``, and ``phi = build_power_map(m, r)`` the monotone map equal
-    to ``x^m`` beyond ``r``, the transformed resolvent difference decomposes
+    ``[-2r, 2r]``, and ``phi = PowerChangeOfVariable(m, r)`` the monotone map
+    equal to ``x^m`` beyond ``r``, the transformed resolvent difference decomposes
     exactly into an inner part driven by ``(1-theta)/(phi - i)`` and an outer
     part driven by ``theta/(x^m - i)``.  Reports the max-entry residual of the decomposition
     and the trace norms of all three differences.
     """
-    phi = build_power_map(m, r)
+    phi = PowerChangeOfVariable(m, r)
     theta = smoothstep_cutoff(r)
 
     def whole(x):

@@ -25,7 +25,12 @@ from typing import Optional, Sequence
 import numpy as np
 from scipy.linalg import eigvalsh_tridiagonal
 
-from .ssf import _check_eps_schedule, _richardson_two_point, track_determinant_phase
+from .ssf import (
+    _check_eps_schedule,
+    _check_finite_lambda,
+    _richardson_two_point,
+    track_determinant_phase,
+)
 
 __all__ = [
     "BAND_EDGE_MARGIN",
@@ -194,8 +199,10 @@ def ssf_scattering(
     a given schedule must be finite, positive, strictly decreasing and at
     least two long).
     Inside the band the result is generically non-integer; below the band it
-    approaches minus the count of discrete eigenvalues below ``lam``.
+    approaches minus the count of discrete eigenvalues below ``lam``.  A
+    non-finite ``lam`` is rejected.
     """
+    lam = _check_finite_lambda(lam)
     if eps_schedule is None:
         eps_schedule = [2.0 ** (-k) for k in range(4, 14)]
     eps = _check_eps_schedule(eps_schedule)
@@ -288,15 +295,16 @@ def bound_state_count_below(
 ) -> int:
     """Number of discrete eigenvalues below ``lam`` (large-truncation count).
 
-    Only meaningful for ``lam < -2``: inside the band the truncation fills
+    Only meaningful for finite ``lam < -2``: inside the band the truncation fills
     the spectrum densely.  Bisection finds only the eigenvalues in
     ``(-inf, nextafter(lam, -inf)]``, that is strictly below ``lam``.
     """
+    lam = _check_finite_lambda(lam)
     if lam >= -2.0:
         raise ValueError(f"counting below the band needs lam < -2, got {lam}")
     below = eigvalsh_tridiagonal(
         *_truncated_chain(model, l_trunc),
         select="v",
-        select_range=(-np.inf, np.nextafter(float(lam), -np.inf)),
+        select_range=(-np.inf, np.nextafter(lam, -np.inf)),
     )
     return int(below.size)

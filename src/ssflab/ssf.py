@@ -13,9 +13,8 @@ whose right-hand side is evaluated exactly interval-by-interval.  The module
 also provides the invariance-principle construction through a monotone
 change of variable equal to ``x^m`` outside a compact window, the
 perturbation-determinant route ``xi = Im log det(I + V (H0-z)^{-1}) / pi``
-with its branch read from tridiagonal pivots, continuous phase tracking for
-a determinant known only by value, and a sampled admissibility check for
-functions with symbol-like tails.
+with its branch read from tridiagonal pivots, and continuous phase tracking
+for a determinant known only by value.
 """
 
 from __future__ import annotations
@@ -28,7 +27,6 @@ from typing import Optional, Sequence
 import numpy as np
 from scipy.linalg import lapack
 
-from .functions import ScalarFunction
 from .spectral import (
     ABS_FLOOR,
     HERMITICITY_RTOL,
@@ -40,13 +38,9 @@ from .spectral import (
 )
 
 __all__ = [
-    "AdmissibilityReport",
-    "AdmissibleFunction",
     "BranchTrackingError",
     "PowerChangeOfVariable",
     "StepFunction",
-    "build_power_map",
-    "check_admissible",
     "default_eps_schedule",
     "perturbation_determinant",
     "ssf_counting",
@@ -123,15 +117,22 @@ def _cluster_radius(spec0: np.ndarray, spec: np.ndarray) -> float:
 
     A backward-stable Hermitian eigensolver returns the exact eigenvalues of
     ``H + E`` with ``||E|| <= p(n) eps ||H||``, so by Weyl's inequality each
-    computed eigenvalue lies within ``r = dim * eps * max|lambda|`` of an
-    exact one (taking ``p(n) = n``).  An eigenvalue shared by the two
-    operators (a perturbation acting on an invariant subspace) therefore
-    comes back as two values at most ``r(H0) + r(H)`` apart, and points
-    closer than that cannot be told apart.
+    computed eigenvalue lies within ``r = p(n) * eps * max|lambda|`` of an
+    exact one.  ``p(n)`` is the Householder bound: the reduction to
+    tridiagonal form applies ``n - 2`` reflectors of length at most ``n``
+    from each side, and a sequence of ``j`` reflectors is backward stable
+    with ``||E|| <= j * gamma_cn * ||H||``, ``gamma_cn ~ c n u`` (Higham,
+    *Accuracy and Stability of Numerical Algorithms*, 2nd ed., SIAM 2002,
+    ch. 19).  With ``c = 1`` and ``eps = 2u`` the two-sided sum is below
+    ``n^2 eps ||H||``, so ``p(n) = n^2``; the tridiagonal eigensolver adds
+    only ``O(n u)``.  An eigenvalue shared by the two operators (a
+    perturbation acting on an invariant subspace) therefore comes back as two
+    values at most ``r(H0) + r(H)`` apart, and points closer than that cannot
+    be told apart.
     """
     eps = float(np.finfo(float).eps)
     tops = [float(np.abs(sp).max(initial=0.0)) for sp in (spec0, spec)]
-    return spec0.size * eps * sum(tops)
+    return spec0.size**2 * eps * sum(tops)
 
 
 def _steps_from_jumps(
@@ -167,7 +168,7 @@ def ssf_counting(d0: SpectralDecomposition, d: SpectralDecomposition) -> StepFun
 
     Both decompositions must have the same dimension.  Sorted eigenvalues of
     either spectrum whose gap is within the backward-error radius
-    ``dim * eps * (max|lambda0| + max|lambda|)`` form one cluster, placed at
+    ``dim^2 * eps * (max|lambda0| + max|lambda|)`` form one cluster, placed at
     its smallest point; clusters whose counts cancel (shared eigenvalues of
     equal multiplicity, also when they differ by rounding) produce no
     breakpoint.
@@ -209,38 +210,6 @@ def trace_formula_sides(d0: SpectralDecomposition, d: SpectralDecomposition, f) 
 # monotone change of variable
 
 
-def _odd_poly_eval(coeffs: np.ndarray, x):
-    # coeffs[j] multiplies x^(2j+1)
-    x = np.asarray(x, dtype=float)
-    u = x * x
-    acc = np.zeros_like(x)
-    for c in coeffs[::-1]:
-        acc = acc * u + c
-    return acc * x
-
-
-def _odd_poly_d1(coeffs: np.ndarray, x):
-    x = np.asarray(x, dtype=float)
-    u = x * x
-    acc = np.zeros_like(x)
-    degs = 2 * np.arange(coeffs.size) + 1
-    for c, k in zip(coeffs[::-1], degs[::-1]):
-        acc = acc * u + c * k
-    return acc
-
-
-def _odd_poly_d2(coeffs: np.ndarray, x):
-    x = np.asarray(x, dtype=float)
-    u = x * x
-    acc = np.zeros_like(x)
-    degs = 2 * np.arange(coeffs.size) + 1
-    for c, k in zip(coeffs[::-1], degs[::-1]):
-        acc = acc * u + c * k * (k - 1)
-    # each term k(k-1) x^(k-2) = k(k-1) x^(2j-1): factor one x back out;
-    # the second derivative of an odd polynomial vanishes at the origin
-    return np.where(x != 0.0, acc / np.where(x != 0.0, x, 1.0), 0.0)
-
-
 # a cap only: even pure bisection reaches float resolution well within it
 _NEWTON_MAX_STEPS = 100
 # Newton stops once its step is this small
@@ -249,169 +218,83 @@ _INVERSE_TOL = 1e-12
 
 @dataclass(frozen=True)
 class PowerChangeOfVariable:
-    """Odd monotone map equal to ``x^m`` for ``|x| >= cutoff``.
+    """Odd, strictly increasing C^2 map equal to ``x^m`` for ``|x| >= cutoff``.
 
-    Inside ``[-cutoff, cutoff]`` the map is an odd polynomial whose value and
-    first two derivatives match ``x^m`` at the cutoff, with derivative
-    bounded below by ``lower_slope > 0`` everywhere.
+    With ``r = cutoff``, ``k = (m - 1) / 2`` and ``c = (m - 1) / 7^k``,
+
+        phi(x) = x^m + c r^(m-1) x (1 - x^2/r^2)^3    for |x| < r.
+
+    The correction is odd with a triple zero at ``+-r``, so value, slope and
+    curvature match ``x^m`` there.  With ``u = x^2/r^2`` the slope is
+    ``r^(m-1) [m u^k + c (1-u)^2 (1-7u)]``.  For ``u <= 1/7`` both terms are
+    ``>= 0`` and the slope at 0 is ``c r^(m-1) > 0``; for ``1/7 < u < 1`` put
+    ``v = 7u``: ``c (1-u)^2 (7u-1) < 2k 7^-k (v-1) < (2k+1) 7^-k v^k = m u^k``.
+    ``m = 1`` gives ``c = 0``, the identity.
     """
 
     m: int
     cutoff: float
-    inner_coeffs: np.ndarray  # coefficient j multiplies x^(2j+1)
-    lower_slope: float
 
     def __post_init__(self):
-        if self.m < 1 or self.m % 2 == 0:
-            raise ValueError("power m must be an odd integer >= 1")
-        if self.cutoff <= 0:
-            raise ValueError("cutoff must be positive")
-        if self.lower_slope <= 0:
-            raise ValueError("monotone map requires a positive lower slope")
-        coeffs = np.array(self.inner_coeffs, dtype=float)
-        coeffs.flags.writeable = False
-        object.__setattr__(self, "inner_coeffs", coeffs)
+        m, r = self.m, self.cutoff
+        if isinstance(m, bool) or not isinstance(m, (int, np.integer)) or m < 1 or m % 2 == 0:
+            raise ValueError(f"power m must be an odd integer >= 1, got {m!r}")
+        if not (math.isfinite(r) and r > 0):
+            raise ValueError(f"cutoff must be finite and positive, got {r!r}")
+        object.__setattr__(self, "m", int(m))
+        object.__setattr__(self, "cutoff", float(r))
+
+    @property
+    def _amplitude(self) -> float:
+        # c r^(m-1): the correction's slope at the origin
+        return (self.m - 1) / 7.0 ** ((self.m - 1) // 2) * self.cutoff ** (self.m - 1)
 
     def __call__(self, x):
         x = np.asarray(x, dtype=float)
-        outer = np.abs(x) >= self.cutoff
-        out = np.where(outer, x ** self.m, _odd_poly_eval(self.inner_coeffs, x))
+        u = (x / self.cutoff) ** 2
+        bump = np.where(u < 1.0, self._amplitude * x * (1.0 - u) ** 3, 0.0)
+        out = x**self.m + bump
         return out if out.ndim else float(out)
 
     def derivative(self, x):
         x = np.asarray(x, dtype=float)
-        outer = np.abs(x) >= self.cutoff
-        out = np.where(outer, self.m * x ** (self.m - 1), _odd_poly_d1(self.inner_coeffs, x))
-        return out if out.ndim else float(out)
-
-    def derivative2(self, x):
-        x = np.asarray(x, dtype=float)
-        outer = np.abs(x) >= self.cutoff
-        if self.m == 1:
-            outer_val = np.zeros_like(x)
-        else:
-            outer_val = self.m * (self.m - 1) * x ** (self.m - 2)
-        out = np.where(outer, outer_val, _odd_poly_d2(self.inner_coeffs, x))
+        u = (x / self.cutoff) ** 2
+        bump = np.where(u < 1.0, self._amplitude * (1.0 - u) ** 2 * (1.0 - 7.0 * u), 0.0)
+        out = self.m * x ** (self.m - 1) + bump
         return out if out.ndim else float(out)
 
     def inverse(self, y) -> float:
         """Scalar inverse: analytic outside the window, safeguarded Newton inside.
 
-        Inside the window the slope is at least ``lower_slope > 0``, so every
-        Newton step is defined; a step that leaves the shrinking bracket
-        (initially ``[-cutoff, cutoff]``) is replaced by bisection.
+        The slope is positive everywhere, so every Newton step is defined; a
+        step that leaves the shrinking bracket (initially ``[-cutoff, cutoff]``)
+        is replaced by bisection.
         """
         y = float(y)
-        edge = self.cutoff ** self.m
+        m, r, a = self.m, self.cutoff, self._amplitude
+        edge = r**m
         if abs(y) >= edge:
-            return math.copysign(abs(y) ** (1.0 / self.m), y)
-        # Horner on python floats (numpy's per-call cost dominates on scalars);
-        # coefficient j multiplies x^(2j+1)
-        terms = [(c, 2 * j + 1) for j, c in enumerate(self.inner_coeffs.tolist())][::-1]
-        # oddness and monotonicity bracket the root in [-cutoff, cutoff]
-        lo, hi = -self.cutoff, self.cutoff
-        x = self.cutoff * y / edge
+            return math.copysign(abs(y) ** (1.0 / m), y)
+        # python floats: numpy's per-call cost dominates on scalars.  Oddness
+        # and monotonicity bracket the root in [-cutoff, cutoff]
+        lo, hi = -r, r
+        x = r * y / edge
         for _ in range(_NEWTON_MAX_STEPS):
-            u = x * x
-            val = slope = 0.0
-            for c, k in terms:
-                val = val * u + c
-                slope = slope * u + c * k
-            resid = val * x - y
+            u = (x / r) ** 2
+            resid = x**m + a * x * (1.0 - u) ** 3 - y
             if resid == 0.0:
                 return x
             if resid < 0.0:
                 lo = x
             else:
                 hi = x
-            step = resid / slope
+            step = resid / (m * x ** (m - 1) + a * (1.0 - u) ** 2 * (1.0 - 7.0 * u))
             if abs(step) <= _INVERSE_TOL:
                 return x - step
             x -= step
             if not lo < x < hi:
                 x = 0.5 * (lo + hi)
         return x
-
-    def as_scalar_function(self) -> ScalarFunction:
-        return ScalarFunction(
-            value=self.__call__,
-            derivative=self.derivative,
-            derivative2=self.derivative2,
-            name=f"powermap[m={self.m},R={self.cutoff}]",
-        )
-
-
-_PHI_GRID = 10001
-
-
-def _grid_min_slope(coeffs: np.ndarray, cutoff: float) -> float:
-    grid = np.linspace(-cutoff, cutoff, _PHI_GRID)
-    return float(np.min(_odd_poly_d1(coeffs, grid)))
-
-
-def build_power_map(m: int, cutoff: float) -> PowerChangeOfVariable:
-    """Construct the odd monotone map used by the invariance principle.
-
-    The inner interpolant is the odd quintic matching value and first two
-    derivatives of ``x^m`` at the cutoff.  When its derivative is not
-    strictly positive on a dense grid (this happens already at ``m = 3``,
-    where the quintic system returns ``x^m`` itself), the degree is raised
-    to 7 and the free coefficient is chosen, by ternary search on the
-    concave grid-minimum, to maximize the worst-case slope.  Failure to find
-    a monotone interpolant raises ``ValueError``.
-    """
-    if not isinstance(m, (int, np.integer)) or m < 1 or m % 2 == 0:
-        raise ValueError(f"power m must be an odd integer >= 1, got {m!r}")
-    r = float(cutoff)
-    if r <= 0:
-        raise ValueError(f"cutoff must be positive, got {cutoff!r}")
-
-    # match value, slope and curvature of x^m at x = r
-    system = np.array(
-        [
-            [r, r**3, r**5],
-            [1.0, 3.0 * r**2, 5.0 * r**4],
-            [0.0, 6.0 * r, 20.0 * r**3],
-        ]
-    )
-    target = np.array([r**m, m * r ** (m - 1), m * (m - 1) * r ** (m - 2)])
-    quintic = np.linalg.solve(system, target)
-
-    c = _grid_min_slope(quintic, r)
-    if c > 0.0:
-        return PowerChangeOfVariable(int(m), r, quintic, c)
-
-    # degree-7 fallback: add t * x (x^2 - r^2)^3 / r^6, which has a triple
-    # zero at the cutoff so the matching conditions stay intact
-    kernel = np.array([-1.0, 3.0 / r**2, -3.0 / r**4, 1.0 / r**6])
-    base = np.concatenate([quintic, [0.0]])
-    grid = np.linspace(-r, r, _PHI_GRID)
-    slope_base = _odd_poly_d1(base, grid)
-    slope_kernel = _odd_poly_d1(kernel, grid)
-
-    def worst(t: float) -> float:
-        return float(np.min(slope_base + t * slope_kernel))
-
-    span = 10.0 * (float(np.max(np.abs(slope_base))) + 1.0) / max(
-        float(np.max(np.abs(slope_kernel))), 1e-30
-    )
-    lo, hi = -span, span
-    for _ in range(300):
-        third = (hi - lo) / 3.0
-        a, b = lo + third, hi - third
-        if worst(a) < worst(b):
-            lo = a
-        else:
-            hi = b
-    t_best = 0.5 * (lo + hi)
-    coeffs = base + t_best * kernel
-    c = _grid_min_slope(coeffs, r)
-    if c <= 0.0:
-        raise ValueError(
-            f"no monotone interpolant found for m={m}, cutoff={cutoff}: "
-            f"best worst-case slope {c:.3e}"
-        )
-    return PowerChangeOfVariable(int(m), r, coeffs, c)
 
 
 def ssf_via_invariance(
@@ -584,6 +467,15 @@ def default_eps_schedule(d0: SpectralDecomposition, d: SpectralDecomposition, la
     return [gap / 2.0**k for k in range(1, _EPS_DEPTH + 1)]
 
 
+def _check_finite_lambda(lam) -> float:
+    """The spectral point ``lam`` of a shift-function route as a float; a NaN
+    or infinite point has no shift value and is rejected by name."""
+    lam = float(lam)
+    if not math.isfinite(lam):
+        raise ValueError(f"lambda must be finite, got lam={lam}")
+    return lam
+
+
 def _check_eps_schedule(eps_schedule: Sequence[float]) -> list:
     """The schedule of either phase route as a list of floats: at least two
     points (Richardson needs two), finite, positive and strictly decreasing."""
@@ -614,14 +506,14 @@ def ssf_via_determinant(
     The continuous phase of ``det(I + V (H0 - z)^{-1})`` is a sum of pivot
     arguments, read at ``z = lam + i * eps`` for the epsilon-schedule heights
     only, and Richardson-extrapolated (two-point, linear order) to the real
-    axis.  ``lam`` within ``jump_margin`` of either spectrum is rejected as a
-    jump point.  ``V`` is validated and ``H0 + V`` reduced to tridiagonal
+    axis.  A non-finite ``lam``, or one within ``jump_margin`` of either
+    spectrum (a jump point), is rejected.  ``V`` is validated and ``H0 + V`` reduced to tridiagonal
     form once; each height then costs O(n).
     """
+    lam = _check_finite_lambda(lam)
     v = _validate_perturbation(d0, v)
     h = d0.reconstruct() + v
     d = eig_hermitian(h)
-    lam = float(lam)
     near = min(
         float(np.min(np.abs(d0.eigenvalues - lam))),
         float(np.min(np.abs(d.eigenvalues - lam))),
@@ -637,114 +529,3 @@ def ssf_via_determinant(
     log_det = _determinant_on_vertical_line(d0, h, lam)
     xi_vals = [log_det(e).imag / math.pi for e in eps]
     return _richardson_two_point(eps, xi_vals)
-
-
-# ---------------------------------------------------------------------------
-# admissible functions with symbol-like tails
-
-
-@dataclass(frozen=True)
-class AdmissibleFunction:
-    """A C^2 function declared to decay like ``tail_constant * x^-tail_power``.
-
-    ``tail_epsilon`` is the declared extra decay margin of the remainder
-    ``f(x) - tail_constant * x^-tail_power`` and of its derivative.  The
-    declaration is verified by :func:`check_admissible`.
-    """
-
-    base: ScalarFunction
-    tail_power: int
-    tail_constant: float
-    tail_epsilon: float
-
-    def __post_init__(self):
-        if self.tail_power < 1:
-            raise ValueError("tail power must be >= 1")
-        if self.tail_epsilon <= 0:
-            raise ValueError("tail epsilon must be positive")
-        if self.base.derivative is None or self.base.derivative2 is None:
-            raise ValueError("admissible functions need two attached derivatives")
-
-
-@dataclass(frozen=True)
-class AdmissibilityReport:
-    fitted_constant: float
-    slopes: dict
-    sup_value: float
-    sup_d1: float
-    sup_d2: float
-    passed: bool
-    detail: str
-
-
-_TAIL_RADII = (10.0, 30.0, 100.0, 300.0)
-_SLOPE_SLACK = 0.25
-
-
-def check_admissible(
-    af: AdmissibleFunction, sample_radii: Sequence[float] = _TAIL_RADII
-) -> AdmissibilityReport:
-    """Sampled two-sided tail check of the declared symbol-like decay.
-
-    For each tail sign and derivative order alpha in {0, 1} the remainder
-    against ``tail_constant * x^-m`` is sampled at the given radii; a
-    log-log slope steeper than ``-(m + eps + alpha)`` (within a small fitting
-    slack) passes, as does a remainder at rounding level.  A single constant
-    ``C = max remainder * |x|^(m + eps + alpha)`` is fitted across all
-    samples.  Bounded-derivative sups are reported on ``[-100, 100]``.
-    """
-    radii = np.asarray(sample_radii, dtype=float)
-    if radii.size < 2 or np.any(radii <= 1.0):
-        raise ValueError("need at least two sample radii greater than 1")
-    m = af.tail_power
-    f0 = af.tail_constant
-    eps = af.tail_epsilon
-
-    slopes = {}
-    fitted = 0.0
-    passed = True
-    notes = []
-    floor = 1e-13 * (abs(f0) + 1.0)
-    for sign in (+1.0, -1.0):
-        x = sign * radii
-        for alpha, rem_fn in (
-            (0, lambda t: np.abs(np.asarray(af.base(t)) - f0 * t ** (-float(m)))),
-            (1, lambda t: np.abs(np.asarray(af.base.d1(t)) + m * f0 * t ** (-float(m) - 1.0))),
-        ):
-            rem = rem_fn(x)
-            need = -(m + eps + alpha)
-            fitted = max(fitted, float(np.max(rem * radii ** (m + eps + alpha))))
-            if np.all(rem < floor):
-                slopes[(sign, alpha)] = float("-inf")
-                continue
-            if np.any(rem < floor):
-                # mixed rounding-level samples: fit only the resolvable ones
-                mask = rem >= floor
-                slope = float(np.polyfit(np.log(radii[mask]), np.log(rem[mask]), 1)[0]) if mask.sum() > 1 else need
-            else:
-                slope = float(np.polyfit(np.log(radii), np.log(rem), 1)[0])
-            slopes[(sign, alpha)] = slope
-            if slope > need + _SLOPE_SLACK:
-                passed = False
-                notes.append(
-                    f"tail sign {sign:+.0f}, order {alpha}: measured slope {slope:.2f} "
-                    f"shallower than required {need:.2f}"
-                )
-
-    grid = np.linspace(-100.0, 100.0, 2001)
-    sup_value = float(np.max(np.abs(np.asarray(af.base(grid)))))
-    sup_d1 = float(np.max(np.abs(np.asarray(af.base.d1(grid)))))
-    sup_d2 = float(np.max(np.abs(np.asarray(af.base.d2(grid)))))
-    if not (np.isfinite(sup_value) and np.isfinite(sup_d1) and np.isfinite(sup_d2)):
-        passed = False
-        notes.append("non-finite values on the bounded-derivative grid")
-
-    return AdmissibilityReport(
-        fitted_constant=fitted,
-        slopes=slopes,
-        sup_value=sup_value,
-        sup_d1=sup_d1,
-        sup_d2=sup_d2,
-        passed=passed,
-        detail="; ".join(notes) if notes else "ok",
-    )

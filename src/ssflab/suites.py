@@ -88,7 +88,7 @@ def suite_trace_check(seed: int, params: dict, jobs: int = 1) -> ExperimentRepor
     trials = params["trials"]
     det_trials = params["det_trials"]
     det_points = params["det_points"]
-    maps = {m: ssf.build_power_map(m, 1.0) for m in (3, 5)}
+    maps = {m: ssf.PowerChangeOfVariable(m, 1.0) for m in (3, 5)}
 
     def one_trial(idx: int):
         rng = rng_from(seed, _TRACE_TAG, idx)

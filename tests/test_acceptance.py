@@ -37,7 +37,7 @@ from ssflab.doi import (
 from ssflab.scattering import LatticeScatteringModel, band_sweep
 from ssflab.spectral import eig_hermitian
 from ssflab.ssf import (
-    build_power_map,
+    PowerChangeOfVariable,
     ssf_counting,
     ssf_via_determinant,
     ssf_via_invariance,
@@ -95,7 +95,7 @@ def test_criterion_02_invariance_principle_exact():
     t0 = time.monotonic()
     mismatches = 0
     for m in (3, 5):
-        phi = build_power_map(m, 1.0)
+        phi = PowerChangeOfVariable(m, 1.0)
         for trial in range(100):
             rng = rng_from(_SEED, 2, m, trial)
             dim = 2 + trial % 15

@@ -241,6 +241,12 @@ class TestSsfScattering:
         sched = [0.02, 0.01, 0.005]
         assert ssf_scattering(model, 0.5, np.array(sched)) == ssf_scattering(model, 0.5, sched)
 
+    @pytest.mark.parametrize("lam", [float("nan"), float("inf"), -float("inf")])
+    def test_rejects_non_finite_lambda(self, lam):
+        model = LatticeScatteringModel.single_site(0.5)
+        with pytest.raises(ValueError, match="lambda must be finite"):
+            ssf_scattering(model, lam)
+
     def test_below_band_counts_bound_states(self):
         # v = -1.5 binds one state at -sqrt(v^2 + 4) = -2.5
         model = LatticeScatteringModel.single_site(-1.5)
@@ -282,6 +288,11 @@ class TestTruncationOracle:
     def test_count_rejects_band_points(self):
         with pytest.raises(ValueError, match="below the band"):
             bound_state_count_below(LatticeScatteringModel.single_site(-1.5), -2.0)
+
+    @pytest.mark.parametrize("lam", [float("nan"), -float("inf")])
+    def test_count_rejects_non_finite_lambda(self, lam):
+        with pytest.raises(ValueError, match="lambda must be finite"):
+            bound_state_count_below(LatticeScatteringModel.single_site(-1.5), lam)
 
     def test_truncation_needs_room(self):
         model = LatticeScatteringModel.single_site(1.0, site=10)

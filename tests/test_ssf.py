@@ -12,11 +12,9 @@ from hypothesis import strategies as st
 from ssflab import functions, spectral, ssf
 from ssflab.spectral import SpectralDecomposition, eig_hermitian
 from ssflab.ssf import (
-    AdmissibleFunction,
     BranchTrackingError,
+    PowerChangeOfVariable,
     StepFunction,
-    build_power_map,
-    check_admissible,
     default_eps_schedule,
     perturbation_determinant,
     ssf_counting,
@@ -224,42 +222,57 @@ class TestTraceFormula:
 # monotone change of variable
 
 
+_POWERS = (1, 3, 5, 7, 9)
+_CUTOFFS = (0.5, 1.0, 2.0)
+
+
 class TestPowerMap:
-    @pytest.mark.parametrize("m", [1, 3, 5, 7])
+    """The closed-form map over the odd powers up to 9 and three window
+    radii; the tests parametrized by the power alone loop over the radii."""
+
+    @pytest.mark.parametrize("m", _POWERS)
     def test_matches_power_outside_window(self, m):
-        phi = build_power_map(m, 1.0)
-        for x in [1.0, -1.0, 1.7, -2.5, 10.0]:
-            assert phi(x) == pytest.approx(x**m, rel=1e-14)
-            assert phi.derivative(x) == pytest.approx(m * x ** (m - 1), rel=1e-14)
+        for r in _CUTOFFS:
+            phi = PowerChangeOfVariable(m, r)
+            x = r * np.array([1.0, -1.0, 1.7, -2.5, 10.0])
+            np.testing.assert_array_equal(phi(x), x**m)
+            np.testing.assert_array_equal(phi.derivative(x), m * x ** (m - 1))
 
-    @pytest.mark.parametrize("m", [3, 5])
+    @pytest.mark.parametrize("m", _POWERS)
     def test_odd_and_strictly_increasing(self, m):
-        phi = build_power_map(m, 1.0)
-        grid = np.linspace(-3, 3, 4001)
-        np.testing.assert_allclose(phi(-grid), -phi(grid), atol=1e-12)
-        assert np.min(phi.derivative(grid)) > 0
-        assert phi.lower_slope > 0
+        for r in _CUTOFFS:
+            phi = PowerChangeOfVariable(m, r)
+            grid = np.linspace(-3.0 * r, 3.0 * r, 20001)
+            # numpy's x**m is odd only up to its own rounding
+            np.testing.assert_allclose(phi(-grid), -phi(grid), rtol=1e-15, atol=0.0)
+            assert np.min(phi.derivative(grid)) > 0
 
-    @pytest.mark.parametrize("m", [3, 5])
+    @pytest.mark.parametrize("m", _POWERS)
     def test_smooth_across_cutoff(self, m):
-        phi = build_power_map(m, 1.0)
-        h = 1e-6
-        for edge in (1.0, -1.0):
-            assert phi(edge - np.sign(edge) * h) == pytest.approx(phi(edge), abs=1e-5)
-            assert phi.derivative(edge - np.sign(edge) * h) == pytest.approx(
-                phi.derivative(edge), abs=1e-4
-            )
+        # one-sided differences at each window edge: a jump in the value,
+        # slope or curvature shows as an O(1) gap, a C^2 join as an O(h) one
+        for r in _CUTOFFS:
+            phi = PowerChangeOfVariable(m, r)
+            h = 1e-6 * r
+            curvature = max(m * (m - 1), 1) * r ** (m - 2)
+            for edge in (r, -r):
+                inner, outer = edge - np.sign(edge) * h, edge + np.sign(edge) * h
+                assert abs(phi(inner) - phi(outer)) <= 3.0 * h * phi.derivative(edge)
+                d_in, d_edge, d_out = (phi.derivative(x) for x in (inner, edge, outer))
+                assert abs(d_in - d_out) <= 3.0 * h * curvature
+                gap = (d_edge - d_in) - (d_out - d_edge)
+                assert abs(gap) / h <= 1e-4 * curvature
 
-    @pytest.mark.parametrize("m", [1, 3, 5])
+    @pytest.mark.parametrize("m", _POWERS)
     def test_inverse_roundtrip(self, m):
-        phi = build_power_map(m, 1.0)
+        phi = PowerChangeOfVariable(m, 1.0)
         for x in [-2.0, -0.9, -0.3, 0.0, 0.4, 0.99, 1.01, 3.0]:
             assert phi.inverse(phi(x)) == pytest.approx(x, abs=1e-10)
 
-    @pytest.mark.parametrize("cutoff", [0.5, 1.0, 2.0])
-    @pytest.mark.parametrize("m", [1, 3, 5])
+    @pytest.mark.parametrize("cutoff", _CUTOFFS)
+    @pytest.mark.parametrize("m", _POWERS)
     def test_inverse_matches_bisection_reference(self, m, cutoff):
-        phi = build_power_map(m, cutoff)
+        phi = PowerChangeOfVariable(m, cutoff)
 
         def bisect(y):
             # bisection on the monotone map down to adjacent floats
@@ -278,25 +291,30 @@ class TestPowerMap:
             assert -cutoff <= x <= cutoff
             assert x == pytest.approx(bisect(y), abs=1e-12)
 
-    @pytest.mark.parametrize("m", [0, 2, 4, -1])
+    @pytest.mark.parametrize("cutoff", _CUTOFFS)
+    def test_power_one_is_the_identity(self, cutoff):
+        phi = PowerChangeOfVariable(1, cutoff)
+        x = np.linspace(-3.0 * cutoff, 3.0 * cutoff, 601)
+        np.testing.assert_array_equal(phi(x), x)
+        np.testing.assert_array_equal(phi.derivative(x), np.ones_like(x))
+        assert [phi.inverse(v) for v in x] == x.tolist()
+
+    # a float or bool power is rejected too, not read as 3 or 1
+    @pytest.mark.parametrize("m", [0, 2, 4, -1, 3.0, True])
     def test_rejects_even_or_nonpositive_power(self, m):
-        with pytest.raises(ValueError):
-            build_power_map(m, 1.0)
+        with pytest.raises(ValueError, match="odd integer"):
+            PowerChangeOfVariable(m, 1.0)
 
     def test_rejects_bad_cutoff(self):
-        with pytest.raises(ValueError):
-            build_power_map(3, 0.0)
-
-    def test_scalar_function_derivatives_consistent(self):
-        f = build_power_map(3, 1.0).as_scalar_function()
-        pts = np.linspace(-2, 2, 41)
-        assert functions.derivative_defect(f, pts) < 5e-8
+        for bad in (0.0, -1.0, float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="cutoff"):
+                PowerChangeOfVariable(3, bad)
 
 
 class TestInvariance:
     @pytest.mark.parametrize("m", [3, 5])
     def test_matches_counting(self, m):
-        phi = build_power_map(m, 1.0)
+        phi = PowerChangeOfVariable(m, 1.0)
         rng = rng_from(404, m)
         for trial in range(25):
             dim = int(rng.integers(2, 16))
@@ -308,7 +326,7 @@ class TestInvariance:
     def test_identity_map_recovers_breakpoints(self):
         # the pullback runs through scalar inversion, so exactness holds to
         # the inversion tolerance rather than bit for bit
-        phi = build_power_map(1, 1.0)
+        phi = PowerChangeOfVariable(1, 1.0)
         d0, d, _ = _random_pair(rng_from(9), 8)
         assert steps_equal(ssf_counting(d0, d), ssf_via_invariance(d0, d, phi), bp_tol=1e-9)
 
@@ -348,15 +366,15 @@ class TestClusteredSpectra:
     @pytest.mark.parametrize("m", [3, 5])
     def test_invariance_agrees_with_counting(self, cols, m):
         d0, d = self._pair(cols)
-        mapped = ssf_via_invariance(d0, d, build_power_map(m, 1.0))
+        mapped = ssf_via_invariance(d0, d, PowerChangeOfVariable(m, 1.0))
         assert steps_equal(ssf_counting(d0, d), mapped, bp_tol=1e-9)
 
     def test_radius_sums_both_spectra_and_follows_phi(self):
-        # a shared eigenvalue whose two computed copies sit 7 ulps apart at
-        # 10: above 4 eps max|lambda| = 8.9e-15, within the summed radius
-        # 4 eps (max|lambda0| + max|lambda|) = 1.8e-14
+        # a shared eigenvalue whose two computed copies sit 30 ulps apart at
+        # 10: above 4^2 eps max|lambda| = 3.6e-14, within the summed radius
+        # 4^2 eps (max|lambda0| + max|lambda|) = 7.1e-14
         lam0 = np.array([-1.5, 0.3, 2.0, 10.0])
-        lam = np.array([-1.5, 0.7, 2.0, 10.0 + 7 * np.spacing(10.0)])
+        lam = np.array([-1.5, 0.7, 2.0, 10.0 + 30 * np.spacing(10.0)])
         d0 = SpectralDecomposition(lam0, np.eye(4))
         d = SpectralDecomposition(lam, np.eye(4))
         xi = ssf_counting(d0, d)
@@ -365,8 +383,27 @@ class TestClusteredSpectra:
         # x^m stretches that gap by m x^(m-1), past the radius of the mapped
         # spectra alone
         for m in (3, 5):
-            mapped = ssf_via_invariance(d0, d, build_power_map(m, 1.0))
+            mapped = ssf_via_invariance(d0, d, PowerChangeOfVariable(m, 1.0))
             assert steps_equal(xi, mapped, bp_tol=1e-9)
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_rank_one_on_an_eigenvector_moves_one_eigenvalue(self, n):
+        # H0 in a random unitary basis, V = c u0 u0* on one of its
+        # eigenvectors: the other n - 1 eigenvalues are shared, and their two
+        # computed copies differ by up to 3 eps (max|lambda0| + max|lambda|)
+        # at n = 2 and 3, past a radius factor of n
+        spurious = []
+        for s in range(3000):
+            rng = rng_from(9090, n, s)
+            u = random_unitary(rng, n)
+            a0 = (u * rng.standard_normal(n)) @ u.conj().T
+            a0 = (a0 + a0.conj().T) / 2.0
+            c = float(rng.standard_normal())
+            d0 = eig_hermitian(a0)
+            xi = ssf_counting(d0, eig_hermitian(a0 + c * np.outer(u[:, 0], u[:, 0].conj())))
+            if xi.breakpoints.size != 2 or list(xi.values) != [0, int(np.sign(c)), 0]:
+                spurious.append(s)
+        assert spurious == []
 
 
 # ---------------------------------------------------------------------------
@@ -642,6 +679,14 @@ class TestDeterminantRoute:
             ssf_via_determinant(d0, v, 3.0, eps_schedule=sched)
         )
 
+    @pytest.mark.parametrize("lam", [float("nan"), float("inf"), -float("inf")])
+    @pytest.mark.parametrize("sched", [None, [0.1, 0.05]], ids=["default_eps", "given_eps"])
+    def test_rejects_non_finite_lambda(self, lam, sched):
+        d0 = eig_hermitian(np.diag([0.0, 1.0]))
+        v = np.diag([0.5, 0.0])
+        with pytest.raises(ValueError, match="lambda must be finite"):
+            ssf_via_determinant(d0, v, lam, eps_schedule=sched)
+
     def test_default_schedule_is_gap_halving(self):
         d0 = eig_hermitian(np.diag([0.0, 2.0]))
         sched = default_eps_schedule(d0, d0, 0.5)
@@ -651,70 +696,3 @@ class TestDeterminantRoute:
         d0 = eig_hermitian(np.diag([0.0, 2.0]))
         with pytest.raises(ValueError, match="spectrum"):
             default_eps_schedule(d0, d0, 2.0)
-
-
-# ---------------------------------------------------------------------------
-# admissibility checks
-
-
-def _lorentzian_squared_admissible():
-    return AdmissibleFunction(
-        base=functions.squared_lorentzian(),
-        tail_power=4,
-        tail_constant=1.0,
-        tail_epsilon=1.0,
-    )
-
-
-class TestAdmissibility:
-    def test_accepts_true_quartic_tail(self):
-        report = check_admissible(_lorentzian_squared_admissible())
-        assert report.passed, report.detail
-        assert report.sup_value < math.inf
-        assert report.sup_d1 < math.inf
-
-    def test_accepts_resolvent_real_part(self):
-        af = AdmissibleFunction(
-            base=functions.resolvent_function(1j, part="re"),
-            tail_power=1,
-            tail_constant=1.0,
-            tail_epsilon=1.0,
-        )
-        report = check_admissible(af)
-        assert report.passed, report.detail
-
-    def test_flags_wrong_tail_declaration(self):
-        # compactly supported bump declared to carry a quadratic tail
-        af = AdmissibleFunction(
-            base=functions.bump_c2(2.0),
-            tail_power=2,
-            tail_constant=1.0,
-            tail_epsilon=1.0,
-        )
-        report = check_admissible(af)
-        assert not report.passed
-        assert "slope" in report.detail
-
-    def test_fitted_constant_bounds_remainder(self):
-        af = _lorentzian_squared_admissible()
-        report = check_admissible(af)
-        for x in [10.0, -30.0, 100.0]:
-            rem = abs(af.base(x) - af.tail_constant * x ** (-4.0))
-            assert rem <= report.fitted_constant * abs(x) ** (-5.0) * (1 + 1e-12)
-
-    def test_validation(self):
-        base = functions.squared_lorentzian()
-        with pytest.raises(ValueError, match="tail power"):
-            AdmissibleFunction(base, 0, 1.0, 1.0)
-        with pytest.raises(ValueError, match="epsilon"):
-            AdmissibleFunction(base, 4, 1.0, 0.0)
-        bare = functions.ScalarFunction(value=lambda x: np.zeros_like(x), name="bare")
-        with pytest.raises(ValueError, match="derivatives"):
-            AdmissibleFunction(bare, 4, 1.0, 1.0)
-
-    def test_rejects_bad_radii(self):
-        af = _lorentzian_squared_admissible()
-        with pytest.raises(ValueError, match="radii"):
-            check_admissible(af, sample_radii=[10.0])
-        with pytest.raises(ValueError, match="radii"):
-            check_admissible(af, sample_radii=[0.5, 10.0])
