@@ -2,8 +2,11 @@
 
 The free operator is assembled spectrally: the matrix symbol is evaluated on
 the discrete momentum grid and conjugated back by the discrete Fourier
-transform, so the only discretization error is domain truncation.  On top of
-it the module provides decaying weights, matrix-valued site potentials,
+transform, so the only discretization error is domain truncation.  The
+spinors use one fixed matrix set per dimension, :data:`DIRAC_MATRICES`, and a
+:class:`LatticeModel` is plain data: dimension, points per axis, spacing and
+mass.  On top of it the module provides decaying weights, matrix-valued site
+potentials (embedded as the diagonal blocks of a dense matrix),
 weighted-resolvent singular-value studies (Schatten threshold law), the exact
 resolvent-power expansion, the weighted Hoelder factorization of its terms,
 and the exact weight-commutator identity.
@@ -14,14 +17,13 @@ resolvent power, which are distinct parameters throughout.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
 
 from .spectral import (
     ABS_FLOOR,
-    HermitianOperator,
     _check_resolvent_args,
     eig_hermitian,
     resolvent_power,
@@ -32,7 +34,7 @@ from .utils import random_hermitian
 
 __all__ = [
     "CommutatorDecayReport",
-    "DiracMatrices",
+    "DIRAC_MATRICES",
     "FactorizationReport",
     "LatticeModel",
     "MatrixPotential",
@@ -43,7 +45,6 @@ __all__ = [
     "commutator_decay_report",
     "commutator_decay_study",
     "commutator_identity_residual",
-    "dirac_matrices",
     "free_hamiltonian",
     "free_resolvent_power",
     "free_symbol",
@@ -62,100 +63,42 @@ _SIGMA1 = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 _SIGMA2 = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
 _SIGMA3 = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
 
-_ANTICOMM_TOL = 1e-14
+
+def _read_only(*mats) -> np.ndarray:
+    out = np.array(mats, dtype=complex)
+    out.flags.writeable = False
+    return out
 
 
-@dataclass(frozen=True)
-class DiracMatrices:
-    """Anticommuting Hermitian matrices (kinetic set plus the mass matrix).
-
-    ``alphas`` holds the d kinetic matrices followed by the mass matrix.
-    Spinor dimension is 2 for d in {1, 2} and 4 for d = 3.
-    """
-
-    d: int
-    spinor_dim: int
-    alphas: tuple
-
-    def __post_init__(self):
-        if self.d not in (1, 2, 3):
-            raise ValueError(f"dimension must be 1, 2 or 3, got {self.d!r}")
-        expected = 2 if self.d in (1, 2) else 4
-        if self.spinor_dim != expected:
-            raise ValueError(f"spinor_dim must be {expected} for d={self.d}")
-        if len(self.alphas) != self.d + 1:
-            raise ValueError(f"need {self.d + 1} matrices, got {len(self.alphas)}")
-        mats = []
-        eye = np.eye(self.spinor_dim)
-        for a in self.alphas:
-            # a private copy: freezing must not reach the caller's array
-            a = np.array(a, dtype=complex)
-            if a.shape != (self.spinor_dim, self.spinor_dim):
-                raise ValueError("matrix shape does not match spinor_dim")
-            if np.abs(a - a.conj().T).max() > _ANTICOMM_TOL:
-                raise ValueError("kinetic/mass matrices must be Hermitian")
-            if np.abs(a @ a - eye).max() > _ANTICOMM_TOL:
-                raise ValueError("each matrix must square to the identity")
-            a.flags.writeable = False
-            mats.append(a)
-        for i in range(len(mats)):
-            for j in range(i + 1, len(mats)):
-                anti = mats[i] @ mats[j] + mats[j] @ mats[i]
-                if np.abs(anti).max() > _ANTICOMM_TOL:
-                    raise ValueError(f"matrices {i} and {j} fail to anticommute")
-        object.__setattr__(self, "alphas", tuple(mats))
-
-    @property
-    def kinetic(self) -> tuple:
-        return self.alphas[: self.d]
-
-    @property
-    def mass_matrix(self) -> np.ndarray:
-        return self.alphas[self.d]
-
-    def __eq__(self, other):
-        # the generated equality compares tuples of arrays, whose truth value
-        # is ambiguous
-        if not isinstance(other, DiracMatrices):
-            return NotImplemented
-        return self.d == other.d and all(
-            np.array_equal(a, b) for a, b in zip(self.alphas, other.alphas)
-        )
-
-    def __hash__(self):
-        # agrees with __eq__: adding 0.0 maps -0.0 to 0.0, which array_equal
-        # counts as equal but tobytes would not
-        return hash((self.d, tuple((a + 0.0).tobytes() for a in self.alphas)))
+#: Standard representation (Thaller, *The Dirac Equation*, 1992, ch. 1) per
+#: dimension d: a read-only ``(d + 1, s, s)`` stack of the d kinetic matrices
+#: followed by the mass matrix.  Pauli matrices for d in {1, 2} (s = 2);
+#: ``[[0, sigma_j], [sigma_j, 0]]`` and ``diag(I, -I)`` for d = 3 (s = 4).
+DIRAC_MATRICES = {
+    1: _read_only(_SIGMA1, _SIGMA3),
+    2: _read_only(_SIGMA1, _SIGMA2, _SIGMA3),
+    3: _read_only(
+        *(np.kron(_SIGMA1, sigma) for sigma in (_SIGMA1, _SIGMA2, _SIGMA3)),
+        np.kron(_SIGMA3, np.eye(2)),
+    ),
+}
 
 
-def dirac_matrices(d: int) -> DiracMatrices:
-    """Standard representation: Pauli pairs for d in {1, 2}, 4x4 set for d=3."""
-    if d == 1:
-        return DiracMatrices(1, 2, (_SIGMA1, _SIGMA3))
-    if d == 2:
-        return DiracMatrices(2, 2, (_SIGMA1, _SIGMA2, _SIGMA3))
-    if d == 3:
-        zero = np.zeros((2, 2), dtype=complex)
-        eye = np.eye(2, dtype=complex)
-        off = lambda s: np.block([[zero, s], [s, zero]])  # noqa: E731
-        beta = np.block([[eye, zero], [zero, -eye]])
-        return DiracMatrices(3, 4, (off(_SIGMA1), off(_SIGMA2), off(_SIGMA3), beta))
-    raise ValueError(f"dimension must be 1, 2 or 3, got {d!r}")
-
-
-def free_symbol(matrices: DiracMatrices, mass: float, xi) -> np.ndarray:
+def free_symbol(d: int, mass: float, xi) -> np.ndarray:
     """Momentum-space symbol: sum of kinetic matrices times momentum, plus mass.
 
     Squares to ``(|xi|^2 + mass^2) I``, so its eigenvalues are the two signed
     branches, each with multiplicity spinor_dim / 2.
     """
+    mats = DIRAC_MATRICES[d]
     xi = np.asarray(xi, dtype=float).reshape(-1)
-    if xi.size != matrices.d:
-        raise ValueError(f"momentum must have {matrices.d} components")
-    out = mass * matrices.mass_matrix.copy()
-    for j, a in enumerate(matrices.kinetic):
-        out = out + xi[j] * a
-    return out
+    if xi.size != d:
+        raise ValueError(f"momentum must have {d} components")
+    return mass * mats[d] + np.tensordot(xi, mats[:d], axes=1)
+
+
+def _is_integer(x) -> bool:
+    return not isinstance(x, bool) and isinstance(x, (int, np.integer))
 
 
 @dataclass(frozen=True)
@@ -165,30 +108,29 @@ class LatticeModel:
     Sites carry signed integer coordinates -N/2 .. N/2-1 per axis, so the
     coordinate itself realizes the torus-folded (shorter-arc) distance to the
     origin.  Momenta live on the dual grid 2 pi k / (N h) with the same signed
-    integer range.
+    integer range.  The spinors use :data:`DIRAC_MATRICES` for dimension d.
     """
 
     d: int
     n: int
     h: float
     mass: float
-    matrices: DiracMatrices = field(default=None)
 
     def __post_init__(self):
-        if self.n < 2 or self.n % 2 != 0:
-            raise ValueError(f"points per axis must be even and >= 2, got {self.n!r}")
-        if not (self.h > 0):
-            raise ValueError(f"lattice spacing must be positive, got {self.h!r}")
-        if not (self.mass > 0):
-            raise ValueError(f"mass must be positive, got {self.mass!r}")
-        if self.matrices is None:
-            object.__setattr__(self, "matrices", dirac_matrices(self.d))
-        elif self.matrices.d != self.d:
-            raise ValueError("matrix set dimension does not match the lattice")
+        if not _is_integer(self.d) or self.d not in DIRAC_MATRICES:
+            raise ValueError(f"dimension must be 1, 2 or 3, got d={self.d!r}")
+        if not _is_integer(self.n) or self.n < 2 or self.n % 2 != 0:
+            raise ValueError(
+                f"points per axis must be an even integer >= 2, got n={self.n!r}"
+            )
+        if not (np.isfinite(self.h) and self.h > 0):
+            raise ValueError(f"lattice spacing must be finite and positive, got h={self.h!r}")
+        if not (np.isfinite(self.mass) and self.mass > 0):
+            raise ValueError(f"mass must be finite and positive, got mass={self.mass!r}")
 
     @property
     def spinor_dim(self) -> int:
-        return self.matrices.spinor_dim
+        return DIRAC_MATRICES[self.d].shape[-1]
 
     @property
     def n_sites(self) -> int:
@@ -207,10 +149,6 @@ class LatticeModel:
     def site_distances(self) -> np.ndarray:
         """Euclidean distance to the origin (torus-folded), per site."""
         return self.h * np.linalg.norm(self.site_vectors(), axis=1)
-
-    def momentum_vectors(self) -> np.ndarray:
-        """Momenta in the same lexicographic signed order, shape (n_sites, d)."""
-        return (2.0 * np.pi / (self.n * self.h)) * self.site_vectors()
 
 
 def balanced_spacing(n: int) -> float:
@@ -235,16 +173,17 @@ def _symbol_grid(model: LatticeModel) -> tuple:
     Shapes ``(n,)*d + (s, s)`` and ``(n,)*d``, in FFT order along each axis.
     """
     n, d, s = model.n, model.d, model.spinor_dim
+    mats = DIRAC_MATRICES[d]
     kint = _fft_integer_grid(n)
     grids = np.meshgrid(*([kint] * d), indexing="ij")
     scale = 2.0 * np.pi / (n * model.h)
     symbol = np.zeros((n,) * d + (s, s), dtype=complex)
     energy_sq = np.full((n,) * d, model.mass**2)
-    for j, a in enumerate(model.matrices.kinetic):
+    for j in range(d):
         xi = scale * grids[j]
-        symbol += xi[..., None, None] * a
+        symbol += xi[..., None, None] * mats[j]
         energy_sq += xi**2
-    symbol += model.mass * model.matrices.mass_matrix
+    symbol += model.mass * mats[d]
     return symbol, np.sqrt(energy_sq)
 
 
@@ -269,10 +208,14 @@ def _block_circulant(model: LatticeModel, symbol: np.ndarray) -> np.ndarray:
     return blocks.transpose(0, 2, 1, 3).reshape(dim, dim)
 
 
-def free_hamiltonian(model: LatticeModel) -> HermitianOperator:
-    """Dense free operator: Fourier conjugation of the symbol on the momentum grid."""
+def free_hamiltonian(model: LatticeModel) -> np.ndarray:
+    """Dense free operator: Fourier conjugation of the symbol on the momentum grid.
+
+    A fresh array the caller may modify; :func:`eig_hermitian` checks its
+    Hermiticity on entry.
+    """
     symbol, _ = _symbol_grid(model)
-    return HermitianOperator(_block_circulant(model, symbol))
+    return _block_circulant(model, symbol)
 
 
 def free_resolvent_power(model: LatticeModel, z: complex, k: int) -> np.ndarray:
@@ -333,13 +276,19 @@ class MatrixPotential:
                 f"site matrices must have shape {(self.model.n_sites, s, s)}, "
                 f"got {mats.shape}"
             )
+        finite = np.isfinite(mats).all(axis=(1, 2))
+        if not finite.all():
+            raise ValueError(f"site matrix {int(np.argmin(finite))} has a non-finite entry")
         if np.abs(mats - np.conj(np.swapaxes(mats, 1, 2))).max() > 1e-12:
             raise ValueError("potential must be Hermitian at every site")
         if (self.decay_c is None) != (self.decay_rho is None):
             raise ValueError("declare both decay_c and decay_rho or neither")
         if self.decay_c is not None:
-            if self.decay_c <= 0 or self.decay_rho <= 0:
-                raise ValueError("decay declaration requires positive C and rho")
+            if not (0 < self.decay_c < np.inf and 0 < self.decay_rho < np.inf):
+                raise ValueError(
+                    "decay declaration requires finite positive C and rho, got "
+                    f"decay_c={self.decay_c!r}, decay_rho={self.decay_rho!r}"
+                )
             bound = self.decay_c * (1.0 + self.model.site_distances()) ** (
                 -self.decay_rho
             )
@@ -358,21 +307,18 @@ class MatrixPotential:
     def is_decaying(self) -> bool:
         return self.decay_c is not None
 
-    def achieved_ratio(self) -> float:
-        """Largest sitewise norm over the declared decay bound."""
-        if not self.is_decaying:
-            raise ValueError("potential was not declared decaying")
-        bound = self.decay_c * (1.0 + self.model.site_distances()) ** (-self.decay_rho)
-        tops = np.linalg.norm(self.site_matrices, ord=2, axis=(1, 2))
-        return float((tops / bound).max())
-
     def to_operator(self) -> np.ndarray:
-        s = self.model.spinor_dim
         dim = self.model.total_dim
         out = np.zeros((dim, dim), dtype=complex)
-        for i in range(self.model.n_sites):
-            out[i * s : (i + 1) * s, i * s : (i + 1) * s] = self.site_matrices[i]
+        _site_blocks(out, self.model.spinor_dim)[...] = self.site_matrices
         return out
+
+
+def _site_blocks(matrix: np.ndarray, s: int) -> np.ndarray:
+    """Writable view of the ``s x s`` diagonal blocks of a C-contiguous square
+    ``matrix``, shape ``(n_sites, s, s)``: the sitewise embedding of a potential."""
+    n_sites = matrix.shape[0] // s
+    return np.einsum("iaib->iab", matrix.reshape(n_sites, s, n_sites, s))
 
 
 def zero_potential(model: LatticeModel) -> MatrixPotential:
@@ -410,31 +356,23 @@ def random_bounded_potential(
     return MatrixPotential(model, _random_site_matrices(model, rng, bounds, 0.2))
 
 
-def _lattice_label(model: LatticeModel) -> str:
-    return f"(d={model.d}, n={model.n}, h={model.h!r}, mass={model.mass!r})"
-
-
 def perturbed_hamiltonian(
     model: LatticeModel, *potentials: MatrixPotential
 ) -> np.ndarray:
     """Dense ``H0 + V_1 + V_2 + ...``, the potentials added in order.
 
     Every potential must live on ``model``'s lattice: the same dimension,
-    size, spacing, mass and Dirac matrices, since its declared decay was
-    checked against that lattice's distances.
+    size, spacing and mass, since its declared decay was checked against that
+    lattice's distances.
     """
-    out = np.array(free_hamiltonian(model).entries)
-    s = model.spinor_dim
-    sites = np.arange(model.n_sites)
-    blocks = out.reshape(model.n_sites, s, model.n_sites, s)
+    out = free_hamiltonian(model)
+    blocks = _site_blocks(out, model.spinor_dim)
     for v in potentials:
         if v.model != model:
-            other = "" if v.model.matrices == model.matrices else " (other Dirac matrices)"
             raise ValueError(
-                f"potential lattice {_lattice_label(v.model)} does not match the "
-                f"model lattice {_lattice_label(model)}{other}"
+                f"potential lattice {v.model} does not match the model lattice {model}"
             )
-        blocks[sites, :, sites, :] += v.site_matrices
+        blocks += v.site_matrices
     return out
 
 
@@ -780,7 +718,7 @@ def commutator_identity_residual(
         raise ValueError(f"k must be >= 0, got {k!r}")
     # the identity carries R^(k+1)
     z, _ = _check_resolvent_args(z, k + 1)
-    h00 = np.array(free_hamiltonian(model).entries)
+    h00 = free_hamiltonian(model)
     h = perturbed_hamiltonian(model, v0, v)
     w = weight_diagonal(model, r)
     powers = _inverse_powers(h, z, k + 1)
@@ -822,7 +760,7 @@ def commutator_decay_report(model: LatticeModel, r: float) -> CommutatorDecayRep
     envelope and only the near-field constant is a meaningful stand-in for the
     continuum bound; the full profiles are kept in the report for inspection.
     """
-    h00 = np.array(free_hamiltonian(model).entries)
+    h00 = free_hamiltonian(model)
     w = weight_diagonal(model, r)
     comm = h00 * w[None, :] - w[:, None] * h00
     dist = model.site_distances()

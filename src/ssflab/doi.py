@@ -124,16 +124,6 @@ class CofactorPolynomial:
         # p is symmetric under swapping its two arguments
         return _p_dlam(self.m, self.z, mu, lam)
 
-    def ratio_form(self, lam, mu):
-        """Equivalent evaluation through the geometric sum in (y-z)/(x-z)."""
-        a = np.asarray(lam, dtype=complex) - self.z
-        b = np.asarray(mu, dtype=complex) - self.z
-        sigma = b / a
-        acc = np.zeros(sigma.shape or (), dtype=complex)
-        for _ in range(self.m):
-            acc = acc * sigma + 1.0
-        return a ** (self.m - 1) * acc
-
 
 # ---------------------------------------------------------------------------
 # lower-bound grid certificates

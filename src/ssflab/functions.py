@@ -18,7 +18,6 @@ from .spectral import _check_resolvent_args
 __all__ = [
     "ScalarFunction",
     "bump_c2",
-    "derivative_defect",
     "gaussian_bump",
     "identity",
     "imag_part",
@@ -57,19 +56,6 @@ class ScalarFunction:
         if self.derivative2 is None:
             raise ValueError(f"function {self.name!r} has no attached second derivative")
         return self.derivative2(x)
-
-
-def derivative_defect(f: ScalarFunction, points, step_scale: float = 1e-5) -> float:
-    """Worst relative mismatch between ``f.derivative`` and a central difference.
-
-    Used by tests to validate attached derivatives at sampled points.
-    """
-    pts = np.asarray(points, dtype=float)
-    h = step_scale * np.maximum(1.0, np.abs(pts))
-    fd = (np.asarray(f(pts + h)) - np.asarray(f(pts - h))) / (2.0 * h)
-    an = np.asarray(f.d1(pts))
-    scale = np.maximum(np.abs(an), np.maximum(np.abs(fd), 1.0))
-    return float(np.max(np.abs(fd - an) / scale))
 
 
 def identity() -> ScalarFunction:

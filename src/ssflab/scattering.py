@@ -107,10 +107,12 @@ class LatticeScatteringModel:
 def lattice_root(z: complex) -> complex:
     """The root of ``w + 1/w = z`` inside the unit disk.
 
-    Rejects ``z`` on the band ``[-2, 2]``, where both roots sit on the unit
-    circle and the resolvent has no meaning.
+    Rejects a non-finite ``z``, and ``z`` on the band ``[-2, 2]``, where both
+    roots sit on the unit circle and the resolvent has no meaning.
     """
     z = complex(z)
+    if not cmath.isfinite(z):
+        raise ValueError(f"z must be finite, got z={z}")
     if z.imag == 0.0 and abs(z.real) <= 2.0:
         raise ValueError(f"z={z} lies on the spectral band [-2, 2]")
     disc = cmath.sqrt(z * z - 4.0)

@@ -110,10 +110,6 @@ class SpectralDecomposition:
     def dim(self) -> int:
         return self.eigenvalues.size
 
-    @property
-    def spectral_radius(self) -> float:
-        return float(np.abs(self.eigenvalues).max())
-
     def reconstruct(self) -> np.ndarray:
         """Return ``U diag(lambda) U*``."""
         u = self.eigenvectors

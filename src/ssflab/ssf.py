@@ -94,9 +94,13 @@ class StepFunction:
         object.__setattr__(self, "values", vals)
 
     def __call__(self, x):
-        idx = np.searchsorted(self.breakpoints, np.asarray(x, dtype=float), side="right")
+        """Value at ``x`` (scalar or array); ``+-inf`` give 0, a NaN is rejected."""
+        pts = np.asarray(x, dtype=float)
+        if np.isnan(pts).any():
+            raise ValueError(f"step function point must not be NaN, got x={x!r}")
+        idx = np.searchsorted(self.breakpoints, pts, side="right")
         out = self.values[idx]
-        if np.isscalar(x) or np.asarray(x).ndim == 0:
+        if pts.ndim == 0:
             return int(out)
         return out
 

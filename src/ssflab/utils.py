@@ -15,13 +15,6 @@ def random_hermitian(rng: np.random.Generator, n: int, scale: float = 1.0) -> np
     return scale * (a + a.conj().T) / 2.0
 
 
-def random_unitary(rng: np.random.Generator, n: int) -> np.ndarray:
-    a = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-    q, r = np.linalg.qr(a)
-    # fix the QR phase ambiguity so the result is Haar-ish and deterministic
-    return q * (np.diag(r) / np.abs(np.diag(r)))
-
-
 def random_rank_k_hermitian(
     rng: np.random.Generator, n: int, k: int, scale: float = 1.0, psd: bool = False
 ) -> np.ndarray:

@@ -1,19 +1,20 @@
 """Tests for the lattice Dirac operator, weights and Schatten machinery."""
 
+import re
+
 import numpy as np
 import pytest
 import scipy.linalg
 
 from ssflab import dirac, spectral
 from ssflab.dirac import (
-    DiracMatrices,
+    DIRAC_MATRICES,
     LatticeModel,
     MatrixPotential,
     balanced_spacing,
     commutator_decay_report,
     commutator_decay_study,
     commutator_identity_residual,
-    dirac_matrices,
     free_hamiltonian,
     free_resolvent_power,
     free_symbol,
@@ -35,10 +36,9 @@ def _model(d=1, n=32, h=None, mass=1.0):
     return LatticeModel(d=d, n=n, h=balanced_spacing(n) if h is None else h, mass=mass)
 
 
-def _flipped_matrices():
-    # a valid d = 1 set other than the standard one
-    s1, s3 = dirac_matrices(1).alphas
-    return DiracMatrices(1, 2, (-s1, s3))
+def _momenta(model):
+    """Momenta 2 pi k / (N h) in the lexicographic order of the sites."""
+    return (2.0 * np.pi / (model.n * model.h)) * model.site_vectors()
 
 
 # ---------------------------------------------------------------------------
@@ -48,82 +48,65 @@ def _flipped_matrices():
 class TestDiracMatrices:
     @pytest.mark.parametrize("d, spinor", [(1, 2), (2, 2), (3, 4)])
     def test_algebra(self, d, spinor):
-        mats = dirac_matrices(d)
-        assert mats.spinor_dim == spinor
+        mats = DIRAC_MATRICES[d]
+        assert mats.shape == (d + 1, spinor, spinor)
+        assert LatticeModel(d=d, n=2, h=1.0, mass=1.0).spinor_dim == spinor
         eye = np.eye(spinor)
-        for a in mats.alphas:
+        for a in mats:
             assert np.abs(a - a.conj().T).max() <= 1e-14
             assert np.abs(a @ a - eye).max() <= 1e-14
-        for i, a in enumerate(mats.alphas):
-            for b in mats.alphas[i + 1 :]:
+        for i, a in enumerate(mats):
+            for b in mats[i + 1 :]:
                 assert np.abs(a @ b + b @ a).max() <= 1e-14
 
     def test_kinetic_and_mass_split(self):
-        mats = dirac_matrices(2)
-        assert len(mats.kinetic) == 2
-        np.testing.assert_array_equal(mats.mass_matrix, np.diag([1.0, -1.0]))
+        # the d kinetic matrices first, the mass matrix last
+        mats = DIRAC_MATRICES[2]
+        np.testing.assert_array_equal(mats[:2], [dirac._SIGMA1, dirac._SIGMA2])
+        np.testing.assert_array_equal(mats[2], np.diag([1.0, -1.0]))
+        np.testing.assert_array_equal(DIRAC_MATRICES[3][3], np.diag([1.0, 1.0, -1.0, -1.0]))
 
     def test_rejects_bad_dimension(self):
-        with pytest.raises(ValueError):
-            dirac_matrices(4)
-        with pytest.raises(ValueError):
-            dirac_matrices(0)
-
-    def test_rejects_non_anticommuting_set(self):
-        s1 = np.array([[0.0, 1.0], [1.0, 0.0]])
-        with pytest.raises(ValueError, match="anticommute"):
-            DiracMatrices(1, 2, (s1, s1))
-
-    def test_rejects_non_involution(self):
-        with pytest.raises(ValueError, match="identity"):
-            DiracMatrices(1, 2, (np.diag([1.0, -1.0]), 2.0 * np.eye(2)))
+        for d in (0, 4, 2.0, True):
+            with pytest.raises(ValueError, match=re.escape(f"must be 1, 2 or 3, got d={d!r}")):
+                LatticeModel(d=d, n=4, h=1.0, mass=1.0)
 
     def test_building_models_leaves_caller_arrays_writeable(self):
-        owned = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
-        mats = DiracMatrices(1, 2, (owned, np.diag([1.0, -1.0])))
         for d in (1, 2, 3):
             LatticeModel(d=d, n=4, h=1.0, mass=1.0)
-        for a in (dirac._SIGMA1, dirac._SIGMA2, dirac._SIGMA3, owned):
+        for a in (dirac._SIGMA1, dirac._SIGMA2, dirac._SIGMA3):
             assert a.flags.writeable
-        # the model keeps a frozen copy of its own
-        assert not mats.alphas[0].flags.writeable
-        owned[0, 1] = 5.0
-        assert mats.alphas[0][0, 1] == 1.0
-
-    def test_signed_zero_entries_hash_equal(self):
-        s1, s3 = dirac_matrices(1).alphas
-        signed = np.array([[-0.0, 1.0], [1.0, -0.0]], dtype=complex)
-        other = DiracMatrices(1, 2, (signed, s3))
-        assert other == dirac_matrices(1)
-        assert hash(other) == hash(dirac_matrices(1))
+        # the shared sets are frozen copies of their own
+        for mats in DIRAC_MATRICES.values():
+            assert not mats.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                mats[0, 0, 0] = 5.0
 
 
 class TestSymbol:
     @pytest.mark.parametrize("d", [1, 2, 3])
     def test_square_is_scalar(self, d):
-        mats = dirac_matrices(d)
         mass = 0.7
         rng = rng_from(91, d)
-        eye = np.eye(mats.spinor_dim)
+        eye = np.eye(DIRAC_MATRICES[d].shape[-1])
         for _ in range(1000):
             xi = rng.uniform(-5, 5, size=d)
-            a = free_symbol(mats, mass, xi)
+            a = free_symbol(d, mass, xi)
             want = (float(xi @ xi) + mass**2) * eye
             assert np.abs(a @ a - want).max() < 1e-12
 
     def test_rejects_wrong_momentum_size(self):
         with pytest.raises(ValueError, match="components"):
-            free_symbol(dirac_matrices(2), 1.0, [1.0])
+            free_symbol(2, 1.0, [1.0])
 
     @pytest.mark.parametrize("d", [1, 2, 3])
     def test_diagonalization(self, d):
         # two branches -E and +E, each of multiplicity spinor_dim / 2
-        mats = dirac_matrices(d)
         rng = rng_from(92, d)
-        half = mats.spinor_dim // 2
+        half = DIRAC_MATRICES[d].shape[-1] // 2
         for _ in range(25):
             xi = rng.uniform(-3, 3, size=d)
-            vals = np.linalg.eigvalsh(free_symbol(mats, 1.3, xi))
+            vals = np.linalg.eigvalsh(free_symbol(d, 1.3, xi))
             e = np.sqrt(float(xi @ xi) + 1.3**2)
             np.testing.assert_allclose(vals[:half], -e, atol=1e-12)
             np.testing.assert_allclose(vals[half:], e, atol=1e-12)
@@ -143,8 +126,25 @@ class TestLatticeModel:
             LatticeModel(d=1, n=4, h=0.0, mass=1.0)
         with pytest.raises(ValueError, match="mass"):
             LatticeModel(d=1, n=4, h=1.0, mass=0.0)
-        with pytest.raises(ValueError, match="dimension"):
-            LatticeModel(d=1, n=4, h=1.0, mass=1.0, matrices=dirac_matrices(2))
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("h", float("inf")),
+            ("h", float("nan")),
+            ("mass", float("inf")),
+            ("mass", -float("inf")),
+            ("n", 4.0),
+            ("n", np.float64(4.0)),
+        ],
+        ids=["h_inf", "h_nan", "mass_inf", "mass_neg_inf", "n_float", "n_numpy_float"],
+    )
+    def test_rejects_field_by_name(self, field, value):
+        # an infinite h used to reach weight_diagonal (inf * 0 at the origin),
+        # an infinite mass free_hamiltonian (NaN entries), n = 4.0 the grids
+        fields = {"d": 1, "n": 4, "h": 1.0, "mass": 1.0, field: value}
+        with pytest.raises(ValueError, match=re.escape(f"got {field}={value!r}")):
+            LatticeModel(**fields)
 
     def test_site_geometry(self):
         m = LatticeModel(d=1, n=6, h=0.5, mass=1.0)
@@ -153,10 +153,11 @@ class TestLatticeModel:
         assert m.n_sites == 6 and m.total_dim == 12
 
     def test_momentum_grid(self):
+        # the symbol's branch energy on the dual grid 2 pi k / (N h), FFT order
         m = LatticeModel(d=1, n=4, h=2.0, mass=1.0)
-        np.testing.assert_allclose(
-            m.momentum_vectors().ravel(), 2 * np.pi / 8.0 * np.array([-2, -1, 0, 1])
-        )
+        _, energy = dirac._symbol_grid(m)
+        xi = 2 * np.pi / 8.0 * np.array([0, 1, -2, -1])
+        np.testing.assert_allclose(energy, np.sqrt(xi**2 + 1.0), rtol=1e-15)
 
     def test_balanced_spacing(self):
         assert balanced_spacing(32) == pytest.approx(np.sqrt(2 * np.pi / 32))
@@ -170,25 +171,26 @@ class TestLatticeModel:
         assert table[b] == "model"
         assert LatticeModel(d=d, n=4, h=0.5, mass=1.0) not in table
 
-    def test_equality_compares_the_matrices(self):
-        # the d = 3 matrices are built afresh for every model
+    def test_equality_compares_the_fields(self):
         a = LatticeModel(d=3, n=2, h=1.0, mass=1.0)
         assert a == LatticeModel(d=3, n=2, h=1.0, mass=1.0)
-        assert a != LatticeModel(d=3, n=2, h=0.5, mass=1.0)
-        assert LatticeModel(d=1, n=2, h=1.0, mass=1.0) != LatticeModel(
-            d=1, n=2, h=1.0, mass=1.0, matrices=_flipped_matrices()
-        )
+        for other in [
+            LatticeModel(d=2, n=2, h=1.0, mass=1.0),
+            LatticeModel(d=3, n=4, h=1.0, mass=1.0),
+            LatticeModel(d=3, n=2, h=0.5, mass=1.0),
+            LatticeModel(d=3, n=2, h=1.0, mass=2.0),
+        ]:
+            assert a != other
 
 
 class TestFreeHamiltonian:
     @pytest.mark.parametrize("d, n", [(1, 6), (2, 4)])
     def test_matches_fourier_sum_oracle(self, d, n):
         model = LatticeModel(d=d, n=n, h=0.7, mass=1.1)
-        mats = model.matrices
         s = model.spinor_dim
         sites = model.site_vectors()
-        momenta = model.momentum_vectors()
-        got = np.asarray(free_hamiltonian(model).entries)
+        momenta = _momenta(model)
+        got = free_hamiltonian(model)
         dim = model.total_dim
         want = np.zeros((dim, dim), dtype=complex)
         for a in range(model.n_sites):
@@ -196,24 +198,28 @@ class TestFreeHamiltonian:
                 block = np.zeros((s, s), dtype=complex)
                 for xi in momenta:
                     phase = np.exp(1j * model.h * float(xi @ (sites[a] - sites[b])))
-                    block += free_symbol(mats, model.mass, xi) * phase
+                    block += free_symbol(d, model.mass, xi) * phase
                 want[a * s : (a + 1) * s, b * s : (b + 1) * s] = block / model.n_sites
         np.testing.assert_allclose(got, want, atol=1e-12)
 
     @pytest.mark.parametrize("d, n", [(1, 16), (2, 6), (3, 4)])
     def test_spectrum_matches_symbol_branches(self, d, n):
         model = LatticeModel(d=d, n=n, h=0.9, mass=0.8)
-        energies = np.sqrt(
-            np.sum(model.momentum_vectors() ** 2, axis=1) + model.mass**2
-        )
+        energies = np.sqrt(np.sum(_momenta(model) ** 2, axis=1) + model.mass**2)
         half = model.spinor_dim // 2
         want = np.sort(np.concatenate([np.repeat(energies, half), np.repeat(-energies, half)]))
         got = eig_hermitian(free_hamiltonian(model)).eigenvalues
         np.testing.assert_allclose(got, want, atol=1e-10)
 
     def test_hermitian(self):
-        h = np.asarray(free_hamiltonian(_model(n=8)).entries)
+        h = free_hamiltonian(_model(n=8))
         assert np.abs(h - h.conj().T).max() < 1e-13
+
+    def test_returns_a_fresh_writeable_array(self):
+        model = _model(n=8)
+        a, b = free_hamiltonian(model), free_hamiltonian(model)
+        assert isinstance(a, np.ndarray) and a.flags.writeable
+        assert not np.shares_memory(a, b)
 
 
 def _dense_resolvent_power(model, z, k):
@@ -282,17 +288,32 @@ class TestMatrixPotential:
             MatrixPotential(model, mats, decay_c=1.0)
         with pytest.raises(ValueError, match="positive"):
             MatrixPotential(model, mats, decay_c=-1.0, decay_rho=2.0)
+        # a NaN constant used to pass every site's bound check
+        for c, rho in [(np.nan, 2.0), (1.0, np.nan), (np.inf, 2.0), (1.0, np.inf)]:
+            with pytest.raises(ValueError, match=f"decay_c={c!r}, decay_rho={rho!r}"):
+                MatrixPotential(model, mats, decay_c=c, decay_rho=rho)
         # a flat potential violates any declared decay at the far sites
         flat = np.tile(np.eye(s, dtype=complex), (model.n_sites, 1, 1))
         with pytest.raises(ValueError, match="violated"):
             MatrixPotential(model, flat, decay_c=1.0, decay_rho=4.0)
 
+    @pytest.mark.parametrize("bad", [complex("nan"), complex("inf"), complex(1.0, -np.inf)])
+    def test_rejects_non_finite_site_matrix_naming_the_site(self, bad):
+        # a NaN entry used to pass the Hermiticity check and stop the SVD of
+        # weighted_factorization_report from converging
+        model = _model(n=4)
+        mats = np.zeros((model.n_sites, model.spinor_dim, model.spinor_dim), dtype=complex)
+        mats[3, 1, 1] = bad
+        with pytest.raises(ValueError, match="site matrix 3 has a non-finite entry"):
+            MatrixPotential(model, mats)
+
     def test_random_decaying_respects_bound(self):
         model = _model(n=16)
         v = random_decaying_potential(model, rng_from(1), c=1.0, rho=4.0)
         assert v.is_decaying
-        assert v.achieved_ratio() <= 1.0 + 1e-9
-        assert v.achieved_ratio() >= 0.5
+        bound = (1.0 + model.site_distances()) ** -4.0
+        ratio = np.linalg.norm(v.site_matrices, ord=2, axis=(1, 2)) / bound
+        assert 0.5 <= ratio.max() <= 1.0 + 1e-9
 
     def test_random_bounded(self):
         model = _model(n=16)
@@ -301,8 +322,6 @@ class TestMatrixPotential:
         tops = np.linalg.norm(v.site_matrices, ord=2, axis=(1, 2))
         assert tops.max() <= 0.3 + 1e-12
         assert tops.min() >= 0.2 * 0.3
-        with pytest.raises(ValueError, match="decaying"):
-            v.achieved_ratio()
 
     def test_to_operator_is_block_diagonal(self):
         model = _model(n=4)
@@ -325,10 +344,10 @@ class TestMatrixPotential:
         model = _model(n=8)
         v = random_bounded_potential(model, rng_from(5), bound=0.5)
         h = perturbed_hamiltonian(model, v)
-        h00 = np.asarray(free_hamiltonian(model).entries)
+        h00 = free_hamiltonian(model)
         np.testing.assert_allclose(h, h00 + v.to_operator(), atol=1e-14)
         other = _model(n=4)
-        with pytest.raises(ValueError, match="lattice"):
+        with pytest.raises(ValueError, match=r"lattice LatticeModel\(d=1, n=4, .* n=8,"):
             perturbed_hamiltonian(model, zero_potential(other))
 
 
@@ -390,7 +409,7 @@ class TestCommutatorIdentity:
 
     def test_weight_commutator_is_anti_hermitian(self):
         model = _model(n=16)
-        h00 = np.asarray(free_hamiltonian(model).entries)
+        h00 = free_hamiltonian(model)
         w = weight_diagonal(model, 1.0)
         comm = h00 * w[None, :] - w[:, None] * h00
         assert np.abs(comm + comm.conj().T).max() < 1e-12
@@ -405,9 +424,9 @@ class TestForeignLattice:
         params=[
             LatticeModel(d=1, n=32, h=0.5, mass=1.0),
             LatticeModel(d=1, n=16, h=1.0, mass=1.0),
-            LatticeModel(d=1, n=32, h=1.0, mass=1.0, matrices=_flipped_matrices()),
+            LatticeModel(d=1, n=32, h=1.0, mass=2.0),
         ],
-        ids=["spacing", "size", "matrices"],
+        ids=["spacing", "size", "mass"],
     )
     def foreign(self, request):
         return random_decaying_potential(request.param, rng_from(96), c=1.0, rho=4.0)
@@ -564,7 +583,7 @@ class TestFactorization:
 
         monkeypatch.setattr(dirac, "_inverse_powers", recording)
         weighted_factorization_report(model, v, 2, 3, 1j)
-        h00 = np.asarray(free_hamiltonian(model).entries)
+        h00 = free_hamiltonian(model)
         assert len(inverted) == 1
         np.testing.assert_array_equal(inverted[0], h00 + v.to_operator())
 
@@ -573,7 +592,7 @@ class TestFactorization:
         model, v = self._inputs(4.0, n=n)
         k, mpow, z = 2, 3, 1j
         rep = weighted_factorization_report(model, v, k, mpow, z)
-        h00 = np.asarray(free_hamiltonian(model).entries)
+        h00 = free_hamiltonian(model)
         vop = v.to_operator()
         eye = np.eye(model.total_dim)
         rk = np.linalg.matrix_power(np.linalg.solve(h00 + vop - z * eye, eye), k)

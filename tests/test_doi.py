@@ -86,17 +86,6 @@ class TestCofactorPolynomial:
             assert complex(p.dlam(lam, mu)) == pytest.approx(fd_lam, rel=1e-7, abs=1e-7)
             assert complex(p.dmu(lam, mu)) == pytest.approx(fd_mu, rel=1e-7, abs=1e-7)
 
-    @pytest.mark.parametrize("m", [3, 5, 7])
-    def test_ratio_form_agrees(self, m):
-        p = CofactorPolynomial(m, 2j)
-        rng = rng_from(25, m)
-        lam = rng.uniform(-5, 5, size=500)
-        mu = rng.uniform(-5, 5, size=500)
-        direct = p(lam, mu)
-        ratio = p.ratio_form(lam, mu)
-        scale = np.maximum(np.abs(direct), 1.0)
-        assert np.max(np.abs(direct - ratio) / scale) < 1e-10
-
     def test_rejects_even_power_and_real_shift(self):
         with pytest.raises(ValueError, match="odd"):
             CofactorPolynomial(2, 1j)

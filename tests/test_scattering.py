@@ -87,6 +87,14 @@ class TestFreeGreen:
         with pytest.raises(ValueError, match="band"):
             lattice_root(z)
 
+    @pytest.mark.parametrize(
+        "z", [complex("nan+nanj"), complex("nan+1j"), complex("inf+1j"), complex(1.0, -np.inf)]
+    )
+    def test_rejects_non_finite_point_naming_it(self, z):
+        # such a point used to come back as nan+nanj
+        with pytest.raises(ValueError, match=r"z must be finite, got z="):
+            lattice_root(z)
+
     def test_difference_equation(self):
         # (H0 - z) G = I row by row
         z = 0.4 + 0.9j

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from helpers import random_unitary
 
 from ssflab.functions import polynomial, resolvent_function
 from ssflab.spectral import (
@@ -16,7 +17,7 @@ from ssflab.spectral import (
     schatten_norm,
     singular_values,
 )
-from ssflab.utils import random_hermitian, random_unitary, rng_from
+from ssflab.utils import random_hermitian, rng_from
 
 
 def test_operator_rejects_non_hermitian():

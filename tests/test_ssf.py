@@ -8,6 +8,7 @@ import pytest
 import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from helpers import random_unitary
 
 from ssflab import functions, spectral, ssf
 from ssflab.spectral import SpectralDecomposition, eig_hermitian
@@ -24,7 +25,7 @@ from ssflab.ssf import (
     trace_formula_sides,
     track_determinant_phase,
 )
-from ssflab.utils import random_hermitian, random_rank_k_hermitian, random_unitary, rng_from
+from ssflab.utils import random_hermitian, random_rank_k_hermitian, rng_from
 
 
 def _random_pair(rng, dim, scale=0.5):
@@ -58,6 +59,20 @@ class TestStepFunction:
     def test_jumps(self):
         s = StepFunction([0.0, 1.0, 2.0], [0, 2, -1, 0])
         np.testing.assert_array_equal(s.jumps(), [2, -3, 1])
+
+    def test_nan_point_rejected_by_name(self):
+        # a NaN used to read as the trailing value 0
+        s = StepFunction([0.0, 1.0], [0, 3, 0])
+        with pytest.raises(ValueError, match="x=nan"):
+            s(float("nan"))
+        with pytest.raises(ValueError, match="NaN"):
+            s(np.array([0.5, np.nan]))
+        d0 = eig_hermitian(np.diag([0.0, 1.0]))
+        with pytest.raises(ValueError, match="NaN"):
+            ssf_counting(d0, eig_hermitian(np.diag([0.5, 1.0])))(math.nan)
+        # the infinities keep the zero tails
+        assert s(np.inf) == 0 and s(-np.inf) == 0
+        np.testing.assert_array_equal(s(np.array([-np.inf, 0.5, np.inf])), [0, 3, 0])
 
     def test_zero(self):
         z = StepFunction.zero()
@@ -499,7 +514,7 @@ class TestDeterminantOnVerticalLine:
             d0, v = _determinant_case(kind, n)
             h = d0.reconstruct() + v
             d = eig_hermitian(h)
-            h_start = 10.0 * max(d0.spectral_radius, d.spectral_radius, 1.0)
+            h_start = 10.0 * max(np.abs(d0.eigenvalues).max(), np.abs(d.eigenvalues).max(), 1.0)
             ratio = math.exp(math.pi / (4.0 * 2 * n))
             for lam in _lambdas(d0, d):
                 eps = default_eps_schedule(d0, d, lam)
@@ -696,3 +711,67 @@ class TestDeterminantRoute:
         d0 = eig_hermitian(np.diag([0.0, 2.0]))
         with pytest.raises(ValueError, match="spectrum"):
             default_eps_schedule(d0, d0, 2.0)
+
+
+# ---------------------------------------------------------------------------
+# the identities as properties of adversarial pairs
+
+
+@st.composite
+def _adversarial_pairs(draw):
+    """``(d0, d, v)`` at n <= 16: H0 generic or exactly degenerate (each
+    eigenvalue stored 2-4 times), V inside a 2-dimensional H0-invariant
+    subspace (possibly within one eigenspace) or of rank k."""
+    n = draw(st.integers(2, 16))
+    rng = rng_from(draw(st.integers(0, 2**32 - 1)))
+    if draw(st.booleans()):
+        mult = draw(st.integers(2, 4))
+        vals = np.repeat(np.linspace(-2.0, 2.0, -(-n // mult)), mult)[:n]
+        d0 = SpectralDecomposition(vals, random_unitary(rng, n))
+    else:
+        d0 = eig_hermitian(random_hermitian(rng, n))
+    if draw(st.booleans()):
+        basis = d0.eigenvectors[:, rng.choice(n, size=2, replace=False)]
+        v = basis @ random_hermitian(rng, 2) @ basis.conj().T
+    else:
+        v = random_rank_k_hermitian(rng, n, draw(st.integers(1, n)))
+    return d0, eig_hermitian(d0.reconstruct() + v), v
+
+
+_PROPERTY_SETTINGS = settings(max_examples=40, deadline=None)
+
+
+class TestAdversarialProperties:
+    @_PROPERTY_SETTINGS
+    @given(pair=_adversarial_pairs())
+    def test_counting_equals_invariance(self, pair):
+        d0, d, _ = pair
+        direct = ssf_counting(d0, d)
+        for m in (3, 5):
+            mapped = ssf_via_invariance(d0, d, PowerChangeOfVariable(m, 1.0))
+            assert steps_equal(direct, mapped, bp_tol=1e-9), m
+
+    @_PROPERTY_SETTINGS
+    @given(pair=_adversarial_pairs())
+    def test_trace_formula_residual(self, pair):
+        d0, d, _ = pair
+        for f in (
+            functions.gaussian_bump(0.2, 0.8, 1.5),
+            functions.squared_lorentzian(),
+            functions.resolvent_function(0.4 + 1.3j, m=2),
+        ):
+            lhs, rhs = trace_formula_sides(d0, d, f)
+            assert abs(lhs - rhs) <= 1e-10 * max(abs(lhs), abs(rhs), 1.0), f.name
+
+    @_PROPERTY_SETTINGS
+    @given(pair=_adversarial_pairs())
+    def test_determinant_matches_counting_at_breakpoint_midpoints(self, pair):
+        d0, d, v = pair
+        xi = ssf_counting(d0, d)
+        bps = xi.breakpoints
+        # a midpoint can land on an eigenvalue shared by H0 and H, which the
+        # route refuses as a jump point (within its default 1e-6 margin)
+        spectra = np.concatenate([d0.eigenvalues, d.eigenvalues])
+        for lam in 0.5 * (bps[1:] + bps[:-1]):
+            if np.abs(spectra - lam).min() >= 1e-6:
+                assert abs(ssf_via_determinant(d0, v, float(lam)) - xi(lam)) <= 1e-6, lam
