@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import operator
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -55,16 +56,17 @@ BAND_EDGE_MARGIN = 1e-3
 class LatticeScatteringModel:
     """Real potential with finite support on the integer lattice.
 
-    The site distance matrix, the potential column and the identity matrix
-    on the support are built once, at construction, and are read-only, so
-    threads may share a model.
+    Sites are integers (a bool or non-integral site is rejected).  The site
+    distance matrix and the gaps between consecutive sites are built once,
+    at construction, and are read-only, so threads may share a model.
     """
 
     sites: tuple
     values: tuple
 
     def __post_init__(self):
-        sites = tuple(int(n) for n in self.sites)
+        site_arr = _integer_sites(self.sites)
+        sites = tuple(int(n) for n in site_arr)
         values = tuple(float(v) for v in self.values)
         if len(sites) != len(values) or len(sites) == 0:
             raise ValueError("sites and values must be non-empty and equal length")
@@ -74,15 +76,10 @@ class LatticeScatteringModel:
             raise ValueError("potential values must be finite")
         object.__setattr__(self, "sites", sites)
         object.__setattr__(self, "values", values)
-        site_arr = np.asarray(sites, dtype=int)
         distance = np.abs(site_arr[:, None] - site_arr[None, :])
-        column = np.asarray(values, dtype=float)[:, None]
-        identity = np.eye(len(sites))
-        for arr in (distance, column, identity):
-            arr.flags.writeable = False
+        distance.flags.writeable = False
         object.__setattr__(self, "_distance", distance)
-        object.__setattr__(self, "_potential_column", column)
-        object.__setattr__(self, "_identity", identity)
+        object.__setattr__(self, "_gaps", tuple(b - a for a, b in zip(sites, sites[1:])))
 
     @classmethod
     def single_site(cls, value: float, site: int = 0) -> "LatticeScatteringModel":
@@ -102,6 +99,20 @@ class LatticeScatteringModel:
     @property
     def strength(self) -> float:
         return max(abs(v) for v in self.values)
+
+
+def _integer_sites(sites) -> np.ndarray:
+    """Lattice sites as an integer array; a bool or non-integral site is
+    rejected by name rather than truncated to a neighbouring site."""
+    arr = np.asarray(sites, dtype=object)
+    for site in arr.flat:
+        try:
+            integral = not isinstance(site, (bool, np.bool_)) and int(site) == site
+        except (TypeError, ValueError, OverflowError):
+            integral = False
+        if not integral:
+            raise ValueError(f"lattice sites must be integers, got site={site!r}")
+    return arr.astype(int)
 
 
 def lattice_root(z: complex) -> complex:
@@ -124,7 +135,7 @@ def lattice_root(z: complex) -> complex:
 def free_green(z: complex, n, m) -> complex:
     """Closed-form free resolvent kernel ``w^{|n-m|} / (w - 1/w)``."""
     w = lattice_root(z)
-    dist = np.abs(np.asarray(n, dtype=int) - np.asarray(m, dtype=int))
+    dist = np.abs(_integer_sites(n) - _integer_sites(m))
     out = w**dist / (w - 1.0 / w)
     if np.ndim(dist) == 0:
         return complex(out)
@@ -132,6 +143,7 @@ def free_green(z: complex, n, m) -> complex:
 
 
 def _kappa(lam: float) -> float:
+    lam = _check_finite_lambda(lam)
     if not (abs(lam) < 2.0 - BAND_EDGE_MARGIN):
         raise ValueError(
             f"lam={lam} too close to the band edges (margin {BAND_EDGE_MARGIN:g}); "
@@ -183,9 +195,40 @@ def unitarity_defect(s: np.ndarray) -> float:
 
 
 def scattering_determinant(model: LatticeScatteringModel, z: complex) -> complex:
-    """Perturbation determinant restricted to the potential support."""
-    g = _support_green(model, lattice_root(z))
-    return complex(np.linalg.det(model._identity + model._potential_column * g))
+    """Perturbation determinant ``det(I + V G0_SS(z))`` on the potential support.
+
+    Defined for ``Im z > 0``; any other ``z`` is rejected by name.  With
+    ``w = lattice_root(z)`` and ``c = w - 1/w`` the support Green function is
+    ``G0_SS = K / c``, where ``K_ij = w^|s_i - s_j|`` is a Markov kernel over
+    the sites ``s_1 < ... < s_L``.  So ``K^-1`` is tridiagonal: with
+    ``r_i = w^(s_(i+1) - s_i)`` and ``q_i = 1 / (1 - r_i^2)`` (``q_0 = q_L = 1``)
+    its diagonal is ``q_(i-1) + q_i - 1`` and its off-diagonal ``-r_i q_i``.
+    By Sylvester's identity ``D = det(cK^-1 + V) / det(cK^-1)``.
+
+    Elimination without pivoting gives ``cK^-1`` the pivots ``c q_k`` and
+    ``cK^-1 + V`` the pivots ``c q_k f_k``, with the ratio ``f_k`` obeying the
+    cancellation-free recurrence ``e_1 = v_1 / c``,
+    ``f_k = 1 + e_k (1 - r_k^2)`` (``r_L = 0``), and
+    ``e_(k+1) = v_(k+1) / c + r_k^2 e_k / f_k``; so ``D = prod f_k``.  No
+    pivot vanishes: for ``Im z > 0``, ``G0_SS^-1 = H0_SS - z - Sigma_S`` has a
+    negative definite imaginary part, and so has every Schur complement.
+    The cost is O(L) scalar operations, whatever the gaps between sites.
+    """
+    z = complex(z)
+    if not z.imag > 0.0:
+        raise ValueError(f"the scattering determinant needs Im z > 0, got z={z}")
+    w = lattice_root(z)
+    c = w - 1.0 / w
+    w2 = w * w
+    det = 1.0
+    carry = 0.0
+    for v, gap in zip(model.values, model._gaps):
+        r2 = w2**gap
+        e = v / c + carry
+        ratio = 1.0 + e * (1.0 - r2)
+        det *= ratio
+        carry = r2 * e / ratio
+    return det * (1.0 + model.values[-1] / c + carry)
 
 
 def ssf_scattering(
@@ -260,8 +303,12 @@ def band_sweep(
     eps_schedule: Optional[Sequence[float]] = None,
 ) -> list:
     """Evaluate the identity on a uniform grid of interior band points."""
+    try:
+        n_points = operator.index(n_points)
+    except TypeError:
+        raise ValueError(f"n_points must be an integer, got n_points={n_points!r}") from None
     if n_points < 1:
-        raise ValueError("need at least one band point")
+        raise ValueError(f"need at least one band point, got n_points={n_points}")
     if margin <= BAND_EDGE_MARGIN:
         raise ValueError("sweep margin must exceed the band-edge margin")
     grid = np.linspace(-2.0 + margin, 2.0 - margin, n_points)

@@ -2,6 +2,7 @@
 
 import sys
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -27,6 +28,13 @@ from ssflab.utils import rng_from
 def _truncated_free(l_trunc: int) -> np.ndarray:
     n = 2 * l_trunc + 1
     return np.diag(np.ones(n - 1), 1) + np.diag(np.ones(n - 1), -1)
+
+
+def _dense_determinant(model: LatticeScatteringModel, z: complex) -> complex:
+    """Oracle: the dense ``det(I + V G0_SS)`` from the closed-form kernel."""
+    sites = np.asarray(model.sites)
+    g = free_green(z, sites[:, None], sites[None, :])
+    return complex(np.linalg.det(np.eye(sites.size) + np.asarray(model.values)[:, None] * g))
 
 
 # ---------------------------------------------------------------------------
@@ -64,6 +72,19 @@ class TestModel:
         with pytest.raises(ValueError):
             LatticeScatteringModel(sites, values)
 
+    @pytest.mark.parametrize("bad", [0.5, 1.7, True, np.bool_(False), float("nan"), "0"])
+    def test_rejects_non_integer_sites_naming_them(self, bad):
+        # such sites used to be truncated: (0.5, 1.7) became (0, 1), True became 1
+        with pytest.raises(ValueError, match=r"lattice sites must be integers, got site="):
+            LatticeScatteringModel((bad, 5), (1.0, 2.0))
+        with pytest.raises(ValueError, match=r"got site="):
+            LatticeScatteringModel.single_site(0.7, site=bad)
+
+    def test_accepts_integral_sites_of_any_numeric_type(self):
+        m = LatticeScatteringModel((np.int64(-2), 3.0, 10**6), (1.0, 2.0, 3.0))
+        assert m.sites == (-2, 3, 10**6)
+        assert all(type(n) is int for n in m.sites)
+
 
 # ---------------------------------------------------------------------------
 # free resolvent
@@ -94,6 +115,12 @@ class TestFreeGreen:
         # such a point used to come back as nan+nanj
         with pytest.raises(ValueError, match=r"z must be finite, got z="):
             lattice_root(z)
+
+    @pytest.mark.parametrize("n, m", [(1.5, 0), (0, 2.25), (True, 0), (np.array([0, 1.5]), 0)])
+    def test_rejects_non_integer_sites(self, n, m):
+        # free_green(1j, 1.5, 0) used to return the value at distance 1
+        with pytest.raises(ValueError, match=r"lattice sites must be integers, got site="):
+            free_green(1j, n, m)
 
     def test_difference_equation(self):
         # (H0 - z) G = I row by row
@@ -168,6 +195,13 @@ class TestSMatrix:
         with pytest.raises(ValueError, match="band edge"):
             s_matrix(LatticeScatteringModel.single_site(0.5), lam)
 
+    @pytest.mark.parametrize("entry", [s_matrix, birman_krein_point])
+    @pytest.mark.parametrize("lam", [float("nan"), float("inf")])
+    def test_rejects_non_finite_lambda(self, entry, lam):
+        # a NaN point used to be reported as too close to the band edges
+        with pytest.raises(ValueError, match="lambda must be finite"):
+            entry(LatticeScatteringModel.single_site(0.5), lam)
+
 
 # ---------------------------------------------------------------------------
 # perturbation determinant and spectral shift
@@ -195,6 +229,45 @@ class TestScatteringDeterminant:
             g = free_green(z, sites[:, None], sites[None, :])
             want = complex(np.linalg.det(np.eye(sites.size) + v[:, None] * g))
             assert scattering_determinant(model, z) == pytest.approx(want, rel=1e-13)
+
+    def test_gaps_inner_root_and_denominator_all_count(self):
+        # unequal gaps, both signs, points near and off the band: fails if the
+        # sites are taken as contiguous, if c and r_i come from the outer root
+        # 1/w, or if the free determinant det(G0_SS^-1) is not divided out
+        model = LatticeScatteringModel((-5, -2, -1, 3, 11), (0.9, -1.4, 0.3, 2.2, -0.6))
+        zero = LatticeScatteringModel((-5, -2, -1, 3, 11), (0.0,) * 5)
+        for lam in (-3.1, -1.7, -0.2, 0.9, 1.95, 2.6):
+            for h in (1e-4, 0.05, 1.5):
+                z = complex(lam, h)
+                assert scattering_determinant(model, z) == pytest.approx(
+                    _dense_determinant(model, z), rel=1e-13
+                )
+                assert scattering_determinant(zero, z) == pytest.approx(1.0, abs=1e-14)
+
+    def test_far_apart_sites_cost_no_more_than_near_ones(self):
+        gap = 10**6
+        model = LatticeScatteringModel((0, gap), (0.7, -1.3))
+        # heights where |w^gap| < 1e-200: the two sites decouple
+        for z in (0.3 + 1e-3j, -2.5 + 0.5j, 1.9 + 1e-2j):
+            assert scattering_determinant(model, z) == pytest.approx(
+                _dense_determinant(model, z), rel=1e-13
+            )
+        # heights where |w^gap| is 0.35-0.95: w^gap carries the rounding of w
+        # amplified by the gap, in the oracle as in the recurrence
+        for z in (-1.75 + 1e-6j, -0.5 + 1e-7j, 0.75 + 1e-6j, 1.75 + 1e-7j):
+            assert scattering_determinant(model, z) == pytest.approx(
+                _dense_determinant(model, z), rel=gap * np.finfo(float).eps
+            )
+        t0 = time.perf_counter()
+        for _ in range(1000):
+            scattering_determinant(model, 0.3 + 1e-6j)
+        assert time.perf_counter() - t0 < 0.25
+
+    @pytest.mark.parametrize("z", [0.3 - 0.5j, 3.0, -2.5 + 0j, 0.5 - 1e-12j, complex("nan+nanj")])
+    def test_rejects_points_off_the_upper_half_plane(self, z):
+        model = LatticeScatteringModel.centered([0.3, -0.2, 0.5])
+        with pytest.raises(ValueError, match=r"needs Im z > 0, got z="):
+            scattering_determinant(model, z)
 
     def test_threads_sharing_a_model_agree_with_serial(self):
         # the suites fan out over threads that share frozen models
@@ -345,5 +418,9 @@ class TestBirmanKrein:
         model = LatticeScatteringModel.single_site(0.4)
         with pytest.raises(ValueError, match="band point"):
             band_sweep(model, 0)
+        for bad in (2.5, "3", None):
+            # 2.5 used to raise NumPy's TypeError from linspace
+            with pytest.raises(ValueError, match="n_points"):
+                band_sweep(model, bad)
         with pytest.raises(ValueError, match="margin"):
             band_sweep(model, 3, margin=BAND_EDGE_MARGIN)
