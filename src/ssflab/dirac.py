@@ -24,6 +24,7 @@ import numpy as np
 
 from .spectral import (
     ABS_FLOOR,
+    SingularValueProfile,
     _check_resolvent_args,
     eig_hermitian,
     resolvent_power,
@@ -190,11 +191,13 @@ def _symbol_grid(model: LatticeModel) -> tuple:
 def _block_circulant(model: LatticeModel, symbol: np.ndarray) -> np.ndarray:
     """Dense site-space matrix of a translation-invariant operator from its symbol.
 
-    The inverse FFT of the symbol over the momentum axes yields the
-    convolution kernel, indexed by the componentwise difference of site
+    The symbol has shape ``(n,)*d + (s, s)``; its trailing block size ``s``
+    is the spinor dimension for the Dirac operator and 1 for a scalar
+    operator.  The inverse FFT of the symbol over the momentum axes yields
+    the convolution kernel, indexed by the componentwise difference of site
     vectors modulo N.
     """
-    n, d, s = model.n, model.d, model.spinor_dim
+    n, d, s = model.n, model.d, symbol.shape[-1]
     kernel = np.fft.ifftn(symbol, axes=tuple(range(d)))
     kernel_flat = kernel.reshape(n**d, s, s)
 
@@ -204,7 +207,7 @@ def _block_circulant(model: LatticeModel, symbol: np.ndarray) -> np.ndarray:
     for axis in range(1, d):
         lin = lin * n + delta[..., axis]
     blocks = kernel_flat[lin]
-    dim = model.total_dim
+    dim = model.n_sites * s
     return blocks.transpose(0, 2, 1, 3).reshape(dim, dim)
 
 
@@ -245,12 +248,16 @@ def free_resolvent_power(model: LatticeModel, z: complex, k: int) -> np.ndarray:
 # weights and potentials
 
 
-def weight_diagonal(model: LatticeModel, r: float) -> np.ndarray:
-    """Entries ``(1 + |x|^2)^{-r/2}``, replicated across spinor components."""
+def _site_weights(model: LatticeModel, r: float) -> np.ndarray:
+    """Site weights ``(1 + |x|^2)^{-r/2}``, one per site."""
     if not (r > 0):
         raise ValueError(f"weight exponent must be positive, got {r!r}")
-    w = (1.0 + model.site_distances() ** 2) ** (-r / 2.0)
-    return np.repeat(w, model.spinor_dim)
+    return (1.0 + model.site_distances() ** 2) ** (-r / 2.0)
+
+
+def weight_diagonal(model: LatticeModel, r: float) -> np.ndarray:
+    """Entries ``(1 + |x|^2)^{-r/2}``, replicated across spinor components."""
+    return np.repeat(_site_weights(model, r), model.spinor_dim)
 
 
 @dataclass(frozen=True)
@@ -403,6 +410,34 @@ def _fit_decay_exponent(sv: np.ndarray):
     return float(-slope)
 
 
+def _weighted_resolvent_profile(
+    model: LatticeModel, r: float, k: int, z: complex
+) -> SingularValueProfile:
+    """Singular values of ``W (H0 - z)^{-k}``, W the :func:`weight_diagonal` weight.
+
+    At ``Re z = 0``, ``z = iy``, the resolvent power is a function of ``H0``,
+    so its polar factor is unitary and commutes with it, and ``W R0^k`` has
+    the singular values of ``W |R0^k|``.  The symbol squares to ``E^2 I``, so
+    ``|R0^k|`` has the scalar symbol ``(E^2 + y^2)^{-k/2}``: a function of
+    ``|xi|^2``, even on the FFT grid (the Nyquist row maps to itself), whose
+    kernel is real.  Hence ``W |R0^k|`` is ``(w C) (x) I_s`` with ``w`` the
+    site weights and ``C`` a real symmetric circulant: one real ``N^d x N^d``
+    SVD, each value repeated ``s`` times.  Any other ``z`` takes the SVD of
+    the dense complex ``s N^d x s N^d`` matrix.  Expects a validated ``z``
+    and ``k``.
+    """
+    if z.real != 0.0:
+        return singular_values(
+            weight_diagonal(model, r)[:, None] * free_resolvent_power(model, z, k)
+        )
+    w = _site_weights(model, r)
+    _, energy = _symbol_grid(model)
+    modulus = (energy**2 + z.imag**2) ** (-k / 2.0)
+    kernel = _block_circulant(model, modulus[..., None, None]).real
+    sv = singular_values(w[:, None] * kernel)
+    return SingularValueProfile(np.repeat(sv.values, model.spinor_dim))
+
+
 @dataclass(frozen=True)
 class WeightedResolventReport:
     d: int
@@ -427,14 +462,17 @@ def weighted_resolvent_schatten(
     """Schatten norms and singular-value decay of weight times free resolvent power.
 
     The predicted singular-value decay exponent is ``min(r, k) / d``; the
-    corresponding summability threshold is ``p > d / min(r, k)``.
+    corresponding summability threshold is ``p > d / min(r, k)``.  ``z`` and
+    every ``p`` are validated before any assembly.  At ``Re z = 0`` the
+    singular values come from one real SVD of the ``N^d``-site kernel of
+    ``|R0^k|``, each repeated over the ``s`` spinor components; any other
+    ``z`` takes the SVD of the dense complex ``s N^d``-row matrix.
     """
+    z, k = _check_resolvent_args(z, k)
     for p in p_list:
         if not float(p) >= 1.0:
             raise ValueError(f"schatten order p must be >= 1, got {p!r}")
-    w = weight_diagonal(model, r)
-    weighted = w[:, None] * free_resolvent_power(model, z, k)
-    sv = singular_values(weighted)
+    sv = _weighted_resolvent_profile(model, r, k, z)
     norms = {float(p): schatten_norm(sv, p) for p in p_list}
     fitted = _fit_decay_exponent(sv.values)
     predicted = min(r, float(k)) / model.d
@@ -443,7 +481,7 @@ def weighted_resolvent_schatten(
         n=model.n,
         r=r,
         k=k,
-        z=complex(z),
+        z=z,
         p_norms=norms,
         threshold_p=model.d / min(r, float(k)),
         predicted_exponent=predicted,
@@ -666,8 +704,10 @@ def weighted_factorization_report(
         p1 = budget / u1
         p2 = budget / u2
         norm_left = schatten_norm(singular_values(left), p1)
-        norm_mid = float(np.linalg.norm(comp, ord=2))
-        norm_right = schatten_norm(singular_values(right), p2)
+        # comp is block diagonal: its norm is the largest site-block norm
+        blocks = _site_blocks(comp, model.spinor_dim)
+        norm_mid = float(np.linalg.norm(blocks, ord=2, axis=(1, 2)).max())
+        norm_right = schatten_norm(_weighted_resolvent_profile(model, r2, j, z), p2)
         product_bound = norm_left * norm_mid * norm_right
         holder_ok = bool(direct_trace <= product_bound * (1.0 + 1e-9))
     return FactorizationReport(
@@ -728,8 +768,8 @@ def commutator_identity_residual(
     comm = h00 * w[None, :] - w[:, None] * h00
     lhs = w[:, None] * rk1
     rhs = res @ (w[:, None] * rk) + res @ comm @ rk1
-    scale = max(float(np.linalg.norm(lhs, ord=2)), ABS_FLOOR)
-    return float(np.linalg.norm(lhs - rhs, ord=2)) / scale
+    scale = max(schatten_norm(singular_values(lhs), np.inf), ABS_FLOOR)
+    return schatten_norm(singular_values(lhs - rhs), np.inf) / scale
 
 
 @dataclass(frozen=True)

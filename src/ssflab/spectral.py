@@ -200,8 +200,12 @@ class SingularValueProfile:
 
 
 def singular_values(matrix) -> SingularValueProfile:
-    """Singular values of an arbitrary complex matrix, largest first."""
-    m = np.asarray(matrix, dtype=complex)
+    """Singular values of a real or complex matrix, largest first.
+
+    A real matrix takes the real SVD; anything else is read as complex.
+    """
+    m = np.asarray(matrix)
+    m = np.asarray(m, dtype=float if np.isrealobj(m) else complex)
     if m.ndim != 2:
         raise ValueError(f"expected a matrix, got shape {m.shape}")
     vals = np.linalg.svd(m, compute_uv=False)

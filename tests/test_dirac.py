@@ -407,6 +407,22 @@ class TestCommutatorIdentity:
         with pytest.raises(ValueError, match=r"finite with Im z != 0, got z="):
             commutator_identity_residual(model, v0, v0, 1.0, 1, z)
 
+    def test_norms_are_counted_svds(self, monkeypatch):
+        model = _model(n=8)
+        v0 = random_bounded_potential(model, rng_from(2), 0.3)
+        v = random_decaying_potential(model, rng_from(3), 1.0, 4.0)
+        want = commutator_identity_residual(model, v0, v, 1.0, 2, 1j)
+        calls = []
+        singular_values = dirac.singular_values
+
+        def recording(matrix):
+            calls.append(np.shape(matrix))
+            return singular_values(matrix)
+
+        monkeypatch.setattr(dirac, "singular_values", recording)
+        assert commutator_identity_residual(model, v0, v, 1.0, 2, 1j) == want
+        assert calls == [(model.total_dim, model.total_dim)] * 2
+
     def test_weight_commutator_is_anti_hermitian(self):
         model = _model(n=16)
         h00 = free_hamiltonian(model)
@@ -467,6 +483,56 @@ class TestWeightedResolvent:
         monkeypatch.setattr(dirac, "singular_values", forbidden)
         with pytest.raises(ValueError, match="nan"):
             weighted_resolvent_schatten(_model(n=8), 1.0, 1, 1j, [2.0, float("nan")])
+
+    @pytest.mark.parametrize(
+        "z", [complex(0.0, np.nan), 0.5, complex(0.0, np.inf)], ids=["nan", "real", "inf"]
+    )
+    def test_rejects_bad_point_before_assembly(self, monkeypatch, z):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("assembly or SVD ran before the z check")
+
+        for name in (
+            "_symbol_grid",
+            "_block_circulant",
+            "_site_weights",
+            "weight_diagonal",
+            "free_resolvent_power",
+            "singular_values",
+        ):
+            monkeypatch.setattr(dirac, name, forbidden)
+        with pytest.raises(ValueError, match=r"finite with Im z != 0, got z="):
+            weighted_resolvent_schatten(_model(n=8), 1.0, 1, z, [1.0])
+
+    @pytest.mark.parametrize("d, n", [(1, 32), (2, 8), (3, 4)])
+    @pytest.mark.parametrize("r, k", [(1.0, 1), (1.5, 2), (2.0, 3)])
+    @pytest.mark.parametrize("z", [1j, 2.5j, -0.7j])
+    def test_imaginary_z_profile_matches_dense_svd(self, d, n, r, k, z):
+        # at Re z = 0 the profile comes from the real site-kernel SVD; the
+        # oracle is the dense complex SVD, and the tolerance is the backward
+        # error of the two SVDs
+        model = LatticeModel(d=d, n=n, h=0.9, mass=0.8)
+        got = dirac._weighted_resolvent_profile(model, r, k, z).values
+        want = spectral.singular_values(
+            weight_diagonal(model, r)[:, None] * free_resolvent_power(model, z, k)
+        ).values
+        assert got.shape == want.shape
+        tol = 2 * model.total_dim * np.finfo(float).eps * want[0]
+        assert np.abs(got - want).max() <= tol
+
+    @pytest.mark.parametrize("d, n", [(1, 16), (2, 4), (3, 4)])
+    def test_imaginary_z_svds_are_site_sized(self, monkeypatch, d, n):
+        model = _model(d=d, n=n)
+        shapes = []
+        singular_values = dirac.singular_values
+
+        def recording(matrix):
+            shapes.append(np.shape(matrix))
+            return singular_values(matrix)
+
+        monkeypatch.setattr(dirac, "singular_values", recording)
+        rep = weighted_resolvent_schatten(model, 1.0, 2, -1j, [1.0, 2.0])
+        assert shapes and max(rows for rows, _ in shapes) <= model.n_sites
+        assert rep.p_norms[1.0] > rep.p_norms[2.0] > 0
 
     @pytest.mark.parametrize("r, k", [(1.0, 1), (2.0, 1)])
     def test_exponent_prediction(self, r, k):
@@ -599,6 +665,20 @@ class TestFactorization:
         r0j = np.linalg.matrix_power(np.linalg.solve(h00 - z * eye, eye), mpow + 1 - k)
         want = spectral.schatten_norm(rk @ vop @ r0j, 1)
         assert rep.direct_trace_norm == pytest.approx(want, rel=1e-12)
+
+    @pytest.mark.parametrize("z", [1j, 0.3 + 1j], ids=["imaginary", "general"])
+    def test_holder_factor_norms_match_dense(self, z):
+        model, v = self._inputs(4.0, n=16)
+        k, mpow = 2, 3
+        rep = weighted_factorization_report(model, v, k, mpow, z)
+        j = mpow + 1 - k
+        w1 = weight_diagonal(model, rep.r1)
+        w2 = weight_diagonal(model, rep.r2)
+        comp = v.to_operator() / (w1[:, None] * w2[None, :])
+        right = w2[:, None] * free_resolvent_power(model, z, j)
+        assert rep.norm_mid == pytest.approx(np.linalg.norm(comp, ord=2), rel=1e-12)
+        want = spectral.schatten_norm(spectral.singular_values(right), rep.p2)
+        assert rep.norm_right == pytest.approx(want, rel=1e-12)
 
     def test_validation(self):
         model, v = self._inputs(4.0, n=8)

@@ -127,6 +127,18 @@ def test_singular_values_nonincreasing_and_unitary_invariant():
     np.testing.assert_allclose(sv2, sv, atol=1e-10)
 
 
+def test_singular_values_of_real_matrix_take_the_real_svd():
+    rng = rng_from(6)
+    m = rng.standard_normal((6, 4))
+    np.testing.assert_array_equal(
+        singular_values(m).values, np.linalg.svd(m, compute_uv=False)
+    )
+    c = m + 1j * rng.standard_normal((6, 4))
+    np.testing.assert_array_equal(
+        singular_values(c).values, np.linalg.svd(c, compute_uv=False)
+    )
+
+
 def test_schatten_norm_known_values():
     m = np.diag([3.0, 4.0])
     assert schatten_norm(m, 1) == pytest.approx(7.0)
