@@ -295,7 +295,7 @@ def _resolve(args) -> tuple:
     if seed is None:
         seed = file_cfg.get("seed", 0)
     seed = _expect_int("seed", seed, low=0)
-    jobs = args.jobs
+    jobs = getattr(args, "jobs", None)  # only `all` has the flag
     if jobs is None:
         jobs = file_cfg.get("jobs", 1)
     jobs = _expect_int("jobs", jobs, low=1)
@@ -323,12 +323,9 @@ def _build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=descriptions[name])
         p.add_argument("--config", default=None, help="JSON configuration file")
         p.add_argument("--seed", type=int, default=None, help="master seed")
-        p.add_argument(
-            "--jobs",
-            type=int,
-            default=None,
-            help="worker threads for dirac-schatten's dense linear algebra",
-        )
+        if name == "all":
+            jobs_help = "2 or more runs dirac-schatten on a worker thread (default 1)"
+            p.add_argument("--jobs", type=int, default=None, help=jobs_help)
         p.add_argument("--out", default=None, help="write the payload to this path")
         p.add_argument(
             "--format",
@@ -351,7 +348,7 @@ def main(argv=None) -> int:
         report = suite_all(seed, sections, jobs)
     else:
         runner = SUITE_RUNNERS[args.subcommand]
-        report = runner(seed, sections[args.subcommand], jobs)
+        report = runner(seed, sections[args.subcommand])
 
     payload = report.json_text() if args.format == "json" else report.csv_text()
     if args.out:

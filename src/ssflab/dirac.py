@@ -198,17 +198,21 @@ def _block_circulant(model: LatticeModel, symbol: np.ndarray) -> np.ndarray:
     vectors modulo N.
     """
     n, d, s = model.n, model.d, symbol.shape[-1]
-    kernel = np.fft.ifftn(symbol, axes=tuple(range(d)))
-    kernel_flat = kernel.reshape(n**d, s, s)
+    kernel = np.fft.ifftn(symbol, axes=tuple(range(d))).reshape(n**d, s, s)
 
-    sites = model.site_vectors()
-    delta = np.mod(sites[:, None, :] - sites[None, :, :], n)
-    lin = delta[..., 0]
-    for axis in range(1, d):
-        lin = lin * n + delta[..., axis]
-    blocks = kernel_flat[lin]
-    dim = model.n_sites * s
-    return blocks.transpose(0, 2, 1, 3).reshape(dim, dim)
+    axis = np.arange(n)
+    step = np.mod(axis[:, None] - axis[None, :], n)
+    lin = step
+    for _ in range(1, d):
+        m = lin.shape[0] * n
+        lin = ((lin * n)[:, None, :, None] + step[None, :, None, :]).reshape(m, m)
+    out = np.empty((n**d, s, n**d, s), dtype=complex)
+    for a in range(s):
+        for b in range(s):
+            # lin is already reduced mod N^d, so "wrap" never wraps; unlike
+            # the default "raise" it lets np.take write into `out` unbuffered
+            np.take(kernel[:, a, b], lin, out=out[:, a, :, b], mode="wrap")
+    return out.reshape(n**d * s, n**d * s)
 
 
 def free_hamiltonian(model: LatticeModel) -> np.ndarray:
@@ -605,7 +609,7 @@ def resolvent_power_difference(
     )
 
     rp = _inverse_powers(h, z, mpow)
-    r0p = _inverse_powers(h0, z, mpow + 1)
+    r0p = _inverse_powers(h0, z, mpow)
     rhs = np.zeros_like(lhs)
     for k in range(1, mpow + 1):
         rhs -= rp[k] @ vop @ r0p[mpow + 1 - k]

@@ -1,22 +1,22 @@
 """Seeded verification suites behind the command-line subcommands.
 
-Every suite takes a validated parameter dict, a seed and a worker count
-``jobs``, and returns an :class:`~ssflab.reports.ExperimentReport`.  All
-randomness derives from ``(seed, suite tag, trial index)`` streams, so reports
-are deterministic for fixed configuration regardless of worker count.
+Every suite takes a seed and a validated parameter dict, and returns an
+:class:`~ssflab.reports.ExperimentReport`.  All randomness derives from
+``(seed, suite tag, trial index)`` streams, so reports are deterministic for
+fixed configuration.
 
-Threads only pay for work that releases the GIL.  With ``jobs >= 2``,
-dirac-schatten fans its identity cases and refinement studies out (dense
-LAPACK work), and ``all`` runs dirac-schatten on a worker thread while the
-calling thread runs the other four suites, whose trials are pure-Python
-work that holds the GIL and so run serially.
+Threads only pay for work that releases the GIL, and ssflab uses them at one
+level: with ``jobs >= 2``, :func:`suite_all` runs dirac-schatten (dense
+LAPACK work) on one worker thread while the calling thread runs the other
+four suites, whose trials are pure-Python work that holds the GIL.  Nothing
+else starts a thread.
 """
 
 from __future__ import annotations
 
+import concurrent.futures
 import dataclasses
 import time
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -49,13 +49,6 @@ _DIRAC_TAG = 14
 _BK_TAG = 15
 
 
-def _map_ordered(fn, items, jobs: int) -> list:
-    if jobs <= 1:
-        return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=jobs) as ex:
-        return list(ex.map(fn, items))
-
-
 def _random_pair(rng, dim: int, scale: float):
     a0 = random_hermitian(rng, dim)
     v = scale * random_hermitian(rng, dim)
@@ -82,7 +75,7 @@ def _function_families(rng) -> list:
 # trace-check
 
 
-def suite_trace_check(seed: int, params: dict, jobs: int = 1) -> ExperimentReport:
+def suite_trace_check(seed: int, params: dict) -> ExperimentReport:
     t0 = time.perf_counter()
     dims = params["dims"]
     trials = params["trials"]
@@ -99,10 +92,11 @@ def suite_trace_check(seed: int, params: dict, jobs: int = 1) -> ExperimentRepor
             lhs, rhs = ssf.trace_formula_sides(d0, d, f)
             scale_ref = max(abs(lhs), abs(rhs), 1.0)
             worst = max(worst, abs(lhs - rhs) / scale_ref)
+        counting = ssf.ssf_counting(d0, d)
         mismatches = 0
         for m in (3, 5):
             got = ssf.ssf_via_invariance(d0, d, maps[m])
-            if not ssf.steps_equal(ssf.ssf_counting(d0, d), got, bp_tol=1e-9):
+            if not ssf.steps_equal(counting, got, bp_tol=1e-9):
                 mismatches += 1
         return worst, mismatches
 
@@ -155,7 +149,7 @@ def suite_trace_check(seed: int, params: dict, jobs: int = 1) -> ExperimentRepor
 # doi-check
 
 
-def suite_doi_check(seed: int, params: dict, jobs: int = 1) -> ExperimentReport:
+def suite_doi_check(seed: int, params: dict) -> ExperimentReport:
     t0 = time.perf_counter()
     dim = params["dim"]
     trials = params["trials"]
@@ -233,7 +227,7 @@ def _hypotheses_grid(inner: float, outer: float, n_inner: int, n_tail: int):
     return np.concatenate([-pos[::-1], np.linspace(-inner, inner, n_inner), pos])
 
 
-def suite_rm_cert(seed: int, params: dict, jobs: int = 1) -> ExperimentReport:
+def suite_rm_cert(seed: int, params: dict) -> ExperimentReport:
     t0 = time.perf_counter()
     grid_n = params["grid_n"]
     records = []
@@ -314,15 +308,14 @@ def suite_rm_cert(seed: int, params: dict, jobs: int = 1) -> ExperimentReport:
 # dirac-schatten
 
 
-def suite_dirac_schatten(seed: int, params: dict, jobs: int = 1) -> ExperimentReport:
+def suite_dirac_schatten(seed: int, params: dict) -> ExperimentReport:
     t0 = time.perf_counter()
     z = complex(params["z"][0], params["z"][1])
     mass = params["mass"]
     mpow = params["mpow"]
     records = []
 
-    def one_identity(args):
-        n, idx = args
+    def one_identity(n: int, idx: int):
         rng = rng_from(seed, _DIRAC_TAG, n, idx)
         model = dirac.LatticeModel(d=1, n=n, h=dirac.balanced_spacing(n), mass=mass)
         v0 = dirac.random_bounded_potential(model, rng, params["v0_bound"])
@@ -334,7 +327,7 @@ def suite_dirac_schatten(seed: int, params: dict, jobs: int = 1) -> ExperimentRe
         return rep.relative_residual, comm
 
     cases = [(n, i) for n in params["identity_n_list"] for i in range(params["seeds"])]
-    results = _map_ordered(one_identity, cases, jobs)
+    results = [one_identity(n, i) for n, i in cases]
     records.append(
         check_le(
             "identity.power_expansion.max_rel",
@@ -361,13 +354,10 @@ def suite_dirac_schatten(seed: int, params: dict, jobs: int = 1) -> ExperimentRe
         p_list = [p_stab] + ([p_star] if p_star >= 1.0 and p_star != p_stab else [])
         specs.append((r_law, k_law, p_list, params["law_h"]))
 
-    def one_study(spec):
-        r_s, k_s, p_list, h = spec
-        return dirac.schatten_refinement_study(
-            1, r_s, k_s, z, p_list, n_list, mass=mass, h=h
-        )
-
-    study_22, study_11, *law_studies = _map_ordered(one_study, specs, jobs)
+    study_22, study_11, *law_studies = [
+        dirac.schatten_refinement_study(1, r_s, k_s, z, p_list, n_list, mass=mass, h=h)
+        for r_s, k_s, p_list, h in specs
+    ]
     records.append(
         check_flag("threshold.r2k2.p1_5_stabilizes", study_22.stabilized[1.5])
     )
@@ -423,7 +413,7 @@ def _build_potential(spec: dict) -> scattering.LatticeScatteringModel:
     return scattering.LatticeScatteringModel.centered(spec["values"])
 
 
-def suite_birman_krein(seed: int, params: dict, jobs: int = 1) -> ExperimentReport:
+def suite_birman_krein(seed: int, params: dict) -> ExperimentReport:
     t0 = time.perf_counter()
     eps_schedule = params["eps_schedule"]
     models = [_build_potential(s) for s in params["potentials"]]
@@ -482,15 +472,16 @@ def suite_birman_krein(seed: int, params: dict, jobs: int = 1) -> ExperimentRepo
 def suite_all(seed: int, all_params: dict, jobs: int = 1) -> ExperimentReport:
     """Every suite, merged in fixed order; ``total_s`` is the wall of the call.
 
-    With ``jobs >= 2`` dirac-schatten runs on a worker thread beside the
+    With ``jobs >= 2`` dirac-schatten runs on one worker thread beside the
     other four on the calling thread.  rm-cert stays on the calling thread:
     on a pool thread its kernel grids land in another malloc arena and raise
-    the peak RSS.
+    the peak RSS.  The runners are read by their module-level names, not
+    from :data:`SUITE_RUNNERS`, so a wrapper set on the module sees each call.
     """
     t0 = time.perf_counter()
 
     def run(runner, name):
-        return runner(seed, all_params[name], jobs)
+        return runner(seed, all_params[name])
 
     if jobs <= 1:
         parts = {
@@ -501,7 +492,7 @@ def suite_all(seed: int, all_params: dict, jobs: int = 1) -> ExperimentReport:
             "bk": run(suite_birman_krein, "birman-krein"),
         }
     else:
-        with ThreadPoolExecutor(max_workers=1) as ex:
+        with concurrent.futures.ThreadPoolExecutor(max_workers=1) as ex:
             dirac_part = ex.submit(run, suite_dirac_schatten, "dirac-schatten")
             try:
                 parts = {

@@ -205,20 +205,24 @@ class TestCliRuns:
         assert json.loads(captured.out)["aggregate_pass"] is False
         assert "FAIL" in captured.err
 
+    # a single subcommand takes `jobs` from the config file only, and must
+    # produce the same payload whatever its value
+
     def test_jobs_do_not_change_payload(self, tmp_path):
-        cfg = _write_config(tmp_path, TINY_DOI)
-        out1 = tmp_path / "a.json"
-        out2 = tmp_path / "b.json"
-        assert main(["doi-check", "--config", cfg, "--seed", "7", "--jobs", "1", "--out", str(out1)]) == 0
-        assert main(["doi-check", "--config", cfg, "--seed", "7", "--jobs", "2", "--out", str(out2)]) == 0
-        assert out1.read_bytes() == out2.read_bytes()
+        outs = []
+        for jobs in (1, 2):
+            cfg = _write_config(tmp_path, {**TINY_DOI, "jobs": jobs}, f"doi_{jobs}.json")
+            out = tmp_path / f"doi_{jobs}.json.out"
+            assert main(["doi-check", "--config", cfg, "--seed", "7", "--out", str(out)]) == 0
+            outs.append(out.read_bytes())
+        assert outs[0] == outs[1]
 
     def test_jobs_do_not_change_dirac_payload(self, tmp_path):
-        cfg = _write_config(tmp_path, TINY_DIRAC)
         outs = []
-        for jobs in ("1", "2"):
-            out = tmp_path / f"dirac_{jobs}.json"
-            rc = main(["dirac-schatten", "--config", cfg, "--jobs", jobs, "--out", str(out)])
+        for jobs in (1, 2):
+            cfg = _write_config(tmp_path, {**TINY_DIRAC, "jobs": jobs}, f"dirac_{jobs}.json")
+            out = tmp_path / f"dirac_{jobs}.json.out"
+            rc = main(["dirac-schatten", "--config", cfg, "--out", str(out)])
             assert rc in (0, 1)
             outs.append(out.read_bytes())
         assert json.loads(outs[0])["subcommand"] == "dirac-schatten"
@@ -282,38 +286,28 @@ class TestAllScheduling:
 
         for name in _SUITE_NAMES:
             monkeypatch.setattr(suites, name, recorded(name, getattr(suites, name)))
-        monkeypatch.setattr(
-            dirac, "schatten_refinement_study",
-            recorded("study", dirac.schatten_refinement_study),
-        )
-        mapped = []
-        map_ordered = suites._map_ordered
-
-        def recorded_map(fn, items, jobs):
-            items = list(items)
-            mapped.append((fn.__name__, len(items), jobs))
-            return map_ordered(recorded(f"mapped.{fn.__name__}", fn), items, jobs)
-
-        monkeypatch.setattr(suites, "_map_ordered", recorded_map)
+        for name in ("resolvent_power_difference", "schatten_refinement_study"):
+            monkeypatch.setattr(dirac, name, recorded(name, getattr(dirac, name)))
         cfg = _write_config(tmp_path, TINY_ALL)
         assert main(["all", "--config", cfg, "--jobs", str(jobs)]) in (0, 1)
 
         main_ident = threading.get_ident()
         suite_calls = [(w, t) for w, t in calls if w in _SUITE_NAMES]
-        studies = [t for w, t in calls if w == "study"]
-        mapped_studies = [t for w, t in calls if w == "mapped.one_study"]
+        identities = [t for w, t in calls if w == "resolvent_power_difference"]
+        studies = [t for w, t in calls if w == "schatten_refinement_study"]
         assert sorted(w for w, _ in suite_calls) == sorted(_SUITE_NAMES)
-        assert ("one_study", 6, jobs) in mapped
-        assert len(studies) == 6 and sorted(studies) == sorted(mapped_studies)
+        assert len(identities) == 2 and len(studies) == 6
         (dirac_ident,) = [t for w, t in suite_calls if w == "suite_dirac_schatten"]
         others = {t for w, t in suite_calls if w != "suite_dirac_schatten"}
         assert others == {main_ident}
+        # dirac-schatten's identity cases and studies run on its own thread
+        assert set(identities) | set(studies) == {dirac_ident}
         if jobs == 1:
             assert [w for w, _ in suite_calls] == list(_SUITE_NAMES)
-            assert dirac_ident == main_ident and set(studies) == {main_ident}
+            assert {t for _, t in calls} == {main_ident}
         else:
             assert dirac_ident != main_ident
-            assert not set(studies) & {main_ident, dirac_ident}
+            assert {t for _, t in calls} == {main_ident, dirac_ident}
 
     @pytest.mark.parametrize("jobs", [1, 2])
     def test_elapsed_is_at_most_the_wall_of_the_call(self, tmp_path, monkeypatch, capsys, jobs):
@@ -361,7 +355,7 @@ _EMPTY_SECTIONS = dict.fromkeys(
 def _fake_suite(name, elapsed, fail=False):
     """A suite runner that sleeps 0.1 s, then raises or returns one record."""
 
-    def run(seed, params, jobs):
+    def run(seed, params):
         t0 = time.perf_counter()
         time.sleep(0.1)
         if fail:
@@ -442,6 +436,20 @@ class TestCliConfigErrors:
         rc = main([section, "--config", cfg])
         assert rc == 2
         assert f"field '{field}'" in capsys.readouterr().err
+
+    def test_jobs_belongs_to_all_only(self, tmp_path, capsys):
+        # --jobs is a flag of `all` alone; the config file's `jobs` is still
+        # validated for every subcommand, as each section is
+        cfg = _write_config(tmp_path, {"jobs": 0})
+        for name in ("trace-check", "doi-check", "rm-cert", "dirac-schatten", "birman-krein"):
+            with pytest.raises(SystemExit) as exc:
+                main([name, "--jobs", "2"])
+            assert exc.value.code == 2
+            assert "--jobs" in capsys.readouterr().err
+            assert main([name, "--config", cfg]) == 2
+            assert "field 'jobs'" in capsys.readouterr().err
+        assert main(["all", "--config", cfg]) == 2
+        assert "field 'jobs'" in capsys.readouterr().err
 
     def test_unknown_subcommand_exits(self):
         with pytest.raises(SystemExit):

@@ -1,6 +1,7 @@
 """Tests for the lattice Dirac operator, weights and Schatten machinery."""
 
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -222,6 +223,40 @@ class TestFreeHamiltonian:
         assert not np.shares_memory(a, b)
 
 
+class TestBlockCirculant:
+    @staticmethod
+    def _symbols(model):
+        symbol, energy = dirac._symbol_grid(model)
+        scalar = (energy**2 + 1.0) ** -0.75
+        return {"spinor": symbol, "scalar": scalar[..., None, None].astype(complex)}
+
+    @pytest.mark.parametrize("d, n", [(1, 16), (2, 6), (3, 4)])
+    @pytest.mark.parametrize("kind", ["spinor", "scalar"])
+    def test_matches_site_difference_gather(self, d, n, kind):
+        # oracle: index the kernel by the (N^d, N^d, d) site differences
+        model = LatticeModel(d=d, n=n, h=0.9, mass=0.8)
+        symbol = self._symbols(model)[kind]
+        s = symbol.shape[-1]
+        kernel = np.fft.ifftn(symbol, axes=tuple(range(d))).reshape(n**d, s, s)
+        sites = model.site_vectors()
+        delta = np.mod(sites[:, None, :] - sites[None, :, :], n)
+        lin = np.ravel_multi_index(tuple(np.moveaxis(delta, -1, 0)), (n,) * d)
+        want = kernel[lin].transpose(0, 2, 1, 3).reshape(n**d * s, n**d * s)
+        np.testing.assert_array_equal(dirac._block_circulant(model, symbol), want)
+
+    @pytest.mark.parametrize("kind", ["spinor", "scalar"])
+    def test_peak_memory_near_the_result(self, kind):
+        model = LatticeModel(d=2, n=32, h=0.9, mass=0.8)
+        symbol = self._symbols(model)[kind]
+        tracemalloc.start()
+        try:
+            out = dirac._block_circulant(model, symbol)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.6 * out.nbytes
+
+
 def _dense_resolvent_power(model, z, k):
     """Oracle: resolvent power through a dense eigendecomposition of H0."""
     return resolvent_power(eig_hermitian(free_hamiltonian(model)), z, k)
@@ -365,6 +400,22 @@ class TestPowerDifference:
         rep = resolvent_power_difference(model, v0, v, 1j, 3)
         assert rep.relative_residual < 1e-9
         assert rep.trace_norm > 0
+
+    def test_inverts_up_to_the_power_it_reads(self, monkeypatch):
+        # the expansion reads R^k and R0^(mpow+1-k) for k = 1..mpow
+        model = _model(n=8)
+        v = random_decaying_potential(model, rng_from(93, 5), c=1.0, rho=4.0)
+        kmaxes = []
+        inverse_powers = dirac._inverse_powers
+
+        def recording(h, z, kmax):
+            kmaxes.append(kmax)
+            return inverse_powers(h, z, kmax)
+
+        monkeypatch.setattr(dirac, "_inverse_powers", recording)
+        rep = resolvent_power_difference(model, zero_potential(model), v, 1j, 3)
+        assert kmaxes == [3, 3]
+        assert rep.relative_residual < 1e-9
 
     def test_validation(self):
         model = _model(n=8)
