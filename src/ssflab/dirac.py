@@ -6,7 +6,8 @@ transform, so the only discretization error is domain truncation.  The
 spinors use one fixed matrix set per dimension, :data:`DIRAC_MATRICES`, and a
 :class:`LatticeModel` is plain data: dimension, points per axis, spacing and
 mass.  On top of it the module provides decaying weights, matrix-valued site
-potentials (embedded as the diagonal blocks of a dense matrix),
+potentials (added to ``H0`` as its diagonal blocks, and applied elsewhere
+through their ``(n_sites, s, s)`` site blocks, never as a dense matrix),
 weighted-resolvent singular-value studies (Schatten threshold law), the exact
 resolvent-power expansion, the weighted Hoelder factorization of its terms,
 and the exact weight-commutator identity.
@@ -254,8 +255,8 @@ def free_resolvent_power(model: LatticeModel, z: complex, k: int) -> np.ndarray:
 
 def _site_weights(model: LatticeModel, r: float) -> np.ndarray:
     """Site weights ``(1 + |x|^2)^{-r/2}``, one per site."""
-    if not (r > 0):
-        raise ValueError(f"weight exponent must be positive, got {r!r}")
+    if not (0 < r < np.inf):
+        raise ValueError(f"weight exponent must be finite and positive, got r={r!r}")
     return (1.0 + model.site_distances() ** 2) ** (-r / 2.0)
 
 
@@ -318,18 +319,22 @@ class MatrixPotential:
     def is_decaying(self) -> bool:
         return self.decay_c is not None
 
-    def to_operator(self) -> np.ndarray:
-        dim = self.model.total_dim
-        out = np.zeros((dim, dim), dtype=complex)
-        _site_blocks(out, self.model.spinor_dim)[...] = self.site_matrices
-        return out
-
 
 def _site_blocks(matrix: np.ndarray, s: int) -> np.ndarray:
     """Writable view of the ``s x s`` diagonal blocks of a C-contiguous square
     ``matrix``, shape ``(n_sites, s, s)``: the sitewise embedding of a potential."""
     n_sites = matrix.shape[0] // s
     return np.einsum("iaib->iab", matrix.reshape(n_sites, s, n_sites, s))
+
+
+def _apply_site_blocks(blocks: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """``V @ x`` for the block-diagonal ``V`` with ``(n_sites, s, s)`` site blocks.
+
+    One batched product over the sites: O(dim^2 s) work, where the product
+    with the embedded dense ``V`` would cost O(dim^3).
+    """
+    n_sites, s, _ = blocks.shape
+    return np.matmul(blocks, x.reshape(n_sites, s, -1)).reshape(x.shape)
 
 
 def zero_potential(model: LatticeModel) -> MatrixPotential:
@@ -340,14 +345,19 @@ def zero_potential(model: LatticeModel) -> MatrixPotential:
 def _random_site_matrices(
     model: LatticeModel, rng: np.random.Generator, bounds: np.ndarray, low_frac: float
 ) -> np.ndarray:
-    """Random Hermitian site matrices with norms uniform in ``[low_frac, 1] * bounds``."""
+    """Random Hermitian site matrices with norms uniform in ``[low_frac, 1] * bounds``.
+
+    Each site draws its matrix and then its norm fraction, in site order; the
+    spectral norms are then taken in one stacked call.
+    """
     s = model.spinor_dim
     mats = np.empty((model.n_sites, s, s), dtype=complex)
+    fracs = np.empty(model.n_sites)
     for i in range(model.n_sites):
-        a = random_hermitian(rng, s)
-        top = np.linalg.norm(a, ord=2)
-        mats[i] = a * (bounds[i] * rng.uniform(low_frac, 1.0) / max(top, ABS_FLOOR))
-    return mats
+        mats[i] = random_hermitian(rng, s)
+        fracs[i] = rng.uniform(low_frac, 1.0)
+    tops = np.maximum(np.linalg.norm(mats, ord=2, axis=(1, 2)), ABS_FLOOR)
+    return mats * (bounds * fracs / tops)[:, None, None]
 
 
 def random_decaying_potential(
@@ -561,13 +571,33 @@ def schatten_refinement_study(
 # resolvent-power expansion
 
 
-def _inverse_powers(h: np.ndarray, z: complex, kmax: int) -> list:
-    dim = h.shape[0]
-    base = np.linalg.solve(h - z * np.eye(dim), np.eye(dim, dtype=complex))
-    powers = [np.eye(dim, dtype=complex), base]
-    for _ in range(kmax - 1):
-        powers.append(powers[-1] @ base)
-    return powers
+def _resolvent(h: np.ndarray, z: complex) -> np.ndarray:
+    """``(h - z)^{-1}`` through an LU solve.
+
+    Shifts the diagonal of ``h`` in place, so callers hand over a matrix they
+    no longer need.
+    """
+    h[np.diag_indices_from(h)] -= z
+    return np.linalg.inv(h)
+
+
+def _horner_expansion(
+    res: np.ndarray, res0: np.ndarray, blocks: np.ndarray, mpow: int
+) -> np.ndarray:
+    """``sum_{k=1..mpow} R^k V R0^(mpow+1-k)``, summed by Horner's rule.
+
+    ``R (V R0^mpow + R (V R0^(mpow-1) + ... + R V R0))`` keeps one running
+    power of ``R0`` and applies ``V`` through its site ``blocks``: ``2 mpow - 1``
+    dense products instead of one per power and two per term.
+    """
+    power = res0
+    inner = _apply_site_blocks(blocks, power)
+    for _ in range(mpow - 1):
+        power = power @ res0
+        inner = res @ inner
+        inner += _apply_site_blocks(blocks, power)
+    del power
+    return res @ inner
 
 
 @dataclass(frozen=True)
@@ -595,26 +625,32 @@ def resolvent_power_difference(
     unperturbed operators equals minus the sum over k of
     ``R^k V R0^(mpow+1-k)``.  The left side is computed by eigendecomposition,
     the right side by LU-based inversion, so agreement is a genuine
-    cross-check rather than a tautology.
+    cross-check rather than a tautology.  The right side inverts ``H`` and
+    ``H0`` once each and is summed by Horner's rule, with ``V`` applied
+    through its site blocks.
     """
     z, mpow = _check_resolvent_args(z, mpow)
     if mpow % 2 == 0:
         raise ValueError(f"mpow must be an odd integer >= 1, got {mpow!r}")
     h0 = perturbed_hamiltonian(model, v0)
     h = perturbed_hamiltonian(model, v0, v)
-    vop = v.to_operator()
 
-    lhs = resolvent_power(eig_hermitian(h), z, mpow) - resolvent_power(
-        eig_hermitian(h0), z, mpow
-    )
+    lhs = resolvent_power(eig_hermitian(h), z, mpow)
+    lhs -= resolvent_power(eig_hermitian(h0), z, mpow)
 
-    rp = _inverse_powers(h, z, mpow)
-    r0p = _inverse_powers(h0, z, mpow)
-    rhs = np.zeros_like(lhs)
-    for k in range(1, mpow + 1):
-        rhs -= rp[k] @ vop @ r0p[mpow + 1 - k]
+    # each dense operator is dropped after its last use: the peak stays near
+    # seven dense matrices, the left side's eigendecomposition included
+    res0 = _resolvent(h0, z)
+    del h0
+    res = _resolvent(h, z)
+    del h
+    # lhs - rhs with rhs = -(the expansion sum)
+    diff = _horner_expansion(res, res0, v.site_matrices, mpow)
+    del res, res0
+    diff += lhs
 
-    residual = float(np.abs(lhs - rhs).max())
+    residual = float(np.abs(diff).max())
+    del diff
     scale = max(float(np.abs(lhs).max()), ABS_FLOOR)
     return PowerDifferenceReport(
         d=model.d,
@@ -670,12 +706,14 @@ def weighted_factorization_report(
     for a trace-class Hoelder pairing; at rho = d it is exactly 1 and the
     factorization is flagged infeasible.  ``R0`` is the free resolvent, built
     from the symbol by :func:`free_resolvent_power`; only ``R`` is inverted.
+    ``V`` and the middle factor act through their site blocks.
     """
     if not v.is_decaying:
         raise ValueError("factorization needs a potential with declared decay")
     z, mpow = _check_resolvent_args(z, mpow)
-    if not (1 <= k <= mpow):
-        raise ValueError(f"k must lie in 1..mpow, got {k!r}")
+    if not _is_integer(k) or not 1 <= k <= mpow:
+        raise ValueError(f"k must be an integer in 1..mpow = {mpow}, got k={k!r}")
+    k = int(k)
     rho = float(v.decay_rho)
     j = mpow + 1 - k
     r1 = k * rho / (mpow + 1)
@@ -685,22 +723,30 @@ def weighted_factorization_report(
     budget = u1 + u2
     feasible = bool(budget > 1.0)
 
-    h = perturbed_hamiltonian(model, v)
-    vop = v.to_operator()
-    rk = _inverse_powers(h, z, k)[k]
+    res = _resolvent(perturbed_hamiltonian(model, v), z)
+    rk = res
+    for _ in range(k - 1):
+        rk = rk @ res
+    del res
     r0j = free_resolvent_power(model, z, j)
-    direct = rk @ vop @ r0j
+    direct = rk @ _apply_site_blocks(v.site_matrices, r0j)
     direct_trace = schatten_norm(singular_values(direct), 1)
 
-    w1 = weight_diagonal(model, r1)
-    w2 = weight_diagonal(model, r2)
-    # middle factor: weights inverted against the sitewise potential; diagonal
-    # weights commute with sitewise blocks, so this is exactly <x>^(r1+r2) V
-    comp = vop / (w1[:, None] * w2[None, :])
-    left = rk * w1[None, :]
-    right = w2[:, None] * r0j
-    product = left @ comp @ right
-    factorization_residual = float(np.abs(product - direct).max())
+    w1 = _site_weights(model, r1)
+    w2 = _site_weights(model, r2)
+    s = model.spinor_dim
+    # middle factor <x>^(r1+r2) V: the diagonal weights commute with the site
+    # blocks, so it stays block diagonal; left and right are scaled in place
+    mid = v.site_matrices / (w1 * w2)[:, None, None]
+    left = rk
+    left *= np.repeat(w1, s)[None, :]
+    right = r0j
+    right *= np.repeat(w2, s)[:, None]
+    product = left @ _apply_site_blocks(mid, right)
+    del right, r0j
+    product -= direct
+    factorization_residual = float(np.abs(product).max())
+    del product, direct
 
     # an infeasible budget has no Hoelder pairing: its fields stay None
     p1 = p2 = norm_left = norm_mid = norm_right = product_bound = holder_ok = None
@@ -708,9 +754,7 @@ def weighted_factorization_report(
         p1 = budget / u1
         p2 = budget / u2
         norm_left = schatten_norm(singular_values(left), p1)
-        # comp is block diagonal: its norm is the largest site-block norm
-        blocks = _site_blocks(comp, model.spinor_dim)
-        norm_mid = float(np.linalg.norm(blocks, ord=2, axis=(1, 2)).max())
+        norm_mid = float(np.linalg.norm(mid, ord=2, axis=(1, 2)).max())
         norm_right = schatten_norm(_weighted_resolvent_profile(model, r2, j, z), p2)
         product_bound = norm_left * norm_mid * norm_right
         holder_ok = bool(direct_trace <= product_bound * (1.0 + 1e-9))
@@ -758,22 +802,33 @@ def commutator_identity_residual(
     only the free part survives in the commutator.  Returns the sup-norm
     residual divided by the sup norm of the left side.
     """
-    if k < 0:
-        raise ValueError(f"k must be >= 0, got {k!r}")
+    if not _is_integer(k) or k < 0:
+        raise ValueError(f"k must be an integer >= 0, got k={k!r}")
     # the identity carries R^(k+1)
     z, _ = _check_resolvent_args(z, k + 1)
-    h00 = free_hamiltonian(model)
-    h = perturbed_hamiltonian(model, v0, v)
     w = weight_diagonal(model, r)
-    powers = _inverse_powers(h, z, k + 1)
-    rk = powers[k]
-    rk1 = powers[k + 1]
-    res = powers[1]
-    comm = h00 * w[None, :] - w[:, None] * h00
-    lhs = w[:, None] * rk1
-    rhs = res @ (w[:, None] * rk) + res @ comm @ rk1
+    h00 = free_hamiltonian(model)
+    comm = h00 * w[None, :]
+    comm -= w[:, None] * h00
+    del h00
+    res = _resolvent(perturbed_hamiltonian(model, v0, v), z)
+    # R^k (None for the identity at k = 0) and R^(k+1)
+    rk, rk1 = None, res
+    for _ in range(k):
+        rk, rk1 = rk1, rk1 @ res
+    # right side R (W R^k + C R^(k+1)); each dense matrix is dropped after its
+    # last use
+    inner = comm @ rk1
+    del comm
+    inner += np.diag(w) if rk is None else w[:, None] * rk
+    del rk
+    rhs = res @ inner
+    del res, inner
+    lhs = rk1
+    lhs *= w[:, None]
     scale = max(schatten_norm(singular_values(lhs), np.inf), ABS_FLOOR)
-    return schatten_norm(singular_values(lhs - rhs), np.inf) / scale
+    rhs -= lhs
+    return schatten_norm(singular_values(rhs), np.inf) / scale
 
 
 @dataclass(frozen=True)

@@ -1,6 +1,7 @@
 """Helpers shared by the test modules (not part of the ssflab API)."""
 
 import numpy as np
+import scipy.linalg
 
 
 def random_unitary(rng: np.random.Generator, n: int) -> np.ndarray:
@@ -18,3 +19,9 @@ def derivative_defect(f, points, step_scale: float = 1e-5) -> float:
     an = np.asarray(f.d1(pts))
     scale = np.maximum(np.abs(an), np.maximum(np.abs(fd), 1.0))
     return float(np.max(np.abs(fd - an) / scale))
+
+
+def potential_operator(v) -> np.ndarray:
+    """Dense block-diagonal matrix of a sitewise potential: the oracle for the
+    site-block products of ``ssflab.dirac``."""
+    return scipy.linalg.block_diag(*v.site_matrices)

@@ -30,7 +30,9 @@ from ssflab.dirac import (
     zero_potential,
 )
 from ssflab.spectral import eig_hermitian, resolvent_power
-from ssflab.utils import rng_from
+from ssflab.utils import random_hermitian, rng_from
+
+from helpers import potential_operator
 
 
 def _model(d=1, n=32, h=None, mass=1.0):
@@ -303,6 +305,11 @@ class TestWeights:
         with pytest.raises(ValueError, match="positive"):
             weight_diagonal(_model(n=4), 0.0)
 
+    @pytest.mark.parametrize("r", [np.inf, np.nan])
+    def test_rejects_non_finite_exponent_naming_it(self, r):
+        with pytest.raises(ValueError, match=f"finite and positive, got r={r!r}"):
+            weight_diagonal(_model(n=4), r)
+
 
 class TestMatrixPotential:
     def test_shape_and_hermiticity_validation(self):
@@ -361,7 +368,7 @@ class TestMatrixPotential:
     def test_to_operator_is_block_diagonal(self):
         model = _model(n=4)
         v = random_bounded_potential(model, rng_from(3), bound=1.0)
-        op = v.to_operator()
+        op = potential_operator(v)
         s = model.spinor_dim
         for i in range(model.n_sites):
             blk = op[i * s : (i + 1) * s, i * s : (i + 1) * s]
@@ -371,16 +378,49 @@ class TestMatrixPotential:
             off[i * s : (i + 1) * s, i * s : (i + 1) * s] = 0
         assert np.abs(off).max() == 0.0
 
+    @pytest.mark.parametrize("d, n", [(1, 16), (2, 6), (3, 4)])
+    def test_batched_norms_match_per_site_loop(self, d, n):
+        # oracle: one spectral norm per site, drawn in the same order
+        model = LatticeModel(d=d, n=n, h=0.9, mass=0.8)
+        bounds = 1.5 * (1.0 + model.site_distances()) ** -3.0
+        rng = rng_from(97, d)
+        want = np.empty((model.n_sites, model.spinor_dim, model.spinor_dim), dtype=complex)
+        for i in range(model.n_sites):
+            a = random_hermitian(rng, model.spinor_dim)
+            top = np.linalg.norm(a, ord=2)
+            want[i] = a * (bounds[i] * rng.uniform(0.5, 1.0) / max(top, spectral.ABS_FLOOR))
+        got = dirac._random_site_matrices(model, rng_from(97, d), bounds, 0.5)
+        np.testing.assert_array_equal(got, want)
+
+    @pytest.mark.parametrize("d, n", [(1, 32), (2, 6), (3, 4)])
+    def test_site_block_product_matches_dense(self, d, n):
+        model = LatticeModel(d=d, n=n, h=0.9, mass=0.8)
+        rng = rng_from(98, d)
+        v = random_bounded_potential(model, rng, bound=2.0)
+        x = rng.standard_normal((model.total_dim, 7)) + 1j * rng.standard_normal(
+            (model.total_dim, 7)
+        )
+        vop = potential_operator(v)
+        got = dirac._apply_site_blocks(v.site_matrices, x)
+        assert got.shape == x.shape
+        tol = (
+            model.total_dim
+            * np.finfo(float).eps
+            * np.linalg.norm(vop, ord=2)
+            * np.linalg.norm(x, ord=2)
+        )
+        assert np.abs(got - vop @ x).max() <= tol
+
     def test_zero_potential(self):
         model = _model(n=4)
-        assert np.abs(zero_potential(model).to_operator()).max() == 0.0
+        assert np.abs(potential_operator(zero_potential(model))).max() == 0.0
 
     def test_perturbed_hamiltonian_adds_blocks(self):
         model = _model(n=8)
         v = random_bounded_potential(model, rng_from(5), bound=0.5)
         h = perturbed_hamiltonian(model, v)
         h00 = free_hamiltonian(model)
-        np.testing.assert_allclose(h, h00 + v.to_operator(), atol=1e-14)
+        np.testing.assert_allclose(h, h00 + potential_operator(v), atol=1e-14)
         other = _model(n=4)
         with pytest.raises(ValueError, match=r"lattice LatticeModel\(d=1, n=4, .* n=8,"):
             perturbed_hamiltonian(model, zero_potential(other))
@@ -402,20 +442,58 @@ class TestPowerDifference:
         assert rep.trace_norm > 0
 
     def test_inverts_up_to_the_power_it_reads(self, monkeypatch):
-        # the expansion reads R^k and R0^(mpow+1-k) for k = 1..mpow
+        # the expansion inverts H and H0 once each and applies V once per
+        # power of R0 (Horner's rule), never as a dense matrix
         model = _model(n=8)
+        v0 = random_bounded_potential(model, rng_from(93, 4), bound=0.3)
         v = random_decaying_potential(model, rng_from(93, 5), c=1.0, rho=4.0)
-        kmaxes = []
-        inverse_powers = dirac._inverse_powers
+        inverted = []
+        applied = []
+        resolvent = dirac._resolvent
+        apply_site_blocks = dirac._apply_site_blocks
 
-        def recording(h, z, kmax):
-            kmaxes.append(kmax)
-            return inverse_powers(h, z, kmax)
+        def recording_resolvent(h, z):
+            inverted.append(np.array(h))
+            return resolvent(h, z)
 
-        monkeypatch.setattr(dirac, "_inverse_powers", recording)
-        rep = resolvent_power_difference(model, zero_potential(model), v, 1j, 3)
-        assert kmaxes == [3, 3]
+        def recording_blocks(blocks, x):
+            applied.append(blocks)
+            return apply_site_blocks(blocks, x)
+
+        monkeypatch.setattr(dirac, "_resolvent", recording_resolvent)
+        monkeypatch.setattr(dirac, "_apply_site_blocks", recording_blocks)
+        rep = resolvent_power_difference(model, v0, v, 1j, 3)
+        assert len(inverted) == 2
+        np.testing.assert_array_equal(inverted[0], perturbed_hamiltonian(model, v0))
+        np.testing.assert_array_equal(inverted[1], perturbed_hamiltonian(model, v0, v))
+        assert len(applied) == 3
+        assert all(blocks is v.site_matrices for blocks in applied)
         assert rep.relative_residual < 1e-9
+
+    @pytest.mark.parametrize("mpow", [1, 3, 5])
+    @pytest.mark.parametrize("d, n", [(1, 16), (2, 4), (3, 2)])
+    def test_horner_sum_matches_term_by_term_sum(self, d, n, mpow):
+        # oracle: the sum as it was written before, one dense term per k
+        model = LatticeModel(d=d, n=n, h=0.9, mass=0.8)
+        rng = rng_from(93, 6, d)
+        v0 = random_bounded_potential(model, rng, bound=0.3)
+        v = random_decaying_potential(model, rng, c=1.0, rho=4.0)
+        z = 0.3 + 1j
+        eye = np.eye(model.total_dim)
+        res0 = np.linalg.solve(perturbed_hamiltonian(model, v0) - z * eye, eye)
+        res = np.linalg.solve(perturbed_hamiltonian(model, v0, v) - z * eye, eye)
+        vop = potential_operator(v)
+        want = sum(
+            np.linalg.matrix_power(res, k) @ vop @ np.linalg.matrix_power(res0, mpow + 1 - k)
+            for k in range(1, mpow + 1)
+        )
+        inputs = (res.copy(), res0.copy())
+        got = dirac._horner_expansion(res, res0, v.site_matrices, mpow)
+        np.testing.assert_array_equal(res, inputs[0])
+        np.testing.assert_array_equal(res0, inputs[1])
+        # every term is bounded by |V| / |Im z|^(mpow+1), with |Im z| = 1
+        tol = mpow * model.total_dim * np.finfo(float).eps * np.linalg.norm(vop, ord=2)
+        assert np.abs(got - want).max() <= tol
 
     def test_validation(self):
         model = _model(n=8)
@@ -449,6 +527,21 @@ class TestCommutatorIdentity:
             commutator_identity_residual(model, v0, v0, 1.0, -1, 1j)
         with pytest.raises(ValueError, match="Im z"):
             commutator_identity_residual(model, v0, v0, 1.0, 1, 2.0)
+
+    @pytest.mark.parametrize("k", [True, 1.5, 2.0, -1])
+    def test_rejects_non_integer_k_naming_it(self, k):
+        # a bool used to run as k = 1, and k = 1.5 was reported as "got 2.5"
+        model = _model(n=8)
+        v0 = zero_potential(model)
+        with pytest.raises(ValueError, match=rf"k must be an integer >= 0, got k={k!r}"):
+            commutator_identity_residual(model, v0, v0, 1.0, k, 1j)
+
+    def test_accepts_numpy_integer_k(self):
+        model = _model(n=8)
+        v0 = random_bounded_potential(model, rng_from(2), 0.3)
+        v = random_decaying_potential(model, rng_from(3), 1.0, 4.0)
+        want = commutator_identity_residual(model, v0, v, 1.0, 2, 1j)
+        assert commutator_identity_residual(model, v0, v, 1.0, np.int64(2), 1j) == want
 
     @pytest.mark.parametrize("z", [2.0, complex("nan+1j"), complex("1+infj")])
     def test_rejects_bad_point_naming_it(self, z):
@@ -515,6 +608,46 @@ class TestForeignLattice:
     def test_factorization(self, foreign):
         with pytest.raises(ValueError, match="lattice"):
             weighted_factorization_report(self.MODEL, foreign, 2, 3, 1j)
+
+
+class TestIdentityMemory:
+    """Peak traced memory of each identity check, in dense ``dim x dim`` matrices.
+
+    The potential enters through its site blocks and every dense operator is
+    dropped after its last use; multiplying by a dense ``V`` and holding every
+    resolvent power took 15, 11 and 10.5 matrices.
+    """
+
+    MODEL = LatticeModel(d=1, n=128, h=balanced_spacing(128), mass=1.0)
+
+    def _peak(self, call) -> float:
+        tracemalloc.start()
+        try:
+            call()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        return peak / (16 * self.MODEL.total_dim**2)
+
+    def _potentials(self):
+        rng = rng_from(99)
+        v0 = random_bounded_potential(self.MODEL, rng, bound=0.3)
+        v = random_decaying_potential(self.MODEL, rng, c=1.0, rho=4.0)
+        return v0, v
+
+    def test_power_difference(self):
+        v0, v = self._potentials()
+        assert self._peak(lambda: resolvent_power_difference(self.MODEL, v0, v, 1j, 3)) <= 7.5
+
+    def test_commutator_identity(self):
+        v0, v = self._potentials()
+        peak = self._peak(lambda: commutator_identity_residual(self.MODEL, v0, v, 1.0, 2, 1j))
+        assert peak <= 5.5
+
+    def test_factorization(self):
+        _, v = self._potentials()
+        peak = self._peak(lambda: weighted_factorization_report(self.MODEL, v, 2, 3, 1j))
+        assert peak <= 5.5
 
 
 # ---------------------------------------------------------------------------
@@ -692,17 +825,17 @@ class TestFactorization:
     def test_inverts_only_the_perturbed_operator(self, monkeypatch):
         model, v = self._inputs(4.0, n=16)
         inverted = []
-        inverse_powers = dirac._inverse_powers
+        resolvent = dirac._resolvent
 
-        def recording(h, z, kmax):
+        def recording(h, z):
             inverted.append(np.array(h))
-            return inverse_powers(h, z, kmax)
+            return resolvent(h, z)
 
-        monkeypatch.setattr(dirac, "_inverse_powers", recording)
+        monkeypatch.setattr(dirac, "_resolvent", recording)
         weighted_factorization_report(model, v, 2, 3, 1j)
         h00 = free_hamiltonian(model)
         assert len(inverted) == 1
-        np.testing.assert_array_equal(inverted[0], h00 + v.to_operator())
+        np.testing.assert_array_equal(inverted[0], h00 + potential_operator(v))
 
     @pytest.mark.parametrize("n", [16, 32])
     def test_direct_trace_norm_matches_dense_free_inverse(self, n):
@@ -710,7 +843,7 @@ class TestFactorization:
         k, mpow, z = 2, 3, 1j
         rep = weighted_factorization_report(model, v, k, mpow, z)
         h00 = free_hamiltonian(model)
-        vop = v.to_operator()
+        vop = potential_operator(v)
         eye = np.eye(model.total_dim)
         rk = np.linalg.matrix_power(np.linalg.solve(h00 + vop - z * eye, eye), k)
         r0j = np.linalg.matrix_power(np.linalg.solve(h00 - z * eye, eye), mpow + 1 - k)
@@ -725,11 +858,24 @@ class TestFactorization:
         j = mpow + 1 - k
         w1 = weight_diagonal(model, rep.r1)
         w2 = weight_diagonal(model, rep.r2)
-        comp = v.to_operator() / (w1[:, None] * w2[None, :])
+        comp = potential_operator(v) / (w1[:, None] * w2[None, :])
         right = w2[:, None] * free_resolvent_power(model, z, j)
         assert rep.norm_mid == pytest.approx(np.linalg.norm(comp, ord=2), rel=1e-12)
         want = spectral.schatten_norm(spectral.singular_values(right), rep.p2)
         assert rep.norm_right == pytest.approx(want, rel=1e-12)
+
+    @pytest.mark.parametrize("k", [1, 3])
+    def test_unequal_weight_split_matches_dense(self, k):
+        # at k = 2 of mpow = 3 the two weights coincide (r1 = r2), so only an
+        # unequal split tells the left weight from the right one
+        model, v = self._inputs(4.0, n=16)
+        rep = weighted_factorization_report(model, v, k, 3, 1j)
+        assert rep.r1 != rep.r2 and rep.feasible
+        assert rep.factorization_residual / rep.direct_trace_norm < 1e-9
+        w1 = weight_diagonal(model, rep.r1)
+        w2 = weight_diagonal(model, rep.r2)
+        comp = potential_operator(v) / (w1[:, None] * w2[None, :])
+        assert rep.norm_mid == pytest.approx(np.linalg.norm(comp, ord=2), rel=1e-12)
 
     def test_validation(self):
         model, v = self._inputs(4.0, n=8)
@@ -739,6 +885,20 @@ class TestFactorization:
             weighted_factorization_report(model, v, 4, 3, 1j)
         with pytest.raises(ValueError, match="Im z"):
             weighted_factorization_report(model, v, 1, 3, 0.5)
+
+    @pytest.mark.parametrize("k", [True, 2.0, 0, 4])
+    def test_rejects_bad_k_naming_it(self, k):
+        # a bool used to come back as the report's k, and 2.0 raised a bare
+        # TypeError from list indexing
+        model, v = self._inputs(4.0, n=8)
+        with pytest.raises(ValueError, match=rf"k must be an integer in 1..mpow = 3, got k={k!r}"):
+            weighted_factorization_report(model, v, k, 3, 1j)
+
+    def test_numpy_integer_k_reports_an_int(self):
+        model, v = self._inputs(4.0, n=8)
+        rep = weighted_factorization_report(model, v, np.int64(2), 3, 1j)
+        assert type(rep.k) is int and rep.k == 2
+        assert rep == weighted_factorization_report(model, v, 2, 3, 1j)
 
     @pytest.mark.parametrize("z", [0.5, complex("nan+1j"), complex("1+infj")])
     def test_rejects_bad_point_naming_it(self, z):
