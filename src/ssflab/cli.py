@@ -135,14 +135,6 @@ def _cert_list(arity: int):
     return check
 
 
-def _exterior_cert_list(field, value):
-    parsed = _cert_list(4)(field, value)
-    for i, (_, r, _, cap) in enumerate(parsed):
-        if cap <= r:
-            raise ConfigError(f"{field}[{i}][3]", f"expected lam_max > r = {r:g}, got {cap:g}")
-    return parsed
-
-
 def _eps_schedule(field, value):
     if value is None:
         return None
@@ -207,13 +199,12 @@ _SCHEMA = {
         ),
     },
     "rm-cert": {
-        "grid_n": (501, _int_field(low=11)),
         "grid_edge": (1e5, _real_field(low=1e3)),
         "bounded_certs": (
             [[3, 1.0, 10.0], [3, 5.0, 50.0], [5, 1.0, 20.0]],
             _cert_list(3),
         ),
-        "exterior_certs": ([[3, 1.0, 0.01, 100.0]], _exterior_cert_list),
+        "exterior_certs": ([[3, 1.0, 0.01]], _cert_list(3)),
     },
     "dirac-schatten": {
         "identity_n_list": ([32, 64], _int_list(low=2, even=True)),

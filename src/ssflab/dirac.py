@@ -807,11 +807,13 @@ def commutator_identity_residual(
     # the identity carries R^(k+1)
     z, _ = _check_resolvent_args(z, k + 1)
     w = weight_diagonal(model, r)
-    h00 = free_hamiltonian(model)
-    comm = h00 * w[None, :]
-    comm -= w[:, None] * h00
-    del h00
-    res = _resolvent(perturbed_hamiltonian(model, v0, v), z)
+    h = perturbed_hamiltonian(model, v0, v)
+    # the potentials' site blocks commute with W exactly, so this is the
+    # commutator of the free operator alone
+    comm = h * w[None, :]
+    comm -= w[:, None] * h
+    res = _resolvent(h, z)
+    del h
     # R^k (None for the identity at k = 0) and R^(k+1)
     rk, rk1 = None, res
     for _ in range(k):

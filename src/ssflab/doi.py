@@ -13,14 +13,17 @@ the telescoping cofactor
     p(x, y; z) = sum_{j=0}^{m-1} (x - z)^(m-1-j) (y - z)^j,
 
 with ``(x-z)^m - (y-z)^m = (x - y) p(x, y; z)``.  The module provides the
-cofactor algebra, grid certificates for its lower bounds, the kernel in
-direct and factored form, the exact finite-dimensional identity check, and
-boundedness reports for the transformer hypotheses (sup norm, weighted
-derivative, equal limits at both infinities).
+cofactor algebra; closed-form lower bounds on ``|p|`` over a square and its
+exterior, from the factorization of ``p`` over the m-th roots of unity; the
+kernel in direct and factored form; the exact finite-dimensional identity
+check; and boundedness reports for the transformer hypotheses (sup norm,
+weighted derivative, equal limits at both infinities).
 """
 
 from __future__ import annotations
 
+import cmath
+import math
 from dataclasses import dataclass
 from typing import Optional, Union
 
@@ -117,16 +120,17 @@ class CofactorPolynomial:
     def __call__(self, lam, mu):
         return _p_eval(self.m, self.z, lam, mu)
 
-    def dlam(self, lam, mu):
-        return _p_dlam(self.m, self.z, lam, mu)
-
-    def dmu(self, lam, mu):
-        # p is symmetric under swapping its two arguments
-        return _p_dlam(self.m, self.z, mu, lam)
-
 
 # ---------------------------------------------------------------------------
-# lower-bound grid certificates
+# closed-form lower-bound certificates
+#
+# Over the m-th roots of unity w_k = exp(2 pi i k / m) the cofactor factors as
+#
+#     p(x, y; z) = prod_{k=1}^{m-1} ((x - z) - w_k (y - z))
+#                = prod_{k=1}^{m-1} (u_k - c_k),  u_k = x - w_k y,  c_k = z (1 - w_k),
+#
+# so a lower bound on each |u_k - c_k| over the region multiplies into one on
+# |p|.  For odd m no w_k is real, so every u_k sweeps a true parallelogram.
 
 
 @dataclass(frozen=True)
@@ -138,10 +142,9 @@ class BoundedRegion:
 
 @dataclass(frozen=True)
 class ExteriorRegion:
-    """Points with ``max(|x|, |y|) >= r``, capped at ``lam_max`` per axis."""
+    """The unbounded exterior ``max(|x|, |y|) >= r``."""
 
     r: float
-    lam_max: float
 
 
 @dataclass(frozen=True)
@@ -149,99 +152,74 @@ class LowerBoundCertificate:
     m: int
     z: complex
     region: Union[BoundedRegion, ExteriorRegion]
-    grid_n: int
-    c_observed: float
-    slack: float
+    lower_bound: float
     passed: bool
-    min_location: tuple
 
 
-_GRAD_SAFETY = 1.5
+def _segment_distance(c: complex, start: complex, step: complex) -> float:
+    """Distance from ``c`` to the segment ``start + t step``, ``0 <= t <= 1``."""
+    t = ((c - start) * step.conjugate()).real / abs(step) ** 2
+    return abs(c - start - min(max(t, 0.0), 1.0) * step)
 
 
-def _exterior_axis(r: float, lam_max: float, grid_n: int) -> np.ndarray:
-    n_tail = grid_n // 3
-    n_in = grid_n - 2 * n_tail
-    if n_in < 3 or n_tail < 2:
-        raise ValueError(f"grid_n={grid_n} too small for an exterior certificate")
-    inner = np.linspace(-r, r, n_in)
-    pos = np.geomspace(r, lam_max, n_tail + 1)[1:]
-    return np.concatenate([-pos[::-1], inner, pos])
+def _parallelogram_distance(c: complex, w: complex, r: float) -> float:
+    """Distance from ``c`` to ``{x + w y : |x|, |y| <= r}`` for non-real ``w``."""
+    # coordinates of c in the basis (1, w)
+    y = c.imag / w.imag
+    x = c.real - y * w.real
+    if abs(x) <= r and abs(y) <= r:
+        return 0.0
+    edges = (
+        (complex(-r) - w * r, 2 * w * r),  # x = -r
+        (complex(r) - w * r, 2 * w * r),  # x = +r
+        (complex(-r) - w * r, complex(2 * r)),  # y = -r
+        (complex(-r) + w * r, complex(2 * r)),  # y = +r
+    )
+    return min(_segment_distance(c, start, step) for start, step in edges)
 
 
-def _half_spacings(axis: np.ndarray) -> np.ndarray:
-    gaps = np.diff(axis)
-    left = np.concatenate([[gaps[0]], gaps])
-    right = np.concatenate([gaps, [gaps[-1]]])
-    return 0.5 * np.maximum(left, right)
+def _factor_bounds(
+    p: CofactorPolynomial, region: Union[BoundedRegion, ExteriorRegion]
+) -> list:
+    """Lower bounds on ``|u_k - c_k|`` (bounded) or ``|u_k - c_k| / s`` (exterior), k = 1..m-1.
+
+    Bounded: ``u_k`` fills the parallelogram ``[-r, r] + w_k [-r, r]``, so the
+    factor is at least the distance from ``c_k`` to it.  Exterior, with
+    ``s = |x| + |y| >= r``: ``|x - w_k y|^2 >= s^2 (1 - |cos theta_k|) / 2``,
+    so ``|u_k - c_k| / s >= kappa_k - |c_k| / r`` with
+    ``kappa_k = sqrt((1 - |cos theta_k|) / 2)``.
+    """
+    if not isinstance(region, (BoundedRegion, ExteriorRegion)):
+        raise TypeError(f"unknown region {region!r}")
+    r = float(region.r)
+    if not (math.isfinite(r) and r > 0):
+        raise ValueError(f"region requires a finite r > 0, got r={region.r!r}")
+    bounds = []
+    for k in range(1, p.m):
+        theta = 2.0 * math.pi * k / p.m
+        w = cmath.exp(1j * theta)
+        c = p.z * (1.0 - w)
+        if isinstance(region, BoundedRegion):
+            bounds.append(_parallelogram_distance(c, w, r))
+        else:
+            kappa = math.sqrt(0.5 * (1.0 - abs(math.cos(theta))))
+            bounds.append(max(kappa - abs(c) / r, 0.0))
+    return bounds
 
 
 def cofactor_lower_bound_cert(
-    p: CofactorPolynomial,
-    region: Union[BoundedRegion, ExteriorRegion],
-    grid_n: int,
+    p: CofactorPolynomial, region: Union[BoundedRegion, ExteriorRegion]
 ) -> LowerBoundCertificate:
-    """Grid certificate for a lower bound on the cofactor.
+    """Closed-form lower bound on the cofactor over a region.
 
-    Bounded mode certifies ``min |p|`` over the square; exterior mode
-    certifies ``min |p| / (|x| + |y|)^(m-1)`` over the capped exterior.  The
-    reported slack is a Lipschitz correction from the local grid spacing and
-    analytic partial derivatives, so ``c_observed - slack > 0`` is a sound
-    one-sided claim at grid resolution.
+    Bounded mode bounds ``min |p|`` over the square; exterior mode bounds
+    ``inf |p| / (|x| + |y|)^(m-1)`` over the whole unbounded exterior.  The
+    bound is the product of the per-factor bounds of :func:`_factor_bounds`,
+    valid at every point of the region; it passes when positive.
     """
-    if grid_n < 11:
-        raise ValueError("grid_n must be at least 11")
-    m, z = p.m, p.z
-    if isinstance(region, BoundedRegion):
-        if region.r <= 0:
-            raise ValueError("bounded region requires r > 0")
-        axis = np.linspace(-region.r, region.r, grid_n)
-        mask = np.ones((grid_n, grid_n), dtype=bool)
-    elif isinstance(region, ExteriorRegion):
-        if not (0 < region.r < region.lam_max):
-            raise ValueError("exterior region requires 0 < r < lam_max")
-        axis = _exterior_axis(region.r, region.lam_max, grid_n)
-        eps = 1e-12 * region.r
-        lam_in = np.abs(axis) >= region.r - eps
-        mask = lam_in[:, None] | lam_in[None, :]
-    else:
-        raise TypeError(f"unknown region {region!r}")
-
-    lam = axis[:, None]
-    mu = axis[None, :]
-    pv = np.abs(p(lam, mu))
-    glam = np.abs(p.dlam(lam, mu))
-    # both axes are ``axis`` and p is symmetric, so dp/dmu is the transpose
-    gmu = glam.T
-
-    if isinstance(region, BoundedRegion):
-        q = pv
-        grad_lam, grad_mu = glam, gmu
-    else:
-        # interior nodes are masked out below but still flow through the
-        # arithmetic; pin their normalization to 1 so nothing divides by zero
-        s = np.where(mask, np.abs(lam) + np.abs(mu), 1.0)
-        norm = s ** (m - 1)
-        q = pv / norm
-        grad_lam = glam / norm + (m - 1) * pv / (norm * s)
-        grad_mu = gmu / norm + (m - 1) * pv / (norm * s)
-
-    hs = _half_spacings(axis)
-    slack_local = _GRAD_SAFETY * (hs[:, None] * grad_lam + hs[None, :] * grad_mu)
-    q_masked = np.where(mask, q, np.inf)
-    lower = np.where(mask, q - slack_local, np.inf)
-    c_observed = float(np.min(q_masked))
-    lb = float(np.min(lower))
-    i, j = np.unravel_index(int(np.argmin(lower)), lower.shape)
+    lower = math.prod(_factor_bounds(p, region))
     return LowerBoundCertificate(
-        m=m,
-        z=z,
-        region=region,
-        grid_n=grid_n,
-        c_observed=c_observed,
-        slack=c_observed - lb,
-        passed=bool(lb > 0.0),
-        min_location=(float(axis[i]), float(axis[j])),
+        m=p.m, z=p.z, region=region, lower_bound=lower, passed=lower > 0.0
     )
 
 
@@ -458,52 +436,45 @@ def doi_identity_residual(
 class KernelHypothesesReport:
     sup_abs: float
     sup_weighted_dlambda: float
+    sup_abs_rise: float
+    sup_weighted_dlambda_rise: float
     limit_mismatch: float
-    edge: float
-    region_sups: dict
     dlambda_tail_exponent: float
 
 
-def kernel_hypotheses_report(
-    k: DoiKernel, lam_grid, mu_grid, region_r: float
-) -> KernelHypothesesReport:
+def kernel_hypotheses_report(k: DoiKernel, lam_grid, mu_grid) -> KernelHypothesesReport:
     """Sampled boundedness checks behind the Hadamard-transformer estimates.
 
-    Reports ``sup |K|``, ``sup (1 + x^2) |dK/dx|``, the mismatch between the
-    two infinite limits sampled at the grid edge, the same sups split over
-    the bounded square / strips / exterior at radius ``region_r``, and the
-    fitted tail decay exponent of ``sup_y |dK/dx|``.
+    Reports ``sup |K|``, ``sup (1 + x^2) |dK/dx|``, the relative rise of each
+    sup from the inner square ``|x|, |y| <= edge / 10`` to the whole grid, the
+    mismatch between the two infinite limits sampled at the grid edge, and the
+    fitted tail decay exponent of ``sup_y |dK/dx|``.  The whole grid contains
+    the inner square, so a rise is never negative, and any positive rise means
+    the outer decade raised the sup: the grid has not shown it bounded.
     """
     lam = np.asarray(lam_grid, dtype=float)
     mu = np.asarray(mu_grid, dtype=float)
     if lam.ndim != 1 or mu.ndim != 1:
         raise ValueError("grids must be 1-d")
+    edge = float(min(-lam.min(), lam.max()))
+    lam_inner = np.abs(lam) <= edge / 10.0
+    mu_inner = np.abs(mu) <= edge / 10.0
+    if not (lam_inner.any() and mu_inner.any()):
+        raise ValueError(f"grids need nodes within edge / 10 = {edge / 10.0:g} of 0")
     kv, dk = _kernel_grid(k, lam[:, None], mu[None, :], dlambda=True)
     abs_k, abs_dk = np.abs(kv), np.abs(dk)
     weighted = (1.0 + lam[:, None] ** 2) * abs_dk
 
-    edge = float(min(-lam.min(), lam.max()))
+    inner = lam_inner[:, None] & mu_inner[None, :]
+
+    def rise(values):
+        whole = float(values.max())
+        part = float(values.max(where=inner, initial=0.0))
+        return (whole - part) / max(part, ABS_FLOOR)
+
     top = kernel_eval(k, np.full_like(mu, edge), mu)
     bot = kernel_eval(k, np.full_like(mu, -edge), mu)
     limit_mismatch = float(np.abs(top - bot).max())
-
-    lam_small = np.abs(lam[:, None]) <= region_r
-    mu_small = np.abs(mu[None, :]) <= region_r
-    regions = {
-        "square": lam_small & mu_small,
-        "strip_lam_large": (~lam_small) & mu_small,
-        "strip_mu_large": lam_small & (~mu_small),
-        "exterior": (~lam_small) & (~mu_small),
-    }
-    region_sups = {}
-    for name, msk in regions.items():
-        if np.any(msk):
-            region_sups[name] = {
-                "sup_abs": float(abs_k[msk].max()),
-                "sup_weighted_dlambda": float(weighted[msk].max()),
-            }
-        else:
-            region_sups[name] = {"sup_abs": 0.0, "sup_weighted_dlambda": 0.0}
 
     # tail decay of sup_y |dK/dx| against |x|, fitted on the outer decade
     sup_rows = abs_dk.max(axis=1)
@@ -519,9 +490,9 @@ def kernel_hypotheses_report(
     return KernelHypothesesReport(
         sup_abs=float(abs_k.max()),
         sup_weighted_dlambda=float(weighted.max()),
+        sup_abs_rise=rise(abs_k),
+        sup_weighted_dlambda_rise=rise(weighted),
         limit_mismatch=limit_mismatch,
-        edge=edge,
-        region_sups=region_sups,
         dlambda_tail_exponent=exponent,
     )
 

@@ -45,7 +45,6 @@ __all__ = [
     "s_matrix",
     "scattering_determinant",
     "ssf_scattering",
-    "truncated_eigenvalues",
     "unitarity_defect",
 ]
 
@@ -332,11 +331,6 @@ def _truncated_chain(model: LatticeScatteringModel, l_trunc: int) -> tuple:
         diag[site + l_trunc] = value
     off = np.ones(n_sites - 1)
     return diag, off
-
-
-def truncated_eigenvalues(model: LatticeScatteringModel, l_trunc: int) -> np.ndarray:
-    """Eigenvalues of the perturbed operator truncated to sites |n| <= l_trunc."""
-    return eigvalsh_tridiagonal(*_truncated_chain(model, l_trunc))
 
 
 def bound_state_count_below(

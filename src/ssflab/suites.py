@@ -229,39 +229,23 @@ def _hypotheses_grid(inner: float, outer: float, n_inner: int, n_tail: int):
 
 def suite_rm_cert(seed: int, params: dict) -> ExperimentReport:
     t0 = time.perf_counter()
-    grid_n = params["grid_n"]
     records = []
 
-    for m, r, a in [tuple(c) for c in params["bounded_certs"]]:
-        p = doi.CofactorPolynomial(int(m), complex(0.0, a))
-        cert = doi.cofactor_lower_bound_cert(p, doi.BoundedRegion(r), grid_n)
-        records.append(
-            check_gt(
-                f"bounded.m{int(m)}_r{r:g}_a{a:g}.lower_bound",
-                cert.c_observed - cert.slack,
-                0.0,
+    for kind, region_type in (("bounded", doi.BoundedRegion), ("exterior", doi.ExteriorRegion)):
+        for m, r, a in params[f"{kind}_certs"]:
+            p = doi.CofactorPolynomial(int(m), complex(0.0, a))
+            cert = doi.cofactor_lower_bound_cert(p, region_type(r))
+            records.append(
+                check_gt(f"{kind}.m{int(m)}_r{r:g}_a{a:g}.lower_bound", cert.lower_bound, 0.0)
             )
-        )
-    for m, r, a, lam_max in [tuple(c) for c in params["exterior_certs"]]:
-        p = doi.CofactorPolynomial(int(m), complex(0.0, a))
-        cert = doi.cofactor_lower_bound_cert(
-            p, doi.ExteriorRegion(r, lam_max), grid_n
-        )
-        records.append(
-            check_gt(
-                f"exterior.m{int(m)}_r{r:g}_a{a:g}.lower_bound",
-                cert.c_observed - cert.slack,
-                0.0,
-            )
-        )
 
     # violated largeness/smallness conditions must visibly fail
     ctrl_b = doi.cofactor_lower_bound_cert(
-        doi.CofactorPolynomial(3, 0.01j), doi.BoundedRegion(1.0), grid_n
+        doi.CofactorPolynomial(3, 0.01j), doi.BoundedRegion(1.0)
     )
     records.append(check_flag("control.bounded_small_a_fails", ctrl_b.passed, False))
     ctrl_e = doi.cofactor_lower_bound_cert(
-        doi.CofactorPolynomial(3, 10.0j), doi.ExteriorRegion(1.0, 100.0), grid_n
+        doi.CofactorPolynomial(3, 10.0j), doi.ExteriorRegion(1.0)
     )
     records.append(check_flag("control.exterior_large_a_fails", ctrl_e.passed, False))
 
@@ -278,14 +262,13 @@ def suite_rm_cert(seed: int, params: dict) -> ExperimentReport:
         mode="factored",
     )
     for name, kernel in (("compact_support", compact), ("tail_power", tail)):
-        rep = doi.kernel_hypotheses_report(kernel, axis, axis, region_r=2.0)
+        rep = doi.kernel_hypotheses_report(kernel, axis, axis)
+        records.append(check_le(f"hypotheses.{name}.sup_abs_settled", rep.sup_abs_rise, 0.0))
         records.append(
-            check_flag(f"hypotheses.{name}.sup_abs_finite", bool(np.isfinite(rep.sup_abs)))
-        )
-        records.append(
-            check_flag(
-                f"hypotheses.{name}.weighted_dlambda_finite",
-                bool(np.isfinite(rep.sup_weighted_dlambda)),
+            check_le(
+                f"hypotheses.{name}.weighted_dlambda_settled",
+                rep.sup_weighted_dlambda_rise,
+                0.0,
             )
         )
         records.append(
@@ -294,6 +277,14 @@ def suite_rm_cert(seed: int, params: dict) -> ExperimentReport:
         records.append(
             check_info(f"hypotheses.{name}.dlambda_tail_exponent", rep.dlambda_tail_exponent)
         )
+    # f(x) = x gives K = -(x - z)^3 (y - z)^3 / p, unbounded: both sups must
+    # keep rising through the outer decade
+    growing = doi.resolvent_kernel(functions.identity(), 3, 1j, mode="factored")
+    rep = doi.kernel_hypotheses_report(growing, axis, axis)
+    either_settles = rep.sup_abs_rise <= 0.0 or rep.sup_weighted_dlambda_rise <= 0.0
+    records.append(
+        check_flag("control.hypotheses_growing_kernel_fails", either_settles, False)
+    )
 
     return ExperimentReport(
         subcommand="rm-cert",

@@ -3,6 +3,8 @@
 import numpy as np
 import scipy.linalg
 
+from ssflab import scattering
+
 
 def random_unitary(rng: np.random.Generator, n: int) -> np.ndarray:
     a = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
@@ -25,3 +27,8 @@ def potential_operator(v) -> np.ndarray:
     """Dense block-diagonal matrix of a sitewise potential: the oracle for the
     site-block products of ``ssflab.dirac``."""
     return scipy.linalg.block_diag(*v.site_matrices)
+
+
+def truncated_eigenvalues(model, l_trunc: int) -> np.ndarray:
+    """Eigenvalues of the perturbed operator truncated to sites |n| <= l_trunc."""
+    return scipy.linalg.eigvalsh_tridiagonal(*scattering._truncated_chain(model, l_trunc))

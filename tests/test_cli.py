@@ -197,7 +197,7 @@ class TestCliRuns:
         # bounded certificate cannot pass
         cfg = _write_config(
             tmp_path,
-            {"rm-cert": {"grid_n": 101, "bounded_certs": [[3, 1.0, 0.01]]}},
+            {"rm-cert": {"bounded_certs": [[3, 1.0, 0.01]]}},
         )
         rc = main(["rm-cert", "--config", cfg])
         assert rc == 1
@@ -241,7 +241,6 @@ TINY_ALL = {
     **TINY_TRACE,
     **TINY_DOI,
     **TINY_DIRAC,
-    "rm-cert": {"grid_n": 101},
     "birman-krein": {
         "band_points": 4,
         "potentials": [{"kind": "single", "value": 0.7, "site": 0}],
@@ -424,10 +423,12 @@ class TestCliConfigErrors:
         "section, given, field",
         [
             ("dirac-schatten", {"k": 5}, "dirac-schatten.k"),
+            # exterior rows are [m, r, a] like bounded rows: a second row in
+            # the old [m, r, a, lam_max] form is named
             (
                 "rm-cert",
-                {"exterior_certs": [[3, 1.0, 0.01, 100.0], [3, 5.0, 0.01, 2.0]]},
-                "rm-cert.exterior_certs[1][3]",
+                {"exterior_certs": [[3, 1.0, 0.01], [3, 5.0, 0.01, 2.0]]},
+                "rm-cert.exterior_certs[1]",
             ),
         ],
     )
@@ -435,6 +436,19 @@ class TestCliConfigErrors:
         cfg = _write_config(tmp_path, {section: given})
         rc = main([section, "--config", cfg])
         assert rc == 2
+        assert f"field '{field}'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "given, field",
+        [
+            ({"grid_n": 501}, "rm-cert.grid_n"),
+            ({"exterior_certs": [[3, 1.0, 0.01, 100.0]]}, "rm-cert.exterior_certs[0]"),
+        ],
+    )
+    def test_legacy_grid_certificate_config_names_the_field(self, tmp_path, capsys, given, field):
+        # the certificates are closed-form: no grid size, no exterior cap
+        cfg = _write_config(tmp_path, {"rm-cert": given})
+        assert main(["rm-cert", "--config", cfg]) == 2
         assert f"field '{field}'" in capsys.readouterr().err
 
     def test_jobs_belongs_to_all_only(self, tmp_path, capsys):

@@ -567,6 +567,24 @@ class TestCommutatorIdentity:
         assert commutator_identity_residual(model, v0, v, 1.0, 2, 1j) == want
         assert calls == [(model.total_dim, model.total_dim)] * 2
 
+    def test_builds_the_free_operator_once(self, monkeypatch):
+        # the commutator is taken from the perturbed operator: the potentials'
+        # site blocks commute with the weight, so no second free build is needed
+        model = _model(n=8)
+        v0 = random_bounded_potential(model, rng_from(2), 0.3)
+        v = random_decaying_potential(model, rng_from(3), 1.0, 4.0)
+        want = commutator_identity_residual(model, v0, v, 1.0, 2, 1j)
+        builds = []
+        build = dirac.free_hamiltonian
+
+        def counted(m):
+            builds.append(m)
+            return build(m)
+
+        monkeypatch.setattr(dirac, "free_hamiltonian", counted)
+        assert commutator_identity_residual(model, v0, v, 1.0, 2, 1j) == want
+        assert builds == [model]
+
     def test_weight_commutator_is_anti_hermitian(self):
         model = _model(n=16)
         h00 = free_hamiltonian(model)

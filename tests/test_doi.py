@@ -1,4 +1,4 @@
-"""Tests for the divided-difference kernel machinery and grid certificates."""
+"""Tests for the divided-difference kernel machinery and cofactor certificates."""
 
 import dataclasses
 import math
@@ -83,8 +83,11 @@ class TestCofactorPolynomial:
             lam, mu = rng.uniform(-3, 3, size=2)
             fd_lam = (complex(p(lam + h, mu)) - complex(p(lam - h, mu))) / (2 * h)
             fd_mu = (complex(p(lam, mu + h)) - complex(p(lam, mu - h))) / (2 * h)
-            assert complex(p.dlam(lam, mu)) == pytest.approx(fd_lam, rel=1e-7, abs=1e-7)
-            assert complex(p.dmu(lam, mu)) == pytest.approx(fd_mu, rel=1e-7, abs=1e-7)
+            dlam = complex(doi._p_dlam(m, p.z, lam, mu))
+            # p is symmetric, so dp/dmu is dp/dlam with the arguments swapped
+            dmu = complex(doi._p_dlam(m, p.z, mu, lam))
+            assert dlam == pytest.approx(fd_lam, rel=1e-7, abs=1e-7)
+            assert dmu == pytest.approx(fd_mu, rel=1e-7, abs=1e-7)
 
     def test_rejects_even_power_and_real_shift(self):
         with pytest.raises(ValueError, match="odd"):
@@ -103,147 +106,171 @@ class TestCofactorPolynomial:
         ],
     )
     def test_rejects_what_the_resolvent_check_rejects(self, m, z, match):
-        # a NaN shift used to yield a certificate with c_observed = nan, and
+        # a NaN shift used to yield a certificate with a NaN bound, and
         # True to run as m = 1
         with pytest.raises(ValueError, match=match):
             CofactorPolynomial(m, z)
 
 
 # ---------------------------------------------------------------------------
-# grid certificates
+# closed-form certificates
 
 
-def _two_partial_cert(p, region, grid_n):
-    # the certificate with dp/dmu evaluated on its own, not as dp/dlam's transpose
-    if isinstance(region, BoundedRegion):
-        axis = np.linspace(-region.r, region.r, grid_n)
-        mask = np.ones((grid_n, grid_n), dtype=bool)
-    else:
-        axis = doi._exterior_axis(region.r, region.lam_max, grid_n)
-        lam_in = np.abs(axis) >= region.r - 1e-12 * region.r
-        mask = lam_in[:, None] | lam_in[None, :]
-    lam, mu = axis[:, None], axis[None, :]
-    pv = np.abs(p(lam, mu))
-    glam = np.abs(p.dlam(lam, mu))
-    gmu = np.abs(p.dmu(lam, mu))
-    if isinstance(region, BoundedRegion):
-        q, grad_lam, grad_mu = pv, glam, gmu
-    else:
-        s = np.where(mask, np.abs(lam) + np.abs(mu), 1.0)
-        norm = s ** (p.m - 1)
-        q = pv / norm
-        grad_lam = glam / norm + (p.m - 1) * pv / (norm * s)
-        grad_mu = gmu / norm + (p.m - 1) * pv / (norm * s)
-    hs = doi._half_spacings(axis)
-    slack_local = doi._GRAD_SAFETY * (hs[:, None] * grad_lam + hs[None, :] * grad_mu)
-    lower = np.where(mask, q - slack_local, np.inf)
-    c_observed = float(np.min(np.where(mask, q, np.inf)))
-    lb = float(np.min(lower))
-    i, j = np.unravel_index(int(np.argmin(lower)), lower.shape)
-    return doi.LowerBoundCertificate(
-        m=p.m,
-        z=p.z,
-        region=region,
-        grid_n=grid_n,
-        c_observed=c_observed,
-        slack=c_observed - lb,
-        passed=bool(lb > 0.0),
-        min_location=(float(axis[i]), float(axis[j])),
-    )
+def _bounded_nodes(r, n=401):
+    axis = np.linspace(-r, r, n)
+    return axis[:, None], axis[None, :], axis[1] - axis[0]
+
+
+def _exterior_nodes(r, outer=1e4, n_levels=200, n_side=401):
+    """Nodes on the max-norm squares ``max(|x|, |y|) = t`` for t from r to outer."""
+    t = np.geomspace(r, outer, n_levels)[:, None]
+    frac = np.linspace(-1.0, 1.0, n_side)[None, :]
+    side = (t * frac).ravel()
+    edge = np.broadcast_to(t, (n_levels, n_side)).ravel()
+    lam = np.concatenate([edge, -edge, side, side])
+    mu = np.concatenate([side, side, edge, -edge])
+    return lam, mu
+
+
+# (m, r, z): the suite's defaults and controls, a shift with Re z != 0 whose
+# nearest parallelogram points lie inside edges, and higher powers
+_BOUNDED_CASES = [
+    (3, 1.0, 10j),
+    (3, 5.0, 50j),
+    (5, 1.0, 20j),
+    (3, 1.0, 0.01j),
+    (3, 2.0, 1 + 1j),
+    (5, 2.0, 0.7 + 3j),
+    (7, 1.0, 3j),
+    (7, 0.5, -0.4 + 0.9j),
+]
+_EXTERIOR_CASES = [
+    (3, 1.0, 0.01j),
+    (3, 2.0, 0.05j),
+    (3, 1.0, 10j),
+    (5, 1.0, 0.02 + 0.01j),
+    (5, 3.0, 0.2j),
+    (7, 1.0, 0.01j),
+    (7, 4.0, -0.1 + 0.05j),
+]
 
 
 class TestLowerBoundCertificates:
     @pytest.mark.parametrize("m, r, a", [(3, 1.0, 10.0), (3, 5.0, 50.0), (5, 1.0, 20.0)])
     def test_bounded_configs_pass(self, m, r, a):
-        cert = cofactor_lower_bound_cert(CofactorPolynomial(m, 1j * a), BoundedRegion(r), 301)
+        cert = cofactor_lower_bound_cert(CofactorPolynomial(m, 1j * a), BoundedRegion(r))
         assert cert.passed
-        assert cert.c_observed - cert.slack > 0
+        assert cert.lower_bound > 0
 
     def test_exterior_config_passes(self):
-        cert = cofactor_lower_bound_cert(
-            CofactorPolynomial(3, 0.05j), ExteriorRegion(r=2.0, lam_max=200.0), 301
-        )
+        cert = cofactor_lower_bound_cert(CofactorPolynomial(3, 0.05j), ExteriorRegion(2.0))
         assert cert.passed
 
     def test_bounded_near_zero_shift_fails(self):
         # the antidiagonal collision points sit inside the square when the
         # shift is small, so no positive lower bound can be certified
-        cert = cofactor_lower_bound_cert(CofactorPolynomial(3, 0.01j), BoundedRegion(1.0), 301)
+        cert = cofactor_lower_bound_cert(CofactorPolynomial(3, 0.01j), BoundedRegion(1.0))
         assert not cert.passed
+        assert cert.lower_bound == 0.0
 
     def test_exterior_large_shift_fails(self):
-        cert = cofactor_lower_bound_cert(
-            CofactorPolynomial(3, 10j), ExteriorRegion(r=1.0, lam_max=100.0), 301
-        )
+        cert = cofactor_lower_bound_cert(CofactorPolynomial(3, 10j), ExteriorRegion(1.0))
         assert not cert.passed
+        assert cert.lower_bound == 0.0
 
     def test_bounded_certificate_is_sound(self):
-        # the slack-corrected bound must hold off-grid as well
+        # the bound must hold off any grid as well
         p = CofactorPolynomial(3, 10j)
-        cert = cofactor_lower_bound_cert(p, BoundedRegion(1.0), 101)
-        lb = cert.c_observed - cert.slack
+        lb = cofactor_lower_bound_cert(p, BoundedRegion(1.0)).lower_bound
         rng = rng_from(31)
         lam = rng.uniform(-1, 1, size=4000)
         mu = rng.uniform(-1, 1, size=4000)
         assert float(np.min(np.abs(p(lam, mu)))) >= lb
 
     def test_exterior_certificate_is_sound(self):
+        # the exterior is unbounded: sample it out to 1e8
         p = CofactorPolynomial(3, 0.05j)
-        region = ExteriorRegion(r=2.0, lam_max=200.0)
-        cert = cofactor_lower_bound_cert(p, region, 201)
-        lb = cert.c_observed - cert.slack
+        lb = cofactor_lower_bound_cert(p, ExteriorRegion(2.0)).lower_bound
         rng = rng_from(32)
-        lam = np.exp(rng.uniform(np.log(2.0), np.log(200.0), size=4000))
+        lam = np.exp(rng.uniform(np.log(2.0), np.log(1e8), size=4000))
         lam *= rng.choice([-1.0, 1.0], size=4000)
-        mu = rng.uniform(-200, 200, size=4000)
-        q = np.abs(p(lam, mu)) / (np.abs(lam) + np.abs(mu)) ** 2
-        assert float(np.min(q)) >= lb
+        mu = lam * rng.uniform(-1.0, 1.0, size=4000)
+        for x, y in ((lam, mu), (mu, lam)):
+            q = np.abs(p(x, y)) / (np.abs(x) + np.abs(y)) ** 2
+            assert float(np.min(q)) >= lb
+
+    @pytest.mark.parametrize("m, r, z", _BOUNDED_CASES)
+    def test_bounded_bound_below_every_grid_node(self, m, r, z):
+        p = CofactorPolynomial(m, z)
+        lb = cofactor_lower_bound_cert(p, BoundedRegion(r)).lower_bound
+        lam, mu, _ = _bounded_nodes(r)
+        assert lb <= float(np.abs(p(lam, mu)).min()) * (1 + 1e-12)
+
+    @pytest.mark.parametrize("m, r, z", _EXTERIOR_CASES)
+    def test_exterior_bound_below_every_ray_node(self, m, r, z):
+        p = CofactorPolynomial(m, z)
+        lb = cofactor_lower_bound_cert(p, ExteriorRegion(r)).lower_bound
+        lam, mu = _exterior_nodes(r)
+        q = np.abs(p(lam, mu)) / (np.abs(lam) + np.abs(mu)) ** (m - 1)
+        assert lb <= float(q.min()) * (1 + 1e-12)
+
+    @pytest.mark.parametrize("m, r, z", _BOUNDED_CASES)
+    def test_each_bounded_factor_is_the_distance_to_its_parallelogram(self, m, r, z):
+        # |x - w y - c| is 1-Lipschitz in x and in y, so the grid minimum lies
+        # within one spacing above the true minimum, the closed-form distance
+        bounds = doi._factor_bounds(CofactorPolynomial(m, z), BoundedRegion(r))
+        assert len(bounds) == m - 1
+        lam, mu, spacing = _bounded_nodes(r)
+        for k, bound in enumerate(bounds, start=1):
+            w = np.exp(2j * np.pi * k / m)
+            sampled = float(np.abs(lam - w * mu - z * (1 - w)).min())
+            assert bound <= sampled * (1 + 1e-12)
+            assert sampled <= bound + spacing
+
+    def test_nearest_point_on_an_edge_not_a_vertex(self):
+        # c = (1 + i)(1 - w) lies just outside the edge x = 2 of the r = 2
+        # parallelogram, at distance (3 - sqrt 3)/2 = 0.634 from an inner point
+        # of it; the nearest vertex, 2 + 2w, is 1.753 away
+        bounds = doi._factor_bounds(CofactorPolynomial(3, 1 + 1j), BoundedRegion(2.0))
+        assert bounds[0] == pytest.approx((3.0 - math.sqrt(3.0)) / 2, rel=1e-12)
+
+    @pytest.mark.parametrize(
+        "m, r, a, want",
+        [
+            (3, 1.0, 10.0, 266.3589838486225),
+            (3, 5.0, 50.0, 6658.974596215561),
+            (5, 1.0, 20.0, 671322.4103850662),
+        ],
+    )
+    def test_bounded_values(self, m, r, a, want):
+        cert = cofactor_lower_bound_cert(CofactorPolynomial(m, 1j * a), BoundedRegion(r))
+        assert cert.lower_bound == pytest.approx(want, rel=1e-12)
+
+    @pytest.mark.parametrize("r, a", [(1.0, 0.01), (2.0, 0.05), (1.0, 0.2)])
+    def test_exterior_value_at_m3(self, r, a):
+        # m = 3: cos(theta_k) = -1/2 gives kappa = 1/2 and |c_k| = sqrt(3) a
+        cert = cofactor_lower_bound_cert(CofactorPolynomial(3, 1j * a), ExteriorRegion(r))
+        want = (0.5 - math.sqrt(3.0) * a / r) ** 2
+        assert cert.lower_bound == pytest.approx(want, rel=1e-12)
 
     def test_validation(self):
         p = CofactorPolynomial(3, 1j)
-        with pytest.raises(ValueError, match="grid_n"):
-            cofactor_lower_bound_cert(p, BoundedRegion(1.0), 10)
-        with pytest.raises(ValueError, match="r > 0"):
-            cofactor_lower_bound_cert(p, BoundedRegion(0.0), 11)
-        with pytest.raises(ValueError, match="lam_max"):
-            cofactor_lower_bound_cert(p, ExteriorRegion(r=5.0, lam_max=1.0), 11)
+        for region in (BoundedRegion(0.0), ExteriorRegion(-1.0), BoundedRegion(math.inf)):
+            with pytest.raises(ValueError, match="r > 0"):
+                cofactor_lower_bound_cert(p, region)
         with pytest.raises(TypeError):
-            cofactor_lower_bound_cert(p, "square", 11)
-
-    @pytest.mark.parametrize(
-        "p, region",
-        [
-            (CofactorPolynomial(3, 10j), BoundedRegion(1.0)),
-            (CofactorPolynomial(5, 1j), BoundedRegion(2.0)),
-            (CofactorPolynomial(3, 0.05j), ExteriorRegion(r=2.0, lam_max=200.0)),
-            (CofactorPolynomial(5, 10j), ExteriorRegion(r=1.0, lam_max=100.0)),
-        ],
-    )
-    def test_fields_equal_the_two_partial_form(self, p, region):
-        got = cofactor_lower_bound_cert(p, region, 301)
-        want = _two_partial_cert(p, region, 301)
-        for field in dataclasses.fields(got):
-            assert getattr(got, field.name) == getattr(want, field.name), field.name
-
-    def test_one_partial_evaluation_per_certificate(self, monkeypatch):
-        calls = []
-        p_dlam = doi._p_dlam
-
-        def counted(*args):
-            calls.append(args)
-            return p_dlam(*args)
-
-        monkeypatch.setattr(doi, "_p_dlam", counted)
-        for region in (BoundedRegion(1.0), ExteriorRegion(r=2.0, lam_max=200.0)):
-            calls.clear()
-            cofactor_lower_bound_cert(CofactorPolynomial(3, 0.05j), region, 101)
-            assert len(calls) == 1
+            cofactor_lower_bound_cert(p, "square")
 
     def test_json_payload(self):
-        cert = cofactor_lower_bound_cert(CofactorPolynomial(3, 10j), BoundedRegion(1.0), 51)
+        cert = cofactor_lower_bound_cert(CofactorPolynomial(3, 10j), BoundedRegion(1.0))
         assert cert.passed is True
-        assert cert.grid_n == 51
-        assert cert.slack >= 0
+        assert [f.name for f in dataclasses.fields(cert)] == [
+            "m",
+            "z",
+            "region",
+            "lower_bound",
+            "passed",
+        ]
 
 
 # ---------------------------------------------------------------------------
@@ -455,7 +482,7 @@ class TestKernelGrids:
             assert counted_f.points <= 3 * n + 2 * band
             assert counted_g.points <= 3 * n + 2 * band
         counted_f.points = 0
-        kernel_hypotheses_report(k, axis, axis, region_r=2.0)
+        kernel_hypotheses_report(k, axis, axis)
         # the grid plus the two edge rows, each N pairs with one band entry
         assert counted_f.points <= 7 * n + 2 * (band + 2)
 
@@ -597,36 +624,54 @@ class TestIdentityResidual:
 
 
 class TestKernelHypotheses:
-    def _report(self):
-        k = resolvent_kernel(functions.bump_c2(1.0), 3, 10j, mode="factored")
+    @staticmethod
+    def _axis():
         # inner grid plus a log tail: the two infinite limits only settle
         # far beyond the support of f
         tail = np.logspace(1.0, 5.0, 80)
-        lam = np.sort(np.concatenate([np.linspace(-9.5, 9.5, 201), tail, -tail]))
-        return kernel_hypotheses_report(k, lam, lam, region_r=3.0)
+        return np.sort(np.concatenate([np.linspace(-9.5, 9.5, 201), tail, -tail]))
+
+    def _report(self):
+        k = resolvent_kernel(functions.bump_c2(1.0), 3, 10j, mode="factored")
+        return kernel_hypotheses_report(k, self._axis(), self._axis())
 
     def test_sups_finite_and_limits_match(self):
         rep = self._report()
         assert math.isfinite(rep.sup_abs)
         assert math.isfinite(rep.sup_weighted_dlambda)
+        assert rep.sup_abs_rise == 0.0
+        assert rep.sup_weighted_dlambda_rise == 0.0
         assert rep.limit_mismatch < 1e-6
-        assert rep.edge == pytest.approx(1e5)
 
     def test_region_split_covers_plane(self):
-        rep = self._report()
-        assert set(rep.region_sups) == {
-            "square",
-            "strip_lam_large",
-            "strip_mu_large",
-            "exterior",
-        }
-        sup_all = max(v["sup_abs"] for v in rep.region_sups.values())
-        assert sup_all == pytest.approx(rep.sup_abs, rel=1e-12)
+        # the rise compares the inner square |x|, |y| <= edge / 10 with the
+        # whole grid; recomputed here from the kernel on both parts of the split
+        k = resolvent_kernel(functions.identity(), 3, 1j, mode="factored")
+        axis = self._axis()
+        rep = kernel_hypotheses_report(k, axis, axis)
+        vals = np.abs(kernel_eval(k, axis[:, None], axis[None, :]))
+        near = np.abs(axis) <= 1e4
+        inner = near[:, None] & near[None, :]
+        sup_inner = float(vals[inner].max())
+        sup_outer = float(vals[~inner].max())
+        assert max(sup_inner, sup_outer) == rep.sup_abs
+        assert rep.sup_abs_rise == pytest.approx((sup_outer - sup_inner) / sup_inner, rel=1e-12)
+
+    def test_growing_kernel_is_not_settled(self):
+        # f(x) = x: K = -(x - z)^3 (y - z)^3 / p grows without bound, so both
+        # sups rise through the outer decade
+        k = resolvent_kernel(functions.identity(), 3, 1j, mode="factored")
+        rep = kernel_hypotheses_report(k, self._axis(), self._axis())
+        assert rep.sup_abs_rise > 1e3
+        assert rep.sup_weighted_dlambda_rise > 1e3
 
     def test_rejects_bad_grid(self):
         k = resolvent_kernel(functions.bump_c2(1.0), 3, 10j)
         with pytest.raises(ValueError, match="1-d"):
-            kernel_hypotheses_report(k, np.zeros((3, 3)), np.zeros(3), 1.0)
+            kernel_hypotheses_report(k, np.zeros((3, 3)), np.zeros(3))
+        far = np.array([-1e5, -5e4, 5e4, 1e5])
+        with pytest.raises(ValueError, match="edge / 10"):
+            kernel_hypotheses_report(k, far, far)
 
 
 class TestCutoffSplit:

@@ -19,10 +19,11 @@ from ssflab.scattering import (
     s_matrix,
     scattering_determinant,
     ssf_scattering,
-    truncated_eigenvalues,
     unitarity_defect,
 )
 from ssflab.utils import rng_from
+
+from helpers import truncated_eigenvalues
 
 
 def _truncated_free(l_trunc: int) -> np.ndarray:
