@@ -26,6 +26,8 @@ import numpy as np
 from .spectral import (
     ABS_FLOOR,
     SingularValueProfile,
+    _check_hermitian,
+    _check_odd_resolvent_args,
     _check_resolvent_args,
     eig_hermitian,
     resolvent_power,
@@ -291,8 +293,7 @@ class MatrixPotential:
         finite = np.isfinite(mats).all(axis=(1, 2))
         if not finite.all():
             raise ValueError(f"site matrix {int(np.argmin(finite))} has a non-finite entry")
-        if np.abs(mats - np.conj(np.swapaxes(mats, 1, 2))).max() > 1e-12:
-            raise ValueError("potential must be Hermitian at every site")
+        _check_hermitian(mats, "potential")
         if (self.decay_c is None) != (self.decay_rho is None):
             raise ValueError("declare both decay_c and decay_rho or neither")
         if self.decay_c is not None:
@@ -609,7 +610,6 @@ class PowerDifferenceReport:
     residual: float
     scale: float
     relative_residual: float
-    trace_norm: float
 
 
 def resolvent_power_difference(
@@ -619,7 +619,7 @@ def resolvent_power_difference(
     z: complex,
     mpow: int,
 ) -> PowerDifferenceReport:
-    """Check the resolvent-power expansion and report the trace norm.
+    """Check the resolvent-power expansion.
 
     The difference of the mpow-th resolvent powers of the perturbed and
     unperturbed operators equals minus the sum over k of
@@ -629,9 +629,7 @@ def resolvent_power_difference(
     ``H0`` once each and is summed by Horner's rule, with ``V`` applied
     through its site blocks.
     """
-    z, mpow = _check_resolvent_args(z, mpow)
-    if mpow % 2 == 0:
-        raise ValueError(f"mpow must be an odd integer >= 1, got {mpow!r}")
+    z, mpow = _check_odd_resolvent_args(z, mpow)
     h0 = perturbed_hamiltonian(model, v0)
     h = perturbed_hamiltonian(model, v0, v)
 
@@ -660,7 +658,6 @@ def resolvent_power_difference(
         residual=residual,
         scale=scale,
         relative_residual=residual / scale,
-        trace_norm=schatten_norm(singular_values(lhs), 1),
     )
 
 
@@ -837,9 +834,6 @@ def commutator_identity_residual(
 class CommutatorDecayReport:
     r: float
     n: int
-    distances: tuple
-    profile_raw: tuple
-    profile_weighted: tuple
     sup_constant: float
     far_ratio: float
     decays: bool
@@ -859,7 +853,9 @@ def commutator_decay_report(model: LatticeModel, r: float) -> CommutatorDecayRep
     distance 10 of the origin (clipped to 40% of the torus radius).  The free
     operator is nonlocal on the lattice, so the far-field columns outgrow the
     envelope and only the near-field constant is a meaningful stand-in for the
-    continuum bound; the full profiles are kept in the report for inspection.
+    continuum bound.  ``far_ratio`` is the largest raw column norm over sites
+    at least 3/4 of the largest site distance out, relative to the largest
+    raw norm overall; ``decays`` says it is below 1/2.
     """
     h00 = free_hamiltonian(model)
     w = weight_diagonal(model, r)
@@ -878,9 +874,6 @@ def commutator_decay_report(model: LatticeModel, r: float) -> CommutatorDecayRep
     return CommutatorDecayReport(
         r=float(r),
         n=model.n,
-        distances=tuple(float(x) for x in dist),
-        profile_raw=tuple(float(x) for x in raw),
-        profile_weighted=tuple(float(x) for x in weighted),
         sup_constant=float(weighted[near].max()),
         far_ratio=far_ratio,
         decays=bool(far_ratio < 0.5),

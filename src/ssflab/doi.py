@@ -33,7 +33,7 @@ from .functions import ScalarFunction, resolvent_function, smoothstep_cutoff
 from .spectral import (
     ABS_FLOOR,
     SpectralDecomposition,
-    _check_resolvent_args,
+    _check_odd_resolvent_args,
     apply_function,
     schatten_norm,
     singular_values,
@@ -71,16 +71,6 @@ class AntidiagonalCollisionError(DegenerateKernelError):
 
 # ---------------------------------------------------------------------------
 # telescoping cofactor algebra
-
-
-def _check_odd_resolvent_args(z, m) -> tuple:
-    """:func:`~ssflab.spectral._check_resolvent_args` plus the odd-power rule.
-
-    Shared by the cofactor, :func:`resolvent_kernel` and factored-mode kernels.
-    """
-    if isinstance(m, (int, np.integer)) and m % 2 == 0:
-        raise ValueError(f"power m must be an odd integer >= 1, got {m!r}")
-    return _check_resolvent_args(z, m)
 
 
 def _p_eval(m: int, z: complex, lam, mu) -> np.ndarray:

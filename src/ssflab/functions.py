@@ -20,7 +20,6 @@ __all__ = [
     "bump_c2",
     "gaussian_bump",
     "identity",
-    "imag_part",
     "polynomial",
     "power_shift_inverse",
     "product",
@@ -117,8 +116,8 @@ def squared_lorentzian() -> ScalarFunction:
     return ScalarFunction(val, der, der2, name="sqlorentz")
 
 
-def resolvent_function(z: complex, m: int = 1, part: Optional[str] = None) -> ScalarFunction:
-    """``(x - z)^{-m}`` for non-real ``z``; ``part`` selects "re" or "im"."""
+def resolvent_function(z: complex, m: int = 1) -> ScalarFunction:
+    """``(x - z)^{-m}`` for non-real ``z`` (complex-valued)."""
     z, m = _check_resolvent_args(z, m)
 
     def val(x):
@@ -130,10 +129,7 @@ def resolvent_function(z: complex, m: int = 1, part: Optional[str] = None) -> Sc
     def der2(x):
         return m * (m + 1) * (np.asarray(x, dtype=complex) - z) ** (-m - 2)
 
-    f = ScalarFunction(val, der, der2, name=f"resolvent[m={m},z={z}]")
-    if part is None:
-        return f
-    return {"re": real_part, "im": imag_part}[part](f)
+    return ScalarFunction(val, der, der2, name=f"resolvent[m={m},z={z}]")
 
 
 def power_shift_inverse(m: int) -> ScalarFunction:
@@ -240,11 +236,3 @@ def real_part(f: ScalarFunction) -> ScalarFunction:
         name=f"Re[{f.name}]",
     )
 
-
-def imag_part(f: ScalarFunction) -> ScalarFunction:
-    return ScalarFunction(
-        value=lambda x: np.imag(f(x)),
-        derivative=None if f.derivative is None else (lambda x: np.imag(f.d1(x))),
-        derivative2=None if f.derivative2 is None else (lambda x: np.imag(f.d2(x))),
-        name=f"Im[{f.name}]",
-    )

@@ -18,7 +18,6 @@ import numpy as np
 __all__ = [
     "ABS_FLOOR",
     "HERMITICITY_RTOL",
-    "HermitianOperator",
     "NotHermitianError",
     "SingularValueProfile",
     "SpectralDecomposition",
@@ -39,7 +38,7 @@ ABS_FLOOR = 1e-14
 
 
 class NotHermitianError(ValueError):
-    """Raised when a matrix fails the Hermiticity check."""
+    """Raised when an input fails the Hermitian input gate."""
 
 
 def _as_square_matrix(entries) -> np.ndarray:
@@ -54,37 +53,38 @@ def _as_square_matrix(entries) -> np.ndarray:
 
 
 def hermiticity_defect(entries) -> float:
-    """Max-entry norm of ``M - M*`` relative to the largest entry of ``M``."""
+    """Max-entry norm of ``M - M*`` relative to the largest entry of ``M``.
+
+    Works over the last two axes, so a ``(n_sites, s, s)`` stack of site
+    blocks gets the same value as the block-diagonal matrix it embeds into.
+    """
     m = np.asarray(entries)
     scale = max(float(np.abs(m).max()), ABS_FLOOR)
-    return float(np.abs(m - m.conj().T).max()) / scale
+    return float(np.abs(m - np.swapaxes(m, -1, -2).conj()).max()) / scale
 
 
-@dataclass(frozen=True)
-class HermitianOperator:
-    """Validated dense Hermitian matrix.
+def _check_hermitian(m: np.ndarray, name: str) -> np.ndarray:
+    """The Hermitian input gate: return ``m`` itself, not a copy, if it passes.
 
-    Raises :class:`NotHermitianError` (reporting the measured asymmetry) when
-    the entries differ from their conjugate transpose by more than
-    ``HERMITICITY_RTOL`` relative to the largest entry.
+    Rejects, naming the input ``name``, an ``m`` that is not square over its
+    last two axes, is empty, has a non-finite entry, or has a
+    :func:`hermiticity_defect` above ``HERMITICITY_RTOL``.  Every rejection is
+    a :class:`NotHermitianError`.
     """
-
-    entries: np.ndarray
-
-    def __post_init__(self):
-        m = _as_square_matrix(self.entries)
-        defect = hermiticity_defect(m)
-        if defect > HERMITICITY_RTOL:
-            raise NotHermitianError(
-                f"matrix is not Hermitian: relative asymmetry {defect:.3e} "
-                f"exceeds {HERMITICITY_RTOL:.0e}"
-            )
-        m.flags.writeable = False
-        object.__setattr__(self, "entries", m)
-
-    @property
-    def dim(self) -> int:
-        return self.entries.shape[0]
+    if m.ndim < 2 or m.shape[-1] != m.shape[-2]:
+        raise NotHermitianError(f"{name} must be square, got shape {m.shape}")
+    if m.size == 0:
+        raise NotHermitianError(f"{name} must have dimension >= 1, got shape {m.shape}")
+    if not np.isfinite(m).all():
+        where = tuple(int(i) for i in np.argwhere(~np.isfinite(m))[0])
+        raise NotHermitianError(f"{name} has a non-finite entry at index {where}")
+    defect = hermiticity_defect(m)
+    if defect > HERMITICITY_RTOL:
+        raise NotHermitianError(
+            f"{name} is not Hermitian: relative asymmetry {defect:.3e} "
+            f"exceeds {HERMITICITY_RTOL:.0e}"
+        )
+    return m
 
 
 @dataclass(frozen=True)
@@ -116,7 +116,7 @@ class SpectralDecomposition:
         return (u * self.eigenvalues) @ u.conj().T
 
 
-def _fix_column_phases(vecs: np.ndarray) -> np.ndarray:
+def _fix_column_phases(vecs: np.ndarray) -> None:
     # Phase convention: the largest-modulus entry of each eigenvector is made
     # real and positive (first such index wins).  Within numerically
     # degenerate clusters the subspace basis is whatever LAPACK returned,
@@ -125,20 +125,23 @@ def _fix_column_phases(vecs: np.ndarray) -> np.ndarray:
     lead = vecs[idx, np.arange(vecs.shape[1])]
     mags = np.abs(lead)
     phases = np.where(mags > 0.0, lead / np.where(mags > 0.0, mags, 1.0), 1.0)
-    return vecs * phases.conj()
+    vecs *= phases.conj()
 
 
-def eig_hermitian(operator) -> SpectralDecomposition:
+def eig_hermitian(matrix) -> SpectralDecomposition:
     """Full eigendecomposition of a Hermitian matrix.
 
-    Accepts a :class:`HermitianOperator` or a raw array (validated on entry).
-    Eigenvalues come back ascending; eigenvector phases are fixed so the
-    result is deterministic for fixed input.
+    ``matrix`` is any square array; it passes the Hermitian input gate and
+    is read as complex, so a complex array is not copied.  Eigenvalues come
+    back ascending; eigenvector phases are fixed so the result is
+    deterministic for fixed input.
     """
-    if not isinstance(operator, HermitianOperator):
-        operator = HermitianOperator(np.asarray(operator))
-    vals, vecs = np.linalg.eigh(operator.entries)
-    return SpectralDecomposition(vals, _fix_column_phases(vecs))
+    m = np.asarray(matrix, dtype=complex)
+    if m.ndim != 2:
+        raise NotHermitianError(f"matrix must be a square 2-d array, got shape {m.shape}")
+    vals, vecs = np.linalg.eigh(_check_hermitian(m, "matrix"))
+    _fix_column_phases(vecs)
+    return SpectralDecomposition(vals, vecs)
 
 
 def apply_function(decomposition: SpectralDecomposition, f) -> np.ndarray:
@@ -173,6 +176,17 @@ def _check_resolvent_args(z, k) -> tuple:
     if z.imag == 0.0 or not np.isfinite(z):
         raise ValueError(f"resolvent point must be finite with Im z != 0, got z={z}")
     return z, int(k)
+
+
+def _check_odd_resolvent_args(z, m) -> tuple:
+    """:func:`_check_resolvent_args` plus the odd-power rule.
+
+    Shared by the cofactor and resolvent kernels of ``doi`` and by the
+    resolvent-power expansion of ``dirac``.
+    """
+    if isinstance(m, (int, np.integer)) and m % 2 == 0:
+        raise ValueError(f"power m must be an odd integer >= 1, got {m!r}")
+    return _check_resolvent_args(z, m)
 
 
 def resolvent_power(decomposition: SpectralDecomposition, z: complex, k: int) -> np.ndarray:

@@ -28,12 +28,10 @@ import numpy as np
 from scipy.linalg import lapack
 
 from .spectral import (
-    ABS_FLOOR,
-    HERMITICITY_RTOL,
     SpectralDecomposition,
+    _check_hermitian,
     det_id_plus,
     eig_hermitian,
-    hermiticity_defect,
     resolvent_power,
 )
 
@@ -337,9 +335,7 @@ def _validate_perturbation(d0: SpectralDecomposition, v) -> np.ndarray:
     v = np.asarray(v, dtype=complex)
     if v.shape != (d0.dim, d0.dim):
         raise ValueError(f"perturbation shape {v.shape} does not match dim {d0.dim}")
-    if hermiticity_defect(v) > HERMITICITY_RTOL and np.abs(v).max() > ABS_FLOOR:
-        raise ValueError("perturbation must be Hermitian")
-    return v
+    return _check_hermitian(v, "perturbation")
 
 
 def perturbation_determinant(d0: SpectralDecomposition, v, z: complex) -> complex:

@@ -64,9 +64,8 @@ def _function_families(rng) -> list:
         height=float(rng.uniform(0.5, 2.0)),
     )
     lorentz = functions.squared_lorentzian()
-    resolvent = functions.resolvent_function(
-        complex(rng.uniform(-1.0, 1.0), rng.uniform(1.0, 2.0)), 1, part="re"
-    )
+    z = complex(rng.uniform(-1.0, 1.0), rng.uniform(1.0, 2.0))
+    resolvent = functions.real_part(functions.resolvent_function(z, 1))
     compact = functions.bump_c2(float(rng.uniform(1.0, 3.0)))
     return [cubic, bump, lorentz, resolvent, compact]
 

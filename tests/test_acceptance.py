@@ -59,7 +59,7 @@ def _families(rng):
         functions.polynomial(rng.normal(size=4)),
         functions.gaussian_bump(0.2, 0.8, 1.5),
         functions.squared_lorentzian(),
-        functions.resolvent_function(0.5 + 1.0j, m=1, part="re"),
+        functions.real_part(functions.resolvent_function(0.5 + 1.0j, m=1)),
         functions.bump_c2(1.5),
     ]
 

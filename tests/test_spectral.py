@@ -1,18 +1,23 @@
 """Dense Hermitian calculus: decompositions, matrix functions, Schatten norms."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from helpers import random_unitary
 
 from ssflab.functions import polynomial, resolvent_function
 from ssflab.spectral import (
-    HermitianOperator,
+    HERMITICITY_RTOL,
     NotHermitianError,
+    _check_hermitian,
     apply_function,
     det_id_plus,
     eig_hermitian,
+    hermiticity_defect,
     resolvent_power,
     schatten_norm,
     singular_values,
@@ -21,13 +26,75 @@ from ssflab.utils import random_hermitian, rng_from
 
 
 def test_operator_rejects_non_hermitian():
-    with pytest.raises(NotHermitianError):
-        HermitianOperator(np.array([[0.0, 1.0], [0.0, 0.0]]))
+    with pytest.raises(NotHermitianError, match="matrix is not Hermitian"):
+        eig_hermitian(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
 
 def test_operator_rejects_non_square():
-    with pytest.raises(ValueError):
-        HermitianOperator(np.ones((2, 3)))
+    with pytest.raises(ValueError, match=r"matrix must be square, got shape \(2, 3\)"):
+        eig_hermitian(np.ones((2, 3)))
+
+
+@pytest.mark.parametrize(
+    "bad, match",
+    [
+        (np.ones(3), r"must be a square 2-d array, got shape \(3,\)"),
+        (np.zeros((2, 3, 3)), r"must be a square 2-d array, got shape \(2, 3, 3\)"),
+        (np.zeros((0, 0)), "must have dimension >= 1"),
+        (np.array([[0.0, np.nan], [np.nan, 0.0]]), r"has a non-finite entry at index \(0, 1\)"),
+        (np.array([[np.inf, 0.0], [0.0, 1.0]]), r"has a non-finite entry at index \(0, 0\)"),
+    ],
+    ids=["vector", "stack", "empty", "nan", "inf"],
+)
+def test_eig_rejects_bad_input_by_name(bad, match):
+    # an infinite entry makes hermiticity_defect NaN, which no threshold rejects
+    with pytest.raises(NotHermitianError, match="matrix " + match):
+        eig_hermitian(bad)
+
+
+class TestHermitianGate:
+    def test_returns_its_input_uncopied(self):
+        a = random_hermitian(rng_from(3), 6)
+        assert _check_hermitian(a, "a") is a
+
+    @pytest.mark.parametrize("scale, asymmetry, ok", [(1e4, 1e-9, True), (1e-6, 1e-15, False)])
+    def test_rule_is_relative_to_the_largest_entry(self, scale, asymmetry, ok):
+        # an absolute 1e-12 rule would decide both cases the other way
+        a = scale * random_hermitian(rng_from(4), 5)
+        a[0, 1] += asymmetry
+        assert (hermiticity_defect(a) <= HERMITICITY_RTOL) == ok
+        if ok:
+            assert _check_hermitian(a, "x") is a
+        else:
+            with pytest.raises(NotHermitianError, match="x is not Hermitian"):
+                _check_hermitian(a, "x")
+
+    def test_stack_gets_the_rule_of_its_block_diagonal_embedding(self):
+        rng = rng_from(5)
+        stack = np.stack([random_hermitian(rng, 3, scale=float(c)) for c in (1.0, 4.0, 0.5)])
+        stack[2, 0, 2] += 1e-10
+        dense = scipy.linalg.block_diag(*stack)
+        assert hermiticity_defect(stack) == hermiticity_defect(dense) > HERMITICITY_RTOL
+        with pytest.raises(NotHermitianError, match="stack is not Hermitian"):
+            _check_hermitian(stack, "stack")
+        stack[1, 2, 0] = np.nan
+        with pytest.raises(NotHermitianError, match=r"non-finite entry at index \(1, 2, 0\)"):
+            _check_hermitian(stack, "stack")
+
+
+def test_eig_peak_memory_near_two_dense_matrices():
+    # neither the input nor the eigenvectors are copied on the way to eigh
+    # or through the phase fix: the peak is two dense matrices, M* and M - M*
+    # in the Hermiticity check, then eigh's eigenvectors and the decomposition's
+    # read-only copy (4.0 when the input and the phase-fixed vectors were copies)
+    a = random_hermitian(rng_from(6), 256)
+    tracemalloc.start()
+    try:
+        eig_hermitian(a)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak / a.nbytes <= 2.5
 
 
 def test_eig_sorted_and_reconstructs():

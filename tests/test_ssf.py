@@ -450,6 +450,36 @@ class TestPerturbationDeterminant:
         with pytest.raises(ValueError, match="shape"):
             perturbation_determinant(d0, np.eye(2), 1j)
 
+    def test_rejects_tiny_non_hermitian_perturbation(self):
+        # the Hermiticity rule is relative at every scale; a V with
+        # max|V| <= 1e-14 used to be exempt from it
+        d0 = eig_hermitian(np.eye(3))
+        v = np.zeros((3, 3))
+        v[0, 1] = 1e-15
+        with pytest.raises(ValueError, match="perturbation is not Hermitian"):
+            perturbation_determinant(d0, v, 1j)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("route", [perturbation_determinant, ssf_via_determinant])
+    def test_rejects_non_finite_perturbation_before_any_product(self, monkeypatch, bad, route):
+        # an infinite entry makes the Hermiticity defect NaN, which used to
+        # pass the check; the error then came from det_id_plus and named
+        # neither V nor the entry
+        def forbidden(*args, **kwargs):
+            raise AssertionError("a product was formed before V was checked")
+
+        d0 = eig_hermitian(np.diag([0.0, 1.0, 2.0]))
+        for name in ("resolvent_power", "det_id_plus", "eig_hermitian"):
+            monkeypatch.setattr(ssf, name, forbidden)
+        monkeypatch.setattr(SpectralDecomposition, "reconstruct", forbidden)
+        v = np.zeros((3, 3))
+        v[1, 2] = v[2, 1] = bad
+        point = 1j if route is perturbation_determinant else 0.5
+        with pytest.raises(
+            ValueError, match=r"perturbation has a non-finite entry at index \(1, 2\)"
+        ):
+            route(d0, v, point)
+
 
 def _determinant_case(kind, n):
     """``(d0, v)``: a random pair, an exactly degenerate H0, or V inside a
