@@ -44,7 +44,7 @@ def _expect_int(field, value, low=None, high=None, even=False, odd=False):
     return value
 
 
-def _expect_real(field, value, low=None, low_open=None):
+def _expect_real(field, value, low=None, low_open=None, high_open=None):
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(field, f"expected a number, got {value!r}")
     value = float(value)
@@ -54,6 +54,8 @@ def _expect_real(field, value, low=None, low_open=None):
         raise ConfigError(field, f"expected a number >= {low}, got {value}")
     if low_open is not None and value <= low_open:
         raise ConfigError(field, f"expected a number > {low_open}, got {value}")
+    if high_open is not None and value >= high_open:
+        raise ConfigError(field, f"expected a number < {high_open}, got {value}")
     return value
 
 
@@ -83,9 +85,9 @@ def _int_field(low=None, high=None, even=False, odd=False):
     return check
 
 
-def _real_field(low=None, low_open=None):
+def _real_field(low=None, low_open=None, high_open=None):
     def check(field, value):
-        return _expect_real(field, value, low=low, low_open=low_open)
+        return _expect_real(field, value, low=low, low_open=low_open, high_open=high_open)
 
     return check
 
@@ -133,18 +135,6 @@ def _cert_list(arity: int):
         return parsed
 
     return check
-
-
-def _eps_schedule(field, value):
-    if value is None:
-        return None
-    out = _expect_list(field, value, 2)
-    vals = [
-        _expect_real(f"{field}[{i}]", v, low_open=0.0) for i, v in enumerate(out)
-    ]
-    if any(b >= a for a, b in zip(vals, vals[1:])):
-        raise ConfigError(field, "expected a strictly decreasing schedule")
-    return vals
 
 
 def _potential_list(field, value):
@@ -224,8 +214,7 @@ _SCHEMA = {
     },
     "birman-krein": {
         "band_points": (20, _int_field(low=1)),
-        "band_margin": (0.05, _real_field(low_open=2e-3)),
-        "eps_schedule": (None, _eps_schedule),
+        "band_margin": (0.05, _real_field(low_open=2e-3, high_open=2.0)),
         "potentials": (
             [
                 {"kind": "single", "value": 0.7, "site": 0},

@@ -24,8 +24,8 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
-from typing import Optional, Union
+from dataclasses import dataclass, field
+from typing import Union
 
 import numpy as np
 
@@ -57,7 +57,6 @@ __all__ = [
     "kernel_eval",
     "kernel_hypotheses_report",
     "resolvent_cutoff_split",
-    "resolvent_kernel",
 ]
 
 
@@ -225,55 +224,33 @@ def _coincidence_band(lam, mu) -> np.ndarray:
     return np.abs(lam - mu) <= _BAND_DELTA0 * (1.0 + np.abs(lam))
 
 
-# the factored-mode probe of g: a real point where resolvent powers with
-# different m or z differ, short of an m-th root of unity coincidence
-_G_PROBE = 0.5
-_G_PROBE_RTOL = 1e-12
-
-
 @dataclass(frozen=True)
 class DoiKernel:
     """Divided-difference kernel ``(f(x) - f(y)) / (g(x) - g(y))``.
 
-    ``mode="direct"`` evaluates the ratio; ``mode="factored"`` uses the
-    algebraic factorization through the telescoping cofactor, which requires
-    ``g`` to be the resolvent power ``(x - z)^{-m}`` (fields ``m``, ``z``).
-    Factored mode checks ``m`` and ``z`` as :func:`resolvent_kernel` does and
-    rejects a ``g`` that differs from ``(x - z)^{-m}`` at ``x = 0.5``.
-    Inside the diagonal coincidence band ``|x - y| <= 1e-5 (1 + |x|)`` the
-    derivative limit ``f'(x)/g'(x)`` is used.
+    ``g`` is the resolvent power ``(x - z)^{-m}``, built from the odd power
+    ``m`` and the non-real point ``z``.  ``mode="direct"`` evaluates the
+    ratio; ``mode="factored"`` uses the algebraic factorization through the
+    telescoping cofactor.  Inside the diagonal coincidence band
+    ``|x - y| <= 1e-5 (1 + |x|)`` the derivative limit ``f'(x)/g'(x)`` is
+    used.
     """
 
     f: ScalarFunction
-    g: ScalarFunction
+    m: int
+    z: complex
     mode: str = "direct"
-    m: Optional[int] = None
-    z: Optional[complex] = None
+    g: ScalarFunction = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.mode not in ("direct", "factored"):
             raise ValueError(f"unknown kernel mode {self.mode!r}")
-        if self.mode == "factored" and (self.m is None or self.z is None):
-            raise ValueError("factored mode requires resolvent parameters m and z")
-        if self.g.derivative is None or self.f.derivative is None:
+        if self.f.derivative is None:
             raise ValueError("kernel functions need attached first derivatives")
-        if self.mode == "factored":
-            z, m = _check_odd_resolvent_args(self.z, self.m)
-            object.__setattr__(self, "m", m)
-            object.__setattr__(self, "z", z)
-            want = (_G_PROBE - z) ** (-m)
-            got = complex(self.g(_G_PROBE))
-            if not abs(got - want) <= _G_PROBE_RTOL * abs(want):
-                raise ValueError(
-                    f"factored mode needs g(x) = (x - z)^(-m) with m={m}, z={z}: "
-                    f"g({_G_PROBE}) = {got}, expected {want}"
-                )
-
-
-def resolvent_kernel(f: ScalarFunction, m: int, z: complex, mode: str = "direct") -> DoiKernel:
-    """Kernel with denominator function ``g(x) = (x - z)^{-m}``."""
-    z, m = _check_odd_resolvent_args(z, m)
-    return DoiKernel(f=f, g=resolvent_function(z, m), mode=mode, m=m, z=z)
+        z, m = _check_odd_resolvent_args(self.z, self.m)
+        object.__setattr__(self, "m", m)
+        object.__setattr__(self, "z", z)
+        object.__setattr__(self, "g", resolvent_function(z, m))
 
 
 _DENOM_ABS_TOL = 1e-13
@@ -337,7 +314,7 @@ def _kernel_grid(k: DoiKernel, lam, mu, dlambda: bool = False):
         gp_mid = np.asarray(k.g.d1(mid), dtype=complex)
         kv[band] = fp_mid / gp_mid
         if dlambda:
-            if k.f.derivative2 is None or k.g.derivative2 is None:
+            if k.f.derivative2 is None:
                 raise ValueError("diagonal kernel derivative needs second derivatives")
             fpp = np.asarray(k.f.d2(mid), dtype=complex)
             gpp = np.asarray(k.g.d2(mid), dtype=complex)
@@ -399,7 +376,7 @@ def doi_identity_residual(
     """
     if d0.dim != d.dim:
         raise ValueError("dimension mismatch")
-    k = resolvent_kernel(f, m, z)
+    k = DoiKernel(f, m, z)
     gl = np.asarray(k.g(d0.eigenvalues), dtype=complex)
     gm = np.asarray(k.g(d.eigenvalues), dtype=complex)
     diff = np.abs(gm[:, None] - gl[None, :])
@@ -432,38 +409,37 @@ class KernelHypothesesReport:
     dlambda_tail_exponent: float
 
 
-def kernel_hypotheses_report(k: DoiKernel, lam_grid, mu_grid) -> KernelHypothesesReport:
+def kernel_hypotheses_report(k: DoiKernel, axis) -> KernelHypothesesReport:
     """Sampled boundedness checks behind the Hadamard-transformer estimates.
 
-    Reports ``sup |K|``, ``sup (1 + x^2) |dK/dx|``, the relative rise of each
-    sup from the inner square ``|x|, |y| <= edge / 10`` to the whole grid, the
-    mismatch between the two infinite limits sampled at the grid edge, and the
-    fitted tail decay exponent of ``sup_y |dK/dx|``.  The whole grid contains
-    the inner square, so a rise is never negative, and any positive rise means
+    The kernel is sampled on the square grid ``axis x axis``.  Reports
+    ``sup |K|``, ``sup (1 + x^2) |dK/dx|``, the relative rise of each sup from
+    the inner square ``|x|, |y| <= edge / 10`` to the whole grid, the mismatch
+    between the two infinite limits sampled at the grid edge, and the fitted
+    tail decay exponent of ``sup_y |dK/dx|``.  The whole grid contains the
+    inner square, so a rise is never negative, and any positive rise means
     the outer decade raised the sup: the grid has not shown it bounded.
     """
-    lam = np.asarray(lam_grid, dtype=float)
-    mu = np.asarray(mu_grid, dtype=float)
-    if lam.ndim != 1 or mu.ndim != 1:
-        raise ValueError("grids must be 1-d")
+    lam = np.asarray(axis, dtype=float)
+    if lam.ndim != 1:
+        raise ValueError("the axis must be 1-d")
     edge = float(min(-lam.min(), lam.max()))
     lam_inner = np.abs(lam) <= edge / 10.0
-    mu_inner = np.abs(mu) <= edge / 10.0
-    if not (lam_inner.any() and mu_inner.any()):
-        raise ValueError(f"grids need nodes within edge / 10 = {edge / 10.0:g} of 0")
-    kv, dk = _kernel_grid(k, lam[:, None], mu[None, :], dlambda=True)
+    if not lam_inner.any():
+        raise ValueError(f"the axis needs nodes within edge / 10 = {edge / 10.0:g} of 0")
+    kv, dk = _kernel_grid(k, lam[:, None], lam[None, :], dlambda=True)
     abs_k, abs_dk = np.abs(kv), np.abs(dk)
     weighted = (1.0 + lam[:, None] ** 2) * abs_dk
 
-    inner = lam_inner[:, None] & mu_inner[None, :]
+    inner = lam_inner[:, None] & lam_inner[None, :]
 
     def rise(values):
         whole = float(values.max())
         part = float(values.max(where=inner, initial=0.0))
         return (whole - part) / max(part, ABS_FLOOR)
 
-    top = kernel_eval(k, np.full_like(mu, edge), mu)
-    bot = kernel_eval(k, np.full_like(mu, -edge), mu)
+    top = kernel_eval(k, np.full_like(lam, edge), lam)
+    bot = kernel_eval(k, np.full_like(lam, -edge), lam)
     limit_mismatch = float(np.abs(top - bot).max())
 
     # tail decay of sup_y |dK/dx| against |x|, fitted on the outer decade

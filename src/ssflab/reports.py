@@ -12,6 +12,7 @@ Optional named tables carry plot-ready per-point data for sweep subcommands.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -37,6 +38,11 @@ class CheckRecord:
             raise ValueError(f"unknown comparison op {self.op!r}")
         if self.op != "info" and self.threshold is None:
             raise ValueError(f"record {self.name!r} needs a threshold for op {self.op!r}")
+        # the JSON payload has no NaN or infinity, so such a record is refused
+        # here, where its name is known
+        for what, x in (("value", self.value), ("threshold", self.threshold)):
+            if x is not None and not math.isfinite(x):
+                raise ValueError(f"record {self.name!r} has a non-finite {what}: {x!r}")
 
     def to_json(self) -> dict:
         return {

@@ -21,17 +21,12 @@ import cmath
 import math
 import operator
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 from scipy.linalg import eigvalsh_tridiagonal
 
-from .ssf import (
-    _check_eps_schedule,
-    _check_finite_lambda,
-    _richardson_two_point,
-    track_determinant_phase,
-)
+from .ssf import _check_finite_lambda, _richardson_two_point, track_determinant_phase
 
 __all__ = [
     "BAND_EDGE_MARGIN",
@@ -49,6 +44,9 @@ __all__ = [
 ]
 
 BAND_EDGE_MARGIN = 1e-3
+
+# the heights 2^-k, k = 4..13, at which the tracked phase is read
+_EPS_LADDER = tuple(2.0 ** (-k) for k in range(4, 14))
 
 
 @dataclass(frozen=True)
@@ -230,26 +228,17 @@ def scattering_determinant(model: LatticeScatteringModel, z: complex) -> complex
     return det * (1.0 + model.values[-1] / c + carry)
 
 
-def ssf_scattering(
-    model: LatticeScatteringModel,
-    lam: float,
-    eps_schedule: Optional[Sequence[float]] = None,
-) -> float:
+def ssf_scattering(model: LatticeScatteringModel, lam: float) -> float:
     """Spectral shift at ``lam`` from the tracked determinant phase.
 
     The phase of the perturbation determinant is followed from high in the
-    upper half plane down the epsilon schedule, then Richardson-extrapolated
-    to the real axis from the last two epsilons (by default ``2^-4 .. 2^-13``;
-    a given schedule must be finite, positive, strictly decreasing and at
-    least two long).
-    Inside the band the result is generically non-integer; below the band it
-    approaches minus the count of discrete eigenvalues below ``lam``.  A
-    non-finite ``lam`` is rejected.
+    upper half plane down the heights ``2^-4 .. 2^-13``, then
+    Richardson-extrapolated to the real axis from the last two.  Inside the
+    band the result is generically non-integer; below the band it approaches
+    minus the count of discrete eigenvalues below ``lam``.  A non-finite
+    ``lam`` is rejected.
     """
     lam = _check_finite_lambda(lam)
-    if eps_schedule is None:
-        eps_schedule = [2.0 ** (-k) for k in range(4, 14)]
-    eps = _check_eps_schedule(eps_schedule)
     h_start = 10.0 * (1.0 + model.strength) + abs(lam)
 
     def det_at(h):
@@ -258,8 +247,8 @@ def ssf_scattering(
     # tight height-ratio cap: the finite-section determinant has at most
     # (number of support sites) zeros plus a slowly varying continuum factor
     ratio = math.exp(math.pi / (8.0 * (len(model.sites) + 2)))
-    phases = track_determinant_phase(det_at, h_start, eps, max_ratio=ratio)
-    return _richardson_two_point(eps, phases) / np.pi
+    phases = track_determinant_phase(det_at, h_start, _EPS_LADDER, max_ratio=ratio)
+    return _richardson_two_point(_EPS_LADDER, phases) / np.pi
 
 
 @dataclass(frozen=True)
@@ -271,11 +260,7 @@ class BirmanKreinRecord:
     unitarity: float
 
 
-def birman_krein_point(
-    model: LatticeScatteringModel,
-    lam: float,
-    eps_schedule: Optional[Sequence[float]] = None,
-) -> BirmanKreinRecord:
+def birman_krein_point(model: LatticeScatteringModel, lam: float) -> BirmanKreinRecord:
     """Both sides of the determinant-phase identity at one band point.
 
     ``det S`` comes from the Lippmann-Schwinger scattering solve at the band
@@ -283,7 +268,7 @@ def birman_krein_point(
     The two computations share nothing but the potential.
     """
     s = s_matrix(model, lam)
-    xi = ssf_scattering(model, lam, eps_schedule)
+    xi = ssf_scattering(model, lam)
     det_s = complex(np.linalg.det(s))
     residual = abs(det_s - np.exp(-2j * np.pi * xi))
     return BirmanKreinRecord(
@@ -299,19 +284,25 @@ def band_sweep(
     model: LatticeScatteringModel,
     n_points: int,
     margin: float = 0.05,
-    eps_schedule: Optional[Sequence[float]] = None,
 ) -> list:
-    """Evaluate the identity on a uniform grid of interior band points."""
+    """Evaluate the identity on a uniform grid of interior band points.
+
+    ``margin`` is the distance of the grid ends from the band edges ``-2``
+    and ``2``; it must exceed :data:`BAND_EDGE_MARGIN` and stay below 2, so
+    the grid runs from left to right.
+    """
     try:
         n_points = operator.index(n_points)
     except TypeError:
         raise ValueError(f"n_points must be an integer, got n_points={n_points!r}") from None
     if n_points < 1:
         raise ValueError(f"need at least one band point, got n_points={n_points}")
-    if margin <= BAND_EDGE_MARGIN:
-        raise ValueError("sweep margin must exceed the band-edge margin")
+    if not BAND_EDGE_MARGIN < margin < 2.0:
+        raise ValueError(
+            f"sweep margin must lie in ({BAND_EDGE_MARGIN:g}, 2), got margin={margin!r}"
+        )
     grid = np.linspace(-2.0 + margin, 2.0 - margin, n_points)
-    return [birman_krein_point(model, float(lam), eps_schedule) for lam in grid]
+    return [birman_krein_point(model, float(lam)) for lam in grid]
 
 
 # ---------------------------------------------------------------------------

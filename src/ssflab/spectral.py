@@ -41,17 +41,6 @@ class NotHermitianError(ValueError):
     """Raised when an input fails the Hermitian input gate."""
 
 
-def _as_square_matrix(entries) -> np.ndarray:
-    m = np.array(entries, dtype=complex)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {m.shape}")
-    if m.shape[0] == 0:
-        raise ValueError("matrix must have dimension >= 1")
-    if not np.all(np.isfinite(m)):
-        raise ValueError("matrix entries must be finite")
-    return m
-
-
 def hermiticity_defect(entries) -> float:
     """Max-entry norm of ``M - M*`` relative to the largest entry of ``M``.
 
@@ -247,9 +236,21 @@ def schatten_norm(profile, p: float) -> float:
 
 
 def det_id_plus(matrix) -> complex:
-    """``det(I + M)`` via a stable LU-based factorization (sign + log-modulus)."""
-    m = _as_square_matrix(matrix)
-    sign, logabs = np.linalg.slogdet(np.eye(m.shape[0]) + m)
+    """``det(I + M)`` via a stable LU-based factorization (sign + log-modulus).
+
+    ``M`` is read as complex and copied once, into ``I + M``; a matrix that
+    is not square, is empty or has a non-finite entry is rejected.
+    """
+    m = np.asarray(matrix, dtype=complex)
+    if m.ndim != 2 or m.shape[0] != m.shape[1]:
+        raise ValueError(f"expected a square matrix, got shape {m.shape}")
+    if m.shape[0] == 0:
+        raise ValueError("matrix must have dimension >= 1")
+    if not np.isfinite(m).all():
+        raise ValueError("matrix entries must be finite")
+    shifted = m.copy()
+    shifted[np.diag_indices_from(shifted)] += 1.0
+    sign, logabs = np.linalg.slogdet(shifted)
     if np.isneginf(logabs):
         return 0.0 + 0.0j
     return complex(sign * np.exp(logabs))

@@ -22,7 +22,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 from scipy.linalg import lapack
@@ -39,7 +39,6 @@ __all__ = [
     "BranchTrackingError",
     "PowerChangeOfVariable",
     "StepFunction",
-    "default_eps_schedule",
     "perturbation_determinant",
     "ssf_counting",
     "ssf_via_determinant",
@@ -451,20 +450,9 @@ def track_determinant_phase(
     return [recorded[t] for t in targets]
 
 
+# the determinant route reads heights near / 2^k, k = 1.._EPS_DEPTH, where
+# near is the distance from lam to either spectrum
 _EPS_DEPTH = 8
-
-
-def default_eps_schedule(d0: SpectralDecomposition, d: SpectralDecomposition, lam: float) -> list:
-    """Spectral-gap-aware schedule ``gap / 2^k`` for ``k = 1..8``."""
-    gap = float(
-        min(
-            np.min(np.abs(d0.eigenvalues - lam)),
-            np.min(np.abs(d.eigenvalues - lam)),
-        )
-    )
-    if gap <= 0:
-        raise ValueError(f"lambda={lam} lies on the spectrum")
-    return [gap / 2.0**k for k in range(1, _EPS_DEPTH + 1)]
 
 
 def _check_finite_lambda(lam) -> float:
@@ -474,18 +462,6 @@ def _check_finite_lambda(lam) -> float:
     if not math.isfinite(lam):
         raise ValueError(f"lambda must be finite, got lam={lam}")
     return lam
-
-
-def _check_eps_schedule(eps_schedule: Sequence[float]) -> list:
-    """The schedule of either phase route as a list of floats: at least two
-    points (Richardson needs two), finite, positive and strictly decreasing."""
-    eps = [float(e) for e in eps_schedule]
-    if len(eps) < 2:
-        raise ValueError(f"eps schedule needs at least two points: {eps}")
-    for prev, e in zip([math.inf] + eps, eps):
-        if not (math.isfinite(e) and 0 < e < prev):
-            raise ValueError(f"eps schedule must be finite, positive, strictly decreasing: {eps}")
-    return eps
 
 
 def _richardson_two_point(eps: Sequence[float], vals: Sequence[float]) -> float:
@@ -498,17 +474,18 @@ def ssf_via_determinant(
     d0: SpectralDecomposition,
     v,
     lam: float,
-    eps_schedule: Optional[Sequence[float]] = None,
     jump_margin: float = 1e-6,
 ) -> float:
     """Spectral shift at ``lam`` through the boundary phase of the determinant.
 
     The continuous phase of ``det(I + V (H0 - z)^{-1})`` is a sum of pivot
-    arguments, read at ``z = lam + i * eps`` for the epsilon-schedule heights
-    only, and Richardson-extrapolated (two-point, linear order) to the real
-    axis.  A non-finite ``lam``, or one within ``jump_margin`` of either
-    spectrum (a jump point), is rejected.  ``V`` is validated and ``H0 + V`` reduced to tridiagonal
-    form once; each height then costs O(n).
+    arguments, read at ``z = lam + i * eps`` for the heights
+    ``eps = near / 2^k``, ``k = 1..8``, where ``near`` is the distance from
+    ``lam`` to either spectrum, and Richardson-extrapolated (two-point, linear
+    order) to the real axis.  A non-finite ``lam``, or one within
+    ``jump_margin`` of either spectrum (a jump point), is rejected.  ``V`` is
+    validated and ``H0 + V`` reduced to tridiagonal form once; each height
+    then costs O(n).
     """
     lam = _check_finite_lambda(lam)
     v = _validate_perturbation(d0, v)
@@ -522,10 +499,7 @@ def ssf_via_determinant(
         raise ValueError(
             f"lambda={lam} is within {jump_margin:g} of an eigenvalue (jump point)"
         )
-    if eps_schedule is None:
-        eps_schedule = default_eps_schedule(d0, d, lam)
-    eps = _check_eps_schedule(eps_schedule)
-
+    eps = [near / 2.0**k for k in range(1, _EPS_DEPTH + 1)]
     log_det = _determinant_on_vertical_line(d0, h, lam)
     xi_vals = [log_det(e).imag / math.pi for e in eps]
     return _richardson_two_point(eps, xi_vals)

@@ -190,8 +190,8 @@ def suite_doi_check(seed: int, params: dict) -> ExperimentReport:
     # direct vs factored agreement away from the coincidence band
     rng = rng_from(seed, _DOI_TAG, 999)
     f = functions.gaussian_bump(0.1, 1.0, 1.0)
-    kd = doi.resolvent_kernel(f, 3, 2j, mode="direct")
-    kf = doi.resolvent_kernel(f, 3, 2j, mode="factored")
+    kd = doi.DoiKernel(f, 3, 2j, mode="direct")
+    kf = doi.DoiKernel(f, 3, 2j, mode="factored")
     lam = rng.uniform(-5.0, 5.0, size=400)
     mu = rng.uniform(-5.0, 5.0, size=400)
     keep = np.abs(lam - mu) > 2e-5 * (1.0 + np.abs(lam))
@@ -249,10 +249,8 @@ def suite_rm_cert(seed: int, params: dict) -> ExperimentReport:
     records.append(check_flag("control.exterior_large_a_fails", ctrl_e.passed, False))
 
     axis = _hypotheses_grid(3.0, params["grid_edge"], 401, 160)
-    compact = doi.resolvent_kernel(
-        functions.bump_c2(1.0), 3, 10.0j, mode="factored"
-    )
-    tail = doi.resolvent_kernel(
+    compact = doi.DoiKernel(functions.bump_c2(1.0), 3, 10.0j, mode="factored")
+    tail = doi.DoiKernel(
         functions.product(
             functions.smoothstep_cutoff(1.0), functions.power_shift_inverse(3)
         ),
@@ -261,7 +259,7 @@ def suite_rm_cert(seed: int, params: dict) -> ExperimentReport:
         mode="factored",
     )
     for name, kernel in (("compact_support", compact), ("tail_power", tail)):
-        rep = doi.kernel_hypotheses_report(kernel, axis, axis)
+        rep = doi.kernel_hypotheses_report(kernel, axis)
         records.append(check_le(f"hypotheses.{name}.sup_abs_settled", rep.sup_abs_rise, 0.0))
         records.append(
             check_le(
@@ -278,8 +276,8 @@ def suite_rm_cert(seed: int, params: dict) -> ExperimentReport:
         )
     # f(x) = x gives K = -(x - z)^3 (y - z)^3 / p, unbounded: both sups must
     # keep rising through the outer decade
-    growing = doi.resolvent_kernel(functions.identity(), 3, 1j, mode="factored")
-    rep = doi.kernel_hypotheses_report(growing, axis, axis)
+    growing = doi.DoiKernel(functions.identity(), 3, 1j, mode="factored")
+    rep = doi.kernel_hypotheses_report(growing, axis)
     either_settles = rep.sup_abs_rise <= 0.0 or rep.sup_weighted_dlambda_rise <= 0.0
     records.append(
         check_flag("control.hypotheses_growing_kernel_fails", either_settles, False)
@@ -405,16 +403,13 @@ def _build_potential(spec: dict) -> scattering.LatticeScatteringModel:
 
 def suite_birman_krein(seed: int, params: dict) -> ExperimentReport:
     t0 = time.perf_counter()
-    eps_schedule = params["eps_schedule"]
     models = [_build_potential(s) for s in params["potentials"]]
 
     rows = []
     worst_residual = 0.0
     worst_unitarity = 0.0
     for idx, model in enumerate(models):
-        recs = scattering.band_sweep(
-            model, params["band_points"], params["band_margin"], eps_schedule
-        )
+        recs = scattering.band_sweep(model, params["band_points"], params["band_margin"])
         for rec in recs:
             worst_residual = max(worst_residual, rec.residual)
             worst_unitarity = max(worst_unitarity, rec.unitarity)
@@ -436,7 +431,7 @@ def suite_birman_krein(seed: int, params: dict) -> ExperimentReport:
 
     attractive = scattering.LatticeScatteringModel.single_site(-1.5)
     for lam in (-2.25, -2.75):
-        xi = scattering.ssf_scattering(attractive, lam, eps_schedule)
+        xi = scattering.ssf_scattering(attractive, lam)
         count = scattering.bound_state_count_below(attractive, lam, l_trunc=2000)
         records.append(
             check_le(

@@ -21,7 +21,6 @@ from ssflab.doi import (
     kernel_eval,
     kernel_hypotheses_report,
     resolvent_cutoff_split,
-    resolvent_kernel,
 )
 from ssflab.spectral import eig_hermitian, schatten_norm, singular_values
 from ssflab.utils import random_hermitian, rng_from
@@ -277,41 +276,55 @@ class TestLowerBoundCertificates:
 # divided differences and kernels
 
 
-class TestDividedDifference:
-    # f = x^2, g = x: the kernel is the first divided difference x + y
-    def _square(self):
-        return DoiKernel(f=functions.polynomial([1.0, 0.0, 0.0]), g=functions.identity())
+def _power_kernel(power, mode="direct", m=1, z=1j):
+    """The kernel of ``f = g^power`` for ``g = (x - z)^(-m)``: the divided
+    difference of ``t -> t^power`` at ``g(x)`` and ``g(y)``, so ``g(x) + g(y)``
+    for ``power = 2`` and ``g(x)^2 + g(x) g(y) + g(y)^2`` for ``power = 3``."""
+    return DoiKernel(functions.resolvent_function(z, power * m), m, z, mode=mode)
 
+
+_MODES = ("direct", "factored")
+
+
+class TestDividedDifference:
+    # f = g^2: the kernel is g(x) + g(y), in both modes
     def test_square_gives_sum(self):
-        k = self._square()
+        g = functions.resolvent_function(1j, 1)
         rng = rng_from(41)
-        for _ in range(30):
-            lam, mu = rng.uniform(-4, 4, size=2)
-            if abs(lam - mu) <= 1e-5 * (1 + abs(lam)):
-                continue
-            assert kernel_eval(k, lam, mu) == pytest.approx(lam + mu, rel=1e-12)
+        for mode in _MODES:
+            k = _power_kernel(2, mode)
+            for _ in range(30):
+                lam, mu = rng.uniform(-4, 4, size=2)
+                if abs(lam - mu) <= 1e-5 * (1 + abs(lam)):
+                    continue
+                want = complex(g(lam)) + complex(g(mu))
+                assert kernel_eval(k, lam, mu) == pytest.approx(want, rel=1e-12)
 
     def test_band_uses_midpoint_derivative(self):
-        k = self._square()
+        g = functions.resolvent_function(1j, 1)
         lam = 2.0
         mu = 2.0 + 1e-9
-        # inside the coincidence band: exactly f'(midpoint)
-        assert kernel_eval(k, lam, mu) == pytest.approx(lam + mu, abs=1e-12)
-        assert kernel_eval(k, lam, lam) == pytest.approx(2 * lam, abs=1e-14)
+        for mode in _MODES:
+            k = _power_kernel(2, mode)
+            # inside the coincidence band: f'/g' at the midpoint, 2 g(midpoint)
+            mid = 0.5 * (lam + mu)
+            assert kernel_eval(k, lam, mu) == pytest.approx(2 * complex(g(mid)), abs=1e-14)
+            assert kernel_eval(k, lam, lam) == pytest.approx(2 * complex(g(lam)), abs=1e-14)
 
     def test_array_broadcast(self):
-        k = self._square()
         lam = np.array([0.0, 1.0, 2.0])
-        out = kernel_eval(k, lam[:, None], lam[None, :])
-        np.testing.assert_allclose(out, lam[:, None] + lam[None, :], atol=1e-12)
+        gl = functions.resolvent_function(1j, 1)(lam)
+        for mode in _MODES:
+            out = kernel_eval(_power_kernel(2, mode), lam[:, None], lam[None, :])
+            np.testing.assert_allclose(out, gl[:, None] + gl[None, :], atol=1e-12)
 
 
 class TestKernelEval:
     def _pair(self):
         f = functions.gaussian_bump(0.0, 1.0, 1.0)
         return (
-            resolvent_kernel(f, 3, 2j, mode="direct"),
-            resolvent_kernel(f, 3, 2j, mode="factored"),
+            DoiKernel(f, 3, 2j, mode="direct"),
+            DoiKernel(f, 3, 2j, mode="factored"),
         )
 
     def test_direct_and_factored_agree(self):
@@ -361,49 +374,50 @@ class TestKernelEval:
     def test_validation(self):
         f = functions.gaussian_bump()
         with pytest.raises(ValueError, match="mode"):
-            DoiKernel(f=f, g=functions.identity(), mode="mixed")
-        with pytest.raises(ValueError, match="factored"):
-            DoiKernel(f=f, g=functions.identity(), mode="factored")
+            DoiKernel(f, 3, 2j, mode="mixed")
         bare = functions.ScalarFunction(value=lambda x: x, name="bare")
         with pytest.raises(ValueError, match="derivative"):
-            DoiKernel(f=bare, g=functions.identity())
+            DoiKernel(bare, 3, 2j)
         with pytest.raises(ValueError, match="odd"):
-            resolvent_kernel(f, 2, 1j)
+            DoiKernel(f, 2, 1j)
+        # g is derived from m and z, never passed
+        with pytest.raises(TypeError):
+            DoiKernel(f, 3, 2j, g=functions.identity())
 
     @pytest.mark.parametrize(
         "m, z",
         [(3.5, 2j), (True, 2j), (3, complex(np.nan, 1.0))],
         ids=["float_m", "bool_m", "nan_z"],
     )
-    def test_resolvent_kernel_argument_check(self, m, z):
+    def test_kernel_argument_check(self, m, z):
         with pytest.raises(ValueError):
-            resolvent_kernel(functions.gaussian_bump(), m, z)
+            DoiKernel(functions.gaussian_bump(), m, z)
 
     @pytest.mark.parametrize(
         "m, z, match",
-        [(3, 5j, r"g\(x\) = \(x - z\)"), (3, complex(np.nan, 1.0), "finite"), (2, 2j, "odd")],
-        ids=["z_disagrees_with_g", "nan_z", "even_m"],
+        [(3, complex(np.nan, 1.0), "finite"), (2, 2j, "odd")],
+        ids=["nan_z", "even_m"],
     )
     def test_factored_kernel_checks_m_z_and_g(self, m, z, match):
-        # g is (x - 2i)^(-3); each pair (m, z) used to build a kernel that
-        # evaluated without error (z = 5i to 87.95+54.01j at (0.3, 1.1) with
-        # this f, against 1.006+3.293j from the direct kernel)
+        # a bad (m, z) is refused; a good one builds g = (x - z)^(-m) itself,
+        # so the factored kernel agrees with the direct ratio
         f = functions.gaussian_bump(0.1, 1.0, 1.0)
-        g = functions.resolvent_function(2j, 3)
         with pytest.raises(ValueError, match=match):
-            DoiKernel(f=f, g=g, mode="factored", m=m, z=z)
-        consistent = DoiKernel(f=f, g=g, mode="factored", m=3, z=2j)
-        direct = DoiKernel(f=f, g=g)
-        assert kernel_eval(consistent, 0.3, 1.1) == pytest.approx(
-            kernel_eval(direct, 0.3, 1.1), rel=1e-12
+            DoiKernel(f, m, z, mode="factored")
+        factored = DoiKernel(f, 3, 2j, mode="factored")
+        x = np.array([-1.5, 0.3, 1.1, 4.0])
+        np.testing.assert_array_equal(factored.g(x), (x - 2j) ** -3)
+        np.testing.assert_array_equal(factored.g.d1(x), -3 * (x - 2j) ** -4)
+        assert kernel_eval(factored, 0.3, 1.1) == pytest.approx(
+            kernel_eval(DoiKernel(f, 3, 2j), 0.3, 1.1), rel=1e-12
         )
 
 
 def _rm_cert_kernels(mode):
     # the two kernels of the rm-cert suite, plus a Gaussian
     return {
-        "compact_support": resolvent_kernel(functions.bump_c2(1.0), 3, 10.0j, mode=mode),
-        "tail_power": resolvent_kernel(
+        "compact_support": DoiKernel(functions.bump_c2(1.0), 3, 10.0j, mode=mode),
+        "tail_power": DoiKernel(
             functions.product(
                 functions.smoothstep_cutoff(1.0), functions.power_shift_inverse(3)
             ),
@@ -411,7 +425,7 @@ def _rm_cert_kernels(mode):
             0.01j,
             mode=mode,
         ),
-        "gaussian": resolvent_kernel(functions.gaussian_bump(0.1, 1.0, 1.0), 5, 1.5j, mode=mode),
+        "gaussian": DoiKernel(functions.gaussian_bump(0.1, 1.0, 1.0), 5, 1.5j, mode=mode),
     }
 
 
@@ -466,14 +480,20 @@ class TestKernelGrids:
                 assert one == pytest.approx(grid[i, j], rel=1e-12, abs=0.0)
 
     @pytest.mark.parametrize("mode", ["direct", "factored"])
-    def test_one_variable_functions_run_on_the_axes(self, mode):
+    def test_one_variable_functions_run_on_the_axes(self, mode, monkeypatch):
         n = 300
         axis = np.linspace(-5.0, 5.0, n)
         counted_f = _CountingFunction(functions.gaussian_bump(0.1, 1.0, 1.0))
         counted_g = _CountingFunction(functions.resolvent_function(2j, 3))
-        k = DoiKernel(
-            f=counted_f.function, g=counted_g.function, mode=mode, m=3, z=2j
-        )
+
+        def counted_resolvent(z, m):
+            assert (z, m) == (2j, 3)
+            return counted_g.function
+
+        # the kernel builds its g through doi's own name
+        monkeypatch.setattr(doi, "resolvent_function", counted_resolvent)
+        k = DoiKernel(counted_f.function, 3, 2j, mode=mode)
+        assert k.g is counted_g.function
         band = int(doi._coincidence_band(axis[:, None], axis[None, :]).sum())
         assert band == n
         for fn in (kernel_eval, kernel_dlambda):
@@ -482,7 +502,7 @@ class TestKernelGrids:
             assert counted_f.points <= 3 * n + 2 * band
             assert counted_g.points <= 3 * n + 2 * band
         counted_f.points = 0
-        kernel_hypotheses_report(k, axis, axis)
+        kernel_hypotheses_report(k, axis)
         # the grid plus the two edge rows, each N pairs with one band entry
         assert counted_f.points <= 7 * n + 2 * (band + 2)
 
@@ -490,7 +510,7 @@ class TestKernelGrids:
     @pytest.mark.parametrize("mode, match", [("direct", "denominator"), ("factored", "cofactor")])
     def test_off_band_collision_raises_on_grids(self, fn, mode, match):
         # (x - i)^3 takes one value at x = +sqrt(3) and x = -sqrt(3)
-        k = resolvent_kernel(functions.gaussian_bump(), 3, 1j, mode=mode)
+        k = DoiKernel(functions.gaussian_bump(), 3, 1j, mode=mode)
         lam = np.array([-1.0, math.sqrt(3.0), 2.5])
         mu = np.array([0.5, -math.sqrt(3.0)])
         with pytest.raises(DegenerateKernelError, match=match):
@@ -501,18 +521,17 @@ class TestKernelGrids:
     def test_band_entries_never_raise(self, fn):
         # every diagonal entry has a zero denominator; the band replaces it
         axis = np.array([-3.0, -1.0, 0.0, 0.5, 0.5 + 1e-9, 4.0])
-        f = functions.polynomial([1.0, 0.0, 0.0])
-        for k in (
-            DoiKernel(f=f, g=functions.identity()),
-            resolvent_kernel(functions.gaussian_bump(), 3, 1j, mode="direct"),
-            resolvent_kernel(functions.gaussian_bump(), 3, 1j, mode="factored"),
-        ):
-            out = fn(k, axis[:, None], axis[None, :])
-            assert np.all(np.isfinite(out))
-        # K(x, y) = x + y and dK/dx = 1 for f = x^2, g = x, band included
-        k = DoiKernel(f=f, g=functions.identity())
-        want = (axis[:, None] + axis[None, :]) if fn is kernel_eval else np.ones((6, 6))
-        np.testing.assert_allclose(fn(k, axis[:, None], axis[None, :]), want, atol=1e-9)
+        for mode in _MODES:
+            k = DoiKernel(functions.gaussian_bump(), 3, 1j, mode=mode)
+            assert np.all(np.isfinite(fn(k, axis[:, None], axis[None, :])))
+        # K(x, y) = g(x) + g(y) and dK/dx = g'(x) for f = g^2, band included:
+        # there the limits are 2 g and g' at the midpoint
+        g = functions.resolvent_function(1j, 1)
+        gl, gp = g(axis), g.d1(axis)
+        want = (gl[:, None] + gl[None, :]) if fn is kernel_eval else np.repeat(gp[:, None], 6, 1)
+        for mode in _MODES:
+            got = fn(_power_kernel(2, mode), axis[:, None], axis[None, :])
+            np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-9)
 
 
 # ---------------------------------------------------------------------------
@@ -520,35 +539,42 @@ class TestKernelGrids:
 
 
 class TestDoiApply:
+    @staticmethod
+    def _resolvent_cube(a, z=1j):
+        # g(A) = (A - z)^(-3) by dense inversion, not through an eigenbasis
+        return np.linalg.matrix_power(np.linalg.inv(a - z * np.eye(a.shape[0])), 3)
+
     def test_separable_square_kernel(self):
-        # f = x^2, g = x gives K(x, y) = x + y, so the multiplier acts as
-        # T -> H T + T H0 exactly
+        # f = g^2 gives K(x, y) = g(x) + g(y), so the multiplier acts as
+        # T -> g(H) T + T g(H0) exactly
         rng = rng_from(61)
         a0 = random_hermitian(rng, 8)
         v = random_hermitian(rng, 8, scale=0.6)
         d0, d = eig_hermitian(a0), eig_hermitian(a0 + v)
-        k = DoiKernel(f=functions.polynomial([1.0, 0.0, 0.0]), g=functions.identity())
         t = rng.normal(size=(8, 8)) + 1j * rng.normal(size=(8, 8))
-        got = doi_apply(d0, d, k, t)
-        want = (a0 + v) @ t + t @ a0
-        np.testing.assert_allclose(got, want, atol=1e-10 * np.abs(want).max())
+        gh, gh0 = self._resolvent_cube(a0 + v), self._resolvent_cube(a0)
+        want = gh @ t + t @ gh0
+        for mode in _MODES:
+            got = doi_apply(d0, d, _power_kernel(2, mode, m=3), t)
+            np.testing.assert_allclose(got, want, atol=1e-10 * np.abs(want).max())
 
     def test_separable_cube_kernel(self):
+        # f = g^3: K = g(x)^2 + g(x) g(y) + g(y)^2
         rng = rng_from(62)
         a0 = random_hermitian(rng, 7)
         v = random_hermitian(rng, 7, scale=0.6)
         d0, d = eig_hermitian(a0), eig_hermitian(a0 + v)
-        k = DoiKernel(f=functions.polynomial([1.0, 0.0, 0.0, 0.0]), g=functions.identity())
         t = rng.normal(size=(7, 7)) + 1j * rng.normal(size=(7, 7))
-        h = a0 + v
-        got = doi_apply(d0, d, k, t)
-        want = h @ h @ t + h @ t @ a0 + t @ a0 @ a0
-        np.testing.assert_allclose(got, want, atol=1e-9 * np.abs(want).max())
+        gh, gh0 = self._resolvent_cube(a0 + v), self._resolvent_cube(a0)
+        want = gh @ gh @ t + gh @ t @ gh0 + t @ gh0 @ gh0
+        for mode in _MODES:
+            got = doi_apply(d0, d, _power_kernel(3, mode, m=3), t)
+            np.testing.assert_allclose(got, want, atol=1e-9 * np.abs(want).max())
 
     def test_shape_mismatch_rejected(self):
         d0 = eig_hermitian(np.eye(3))
         d = eig_hermitian(np.eye(4))
-        k = DoiKernel(f=functions.polynomial([1.0, 0.0, 0.0]), g=functions.identity())
+        k = _power_kernel(2)
         with pytest.raises(ValueError, match="shape"):
             doi_apply(d0, d, k, np.zeros((3, 3)))
 
@@ -561,7 +587,7 @@ class TestDoiApply:
             a0 = random_hermitian(rng, dim)
             v = random_hermitian(rng, dim, scale=0.5)
             d0, d = eig_hermitian(a0), eig_hermitian(a0 + v)
-            k = resolvent_kernel(f, 3, 2j)
+            k = DoiKernel(f, 3, 2j)
             t = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
             t /= schatten_norm(singular_values(t), 1)
             kmat = kernel_eval(k, d0.eigenvalues[None, :], d.eigenvalues[:, None])
@@ -608,13 +634,13 @@ class TestIdentityResidual:
 
     def test_collision_point_degenerate_in_direct_mode(self):
         lam = math.sqrt(3.0)
-        k = resolvent_kernel(functions.gaussian_bump(), 3, 1j, mode="direct")
+        k = DoiKernel(functions.gaussian_bump(), 3, 1j, mode="direct")
         with pytest.raises(DegenerateKernelError):
             kernel_eval(k, lam, -lam)
 
     def test_collision_point_degenerate_in_factored_mode(self):
         lam = math.sqrt(3.0)
-        k = resolvent_kernel(functions.gaussian_bump(), 3, 1j, mode="factored")
+        k = DoiKernel(functions.gaussian_bump(), 3, 1j, mode="factored")
         with pytest.raises(DegenerateKernelError, match="cofactor"):
             kernel_eval(k, lam, -lam)
 
@@ -632,8 +658,8 @@ class TestKernelHypotheses:
         return np.sort(np.concatenate([np.linspace(-9.5, 9.5, 201), tail, -tail]))
 
     def _report(self):
-        k = resolvent_kernel(functions.bump_c2(1.0), 3, 10j, mode="factored")
-        return kernel_hypotheses_report(k, self._axis(), self._axis())
+        k = DoiKernel(functions.bump_c2(1.0), 3, 10j, mode="factored")
+        return kernel_hypotheses_report(k, self._axis())
 
     def test_sups_finite_and_limits_match(self):
         rep = self._report()
@@ -646,9 +672,9 @@ class TestKernelHypotheses:
     def test_region_split_covers_plane(self):
         # the rise compares the inner square |x|, |y| <= edge / 10 with the
         # whole grid; recomputed here from the kernel on both parts of the split
-        k = resolvent_kernel(functions.identity(), 3, 1j, mode="factored")
+        k = DoiKernel(functions.identity(), 3, 1j, mode="factored")
         axis = self._axis()
-        rep = kernel_hypotheses_report(k, axis, axis)
+        rep = kernel_hypotheses_report(k, axis)
         vals = np.abs(kernel_eval(k, axis[:, None], axis[None, :]))
         near = np.abs(axis) <= 1e4
         inner = near[:, None] & near[None, :]
@@ -660,18 +686,18 @@ class TestKernelHypotheses:
     def test_growing_kernel_is_not_settled(self):
         # f(x) = x: K = -(x - z)^3 (y - z)^3 / p grows without bound, so both
         # sups rise through the outer decade
-        k = resolvent_kernel(functions.identity(), 3, 1j, mode="factored")
-        rep = kernel_hypotheses_report(k, self._axis(), self._axis())
+        k = DoiKernel(functions.identity(), 3, 1j, mode="factored")
+        rep = kernel_hypotheses_report(k, self._axis())
         assert rep.sup_abs_rise > 1e3
         assert rep.sup_weighted_dlambda_rise > 1e3
 
     def test_rejects_bad_grid(self):
-        k = resolvent_kernel(functions.bump_c2(1.0), 3, 10j)
+        k = DoiKernel(functions.bump_c2(1.0), 3, 10j)
         with pytest.raises(ValueError, match="1-d"):
-            kernel_hypotheses_report(k, np.zeros((3, 3)), np.zeros(3))
+            kernel_hypotheses_report(k, np.zeros((3, 3)))
         far = np.array([-1e5, -5e4, 5e4, 1e5])
         with pytest.raises(ValueError, match="edge / 10"):
-            kernel_hypotheses_report(k, far, far)
+            kernel_hypotheses_report(k, far)
 
 
 class TestCutoffSplit:

@@ -7,6 +7,7 @@ import time
 import numpy as np
 import pytest
 
+from ssflab import scattering
 from ssflab.scattering import (
     BAND_EDGE_MARGIN,
     BirmanKreinRecord,
@@ -300,28 +301,14 @@ class TestScatteringDeterminant:
 
 
 class TestSsfScattering:
-    def test_epsilon_halving_is_stable(self):
+    def test_epsilon_halving_is_stable(self, monkeypatch):
         model = LatticeScatteringModel.centered([0.3, -0.2, 0.5])
-        base = tuple(2.0 ** (-k) for k in range(4, 14))
-        halved = tuple(2.0 ** (-k) for k in range(5, 15))
-        for lam in (-1.2, 0.1, 1.4):
-            a = ssf_scattering(model, lam, base)
-            b = ssf_scattering(model, lam, halved)
+        assert scattering._EPS_LADDER == tuple(2.0 ** (-k) for k in range(4, 14))
+        base = [ssf_scattering(model, lam) for lam in (-1.2, 0.1, 1.4)]
+        monkeypatch.setattr(scattering, "_EPS_LADDER", tuple(2.0 ** (-k) for k in range(5, 15)))
+        halved = [ssf_scattering(model, lam) for lam in (-1.2, 0.1, 1.4)]
+        for a, b in zip(base, halved):
             assert abs(a - b) <= 1e-7
-
-    def test_schedule_validation(self):
-        model = LatticeScatteringModel.single_site(0.5)
-        with pytest.raises(ValueError, match="two"):
-            ssf_scattering(model, 0.5, [0.1])
-        with pytest.raises(ValueError, match="positive"):
-            ssf_scattering(model, 0.5, [0.1, 0.0])
-        with pytest.raises(ValueError, match="two"):
-            ssf_scattering(model, 0.5, [])
-        for bad in ([0.1, 0.1], [0.1, float("nan")], [float("nan"), 0.1], [0.01, 0.02, 0.005]):
-            with pytest.raises(ValueError, match="eps schedule"):
-                ssf_scattering(model, 0.5, bad)
-        sched = [0.02, 0.01, 0.005]
-        assert ssf_scattering(model, 0.5, np.array(sched)) == ssf_scattering(model, 0.5, sched)
 
     @pytest.mark.parametrize("lam", [float("nan"), float("inf"), -float("inf")])
     def test_rejects_non_finite_lambda(self, lam):
@@ -423,5 +410,8 @@ class TestBirmanKrein:
             # 2.5 used to raise NumPy's TypeError from linspace
             with pytest.raises(ValueError, match="n_points"):
                 band_sweep(model, bad)
-        with pytest.raises(ValueError, match="margin"):
-            band_sweep(model, 3, margin=BAND_EDGE_MARGIN)
+        # 2 or more reverses the grid or leaves the band: 4.5 used to reach
+        # the band-edge guard, 2.5 to sweep from 0.5 down to -0.5
+        for bad in (BAND_EDGE_MARGIN, 2.0, 2.5, 4.5, float("nan")):
+            with pytest.raises(ValueError, match="margin"):
+                band_sweep(model, 3, margin=bad)

@@ -235,6 +235,39 @@ def test_det_id_plus_multiplicativity():
     assert abs(lhs - rhs) <= 1e-9 * abs(rhs)
 
 
+def test_det_id_plus_peak_memory_one_dense_copy():
+    # the input is read in place and copied once, into I + M (2.63 dense
+    # matrices of peak when it was copied, added to a real identity, and the
+    # sum formed as a third matrix)
+    rng = rng_from(8)
+    a = 0.01 * (rng.standard_normal((256, 256)) + 1j * rng.standard_normal((256, 256)))
+    want = np.linalg.slogdet(np.eye(256) + a)
+    tracemalloc.start()
+    try:
+        got = det_id_plus(a)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak / a.nbytes <= 1.5
+    assert got == want[0] * np.exp(want[1])
+
+
+@pytest.mark.parametrize(
+    "bad, match",
+    [
+        (np.zeros((2, 3)), "square"),
+        (np.zeros(4), "square"),
+        (np.zeros((0, 0)), "dimension"),
+        (np.array([[0.0, np.nan], [0.0, 0.0]]), "finite"),
+        (np.array([[np.inf, 0.0], [0.0, 0.0]]), "finite"),
+    ],
+    ids=["non_square", "vector", "empty", "nan", "inf"],
+)
+def test_det_id_plus_rejects(bad, match):
+    with pytest.raises(ValueError, match=match):
+        det_id_plus(bad)
+
+
 @settings(max_examples=25, deadline=None)
 @given(st.integers(min_value=2, max_value=10), st.integers(min_value=0, max_value=2**32 - 1))
 def test_trace_of_function_matches_eigenvalue_sum(dim, seed):

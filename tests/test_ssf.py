@@ -16,7 +16,6 @@ from ssflab.ssf import (
     BranchTrackingError,
     PowerChangeOfVariable,
     StepFunction,
-    default_eps_schedule,
     perturbation_determinant,
     ssf_counting,
     ssf_via_determinant,
@@ -511,6 +510,13 @@ def _lambdas(d0, d):
     return [float(mids[int(np.argmax(gaps))]), float(both[0] - 0.7), float(both[-1] + 0.7)]
 
 
+def _route_heights(d0, d, lam):
+    """The heights the determinant route reads: the distance from ``lam`` to
+    either spectrum, halved 1 to 8 times."""
+    near = min(np.abs(d0.eigenvalues - lam).min(), np.abs(d.eigenvalues - lam).min())
+    return [float(near) / 2.0**k for k in range(1, 9)]
+
+
 _DET_CASES = [("random", n) for n in (1, 2, 8, 32, 64)] + [
     (kind, n) for kind in ("degenerate", "invariant") for n in (2, 8, 32, 64)
 ]
@@ -547,7 +553,7 @@ class TestDeterminantOnVerticalLine:
             h_start = 10.0 * max(np.abs(d0.eigenvalues).max(), np.abs(d.eigenvalues).max(), 1.0)
             ratio = math.exp(math.pi / (4.0 * 2 * n))
             for lam in _lambdas(d0, d):
-                eps = default_eps_schedule(d0, d, lam)
+                eps = _route_heights(d0, d, lam)
                 log_det = ssf._determinant_on_vertical_line(d0, h, lam)
                 tracked = track_determinant_phase(
                     lambda t: cmath.exp(log_det(t)), h_start + abs(lam), eps, max_ratio=ratio
@@ -606,7 +612,7 @@ class TestDeterminantOnVerticalLine:
 
         monkeypatch.setattr(ssf, "_determinant_on_vertical_line", guarded)
         xi = ssf_via_determinant(d0, v, lam)
-        assert heights == default_eps_schedule(d0, d, lam)
+        assert heights == _route_heights(d0, d, lam)
         assert abs(xi - expected) < 1e-6
 
     def test_route_validates_the_perturbation(self):
@@ -708,39 +714,27 @@ class TestDeterminantRoute:
         with pytest.raises(ValueError, match="jump"):
             ssf_via_determinant(d0, v, 0.0)
 
-    def test_rejects_non_decreasing_schedule(self):
-        d0 = eig_hermitian(np.diag([0.0, 1.0]))
-        v = np.diag([0.5, 0.0])
-        with pytest.raises(ValueError, match="decreasing"):
-            ssf_via_determinant(d0, v, 3.0, eps_schedule=[0.1, 0.2])
-        with pytest.raises(ValueError, match="decreasing"):
-            ssf_via_determinant(d0, v, 3.0, eps_schedule=[0.1, -0.2])
-        # one height leaves nothing to extrapolate from
-        for bad in ([], [0.1], [0.1, 0.1], [0.1, float("nan")], [float("nan"), 0.1]):
-            with pytest.raises(ValueError, match="eps schedule"):
-                ssf_via_determinant(d0, v, 3.0, eps_schedule=bad)
-        sched = [0.1, 0.05, 0.025]
-        assert ssf_via_determinant(d0, v, 3.0, eps_schedule=np.array(sched)) == (
-            ssf_via_determinant(d0, v, 3.0, eps_schedule=sched)
-        )
-
     @pytest.mark.parametrize("lam", [float("nan"), float("inf"), -float("inf")])
-    @pytest.mark.parametrize("sched", [None, [0.1, 0.05]], ids=["default_eps", "given_eps"])
-    def test_rejects_non_finite_lambda(self, lam, sched):
+    def test_rejects_non_finite_lambda(self, lam):
         d0 = eig_hermitian(np.diag([0.0, 1.0]))
         v = np.diag([0.5, 0.0])
         with pytest.raises(ValueError, match="lambda must be finite"):
-            ssf_via_determinant(d0, v, lam, eps_schedule=sched)
+            ssf_via_determinant(d0, v, lam)
 
-    def test_default_schedule_is_gap_halving(self):
+    def test_default_schedule_is_gap_halving(self, monkeypatch):
+        # H0 = diag(0, 2) and V = diag(0, 1): the point 0.5 is 0.5 from both
+        # spectra, so the route reads 0.5 / 2^k, k = 1..8
         d0 = eig_hermitian(np.diag([0.0, 2.0]))
-        sched = default_eps_schedule(d0, d0, 0.5)
-        assert sched == pytest.approx([0.5 / 2.0**k for k in range(1, 9)])
+        heights = []
+        build = ssf._determinant_on_vertical_line
 
-    def test_default_schedule_rejects_spectrum_point(self):
-        d0 = eig_hermitian(np.diag([0.0, 2.0]))
-        with pytest.raises(ValueError, match="spectrum"):
-            default_eps_schedule(d0, d0, 2.0)
+        def logged(*args):
+            log_det = build(*args)
+            return lambda height: heights.append(height) or log_det(height)
+
+        monkeypatch.setattr(ssf, "_determinant_on_vertical_line", logged)
+        assert ssf_via_determinant(d0, np.diag([0.0, 1.0]), 0.5) == pytest.approx(0.0, abs=1e-6)
+        assert heights == [0.5 / 2.0**k for k in range(1, 9)]
 
 
 # ---------------------------------------------------------------------------
