@@ -21,8 +21,6 @@ def test_every_exported_name_resolves(name):
     assert mod.__all__
     assert [attr for attr in mod.__all__ if not hasattr(mod, attr)] == []
     assert len(set(mod.__all__)) == len(mod.__all__)
-    # and `from ssflab.<module> import *` reads the same list
-    exec(f"from ssflab.{name} import *", {})
 
 
 def _unused_imports(path: pathlib.Path) -> list:
