@@ -13,7 +13,7 @@ import argparse
 import json
 import sys
 
-from .suites import SUITE_RUNNERS, suite_all
+from .suites import _HYPOTHESES_EDGE_MAX, SUITE_RUNNERS, suite_all
 
 __all__ = ["main"]
 
@@ -44,7 +44,7 @@ def _expect_int(field, value, low=None, high=None, even=False, odd=False):
     return value
 
 
-def _expect_real(field, value, low=None, low_open=None, high_open=None):
+def _expect_real(field, value, low=None, low_open=None, high=None, high_open=None):
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(field, f"expected a number, got {value!r}")
     value = float(value)
@@ -54,6 +54,8 @@ def _expect_real(field, value, low=None, low_open=None, high_open=None):
         raise ConfigError(field, f"expected a number >= {low}, got {value}")
     if low_open is not None and value <= low_open:
         raise ConfigError(field, f"expected a number > {low_open}, got {value}")
+    if high is not None and value > high:
+        raise ConfigError(field, f"expected a number <= {high:.4g}, got {value}")
     if high_open is not None and value >= high_open:
         raise ConfigError(field, f"expected a number < {high_open}, got {value}")
     return value
@@ -85,9 +87,11 @@ def _int_field(low=None, high=None, even=False, odd=False):
     return check
 
 
-def _real_field(low=None, low_open=None, high_open=None):
+def _real_field(low=None, low_open=None, high=None, high_open=None):
     def check(field, value):
-        return _expect_real(field, value, low=low, low_open=low_open, high_open=high_open)
+        return _expect_real(
+            field, value, low=low, low_open=low_open, high=high, high_open=high_open
+        )
 
     return check
 
@@ -189,7 +193,7 @@ _SCHEMA = {
         ),
     },
     "rm-cert": {
-        "grid_edge": (1e5, _real_field(low=1e3)),
+        "grid_edge": (1e5, _real_field(low=1e3, high=_HYPOTHESES_EDGE_MAX)),
         "bounded_certs": (
             [[3, 1.0, 10.0], [3, 5.0, 50.0], [5, 1.0, 20.0]],
             _cert_list(3),

@@ -25,7 +25,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass, field
-from typing import Union
+from typing import NamedTuple, Optional, Union
 
 import numpy as np
 
@@ -256,13 +256,46 @@ class DoiKernel:
 _DENOM_ABS_TOL = 1e-13
 
 
-def _kernel_grid(k: DoiKernel, lam, mu, dlambda: bool = False):
+class _AxisValues(NamedTuple):
+    """One-variable kernel inputs on an axis (``None`` where a mode does not use them)."""
+
+    f: np.ndarray
+    fp: Optional[np.ndarray]
+    g: Optional[np.ndarray]
+    gp: Optional[np.ndarray]
+
+    def take(self, index) -> "_AxisValues":
+        return _AxisValues(*(None if v is None else v[index] for v in self))
+
+
+def _axis_values(k: DoiKernel, x, dlambda: bool) -> _AxisValues:
+    """``f(x)``, and ``f'(x)`` with ``dlambda``; in direct mode also ``g`` and ``g'``."""
+    fx = np.asarray(k.f(x), dtype=complex)
+    fp = np.asarray(k.f.d1(x), dtype=complex) if dlambda else None
+    gx = gp = None
+    if k.mode == "direct":
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            gx = np.asarray(k.g(x), dtype=complex)
+            gp = np.asarray(k.g.d1(x), dtype=complex) if dlambda else None
+    return _AxisValues(fx, fp, gx, gp)
+
+
+def _kernel_grid(
+    k: DoiKernel,
+    lam,
+    mu,
+    dlambda: bool = False,
+    at_lam: Optional[_AxisValues] = None,
+    at_mu: Optional[_AxisValues] = None,
+):
     """``(K, dK/dx)`` on broadcastable real arguments (``dK/dx`` only with ``dlambda``).
 
     Every one-variable quantity is evaluated on ``lam`` and ``mu`` as passed,
     before broadcasting, so an outer-product grid costs O(N) function calls;
-    only differences, the cofactor and quotients fill the grid.  Band entries
-    are then overwritten with the midpoint derivative limits.
+    only differences, the cofactor and quotients fill the grid.  ``at_lam`` and
+    ``at_mu`` pass values already taken on ``lam`` and ``mu`` (``at_lam`` with
+    ``f'`` when ``dlambda``).  Band entries are then overwritten with the
+    midpoint derivative limits.
     """
     scalar = np.isscalar(lam) and np.isscalar(mu)
     lam = np.asarray(lam, dtype=float)
@@ -270,14 +303,16 @@ def _kernel_grid(k: DoiKernel, lam, mu, dlambda: bool = False):
     band = np.asarray(_coincidence_band(lam, mu))
     reg = ~band
     lam_b, mu_b = np.broadcast_arrays(lam, mu)
-    fl = np.asarray(k.f(lam), dtype=complex)
-    fm = np.asarray(k.f(mu), dtype=complex)
+    if at_lam is None:
+        at_lam = _axis_values(k, lam, dlambda)
+    if at_mu is None:
+        at_mu = _axis_values(k, mu, False)
+    fl, fm, fp = at_lam.f, at_mu.f, at_lam.fp
     num = fl - fm
-    fp = np.asarray(k.f.d1(lam), dtype=complex) if dlambda else None
     dk = None
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         if k.mode == "direct":
-            den = np.asarray(k.g(lam), dtype=complex) - np.asarray(k.g(mu), dtype=complex)
+            den = at_lam.g - at_mu.g
             bad = reg & (np.abs(den) < _DENOM_ABS_TOL)
             if np.any(bad):
                 j = int(np.argmin(np.abs(den[bad])))
@@ -287,8 +322,7 @@ def _kernel_grid(k: DoiKernel, lam, mu, dlambda: bool = False):
                 )
             kv = num / den
             if dlambda:
-                gp = np.asarray(k.g.d1(lam), dtype=complex)
-                dk = fp / den - num * gp / (den * den)
+                dk = fp / den - num * at_lam.gp / (den * den)
         else:
             m, z = k.m, k.z
             a = lam - z
@@ -409,6 +443,11 @@ class KernelHypothesesReport:
     dlambda_tail_exponent: float
 
 
+# complex temporaries of one row block of the hypotheses grid stay near this
+# size (about 45 rows at N = 721), so a report never holds a whole N x N grid
+_BLOCK_BYTES = 1 << 19
+
+
 def kernel_hypotheses_report(k: DoiKernel, axis) -> KernelHypothesesReport:
     """Sampled boundedness checks behind the Hadamard-transformer estimates.
 
@@ -419,6 +458,10 @@ def kernel_hypotheses_report(k: DoiKernel, axis) -> KernelHypothesesReport:
     tail decay exponent of ``sup_y |dK/dx|``.  The whole grid contains the
     inner square, so a rise is never negative, and any positive rise means
     the outer decade raised the sup: the grid has not shown it bounded.
+
+    The grid is streamed by rows: the one-variable values are taken once on
+    the axis, and each block of rows is reduced to its row sups, over all
+    columns and over the inner columns, before the next block is built.
     """
     lam = np.asarray(axis, dtype=float)
     if lam.ndim != 1:
@@ -427,15 +470,35 @@ def kernel_hypotheses_report(k: DoiKernel, axis) -> KernelHypothesesReport:
     lam_inner = np.abs(lam) <= edge / 10.0
     if not lam_inner.any():
         raise ValueError(f"the axis needs nodes within edge / 10 = {edge / 10.0:g} of 0")
-    kv, dk = _kernel_grid(k, lam[:, None], lam[None, :], dlambda=True)
-    abs_k, abs_dk = np.abs(kv), np.abs(dk)
-    weighted = (1.0 + lam[:, None] ** 2) * abs_dk
 
-    inner = lam_inner[:, None] & lam_inner[None, :]
+    at = _axis_values(k, lam, dlambda=True)
+    at_cols = at.take(np.s_[None, :])
+    # row sups of |K| and |dK/dx|, over all columns and over the inner ones
+    sup_k, sup_k_inner, sup_dk, sup_dk_inner = np.empty((4, lam.size))
+    step = max(1, _BLOCK_BYTES // (16 * lam.size))
+    for start in range(0, lam.size, step):
+        rows = np.s_[start : start + step]
+        kv, dk = _kernel_grid(
+            k,
+            lam[rows, None],
+            lam[None, :],
+            dlambda=True,
+            at_lam=at.take(np.s_[rows, None]),
+            at_mu=at_cols,
+        )
+        abs_k, abs_dk = np.abs(kv), np.abs(dk)
+        sup_k[rows] = abs_k.max(axis=1)
+        sup_k_inner[rows] = abs_k.max(axis=1, where=lam_inner, initial=0.0)
+        sup_dk[rows] = abs_dk.max(axis=1)
+        sup_dk_inner[rows] = abs_dk.max(axis=1, where=lam_inner, initial=0.0)
+    # rounding is monotone, so a row's sup of (1 + x^2) |dK/dx| is its weight
+    # times its sup of |dK/dx|, bit for bit
+    weight = 1.0 + lam**2
+    sup_w, sup_w_inner = weight * sup_dk, weight * sup_dk_inner
 
-    def rise(values):
-        whole = float(values.max())
-        part = float(values.max(where=inner, initial=0.0))
+    def rise(whole_rows, inner_rows):
+        whole = float(whole_rows.max())
+        part = float(inner_rows.max(where=lam_inner, initial=0.0))
         return (whole - part) / max(part, ABS_FLOOR)
 
     top = kernel_eval(k, np.full_like(lam, edge), lam)
@@ -443,10 +506,9 @@ def kernel_hypotheses_report(k: DoiKernel, axis) -> KernelHypothesesReport:
     limit_mismatch = float(np.abs(top - bot).max())
 
     # tail decay of sup_y |dK/dx| against |x|, fitted on the outer decade
-    sup_rows = abs_dk.max(axis=1)
     tail = np.abs(lam) >= edge / 10.0
     x = np.abs(lam[tail])
-    y = sup_rows[tail]
+    y = sup_dk[tail]
     good = y > 0
     if good.sum() > 1:
         exponent = -float(np.polyfit(np.log(x[good]), np.log(y[good]), 1)[0])
@@ -454,10 +516,10 @@ def kernel_hypotheses_report(k: DoiKernel, axis) -> KernelHypothesesReport:
         exponent = float("inf")
 
     return KernelHypothesesReport(
-        sup_abs=float(abs_k.max()),
-        sup_weighted_dlambda=float(weighted.max()),
-        sup_abs_rise=rise(abs_k),
-        sup_weighted_dlambda_rise=rise(weighted),
+        sup_abs=float(sup_k.max()),
+        sup_weighted_dlambda=float(sup_w.max()),
+        sup_abs_rise=rise(sup_k, sup_k_inner),
+        sup_weighted_dlambda_rise=rise(sup_w, sup_w_inner),
         limit_mismatch=limit_mismatch,
         dlambda_tail_exponent=exponent,
     )

@@ -16,6 +16,8 @@ from __future__ import annotations
 
 import concurrent.futures
 import dataclasses
+import math
+import sys
 import time
 
 import numpy as np
@@ -221,6 +223,15 @@ def suite_doi_check(seed: int, params: dict) -> ExperimentReport:
 # rm-cert
 
 
+# rm-cert's hypotheses kernels use one odd power.  The band limit of dK/dx
+# divides by g'(x)^2, with |g'(x)| <= m |x|^-(m+1); past this edge that square
+# falls below the smallest normal double and the quotient overflows
+_HYPOTHESES_M = 3
+_HYPOTHESES_EDGE_MAX = (_HYPOTHESES_M / math.sqrt(sys.float_info.min)) ** (
+    1.0 / (_HYPOTHESES_M + 1)
+)
+
+
 def _hypotheses_grid(inner: float, outer: float, n_inner: int, n_tail: int):
     pos = np.geomspace(inner, outer, n_tail + 1)[1:]
     return np.concatenate([-pos[::-1], np.linspace(-inner, inner, n_inner), pos])
@@ -249,12 +260,12 @@ def suite_rm_cert(seed: int, params: dict) -> ExperimentReport:
     records.append(check_flag("control.exterior_large_a_fails", ctrl_e.passed, False))
 
     axis = _hypotheses_grid(3.0, params["grid_edge"], 401, 160)
-    compact = doi.DoiKernel(functions.bump_c2(1.0), 3, 10.0j, mode="factored")
+    compact = doi.DoiKernel(functions.bump_c2(1.0), _HYPOTHESES_M, 10.0j, mode="factored")
     tail = doi.DoiKernel(
         functions.product(
             functions.smoothstep_cutoff(1.0), functions.power_shift_inverse(3)
         ),
-        3,
+        _HYPOTHESES_M,
         0.01j,
         mode="factored",
     )
@@ -276,7 +287,7 @@ def suite_rm_cert(seed: int, params: dict) -> ExperimentReport:
         )
     # f(x) = x gives K = -(x - z)^3 (y - z)^3 / p, unbounded: both sups must
     # keep rising through the outer decade
-    growing = doi.DoiKernel(functions.identity(), 3, 1j, mode="factored")
+    growing = doi.DoiKernel(functions.identity(), _HYPOTHESES_M, 1j, mode="factored")
     rep = doi.kernel_hypotheses_report(growing, axis)
     either_settles = rep.sup_abs_rise <= 0.0 or rep.sup_weighted_dlambda_rise <= 0.0
     records.append(

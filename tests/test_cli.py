@@ -440,6 +440,10 @@ class TestCliConfigErrors:
             # a margin of 2 or more leaves no band between the grid ends
             ("birman-krein", {"band_margin": 2.0}, "birman-krein.band_margin"),
             ("birman-krein", {"band_margin": 4.5}, "birman-krein.band_margin"),
+            # past float range the kernels' band limit divides by an
+            # underflowed g'(x)^2
+            ("rm-cert", {"grid_edge": 1e39}, "rm-cert.grid_edge"),
+            ("rm-cert", {"grid_edge": 1e40}, "rm-cert.grid_edge"),
         ],
     )
     def test_inconsistent_fields_name_the_field(self, tmp_path, capsys, section, given, field):
@@ -447,6 +451,22 @@ class TestCliConfigErrors:
         rc = main([section, "--config", cfg])
         assert rc == 2
         assert f"field '{field}'" in capsys.readouterr().err
+
+    def test_grid_edge_bound_is_where_g_prime_squared_leaves_normal_range(self):
+        # |g'(edge)| = m edge^-(m+1) for g = (x - z)^-m; its square reaches the
+        # smallest normal double at the largest accepted edge
+        m, edge = suites._HYPOTHESES_M, suites._HYPOTHESES_EDGE_MAX
+        assert (m * edge ** -(m + 1)) ** 2 == pytest.approx(sys.float_info.min, rel=1e-12)
+        assert 3e38 < edge < 4e38
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("edge", [1e20, suites._HYPOTHESES_EDGE_MAX])
+    def test_large_grid_edges_still_run(self, tmp_path, capsys, edge):
+        # edges up to the bound are accepted and run every check without an
+        # overflow; whether the settled checks pass there is their own matter
+        cfg = _write_config(tmp_path, {"rm-cert": {"grid_edge": edge}})
+        assert main(["rm-cert", "--config", cfg]) in (0, 1)
+        assert "config error" not in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "given, field",

@@ -2,11 +2,12 @@
 
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from ssflab import doi, functions
+from ssflab import doi, functions, suites
 from ssflab.doi import (
     AntidiagonalCollisionError,
     BoundedRegion,
@@ -690,6 +691,74 @@ class TestKernelHypotheses:
         rep = kernel_hypotheses_report(k, self._axis())
         assert rep.sup_abs_rise > 1e3
         assert rep.sup_weighted_dlambda_rise > 1e3
+
+    @staticmethod
+    def _rm_cert_kernel(name):
+        # rm-cert's two kernels and its growing f(x) = x control
+        if name == "control":
+            return DoiKernel(functions.identity(), 3, 1j, mode="factored")
+        return _rm_cert_kernels("factored")[name]
+
+    @staticmethod
+    def _full_grid_report(k, axis):
+        # the whole N x N grid at once, from the public kernel functions
+        abs_k = np.abs(kernel_eval(k, axis[:, None], axis[None, :]))
+        abs_dk = np.abs(kernel_dlambda(k, axis[:, None], axis[None, :]))
+        weighted = (1.0 + axis[:, None] ** 2) * abs_dk
+        edge = min(-axis.min(), axis.max())
+        near = np.abs(axis) <= edge / 10.0
+        inner = near[:, None] & near[None, :]
+
+        def rise(values):
+            part = float(values[inner].max())
+            return (float(values.max()) - part) / part
+
+        tail = np.abs(axis) >= edge / 10.0
+        slope = np.polyfit(np.log(np.abs(axis[tail])), np.log(abs_dk.max(axis=1)[tail]), 1)[0]
+        return float(abs_k.max()), float(weighted.max()), rise(abs_k), rise(weighted), -slope
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("name", ["compact_support", "tail_power", "control"])
+    def test_streamed_report_equals_the_full_grid(self, name):
+        k = self._rm_cert_kernel(name)
+        axis = suites._hypotheses_grid(3.0, 1e5, 201, 80)
+        step = doi._BLOCK_BYTES // (16 * axis.size)
+        # several blocks, the last one short
+        assert 1 <= step < axis.size and axis.size % step != 0
+        rep = kernel_hypotheses_report(k, axis)
+        sup_abs, sup_weighted, abs_rise, weighted_rise, exponent = self._full_grid_report(k, axis)
+        assert rep.sup_abs == pytest.approx(sup_abs, rel=1e-14, abs=0.0)
+        assert rep.sup_weighted_dlambda == pytest.approx(sup_weighted, rel=1e-14, abs=0.0)
+        assert rep.sup_abs_rise == abs_rise
+        assert rep.sup_weighted_dlambda_rise == weighted_rise
+        assert rep.dlambda_tail_exponent == pytest.approx(exponent, rel=1e-12, abs=0.0)
+        if name == "control":
+            assert abs_rise > 0.0 and weighted_rise > 0.0
+
+    def test_collision_past_the_first_block_raises(self):
+        # (x - i)^3 takes one value at x = +sqrt(3) and x = -sqrt(3): that
+        # pair sits at the end of the axis, rows away from the first block
+        k = DoiKernel(functions.gaussian_bump(), 3, 1j, mode="factored")
+        root = math.sqrt(3.0)
+        axis = np.concatenate([np.linspace(-10.0, 10.0, 600), [-root, root]])
+        step = doi._BLOCK_BYTES // (16 * axis.size)
+        assert axis.size - 2 >= step
+        with pytest.raises(DegenerateKernelError, match="cofactor"):
+            kernel_hypotheses_report(k, axis)
+
+    @pytest.mark.parametrize("name", ["compact_support", "tail_power", "control"])
+    def test_peak_memory_below_one_full_grid(self, name):
+        # one complex N x N grid is 16 N^2 bytes; the full-grid report held
+        # about 9.7 of them at the rm-cert axis
+        axis = suites._hypotheses_grid(3.0, 1e5, 401, 160)
+        assert axis.size == 721
+        tracemalloc.start()
+        try:
+            kernel_hypotheses_report(self._rm_cert_kernel(name), axis)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 16 * axis.size**2
 
     def test_rejects_bad_grid(self):
         k = DoiKernel(functions.bump_c2(1.0), 3, 10j)
