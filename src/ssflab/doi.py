@@ -75,18 +75,11 @@ class AntidiagonalCollisionError(DegenerateKernelError):
 def _p_eval(m: int, z: complex, lam, mu) -> np.ndarray:
     a = np.asarray(lam, dtype=complex) - z
     b = np.asarray(mu, dtype=complex) - z
-    acc = np.ones(np.broadcast(a, b).shape, dtype=complex)
-    for k in range(1, m):
-        acc = acc * b + a**k
-    return acc
-
-
-def _p_dlam(m: int, z: complex, lam, mu) -> np.ndarray:
-    a = np.asarray(lam, dtype=complex) - z
-    b = np.asarray(mu, dtype=complex) - z
-    acc = np.zeros(np.broadcast(a, b).shape, dtype=complex)
-    for j in range(m - 2, -1, -1):
-        acc = acc * b + (m - 1 - j) * a ** (m - 2 - j)
+    # Horner in b: ((a + b) b + a^2) b + ... + a^(m-1)
+    acc = a + b if m > 1 else np.ones(np.broadcast_shapes(a.shape, b.shape), complex)
+    for k in range(2, m):
+        acc *= b
+        acc += a**k
     return acc
 
 
@@ -219,9 +212,9 @@ def cofactor_lower_bound_cert(
 _BAND_DELTA0 = 1e-5
 
 
-def _coincidence_band(lam, mu) -> np.ndarray:
-    """Mask of ``|x - y| <= _BAND_DELTA0 * (1 + |x|)``, where kernels use derivative limits."""
-    return np.abs(lam - mu) <= _BAND_DELTA0 * (1.0 + np.abs(lam))
+def _coincidence_band(lam, mu, gap=None) -> np.ndarray:
+    """Mask of ``|x - y| <= _BAND_DELTA0 * (1 + |x|)``; ``gap`` may pass ``y - x``."""
+    return np.abs(mu - lam if gap is None else gap) <= _BAND_DELTA0 * (1.0 + np.abs(lam))
 
 
 @dataclass(frozen=True)
@@ -253,7 +246,8 @@ class DoiKernel:
         object.__setattr__(self, "g", resolvent_function(z, m))
 
 
-_DENOM_ABS_TOL = 1e-13
+# off the band, |g(x) - g(y)| or |p| below this times its scale is a collision
+_DENOM_RTOL = 1e-13
 
 
 class _AxisValues(NamedTuple):
@@ -287,62 +281,68 @@ def _kernel_grid(
     dlambda: bool = False,
     at_lam: Optional[_AxisValues] = None,
     at_mu: Optional[_AxisValues] = None,
+    out: tuple = (None, None),
 ):
     """``(K, dK/dx)`` on broadcastable real arguments (``dK/dx`` only with ``dlambda``).
 
-    Every one-variable quantity is evaluated on ``lam`` and ``mu`` as passed,
-    before broadcasting, so an outer-product grid costs O(N) function calls;
-    only differences, the cofactor and quotients fill the grid.  ``at_lam`` and
-    ``at_mu`` pass values already taken on ``lam`` and ``mu`` (``at_lam`` with
-    ``f'`` when ``dlambda``).  Band entries are then overwritten with the
-    midpoint derivative limits.
+    Both come from one reciprocal ``R = 1 / (g(x) - g(y))`` per entry, as
+    ``K = (f(x) - f(y)) R`` and ``dK/dx = (f'(x) - K g'(x)) R``.  The factored
+    mode takes ``R = a^m b^m / ((y - x) p(x, y; z))``, ``a = x - z``, ``b = y - z``.
+    One-variable values are taken on ``lam`` and ``mu`` before broadcasting, so
+    a grid costs O(N) function calls, or passed in ``at_lam`` and ``at_mu``
+    (``at_lam`` with ``f'`` when ``dlambda``).  ``out`` may pass the arrays for
+    ``K`` and ``dK/dx``.  Band entries get the midpoint derivative limits.
     """
     scalar = np.isscalar(lam) and np.isscalar(mu)
-    lam = np.asarray(lam, dtype=float)
-    mu = np.asarray(mu, dtype=float)
-    band = np.asarray(_coincidence_band(lam, mu))
-    reg = ~band
-    lam_b, mu_b = np.broadcast_arrays(lam, mu)
-    if at_lam is None:
-        at_lam = _axis_values(k, lam, dlambda)
-    if at_mu is None:
-        at_mu = _axis_values(k, mu, False)
-    fl, fm, fp = at_lam.f, at_mu.f, at_lam.fp
-    num = fl - fm
+    lam, mu = np.asarray(lam, dtype=float), np.asarray(mu, dtype=float)
+    shape = np.broadcast_shapes(lam.shape, mu.shape)
+    lam, mu = np.atleast_1d(lam, mu)  # in-place arithmetic below needs arrays
+    at_lam = _axis_values(k, lam, dlambda) if at_lam is None else at_lam
+    at_mu = _axis_values(k, mu, False) if at_mu is None else at_mu
+    gap = mu - lam
+    band = _coincidence_band(lam, mu, gap)
     dk = None
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         if k.mode == "direct":
-            den = at_lam.g - at_mu.g
-            bad = reg & (np.abs(den) < _DENOM_ABS_TOL)
-            if np.any(bad):
-                j = int(np.argmin(np.abs(den[bad])))
-                raise DegenerateKernelError(
-                    f"denominator {np.abs(den[bad]).min():.3e} below {_DENOM_ABS_TOL:g} at "
-                    f"(x, y) = ({lam_b[bad][j]}, {mu_b[bad][j]}) outside the band"
-                )
-            kv = num / den
-            if dlambda:
-                dk = fp / den - num * at_lam.gp / (den * den)
+            what, r = "denominator g(x) - g(y)", at_lam.g - at_mu.g
+            scale = np.maximum(np.abs(at_lam.g), np.abs(at_mu.g))
         else:
             m, z = k.m, k.z
             a = lam - z
-            b = mu - z
-            pv = _p_eval(m, z, lam, mu)
-            pscale = (np.abs(a) + np.abs(b)) ** (m - 1)
-            if np.any(reg & (np.abs(pv) < _DENOM_ABS_TOL * np.maximum(pscale, 1.0))):
-                raise DegenerateKernelError("telescoping cofactor vanished off-diagonal")
-            phi = num / (lam - mu)
-            big_g = a**m * b**m / pv
-            kv = -phi * big_g
-            if dlambda:
-                # derivative of the first divided difference in its first slot
-                dphi = (fm - fl - fp * (mu - lam)) / (lam - mu) ** 2
-                dbig_g = big_g * (m / a - _p_dlam(m, z, lam, mu) / pv)
-                dk = -(dphi * big_g + phi * dbig_g)
-    # 0-d inputs give numpy scalars; the band entries below need arrays
-    kv = np.asarray(kv)
-    dk = None if dk is None else np.asarray(dk)
-    if np.any(band):
+            what, r = "telescoping cofactor", _p_eval(m, z, lam, mu)
+            scale = (np.abs(a) + np.abs(mu - z)) ** (m - 1)
+            np.maximum(scale, 1.0, out=scale)
+        size = np.abs(r)
+        scale *= _DENOM_RTOL
+        # strict, so that 0 against 0 (g underflowed) or inf against inf is one too
+        bad = ~((size > scale) | band)
+        if np.any(bad):
+            rel = _DENOM_RTOL * size[bad] / scale[bad]
+            j = int(np.argmin(rel))
+            lam_b, mu_b = np.broadcast_arrays(lam, mu)
+            raise DegenerateKernelError(
+                f"{what} is {rel[j]:.3e} of its scale, not above {_DENOM_RTOL:g}, at "
+                f"(x, y) = ({lam_b[bad][j]}, {mu_b[bad][j]}) outside the band"
+            )
+        if k.mode == "direct":
+            np.reciprocal(r, out=r)
+            gp = at_lam.gp
+        else:
+            # a^m - b^m = (x - y) p, so g(x) - g(y) = (y - x) p / (a^m b^m)
+            r *= gap
+            np.divide(a**m, r, out=r)
+            r *= (mu - z) ** m
+            gp = -m / a ** (m + 1)
+        kv = np.subtract(at_lam.f, at_mu.f, out=out[0])
+        kv *= r
+        if dlambda:
+            dk = np.multiply(kv, gp, out=out[1])
+            np.subtract(at_lam.fp, dk, out=dk)
+            dk *= r
+    # the band is thin: index its entries rather than mask the grid
+    band = np.unravel_index(np.flatnonzero(band), band.shape)
+    if band[0].size:
+        lam_b, mu_b = np.broadcast_arrays(lam, mu)
         mid = 0.5 * (lam_b[band] + mu_b[band])
         fp_mid = np.asarray(k.f.d1(mid), dtype=complex)
         gp_mid = np.asarray(k.g.d1(mid), dtype=complex)
@@ -353,6 +353,7 @@ def _kernel_grid(
             fpp = np.asarray(k.f.d2(mid), dtype=complex)
             gpp = np.asarray(k.g.d2(mid), dtype=complex)
             dk[band] = 0.5 * (fpp * gp_mid - fp_mid * gpp) / (gp_mid * gp_mid)
+    kv, dk = kv.reshape(shape), (None if dk is None else dk.reshape(shape))
     if scalar:
         return complex(kv), (None if dk is None else complex(dk))
     return kv, dk
@@ -476,6 +477,8 @@ def kernel_hypotheses_report(k: DoiKernel, axis) -> KernelHypothesesReport:
     # row sups of |K| and |dK/dx|, over all columns and over the inner ones
     sup_k, sup_k_inner, sup_dk, sup_dk_inner = np.empty((4, lam.size))
     step = max(1, _BLOCK_BYTES // (16 * lam.size))
+    # K, dK/dx and their moduli reuse one set of buffers from block to block
+    work, modulus = np.empty((2, step, lam.size), dtype=complex), np.empty((step, lam.size))
     for start in range(0, lam.size, step):
         rows = np.s_[start : start + step]
         kv, dk = _kernel_grid(
@@ -485,12 +488,12 @@ def kernel_hypotheses_report(k: DoiKernel, axis) -> KernelHypothesesReport:
             dlambda=True,
             at_lam=at.take(np.s_[rows, None]),
             at_mu=at_cols,
+            out=tuple(work[:, : lam[rows].size]),
         )
-        abs_k, abs_dk = np.abs(kv), np.abs(dk)
-        sup_k[rows] = abs_k.max(axis=1)
-        sup_k_inner[rows] = abs_k.max(axis=1, where=lam_inner, initial=0.0)
-        sup_dk[rows] = abs_dk.max(axis=1)
-        sup_dk_inner[rows] = abs_dk.max(axis=1, where=lam_inner, initial=0.0)
+        for v, sup, sup_inner in ((kv, sup_k, sup_k_inner), (dk, sup_dk, sup_dk_inner)):
+            mod = np.abs(v, out=modulus[: v.shape[0]])
+            sup[rows] = mod.max(axis=1)
+            sup_inner[rows] = mod.max(axis=1, where=lam_inner, initial=0.0)
     # rounding is monotone, so a row's sup of (1 + x^2) |dK/dx| is its weight
     # times its sup of |dK/dx|, bit for bit
     weight = 1.0 + lam**2
@@ -506,12 +509,9 @@ def kernel_hypotheses_report(k: DoiKernel, axis) -> KernelHypothesesReport:
     limit_mismatch = float(np.abs(top - bot).max())
 
     # tail decay of sup_y |dK/dx| against |x|, fitted on the outer decade
-    tail = np.abs(lam) >= edge / 10.0
-    x = np.abs(lam[tail])
-    y = sup_dk[tail]
-    good = y > 0
+    good = (np.abs(lam) >= edge / 10.0) & (sup_dk > 0)
     if good.sum() > 1:
-        exponent = -float(np.polyfit(np.log(x[good]), np.log(y[good]), 1)[0])
+        exponent = -float(np.polyfit(np.log(np.abs(lam[good])), np.log(sup_dk[good]), 1)[0])
     else:
         exponent = float("inf")
 

@@ -46,9 +46,7 @@ __all__ = [
 
 _TRACE_TAG = 11
 _DOI_TAG = 12
-_CERT_TAG = 13
 _DIRAC_TAG = 14
-_BK_TAG = 15
 
 
 def _random_pair(rng, dim: int, scale: float):

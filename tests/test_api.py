@@ -54,3 +54,40 @@ def _unused_imports(path: pathlib.Path) -> list:
 @pytest.mark.parametrize("path", SOURCES, ids=[p.stem for p in SOURCES])
 def test_no_unused_imports(path):
     assert _unused_imports(path) == []
+
+
+def _private_definitions(tree: ast.Module) -> dict:
+    """Module-level private functions, classes and constants, with their lines."""
+    defined = {}
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names = [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+        else:
+            continue
+        for name in names:
+            if name.startswith("_") and not name.startswith("__"):
+                defined[name] = node.lineno
+    return defined
+
+
+def test_no_unused_private_names():
+    # a private name is the package's own business: if no module of it reads
+    # the name, nothing does
+    trees = {path.stem: ast.parse(path.read_text(encoding="utf-8")) for path in SOURCES}
+    read = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+    unused = sorted(
+        f"{stem}.{name} (line {line})"
+        for stem, tree in trees.items()
+        for name, line in _private_definitions(tree).items()
+        if name not in read
+    )
+    assert unused == []

@@ -468,6 +468,16 @@ class TestCliConfigErrors:
         assert main(["rm-cert", "--config", cfg]) in (0, 1)
         assert "config error" not in capsys.readouterr().err
 
+    @pytest.mark.parametrize("edge", [1e20, 1e30])
+    def test_compact_support_settles_at_large_grid_edges(self, edge):
+        # past |x| = 1 the compact-support kernel's dK/dx is f(y) g'(x) R^2,
+        # R = 1 / (g(x) - g(y)), with nothing left to cancel, so the outer
+        # decade of a far edge raises neither sup
+        params = cli._validate_section("rm-cert", {"grid_edge": edge})
+        passed = {r.name: r.passed for r in suites.suite_rm_cert(0, params).records}
+        assert passed["hypotheses.compact_support.sup_abs_settled"]
+        assert passed["hypotheses.compact_support.weighted_dlambda_settled"]
+
     @pytest.mark.parametrize(
         "given, field",
         [

@@ -74,21 +74,6 @@ class TestCofactorPolynomial:
         mu = rng.uniform(-3, 3, size=200)
         np.testing.assert_allclose(p(lam, mu), p(mu, lam), rtol=1e-12)
 
-    @pytest.mark.parametrize("m", [3, 5])
-    def test_partial_derivatives_match_finite_differences(self, m):
-        p = CofactorPolynomial(m, 1.5j)
-        rng = rng_from(24, m)
-        h = 1e-6
-        for _ in range(20):
-            lam, mu = rng.uniform(-3, 3, size=2)
-            fd_lam = (complex(p(lam + h, mu)) - complex(p(lam - h, mu))) / (2 * h)
-            fd_mu = (complex(p(lam, mu + h)) - complex(p(lam, mu - h))) / (2 * h)
-            dlam = complex(doi._p_dlam(m, p.z, lam, mu))
-            # p is symmetric, so dp/dmu is dp/dlam with the arguments swapped
-            dmu = complex(doi._p_dlam(m, p.z, mu, lam))
-            assert dlam == pytest.approx(fd_lam, rel=1e-7, abs=1e-7)
-            assert dmu == pytest.approx(fd_mu, rel=1e-7, abs=1e-7)
-
     def test_rejects_even_power_and_real_shift(self):
         with pytest.raises(ValueError, match="odd"):
             CofactorPolynomial(2, 1j)
@@ -372,6 +357,18 @@ class TestKernelEval:
         got = kernel_dlambda(direct, x, x)
         assert got == pytest.approx(fd, rel=1e-3)
 
+    @pytest.mark.parametrize("y", [-0.3, 0.5])
+    @pytest.mark.parametrize("x", [1e4, 1e5, 1e20])
+    @pytest.mark.parametrize("mode", _MODES)
+    def test_dlambda_far_outside_the_support(self, mode, x, y):
+        # past |x| = 1 rm-cert's compact-support kernel has f(x) = f'(x) = 0,
+        # so dK/dx = f(y) g'(x) / (g(x) - g(y))^2: products and a difference
+        # of values far apart in size, exact to a few ulps in double precision
+        k = _rm_cert_kernels(mode)["compact_support"]
+        z = k.z
+        want = complex(k.f(y)) * (-3 * (x - z) ** -4) / ((x - z) ** -3 - (y - z) ** -3) ** 2
+        assert kernel_dlambda(k, x, y) == pytest.approx(want, rel=1e-12, abs=0.0)
+
     def test_validation(self):
         f = functions.gaussian_bump()
         with pytest.raises(ValueError, match="mode"):
@@ -516,6 +513,15 @@ class TestKernelGrids:
         mu = np.array([0.5, -math.sqrt(3.0)])
         with pytest.raises(DegenerateKernelError, match=match):
             fn(k, lam[:, None], mu[None, :])
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("mode, x, y", [("direct", 1e110, 2e110), ("factored", 1e160, 3e160)])
+    def test_denominator_out_of_float_range_raises(self, mode, x, y):
+        # g(x) and g(y) underflow to 0 (direct), or p overflows (factored): the
+        # ratio to its scale is NaN, which is a collision, not a NaN kernel
+        k = DoiKernel(functions.identity(), 3, 1j, mode=mode)
+        with pytest.raises(DegenerateKernelError, match="nan of its scale"):
+            kernel_eval(k, x, y)
 
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("fn", [kernel_eval, kernel_dlambda])
@@ -746,10 +752,27 @@ class TestKernelHypotheses:
         with pytest.raises(DegenerateKernelError, match="cofactor"):
             kernel_hypotheses_report(k, axis)
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("name", ["compact_support", "tail_power", "control"])
+    def test_direct_and_factored_reports_agree_on_the_rm_cert_grid(self, name):
+        # the direct-against-factored route pair on the grid rm-cert certifies;
+        # |g| is about 1e-15 at its edge, so the direct mode's denominator
+        # test must be relative to |g| to run there
+        axis = suites._hypotheses_grid(3.0, 1e5, 401, 160)
+        factored = self._rm_cert_kernel(name)
+        direct = dataclasses.replace(factored, mode="direct")
+        want = kernel_hypotheses_report(factored, axis)
+        got = kernel_hypotheses_report(direct, axis)
+        for fld in dataclasses.fields(want):
+            assert getattr(got, fld.name) == pytest.approx(
+                getattr(want, fld.name), rel=1e-12, abs=0.0
+            ), fld.name
+
     @pytest.mark.parametrize("name", ["compact_support", "tail_power", "control"])
     def test_peak_memory_below_one_full_grid(self, name):
         # one complex N x N grid is 16 N^2 bytes; the full-grid report held
-        # about 9.7 of them at the rm-cert axis
+        # about 9.7 of them at the rm-cert axis; row blocks with one reciprocal
+        # denominator per entry, written into reused buffers, hold about 0.36
         axis = suites._hypotheses_grid(3.0, 1e5, 401, 160)
         assert axis.size == 721
         tracemalloc.start()
@@ -758,7 +781,7 @@ class TestKernelHypotheses:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak <= 16 * axis.size**2
+        assert peak <= 0.5 * 16 * axis.size**2
 
     def test_rejects_bad_grid(self):
         k = DoiKernel(functions.bump_c2(1.0), 3, 10j)
