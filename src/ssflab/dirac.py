@@ -37,7 +37,6 @@ from .spectral import (
 from .utils import random_hermitian
 
 __all__ = [
-    "CommutatorDecayReport",
     "DIRAC_MATRICES",
     "FactorizationReport",
     "LatticeModel",
@@ -46,21 +45,17 @@ __all__ = [
     "RefinementStudy",
     "WeightedResolventReport",
     "balanced_spacing",
-    "commutator_decay_report",
     "commutator_decay_study",
     "commutator_identity_residual",
     "free_hamiltonian",
     "free_resolvent_power",
-    "free_symbol",
     "perturbed_hamiltonian",
     "random_bounded_potential",
     "random_decaying_potential",
     "resolvent_power_difference",
     "schatten_refinement_study",
-    "weight_diagonal",
     "weighted_factorization_report",
     "weighted_resolvent_schatten",
-    "zero_potential",
 ]
 
 _SIGMA1 = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
@@ -86,19 +81,6 @@ DIRAC_MATRICES = {
         np.kron(_SIGMA3, np.eye(2)),
     ),
 }
-
-
-def free_symbol(d: int, mass: float, xi) -> np.ndarray:
-    """Momentum-space symbol: sum of kinetic matrices times momentum, plus mass.
-
-    Squares to ``(|xi|^2 + mass^2) I``, so its eigenvalues are the two signed
-    branches, each with multiplicity spinor_dim / 2.
-    """
-    mats = DIRAC_MATRICES[d]
-    xi = np.asarray(xi, dtype=float).reshape(-1)
-    if xi.size != d:
-        raise ValueError(f"momentum must have {d} components")
-    return mass * mats[d] + np.tensordot(xi, mats[:d], axes=1)
 
 
 def _is_integer(x) -> bool:
@@ -262,7 +244,7 @@ def _site_weights(model: LatticeModel, r: float) -> np.ndarray:
     return (1.0 + model.site_distances() ** 2) ** (-r / 2.0)
 
 
-def weight_diagonal(model: LatticeModel, r: float) -> np.ndarray:
+def _weight_diagonal(model: LatticeModel, r: float) -> np.ndarray:
     """Entries ``(1 + |x|^2)^{-r/2}``, replicated across spinor components."""
     return np.repeat(_site_weights(model, r), model.spinor_dim)
 
@@ -336,11 +318,6 @@ def _apply_site_blocks(blocks: np.ndarray, x: np.ndarray) -> np.ndarray:
     """
     n_sites, s, _ = blocks.shape
     return np.matmul(blocks, x.reshape(n_sites, s, -1)).reshape(x.shape)
-
-
-def zero_potential(model: LatticeModel) -> MatrixPotential:
-    s = model.spinor_dim
-    return MatrixPotential(model, np.zeros((model.n_sites, s, s), dtype=complex))
 
 
 def _random_site_matrices(
@@ -428,7 +405,7 @@ def _fit_decay_exponent(sv: np.ndarray):
 def _weighted_resolvent_profile(
     model: LatticeModel, r: float, k: int, z: complex
 ) -> SingularValueProfile:
-    """Singular values of ``W (H0 - z)^{-k}``, W the :func:`weight_diagonal` weight.
+    """Singular values of ``W (H0 - z)^{-k}``, W the :func:`_weight_diagonal` weight.
 
     At ``Re z = 0``, ``z = iy``, the resolvent power is a function of ``H0``,
     so its polar factor is unitary and commutes with it, and ``W R0^k`` has
@@ -443,7 +420,7 @@ def _weighted_resolvent_profile(
     """
     if z.real != 0.0:
         return singular_values(
-            weight_diagonal(model, r)[:, None] * free_resolvent_power(model, z, k)
+            _weight_diagonal(model, r)[:, None] * free_resolvent_power(model, z, k)
         )
     w = _site_weights(model, r)
     _, energy = _symbol_grid(model)
@@ -803,7 +780,7 @@ def commutator_identity_residual(
         raise ValueError(f"k must be an integer >= 0, got k={k!r}")
     # the identity carries R^(k+1)
     z, _ = _check_resolvent_args(z, k + 1)
-    w = weight_diagonal(model, r)
+    w = _weight_diagonal(model, r)
     h = perturbed_hamiltonian(model, v0, v)
     # the potentials' site blocks commute with W exactly, so this is the
     # commutator of the free operator alone
@@ -831,7 +808,7 @@ def commutator_identity_residual(
 
 
 @dataclass(frozen=True)
-class CommutatorDecayReport:
+class _CommutatorDecayReport:
     r: float
     n: int
     sup_constant: float
@@ -842,7 +819,7 @@ class CommutatorDecayReport:
 _NEAR_WINDOW = 10.0
 
 
-def commutator_decay_report(model: LatticeModel, r: float) -> CommutatorDecayReport:
+def _commutator_decay_report(model: LatticeModel, r: float) -> _CommutatorDecayReport:
     """Columnwise decay profile of the free-operator/weight commutator.
 
     The raw profile is the spectral norm of each site's column block of the
@@ -858,7 +835,7 @@ def commutator_decay_report(model: LatticeModel, r: float) -> CommutatorDecayRep
     raw norm overall; ``decays`` says it is below 1/2.
     """
     h00 = free_hamiltonian(model)
-    w = weight_diagonal(model, r)
+    w = _weight_diagonal(model, r)
     comm = h00 * w[None, :] - w[:, None] * h00
     dist = model.site_distances()
     s = model.spinor_dim
@@ -871,7 +848,7 @@ def commutator_decay_report(model: LatticeModel, r: float) -> CommutatorDecayRep
     far = dist >= 0.75 * dist.max()
     raw_max = max(float(raw.max()), ABS_FLOOR)
     far_ratio = float(raw[far].max()) / raw_max
-    return CommutatorDecayReport(
+    return _CommutatorDecayReport(
         r=float(r),
         n=model.n,
         sup_constant=float(weighted[near].max()),
@@ -898,6 +875,6 @@ def commutator_decay_study(d: int, r: float, n_list: Sequence[int], mass: float 
     sups = []
     for n in n_list:
         model = LatticeModel(d=d, n=n, h=_DECAY_STUDY_H, mass=mass)
-        sups.append(commutator_decay_report(model, r).sup_constant)
+        sups.append(_commutator_decay_report(model, r).sup_constant)
     stable = bool(abs(sups[-1] - sups[-2]) <= _DECAY_STUDY_RTOL * abs(sups[-1]))
     return tuple(sups), stable

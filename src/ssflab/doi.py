@@ -53,7 +53,6 @@ __all__ = [
     "cofactor_lower_bound_cert",
     "doi_apply",
     "doi_identity_residual",
-    "kernel_dlambda",
     "kernel_eval",
     "kernel_hypotheses_report",
     "resolvent_cutoff_split",
@@ -362,11 +361,6 @@ def _kernel_grid(
 def kernel_eval(k: DoiKernel, lam, mu):
     """Evaluate the kernel on broadcastable real arguments."""
     return _kernel_grid(k, lam, mu)[0]
-
-
-def kernel_dlambda(k: DoiKernel, lam, mu):
-    """Partial derivative of the kernel in its first argument."""
-    return _kernel_grid(k, lam, mu, dlambda=True)[1]
 
 
 # ---------------------------------------------------------------------------

@@ -16,6 +16,17 @@ import math
 from dataclasses import dataclass, field
 from typing import Optional
 
+__all__ = [
+    "CheckRecord",
+    "ExperimentReport",
+    "SCHEMA_VERSION",
+    "check_flag",
+    "check_gt",
+    "check_info",
+    "check_le",
+    "merge_reports",
+]
+
 SCHEMA_VERSION = 1
 
 _OPS = ("<=", ">=", ">", "==", "info")

@@ -35,12 +35,9 @@ __all__ = [
     "band_sweep",
     "birman_krein_point",
     "bound_state_count_below",
-    "free_green",
-    "lattice_root",
     "s_matrix",
     "scattering_determinant",
     "ssf_scattering",
-    "unitarity_defect",
 ]
 
 BAND_EDGE_MARGIN = 1e-3
@@ -112,7 +109,7 @@ def _integer_sites(sites) -> np.ndarray:
     return arr.astype(int)
 
 
-def lattice_root(z: complex) -> complex:
+def _lattice_root(z: complex) -> complex:
     """The root of ``w + 1/w = z`` inside the unit disk.
 
     Rejects a non-finite ``z``, and ``z`` on the band ``[-2, 2]``, where both
@@ -127,16 +124,6 @@ def lattice_root(z: complex) -> complex:
     w1 = (z + disc) / 2.0
     w2 = (z - disc) / 2.0
     return w1 if abs(w1) < abs(w2) else w2
-
-
-def free_green(z: complex, n, m) -> complex:
-    """Closed-form free resolvent kernel ``w^{|n-m|} / (w - 1/w)``."""
-    w = lattice_root(z)
-    dist = np.abs(_integer_sites(n) - _integer_sites(m))
-    out = w**dist / (w - 1.0 / w)
-    if np.ndim(dist) == 0:
-        return complex(out)
-    return out
 
 
 def _kappa(lam: float) -> float:
@@ -187,15 +174,11 @@ def s_matrix(model: LatticeScatteringModel, lam: float) -> np.ndarray:
     return np.array([[t1, r2], [r1, t2]], dtype=complex)
 
 
-def unitarity_defect(s: np.ndarray) -> float:
-    return float(np.abs(s.conj().T @ s - np.eye(2)).max())
-
-
 def scattering_determinant(model: LatticeScatteringModel, z: complex) -> complex:
     """Perturbation determinant ``det(I + V G0_SS(z))`` on the potential support.
 
     Defined for ``Im z > 0``; any other ``z`` is rejected by name.  With
-    ``w = lattice_root(z)`` and ``c = w - 1/w`` the support Green function is
+    ``w = _lattice_root(z)`` and ``c = w - 1/w`` the support Green function is
     ``G0_SS = K / c``, where ``K_ij = w^|s_i - s_j|`` is a Markov kernel over
     the sites ``s_1 < ... < s_L``.  So ``K^-1`` is tridiagonal: with
     ``r_i = w^(s_(i+1) - s_i)`` and ``q_i = 1 / (1 - r_i^2)`` (``q_0 = q_L = 1``)
@@ -214,7 +197,7 @@ def scattering_determinant(model: LatticeScatteringModel, z: complex) -> complex
     z = complex(z)
     if not z.imag > 0.0:
         raise ValueError(f"the scattering determinant needs Im z > 0, got z={z}")
-    w = lattice_root(z)
+    w = _lattice_root(z)
     c = w - 1.0 / w
     w2 = w * w
     det = 1.0
@@ -276,7 +259,7 @@ def birman_krein_point(model: LatticeScatteringModel, lam: float) -> BirmanKrein
         det_s=det_s,
         xi=xi,
         residual=float(residual),
-        unitarity=unitarity_defect(s),
+        unitarity=float(np.abs(s.conj().T @ s - np.eye(2)).max()),
     )
 
 
@@ -310,7 +293,12 @@ def band_sweep(
 
 
 def _truncated_chain(model: LatticeScatteringModel, l_trunc: int) -> tuple:
-    """Diagonal and off-diagonal of the operator truncated to sites |n| <= l_trunc."""
+    """Diagonal and off-diagonal of the operator truncated to sites |n| <= l_trunc.
+
+    ``l_trunc`` must be an integer >= 1; a bool or a float is rejected by name.
+    """
+    if isinstance(l_trunc, bool) or not isinstance(l_trunc, (int, np.integer)) or l_trunc < 1:
+        raise ValueError(f"l_trunc must be an integer >= 1, got l_trunc={l_trunc!r}")
     if model.support_radius >= l_trunc / 4:
         raise ValueError(
             f"truncation l_trunc={l_trunc} too small for support radius "

@@ -24,7 +24,6 @@ __all__ = [
     "apply_function",
     "det_id_plus",
     "eig_hermitian",
-    "hermiticity_defect",
     "resolvent_power",
     "schatten_norm",
     "singular_values",
@@ -41,7 +40,7 @@ class NotHermitianError(ValueError):
     """Raised when an input fails the Hermitian input gate."""
 
 
-def hermiticity_defect(entries) -> float:
+def _hermiticity_defect(entries) -> float:
     """Max-entry norm of ``M - M*`` relative to the largest entry of ``M``.
 
     Works over the last two axes, so a ``(n_sites, s, s)`` stack of site
@@ -57,7 +56,7 @@ def _check_hermitian(m: np.ndarray, name: str) -> np.ndarray:
 
     Rejects, naming the input ``name``, an ``m`` that is not square over its
     last two axes, is empty, has a non-finite entry, or has a
-    :func:`hermiticity_defect` above ``HERMITICITY_RTOL``.  Every rejection is
+    :func:`_hermiticity_defect` above ``HERMITICITY_RTOL``.  Every rejection is
     a :class:`NotHermitianError`.
     """
     if m.ndim < 2 or m.shape[-1] != m.shape[-2]:
@@ -67,7 +66,7 @@ def _check_hermitian(m: np.ndarray, name: str) -> np.ndarray:
     if not np.isfinite(m).all():
         where = tuple(int(i) for i in np.argwhere(~np.isfinite(m))[0])
         raise NotHermitianError(f"{name} has a non-finite entry at index {where}")
-    defect = hermiticity_defect(m)
+    defect = _hermiticity_defect(m)
     if defect > HERMITICITY_RTOL:
         raise NotHermitianError(
             f"{name} is not Hermitian: relative asymmetry {defect:.3e} "

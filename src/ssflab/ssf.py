@@ -101,16 +101,9 @@ class StepFunction:
             return int(out)
         return out
 
-    def jumps(self) -> np.ndarray:
-        return np.diff(self.values)
-
     @property
     def is_zero(self) -> bool:
         return self.breakpoints.size == 0
-
-    @classmethod
-    def zero(cls) -> "StepFunction":
-        return cls(np.empty(0), np.zeros(1, dtype=int))
 
 
 def _cluster_radius(spec0: np.ndarray, spec: np.ndarray) -> float:
@@ -483,11 +476,16 @@ def ssf_via_determinant(
     ``eps = near / 2^k``, ``k = 1..8``, where ``near`` is the distance from
     ``lam`` to either spectrum, and Richardson-extrapolated (two-point, linear
     order) to the real axis.  A non-finite ``lam``, or one within
-    ``jump_margin`` of either spectrum (a jump point), is rejected.  ``V`` is
+    ``jump_margin`` of either spectrum (a jump point), is rejected, and so is
+    a ``jump_margin`` that is not finite and positive.  ``V`` is
     validated and ``H0 + V`` reduced to tridiagonal form once; each height
     then costs O(n).
     """
     lam = _check_finite_lambda(lam)
+    if not (jump_margin > 0.0 and math.isfinite(jump_margin)):
+        raise ValueError(
+            f"jump_margin must be finite and positive, got jump_margin={jump_margin!r}"
+        )
     v = _validate_perturbation(d0, v)
     h = d0.reconstruct() + v
     d = eig_hermitian(h)

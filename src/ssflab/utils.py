@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import numpy as np
 
+__all__ = ["random_hermitian", "random_rank_k_hermitian", "rng_from"]
+
 
 def rng_from(*stream) -> np.random.Generator:
     """Deterministic generator keyed by a tuple of non-negative integers."""

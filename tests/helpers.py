@@ -3,7 +3,7 @@
 import numpy as np
 import scipy.linalg
 
-from ssflab import scattering
+from ssflab import dirac, scattering
 
 
 def random_unitary(rng: np.random.Generator, n: int) -> np.ndarray:
@@ -32,3 +32,8 @@ def potential_operator(v) -> np.ndarray:
 def truncated_eigenvalues(model, l_trunc: int) -> np.ndarray:
     """Eigenvalues of the perturbed operator truncated to sites |n| <= l_trunc."""
     return scipy.linalg.eigvalsh_tridiagonal(*scattering._truncated_chain(model, l_trunc))
+
+
+def zero_potential(model) -> dirac.MatrixPotential:
+    s = model.spinor_dim
+    return dirac.MatrixPotential(model, np.zeros((model.n_sites, s, s), dtype=complex))

@@ -2,15 +2,30 @@
 
 import ast
 import importlib
+import inspect
 import pathlib
+import re
 
 import pytest
 
 import ssflab
 
-MODULES = ["cli", "dirac", "doi", "functions", "scattering", "spectral", "ssf", "suites"]
+MODULES = [
+    "cli",
+    "dirac",
+    "doi",
+    "functions",
+    "reports",
+    "scattering",
+    "spectral",
+    "ssf",
+    "suites",
+    "utils",
+]
 
 SOURCES = sorted(pathlib.Path(ssflab.__file__).parent.glob("*.py"))
+
+ROOT = pathlib.Path(__file__).resolve().parents[1]
 
 
 @pytest.mark.parametrize("name", MODULES)
@@ -73,17 +88,22 @@ def _private_definitions(tree: ast.Module) -> dict:
     return defined
 
 
+def _names_read(tree: ast.AST) -> set:
+    """Names a module loads, bare or as an attribute."""
+    read = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            read.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            read.add(node.attr)
+    return read
+
+
 def test_no_unused_private_names():
     # a private name is the package's own business: if no module of it reads
     # the name, nothing does
     trees = {path.stem: ast.parse(path.read_text(encoding="utf-8")) for path in SOURCES}
-    read = set()
-    for tree in trees.values():
-        for node in ast.walk(tree):
-            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
-                read.add(node.id)
-            elif isinstance(node, ast.Attribute):
-                read.add(node.attr)
+    read = set().union(*map(_names_read, trees.values()))
     unused = sorted(
         f"{stem}.{name} (line {line})"
         for stem, tree in trees.items()
@@ -91,3 +111,44 @@ def test_no_unused_private_names():
         if name not in read
     )
     assert unused == []
+
+
+def _readme_names() -> set:
+    """Identifiers inside README's code blocks and inline code spans."""
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    code = re.findall(r"```.*?```|`[^`\n]+`", text, re.S)
+    return {name for span in code for name in re.findall(r"[A-Za-z_]\w*", span)}
+
+
+def _benchmark_names() -> set:
+    """Names the benchmark's sources read, also as a dotted string such as the
+    tracer's ``"ssf.track_determinant_phase"`` or a binding's ``"check_le"``."""
+    read = set()
+    for path in sorted((ROOT / "perfbench").rglob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        read |= _names_read(tree)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Constant) and isinstance(node.value, str):
+                if re.fullmatch(r"[A-Za-z_]\w*(\.[A-Za-z_]\w*)*", node.value):
+                    read.update(node.value.split("."))
+    return read
+
+
+def test_no_unused_public_names():
+    # the public API is what the other ssflab modules (the CLI among them),
+    # README and the benchmark use; a function or constant that only tests
+    # call is a second construction of something or dead.  Classes are
+    # exempt: they are the types of the values that pass between the users.
+    # A module without __all__ fails test_every_exported_name_resolves
+    trees = {path.stem: ast.parse(path.read_text(encoding="utf-8")) for path in SOURCES}
+    outside = _readme_names() | _benchmark_names()
+    unused = []
+    for stem in MODULES:
+        mod = importlib.import_module(f"ssflab.{stem}")
+        read = outside.union(*(_names_read(t) for s, t in trees.items() if s != stem))
+        unused += [
+            f"{stem}.{name}"
+            for name in getattr(mod, "__all__", ())
+            if not inspect.isclass(getattr(mod, name)) and name not in read
+        ]
+    assert not unused, f"exported, but used nowhere else: {', '.join(unused)}"

@@ -13,35 +13,33 @@ from ssflab.dirac import (
     LatticeModel,
     MatrixPotential,
     balanced_spacing,
-    commutator_decay_report,
     commutator_decay_study,
     commutator_identity_residual,
     free_hamiltonian,
     free_resolvent_power,
-    free_symbol,
     perturbed_hamiltonian,
     random_bounded_potential,
     random_decaying_potential,
     resolvent_power_difference,
     schatten_refinement_study,
-    weight_diagonal,
     weighted_factorization_report,
     weighted_resolvent_schatten,
-    zero_potential,
 )
 from ssflab.spectral import eig_hermitian, resolvent_power
 from ssflab.utils import random_hermitian, rng_from
 
-from helpers import potential_operator
+from helpers import potential_operator, zero_potential
 
 
 def _model(d=1, n=32, h=None, mass=1.0):
     return LatticeModel(d=d, n=n, h=balanced_spacing(n) if h is None else h, mass=mass)
 
 
-def _momenta(model):
-    """Momenta 2 pi k / (N h) in the lexicographic order of the sites."""
-    return (2.0 * np.pi / (model.n * model.h)) * model.site_vectors()
+def _grid_momenta(model):
+    """Momenta 2 pi k / (N h) of the symbol grid, FFT order on each axis: shape
+    ``(n,)*d + (d,)``."""
+    axis = 2.0 * np.pi * np.fft.fftfreq(model.n, d=model.h)
+    return np.stack(np.meshgrid(*([axis] * model.d), indexing="ij"), axis=-1)
 
 
 # ---------------------------------------------------------------------------
@@ -87,32 +85,38 @@ class TestDiracMatrices:
 
 
 class TestSymbol:
+    """The symbol blocks of ``_symbol_grid``, from which ``H0`` and ``R0^k`` are built."""
+
+    MODELS = {1: (32, 0.3), 2: (8, 0.4), 3: (4, 0.5)}
+
+    def _model(self, d, mass):
+        n, h = self.MODELS[d]
+        return LatticeModel(d=d, n=n, h=h, mass=mass)
+
     @pytest.mark.parametrize("d", [1, 2, 3])
     def test_square_is_scalar(self, d):
-        mass = 0.7
-        rng = rng_from(91, d)
-        eye = np.eye(DIRAC_MATRICES[d].shape[-1])
-        for _ in range(1000):
-            xi = rng.uniform(-5, 5, size=d)
-            a = free_symbol(d, mass, xi)
-            want = (float(xi @ xi) + mass**2) * eye
-            assert np.abs(a @ a - want).max() < 1e-12
-
-    def test_rejects_wrong_momentum_size(self):
-        with pytest.raises(ValueError, match="components"):
-            free_symbol(2, 1.0, [1.0])
+        # the kinetic matrices carry the grid momenta and the mass matrix the
+        # mass, so the block squares to (|xi|^2 + mass^2) I = E^2 I
+        model = self._model(d, 0.7)
+        symbol, energy = dirac._symbol_grid(model)
+        xi = _grid_momenta(model)
+        mats = DIRAC_MATRICES[d]
+        want = np.einsum("...j,jab->...ab", xi, mats[:d]) + model.mass * mats[d]
+        np.testing.assert_allclose(symbol, want, rtol=0.0, atol=1e-14)
+        np.testing.assert_allclose(energy**2, np.sum(xi**2, axis=-1) + model.mass**2, rtol=1e-14)
+        eye = np.eye(model.spinor_dim)
+        square = symbol @ symbol
+        assert np.abs(square - energy[..., None, None] ** 2 * eye).max() < 1e-12
 
     @pytest.mark.parametrize("d", [1, 2, 3])
     def test_diagonalization(self, d):
         # two branches -E and +E, each of multiplicity spinor_dim / 2
-        rng = rng_from(92, d)
-        half = DIRAC_MATRICES[d].shape[-1] // 2
-        for _ in range(25):
-            xi = rng.uniform(-3, 3, size=d)
-            vals = np.linalg.eigvalsh(free_symbol(d, 1.3, xi))
-            e = np.sqrt(float(xi @ xi) + 1.3**2)
-            np.testing.assert_allclose(vals[:half], -e, atol=1e-12)
-            np.testing.assert_allclose(vals[half:], e, atol=1e-12)
+        model = self._model(d, 1.3)
+        symbol, energy = dirac._symbol_grid(model)
+        half = model.spinor_dim // 2
+        vals = np.linalg.eigvalsh(symbol).reshape(-1, model.spinor_dim)
+        branches = np.repeat([-1.0, 1.0], half) * energy.reshape(-1, 1)
+        np.testing.assert_allclose(vals, branches, atol=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -143,7 +147,7 @@ class TestLatticeModel:
         ids=["h_inf", "h_nan", "mass_inf", "mass_neg_inf", "n_float", "n_numpy_float"],
     )
     def test_rejects_field_by_name(self, field, value):
-        # an infinite h used to reach weight_diagonal (inf * 0 at the origin),
+        # an infinite h used to reach _weight_diagonal (inf * 0 at the origin),
         # an infinite mass free_hamiltonian (NaN entries), n = 4.0 the grids
         fields = {"d": 1, "n": 4, "h": 1.0, "mass": 1.0, field: value}
         with pytest.raises(ValueError, match=re.escape(f"got {field}={value!r}")):
@@ -192,23 +196,25 @@ class TestFreeHamiltonian:
         model = LatticeModel(d=d, n=n, h=0.7, mass=1.1)
         s = model.spinor_dim
         sites = model.site_vectors()
-        momenta = _momenta(model)
+        symbol, _ = dirac._symbol_grid(model)
+        momenta = _grid_momenta(model).reshape(-1, d)
+        blocks = symbol.reshape(-1, s, s)
         got = free_hamiltonian(model)
         dim = model.total_dim
         want = np.zeros((dim, dim), dtype=complex)
         for a in range(model.n_sites):
             for b in range(model.n_sites):
                 block = np.zeros((s, s), dtype=complex)
-                for xi in momenta:
+                for xi, sym in zip(momenta, blocks):
                     phase = np.exp(1j * model.h * float(xi @ (sites[a] - sites[b])))
-                    block += free_symbol(d, model.mass, xi) * phase
+                    block += sym * phase
                 want[a * s : (a + 1) * s, b * s : (b + 1) * s] = block / model.n_sites
         np.testing.assert_allclose(got, want, atol=1e-12)
 
     @pytest.mark.parametrize("d, n", [(1, 16), (2, 6), (3, 4)])
     def test_spectrum_matches_symbol_branches(self, d, n):
         model = LatticeModel(d=d, n=n, h=0.9, mass=0.8)
-        energies = np.sqrt(np.sum(_momenta(model) ** 2, axis=1) + model.mass**2)
+        energies = np.sqrt(np.sum(_grid_momenta(model) ** 2, axis=-1).ravel() + model.mass**2)
         half = model.spinor_dim // 2
         want = np.sort(np.concatenate([np.repeat(energies, half), np.repeat(-energies, half)]))
         got = eig_hermitian(free_hamiltonian(model)).eigenvalues
@@ -297,18 +303,18 @@ class TestFreeResolventPower:
 class TestWeights:
     def test_values_and_replication(self):
         model = LatticeModel(d=1, n=4, h=1.0, mass=1.0)
-        w = weight_diagonal(model, 2.0)
+        w = dirac._weight_diagonal(model, 2.0)
         dist = model.site_distances()
         np.testing.assert_allclose(w, np.repeat(1.0 / (1.0 + dist**2), 2))
 
     def test_rejects_nonpositive_exponent(self):
         with pytest.raises(ValueError, match="positive"):
-            weight_diagonal(_model(n=4), 0.0)
+            dirac._weight_diagonal(_model(n=4), 0.0)
 
     @pytest.mark.parametrize("r", [np.inf, np.nan])
     def test_rejects_non_finite_exponent_naming_it(self, r):
         with pytest.raises(ValueError, match=f"finite and positive, got r={r!r}"):
-            weight_diagonal(_model(n=4), r)
+            dirac._weight_diagonal(_model(n=4), r)
 
 
 class TestMatrixPotential:
@@ -603,7 +609,7 @@ class TestCommutatorIdentity:
     def test_weight_commutator_is_anti_hermitian(self):
         model = _model(n=16)
         h00 = free_hamiltonian(model)
-        w = weight_diagonal(model, 1.0)
+        w = dirac._weight_diagonal(model, 1.0)
         comm = h00 * w[None, :] - w[:, None] * h00
         assert np.abs(comm + comm.conj().T).max() < 1e-12
 
@@ -712,7 +718,7 @@ class TestWeightedResolvent:
             "_symbol_grid",
             "_block_circulant",
             "_site_weights",
-            "weight_diagonal",
+            "_weight_diagonal",
             "free_resolvent_power",
             "singular_values",
         ):
@@ -730,7 +736,7 @@ class TestWeightedResolvent:
         model = LatticeModel(d=d, n=n, h=0.9, mass=0.8)
         got = dirac._weighted_resolvent_profile(model, r, k, z).values
         want = spectral.singular_values(
-            weight_diagonal(model, r)[:, None] * free_resolvent_power(model, z, k)
+            dirac._weight_diagonal(model, r)[:, None] * free_resolvent_power(model, z, k)
         ).values
         assert got.shape == want.shape
         tol = 2 * model.total_dim * np.finfo(float).eps * want[0]
@@ -804,7 +810,7 @@ class TestRefinementStudy:
         want = {p: [] for p in p_list}
         for n in n_list:
             model = LatticeModel(d=1, n=n, h=balanced_spacing(n), mass=1.0)
-            w = weight_diagonal(model, r)
+            w = dirac._weight_diagonal(model, r)
             sv = spectral.singular_values(w[:, None] * _dense_resolvent_power(model, z, k))
             for p in p_list:
                 want[p].append(spectral.schatten_norm(sv, p))
@@ -889,8 +895,8 @@ class TestFactorization:
         k, mpow = 2, 3
         rep = weighted_factorization_report(model, v, k, mpow, z)
         j = mpow + 1 - k
-        w1 = weight_diagonal(model, rep.r1)
-        w2 = weight_diagonal(model, rep.r2)
+        w1 = dirac._weight_diagonal(model, rep.r1)
+        w2 = dirac._weight_diagonal(model, rep.r2)
         comp = potential_operator(v) / (w1[:, None] * w2[None, :])
         right = w2[:, None] * free_resolvent_power(model, z, j)
         assert rep.norm_mid == pytest.approx(np.linalg.norm(comp, ord=2), rel=1e-12)
@@ -905,8 +911,8 @@ class TestFactorization:
         rep = weighted_factorization_report(model, v, k, 3, 1j)
         assert rep.r1 != rep.r2 and rep.feasible
         assert rep.factorization_residual / rep.direct_trace_norm < 1e-9
-        w1 = weight_diagonal(model, rep.r1)
-        w2 = weight_diagonal(model, rep.r2)
+        w1 = dirac._weight_diagonal(model, rep.r1)
+        w2 = dirac._weight_diagonal(model, rep.r2)
         comp = potential_operator(v) / (w1[:, None] * w2[None, :])
         assert rep.norm_mid == pytest.approx(np.linalg.norm(comp, ord=2), rel=1e-12)
 
@@ -947,10 +953,10 @@ class TestFactorization:
 class TestCommutatorDecay:
     def test_zero_exponent_raises(self):
         with pytest.raises(ValueError, match="weight exponent"):
-            commutator_decay_report(_model(n=16, h=1.5), 0.0)
+            dirac._commutator_decay_report(_model(n=16, h=1.5), 0.0)
 
     def test_raw_profile_decays(self):
-        rep = commutator_decay_report(LatticeModel(d=1, n=64, h=1.5, mass=1.0), 1.0)
+        rep = dirac._commutator_decay_report(LatticeModel(d=1, n=64, h=1.5, mass=1.0), 1.0)
         assert rep.far_ratio < 0.5
         assert rep.decays
         assert rep.sup_constant > 0
@@ -964,7 +970,7 @@ class TestCommutatorDecay:
             commutator_decay_study(1, 1.0, [64])
 
     def test_json_keys(self):
-        rep = commutator_decay_report(_model(n=16, h=1.5), 1.0)
+        rep = dirac._commutator_decay_report(_model(n=16, h=1.5), 1.0)
         assert (rep.r, rep.n) == (1.0, 16)
         assert rep.sup_constant > 0
         assert 0.0 < rep.far_ratio <= 1.0

@@ -18,13 +18,17 @@ from ssflab.doi import (
     cofactor_lower_bound_cert,
     doi_apply,
     doi_identity_residual,
-    kernel_dlambda,
     kernel_eval,
     kernel_hypotheses_report,
     resolvent_cutoff_split,
 )
 from ssflab.spectral import eig_hermitian, schatten_norm, singular_values
 from ssflab.utils import random_hermitian, rng_from
+
+
+def kernel_dlambda(k, lam, mu):
+    """``dK/dx`` as the kernel-hypotheses report takes it, from the kernel grid."""
+    return doi._kernel_grid(k, lam, mu, dlambda=True)[1]
 
 
 def _cofactor_sum_oracle(m, z, lam, mu):

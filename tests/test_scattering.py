@@ -15,12 +15,9 @@ from ssflab.scattering import (
     band_sweep,
     birman_krein_point,
     bound_state_count_below,
-    free_green,
-    lattice_root,
     s_matrix,
     scattering_determinant,
     ssf_scattering,
-    unitarity_defect,
 )
 from ssflab.utils import rng_from
 
@@ -32,11 +29,20 @@ def _truncated_free(l_trunc: int) -> np.ndarray:
     return np.diag(np.ones(n - 1), 1) + np.diag(np.ones(n - 1), -1)
 
 
+def _support_green(model: LatticeScatteringModel, z: complex) -> np.ndarray:
+    """The closed-form free kernel ``G0_SS(z)`` on the model's support sites."""
+    return scattering._support_green(model, scattering._lattice_root(z))
+
+
+def _green(z: complex, lo: int, hi: int) -> np.ndarray:
+    """``G0(z)`` between the sites ``lo .. hi - 1``, entry ``[n - lo, m - lo]``."""
+    return _support_green(LatticeScatteringModel(tuple(range(lo, hi)), (1.0,) * (hi - lo)), z)
+
+
 def _dense_determinant(model: LatticeScatteringModel, z: complex) -> complex:
     """Oracle: the dense ``det(I + V G0_SS)`` from the closed-form kernel."""
-    sites = np.asarray(model.sites)
-    g = free_green(z, sites[:, None], sites[None, :])
-    return complex(np.linalg.det(np.eye(sites.size) + np.asarray(model.values)[:, None] * g))
+    g = _support_green(model, z)
+    return complex(np.linalg.det(np.eye(len(model.sites)) + np.asarray(model.values)[:, None] * g))
 
 
 # ---------------------------------------------------------------------------
@@ -97,18 +103,18 @@ class TestFreeGreen:
         rng = rng_from(111)
         for _ in range(50):
             z = complex(rng.uniform(-4, 4), rng.uniform(0.05, 3) * rng.choice([-1, 1]))
-            w = lattice_root(z)
+            w = scattering._lattice_root(z)
             assert abs(w) < 1.0
             assert w + 1.0 / w == pytest.approx(z, abs=1e-12)
         for z in (-3.0, 2.5, 4.0):
-            w = lattice_root(z)
+            w = scattering._lattice_root(z)
             assert abs(w) < 1.0
             assert w + 1.0 / w == pytest.approx(z, abs=1e-12)
 
     @pytest.mark.parametrize("z", [0.0, 1.0, -2.0, 2.0])
     def test_rejects_band_points(self, z):
         with pytest.raises(ValueError, match="band"):
-            lattice_root(z)
+            scattering._lattice_root(z)
 
     @pytest.mark.parametrize(
         "z", [complex("nan+nanj"), complex("nan+1j"), complex("inf+1j"), complex(1.0, -np.inf)]
@@ -116,36 +122,41 @@ class TestFreeGreen:
     def test_rejects_non_finite_point_naming_it(self, z):
         # such a point used to come back as nan+nanj
         with pytest.raises(ValueError, match=r"z must be finite, got z="):
-            lattice_root(z)
+            scattering._lattice_root(z)
 
     @pytest.mark.parametrize("n, m", [(1.5, 0), (0, 2.25), (True, 0), (np.array([0, 1.5]), 0)])
     def test_rejects_non_integer_sites(self, n, m):
-        # free_green(1j, 1.5, 0) used to return the value at distance 1
+        # the kernel reads only a model's sites, which are integers: a
+        # fractional site used to give the value at a truncated distance
         with pytest.raises(ValueError, match=r"lattice sites must be integers, got site="):
-            free_green(1j, n, m)
+            LatticeScatteringModel((n, m), (1.0, 1.0))
 
     def test_difference_equation(self):
         # (H0 - z) G = I row by row
         z = 0.4 + 0.9j
+        g = _green(z, -3, 7)
         for n, m in [(0, 0), (1, 0), (-2, 3), (5, 5)]:
-            lhs = free_green(z, n + 1, m) + free_green(z, n - 1, m) - z * free_green(z, n, m)
+            i, j = n + 3, m + 3
+            lhs = g[i + 1, j] + g[i - 1, j] - z * g[i, j]
             want = 1.0 if n == m else 0.0
             assert lhs == pytest.approx(want, abs=1e-12)
 
     def test_symmetry_and_broadcast(self):
-        z = -0.3 + 0.7j
-        n = np.arange(-3, 4)
-        g = free_green(z, n[:, None], n[None, :])
+        # symmetric, and a function of |n - m| alone: one value per diagonal
+        g = _green(-0.3 + 0.7j, -3, 4)
         np.testing.assert_allclose(g, g.T, atol=1e-14)
         assert g.shape == (7, 7)
+        for k in range(7):
+            np.testing.assert_array_equal(np.diagonal(g, k), g[0, k])
 
     def test_matches_truncated_inverse(self):
         z = 0.5 + 0.5j
         l_trunc = 300
         h0 = _truncated_free(l_trunc)
         ginv = np.linalg.solve(h0 - z * np.eye(2 * l_trunc + 1), np.eye(2 * l_trunc + 1))
+        g = _green(z, -4, 8)
         for n, m in [(0, 0), (2, -1), (-4, 5), (7, 7)]:
-            got = free_green(z, n, m)
+            got = g[n + 4, m + 4]
             want = ginv[n + l_trunc, m + l_trunc]
             assert got == pytest.approx(want, abs=1e-8)
 
@@ -186,7 +197,8 @@ class TestSMatrix:
         model = LatticeScatteringModel.centered([0.3, -0.2, 0.5, 0.1, -0.4])
         rng = rng_from(112)
         for lam in rng.uniform(-1.9, 1.9, size=25):
-            assert unitarity_defect(s_matrix(model, float(lam))) < 1e-8
+            s = s_matrix(model, float(lam))
+            assert np.abs(s.conj().T @ s - np.eye(2)).max() < 1e-8
 
     def test_zero_potential_is_identity(self):
         s = s_matrix(LatticeScatteringModel.single_site(0.0), 0.7)
@@ -225,11 +237,8 @@ class TestScatteringDeterminant:
 
     def test_matches_free_green_determinant(self):
         model = LatticeScatteringModel((-3, 0, 1, 4), (0.7, -1.1, 0.4, 2.0))
-        sites = np.asarray(model.sites)
-        v = np.asarray(model.values)
         for z in (0.3 + 1e-3j, -1.9 + 0.2j, 2.5 + 1e-6j, -3.0 + 4.0j):
-            g = free_green(z, sites[:, None], sites[None, :])
-            want = complex(np.linalg.det(np.eye(sites.size) + v[:, None] * g))
+            want = _dense_determinant(model, z)
             assert scattering_determinant(model, z) == pytest.approx(want, rel=1e-13)
 
     def test_gaps_inner_root_and_denominator_all_count(self):
@@ -362,6 +371,18 @@ class TestTruncationOracle:
     def test_count_rejects_non_finite_lambda(self, lam):
         with pytest.raises(ValueError, match="lambda must be finite"):
             bound_state_count_below(LatticeScatteringModel.single_site(-1.5), lam)
+
+    @pytest.mark.parametrize("l_trunc", [2000.5, 2000.0, True, 0, -3, "2000"])
+    def test_rejects_bad_truncation_naming_it(self, l_trunc):
+        # 2000.5 used to raise NumPy's TypeError, and True to count on a
+        # 3-site chain
+        model = LatticeScatteringModel.single_site(-1.5)
+        with pytest.raises(ValueError, match=r"integer >= 1, got l_trunc="):
+            bound_state_count_below(model, -2.25, l_trunc)
+
+    def test_accepts_numpy_integer_truncation(self):
+        model = LatticeScatteringModel.single_site(-1.5)
+        assert bound_state_count_below(model, -2.25, np.int64(400)) == 1
 
     def test_truncation_needs_room(self):
         model = LatticeScatteringModel.single_site(1.0, site=10)

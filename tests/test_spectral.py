@@ -14,10 +14,10 @@ from ssflab.spectral import (
     HERMITICITY_RTOL,
     NotHermitianError,
     _check_hermitian,
+    _hermiticity_defect,
     apply_function,
     det_id_plus,
     eig_hermitian,
-    hermiticity_defect,
     resolvent_power,
     schatten_norm,
     singular_values,
@@ -47,7 +47,7 @@ def test_operator_rejects_non_square():
     ids=["vector", "stack", "empty", "nan", "inf"],
 )
 def test_eig_rejects_bad_input_by_name(bad, match):
-    # an infinite entry makes hermiticity_defect NaN, which no threshold rejects
+    # an infinite entry makes _hermiticity_defect NaN, which no threshold rejects
     with pytest.raises(NotHermitianError, match="matrix " + match):
         eig_hermitian(bad)
 
@@ -62,7 +62,7 @@ class TestHermitianGate:
         # an absolute 1e-12 rule would decide both cases the other way
         a = scale * random_hermitian(rng_from(4), 5)
         a[0, 1] += asymmetry
-        assert (hermiticity_defect(a) <= HERMITICITY_RTOL) == ok
+        assert (_hermiticity_defect(a) <= HERMITICITY_RTOL) == ok
         if ok:
             assert _check_hermitian(a, "x") is a
         else:
@@ -74,7 +74,7 @@ class TestHermitianGate:
         stack = np.stack([random_hermitian(rng, 3, scale=float(c)) for c in (1.0, 4.0, 0.5)])
         stack[2, 0, 2] += 1e-10
         dense = scipy.linalg.block_diag(*stack)
-        assert hermiticity_defect(stack) == hermiticity_defect(dense) > HERMITICITY_RTOL
+        assert _hermiticity_defect(stack) == _hermiticity_defect(dense) > HERMITICITY_RTOL
         with pytest.raises(NotHermitianError, match="stack is not Hermitian"):
             _check_hermitian(stack, "stack")
         stack[1, 2, 0] = np.nan

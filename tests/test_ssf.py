@@ -55,10 +55,6 @@ class TestStepFunction:
         assert got.dtype.kind == "i"
         np.testing.assert_array_equal(got, [s(float(x)) for x in grid])
 
-    def test_jumps(self):
-        s = StepFunction([0.0, 1.0, 2.0], [0, 2, -1, 0])
-        np.testing.assert_array_equal(s.jumps(), [2, -3, 1])
-
     def test_nan_point_rejected_by_name(self):
         # a NaN used to read as the trailing value 0
         s = StepFunction([0.0, 1.0], [0, 3, 0])
@@ -74,7 +70,7 @@ class TestStepFunction:
         np.testing.assert_array_equal(s(np.array([-np.inf, 0.5, np.inf])), [0, 3, 0])
 
     def test_zero(self):
-        z = StepFunction.zero()
+        z = StepFunction([], [0])
         assert z.is_zero
         assert z(0.0) == 0
         assert not StepFunction([0.0, 1.0], [0, 1, 0]).is_zero
@@ -720,6 +716,16 @@ class TestDeterminantRoute:
         v = np.diag([0.5, 0.0])
         with pytest.raises(ValueError, match="lambda must be finite"):
             ssf_via_determinant(d0, v, lam)
+
+    @pytest.mark.parametrize("margin", [0.0, -1.0, float("nan"), float("inf")])
+    @pytest.mark.parametrize("lam", [0.0, 0.25], ids=["on_jump", "off_jump"])
+    def test_rejects_bad_jump_margin_naming_it(self, lam, margin):
+        # on the jump point a margin of 0, -1 or NaN used to end in
+        # ZeroDivisionError; off it, such a margin was taken
+        d0 = eig_hermitian(np.diag([0.0, 1.0]))
+        v = np.diag([0.5, 0.0])
+        with pytest.raises(ValueError, match=r"finite and positive, got jump_margin="):
+            ssf_via_determinant(d0, v, lam, jump_margin=margin)
 
     def test_default_schedule_is_gap_halving(self, monkeypatch):
         # H0 = diag(0, 2) and V = diag(0, 1): the point 0.5 is 0.5 from both
