@@ -12,8 +12,10 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import time
+from functools import partial
 
-from .suites import _HYPOTHESES_EDGE_MAX, SUITE_RUNNERS, suite_all
+from .suites import _DET_POINTS_MAX, _HYPOTHESES_EDGE_MAX, SUITE_RUNNERS, suite_all
 
 __all__ = ["main"]
 
@@ -80,22 +82,6 @@ def _int_list(low=None, even=False, min_len=1):
     return check
 
 
-def _int_field(low=None, high=None, even=False, odd=False):
-    def check(field, value):
-        return _expect_int(field, value, low=low, high=high, even=even, odd=odd)
-
-    return check
-
-
-def _real_field(low=None, low_open=None, high=None, high_open=None):
-    def check(field, value):
-        return _expect_real(
-            field, value, low=low, low_open=low_open, high=high, high_open=high_open
-        )
-
-    return check
-
-
 def _complex_pair(field, value):
     out = _expect_list(field, value, 2)
     if len(out) != 2:
@@ -122,23 +108,24 @@ def _mz_list(field, value):
     return parsed
 
 
-def _cert_list(arity: int):
-    def check(field, value):
-        out = _expect_list(field, value)
-        parsed = []
-        for i, entry in enumerate(out):
-            row = _expect_list(f"{field}[{i}]", entry, arity)
-            if len(row) != arity:
-                raise ConfigError(f"{field}[{i}]", f"expected {arity} entries")
-            m = _expect_int(f"{field}[{i}][0]", row[0], low=1, odd=True)
-            rest = [
-                _expect_real(f"{field}[{i}][{j}]", row[j], low_open=0.0)
-                for j in range(1, arity)
-            ]
-            parsed.append([m] + rest)
-        return parsed
+# each certificate row is [m, r, a]
+_CERT_ARITY = 3
 
-    return check
+
+def _cert_list(field, value):
+    out = _expect_list(field, value)
+    parsed = []
+    for i, entry in enumerate(out):
+        row = _expect_list(f"{field}[{i}]", entry, _CERT_ARITY)
+        if len(row) != _CERT_ARITY:
+            raise ConfigError(f"{field}[{i}]", f"expected {_CERT_ARITY} entries")
+        m = _expect_int(f"{field}[{i}][0]", row[0], low=1, odd=True)
+        rest = [
+            _expect_real(f"{field}[{i}][{j}]", row[j], low_open=0.0)
+            for j in range(1, _CERT_ARITY)
+        ]
+        parsed.append([m] + rest)
+    return parsed
 
 
 def _potential_list(field, value):
@@ -179,46 +166,46 @@ def _potential_list(field, value):
 _SCHEMA = {
     "trace-check": {
         "dims": ([2, 3, 4, 6, 8, 12, 16], _int_list(low=2)),
-        "trials": (100, _int_field(low=1)),
-        "det_trials": (10, _int_field(low=1)),
-        "det_points": (8, _int_field(low=1)),
+        "trials": (100, partial(_expect_int, low=1)),
+        "det_trials": (10, partial(_expect_int, low=1)),
+        "det_points": (8, partial(_expect_int, low=1, high=_DET_POINTS_MAX)),
     },
     "doi-check": {
-        "dim": (12, _int_field(low=2)),
-        "trials": (50, _int_field(low=1)),
-        "split_trials": (10, _int_field(low=1)),
+        "dim": (12, partial(_expect_int, low=2)),
+        "trials": (50, partial(_expect_int, low=1)),
+        "split_trials": (10, partial(_expect_int, low=1)),
         "mz_list": (
             [{"m": 3, "z": [0.0, 2.0]}, {"m": 5, "z": [0.0, 3.0]}],
             _mz_list,
         ),
     },
     "rm-cert": {
-        "grid_edge": (1e5, _real_field(low=1e3, high=_HYPOTHESES_EDGE_MAX)),
+        "grid_edge": (1e5, partial(_expect_real, low=1e3, high=_HYPOTHESES_EDGE_MAX)),
         "bounded_certs": (
             [[3, 1.0, 10.0], [3, 5.0, 50.0], [5, 1.0, 20.0]],
-            _cert_list(3),
+            _cert_list,
         ),
-        "exterior_certs": ([[3, 1.0, 0.01]], _cert_list(3)),
+        "exterior_certs": ([[3, 1.0, 0.01]], _cert_list),
     },
     "dirac-schatten": {
         "identity_n_list": ([32, 64], _int_list(low=2, even=True)),
-        "seeds": (5, _int_field(low=1)),
+        "seeds": (5, partial(_expect_int, low=1)),
         "z": ([0.0, 1.0], _complex_pair),
-        "mass": (1.0, _real_field(low_open=0.0)),
-        "mpow": (3, _int_field(low=1, odd=True)),
-        "k": (2, _int_field(low=1)),
-        "r": (1.0, _real_field(low_open=0.0)),
-        "decay_c": (1.0, _real_field(low_open=0.0)),
-        "rho": (4.0, _real_field(low_open=0.0)),
-        "v0_bound": (0.3, _real_field(low_open=0.0)),
+        "mass": (1.0, partial(_expect_real, low_open=0.0)),
+        "mpow": (3, partial(_expect_int, low=1, odd=True)),
+        "k": (2, partial(_expect_int, low=1)),
+        "r": (1.0, partial(_expect_real, low_open=0.0)),
+        "decay_c": (1.0, partial(_expect_real, low_open=0.0)),
+        "rho": (4.0, partial(_expect_real, low_open=0.0)),
+        "v0_bound": (0.3, partial(_expect_real, low_open=0.0)),
         "refinement_n_list": ([64, 128, 256], _int_list(low=2, even=True, min_len=2)),
-        "law_h": (1.5, _real_field(low_open=0.0)),
-        "factorization_n": (32, _int_field(low=2, even=True)),
+        "law_h": (1.5, partial(_expect_real, low_open=0.0)),
+        "factorization_n": (32, partial(_expect_int, low=2, even=True)),
         "decay_n_list": ([64, 128], _int_list(low=2, even=True, min_len=2)),
     },
     "birman-krein": {
-        "band_points": (20, _int_field(low=1)),
-        "band_margin": (0.05, _real_field(low_open=2e-3, high_open=2.0)),
+        "band_points": (20, partial(_expect_int, low=1)),
+        "band_margin": (0.05, partial(_expect_real, low_open=2e-3, high_open=2.0)),
         "potentials": (
             [
                 {"kind": "single", "value": 0.7, "site": 0},
@@ -328,11 +315,13 @@ def main(argv=None) -> int:
         print(f"ssflab: config error: {exc}", file=sys.stderr)
         return 2
 
+    t0 = time.perf_counter()
     if args.subcommand == "all":
         report = suite_all(seed, sections, jobs)
     else:
         runner = SUITE_RUNNERS[args.subcommand]
         report = runner(seed, sections[args.subcommand])
+    elapsed = time.perf_counter() - t0
 
     payload = report.json_text() if args.format == "json" else report.csv_text()
     if args.out:
@@ -340,7 +329,7 @@ def main(argv=None) -> int:
             fh.write(payload)
     else:
         sys.stdout.write(payload)
-    print(report.summary_text(), file=sys.stderr)
+    print(f"{report.summary_text()}elapsed: {elapsed:.2f} s", file=sys.stderr)
     return 0 if report.aggregate_pass else 1
 
 

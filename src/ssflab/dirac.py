@@ -43,7 +43,6 @@ __all__ = [
     "MatrixPotential",
     "PowerDifferenceReport",
     "RefinementStudy",
-    "WeightedResolventReport",
     "balanced_spacing",
     "commutator_decay_study",
     "commutator_identity_residual",
@@ -379,29 +378,6 @@ def perturbed_hamiltonian(
 # weighted-resolvent Schatten studies
 
 
-# fit window of the decay exponent, as fractions of the singular-value count
-_FIT_LO_FRAC = 0.02
-_FIT_HI_FRAC = 0.4
-# largest accepted |fitted - predicted| decay exponent
-_EXPONENT_TOL = 0.5
-
-
-def _fit_decay_exponent(sv: np.ndarray):
-    count = sv.size
-    lo = max(3, int(_FIT_LO_FRAC * count))
-    hi = max(lo + 8, int(_FIT_HI_FRAC * count))
-    hi = min(hi, count)
-    if hi - lo < 5:
-        return float("nan")
-    idx = np.arange(lo + 1, hi + 1, dtype=float)
-    vals = sv[lo:hi]
-    good = vals > 0
-    if good.sum() < 5:
-        return float("nan")
-    slope = np.polyfit(np.log(idx[good]), np.log(vals[good]), 1)[0]
-    return float(-slope)
-
-
 def _weighted_resolvent_profile(
     model: LatticeModel, r: float, k: int, z: complex
 ) -> SingularValueProfile:
@@ -430,28 +406,14 @@ def _weighted_resolvent_profile(
     return SingularValueProfile(np.repeat(sv.values, model.spinor_dim))
 
 
-@dataclass(frozen=True)
-class WeightedResolventReport:
-    d: int
-    n: int
-    r: float
-    k: int
-    z: complex
-    p_norms: dict
-    threshold_p: float
-    predicted_exponent: float
-    fitted_exponent: float
-    exponent_ok: bool
-
-
 def weighted_resolvent_schatten(
     model: LatticeModel,
     r: float,
     k: int,
     z: complex,
     p_list: Sequence[float],
-) -> WeightedResolventReport:
-    """Schatten norms and singular-value decay of weight times free resolvent power.
+) -> dict:
+    """Schatten norms ``{p: ||W (H0 - z)^{-k}||_p}``, W the weight ``<x>^-r``.
 
     The predicted singular-value decay exponent is ``min(r, k) / d``; the
     corresponding summability threshold is ``p > d / min(r, k)``.  ``z`` and
@@ -465,34 +427,14 @@ def weighted_resolvent_schatten(
         if not float(p) >= 1.0:
             raise ValueError(f"schatten order p must be >= 1, got {p!r}")
     sv = _weighted_resolvent_profile(model, r, k, z)
-    norms = {float(p): schatten_norm(sv, p) for p in p_list}
-    fitted = _fit_decay_exponent(sv.values)
-    predicted = min(r, float(k)) / model.d
-    return WeightedResolventReport(
-        d=model.d,
-        n=model.n,
-        r=r,
-        k=k,
-        z=z,
-        p_norms=norms,
-        threshold_p=model.d / min(r, float(k)),
-        predicted_exponent=predicted,
-        fitted_exponent=fitted,
-        exponent_ok=bool(abs(fitted - predicted) <= _EXPONENT_TOL),
-    )
+    return {float(p): schatten_norm(sv, p) for p in p_list}
 
 
 @dataclass(frozen=True)
 class RefinementStudy:
-    d: int
-    r: float
-    k: int
-    z: complex
-    n_list: tuple
     norms_by_p: dict
     stabilized: dict
     grows: dict
-    threshold_p: float
 
 
 _STAB_RTOL = 0.05
@@ -523,9 +465,9 @@ def schatten_refinement_study(
     for n in n_list:
         spacing = balanced_spacing(n) if h is None else float(h)
         model = LatticeModel(d=d, n=n, h=spacing, mass=mass)
-        rep = weighted_resolvent_schatten(model, r, k, z, p_list)
+        norms = weighted_resolvent_schatten(model, r, k, z, p_list)
         for p in norms_by_p:
-            norms_by_p[p].append(rep.p_norms[p])
+            norms_by_p[p].append(norms[p])
     stabilized = {}
     grows = {}
     for p, vals in norms_by_p.items():
@@ -533,15 +475,9 @@ def schatten_refinement_study(
         stabilized[p] = bool(abs(last - prev) <= _STAB_RTOL * abs(last))
         grows[p] = bool(np.all(np.diff(vals) > 0))
     return RefinementStudy(
-        d=d,
-        r=r,
-        k=k,
-        z=complex(z),
-        n_list=tuple(int(n) for n in n_list),
         norms_by_p={p: tuple(v) for p, v in norms_by_p.items()},
         stabilized=stabilized,
         grows=grows,
-        threshold_p=d / min(r, float(k)),
     )
 
 
@@ -580,10 +516,6 @@ def _horner_expansion(
 
 @dataclass(frozen=True)
 class PowerDifferenceReport:
-    d: int
-    n: int
-    mpow: int
-    z: complex
     residual: float
     scale: float
     relative_residual: float
@@ -628,10 +560,6 @@ def resolvent_power_difference(
     del diff
     scale = max(float(np.abs(lhs).max()), ABS_FLOOR)
     return PowerDifferenceReport(
-        d=model.d,
-        n=model.n,
-        mpow=mpow,
-        z=z,
         residual=residual,
         scale=scale,
         relative_residual=residual / scale,
@@ -644,10 +572,6 @@ def resolvent_power_difference(
 
 @dataclass(frozen=True)
 class FactorizationReport:
-    d: int
-    k: int
-    mpow: int
-    rho: float
     r1: float
     r2: float
     budget: float
@@ -733,10 +657,6 @@ def weighted_factorization_report(
         product_bound = norm_left * norm_mid * norm_right
         holder_ok = bool(direct_trace <= product_bound * (1.0 + 1e-9))
     return FactorizationReport(
-        d=model.d,
-        k=k,
-        mpow=mpow,
-        rho=rho,
         r1=r1,
         r2=r2,
         budget=budget,
@@ -807,32 +727,20 @@ def commutator_identity_residual(
     return schatten_norm(singular_values(rhs), np.inf) / scale
 
 
-@dataclass(frozen=True)
-class _CommutatorDecayReport:
-    r: float
-    n: int
-    sup_constant: float
-    far_ratio: float
-    decays: bool
-
-
 _NEAR_WINDOW = 10.0
 
 
-def _commutator_decay_report(model: LatticeModel, r: float) -> _CommutatorDecayReport:
-    """Columnwise decay profile of the free-operator/weight commutator.
+def _commutator_near_constant(model: LatticeModel, r: float) -> float:
+    """Fitted near-field constant of the free-operator/weight commutator.
 
     The raw profile is the spectral norm of each site's column block of the
     commutator; the weighted profile measures each column against the decay
     envelope ``<x>^-(r+1)`` at that column's site, so a flat weighted profile
-    means the columns obey the envelope.  ``sup_constant`` is the fitted
-    near-field constant: the max of the weighted profile over columns within
-    distance 10 of the origin (clipped to 40% of the torus radius).  The free
-    operator is nonlocal on the lattice, so the far-field columns outgrow the
-    envelope and only the near-field constant is a meaningful stand-in for the
-    continuum bound.  ``far_ratio`` is the largest raw column norm over sites
-    at least 3/4 of the largest site distance out, relative to the largest
-    raw norm overall; ``decays`` says it is below 1/2.
+    means the columns obey the envelope.  The constant is the max of the
+    weighted profile over columns within distance 10 of the origin (clipped
+    to 40% of the torus radius).  The free operator is nonlocal on the
+    lattice, so the far-field columns outgrow the envelope and only the
+    near-field constant is a meaningful stand-in for the continuum bound.
     """
     h00 = free_hamiltonian(model)
     w = _weight_diagonal(model, r)
@@ -845,16 +753,7 @@ def _commutator_decay_report(model: LatticeModel, r: float) -> _CommutatorDecayR
     raw = np.linalg.svd(cols, compute_uv=False)[:, 0]
     weighted = raw * (1.0 + dist**2) ** ((r + 1) / 2.0)
     near = dist <= min(_NEAR_WINDOW, 0.4 * float(dist.max()))
-    far = dist >= 0.75 * dist.max()
-    raw_max = max(float(raw.max()), ABS_FLOOR)
-    far_ratio = float(raw[far].max()) / raw_max
-    return _CommutatorDecayReport(
-        r=float(r),
-        n=model.n,
-        sup_constant=float(weighted[near].max()),
-        far_ratio=far_ratio,
-        decays=bool(far_ratio < 0.5),
-    )
+    return float(weighted[near].max())
 
 
 _DECAY_STUDY_H = 1.5
@@ -875,6 +774,6 @@ def commutator_decay_study(d: int, r: float, n_list: Sequence[int], mass: float 
     sups = []
     for n in n_list:
         model = LatticeModel(d=d, n=n, h=_DECAY_STUDY_H, mass=mass)
-        sups.append(_commutator_decay_report(model, r).sup_constant)
+        sups.append(_commutator_near_constant(model, r))
     stable = bool(abs(sups[-1] - sups[-2]) <= _DECAY_STUDY_RTOL * abs(sups[-1]))
     return tuple(sups), stable

@@ -130,9 +130,6 @@ class ExteriorRegion:
 
 @dataclass(frozen=True)
 class LowerBoundCertificate:
-    m: int
-    z: complex
-    region: Union[BoundedRegion, ExteriorRegion]
     lower_bound: float
     passed: bool
 
@@ -199,9 +196,7 @@ def cofactor_lower_bound_cert(
     valid at every point of the region; it passes when positive.
     """
     lower = math.prod(_factor_bounds(p, region))
-    return LowerBoundCertificate(
-        m=p.m, z=p.z, region=region, lower_bound=lower, passed=lower > 0.0
-    )
+    return LowerBoundCertificate(lower_bound=lower, passed=lower > 0.0)
 
 
 # ---------------------------------------------------------------------------

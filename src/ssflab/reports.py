@@ -4,9 +4,8 @@ A report is a config echo plus a sorted list of named check records and an
 aggregate pass flag.  A record serializes to its name, value, threshold,
 comparison op and pass flag, nothing else.  JSON serialization is
 deterministic for identical inputs: keys are sorted, records are sorted by
-name, and wall-clock timings are deliberately kept out of the serialized
-payload (they stay on the report object for the human-readable summary).
-Optional named tables carry plot-ready per-point data for sweep subcommands.
+name, and a report holds no wall-clock timing.  Optional named tables carry
+plot-ready per-point data for sweep subcommands.
 """
 
 from __future__ import annotations
@@ -88,7 +87,6 @@ class ExperimentReport:
     config: dict
     records: tuple
     tables: dict = field(default_factory=dict)
-    timings: dict = field(default_factory=dict, compare=False)
 
     def __post_init__(self):
         recs = tuple(sorted(self.records, key=lambda r: r.name))
@@ -103,8 +101,6 @@ class ExperimentReport:
         return all(r.passed for r in self.records)
 
     def to_json(self) -> dict:
-        # timings intentionally excluded: serialized reports must be
-        # bit-identical for identical (config, seed)
         out = {
             "schema_version": SCHEMA_VERSION,
             "subcommand": self.subcommand,
@@ -154,8 +150,6 @@ class ExperimentReport:
             f"{verdict} {self.subcommand}: {sum(r.passed for r in self.records)}"
             f"/{len(self.records)} checks"
         )
-        if "total_s" in self.timings:
-            lines.append(f"elapsed: {self.timings['total_s']:.2f} s")
         return "\n".join(lines) + "\n"
 
 
@@ -168,11 +162,7 @@ def _csv_cell(value) -> str:
 
 
 def merge_reports(subcommand: str, seed: int, parts: dict) -> ExperimentReport:
-    """Concatenate named sub-reports, prefixing record names and table names.
-
-    The merged report carries no timings: the parts may have run concurrently,
-    so only the caller knows the wall they took together.
-    """
+    """Concatenate named sub-reports, prefixing record names and table names."""
     records = []
     tables = {}
     config = {}

@@ -15,10 +15,8 @@ else starts a thread.
 from __future__ import annotations
 
 import concurrent.futures
-import dataclasses
 import math
 import sys
-import time
 
 import numpy as np
 
@@ -48,6 +46,12 @@ _TRACE_TAG = 11
 _DOI_TAG = 12
 _DIRAC_TAG = 14
 
+# trace-check's determinant trials use pairs of this size.  Their candidate
+# points are the two outer points and the midpoints and three-quarter points
+# of the at most 2 * dim - 1 gaps between the counting breakpoints
+_DET_DIM = 8
+_DET_POINTS_MAX = 2 + 2 * (2 * _DET_DIM - 1)
+
 
 def _random_pair(rng, dim: int, scale: float):
     a0 = random_hermitian(rng, dim)
@@ -75,7 +79,6 @@ def _function_families(rng) -> list:
 
 
 def suite_trace_check(seed: int, params: dict) -> ExperimentReport:
-    t0 = time.perf_counter()
     dims = params["dims"]
     trials = params["trials"]
     det_trials = params["det_trials"]
@@ -105,7 +108,7 @@ def suite_trace_check(seed: int, params: dict) -> ExperimentReport:
 
     def one_det_trial(idx: int):
         rng = rng_from(seed, _TRACE_TAG, 10_000 + idx)
-        d0, d, v = _random_pair(rng, 8, 0.4)
+        d0, d, v = _random_pair(rng, _DET_DIM, 0.4)
         counting = ssf.ssf_counting(d0, d)
         bps = counting.breakpoints
         lo = bps[0] - 1.0
@@ -126,6 +129,11 @@ def suite_trace_check(seed: int, params: dict) -> ExperimentReport:
             xi = ssf.ssf_via_determinant(d0, v, float(lam))
             worst = max(worst, abs(xi - counting(float(lam))))
             used += 1
+        if used < det_points:
+            raise ValueError(
+                f"trace-check.det_points: determinant trial {idx} has {used} "
+                f"admissible points, fewer than the {det_points} requested"
+            )
         return worst
 
     det_results = [one_det_trial(idx) for idx in range(det_trials)]
@@ -140,7 +148,6 @@ def suite_trace_check(seed: int, params: dict) -> ExperimentReport:
         seed=seed,
         config=config,
         records=records,
-        timings={"total_s": time.perf_counter() - t0},
     )
 
 
@@ -149,7 +156,6 @@ def suite_trace_check(seed: int, params: dict) -> ExperimentReport:
 
 
 def suite_doi_check(seed: int, params: dict) -> ExperimentReport:
-    t0 = time.perf_counter()
     dim = params["dim"]
     trials = params["trials"]
     split_trials = params["split_trials"]
@@ -213,7 +219,6 @@ def suite_doi_check(seed: int, params: dict) -> ExperimentReport:
         seed=seed,
         config=dict(params),
         records=tuple(records),
-        timings={"total_s": time.perf_counter() - t0},
     )
 
 
@@ -236,7 +241,6 @@ def _hypotheses_grid(inner: float, outer: float, n_inner: int, n_tail: int):
 
 
 def suite_rm_cert(seed: int, params: dict) -> ExperimentReport:
-    t0 = time.perf_counter()
     records = []
 
     for kind, region_type in (("bounded", doi.BoundedRegion), ("exterior", doi.ExteriorRegion)):
@@ -297,7 +301,6 @@ def suite_rm_cert(seed: int, params: dict) -> ExperimentReport:
         seed=seed,
         config=dict(params),
         records=tuple(records),
-        timings={"total_s": time.perf_counter() - t0},
     )
 
 
@@ -306,7 +309,6 @@ def suite_rm_cert(seed: int, params: dict) -> ExperimentReport:
 
 
 def suite_dirac_schatten(seed: int, params: dict) -> ExperimentReport:
-    t0 = time.perf_counter()
     z = complex(params["z"][0], params["z"][1])
     mass = params["mass"]
     mpow = params["mpow"]
@@ -394,7 +396,6 @@ def suite_dirac_schatten(seed: int, params: dict) -> ExperimentReport:
         seed=seed,
         config=dict(params),
         records=tuple(records),
-        timings={"total_s": time.perf_counter() - t0},
     )
 
 
@@ -411,7 +412,6 @@ def _build_potential(spec: dict) -> scattering.LatticeScatteringModel:
 
 
 def suite_birman_krein(seed: int, params: dict) -> ExperimentReport:
-    t0 = time.perf_counter()
     models = [_build_potential(s) for s in params["potentials"]]
 
     rows = []
@@ -456,7 +456,6 @@ def suite_birman_krein(seed: int, params: dict) -> ExperimentReport:
         config=dict(params),
         records=tuple(records),
         tables={"band_sweep": rows},
-        timings={"total_s": time.perf_counter() - t0},
     )
 
 
@@ -464,7 +463,7 @@ def suite_birman_krein(seed: int, params: dict) -> ExperimentReport:
 
 
 def suite_all(seed: int, all_params: dict, jobs: int = 1) -> ExperimentReport:
-    """Every suite, merged in fixed order; ``total_s`` is the wall of the call.
+    """Every suite, merged in fixed order.
 
     With ``jobs >= 2`` dirac-schatten runs on one worker thread beside the
     other four on the calling thread.  rm-cert stays on the calling thread:
@@ -472,7 +471,6 @@ def suite_all(seed: int, all_params: dict, jobs: int = 1) -> ExperimentReport:
     the peak RSS.  The runners are read by their module-level names, not
     from :data:`SUITE_RUNNERS`, so a wrapper set on the module sees each call.
     """
-    t0 = time.perf_counter()
 
     def run(runner, name):
         return runner(seed, all_params[name])
@@ -500,8 +498,7 @@ def suite_all(seed: int, all_params: dict, jobs: int = 1) -> ExperimentReport:
                 # error on the worker thread is never dropped
                 dirac = dirac_part.result()
             parts["dirac"] = dirac
-    merged = merge_reports("all", seed, parts)
-    return dataclasses.replace(merged, timings={"total_s": time.perf_counter() - t0})
+    return merge_reports("all", seed, parts)
 
 
 SUITE_RUNNERS = {

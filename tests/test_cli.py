@@ -2,6 +2,7 @@
 
 import importlib
 import json
+import re
 import subprocess
 import sys
 import threading
@@ -73,14 +74,9 @@ class TestExperimentReport:
                 records=(check_le("a", 0.0, 1.0), CheckRecord("a", 0.0, 0.0, ">=", True))
             )
 
-    def test_timings_not_serialized(self):
-        rep = self._report(timings={"total_s": 1.23})
-        assert "timings" not in rep.to_json()
-        assert "1.23" in rep.summary_text()
-
     def test_json_text_deterministic(self):
-        a = self._report(timings={"total_s": 1.0}).json_text()
-        b = self._report(timings={"total_s": 999.0}).json_text()
+        a = self._report().json_text()
+        b = self._report().json_text()
         assert a == b
         assert a.endswith("\n")
         json.loads(a)
@@ -182,6 +178,11 @@ class TestCliRuns:
         payload = json.loads(captured.out)
         assert payload["aggregate_pass"] is True
         assert "checks" in captured.err
+
+    def test_elapsed_of_a_subcommand_is_at_most_the_wall_of_the_call(self, tmp_path, capsys):
+        cfg = _write_config(tmp_path, TINY_TRACE)
+        elapsed, wall = _timed_main(["trace-check", "--config", cfg], capsys)
+        assert 0.0 <= elapsed <= wall
 
     def test_seed_flag_wins_over_config(self, tmp_path, capsys):
         cfg = _write_config(tmp_path, TINY_TRACE)
@@ -314,33 +315,20 @@ class TestAllScheduling:
             assert {t for _, t in calls} == {main_ident, dirac_ident}
 
     @pytest.mark.parametrize("jobs", [1, 2])
-    def test_elapsed_is_at_most_the_wall_of_the_call(self, tmp_path, monkeypatch, capsys, jobs):
-        seen = {}
-
-        def timed(seed, sections, jobs):
-            t0 = time.perf_counter()
-            seen["report"] = suites.suite_all(seed, sections, jobs)
-            seen["wall"] = time.perf_counter() - t0
-            return seen["report"]
-
-        monkeypatch.setattr(cli, "suite_all", timed)
+    def test_elapsed_is_at_most_the_wall_of_the_call(self, tmp_path, capsys, jobs):
         cfg = _write_config(tmp_path, TINY_ALL)
-        assert main(["all", "--config", cfg, "--jobs", str(jobs)]) in (0, 1)
-        total = seen["report"].timings["total_s"]
-        assert 0.0 < total <= seen["wall"]
-        assert f"elapsed: {total:.2f} s" in capsys.readouterr().err
+        elapsed, wall = _timed_main(["all", "--config", cfg, "--jobs", str(jobs)], capsys)
+        assert 0.0 < elapsed <= wall
 
-    def test_elapsed_counts_overlapping_suites_once(self, monkeypatch):
+    def test_elapsed_counts_overlapping_suites_once(self, monkeypatch, capsys):
         # every suite sleeps 0.1 s; at jobs=2 dirac-schatten's sleep overlaps
-        # the other four, so the parts' total_s add up to more than the wall
+        # the other four, so the parts' sleeps add up to more than the wall
         parts = []
         for name in _SUITE_NAMES:
             monkeypatch.setattr(suites, name, _fake_suite(name, parts))
-        t0 = time.perf_counter()
-        report = suites.suite_all(0, _EMPTY_SECTIONS, 2)
-        wall = time.perf_counter() - t0
-        assert len(report.records) == 5
-        assert report.timings["total_s"] <= wall < sum(parts)
+        elapsed, wall = _timed_main(["all", "--jobs", "2"], capsys)
+        assert len(parts) == 5
+        assert elapsed <= wall < sum(parts)
 
     @pytest.mark.parametrize("also_failing", [None, "suite_rm_cert"])
     def test_worker_thread_error_is_raised(self, monkeypatch, also_failing):
@@ -354,6 +342,20 @@ class TestAllScheduling:
 _EMPTY_SECTIONS = dict.fromkeys(
     ("trace-check", "doi-check", "rm-cert", "dirac-schatten", "birman-krein"), {}
 )
+
+
+def _timed_main(argv, capsys):
+    """``main(argv)``'s printed ``elapsed`` and the wall of the call, both in s.
+
+    Both are rounded to the printed two decimals, which keeps their order.
+    """
+    t0 = time.perf_counter()
+    assert main(argv) in (0, 1)
+    wall = time.perf_counter() - t0
+    last = capsys.readouterr().err.splitlines()[-1]
+    match = re.fullmatch(r"elapsed: (\d+\.\d\d) s", last)
+    assert match, last
+    return float(match.group(1)), round(wall, 2)
 
 
 def _fake_suite(name, elapsed, fail=False):
@@ -371,7 +373,6 @@ def _fake_suite(name, elapsed, fail=False):
             seed=seed,
             config={},
             records=(check_info("slept", 0.1),),
-            timings={"total_s": dt},
         )
 
     return run
@@ -451,6 +452,41 @@ class TestCliConfigErrors:
         rc = main([section, "--config", cfg])
         assert rc == 2
         assert f"field '{field}'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("points", [33, 1000])
+    def test_det_points_past_the_candidate_count_names_the_field(self, tmp_path, capsys, points):
+        # a determinant trial pairs two 8 x 8 matrices: at most 16 counting
+        # breakpoints, so 2 outer, 15 midpoint and 15 three-quarter candidates
+        cfg = _write_config(tmp_path, {"trace-check": {"det_points": points}})
+        assert main(["trace-check", "--config", cfg]) == 2
+        err = capsys.readouterr().err
+        assert f"field 'trace-check.det_points': expected an integer <= 32, got {points}" in err
+
+    def test_det_points_past_a_trial_admissible_points_raises(self):
+        # at seed 7 one candidate of determinant trial 8 lies within 1e-3 of
+        # a spectrum, so that trial places 31 points
+        given = {"trials": 1, "dims": [2], "det_trials": 9, "det_points": 32}
+        params = cli._validate_section("trace-check", given)
+        message = (
+            "trace-check.det_points: determinant trial 8 has 31 admissible points, "
+            "fewer than the 32 requested"
+        )
+        with pytest.raises(ValueError, match=message):
+            suites.suite_trace_check(7, params)
+
+    def test_det_points_runs_exactly_the_requested_points(self, monkeypatch):
+        calls = []
+        route = suites.ssf.ssf_via_determinant
+
+        def counted(*args, **kwargs):
+            calls.append(args[2])
+            return route(*args, **kwargs)
+
+        monkeypatch.setattr(suites.ssf, "ssf_via_determinant", counted)
+        given = {"trials": 1, "dims": [2], "det_trials": 9, "det_points": 31}
+        report = suites.suite_trace_check(7, cli._validate_section("trace-check", given))
+        assert report.aggregate_pass
+        assert len(calls) == 9 * 31
 
     def test_grid_edge_bound_is_where_g_prime_squared_leaves_normal_range(self):
         # |g'(edge)| = m edge^-(m+1) for g = (x - z)^-m; its square reaches the

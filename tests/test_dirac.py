@@ -753,26 +753,31 @@ class TestWeightedResolvent:
             return singular_values(matrix)
 
         monkeypatch.setattr(dirac, "singular_values", recording)
-        rep = weighted_resolvent_schatten(model, 1.0, 2, -1j, [1.0, 2.0])
+        norms = weighted_resolvent_schatten(model, 1.0, 2, -1j, [1.0, 2.0])
         assert shapes and max(rows for rows, _ in shapes) <= model.n_sites
-        assert rep.p_norms[1.0] > rep.p_norms[2.0] > 0
+        assert norms[1.0] > norms[2.0] > 0
 
     @pytest.mark.parametrize("r, k", [(1.0, 1), (2.0, 1)])
     def test_exponent_prediction(self, r, k):
-        rep = weighted_resolvent_schatten(_model(n=64), r, k, 1j, [1.0, 2.0])
-        assert rep.threshold_p == pytest.approx(1.0 / min(r, k))
-        assert rep.exponent_ok, (rep.predicted_exponent, rep.fitted_exponent)
+        # the singular values decay like j^-(min(r, k)/d): fit the log-log
+        # slope over the 2%..40% window of their count, past the head and
+        # before the lattice cutoff
+        model = _model(n=64)
+        sv = dirac._weighted_resolvent_profile(model, r, k, 1j).values
+        lo, hi = int(0.02 * sv.size), int(0.4 * sv.size)
+        index = np.arange(lo + 1, hi + 1)
+        slope = np.polyfit(np.log(index), np.log(sv[lo:hi]), 1)[0]
+        assert abs(-slope - min(r, k) / model.d) <= 0.5, slope
 
     def test_norms_ordered(self):
         # schatten norms are nonincreasing in p
-        rep = weighted_resolvent_schatten(_model(n=32), 1.0, 1, 1j, [1.0, 1.5, 2.0])
-        n1, n15, n2 = (rep.p_norms[p] for p in (1.0, 1.5, 2.0))
-        assert n1 >= n15 >= n2
+        norms = weighted_resolvent_schatten(_model(n=32), 1.0, 1, 1j, [1.0, 1.5, 2.0])
+        assert norms[1.0] >= norms[1.5] >= norms[2.0]
 
     def test_json_keys(self):
-        rep = weighted_resolvent_schatten(_model(n=8), 1.0, 1, 1j, [1.0])
-        assert rep.p_norms[1.0] > 0
-        assert isinstance(rep.exponent_ok, bool)
+        norms = weighted_resolvent_schatten(_model(n=8), 1.0, 1, 1j, [1, 2.5])
+        assert list(norms) == [1.0, 2.5]
+        assert all(type(p) is float and norms[p] > 0 for p in norms)
 
 
 class TestRefinementStudy:
@@ -933,10 +938,9 @@ class TestFactorization:
         with pytest.raises(ValueError, match=rf"k must be an integer in 1..mpow = 3, got k={k!r}"):
             weighted_factorization_report(model, v, k, 3, 1j)
 
-    def test_numpy_integer_k_reports_an_int(self):
+    def test_accepts_numpy_integer_k(self):
         model, v = self._inputs(4.0, n=8)
         rep = weighted_factorization_report(model, v, np.int64(2), 3, 1j)
-        assert type(rep.k) is int and rep.k == 2
         assert rep == weighted_factorization_report(model, v, 2, 3, 1j)
 
     @pytest.mark.parametrize("z", [0.5, complex("nan+1j"), complex("1+infj")])
@@ -953,13 +957,7 @@ class TestFactorization:
 class TestCommutatorDecay:
     def test_zero_exponent_raises(self):
         with pytest.raises(ValueError, match="weight exponent"):
-            dirac._commutator_decay_report(_model(n=16, h=1.5), 0.0)
-
-    def test_raw_profile_decays(self):
-        rep = dirac._commutator_decay_report(LatticeModel(d=1, n=64, h=1.5, mass=1.0), 1.0)
-        assert rep.far_ratio < 0.5
-        assert rep.decays
-        assert rep.sup_constant > 0
+            dirac._commutator_near_constant(_model(n=16, h=1.5), 0.0)
 
     def test_near_field_constant_stable_under_volume_growth(self):
         sups, stable = commutator_decay_study(1, 1.0, [64, 128])
@@ -969,9 +967,6 @@ class TestCommutatorDecay:
         with pytest.raises(ValueError, match="at least two lattice sizes"):
             commutator_decay_study(1, 1.0, [64])
 
-    def test_json_keys(self):
-        rep = dirac._commutator_decay_report(_model(n=16, h=1.5), 1.0)
-        assert (rep.r, rep.n) == (1.0, 16)
-        assert rep.sup_constant > 0
-        assert 0.0 < rep.far_ratio <= 1.0
-        assert isinstance(rep.decays, bool)
+    def test_near_field_constant_is_positive(self):
+        sup = dirac._commutator_near_constant(_model(n=16, h=1.5), 1.0)
+        assert type(sup) is float and sup > 0
