@@ -15,17 +15,9 @@ import sys
 import time
 from functools import partial
 
-from .suites import _DET_POINTS_MAX, _HYPOTHESES_EDGE_MAX, SUITE_RUNNERS, suite_all
+from .suites import _DET_POINTS_MAX, _HYPOTHESES_EDGE_MAX, SUITE_RUNNERS, ConfigError, suite_all
 
 __all__ = ["main"]
-
-
-class ConfigError(ValueError):
-    """Invalid configuration value, tagged with the field path."""
-
-    def __init__(self, field: str, message: str):
-        super().__init__(f"field '{field}': {message}")
-        self.field = field
 
 
 # ---------------------------------------------------------------------------
@@ -311,17 +303,16 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         seed, jobs, sections = _resolve(args)
+        t0 = time.perf_counter()
+        # a suite finds some values out of reach only as it runs
+        if args.subcommand == "all":
+            report = suite_all(seed, sections, jobs)
+        else:
+            report = SUITE_RUNNERS[args.subcommand](seed, sections[args.subcommand])
+        elapsed = time.perf_counter() - t0
     except ConfigError as exc:
         print(f"ssflab: config error: {exc}", file=sys.stderr)
         return 2
-
-    t0 = time.perf_counter()
-    if args.subcommand == "all":
-        report = suite_all(seed, sections, jobs)
-    else:
-        runner = SUITE_RUNNERS[args.subcommand]
-        report = runner(seed, sections[args.subcommand])
-    elapsed = time.perf_counter() - t0
 
     payload = report.json_text() if args.format == "json" else report.csv_text()
     if args.out:

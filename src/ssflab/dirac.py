@@ -27,8 +27,10 @@ from .spectral import (
     ABS_FLOOR,
     SingularValueProfile,
     _check_hermitian,
-    _check_odd_resolvent_args,
+    _check_int,
+    _check_positive,
     _check_resolvent_args,
+    _check_schatten_order,
     eig_hermitian,
     resolvent_power,
     schatten_norm,
@@ -82,10 +84,6 @@ DIRAC_MATRICES = {
 }
 
 
-def _is_integer(x) -> bool:
-    return not isinstance(x, bool) and isinstance(x, (int, np.integer))
-
-
 @dataclass(frozen=True)
 class LatticeModel:
     """Periodic lattice in d dimensions with N sites per axis and spacing h.
@@ -102,16 +100,10 @@ class LatticeModel:
     mass: float
 
     def __post_init__(self):
-        if not _is_integer(self.d) or self.d not in DIRAC_MATRICES:
-            raise ValueError(f"dimension must be 1, 2 or 3, got d={self.d!r}")
-        if not _is_integer(self.n) or self.n < 2 or self.n % 2 != 0:
-            raise ValueError(
-                f"points per axis must be an even integer >= 2, got n={self.n!r}"
-            )
-        if not (np.isfinite(self.h) and self.h > 0):
-            raise ValueError(f"lattice spacing must be finite and positive, got h={self.h!r}")
-        if not (np.isfinite(self.mass) and self.mass > 0):
-            raise ValueError(f"mass must be finite and positive, got mass={self.mass!r}")
+        _check_int(self.d, "d", low=1, high=max(DIRAC_MATRICES))
+        _check_int(self.n, "n", low=2, even=True)
+        _check_positive(self.h, "h")
+        _check_positive(self.mass, "mass")
 
     @property
     def spinor_dim(self) -> int:
@@ -237,9 +229,8 @@ def free_resolvent_power(model: LatticeModel, z: complex, k: int) -> np.ndarray:
 
 
 def _site_weights(model: LatticeModel, r: float) -> np.ndarray:
-    """Site weights ``(1 + |x|^2)^{-r/2}``, one per site."""
-    if not (0 < r < np.inf):
-        raise ValueError(f"weight exponent must be finite and positive, got r={r!r}")
+    """Site weights ``(1 + |x|^2)^{-r/2}``, one per site; ``r`` must be positive."""
+    r = _check_positive(r, "r")
     return (1.0 + model.site_distances() ** 2) ** (-r / 2.0)
 
 
@@ -278,11 +269,8 @@ class MatrixPotential:
         if (self.decay_c is None) != (self.decay_rho is None):
             raise ValueError("declare both decay_c and decay_rho or neither")
         if self.decay_c is not None:
-            if not (0 < self.decay_c < np.inf and 0 < self.decay_rho < np.inf):
-                raise ValueError(
-                    "decay declaration requires finite positive C and rho, got "
-                    f"decay_c={self.decay_c!r}, decay_rho={self.decay_rho!r}"
-                )
+            _check_positive(self.decay_c, "decay_c")
+            _check_positive(self.decay_rho, "decay_rho")
             bound = self.decay_c * (1.0 + self.model.site_distances()) ** (
                 -self.decay_rho
             )
@@ -341,6 +329,7 @@ def random_decaying_potential(
     model: LatticeModel, rng: np.random.Generator, c: float, rho: float
 ) -> MatrixPotential:
     """Random sitewise Hermitian matrices saturating 50-100% of the decay bound."""
+    c, rho = _check_positive(c, "c"), _check_positive(rho, "rho")
     bounds = c * (1.0 + model.site_distances()) ** (-rho)
     mats = _random_site_matrices(model, rng, bounds, 0.5)
     return MatrixPotential(model, mats, decay_c=c, decay_rho=rho)
@@ -350,7 +339,7 @@ def random_bounded_potential(
     model: LatticeModel, rng: np.random.Generator, bound: float
 ) -> MatrixPotential:
     """Random sitewise Hermitian matrices with spectral norm in [0.2, 1] * bound, no decay."""
-    bounds = np.full(model.n_sites, float(bound))
+    bounds = np.full(model.n_sites, _check_positive(bound, "bound"))
     return MatrixPotential(model, _random_site_matrices(model, rng, bounds, 0.2))
 
 
@@ -423,11 +412,9 @@ def weighted_resolvent_schatten(
     ``z`` takes the SVD of the dense complex ``s N^d``-row matrix.
     """
     z, k = _check_resolvent_args(z, k)
-    for p in p_list:
-        if not float(p) >= 1.0:
-            raise ValueError(f"schatten order p must be >= 1, got {p!r}")
+    orders = [_check_schatten_order(p) for p in p_list]
     sv = _weighted_resolvent_profile(model, r, k, z)
-    return {float(p): schatten_norm(sv, p) for p in p_list}
+    return {p: schatten_norm(sv, p) for p in orders}
 
 
 @dataclass(frozen=True)
@@ -463,8 +450,7 @@ def schatten_refinement_study(
         raise ValueError("refinement study needs at least two lattice sizes")
     norms_by_p = {float(p): [] for p in p_list}
     for n in n_list:
-        spacing = balanced_spacing(n) if h is None else float(h)
-        model = LatticeModel(d=d, n=n, h=spacing, mass=mass)
+        model = LatticeModel(d=d, n=n, h=balanced_spacing(n) if h is None else h, mass=mass)
         norms = weighted_resolvent_schatten(model, r, k, z, p_list)
         for p in norms_by_p:
             norms_by_p[p].append(norms[p])
@@ -538,7 +524,7 @@ def resolvent_power_difference(
     ``H0`` once each and is summed by Horner's rule, with ``V`` applied
     through its site blocks.
     """
-    z, mpow = _check_odd_resolvent_args(z, mpow)
+    z, mpow = _check_resolvent_args(z, mpow, "mpow", odd=True)
     h0 = perturbed_hamiltonian(model, v0)
     h = perturbed_hamiltonian(model, v0, v)
 
@@ -608,10 +594,8 @@ def weighted_factorization_report(
     """
     if not v.is_decaying:
         raise ValueError("factorization needs a potential with declared decay")
-    z, mpow = _check_resolvent_args(z, mpow)
-    if not _is_integer(k) or not 1 <= k <= mpow:
-        raise ValueError(f"k must be an integer in 1..mpow = {mpow}, got k={k!r}")
-    k = int(k)
+    z, mpow = _check_resolvent_args(z, mpow, "mpow")
+    k = _check_int(k, "k", low=1, high=mpow)
     rho = float(v.decay_rho)
     j = mpow + 1 - k
     r1 = k * rho / (mpow + 1)
@@ -696,8 +680,7 @@ def commutator_identity_residual(
     only the free part survives in the commutator.  Returns the sup-norm
     residual divided by the sup norm of the left side.
     """
-    if not _is_integer(k) or k < 0:
-        raise ValueError(f"k must be an integer >= 0, got k={k!r}")
+    k = _check_int(k, "k", low=0)
     # the identity carries R^(k+1)
     z, _ = _check_resolvent_args(z, k + 1)
     w = _weight_diagonal(model, r)

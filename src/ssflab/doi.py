@@ -33,7 +33,8 @@ from .functions import ScalarFunction, resolvent_function, smoothstep_cutoff
 from .spectral import (
     ABS_FLOOR,
     SpectralDecomposition,
-    _check_odd_resolvent_args,
+    _check_positive,
+    _check_resolvent_args,
     apply_function,
     schatten_norm,
     singular_values,
@@ -94,7 +95,7 @@ class CofactorPolynomial:
     z: complex
 
     def __post_init__(self):
-        z, m = _check_odd_resolvent_args(self.z, self.m)
+        z, m = _check_resolvent_args(self.z, self.m, "m", odd=True)
         object.__setattr__(self, "m", m)
         object.__setattr__(self, "z", z)
 
@@ -169,9 +170,7 @@ def _factor_bounds(
     """
     if not isinstance(region, (BoundedRegion, ExteriorRegion)):
         raise TypeError(f"unknown region {region!r}")
-    r = float(region.r)
-    if not (math.isfinite(r) and r > 0):
-        raise ValueError(f"region requires a finite r > 0, got r={region.r!r}")
+    r = _check_positive(region.r, "r")
     bounds = []
     for k in range(1, p.m):
         theta = 2.0 * math.pi * k / p.m
@@ -234,7 +233,7 @@ class DoiKernel:
             raise ValueError(f"unknown kernel mode {self.mode!r}")
         if self.f.derivative is None:
             raise ValueError("kernel functions need attached first derivatives")
-        z, m = _check_odd_resolvent_args(self.z, self.m)
+        z, m = _check_resolvent_args(self.z, self.m, "m", odd=True)
         object.__setattr__(self, "m", m)
         object.__setattr__(self, "z", z)
         object.__setattr__(self, "g", resolvent_function(z, m))

@@ -13,7 +13,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .spectral import _check_resolvent_args
+from .spectral import _check_finite, _check_int, _check_positive, _check_resolvent_args
 
 __all__ = [
     "ScalarFunction",
@@ -80,7 +80,8 @@ def polynomial(coeffs) -> ScalarFunction:
 
 
 def gaussian_bump(center: float = 0.0, width: float = 1.0, height: float = 1.0) -> ScalarFunction:
-    c, w, a = float(center), float(width), float(height)
+    c, w = _check_finite(center, "center"), _check_positive(width, "width")
+    a = _check_finite(height, "height")
 
     def val(x):
         u = (np.asarray(x, dtype=float) - c) / w
@@ -118,7 +119,7 @@ def squared_lorentzian() -> ScalarFunction:
 
 def resolvent_function(z: complex, m: int = 1) -> ScalarFunction:
     """``(x - z)^{-m}`` for non-real ``z`` (complex-valued)."""
-    z, m = _check_resolvent_args(z, m)
+    z, m = _check_resolvent_args(z, m, "m")
 
     def val(x):
         return (np.asarray(x, dtype=complex) - z) ** (-m)
@@ -134,7 +135,7 @@ def resolvent_function(z: complex, m: int = 1) -> ScalarFunction:
 
 def power_shift_inverse(m: int) -> ScalarFunction:
     """``(x^m - i)^{-1}`` with analytic derivatives (complex-valued)."""
-    m = int(m)
+    m = _check_int(m, "m", low=1)
 
     def val(x):
         return 1.0 / (np.asarray(x, dtype=complex) ** m - 1j)
@@ -173,9 +174,7 @@ def _smoothstep_d2(u):
 
 def smoothstep_cutoff(r: float) -> ScalarFunction:
     """Even C^2 cutoff: 0 on ``[-r, r]``, 1 outside ``[-2r, 2r]``."""
-    r = float(r)
-    if r <= 0:
-        raise ValueError("cutoff radius must be positive")
+    r = _check_positive(r, "r")
 
     def val(x):
         x = np.asarray(x, dtype=float)
@@ -194,10 +193,7 @@ def smoothstep_cutoff(r: float) -> ScalarFunction:
 
 def bump_c2(r: float, height: float = 1.0) -> ScalarFunction:
     """C^2 bump ``height * (1 - (x/r)^2)^3`` supported on ``[-r, r]``."""
-    r = float(r)
-    a = float(height)
-    if r <= 0:
-        raise ValueError("bump radius must be positive")
+    r, a = _check_positive(r, "r"), _check_finite(height, "height")
 
     def val(x):
         u = np.asarray(x, dtype=float) / r

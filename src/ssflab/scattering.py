@@ -19,14 +19,14 @@ from __future__ import annotations
 
 import cmath
 import math
-import operator
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 from scipy.linalg import eigvalsh_tridiagonal
 
-from .ssf import _check_finite_lambda, _richardson_two_point, track_determinant_phase
+from .spectral import _check_finite, _check_int
+from .ssf import _richardson_two_point, track_determinant_phase
 
 __all__ = [
     "BAND_EDGE_MARGIN",
@@ -127,7 +127,7 @@ def _lattice_root(z: complex) -> complex:
 
 
 def _kappa(lam: float) -> float:
-    lam = _check_finite_lambda(lam)
+    lam = _check_finite(lam, "lam")
     if not (abs(lam) < 2.0 - BAND_EDGE_MARGIN):
         raise ValueError(
             f"lam={lam} too close to the band edges (margin {BAND_EDGE_MARGIN:g}); "
@@ -221,7 +221,7 @@ def ssf_scattering(model: LatticeScatteringModel, lam: float) -> float:
     minus the count of discrete eigenvalues below ``lam``.  A non-finite
     ``lam`` is rejected.
     """
-    lam = _check_finite_lambda(lam)
+    lam = _check_finite(lam, "lam")
     h_start = 10.0 * (1.0 + model.strength) + abs(lam)
 
     def det_at(h):
@@ -274,12 +274,7 @@ def band_sweep(
     and ``2``; it must exceed :data:`BAND_EDGE_MARGIN` and stay below 2, so
     the grid runs from left to right.
     """
-    try:
-        n_points = operator.index(n_points)
-    except TypeError:
-        raise ValueError(f"n_points must be an integer, got n_points={n_points!r}") from None
-    if n_points < 1:
-        raise ValueError(f"need at least one band point, got n_points={n_points}")
+    n_points = _check_int(n_points, "n_points", low=1)
     if not BAND_EDGE_MARGIN < margin < 2.0:
         raise ValueError(
             f"sweep margin must lie in ({BAND_EDGE_MARGIN:g}, 2), got margin={margin!r}"
@@ -295,10 +290,9 @@ def band_sweep(
 def _truncated_chain(model: LatticeScatteringModel, l_trunc: int) -> tuple:
     """Diagonal and off-diagonal of the operator truncated to sites |n| <= l_trunc.
 
-    ``l_trunc`` must be an integer >= 1; a bool or a float is rejected by name.
+    ``l_trunc`` must be an integer >= 1.
     """
-    if isinstance(l_trunc, bool) or not isinstance(l_trunc, (int, np.integer)) or l_trunc < 1:
-        raise ValueError(f"l_trunc must be an integer >= 1, got l_trunc={l_trunc!r}")
+    l_trunc = _check_int(l_trunc, "l_trunc", low=1)
     if model.support_radius >= l_trunc / 4:
         raise ValueError(
             f"truncation l_trunc={l_trunc} too small for support radius "
@@ -321,7 +315,7 @@ def bound_state_count_below(
     the spectrum densely.  Bisection finds only the eigenvalues in
     ``(-inf, nextafter(lam, -inf)]``, that is strictly below ``lam``.
     """
-    lam = _check_finite_lambda(lam)
+    lam = _check_finite(lam, "lam")
     if lam >= -2.0:
         raise ValueError(f"counting below the band needs lam < -2, got {lam}")
     below = eigvalsh_tridiagonal(

@@ -11,6 +11,7 @@ pure functions of their inputs.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -73,6 +74,52 @@ def _check_hermitian(m: np.ndarray, name: str) -> np.ndarray:
             f"exceeds {HERMITICITY_RTOL:.0e}"
         )
     return m
+
+
+# scalar gates: each raises ``ValueError("<name> must be <rule>, got
+# <name>=<value>")``.  A bool is never read as 0 or 1; a NumPy scalar passes
+# where its Python counterpart does.
+_REALS = (int, float, np.integer, np.floating)
+
+
+def _check_int(value, name: str, low: int, high=None, odd=False, even=False) -> int:
+    """The integer gate: ``value`` as an ``int`` if it is a Python or NumPy
+    integer in ``[low, high]`` (``high=None``: no upper end) of the requested
+    parity."""
+    if (
+        isinstance(value, bool)
+        or not isinstance(value, (int, np.integer))
+        or value < low
+        or (high is not None and value > high)
+        or (odd and value % 2 != 1)
+        or (even and value % 2 != 0)
+    ):
+        parity = "odd " if odd else "even " if even else ""
+        span = f">= {low}" if high is None else f"in {low}..{high}"
+        raise ValueError(f"{name} must be an {parity}integer {span}, got {name}={value!r}")
+    return int(value)
+
+
+def _check_finite(value, name: str) -> float:
+    """The finite-real gate: ``value`` as a ``float``; NaN and ``inf`` are rejected."""
+    if isinstance(value, bool) or not isinstance(value, _REALS) or not math.isfinite(value):
+        raise ValueError(f"{name} must be a finite number, got {name}={value!r}")
+    return float(value)
+
+
+def _check_positive(value, name: str) -> float:
+    """The finite-positive-real gate: ``value`` as a ``float`` in ``(0, inf)``."""
+    if isinstance(value, bool) or not isinstance(value, _REALS) or not 0 < value < math.inf:
+        raise ValueError(f"{name} must be a finite positive number, got {name}={value!r}")
+    return float(value)
+
+
+def _check_schatten_order(p) -> float:
+    """The Schatten-order rule: ``p`` as a ``float`` with ``p >= 1``; ``inf``
+    is allowed, NaN is not."""
+    if isinstance(p, bool) or not isinstance(p, _REALS) or not p >= 1:
+        raise ValueError(f"p must be a number >= 1 or inf, got p={p!r}")
+    return float(p)
 
 
 @dataclass(frozen=True)
@@ -152,29 +199,19 @@ def apply_function(decomposition: SpectralDecomposition, f) -> np.ndarray:
     return (u * vals) @ u.conj().T
 
 
-def _check_resolvent_args(z, k) -> tuple:
+def _check_resolvent_args(z, k, name: str = "k", odd: bool = False) -> tuple:
     """Validated ``(complex z, int k)`` for a resolvent power ``(H - z)^{-k}``.
 
-    ``z`` must be finite and non-real; ``k`` an integer ``>= 1`` (a ``bool``
-    is rejected, not read as 0 or 1).  The error names the offending value.
+    ``z`` must be finite and non-real; ``k`` passes the integer gate as an
+    integer ``>= 1`` named ``name``, odd if ``odd`` (the odd-power rule of
+    the cofactor and resolvent kernels of ``doi`` and of the
+    resolvent-power expansion of ``dirac``).
     """
-    if isinstance(k, bool) or not isinstance(k, (int, np.integer)) or k < 1:
-        raise ValueError(f"power k must be an integer >= 1, got {k!r}")
+    k = _check_int(k, name, low=1, odd=odd)
     z = complex(z)
     if z.imag == 0.0 or not np.isfinite(z):
         raise ValueError(f"resolvent point must be finite with Im z != 0, got z={z}")
-    return z, int(k)
-
-
-def _check_odd_resolvent_args(z, m) -> tuple:
-    """:func:`_check_resolvent_args` plus the odd-power rule.
-
-    Shared by the cofactor and resolvent kernels of ``doi`` and by the
-    resolvent-power expansion of ``dirac``.
-    """
-    if isinstance(m, (int, np.integer)) and m % 2 == 0:
-        raise ValueError(f"power m must be an odd integer >= 1, got {m!r}")
-    return _check_resolvent_args(z, m)
+    return z, k
 
 
 def resolvent_power(decomposition: SpectralDecomposition, z: complex, k: int) -> np.ndarray:
@@ -217,14 +254,12 @@ def singular_values(matrix) -> SingularValueProfile:
 def schatten_norm(profile, p: float) -> float:
     """Schatten p-norm ``(sum s_i^p)^(1/p)``; ``p = inf`` gives the largest value.
 
-    Accepts a :class:`SingularValueProfile` or a raw matrix.  ``p < 1`` is
-    rejected (not a norm).
+    Accepts a :class:`SingularValueProfile` or a raw matrix.  ``p`` follows
+    the Schatten-order rule: ``p < 1`` is not a norm.
     """
+    p = _check_schatten_order(p)
     if not isinstance(profile, SingularValueProfile):
         profile = singular_values(profile)
-    p = float(p)
-    if np.isnan(p) or p < 1.0:
-        raise ValueError(f"Schatten exponent must satisfy p >= 1, got {p}")
     s = profile.values
     if s.size == 0 or s[0] == 0.0:
         return 0.0

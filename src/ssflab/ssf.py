@@ -29,7 +29,10 @@ from scipy.linalg import lapack
 
 from .spectral import (
     SpectralDecomposition,
+    _check_finite,
     _check_hermitian,
+    _check_int,
+    _check_positive,
     det_id_plus,
     eig_hermitian,
     resolvent_power,
@@ -230,13 +233,8 @@ class PowerChangeOfVariable:
     cutoff: float
 
     def __post_init__(self):
-        m, r = self.m, self.cutoff
-        if isinstance(m, bool) or not isinstance(m, (int, np.integer)) or m < 1 or m % 2 == 0:
-            raise ValueError(f"power m must be an odd integer >= 1, got {m!r}")
-        if not (math.isfinite(r) and r > 0):
-            raise ValueError(f"cutoff must be finite and positive, got {r!r}")
-        object.__setattr__(self, "m", int(m))
-        object.__setattr__(self, "cutoff", float(r))
+        object.__setattr__(self, "m", _check_int(self.m, "m", low=1, odd=True))
+        object.__setattr__(self, "cutoff", _check_positive(self.cutoff, "cutoff"))
 
     @property
     def _amplitude(self) -> float:
@@ -448,15 +446,6 @@ def track_determinant_phase(
 _EPS_DEPTH = 8
 
 
-def _check_finite_lambda(lam) -> float:
-    """The spectral point ``lam`` of a shift-function route as a float; a NaN
-    or infinite point has no shift value and is rejected by name."""
-    lam = float(lam)
-    if not math.isfinite(lam):
-        raise ValueError(f"lambda must be finite, got lam={lam}")
-    return lam
-
-
 def _richardson_two_point(eps: Sequence[float], vals: Sequence[float]) -> float:
     ea, eb = float(eps[-2]), float(eps[-1])
     xa, xb = float(vals[-2]), float(vals[-1])
@@ -481,11 +470,8 @@ def ssf_via_determinant(
     validated and ``H0 + V`` reduced to tridiagonal form once; each height
     then costs O(n).
     """
-    lam = _check_finite_lambda(lam)
-    if not (jump_margin > 0.0 and math.isfinite(jump_margin)):
-        raise ValueError(
-            f"jump_margin must be finite and positive, got jump_margin={jump_margin!r}"
-        )
+    lam = _check_finite(lam, "lam")
+    jump_margin = _check_positive(jump_margin, "jump_margin")
     v = _validate_perturbation(d0, v)
     h = d0.reconstruct() + v
     d = eig_hermitian(h)

@@ -33,6 +33,7 @@ from .spectral import eig_hermitian
 from .utils import random_hermitian, rng_from
 
 __all__ = [
+    "ConfigError",
     "SUITE_RUNNERS",
     "suite_all",
     "suite_birman_krein",
@@ -41,6 +42,15 @@ __all__ = [
     "suite_rm_cert",
     "suite_trace_check",
 ]
+
+
+class ConfigError(ValueError):
+    """Invalid configuration value, tagged with the field path."""
+
+    def __init__(self, field: str, message: str):
+        super().__init__(f"field '{field}': {message}")
+        self.field = field
+
 
 _TRACE_TAG = 11
 _DOI_TAG = 12
@@ -130,10 +140,8 @@ def suite_trace_check(seed: int, params: dict) -> ExperimentReport:
             worst = max(worst, abs(xi - counting(float(lam))))
             used += 1
         if used < det_points:
-            raise ValueError(
-                f"trace-check.det_points: determinant trial {idx} has {used} "
-                f"admissible points, fewer than the {det_points} requested"
-            )
+            have = f"determinant trial {idx} has {used} admissible points, fewer than the"
+            raise ConfigError("trace-check.det_points", f"{have} {det_points} requested")
         return worst
 
     det_results = [one_det_trial(idx) for idx in range(det_trials)]

@@ -468,11 +468,24 @@ class TestCliConfigErrors:
         given = {"trials": 1, "dims": [2], "det_trials": 9, "det_points": 32}
         params = cli._validate_section("trace-check", given)
         message = (
-            "trace-check.det_points: determinant trial 8 has 31 admissible points, "
-            "fewer than the 32 requested"
+            "field 'trace-check.det_points': determinant trial 8 has 31 admissible "
+            "points, fewer than the 32 requested"
         )
-        with pytest.raises(ValueError, match=message):
+        with pytest.raises(suites.ConfigError, match=message) as caught:
             suites.suite_trace_check(7, params)
+        assert caught.value.field == "trace-check.det_points"
+
+    def test_det_points_past_a_trial_admissible_points_exits_2(self, tmp_path, capsys):
+        # the same shortfall through the CLI is a config error, not a traceback
+        given = {"trials": 1, "dims": [2], "det_trials": 9, "det_points": 32}
+        cfg = _write_config(tmp_path, {"trace-check": given})
+        assert main(["trace-check", "--seed", "7", "--config", cfg]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert (
+            "ssflab: config error: field 'trace-check.det_points': determinant trial 8 "
+            "has 31 admissible points" in captured.err
+        )
 
     def test_det_points_runs_exactly_the_requested_points(self, monkeypatch):
         calls = []

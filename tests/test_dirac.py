@@ -69,7 +69,8 @@ class TestDiracMatrices:
 
     def test_rejects_bad_dimension(self):
         for d in (0, 4, 2.0, True):
-            with pytest.raises(ValueError, match=re.escape(f"must be 1, 2 or 3, got d={d!r}")):
+            match = re.escape(f"d must be an integer in 1..3, got d={d!r}")
+            with pytest.raises(ValueError, match=match):
                 LatticeModel(d=d, n=4, h=1.0, mass=1.0)
 
     def test_building_models_leaves_caller_arrays_writeable(self):
@@ -129,7 +130,7 @@ class TestLatticeModel:
             LatticeModel(d=1, n=5, h=1.0, mass=1.0)
         with pytest.raises(ValueError, match="even"):
             LatticeModel(d=1, n=0, h=1.0, mass=1.0)
-        with pytest.raises(ValueError, match="spacing"):
+        with pytest.raises(ValueError, match="h must be a finite positive number, got h=0.0"):
             LatticeModel(d=1, n=4, h=0.0, mass=1.0)
         with pytest.raises(ValueError, match="mass"):
             LatticeModel(d=1, n=4, h=1.0, mass=0.0)
@@ -285,9 +286,9 @@ class TestFreeResolventPower:
         [
             (1.0, 1, r"z=\(1\+0j\)"),
             (complex(np.nan, 1.0), 1, "nan"),
-            (1j, 0, "got 0"),
-            (1j, 1.5, "got 1.5"),
-            (1j, True, "got True"),
+            (1j, 0, "got k=0"),
+            (1j, 1.5, "got k=1.5"),
+            (1j, True, "got k=True"),
         ],
         ids=["real_z", "nan_z", "k0", "float_k", "bool_k"],
     )
@@ -313,7 +314,7 @@ class TestWeights:
 
     @pytest.mark.parametrize("r", [np.inf, np.nan])
     def test_rejects_non_finite_exponent_naming_it(self, r):
-        with pytest.raises(ValueError, match=f"finite and positive, got r={r!r}"):
+        with pytest.raises(ValueError, match=f"r must be a finite positive number, got r={r!r}"):
             dirac._weight_diagonal(_model(n=4), r)
 
 
@@ -337,9 +338,12 @@ class TestMatrixPotential:
         with pytest.raises(ValueError, match="positive"):
             MatrixPotential(model, mats, decay_c=-1.0, decay_rho=2.0)
         # a NaN constant used to pass every site's bound check
-        for c, rho in [(np.nan, 2.0), (1.0, np.nan), (np.inf, 2.0), (1.0, np.inf)]:
-            with pytest.raises(ValueError, match=f"decay_c={c!r}, decay_rho={rho!r}"):
-                MatrixPotential(model, mats, decay_c=c, decay_rho=rho)
+        for field in ("decay_c", "decay_rho"):
+            for value in (np.nan, np.inf):
+                fields = {"decay_c": 1.0, "decay_rho": 2.0, field: value}
+                match = f"{field} must be a finite positive number, got {field}={value!r}"
+                with pytest.raises(ValueError, match=match):
+                    MatrixPotential(model, mats, **fields)
         # a flat potential violates any declared decay at the far sites
         flat = np.tile(np.eye(s, dtype=complex), (model.n_sites, 1, 1))
         with pytest.raises(ValueError, match="violated"):
@@ -518,8 +522,8 @@ class TestPowerDifference:
     def test_validation(self):
         model = _model(n=8)
         v0 = zero_potential(model)
-        # one odd-power rule, with one message, for dirac and doi
-        with pytest.raises(ValueError, match=r"power m must be an odd integer >= 1, got 2"):
+        # one odd-power rule for dirac and doi, naming the power it checks
+        with pytest.raises(ValueError, match=r"mpow must be an odd integer >= 1, got mpow=2"):
             resolvent_power_difference(model, v0, v0, 1j, 2)
         with pytest.raises(ValueError, match="Im z"):
             resolvent_power_difference(model, v0, v0, 1.0, 3)
@@ -935,7 +939,7 @@ class TestFactorization:
         # a bool used to come back as the report's k, and 2.0 raised a bare
         # TypeError from list indexing
         model, v = self._inputs(4.0, n=8)
-        with pytest.raises(ValueError, match=rf"k must be an integer in 1..mpow = 3, got k={k!r}"):
+        with pytest.raises(ValueError, match=rf"k must be an integer in 1..3, got k={k!r}"):
             weighted_factorization_report(model, v, k, 3, 1j)
 
     def test_accepts_numpy_integer_k(self):
@@ -956,7 +960,7 @@ class TestFactorization:
 
 class TestCommutatorDecay:
     def test_zero_exponent_raises(self):
-        with pytest.raises(ValueError, match="weight exponent"):
+        with pytest.raises(ValueError, match="r must be a finite positive number, got r=0.0"):
             dirac._commutator_near_constant(_model(n=16, h=1.5), 0.0)
 
     def test_near_field_constant_stable_under_volume_growth(self):

@@ -245,7 +245,8 @@ class TestLowerBoundCertificates:
     def test_validation(self):
         p = CofactorPolynomial(3, 1j)
         for region in (BoundedRegion(0.0), ExteriorRegion(-1.0), BoundedRegion(math.inf)):
-            with pytest.raises(ValueError, match="r > 0"):
+            match = f"r must be a finite positive number, got r={region.r!r}"
+            with pytest.raises(ValueError, match=match):
                 cofactor_lower_bound_cert(p, region)
         with pytest.raises(TypeError):
             cofactor_lower_bound_cert(p, "square")

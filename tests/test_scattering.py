@@ -213,7 +213,7 @@ class TestSMatrix:
     @pytest.mark.parametrize("lam", [float("nan"), float("inf")])
     def test_rejects_non_finite_lambda(self, entry, lam):
         # a NaN point used to be reported as too close to the band edges
-        with pytest.raises(ValueError, match="lambda must be finite"):
+        with pytest.raises(ValueError, match=f"lam must be a finite number, got lam={lam!r}"):
             entry(LatticeScatteringModel.single_site(0.5), lam)
 
 
@@ -322,7 +322,7 @@ class TestSsfScattering:
     @pytest.mark.parametrize("lam", [float("nan"), float("inf"), -float("inf")])
     def test_rejects_non_finite_lambda(self, lam):
         model = LatticeScatteringModel.single_site(0.5)
-        with pytest.raises(ValueError, match="lambda must be finite"):
+        with pytest.raises(ValueError, match=f"lam must be a finite number, got lam={lam!r}"):
             ssf_scattering(model, lam)
 
     def test_below_band_counts_bound_states(self):
@@ -369,7 +369,7 @@ class TestTruncationOracle:
 
     @pytest.mark.parametrize("lam", [float("nan"), -float("inf")])
     def test_count_rejects_non_finite_lambda(self, lam):
-        with pytest.raises(ValueError, match="lambda must be finite"):
+        with pytest.raises(ValueError, match=f"lam must be a finite number, got lam={lam!r}"):
             bound_state_count_below(LatticeScatteringModel.single_site(-1.5), lam)
 
     @pytest.mark.parametrize("l_trunc", [2000.5, 2000.0, True, 0, -3, "2000"])
@@ -425,7 +425,7 @@ class TestBirmanKrein:
 
     def test_band_sweep_validation(self):
         model = LatticeScatteringModel.single_site(0.4)
-        with pytest.raises(ValueError, match="band point"):
+        with pytest.raises(ValueError, match="n_points must be an integer >= 1, got n_points=0"):
             band_sweep(model, 0)
         for bad in (2.5, "3", None):
             # 2.5 used to raise NumPy's TypeError from linspace

@@ -171,9 +171,9 @@ def test_resolvent_power_validation():
     [
         (2.0, 1, r"z=\(2\+0j\)"),
         (complex(np.inf, 1.0), 1, "inf"),
-        (1j, -1, "got -1"),
-        (1j, 2.0, "got 2.0"),
-        (1j, True, "got True"),
+        (1j, -1, "got k=-1"),
+        (1j, 2.0, "got k=2.0"),
+        (1j, True, "got k=True"),
     ],
     ids=["real_z", "inf_z", "negative_k", "float_k", "bool_k"],
 )

@@ -714,7 +714,7 @@ class TestDeterminantRoute:
     def test_rejects_non_finite_lambda(self, lam):
         d0 = eig_hermitian(np.diag([0.0, 1.0]))
         v = np.diag([0.5, 0.0])
-        with pytest.raises(ValueError, match="lambda must be finite"):
+        with pytest.raises(ValueError, match=f"lam must be a finite number, got lam={lam!r}"):
             ssf_via_determinant(d0, v, lam)
 
     @pytest.mark.parametrize("margin", [0.0, -1.0, float("nan"), float("inf")])
@@ -724,7 +724,8 @@ class TestDeterminantRoute:
         # ZeroDivisionError; off it, such a margin was taken
         d0 = eig_hermitian(np.diag([0.0, 1.0]))
         v = np.diag([0.5, 0.0])
-        with pytest.raises(ValueError, match=r"finite and positive, got jump_margin="):
+        match = f"jump_margin must be a finite positive number, got jump_margin={margin!r}"
+        with pytest.raises(ValueError, match=match):
             ssf_via_determinant(d0, v, lam, jump_margin=margin)
 
     def test_default_schedule_is_gap_halving(self, monkeypatch):
