@@ -15,7 +15,9 @@ import sys
 import time
 from functools import partial
 
-from .suites import _DET_POINTS_MAX, _HYPOTHESES_EDGE_MAX, SUITE_RUNNERS, ConfigError, suite_all
+from .scattering import _check_band_margin
+from .spectral import _check_finite, _check_int, _check_positive
+from .suites import _DET_POINTS_MAX, SUITE_RUNNERS, ConfigError, _check_grid_edge, suite_all
 
 __all__ = ["main"]
 
@@ -24,35 +26,13 @@ __all__ = ["main"]
 # per-field validators
 
 
-def _expect_int(field, value, low=None, high=None, even=False, odd=False):
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ConfigError(field, f"expected an integer, got {value!r}")
-    if low is not None and value < low:
-        raise ConfigError(field, f"expected an integer >= {low}, got {value}")
-    if high is not None and value > high:
-        raise ConfigError(field, f"expected an integer <= {high}, got {value}")
-    if even and value % 2 != 0:
-        raise ConfigError(field, f"expected an even integer, got {value}")
-    if odd and value % 2 != 1:
-        raise ConfigError(field, f"expected an odd integer, got {value}")
-    return value
-
-
-def _expect_real(field, value, low=None, low_open=None, high=None, high_open=None):
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigError(field, f"expected a number, got {value!r}")
-    value = float(value)
-    if value != value or value in (float("inf"), float("-inf")):
-        raise ConfigError(field, "expected a finite number")
-    if low is not None and value < low:
-        raise ConfigError(field, f"expected a number >= {low}, got {value}")
-    if low_open is not None and value <= low_open:
-        raise ConfigError(field, f"expected a number > {low_open}, got {value}")
-    if high is not None and value > high:
-        raise ConfigError(field, f"expected a number <= {high:.4g}, got {value}")
-    if high_open is not None and value >= high_open:
-        raise ConfigError(field, f"expected a number < {high_open}, got {value}")
-    return value
+def _gated(gate, field, value, **rule):
+    """``value`` through the library's scalar gate ``gate``, named by the last
+    key of ``field``; a rejection becomes a ``ConfigError`` for ``field``."""
+    try:
+        return gate(value, field.rsplit(".", 1)[-1], **rule)
+    except ValueError as exc:
+        raise ConfigError(field, str(exc)) from None
 
 
 def _expect_list(field, value, min_len=1):
@@ -63,11 +43,11 @@ def _expect_list(field, value, min_len=1):
     return list(value)
 
 
-def _int_list(low=None, even=False, min_len=1):
+def _int_list(low, even=False, min_len=1):
     def check(field, value):
         out = _expect_list(field, value, min_len)
         return [
-            _expect_int(f"{field}[{i}]", v, low=low, even=even)
+            _gated(_check_int, f"{field}[{i}]", v, low=low, even=even)
             for i, v in enumerate(out)
         ]
 
@@ -78,11 +58,17 @@ def _complex_pair(field, value):
     out = _expect_list(field, value, 2)
     if len(out) != 2:
         raise ConfigError(field, "expected a [real, imag] pair")
-    re = _expect_real(f"{field}[0]", out[0])
-    im = _expect_real(f"{field}[1]", out[1])
+    re = _gated(_check_finite, f"{field}[0]", out[0])
+    im = _gated(_check_finite, f"{field}[1]", out[1])
     if im == 0.0:
         raise ConfigError(f"{field}[1]", "imaginary part must be nonzero")
     return [re, im]
+
+
+def _no_unknown_keys(field, entry, known):
+    extra = set(entry) - known
+    if extra:
+        raise ConfigError(field, f"unknown key {sorted(extra)[0]!r}")
 
 
 def _mz_list(field, value):
@@ -91,10 +77,8 @@ def _mz_list(field, value):
     for i, entry in enumerate(out):
         if not isinstance(entry, dict):
             raise ConfigError(f"{field}[{i}]", "expected an object with 'm' and 'z'")
-        extra = set(entry) - {"m", "z"}
-        if extra:
-            raise ConfigError(f"{field}[{i}]", f"unknown key {sorted(extra)[0]!r}")
-        m = _expect_int(f"{field}[{i}].m", entry.get("m"), low=1, odd=True)
+        _no_unknown_keys(f"{field}[{i}]", entry, {"m", "z"})
+        m = _gated(_check_int, f"{field}[{i}].m", entry.get("m"), low=1, odd=True)
         z = _complex_pair(f"{field}[{i}].z", entry.get("z"))
         parsed.append({"m": m, "z": z})
     return parsed
@@ -111,9 +95,9 @@ def _cert_list(field, value):
         row = _expect_list(f"{field}[{i}]", entry, _CERT_ARITY)
         if len(row) != _CERT_ARITY:
             raise ConfigError(f"{field}[{i}]", f"expected {_CERT_ARITY} entries")
-        m = _expect_int(f"{field}[{i}][0]", row[0], low=1, odd=True)
+        m = _gated(_check_int, f"{field}[{i}][0]", row[0], low=1, odd=True)
         rest = [
-            _expect_real(f"{field}[{i}][{j}]", row[j], low_open=0.0)
+            _gated(_check_positive, f"{field}[{i}][{j}]", row[j])
             for j in range(1, _CERT_ARITY)
         ]
         parsed.append([m] + rest)
@@ -129,22 +113,16 @@ def _potential_list(field, value):
             raise ConfigError(here, "expected an object with a 'kind' key")
         kind = entry.get("kind")
         if kind == "single":
-            extra = set(entry) - {"kind", "value", "site"}
-            if extra:
-                raise ConfigError(here, f"unknown key {sorted(extra)[0]!r}")
-            val = _expect_real(f"{here}.value", entry.get("value"))
+            _no_unknown_keys(here, entry, {"kind", "value", "site"})
+            val = _gated(_check_finite, f"{here}.value", entry.get("value"))
             if val == 0.0:
                 raise ConfigError(f"{here}.value", "potential must be nonzero")
-            site = _expect_int(f"{here}.site", entry.get("site", 0))
+            site = _gated(_check_int, f"{here}.site", entry.get("site", 0))
             parsed.append({"kind": "single", "value": val, "site": site})
         elif kind == "centered":
-            extra = set(entry) - {"kind", "values"}
-            if extra:
-                raise ConfigError(here, f"unknown key {sorted(extra)[0]!r}")
+            _no_unknown_keys(here, entry, {"kind", "values"})
             vals = _expect_list(f"{here}.values", entry.get("values"))
-            vals = [
-                _expect_real(f"{here}.values[{j}]", v) for j, v in enumerate(vals)
-            ]
+            vals = [_gated(_check_finite, f"{here}.values[{j}]", v) for j, v in enumerate(vals)]
             parsed.append({"kind": "centered", "values": vals})
         else:
             raise ConfigError(f"{here}.kind", "expected 'single' or 'centered'")
@@ -158,21 +136,21 @@ def _potential_list(field, value):
 _SCHEMA = {
     "trace-check": {
         "dims": ([2, 3, 4, 6, 8, 12, 16], _int_list(low=2)),
-        "trials": (100, partial(_expect_int, low=1)),
-        "det_trials": (10, partial(_expect_int, low=1)),
-        "det_points": (8, partial(_expect_int, low=1, high=_DET_POINTS_MAX)),
+        "trials": (100, partial(_gated, _check_int, low=1)),
+        "det_trials": (10, partial(_gated, _check_int, low=1)),
+        "det_points": (8, partial(_gated, _check_int, low=1, high=_DET_POINTS_MAX)),
     },
     "doi-check": {
-        "dim": (12, partial(_expect_int, low=2)),
-        "trials": (50, partial(_expect_int, low=1)),
-        "split_trials": (10, partial(_expect_int, low=1)),
+        "dim": (12, partial(_gated, _check_int, low=2)),
+        "trials": (50, partial(_gated, _check_int, low=1)),
+        "split_trials": (10, partial(_gated, _check_int, low=1)),
         "mz_list": (
             [{"m": 3, "z": [0.0, 2.0]}, {"m": 5, "z": [0.0, 3.0]}],
             _mz_list,
         ),
     },
     "rm-cert": {
-        "grid_edge": (1e5, partial(_expect_real, low=1e3, high=_HYPOTHESES_EDGE_MAX)),
+        "grid_edge": (1e5, partial(_gated, _check_grid_edge)),
         "bounded_certs": (
             [[3, 1.0, 10.0], [3, 5.0, 50.0], [5, 1.0, 20.0]],
             _cert_list,
@@ -181,23 +159,23 @@ _SCHEMA = {
     },
     "dirac-schatten": {
         "identity_n_list": ([32, 64], _int_list(low=2, even=True)),
-        "seeds": (5, partial(_expect_int, low=1)),
+        "seeds": (5, partial(_gated, _check_int, low=1)),
         "z": ([0.0, 1.0], _complex_pair),
-        "mass": (1.0, partial(_expect_real, low_open=0.0)),
-        "mpow": (3, partial(_expect_int, low=1, odd=True)),
-        "k": (2, partial(_expect_int, low=1)),
-        "r": (1.0, partial(_expect_real, low_open=0.0)),
-        "decay_c": (1.0, partial(_expect_real, low_open=0.0)),
-        "rho": (4.0, partial(_expect_real, low_open=0.0)),
-        "v0_bound": (0.3, partial(_expect_real, low_open=0.0)),
+        "mass": (1.0, partial(_gated, _check_positive)),
+        "mpow": (3, partial(_gated, _check_int, low=1, odd=True)),
+        "k": (2, partial(_gated, _check_int, low=1)),
+        "r": (1.0, partial(_gated, _check_positive)),
+        "decay_c": (1.0, partial(_gated, _check_positive)),
+        "rho": (4.0, partial(_gated, _check_positive)),
+        "v0_bound": (0.3, partial(_gated, _check_positive)),
         "refinement_n_list": ([64, 128, 256], _int_list(low=2, even=True, min_len=2)),
-        "law_h": (1.5, partial(_expect_real, low_open=0.0)),
-        "factorization_n": (32, partial(_expect_int, low=2, even=True)),
+        "law_h": (1.5, partial(_gated, _check_positive)),
+        "factorization_n": (32, partial(_gated, _check_int, low=2, even=True)),
         "decay_n_list": ([64, 128], _int_list(low=2, even=True, min_len=2)),
     },
     "birman-krein": {
-        "band_points": (20, partial(_expect_int, low=1)),
-        "band_margin": (0.05, partial(_expect_real, low_open=2e-3, high_open=2.0)),
+        "band_points": (20, partial(_gated, _check_int, low=1)),
+        "band_margin": (0.05, partial(_gated, _check_band_margin)),
         "potentials": (
             [
                 {"kind": "single", "value": 0.7, "site": 0},
@@ -257,11 +235,11 @@ def _resolve(args) -> tuple:
     seed = args.seed
     if seed is None:
         seed = file_cfg.get("seed", 0)
-    seed = _expect_int("seed", seed, low=0)
+    seed = _gated(_check_int, "seed", seed, low=0)
     jobs = getattr(args, "jobs", None)  # only `all` has the flag
     if jobs is None:
         jobs = file_cfg.get("jobs", 1)
-    jobs = _expect_int("jobs", jobs, low=1)
+    jobs = _gated(_check_int, "jobs", jobs, low=1)
     sections = {
         name: _validate_section(name, file_cfg.get(name, {})) for name in _SCHEMA
     }

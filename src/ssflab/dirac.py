@@ -262,9 +262,6 @@ class MatrixPotential:
                 f"site matrices must have shape {(self.model.n_sites, s, s)}, "
                 f"got {mats.shape}"
             )
-        finite = np.isfinite(mats).all(axis=(1, 2))
-        if not finite.all():
-            raise ValueError(f"site matrix {int(np.argmin(finite))} has a non-finite entry")
         _check_hermitian(mats, "potential")
         if (self.decay_c is None) != (self.decay_rho is None):
             raise ValueError("declare both decay_c and decay_rho or neither")

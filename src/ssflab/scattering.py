@@ -25,7 +25,7 @@ from typing import Sequence
 import numpy as np
 from scipy.linalg import eigvalsh_tridiagonal
 
-from .spectral import _check_finite, _check_int
+from .spectral import _check_finite, _check_int, _check_real
 from .ssf import _richardson_two_point, track_determinant_phase
 
 __all__ = [
@@ -50,9 +50,10 @@ _EPS_LADDER = tuple(2.0 ** (-k) for k in range(4, 14))
 class LatticeScatteringModel:
     """Real potential with finite support on the integer lattice.
 
-    Sites are integers (a bool or non-integral site is rejected).  The site
-    distance matrix and the gaps between consecutive sites are built once,
-    at construction, and are read-only, so threads may share a model.
+    Sites are integers (a bool or non-integral site is rejected), and values
+    pass the finite gate.  The site distance matrix and the gaps between
+    consecutive sites are built once, at construction, and are read-only, so
+    threads may share a model.
     """
 
     sites: tuple
@@ -61,13 +62,11 @@ class LatticeScatteringModel:
     def __post_init__(self):
         site_arr = _integer_sites(self.sites)
         sites = tuple(int(n) for n in site_arr)
-        values = tuple(float(v) for v in self.values)
+        values = tuple(_check_finite(v, f"values[{i}]") for i, v in enumerate(self.values))
         if len(sites) != len(values) or len(sites) == 0:
             raise ValueError("sites and values must be non-empty and equal length")
         if any(b <= a for a, b in zip(sites, sites[1:])):
             raise ValueError("sites must be strictly increasing")
-        if not all(np.isfinite(values)):
-            raise ValueError("potential values must be finite")
         object.__setattr__(self, "sites", sites)
         object.__setattr__(self, "values", values)
         distance = np.abs(site_arr[:, None] - site_arr[None, :])
@@ -82,7 +81,6 @@ class LatticeScatteringModel:
     @classmethod
     def centered(cls, values: Sequence[float]) -> "LatticeScatteringModel":
         """Values laid out symmetrically around the origin."""
-        values = tuple(float(v) for v in values)
         half = len(values) // 2
         return cls(tuple(range(-half, len(values) - half)), values)
 
@@ -124,6 +122,14 @@ def _lattice_root(z: complex) -> complex:
     w1 = (z + disc) / 2.0
     w2 = (z - disc) / 2.0
     return w1 if abs(w1) < abs(w2) else w2
+
+
+def _check_band_margin(value, name: str) -> float:
+    """The band-sweep margin rule: a finite ``BAND_EDGE_MARGIN < margin < 2``,
+    the lower end taken on the grid end ``2 - margin`` as :func:`_kappa` takes
+    it (one rounding step above ``BAND_EDGE_MARGIN`` gives the same end)."""
+    rule = f"a finite number in ({BAND_EDGE_MARGIN:g}, 2)"
+    return _check_real(value, name, rule, lambda m: m < 2.0 and 2.0 - m < 2.0 - BAND_EDGE_MARGIN)
 
 
 def _kappa(lam: float) -> float:
@@ -275,10 +281,7 @@ def band_sweep(
     the grid runs from left to right.
     """
     n_points = _check_int(n_points, "n_points", low=1)
-    if not BAND_EDGE_MARGIN < margin < 2.0:
-        raise ValueError(
-            f"sweep margin must lie in ({BAND_EDGE_MARGIN:g}, 2), got margin={margin!r}"
-        )
+    margin = _check_band_margin(margin, "margin")
     grid = np.linspace(-2.0 + margin, 2.0 - margin, n_points)
     return [birman_krein_point(model, float(lam)) for lam in grid]
 

@@ -82,44 +82,53 @@ def _check_hermitian(m: np.ndarray, name: str) -> np.ndarray:
 _REALS = (int, float, np.integer, np.floating)
 
 
-def _check_int(value, name: str, low: int, high=None, odd=False, even=False) -> int:
+def _check_int(value, name: str, low=None, high=None, odd=False, even=False) -> int:
     """The integer gate: ``value`` as an ``int`` if it is a Python or NumPy
-    integer in ``[low, high]`` (``high=None``: no upper end) of the requested
+    integer in ``[low, high]`` (``None``: no end there) of the requested
     parity."""
     if (
         isinstance(value, bool)
         or not isinstance(value, (int, np.integer))
-        or value < low
+        or (low is not None and value < low)
         or (high is not None and value > high)
         or (odd and value % 2 != 1)
         or (even and value % 2 != 0)
     ):
         parity = "odd " if odd else "even " if even else ""
-        span = f">= {low}" if high is None else f"in {low}..{high}"
-        raise ValueError(f"{name} must be an {parity}integer {span}, got {name}={value!r}")
+        if low is None:
+            span = "" if high is None else f" <= {high}"
+        else:
+            span = f" >= {low}" if high is None else f" in {low}..{high}"
+        raise ValueError(f"{name} must be an {parity}integer{span}, got {name}={value!r}")
     return int(value)
 
 
+def _check_real(value, name: str, rule: str, ok) -> float:
+    """``value`` as a ``float`` ``x`` if ``ok(x)``; a bool, a non-number and an
+    integer past the float range are rejected too."""
+    real = not isinstance(value, bool) and isinstance(value, _REALS)
+    try:
+        x = float(value) if real else math.nan
+    except OverflowError:  # an integer past the float range
+        x = math.nan
+    if not ok(x):
+        raise ValueError(f"{name} must be {rule}, got {name}={value!r}")
+    return x
+
+
 def _check_finite(value, name: str) -> float:
-    """The finite-real gate: ``value`` as a ``float``; NaN and ``inf`` are rejected."""
-    if isinstance(value, bool) or not isinstance(value, _REALS) or not math.isfinite(value):
-        raise ValueError(f"{name} must be a finite number, got {name}={value!r}")
-    return float(value)
+    """The finite-real gate: NaN and ``inf`` are rejected."""
+    return _check_real(value, name, "a finite number", math.isfinite)
 
 
 def _check_positive(value, name: str) -> float:
-    """The finite-positive-real gate: ``value`` as a ``float`` in ``(0, inf)``."""
-    if isinstance(value, bool) or not isinstance(value, _REALS) or not 0 < value < math.inf:
-        raise ValueError(f"{name} must be a finite positive number, got {name}={value!r}")
-    return float(value)
+    """The finite-positive-real gate: ``value`` must lie in ``(0, inf)``."""
+    return _check_real(value, name, "a finite positive number", lambda x: 0 < x < math.inf)
 
 
 def _check_schatten_order(p) -> float:
-    """The Schatten-order rule: ``p`` as a ``float`` with ``p >= 1``; ``inf``
-    is allowed, NaN is not."""
-    if isinstance(p, bool) or not isinstance(p, _REALS) or not p >= 1:
-        raise ValueError(f"p must be a number >= 1 or inf, got p={p!r}")
-    return float(p)
+    """The Schatten-order rule: ``p >= 1``; ``inf`` is allowed, NaN is not."""
+    return _check_real(p, "p", "a number >= 1 or inf", lambda x: x >= 1)
 
 
 @dataclass(frozen=True)

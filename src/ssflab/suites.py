@@ -29,7 +29,7 @@ from .reports import (
     check_le,
     merge_reports,
 )
-from .spectral import eig_hermitian
+from .spectral import _check_real, eig_hermitian
 from .utils import random_hermitian, rng_from
 
 __all__ = [
@@ -241,6 +241,12 @@ _HYPOTHESES_M = 3
 _HYPOTHESES_EDGE_MAX = (_HYPOTHESES_M / math.sqrt(sys.float_info.min)) ** (
     1.0 / (_HYPOTHESES_M + 1)
 )
+
+
+def _check_grid_edge(value, name: str) -> float:
+    """The grid-edge rule: a finite number in ``[1e3, _HYPOTHESES_EDGE_MAX]``."""
+    rule = f"a finite number in [1e3, {_HYPOTHESES_EDGE_MAX:.4g}]"
+    return _check_real(value, name, rule, lambda edge: 1e3 <= edge <= _HYPOTHESES_EDGE_MAX)
 
 
 def _hypotheses_grid(inner: float, outer: float, n_inner: int, n_tail: int):

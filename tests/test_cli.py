@@ -460,7 +460,10 @@ class TestCliConfigErrors:
         cfg = _write_config(tmp_path, {"trace-check": {"det_points": points}})
         assert main(["trace-check", "--config", cfg]) == 2
         err = capsys.readouterr().err
-        assert f"field 'trace-check.det_points': expected an integer <= 32, got {points}" in err
+        assert (
+            f"field 'trace-check.det_points': det_points must be an integer in 1..32, "
+            f"got det_points={points}" in err
+        )
 
     def test_det_points_past_a_trial_admissible_points_raises(self):
         # at seed 7 one candidate of determinant trial 8 lies within 1e-3 of
@@ -557,6 +560,129 @@ class TestCliConfigErrors:
     def test_unknown_subcommand_exits(self):
         with pytest.raises(SystemExit):
             main(["not-a-suite"])
+
+
+# ---------------------------------------------------------------------------
+# every integer and real config field passes the library's scalar gates
+
+NAN, INF = float("nan"), float("inf")
+# a JSON integer of 401 digits: float() of it overflows
+HUGE = 10**400
+INTEGER = (True, NAN, INF, 2.5)
+REAL = (True, NAN, INF, HUGE)
+POSITIVE = REAL + (0, -1)
+
+
+def _section(section, key):
+    return lambda x: {section: {key: x}}
+
+
+def _potential(entry):
+    return {"birman-krein": {"potentials": [entry]}}
+
+
+# (field path, config with the value x at that field, bad values)
+CONFIG_FIELDS = [
+    ("seed", lambda x: {"seed": x}, INTEGER + (-1,)),
+    ("jobs", lambda x: {"jobs": x}, INTEGER + (0,)),
+    ("trace-check.dims[1]", lambda x: {"trace-check": {"dims": [2, x]}}, INTEGER),
+    ("trace-check.trials", _section("trace-check", "trials"), INTEGER),
+    ("trace-check.det_trials", _section("trace-check", "det_trials"), INTEGER),
+    ("trace-check.det_points", _section("trace-check", "det_points"), INTEGER),
+    ("doi-check.dim", _section("doi-check", "dim"), INTEGER),
+    ("doi-check.trials", _section("doi-check", "trials"), INTEGER),
+    ("doi-check.split_trials", _section("doi-check", "split_trials"), INTEGER),
+    (
+        "doi-check.mz_list[0].m",
+        lambda x: {"doi-check": {"mz_list": [{"m": x, "z": [0.0, 2.0]}]}},
+        INTEGER,
+    ),
+    (
+        "doi-check.mz_list[0].z[1]",
+        lambda x: {"doi-check": {"mz_list": [{"m": 3, "z": [0.0, x]}]}},
+        REAL,
+    ),
+    ("rm-cert.grid_edge", _section("rm-cert", "grid_edge"), POSITIVE),
+    (
+        "rm-cert.bounded_certs[0][0]",
+        lambda x: {"rm-cert": {"bounded_certs": [[x, 1.0, 10.0]]}},
+        INTEGER,
+    ),
+    (
+        "rm-cert.exterior_certs[0][2]",
+        lambda x: {"rm-cert": {"exterior_certs": [[3, 1.0, x]]}},
+        POSITIVE,
+    ),
+    (
+        "dirac-schatten.identity_n_list[0]",
+        lambda x: {"dirac-schatten": {"identity_n_list": [x]}},
+        INTEGER,
+    ),
+    ("dirac-schatten.seeds", _section("dirac-schatten", "seeds"), INTEGER),
+    ("dirac-schatten.z[0]", lambda x: {"dirac-schatten": {"z": [x, 1.0]}}, REAL),
+    ("dirac-schatten.mass", _section("dirac-schatten", "mass"), POSITIVE),
+    ("dirac-schatten.mpow", _section("dirac-schatten", "mpow"), INTEGER),
+    ("dirac-schatten.k", _section("dirac-schatten", "k"), INTEGER),
+    ("dirac-schatten.r", _section("dirac-schatten", "r"), POSITIVE),
+    ("dirac-schatten.decay_c", _section("dirac-schatten", "decay_c"), POSITIVE),
+    ("dirac-schatten.rho", _section("dirac-schatten", "rho"), POSITIVE),
+    ("dirac-schatten.v0_bound", _section("dirac-schatten", "v0_bound"), POSITIVE),
+    (
+        "dirac-schatten.refinement_n_list[1]",
+        lambda x: {"dirac-schatten": {"refinement_n_list": [64, x]}},
+        INTEGER,
+    ),
+    ("dirac-schatten.law_h", _section("dirac-schatten", "law_h"), POSITIVE),
+    ("dirac-schatten.factorization_n", _section("dirac-schatten", "factorization_n"), INTEGER),
+    (
+        "dirac-schatten.decay_n_list[1]",
+        lambda x: {"dirac-schatten": {"decay_n_list": [64, x]}},
+        INTEGER,
+    ),
+    ("birman-krein.band_points", _section("birman-krein", "band_points"), INTEGER),
+    (
+        "birman-krein.band_margin",
+        _section("birman-krein", "band_margin"),
+        REAL + (1e-3, float(np.nextafter(1e-3, 1.0)), 2.0),
+    ),
+    (
+        "birman-krein.potentials[0].value",
+        lambda x: _potential({"kind": "single", "value": x}),
+        REAL,
+    ),
+    (
+        "birman-krein.potentials[0].site",
+        lambda x: _potential({"kind": "single", "value": 0.5, "site": x}),
+        INTEGER,
+    ),
+    (
+        "birman-krein.potentials[0].values[2]",
+        lambda x: _potential({"kind": "centered", "values": [0.1, 0.2, x]}),
+        REAL,
+    ),
+]
+
+CONFIG_CASES = [
+    pytest.param(field, given, value, id=f"{field}={'10**400' if value is HUGE else repr(value)}")
+    for field, given, bad in CONFIG_FIELDS
+    for value in bad
+]
+
+
+@pytest.mark.parametrize("field, given, value", CONFIG_CASES)
+def test_config_scalar_rejects_and_names_the_field(tmp_path, capsys, field, given, value):
+    # JSON writes NaN and inf as NaN and Infinity, which json.load reads back
+    cfg = _write_config(tmp_path, given(value))
+    assert main(["all", "--config", cfg]) == 2
+    err = capsys.readouterr().err
+    assert f"ssflab: config error: field '{field}': " in err
+    assert f"={value!r}" in err
+
+
+def test_config_scalar_table_covers_every_schema_field():
+    covered = {re.match(r"[\w-]+(\.\w+)?", field).group() for field, _, _ in CONFIG_FIELDS}
+    schema = {f"{section}.{key}" for section, keys in cli._SCHEMA.items() for key in keys}
+    assert schema | {"seed", "jobs"} == covered
 
 
 def test_module_entry_point(tmp_path):

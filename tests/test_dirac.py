@@ -371,7 +371,9 @@ class TestMatrixPotential:
         model = _model(n=4)
         mats = np.zeros((model.n_sites, model.spinor_dim, model.spinor_dim), dtype=complex)
         mats[3, 1, 1] = bad
-        with pytest.raises(ValueError, match="site matrix 3 has a non-finite entry"):
+        # the gate's index starts with the site
+        match = re.escape("potential has a non-finite entry at index (3, 1, 1)")
+        with pytest.raises(ValueError, match=match):
             MatrixPotential(model, mats)
 
     def test_random_decaying_respects_bound(self):

@@ -15,11 +15,13 @@ from ssflab.utils import rng_from
 from helpers import zero_potential
 
 NAN, INF = float("nan"), float("inf")
+# an integer past the float range: float() of it overflows
+HUGE = 10**400
 # integers also refuse a non-integral number; a finite real takes 0 and -1
 INTEGER = (True, NAN, INF, 0, -1, 2.5)
-POSITIVE = (True, NAN, INF, 0, -1)
-FINITE = (True, NAN, INF, -INF)
-SCHATTEN = (True, NAN, 0, -1, 0.5)
+POSITIVE = (True, NAN, INF, 0, -1, HUGE)
+FINITE = (True, NAN, INF, -INF, HUGE)
+SCHATTEN = (True, NAN, 0, -1, 0.5, HUGE)
 
 MODEL = dirac.LatticeModel(d=1, n=4, h=1.0, mass=1.0)
 V0 = zero_potential(MODEL)
@@ -29,6 +31,7 @@ PERTURBATION = np.diag([0.5, 0.0])
 BAND = scattering.LatticeScatteringModel.single_site(0.5)
 BELOW = scattering.LatticeScatteringModel.single_site(-1.5)
 CERT_POLY = doi.CofactorPolynomial(3, 1j)
+NEXT_MARGIN = float(np.nextafter(scattering.BAND_EDGE_MARGIN, 1.0))
 
 
 def _lattice(**field):
@@ -172,6 +175,25 @@ GATED = [
         lambda x: scattering.band_sweep(BAND, x),
         INTEGER,
     ),
+    (
+        "scattering.band_sweep.margin",
+        "margin",
+        lambda x: scattering.band_sweep(BAND, 3, margin=x),
+        # one rounding step above the band-edge guard leaves the same grid end
+        (True, NAN, INF, scattering.BAND_EDGE_MARGIN, NEXT_MARGIN, 2.0),
+    ),
+    (
+        "scattering.LatticeScatteringModel.values",
+        "values[0]",
+        scattering.LatticeScatteringModel.single_site,
+        FINITE,
+    ),
+    (
+        "scattering.LatticeScatteringModel.centered.values",
+        "values[1]",
+        lambda x: scattering.LatticeScatteringModel.centered([0.5, x, 0.5]),
+        FINITE,
+    ),
     ("scattering.s_matrix.lam", "lam", lambda x: scattering.s_matrix(BAND, x), FINITE),
     ("scattering.ssf_scattering.lam", "lam", lambda x: scattering.ssf_scattering(BAND, x), FINITE),
     (
@@ -189,7 +211,7 @@ GATED = [
 ]
 
 CASES = [
-    pytest.param(name, call, value, id=f"{label}={value!r}")
+    pytest.param(name, call, value, id=f"{label}={'10**400' if value is HUGE else repr(value)}")
     for label, name, call, bad in GATED
     for value in bad
 ]
