@@ -167,13 +167,11 @@ def s_matrix(model: LatticeScatteringModel, lam: float) -> np.ndarray:
     ls = np.eye(len(sites), dtype=complex) + g * v[None, :]
     prefactor = 1.0 / (2j * np.sin(kappa))
 
-    phi_left = np.exp(-1j * kappa * sites)
-    psi1 = np.linalg.solve(ls, phi_left)
+    # one factorization serves the left- and the right-incident wave
+    incident = np.stack([np.exp(-1j * kappa * sites), np.exp(1j * kappa * sites)], axis=1)
+    psi1, psi2 = np.linalg.solve(ls, incident).T
     t1 = 1.0 + prefactor * np.sum(np.exp(1j * kappa * sites) * v * psi1)
     r1 = prefactor * np.sum(np.exp(-1j * kappa * sites) * v * psi1)
-
-    phi_right = np.exp(1j * kappa * sites)
-    psi2 = np.linalg.solve(ls, phi_right)
     t2 = 1.0 + prefactor * np.sum(np.exp(-1j * kappa * sites) * v * psi2)
     r2 = prefactor * np.sum(np.exp(1j * kappa * sites) * v * psi2)
 

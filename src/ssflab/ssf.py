@@ -132,32 +132,29 @@ def _cluster_radius(spec0: np.ndarray, spec: np.ndarray) -> float:
     return spec0.size**2 * eps * sum(tops)
 
 
-def _steps_from_jumps(
-    points: np.ndarray, weights: np.ndarray, radius: float = 0.0
+def _counting_jumps(
+    spec0: np.ndarray, spec: np.ndarray, radius: float, at0: np.ndarray, at: np.ndarray
 ) -> StepFunction:
-    """Step function with the given jumps; sorted points whose gap is at most
-    ``radius`` merge into one cluster placed at its smallest point, and a
-    cluster whose net jump is zero leaves no breakpoint."""
-    order = np.argsort(points, kind="stable")
-    pts = points[order]
-    wts = weights[order]
-    start = np.flatnonzero(np.diff(pts, prepend=-np.inf) > radius)
-    jump = np.add.reduceat(wts, start) if pts.size else np.empty(0)
-    keep = jump != 0
-    uniq, jump = pts[start][keep], jump[keep]
-    vals = np.concatenate([[0], np.cumsum(jump)])
-    if vals.size and vals[-1] != 0:
-        raise ValueError("jump weights must sum to zero")
-    return StepFunction(uniq, vals)
+    """``#{spec0 <= x} - #{spec <= x}`` with clusters inside ``radius`` merged.
 
-
-def _counting_jumps(spec0: np.ndarray, spec: np.ndarray, radius: float) -> StepFunction:
-    """``#{spec0 <= x} - #{spec <= x}`` with clusters inside ``radius`` merged."""
+    Sorted points whose gap is at most ``radius`` form one cluster; a cluster
+    whose net jump is zero leaves no breakpoint, and a kept one is placed at
+    the entry of ``at0``/``at`` that belongs to its smallest point (equal
+    points are ordered by that entry).
+    """
     if spec0.size != spec.size:
         raise ValueError(f"dimension mismatch: {spec0.size} vs {spec.size}")
     points = np.concatenate([spec0, spec])
     weights = np.concatenate([np.ones(spec0.size, dtype=int), -np.ones(spec.size, dtype=int)])
-    return _steps_from_jumps(points, weights, radius)
+    origins = np.concatenate([at0, at])
+    order = np.lexsort((origins, points))
+    start = np.flatnonzero(np.diff(points[order], prepend=-np.inf) > radius)
+    jump = np.add.reduceat(weights[order], start) if points.size else np.empty(0)
+    keep = jump != 0
+    vals = np.concatenate([[0], np.cumsum(jump[keep])])
+    if vals[-1] != 0:
+        raise ValueError("jump weights must sum to zero")
+    return StepFunction(origins[order][start][keep], vals)
 
 
 def ssf_counting(d0: SpectralDecomposition, d: SpectralDecomposition) -> StepFunction:
@@ -171,29 +168,27 @@ def ssf_counting(d0: SpectralDecomposition, d: SpectralDecomposition) -> StepFun
     breakpoint.
     """
     lam0, lam = d0.eigenvalues, d.eigenvalues
-    return _counting_jumps(lam0, lam, _cluster_radius(lam0, lam))
+    return _counting_jumps(lam0, lam, _cluster_radius(lam0, lam), lam0, lam)
 
 
-def steps_equal(a: StepFunction, b: StepFunction, bp_tol: float = 0.0) -> bool:
-    """Same integer values, breakpoints pairwise within ``bp_tol``."""
-    if a.values.size != b.values.size or np.any(a.values != b.values):
-        return False
-    if a.breakpoints.size == 0:
-        return True
-    return bool(np.max(np.abs(a.breakpoints - b.breakpoints)) <= bp_tol)
+def steps_equal(a: StepFunction, b: StepFunction) -> bool:
+    """Same integer values at the same breakpoints, compared exactly."""
+    return np.array_equal(a.values, b.values) and np.array_equal(a.breakpoints, b.breakpoints)
 
 
 # ---------------------------------------------------------------------------
 # trace formula
 
 
-def trace_formula_sides(d0: SpectralDecomposition, d: SpectralDecomposition, f) -> tuple:
+def trace_formula_sides(
+    xi: StepFunction, d0: SpectralDecomposition, d: SpectralDecomposition, f
+) -> tuple:
     """Return ``(Tr(f(H) - f(H0)), integral of xi f')`` evaluated exactly.
 
+    ``xi`` is the pair's spectral shift, as :func:`ssf_counting` builds it.
     The integral side is a finite sum: on each interval between consecutive
     breakpoints the step value multiplies the increment of ``f``.
     """
-    xi = ssf_counting(d0, d)
     lhs = complex(np.sum(np.asarray(f(d.eigenvalues))) - np.sum(np.asarray(f(d0.eigenvalues))))
     if xi.is_zero:
         return lhs, 0.0 + 0.0j
@@ -205,12 +200,6 @@ def trace_formula_sides(d0: SpectralDecomposition, d: SpectralDecomposition, f) 
 
 # ---------------------------------------------------------------------------
 # monotone change of variable
-
-
-# a cap only: even pure bisection reaches float resolution well within it
-_NEWTON_MAX_STEPS = 100
-# Newton stops once its step is this small
-_INVERSE_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -255,39 +244,6 @@ class PowerChangeOfVariable:
         out = self.m * x ** (self.m - 1) + bump
         return out if out.ndim else float(out)
 
-    def inverse(self, y) -> float:
-        """Scalar inverse: analytic outside the window, safeguarded Newton inside.
-
-        The slope is positive everywhere, so every Newton step is defined; a
-        step that leaves the shrinking bracket (initially ``[-cutoff, cutoff]``)
-        is replaced by bisection.
-        """
-        y = float(y)
-        m, r, a = self.m, self.cutoff, self._amplitude
-        edge = r**m
-        if abs(y) >= edge:
-            return math.copysign(abs(y) ** (1.0 / m), y)
-        # python floats: numpy's per-call cost dominates on scalars.  Oddness
-        # and monotonicity bracket the root in [-cutoff, cutoff]
-        lo, hi = -r, r
-        x = r * y / edge
-        for _ in range(_NEWTON_MAX_STEPS):
-            u = (x / r) ** 2
-            resid = x**m + a * x * (1.0 - u) ** 3 - y
-            if resid == 0.0:
-                return x
-            if resid < 0.0:
-                lo = x
-            else:
-                hi = x
-            step = resid / (m * x ** (m - 1) + a * (1.0 - u) ** 2 * (1.0 - 7.0 * u))
-            if abs(step) <= _INVERSE_TOL:
-                return x - step
-            x -= step
-            if not lo < x < hi:
-                x = 0.5 * (lo + hi)
-        return x
-
 
 def ssf_via_invariance(
     d0: SpectralDecomposition, d: SpectralDecomposition, phi: PowerChangeOfVariable
@@ -295,9 +251,11 @@ def ssf_via_invariance(
     """Spectral shift computed for the transformed pair and pulled back.
 
     The spectra are mapped through the monotone ``phi`` (the spectral theorem
-    makes these exactly the eigenvalues of ``phi(H0)`` and ``phi(H)``), the
-    counting construction runs in the transformed variable, and breakpoints
-    are pulled back through the inverse map.
+    makes these exactly the eigenvalues of ``phi(H0)`` and ``phi(H)``), and
+    the counting construction runs in the transformed variable.  Each
+    breakpoint is pulled back by index: it is the image of the eigenvalue
+    that starts its cluster, so it is placed at that eigenvalue, and no
+    inverse of ``phi`` is evaluated.
 
     Clusters merge within the transformed radius: the eigenvalue radius of
     :func:`ssf_counting` carried through ``phi`` (times the largest
@@ -312,9 +270,7 @@ def ssf_via_invariance(
         raise ValueError("change of variable failed to preserve spectral order")
     slope = float(np.max(phi.derivative(np.concatenate([lam0, lam]))))
     radius = _cluster_radius(lam0, lam) * slope + _cluster_radius(mapped0, mapped)
-    transformed = _counting_jumps(mapped0, mapped, radius)
-    pulled = np.array([phi.inverse(b) for b in transformed.breakpoints])
-    return StepFunction(pulled, transformed.values)
+    return _counting_jumps(mapped0, mapped, radius, lam0, lam)
 
 
 # ---------------------------------------------------------------------------

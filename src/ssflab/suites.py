@@ -93,23 +93,21 @@ def suite_trace_check(seed: int, params: dict) -> ExperimentReport:
     trials = params["trials"]
     det_trials = params["det_trials"]
     det_points = params["det_points"]
-    maps = {m: ssf.PowerChangeOfVariable(m, 1.0) for m in (3, 5)}
+    maps = [ssf.PowerChangeOfVariable(m, 1.0) for m in (3, 5)]
 
     def one_trial(idx: int):
         rng = rng_from(seed, _TRACE_TAG, idx)
         dim = int(dims[idx % len(dims)])
         d0, d, _ = _random_pair(rng, dim, 0.4)
+        counting = ssf.ssf_counting(d0, d)
         worst = 0.0
         for f in _function_families(rng):
-            lhs, rhs = ssf.trace_formula_sides(d0, d, f)
+            lhs, rhs = ssf.trace_formula_sides(counting, d0, d, f)
             scale_ref = max(abs(lhs), abs(rhs), 1.0)
             worst = max(worst, abs(lhs - rhs) / scale_ref)
-        counting = ssf.ssf_counting(d0, d)
-        mismatches = 0
-        for m in (3, 5):
-            got = ssf.ssf_via_invariance(d0, d, maps[m])
-            if not ssf.steps_equal(counting, got, bp_tol=1e-9):
-                mismatches += 1
+        mismatches = sum(
+            not ssf.steps_equal(counting, ssf.ssf_via_invariance(d0, d, phi)) for phi in maps
+        )
         return worst, mismatches
 
     results = [one_trial(idx) for idx in range(trials)]

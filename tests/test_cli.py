@@ -504,6 +504,21 @@ class TestCliConfigErrors:
         assert report.aggregate_pass
         assert len(calls) == 9 * 31
 
+    def test_counting_spectral_shift_is_built_once_per_pair(self, monkeypatch):
+        # the five trace sides and both invariance comparisons of a trial
+        # share its one counting step function: 100 trials + 10 det trials
+        calls = []
+        counting = suites.ssf.ssf_counting
+
+        def counted(*args):
+            calls.append(args)
+            return counting(*args)
+
+        monkeypatch.setattr(suites.ssf, "ssf_counting", counted)
+        report = suites.suite_trace_check(7, cli._validate_section("trace-check", {}))
+        assert report.aggregate_pass
+        assert len(calls) == 110
+
     def test_grid_edge_bound_is_where_g_prime_squared_leaves_normal_range(self):
         # |g'(edge)| = m edge^-(m+1) for g = (x - z)^-m; its square reaches the
         # smallest normal double at the largest accepted edge
