@@ -311,6 +311,35 @@ class TestInvariance:
         d0, d, _ = _random_pair(rng_from(9), 8)
         assert steps_equal(ssf_counting(d0, d), ssf_via_invariance(d0, d, phi))
 
+    @pytest.mark.parametrize("cutoff", _CUTOFFS)
+    @pytest.mark.parametrize("m", _POWERS)
+    def test_pullback_across_the_window(self, m, cutoff):
+        # spectra on both sides of +-cutoff, where phi switches from the
+        # window polynomial to x^m: each breakpoint is an eigenvalue itself
+        rng = rng_from(252, m, int(10 * cutoff))
+        a0 = random_hermitian(rng, 12, scale=cutoff / 2.0)
+        d0 = eig_hermitian(a0)
+        d = eig_hermitian(a0 + random_hermitian(rng, 12, scale=cutoff / 4.0))
+        spectra = np.concatenate([d0.eigenvalues, d.eigenvalues])
+        assert np.any(np.abs(spectra) < cutoff) and np.any(np.abs(spectra) > cutoff)
+        mapped = ssf_via_invariance(d0, d, PowerChangeOfVariable(m, cutoff))
+        assert steps_equal(ssf_counting(d0, d), mapped)
+        assert np.isin(mapped.breakpoints, spectra).all()
+
+    @pytest.mark.parametrize("m", _POWERS)
+    def test_pullback_on_exact_degeneracy(self, m):
+        # repeated diagonal entries are exact, so each cluster's images tie
+        # and its breakpoint sits at the shared eigenvalue
+        lam0 = np.array([-1.3, -0.2, -0.2, -0.2, 0.25, 0.25, 0.9, 1.6])
+        v = np.zeros((8, 8))
+        v[1, 1] = v[4, 4] = 0.5
+        d0 = eig_hermitian(np.diag(lam0))
+        d = eig_hermitian(np.diag(lam0) + v)
+        mapped = ssf_via_invariance(d0, d, PowerChangeOfVariable(m, 1.0))
+        assert steps_equal(ssf_counting(d0, d), mapped)
+        np.testing.assert_array_equal(mapped.breakpoints, [-0.2, 0.25, 0.3, 0.75])
+        np.testing.assert_array_equal(mapped.values, [0, 1, 2, 1, 0])
+
     @settings(max_examples=60, deadline=None)
     @given(
         n=st.integers(2, 39),
