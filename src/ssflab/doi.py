@@ -33,13 +33,13 @@ from .functions import ScalarFunction, resolvent_function, smoothstep_cutoff
 from .spectral import (
     ABS_FLOOR,
     SpectralDecomposition,
+    _check_int,
     _check_positive,
     _check_resolvent_args,
     apply_function,
     schatten_norm,
     singular_values,
 )
-from .ssf import PowerChangeOfVariable
 
 __all__ = [
     "AntidiagonalCollisionError",
@@ -517,6 +517,26 @@ def kernel_hypotheses_report(k: DoiKernel, axis) -> KernelHypothesesReport:
 # cutoff decomposition of the transformed resolvent
 
 
+def _bump_power(x, m: int, r: float) -> np.ndarray:
+    """Odd, strictly increasing C^2 map equal to ``x^m`` for ``|x| >= r``.
+
+    With ``k = (m - 1) / 2`` and ``c = (m - 1) / 7^k``,
+
+        phi(x) = x^m + c r^(m-1) x (1 - x^2/r^2)^3    for |x| < r.
+
+    The correction is odd with a triple zero at ``+-r``, so value, slope and
+    curvature match ``x^m`` there.  With ``u = x^2/r^2`` the slope is
+    ``r^(m-1) [m u^k + c (1-u)^2 (1-7u)]``.  For ``u <= 1/7`` both terms are
+    ``>= 0`` and the slope at 0 is ``c r^(m-1) > 0``; for ``1/7 < u < 1`` put
+    ``v = 7u``: ``c (1-u)^2 (7u-1) < 2k 7^-k (v-1) < (2k+1) 7^-k v^k = m u^k``.
+    ``m = 1`` gives ``c = 0``, the identity.
+    """
+    x = np.asarray(x, dtype=float)
+    u = (x / r) ** 2
+    amplitude = (m - 1) / 7.0 ** ((m - 1) // 2) * r ** (m - 1)
+    return x**m + np.where(u < 1.0, amplitude * x * (1.0 - u) ** 3, 0.0)
+
+
 @dataclass(frozen=True)
 class CutoffSplitReport:
     residual: float
@@ -533,21 +553,21 @@ def resolvent_cutoff_split(
     """Split ``(phi(H)-i)^{-1} - (phi(H0)-i)^{-1}`` by a smooth cutoff.
 
     With ``theta`` vanishing on ``[-r, r]`` and equal to 1 outside
-    ``[-2r, 2r]``, and ``phi = PowerChangeOfVariable(m, r)`` the monotone map
-    equal to ``x^m`` beyond ``r``, the transformed resolvent difference decomposes
-    exactly into an inner part driven by ``(1-theta)/(phi - i)`` and an outer
-    part driven by ``theta/(x^m - i)``.  Reports the max-entry residual of the decomposition
-    and the trace norms of all three differences.
+    ``[-2r, 2r]``, and ``phi`` the map :func:`_bump_power` equal to ``x^m``
+    beyond ``r``, the transformed resolvent difference decomposes exactly into
+    an inner part driven by ``(1-theta)/(phi - i)`` and an outer part driven
+    by ``theta/(x^m - i)``.  Reports the max-entry residual of the
+    decomposition and the trace norms of all three differences.
     """
-    phi = PowerChangeOfVariable(m, r)
+    m = _check_int(m, "m", low=1, odd=True)
     theta = smoothstep_cutoff(r)
 
     def whole(x):
-        return 1.0 / (np.asarray(phi(x), dtype=complex) - 1j)
+        return 1.0 / (np.asarray(_bump_power(x, m, r), dtype=complex) - 1j)
 
     def inner(x):
         return (1.0 - np.asarray(theta(x), dtype=complex)) / (
-            np.asarray(phi(x), dtype=complex) - 1j
+            np.asarray(_bump_power(x, m, r), dtype=complex) - 1j
         )
 
     def outer(x):

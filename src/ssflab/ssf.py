@@ -10,10 +10,10 @@ feeds the exact trace identity
     Tr(f(H) - f(H0)) = integral of xi(x) f'(x) dx,
 
 whose right-hand side is evaluated exactly interval-by-interval.  The module
-also provides the invariance-principle construction through a monotone
-change of variable equal to ``x^m`` outside a compact window, the
+also provides the invariance-principle route through the resolvent power
+``(H - a)^{-m}``, ``a`` below both spectra, which reads no eigenvalue; the
 perturbation-determinant route ``xi = Im log det(I + V (H0-z)^{-1}) / pi``
-with its branch read from tridiagonal pivots, and continuous phase tracking
+with its branch read from tridiagonal pivots; and continuous phase tracking
 for a determinant known only by value.
 """
 
@@ -40,13 +40,12 @@ from .spectral import (
 
 __all__ = [
     "BranchTrackingError",
-    "PowerChangeOfVariable",
     "StepFunction",
+    "compare_at_resolved_points",
     "perturbation_determinant",
     "ssf_counting",
     "ssf_via_determinant",
     "ssf_via_invariance",
-    "steps_equal",
     "trace_formula_sides",
     "track_determinant_phase",
 ]
@@ -77,11 +76,11 @@ class StepFunction:
         vals = np.array(self.values)
         if bp.ndim != 1 or vals.ndim != 1:
             raise ValueError("breakpoints and values must be 1-d")
-        if not np.all(np.isfinite(bp)):
+        if not np.isfinite(bp).all():
             raise ValueError("breakpoints must be finite")
-        if np.any(np.diff(bp) <= 0):
+        if (bp[1:] <= bp[:-1]).any():
             raise ValueError("breakpoints must be strictly increasing")
-        if not np.all(vals == np.round(vals)):
+        if not (vals == np.round(vals)).all():
             raise ValueError("step values must be integers")
         vals = vals.astype(int)
         if vals.size != bp.size + 1:
@@ -132,29 +131,29 @@ def _cluster_radius(spec0: np.ndarray, spec: np.ndarray) -> float:
     return spec0.size**2 * eps * sum(tops)
 
 
-def _counting_jumps(
-    spec0: np.ndarray, spec: np.ndarray, radius: float, at0: np.ndarray, at: np.ndarray
-) -> StepFunction:
+def _counting_jumps(spec0: np.ndarray, spec: np.ndarray, radius: float) -> StepFunction:
     """``#{spec0 <= x} - #{spec <= x}`` with clusters inside ``radius`` merged.
 
     Sorted points whose gap is at most ``radius`` form one cluster; a cluster
     whose net jump is zero leaves no breakpoint, and a kept one is placed at
-    the entry of ``at0``/``at`` that belongs to its smallest point (equal
-    points are ordered by that entry).
+    its smallest point.
     """
     if spec0.size != spec.size:
         raise ValueError(f"dimension mismatch: {spec0.size} vs {spec.size}")
     points = np.concatenate([spec0, spec])
     weights = np.concatenate([np.ones(spec0.size, dtype=int), -np.ones(spec.size, dtype=int)])
-    origins = np.concatenate([at0, at])
-    order = np.lexsort((origins, points))
-    start = np.flatnonzero(np.diff(points[order], prepend=-np.inf) > radius)
+    order = np.argsort(points)
+    points = points[order]
+    # slicing, not np.diff with prepend, which costs twice as much at this size
+    gaps = np.full(points.size, np.inf)
+    gaps[1:] = points[1:] - points[:-1]
+    start = np.flatnonzero(gaps > radius)
     jump = np.add.reduceat(weights[order], start) if points.size else np.empty(0)
     keep = jump != 0
     vals = np.concatenate([[0], np.cumsum(jump[keep])])
     if vals[-1] != 0:
         raise ValueError("jump weights must sum to zero")
-    return StepFunction(origins[order][start][keep], vals)
+    return StepFunction(points[start][keep], vals)
 
 
 def ssf_counting(d0: SpectralDecomposition, d: SpectralDecomposition) -> StepFunction:
@@ -168,12 +167,7 @@ def ssf_counting(d0: SpectralDecomposition, d: SpectralDecomposition) -> StepFun
     breakpoint.
     """
     lam0, lam = d0.eigenvalues, d.eigenvalues
-    return _counting_jumps(lam0, lam, _cluster_radius(lam0, lam), lam0, lam)
-
-
-def steps_equal(a: StepFunction, b: StepFunction) -> bool:
-    """Same integer values at the same breakpoints, compared exactly."""
-    return np.array_equal(a.values, b.values) and np.array_equal(a.breakpoints, b.breakpoints)
+    return _counting_jumps(lam0, lam, _cluster_radius(lam0, lam))
 
 
 # ---------------------------------------------------------------------------
@@ -199,78 +193,93 @@ def trace_formula_sides(
 
 
 # ---------------------------------------------------------------------------
-# monotone change of variable
+# invariance principle
 
 
-@dataclass(frozen=True)
-class PowerChangeOfVariable:
-    """Odd, strictly increasing C^2 map equal to ``x^m`` for ``|x| >= cutoff``.
+def _gershgorin_shift(h0: np.ndarray, h: np.ndarray) -> float:
+    """``a = -max(||H0||_inf, ||H||_inf) - 1``, below both spectra by Gershgorin."""
+    return -max(float(np.abs(mat).sum(axis=1).max()) for mat in (h0, h)) - 1.0
 
-    With ``r = cutoff``, ``k = (m - 1) / 2`` and ``c = (m - 1) / 7^k``,
 
-        phi(x) = x^m + c r^(m-1) x (1 - x^2/r^2)^3    for |x| < r.
+def _pulled_back_spectra(h: np.ndarray, a: float, powers: Sequence[int]):
+    """Eigenvalues of ``h`` from ``(h - a)^{-m}``, ascending, with their radii, per ``m``.
 
-    The correction is odd with a triple zero at ``+-r``, so value, slope and
-    curvature match ``x^m`` there.  With ``u = x^2/r^2`` the slope is
-    ``r^(m-1) [m u^k + c (1-u)^2 (1-7u)]``.  For ``u <= 1/7`` both terms are
-    ``>= 0`` and the slope at 0 is ``c r^(m-1) > 0``; for ``1/7 < u < 1`` put
-    ``v = 7u``: ``c (1-u)^2 (7u-1) < 2k 7^-k (v-1) < (2k+1) 7^-k v^k = m u^k``.
-    ``m = 1`` gives ``c = 0``, the identity.
+    ``A = h - a = L L*`` by Cholesky, ``R = L^{-*} L^{-1}`` (formed once for
+    all ``powers``), ``R^m`` by products, and its eigenvalues ``y`` pull back
+    by ``lam = a + y^{-1/m}``.  To first order each ``lam`` lies within
+    ``n^2 eps (||A|| + (m + 1) max(y) / phi'(lam))`` of an exact eigenvalue,
+    ``phi(lam) = (lam - a)^{-m}`` (Higham 2002, constants ``c n u`` read as
+    ``n u``, as in :func:`_cluster_radius`):
+
+    - Cholesky (Thm 10.3) is backward stable to ``n^2 eps ||A||``, which moves
+      each ``lam`` that far (Weyl); ``||A|| <= -2a`` by Gershgorin.
+    - The triangular inverse ``X`` (LAPACK ``trtri``) has ``L X = I + G``,
+      ``||G|| <= n^2 u sqrt(cond A)`` (ch. 14): ``X* X`` is a congruence by
+      ``I + G``, a relative move of ``lam`` below the larger other term.
+    - ``R``'s own product error enters ``R^m`` ``m`` times and the ``m - 1``
+      powering products once each, ``n^2 u max(y)`` apiece; ``eigvalsh``
+      adds ``n^2 eps max(y)``.  An error ``dy`` pulls back to ``dy / phi'``.
     """
-
-    m: int
-    cutoff: float
-
-    def __post_init__(self):
-        object.__setattr__(self, "m", _check_int(self.m, "m", low=1, odd=True))
-        object.__setattr__(self, "cutoff", _check_positive(self.cutoff, "cutoff"))
-
-    @property
-    def _amplitude(self) -> float:
-        # c r^(m-1): the correction's slope at the origin
-        return (self.m - 1) / 7.0 ** ((self.m - 1) // 2) * self.cutoff ** (self.m - 1)
-
-    def __call__(self, x):
-        x = np.asarray(x, dtype=float)
-        u = (x / self.cutoff) ** 2
-        bump = np.where(u < 1.0, self._amplitude * x * (1.0 - u) ** 3, 0.0)
-        out = x**self.m + bump
-        return out if out.ndim else float(out)
-
-    def derivative(self, x):
-        x = np.asarray(x, dtype=float)
-        u = (x / self.cutoff) ** 2
-        bump = np.where(u < 1.0, self._amplitude * (1.0 - u) ** 2 * (1.0 - 7.0 * u), 0.0)
-        out = self.m * x ** (self.m - 1) + bump
-        return out if out.ndim else float(out)
+    n = h.shape[0]
+    eps = float(np.finfo(float).eps)
+    # trtri fails only on a zero diagonal, which a Cholesky factor never has
+    inv, _ = lapack.ztrtri(np.linalg.cholesky(h - a * np.eye(n)), lower=1)
+    resolvent = inv.conj().T @ inv
+    for m in powers:
+        y = np.linalg.eigvalsh(np.linalg.matrix_power(resolvent, m))
+        y_err = (m + 1) * n * n * eps * y[-1]
+        if y[0] <= y_err:
+            raise ValueError(
+                f"(H - a)^-{m} at a={a!r} is too ill-conditioned to pull back: its least "
+                f"eigenvalue {y[0]:.3e} is within its error {y_err:.3e}; take a smaller m"
+            )
+        # phi is decreasing: the ascending y are the images of H's eigenvalues
+        # from the top down, so the pull-back reverses their order
+        shifted = y[::-1] ** (-1.0 / m)
+        slope = m * shifted ** (-m - 1.0)
+        yield a + shifted, n * n * eps * (-2.0 * a) + y_err / slope
 
 
-def ssf_via_invariance(
-    d0: SpectralDecomposition, d: SpectralDecomposition, phi: PowerChangeOfVariable
-) -> StepFunction:
-    """Spectral shift computed for the transformed pair and pulled back.
+def _invariance_shifts(h0, h, powers: Sequence[int]):
+    """:func:`ssf_via_invariance`'s ``(xi, radius)`` for each odd ``m`` in ``powers``.
 
-    The spectra are mapped through the monotone ``phi`` (the spectral theorem
-    makes these exactly the eigenvalues of ``phi(H0)`` and ``phi(H)``), and
-    the counting construction runs in the transformed variable.  Each
-    breakpoint is pulled back by index: it is the image of the eigenvalue
-    that starts its cluster, so it is placed at that eigenvalue, and no
-    inverse of ``phi`` is evaluated.
-
-    Clusters merge within the transformed radius: the eigenvalue radius of
-    :func:`ssf_counting` carried through ``phi`` (times the largest
-    ``phi'`` on the spectra, by the mean value theorem) plus the same
-    backward-error rule applied to the mapped spectra as those of
-    ``phi(H0)`` and ``phi(H)``.
+    The gates, ``a`` and each matrix's resolvent are shared by the powers.
     """
-    lam0, lam = d0.eigenvalues, d.eigenvalues
-    mapped0 = np.asarray(phi(lam0), dtype=float)
-    mapped = np.asarray(phi(lam), dtype=float)
-    if np.any(np.diff(mapped0) < 0) or np.any(np.diff(mapped) < 0):
-        raise ValueError("change of variable failed to preserve spectral order")
-    slope = float(np.max(phi.derivative(np.concatenate([lam0, lam]))))
-    radius = _cluster_radius(lam0, lam) * slope + _cluster_radius(mapped0, mapped)
-    return _counting_jumps(mapped0, mapped, radius, lam0, lam)
+    h0 = _check_hermitian(np.asarray(h0), "h0")
+    h = _check_hermitian(np.asarray(h), "h")
+    if h0.ndim != 2 or h0.shape != h.shape:
+        raise ValueError(f"h0 and h must be matrices of one shape, got {h0.shape} and {h.shape}")
+    a = _gershgorin_shift(h0, h)
+    pulled = zip(_pulled_back_spectra(h0, a, powers), _pulled_back_spectra(h, a, powers))
+    for (lam0, radius0), (lam, radius) in pulled:
+        radius = float(max(radius0.max(), radius.max()))
+        yield _counting_jumps(lam0, lam, radius), radius
+
+
+def ssf_via_invariance(h0, h, m: int) -> tuple:
+    """Spectral shift through the resolvent power ``phi(H) = (H - a)^{-m}``.
+
+    The invariance principle (Yafaev, *Mathematical Scattering Theory*, ch. 8)
+    for the decreasing ``phi(lam) = (lam - a)^{-m}``, odd ``m >= 1``, with
+    ``a = -max(||H0||_inf, ||H||_inf) - 1`` below both spectra by Gershgorin:
+    no eigenvalue of ``H0`` or ``H`` is read.  Returns ``(xi, radius)``, where
+    ``radius`` is the largest radius of a pulled-back eigenvalue and ``xi``
+    merges clusters within it.  Its term ``n^2 eps (-2a)`` alone exceeds
+    counting's radius ``n^2 eps (max|lambda0| + max|lambda|)``.
+    """
+    return next(_invariance_shifts(h0, h, (_check_int(m, "m", low=1, odd=True),)))
+
+
+def compare_at_resolved_points(a: StepFunction, b: StepFunction, radius: float) -> tuple:
+    """``(mismatches, compared)`` of two spectral shifts at the points both resolve.
+
+    The points are the midpoints of the gaps wider than ``4 * radius`` between
+    the sorted breakpoints of both, ``radius`` the larger of the two routes'
+    radii: farther than ``radius`` from every eigenvalue either route sees.
+    """
+    bps = np.union1d(a.breakpoints, b.breakpoints)
+    mids = (0.5 * (bps[:-1] + bps[1:]))[bps[1:] - bps[:-1] > 4.0 * radius]
+    return int(np.count_nonzero(a(mids) != b(mids))), int(mids.size)
 
 
 # ---------------------------------------------------------------------------

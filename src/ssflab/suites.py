@@ -64,9 +64,11 @@ _DET_POINTS_MAX = 2 + 2 * (2 * _DET_DIM - 1)
 
 
 def _random_pair(rng, dim: int, scale: float):
-    a0 = random_hermitian(rng, dim)
+    """``(d0, d, v, h0, h)`` of ``H0`` and ``H = H0 + V``, ``V`` of the given scale."""
+    h0 = random_hermitian(rng, dim)
     v = scale * random_hermitian(rng, dim)
-    return eig_hermitian(a0), eig_hermitian(a0 + v), v
+    h = h0 + v
+    return eig_hermitian(h0), eig_hermitian(h), v, h0, h
 
 
 def _function_families(rng) -> list:
@@ -93,30 +95,28 @@ def suite_trace_check(seed: int, params: dict) -> ExperimentReport:
     trials = params["trials"]
     det_trials = params["det_trials"]
     det_points = params["det_points"]
-    maps = [ssf.PowerChangeOfVariable(m, 1.0) for m in (3, 5)]
 
     def one_trial(idx: int):
         rng = rng_from(seed, _TRACE_TAG, idx)
         dim = int(dims[idx % len(dims)])
-        d0, d, _ = _random_pair(rng, dim, 0.4)
+        d0, d, _, h0, h = _random_pair(rng, dim, 0.4)
         counting = ssf.ssf_counting(d0, d)
         worst = 0.0
         for f in _function_families(rng):
             lhs, rhs = ssf.trace_formula_sides(counting, d0, d, f)
             scale_ref = max(abs(lhs), abs(rhs), 1.0)
             worst = max(worst, abs(lhs - rhs) / scale_ref)
-        mismatches = sum(
-            not ssf.steps_equal(counting, ssf.ssf_via_invariance(d0, d, phi)) for phi in maps
-        )
-        return worst, mismatches
+        per_power = [
+            ssf.compare_at_resolved_points(counting, xi, radius)
+            for xi, radius in ssf._invariance_shifts(h0, h, (3, 5))
+        ]
+        return (worst, *np.sum(per_power, axis=0))
 
-    results = [one_trial(idx) for idx in range(trials)]
-    worst_trace = max(r[0] for r in results)
-    total_mismatch = sum(r[1] for r in results)
+    worsts, mismatches, compared = zip(*(one_trial(idx) for idx in range(trials)))
 
     def one_det_trial(idx: int):
         rng = rng_from(seed, _TRACE_TAG, 10_000 + idx)
-        d0, d, v = _random_pair(rng, _DET_DIM, 0.4)
+        d0, d, v, _, _ = _random_pair(rng, _DET_DIM, 0.4)
         counting = ssf.ssf_counting(d0, d)
         bps = counting.breakpoints
         lo = bps[0] - 1.0
@@ -144,8 +144,9 @@ def suite_trace_check(seed: int, params: dict) -> ExperimentReport:
 
     det_results = [one_det_trial(idx) for idx in range(det_trials)]
     records = (
-        check_le("trace_formula.max_relative_residual", worst_trace, 1e-10),
-        check_le("invariance.step_mismatches", float(total_mismatch), 0.0),
+        check_le("trace_formula.max_relative_residual", max(worsts), 1e-10),
+        check_le("invariance.step_mismatches", float(sum(mismatches)), 0.0),
+        check_gt("invariance.midpoints_compared", float(sum(compared)), 0.0),
         check_le("determinant.max_counting_deviation", max(det_results), 1e-6),
     )
     config = dict(params)
@@ -175,7 +176,7 @@ def suite_doi_check(seed: int, params: dict) -> ExperimentReport:
             regenerations = 0
             for attempt in range(50):
                 rng = rng_from(seed, _DOI_TAG, m, idx, attempt)
-                d0, d, _ = _random_pair(rng, dim, 0.3)
+                d0, d, *_ = _random_pair(rng, dim, 0.3)
                 f = functions.gaussian_bump(
                     center=float(rng.uniform(-0.5, 0.5)),
                     width=float(rng.uniform(0.8, 1.5)),
@@ -214,7 +215,7 @@ def suite_doi_check(seed: int, params: dict) -> ExperimentReport:
 
     def one_split(idx: int):
         rng = rng_from(seed, _DOI_TAG, 5000 + idx)
-        d0, d, _ = _random_pair(rng, 10, 0.3)
+        d0, d, *_ = _random_pair(rng, 10, 0.3)
         return doi.resolvent_cutoff_split(d0, d, 3, 1.0).residual
 
     split_results = [one_split(idx) for idx in range(split_trials)]

@@ -791,6 +791,58 @@ class TestKernelHypotheses:
             kernel_hypotheses_report(k, far)
 
 
+_BUMP_POWERS = [1, 3, 5, 7, 9]
+_BUMP_RADII = [0.5, 1.0, 2.0]
+
+
+class TestBumpPower:
+    """The cutoff split's map over the odd powers up to 9 and three window
+    radii; each test, parametrized by the power, loops over the radii."""
+
+    @pytest.mark.parametrize("m", _BUMP_POWERS)
+    def test_matches_power_outside_window(self, m):
+        for r in _BUMP_RADII:
+            x = r * np.array([1.0, -1.0, 1.001, -1.001, 1.7, -2.5, 10.0])
+            np.testing.assert_array_equal(doi._bump_power(x, m, r), x**m)
+
+    @pytest.mark.parametrize("m", _BUMP_POWERS)
+    def test_slope_at_origin_is_the_amplitude(self, m):
+        # phi'(0) = c r^(m-1), c = (m - 1) / 7^((m-1)/2): the constant the
+        # monotonicity proof needs (x^m adds a slope there only at m = 1)
+        for r in _BUMP_RADII:
+            x = 1e-6 * r
+            want = 1.0 if m == 1 else (m - 1) / 7.0 ** ((m - 1) // 2) * r ** (m - 1)
+            assert doi._bump_power(x, m, r) / x == pytest.approx(want, rel=1e-9)
+
+    @pytest.mark.parametrize("m", _BUMP_POWERS)
+    def test_odd_and_strictly_increasing(self, m):
+        for r in _BUMP_RADII:
+            grid = np.linspace(-3.0 * r, 3.0 * r, 20001)
+            phi = doi._bump_power(grid, m, r)
+            # numpy's x**m is odd only up to its own rounding
+            np.testing.assert_allclose(doi._bump_power(-grid, m, r), -phi, rtol=1e-15, atol=0.0)
+            assert np.all(phi[1:] > phi[:-1]), (m, r)
+            if m == 1:
+                np.testing.assert_array_equal(phi, grid)
+
+    @pytest.mark.parametrize("m", _BUMP_POWERS)
+    def test_smooth_across_cutoff(self, m):
+        # the correction phi - x^m has a triple zero at each window edge, so
+        # value, slope and curvature match x^m there (C^2): halving the
+        # distance to the edge divides it by 8; a double zero (a C^1 join)
+        # would divide it by 4, and m = 1 has no correction at all
+        for r in _BUMP_RADII:
+            for edge in (r, -r):
+                h = 1e-3 * r * np.array([1.0, 0.5])
+                x = edge - np.sign(edge) * h
+                correction = doi._bump_power(x, m, r) - x**m
+                if m == 1:
+                    np.testing.assert_array_equal(correction, 0.0)
+                    continue
+                assert np.sign(correction[0]) == np.sign(edge)
+                assert correction[0] / correction[1] == pytest.approx(8.0, rel=1e-2)
+
+
 class TestCutoffSplit:
     def test_decomposition_is_exact(self):
         rng = rng_from(81)

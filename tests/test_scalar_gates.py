@@ -114,12 +114,11 @@ GATED = [
         lambda x: dirac.random_decaying_potential(MODEL, rng_from(1), 1.0, x),
         POSITIVE,
     ),
-    ("ssf.PowerChangeOfVariable.m", "m", lambda x: ssf.PowerChangeOfVariable(x, 1.0), INTEGER),
     (
-        "ssf.PowerChangeOfVariable.cutoff",
-        "cutoff",
-        lambda x: ssf.PowerChangeOfVariable(3, x),
-        POSITIVE,
+        "ssf.ssf_via_invariance.m",
+        "m",
+        lambda x: ssf.ssf_via_invariance(np.eye(2), np.eye(2), x),
+        INTEGER + (2,),
     ),
     (
         "ssf.ssf_via_determinant.lam",
@@ -134,6 +133,18 @@ GATED = [
         POSITIVE,
     ),
     ("doi.CofactorPolynomial.m", "m", lambda x: doi.CofactorPolynomial(x, 1j), INTEGER + (2,)),
+    (
+        "doi.resolvent_cutoff_split.m",
+        "m",
+        lambda x: doi.resolvent_cutoff_split(D, D, x, 1.0),
+        INTEGER + (2,),
+    ),
+    (
+        "doi.resolvent_cutoff_split.r",
+        "r",
+        lambda x: doi.resolvent_cutoff_split(D, D, 3, x),
+        POSITIVE,
+    ),
     (
         "doi.BoundedRegion.r",
         "r",
