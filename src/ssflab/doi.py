@@ -244,12 +244,18 @@ _DENOM_RTOL = 1e-13
 
 
 class _AxisValues(NamedTuple):
-    """One-variable kernel inputs on an axis (``None`` where a mode does not use them)."""
+    """One-variable kernel inputs on an axis (``None`` where a mode does not use them).
+
+    ``k_lim`` and ``dk_lim`` are the band limits at the axis points, for a
+    caller whose band entries are the diagonal of a grid on that axis.
+    """
 
     f: np.ndarray
     fp: Optional[np.ndarray]
     g: Optional[np.ndarray]
     gp: Optional[np.ndarray]
+    k_lim: Optional[np.ndarray] = None
+    dk_lim: Optional[np.ndarray] = None
 
     def take(self, index) -> "_AxisValues":
         return _AxisValues(*(None if v is None else v[index] for v in self))
@@ -265,6 +271,20 @@ def _axis_values(k: DoiKernel, x, dlambda: bool) -> _AxisValues:
             gx = np.asarray(k.g(x), dtype=complex)
             gp = np.asarray(k.g.d1(x), dtype=complex) if dlambda else None
     return _AxisValues(fx, fp, gx, gp)
+
+
+def _band_limits(k: DoiKernel, x, dlambda: bool) -> tuple:
+    """The diagonal limits ``K(x, x) = f'/g'`` and, with ``dlambda``,
+    ``dK/dx(x, x) = (f'' g' - f' g'') / (2 g'^2)`` (else ``None``)."""
+    fp = np.asarray(k.f.d1(x), dtype=complex)
+    gp = np.asarray(k.g.d1(x), dtype=complex)
+    if not dlambda:
+        return fp / gp, None
+    if k.f.derivative2 is None:
+        raise ValueError("diagonal kernel derivative needs second derivatives")
+    fpp = np.asarray(k.f.d2(x), dtype=complex)
+    gpp = np.asarray(k.g.d2(x), dtype=complex)
+    return fp / gp, 0.5 * (fpp * gp - fp * gpp) / (gp * gp)
 
 
 def _kernel_grid(
@@ -284,7 +304,10 @@ def _kernel_grid(
     One-variable values are taken on ``lam`` and ``mu`` before broadcasting, so
     a grid costs O(N) function calls, or passed in ``at_lam`` and ``at_mu``
     (``at_lam`` with ``f'`` when ``dlambda``).  ``out`` may pass the arrays for
-    ``K`` and ``dK/dx``.  Band entries get the midpoint derivative limits.
+    ``K`` and ``dK/dx``.  Band entries get the derivative limits at their
+    midpoint; when every one lies on the diagonal and ``at_lam`` carries the
+    limits, they are read from it instead, since the midpoint of ``(x, x)``
+    is ``x`` exactly.
     """
     scalar = np.isscalar(lam) and np.isscalar(mu)
     lam, mu = np.asarray(lam, dtype=float), np.asarray(mu, dtype=float)
@@ -336,16 +359,16 @@ def _kernel_grid(
     band = np.unravel_index(np.flatnonzero(band), band.shape)
     if band[0].size:
         lam_b, mu_b = np.broadcast_arrays(lam, mu)
-        mid = 0.5 * (lam_b[band] + mu_b[band])
-        fp_mid = np.asarray(k.f.d1(mid), dtype=complex)
-        gp_mid = np.asarray(k.g.d1(mid), dtype=complex)
-        kv[band] = fp_mid / gp_mid
+        x, y = lam_b[band], mu_b[band]
+        if at_lam.k_lim is not None and np.array_equal(x, y):
+            k_band, dk_band = (
+                np.broadcast_to(v, lam_b.shape)[band] for v in (at_lam.k_lim, at_lam.dk_lim)
+            )
+        else:
+            k_band, dk_band = _band_limits(k, 0.5 * (x + y), dlambda)
+        kv[band] = k_band
         if dlambda:
-            if k.f.derivative2 is None:
-                raise ValueError("diagonal kernel derivative needs second derivatives")
-            fpp = np.asarray(k.f.d2(mid), dtype=complex)
-            gpp = np.asarray(k.g.d2(mid), dtype=complex)
-            dk[band] = 0.5 * (fpp * gp_mid - fp_mid * gpp) / (gp_mid * gp_mid)
+            dk[band] = dk_band
     kv, dk = kv.reshape(shape), (None if dk is None else dk.reshape(shape))
     if scalar:
         return complex(kv), (None if dk is None else complex(dk))
@@ -460,7 +483,10 @@ def kernel_hypotheses_report(k: DoiKernel, axis) -> KernelHypothesesReport:
     if not lam_inner.any():
         raise ValueError(f"the axis needs nodes within edge / 10 = {edge / 10.0:g} of 0")
 
-    at = _axis_values(k, lam, dlambda=True)
+    # unless two nodes fall within the band of each other, the band entries
+    # are the diagonal, so the limits are taken once here, not per row block
+    k_lim, dk_lim = _band_limits(k, lam, dlambda=True)
+    at = _axis_values(k, lam, dlambda=True)._replace(k_lim=k_lim, dk_lim=dk_lim)
     at_cols = at.take(np.s_[None, :])
     # row sups of |K| and |dK/dx|, over all columns and over the inner ones
     sup_k, sup_k_inner, sup_dk, sup_dk_inner = np.empty((4, lam.size))

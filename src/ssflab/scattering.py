@@ -218,22 +218,36 @@ def scattering_determinant(model: LatticeScatteringModel, z: complex) -> complex
 def ssf_scattering(model: LatticeScatteringModel, lam: float) -> float:
     """Spectral shift at ``lam`` from the tracked determinant phase.
 
-    The phase of the perturbation determinant is followed from high in the
-    upper half plane down the heights ``2^-4 .. 2^-13``, then
+    The phase of ``D(z) = det(I + V G0_SS(z))`` is followed down the
+    vertical line ``z = lam + i h`` to the heights ``2^-4 .. 2^-13``, then
     Richardson-extrapolated to the real axis from the last two.  Inside the
     band the result is generically non-integer; below the band it approaches
     minus the count of discrete eigenvalues below ``lam``.  A non-finite
     ``lam`` is rejected.
+
+    With ``L`` support sites and strength ``s = max |v|``, the tracker's two
+    inputs are proved, not tuned:
+
+    - Start height ``max(2 L s, 2^-4)``.  ``|| G0_SS(z) || <= 1 / Im z``, so
+      every eigenvalue ``mu`` of ``V G0_SS`` has ``|mu| <= s / h <= 1 / (2L)``
+      and ``|arg D| <= L arcsin(s / h) <= pi / 6 < pi / 4``: the principal
+      value there is the continuous branch that vanishes as ``h -> inf``.
+    - Height-ratio cap ``exp(1 / (2L))``.  ``V`` has rank at most ``L``, so
+      ``|xi| <= L`` and, by Krein's trace formula
+      ``d log D / dz = Tr(R0(z) - R(z)) = int xi(t) (t - z)^-2 dt``,
+      ``|d arg D / d ln h| <= h L int |t - z|^-2 dt = pi L``.  A step of
+      ratio ``exp(1 / (2L))`` moves the phase by less than ``pi / 2`` (``xi``
+      vanishes above the spectrum, so the bound is strict), the tracker's
+      acceptance bound, so no step slips or is refined.
     """
     lam = _check_finite(lam, "lam")
-    h_start = 10.0 * (1.0 + model.strength) + abs(lam)
+    n_sites = len(model.sites)
+    h_start = max(2.0 * n_sites * model.strength, _EPS_LADDER[0])
 
     def det_at(h):
         return scattering_determinant(model, lam + 1j * h)
 
-    # tight height-ratio cap: the finite-section determinant has at most
-    # (number of support sites) zeros plus a slowly varying continuum factor
-    ratio = math.exp(math.pi / (8.0 * (len(model.sites) + 2)))
+    ratio = math.exp(1.0 / (2.0 * n_sites))
     phases = track_determinant_phase(det_at, h_start, _EPS_LADDER, max_ratio=ratio)
     return _richardson_two_point(_EPS_LADDER, phases) / np.pi
 

@@ -353,16 +353,24 @@ def track_determinant_phase(
 
     The scattering route's tracker, for a determinant known only by value.
     ``det_fn(h)`` evaluates the determinant at height ``h`` above the real
-    axis.  The path starts at ``h_start`` (where the determinant is close to
-    1 and the principal branch applies) and descends through each target
+    axis.  The path starts at ``h_start``, where the principal value of the
+    phase must be the continuous branch, and descends through each target
     height.  Consecutive sample heights never differ by more than the factor
-    ``max_ratio``; the winding speed of a spectral determinant is bounded by
-    (number of spectral factors) / height, so a ratio cap rules out a silent
-    full-turn slip between samples, which a principal-value increment test
-    alone cannot see.  On top of that, steps are refined until every phase
-    increment is below ``max_increment``; hitting the ``min_step`` floor
-    raises :class:`BranchTrackingError`.  Returns the tracked phase at each
-    target.
+    ``max_ratio``, which rules out a silent full-turn slip between samples
+    that a principal-value increment test alone cannot see.  On top of that,
+    steps are refined until every phase increment is below
+    ``max_increment``; hitting the ``min_step`` floor raises
+    :class:`BranchTrackingError`.  Returns the tracked phase at each target.
+
+    For a perturbation ``V`` of rank ``L`` and norm ``s`` both inputs have
+    proved values (see ``scattering.ssf_scattering``):
+
+    - Start: ``|| (H0 - z)^-1 || <= 1 / Im z``, so at ``h_start >= 2 L s``
+      ``|arg det(I + V (H0 - z)^-1)| <= L arcsin(s / h_start) <= pi / 6``,
+      inside the principal range.
+    - Ratio: ``|xi| <= L`` and Krein's trace formula bound the winding,
+      ``|d arg D / d ln h| <= pi L``, so ``max_ratio = exp(1 / (2L))`` keeps
+      every increment below ``pi / 2`` and no step is ever refined.
     """
     targets = list(h_targets)
     if any(t <= 0 for t in targets):
@@ -381,7 +389,8 @@ def track_determinant_phase(
     recorded = {}
     for target in order:
         target = float(target)
-        n_pre = max(1, math.ceil(math.log(cur_h / target) / math.log(max_ratio)))
+        # a target at the current height (h_start itself) costs no evaluation
+        n_pre = math.ceil(math.log(cur_h / target) / math.log(max_ratio))
         pending = [
             cur_h * (target / cur_h) ** (k / n_pre) for k in range(n_pre, 0, -1)
         ]

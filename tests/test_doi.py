@@ -740,6 +740,43 @@ class TestKernelHypotheses:
         if name == "control":
             assert abs_rise > 0.0 and weighted_rise > 0.0
 
+    @pytest.mark.parametrize("name", ["compact_support", "tail_power", "control"])
+    def test_band_limits_are_taken_once_per_report(self, name):
+        k = self._rm_cert_kernel(name)
+        calls = []
+        f = k.f
+        d2 = functions.ScalarFunction(
+            value=f.value,
+            derivative=f.derivative,
+            derivative2=lambda x: calls.append(np.size(x)) or f.derivative2(x),
+            name=f.name,
+        )
+        axis = suites._hypotheses_grid(3.0, 1e5, 401, 160)
+        assert axis.size // (doi._BLOCK_BYTES // (16 * axis.size)) > 1
+        want = kernel_hypotheses_report(k, axis)
+        got = kernel_hypotheses_report(dataclasses.replace(k, f=d2), axis)
+        assert calls == [axis.size]
+        assert got == want
+
+    @pytest.mark.parametrize("mode", ["direct", "factored"])
+    def test_band_entries_off_the_diagonal_keep_the_midpoint_limits(self, mode):
+        # 0.5 and 0.5 + 1e-9 lie in each other's band: the limit there is
+        # taken at the midpoint, not read from either axis node
+        k = _rm_cert_kernels(mode)["gaussian"]
+        axis = np.array([-3.0, 0.0, 0.5, 0.5 + 1e-9, 2.0])
+        at = doi._axis_values(k, axis, dlambda=True)
+        k_lim, dk_lim = doi._band_limits(k, axis, dlambda=True)
+        with_limits = at._replace(k_lim=k_lim, dk_lim=dk_lim)
+        rows, cols = axis[:, None], axis[None, :]
+        for at_lam in (with_limits, with_limits._replace(k_lim=k_lim + 1.0)):
+            got = doi._kernel_grid(k, rows, cols, True, at_lam.take(np.s_[:, None]))
+            want = doi._kernel_grid(k, rows, cols, True)
+            for g, w in zip(got, want):
+                np.testing.assert_array_equal(g, w)
+        # on the diagonal alone the axis values are used as passed
+        diag = doi._kernel_grid(k, axis, axis, True, with_limits._replace(k_lim=k_lim + 1.0))
+        np.testing.assert_array_equal(diag[0], k_lim + 1.0)
+
     def test_collision_past_the_first_block_raises(self):
         # (x - i)^3 takes one value at x = +sqrt(3) and x = -sqrt(3): that
         # pair sits at the end of the axis, rows away from the first block

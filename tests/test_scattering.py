@@ -7,7 +7,7 @@ import time
 import numpy as np
 import pytest
 
-from ssflab import scattering
+from ssflab import cli, scattering, suites
 from ssflab.scattering import (
     BAND_EDGE_MARGIN,
     BirmanKreinRecord,
@@ -334,6 +334,118 @@ class TestSsfScattering:
     def test_repulsive_potential_has_no_bound_state_below(self):
         model = LatticeScatteringModel.single_site(1.5)
         assert ssf_scattering(model, -2.25) == pytest.approx(0.0, abs=1e-6)
+
+    def test_two_bound_states_below_leave_the_principal_range(self):
+        # two deep wells bind two states below -2.5: the phase there is -2 pi,
+        # which no principal value can give, so the branch must be tracked
+        model = LatticeScatteringModel.centered([-3.0, 0.5, -3.0])
+        xi = ssf_scattering(model, -2.5)
+        assert xi == pytest.approx(-2.0, abs=1e-6)
+        assert xi == pytest.approx(-bound_state_count_below(model, -2.5), abs=1e-6)
+
+
+# ---------------------------------------------------------------------------
+# the tracker's start height and step cap, derived from rank V
+
+
+def _default_potentials() -> list:
+    return [suites._build_potential(s) for s in cli._SCHEMA["birman-krein"]["potentials"][0]]
+
+
+def _adversarial_models(seed: int) -> list:
+    """Strong, many-site, wide-gap and weak potentials, seeded."""
+    rng = rng_from(seed)
+
+    def chain(n_sites, gap_hi, scale):
+        gaps = rng.integers(1, gap_hi + 1, size=n_sites - 1)
+        sites = np.concatenate([[0], np.cumsum(gaps)]) - int(rng.integers(0, 10))
+        values = scale * rng.uniform(-1.0, 1.0, size=n_sites)
+        return LatticeScatteringModel(tuple(int(n) for n in sites), tuple(values))
+
+    return [
+        chain(int(rng.integers(1, 5)), 1, 20.0),
+        chain(int(rng.integers(8, 12)), 3, 3.0),
+        chain(int(rng.integers(2, 7)), 29, 5.0),
+        chain(int(rng.integers(1, 4)), 2, 0.02),
+    ]
+
+
+def _tracker_cases() -> list:
+    """(model, lam) pairs: lam inside, below and above the band."""
+    cases = [(m, lam) for m in _default_potentials() for lam in (-1.7, 0.3, 1.9, -2.6, 2.4)]
+    for seed in (2701, 2702, 2703):
+        rng = rng_from(seed)
+        for model in _adversarial_models(seed):
+            reach = 2.0 * model.strength + 1.0
+            cases += [
+                (model, float(rng.uniform(-1.9, 1.9))),
+                (model, float(-2.01 - rng.uniform(0.0, reach))),
+                (model, float(2.01 + rng.uniform(0.0, reach))),
+            ]
+    return cases
+
+
+_TRACKER_CASES = _tracker_cases()
+
+
+def _h_start(model: LatticeScatteringModel) -> float:
+    return max(2.0 * len(model.sites) * model.strength, 2.0**-4)
+
+
+def _case_id(case) -> str:
+    model, lam = case
+    return f"L{len(model.sites)}-s{model.strength:.3g}-lam{lam:.3g}"
+
+
+class TestTrackerBounds:
+    @pytest.mark.parametrize("case", _TRACKER_CASES, ids=_case_id)
+    def test_evaluation_budget_and_no_refinement(self, case, monkeypatch):
+        model, lam = case
+        heights = []
+        inner = scattering.scattering_determinant
+
+        def counted(m, z):
+            heights.append(z.imag)
+            return inner(m, z)
+
+        monkeypatch.setattr(scattering, "scattering_determinant", counted)
+        ssf_scattering(model, lam)
+        n_sites = len(model.sites)
+        budget = 2 * n_sites * np.log(_h_start(model) / 2.0**-13) + len(scattering._EPS_LADDER) + 1
+        assert len(heights) <= budget
+        # a refined step re-reads a height above its first try
+        assert all(b < a for a, b in zip(heights, heights[1:]))
+        assert heights[0] == _h_start(model) and heights[-1] == 2.0**-13
+
+    @pytest.mark.parametrize("case", _TRACKER_CASES, ids=_case_id)
+    def test_start_is_on_the_principal_branch(self, case):
+        model, lam = case
+        h = _h_start(model)
+        phase = abs(np.angle(scattering_determinant(model, lam + 1j * h)))
+        assert phase <= len(model.sites) * np.arcsin(min(1.0, model.strength / h)) + 1e-15
+        assert phase <= np.pi / 4
+
+    @pytest.mark.parametrize("case", _TRACKER_CASES, ids=_case_id)
+    def test_ladder_phases_match_a_finer_tracker_from_higher_up(self, case, monkeypatch):
+        model, lam = case
+        calls = []
+        inner = scattering.track_determinant_phase
+
+        def recorded(det_fn, h_start, targets, max_ratio):
+            phases = inner(det_fn, h_start, targets, max_ratio=max_ratio)
+            calls.append((det_fn, phases))
+            return phases
+
+        monkeypatch.setattr(scattering, "track_determinant_phase", recorded)
+        ssf_scattering(model, lam)
+        (det_fn, phases), = calls
+        reference = inner(
+            det_fn,
+            1e4 * (1.0 + model.strength),
+            scattering._EPS_LADDER,
+            max_ratio=np.exp(1.0 / (40.0 * len(model.sites))),
+        )
+        np.testing.assert_allclose(phases, reference, rtol=0.0, atol=1e-12)
 
 
 class TestTruncationOracle:

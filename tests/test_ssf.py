@@ -736,6 +736,17 @@ class TestPhaseTracking:
         out = track_determinant_phase(det_fn, 10.0, [0.5, 2.0, 1.0])
         assert out == pytest.approx([2.0, 0.5, 1.0], abs=1e-9)
 
+    def test_target_at_the_start_height_costs_no_second_evaluation(self):
+        heights = []
+
+        def det_fn(h):
+            heights.append(h)
+            return cmath.exp(1j / h)
+
+        out = track_determinant_phase(det_fn, 2.0, [2.0, 1.0], max_ratio=1.5)
+        assert out == pytest.approx([0.5, 1.0], abs=1e-12)
+        assert heights == [2.0, pytest.approx(2.0 ** 0.5), 1.0]
+
     def test_rejects_target_above_start(self):
         with pytest.raises(ValueError, match="below"):
             track_determinant_phase(lambda h: 1.0, 1.0, [2.0])
