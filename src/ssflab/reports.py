@@ -2,7 +2,8 @@
 
 A report is a config echo plus a sorted list of named check records and an
 aggregate pass flag.  A record serializes to its name, value, threshold,
-comparison op and pass flag, nothing else.  JSON serialization is
+comparison op and pass flag, nothing else; the flag is derived from the
+other three, never given.  JSON serialization is
 deterministic for identical inputs: keys are sorted, records are sorted by
 name, and a report holds no wall-clock timing.  Optional named tables carry
 plot-ready per-point data for sweep subcommands.
@@ -12,6 +13,7 @@ from __future__ import annotations
 
 import json
 import math
+import operator
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -28,18 +30,19 @@ __all__ = [
 
 SCHEMA_VERSION = 1
 
-_OPS = ("<=", ">=", ">", "==", "info")
+# op -> (value, threshold) -> passed; "info" records always pass
+_OPS = {"<=": operator.le, ">": operator.gt, "==": operator.eq, "info": lambda v, t: True}
 
 
 @dataclass(frozen=True)
 class CheckRecord:
-    """One named measurement compared against a threshold."""
+    """One named measurement compared against a threshold by ``op``."""
 
     name: str
     value: float
     threshold: Optional[float]
     op: str
-    passed: bool
+    passed: bool = field(init=False)
 
     def __post_init__(self):
         if not self.name:
@@ -53,6 +56,7 @@ class CheckRecord:
         for what, x in (("value", self.value), ("threshold", self.threshold)):
             if x is not None and not math.isfinite(x):
                 raise ValueError(f"record {self.name!r} has a non-finite {what}: {x!r}")
+        object.__setattr__(self, "passed", bool(_OPS[self.op](self.value, self.threshold)))
 
     def to_json(self) -> dict:
         return {
@@ -65,19 +69,19 @@ class CheckRecord:
 
 
 def check_le(name: str, value: float, threshold: float) -> CheckRecord:
-    return CheckRecord(name, float(value), float(threshold), "<=", bool(value <= threshold))
+    return CheckRecord(name, float(value), float(threshold), "<=")
 
 
 def check_gt(name: str, value: float, threshold: float) -> CheckRecord:
-    return CheckRecord(name, float(value), float(threshold), ">", bool(value > threshold))
+    return CheckRecord(name, float(value), float(threshold), ">")
 
 
 def check_flag(name: str, flag: bool, expected: bool = True) -> CheckRecord:
-    return CheckRecord(name, float(bool(flag)), float(expected), "==", bool(flag) == expected)
+    return CheckRecord(name, float(bool(flag)), float(expected), "==")
 
 
 def check_info(name: str, value: float) -> CheckRecord:
-    return CheckRecord(name, float(value), None, "info", True)
+    return CheckRecord(name, float(value), None, "info")
 
 
 @dataclass(frozen=True)
@@ -169,8 +173,7 @@ def merge_reports(subcommand: str, seed: int, parts: dict) -> ExperimentReport:
     for prefix, rep in sorted(parts.items()):
         config[prefix] = rep.config
         for r in rep.records:
-            records.append(CheckRecord(f"{prefix}.{r.name}", r.value, r.threshold,
-                                       r.op, r.passed))
+            records.append(CheckRecord(f"{prefix}.{r.name}", r.value, r.threshold, r.op))
         for tname, rows in rep.tables.items():
             tables[f"{prefix}.{tname}"] = rows
     return ExperimentReport(

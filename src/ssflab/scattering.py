@@ -237,8 +237,9 @@ def ssf_scattering(model: LatticeScatteringModel, lam: float) -> float:
       ``d log D / dz = Tr(R0(z) - R(z)) = int xi(t) (t - z)^-2 dt``,
       ``|d arg D / d ln h| <= h L int |t - z|^-2 dt = pi L``.  A step of
       ratio ``exp(1 / (2L))`` moves the phase by less than ``pi / 2`` (``xi``
-      vanishes above the spectrum, so the bound is strict), the tracker's
-      acceptance bound, so no step slips or is refined.
+      vanishes above the spectrum, so the bound is strict), so no step slips
+      and none reaches the quarter turn at which the tracker raises
+      ``ssf.BranchTrackingError``.
     """
     lam = _check_finite(lam, "lam")
     n_sites = len(model.sites)

@@ -13,8 +13,9 @@ whose right-hand side is evaluated exactly interval-by-interval.  The module
 also provides the invariance-principle route through the resolvent power
 ``(H - a)^{-m}``, ``a`` below both spectra, which reads no eigenvalue; the
 perturbation-determinant route ``xi = Im log det(I + V (H0-z)^{-1}) / pi``
-with its branch read from tridiagonal pivots; and continuous phase tracking
-for a determinant known only by value.
+with its branch read from tridiagonal pivots; and, for a determinant known
+only by value, a phase walk down a fixed ladder of heights that raises
+:class:`BranchTrackingError` on a step of a quarter turn or more.
 """
 
 from __future__ import annotations
@@ -33,6 +34,7 @@ from .spectral import (
     _check_hermitian,
     _check_int,
     _check_positive,
+    _check_real,
     det_id_plus,
     eig_hermitian,
     resolvent_power,
@@ -52,7 +54,7 @@ __all__ = [
 
 
 class BranchTrackingError(RuntimeError):
-    """Raised when continuous phase tracking cannot refine below the step floor."""
+    """Raised when a tracked phase step reaches a quarter turn, or the determinant vanishes."""
 
 
 # ---------------------------------------------------------------------------
@@ -342,77 +344,60 @@ def _determinant_on_vertical_line(d0: SpectralDecomposition, h: np.ndarray, lam:
 
 
 def track_determinant_phase(
-    det_fn,
-    h_start: float,
-    h_targets: Sequence[float],
-    min_step: float = 1e-8,
-    max_increment: float = math.pi / 2.0,
-    max_ratio: float = 1.1,
+    det_fn, h_start: float, h_targets: Sequence[float], max_ratio: float
 ) -> list:
     """Continuously tracked ``Im log det`` along a descending vertical path.
 
     The scattering route's tracker, for a determinant known only by value.
     ``det_fn(h)`` evaluates the determinant at height ``h`` above the real
-    axis.  The path starts at ``h_start``, where the principal value of the
-    phase must be the continuous branch, and descends through each target
-    height.  Consecutive sample heights never differ by more than the factor
-    ``max_ratio``, which rules out a silent full-turn slip between samples
-    that a principal-value increment test alone cannot see.  On top of that,
-    steps are refined until every phase increment is below
-    ``max_increment``; hitting the ``min_step`` floor raises
-    :class:`BranchTrackingError`.  Returns the tracked phase at each target.
+    axis.  The walk starts at ``h_start``, where the principal value of the
+    phase must be the continuous branch, and goes down through the targets,
+    which must be non-increasing.  Each segment from ``top`` to ``target``
+    takes ``n = ceil(ln(top / target) / ln max_ratio)`` equal ratio steps, at
+    ``top * (target / top)^(k / n)``, and sums their principal increments; a
+    target at the current height costs no evaluation.  An increment of
+    ``pi / 2`` or more raises :class:`BranchTrackingError`: ``max_ratio`` is
+    too coarse there.  A step that turns by a full turn or more aliases to a
+    small increment and is not seen; ``max_ratio`` must rule it out.
+    Returns the tracked phase at each target.
 
-    For a perturbation ``V`` of rank ``L`` and norm ``s`` both inputs have
-    proved values (see ``scattering.ssf_scattering``):
-
-    - Start: ``|| (H0 - z)^-1 || <= 1 / Im z``, so at ``h_start >= 2 L s``
-      ``|arg det(I + V (H0 - z)^-1)| <= L arcsin(s / h_start) <= pi / 6``,
-      inside the principal range.
-    - Ratio: ``|xi| <= L`` and Krein's trace formula bound the winding,
-      ``|d arg D / d ln h| <= pi L``, so ``max_ratio = exp(1 / (2L))`` keeps
-      every increment below ``pi / 2`` and no step is ever refined.
+    ``scattering.ssf_scattering`` proves its start height and ratio cap.
     """
-    targets = list(h_targets)
-    if any(t <= 0 for t in targets):
-        raise ValueError("target heights must be positive")
-    if any(t > h_start for t in targets):
-        raise ValueError("targets must lie below the starting height")
-    if not max_ratio > 1.0:
-        raise ValueError("max_ratio must exceed 1")
-    order = sorted(targets, reverse=True)
+    h = _check_positive(h_start, "h_start")
+    max_ratio = _check_real(
+        max_ratio, "max_ratio", "a finite number > 1", lambda r: 1.0 < r < math.inf
+    )
+    targets = [_check_positive(t, f"h_targets[{i}]") for i, t in enumerate(h_targets)]
+    for i, (above, target) in enumerate(zip([h] + targets, targets)):
+        if target > above:
+            raise ValueError(
+                f"h_targets must be non-increasing from h_start={h!r}, "
+                f"got h_targets[{i}]={target!r} above {above!r}"
+            )
 
-    cur_h = float(h_start)
-    cur_val = complex(det_fn(cur_h))
-    if abs(cur_val) == 0.0:
-        raise BranchTrackingError(f"determinant vanished at starting height {cur_h}")
-    phase = cmath.phase(cur_val)
-    recorded = {}
-    for target in order:
-        target = float(target)
-        # a target at the current height (h_start itself) costs no evaluation
-        n_pre = math.ceil(math.log(cur_h / target) / math.log(max_ratio))
-        pending = [
-            cur_h * (target / cur_h) ** (k / n_pre) for k in range(n_pre, 0, -1)
-        ]
-        while pending:
-            nxt = pending[-1]
-            val = complex(det_fn(nxt))
-            if abs(val) == 0.0:
+    val = complex(det_fn(h))
+    if val == 0.0:
+        raise BranchTrackingError(f"determinant vanished at starting height {h}")
+    phase = cmath.phase(val)
+    out = []
+    for target in targets:
+        top = h
+        n = math.ceil(math.log(top / target) / math.log(max_ratio))
+        for k in range(1, n + 1):
+            nxt = top * (target / top) ** (k / n)
+            nxt_val = complex(det_fn(nxt))
+            if nxt_val == 0.0:
                 raise BranchTrackingError(f"determinant vanished at height {nxt}")
-            inc = cmath.phase(val / cur_val)
-            if abs(inc) < max_increment:
-                phase += inc
-                cur_h, cur_val = nxt, val
-                pending.pop()
-                continue
-            mid = math.sqrt(cur_h * nxt)
-            if cur_h - mid < min_step:
+            inc = cmath.phase(nxt_val / val)
+            if not abs(inc) < math.pi / 2.0:
                 raise BranchTrackingError(
-                    f"phase step refinement hit the floor {min_step:g} near height {cur_h}"
+                    f"phase step of {inc:.3g} rad from height {h} to {nxt} is not below "
+                    f"pi/2: max_ratio={max_ratio!r} is too coarse there"
                 )
-            pending.append(mid)
-        recorded[target] = phase
-    return [recorded[t] for t in targets]
+            phase += inc
+            h, val = nxt, nxt_val
+        out.append(phase)
+    return out
 
 
 # the determinant route reads heights near / 2^k, k = 1.._EPS_DEPTH, where

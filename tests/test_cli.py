@@ -40,11 +40,24 @@ class TestCheckRecord:
 
     def test_validation(self):
         with pytest.raises(ValueError, match="non-empty"):
-            CheckRecord("", 1.0, 1.0, "<=", True)
+            CheckRecord("", 1.0, 1.0, "<=")
         with pytest.raises(ValueError, match="op"):
-            CheckRecord("a", 1.0, 1.0, "<", True)
+            CheckRecord("a", 1.0, 1.0, "<")
         with pytest.raises(ValueError, match="threshold"):
-            CheckRecord("a", 1.0, None, "<=", True)
+            CheckRecord("a", 1.0, None, "<=")
+
+    def test_passed_is_derived_never_given(self):
+        assert not CheckRecord("x", 5.0, 1.0, "<=").passed
+        assert CheckRecord("x", 1.0, 1.0, "<=").passed
+        assert not CheckRecord("x", 1.0, 1.0, ">").passed
+        assert not CheckRecord("x", 0.0, 1.0, "==").passed
+        assert CheckRecord("x", 5.0, None, "info").passed
+        with pytest.raises(TypeError):
+            CheckRecord("x", 5.0, 1.0, "<=", True)
+
+    def test_no_op_emits_greater_or_equal(self):
+        with pytest.raises(ValueError, match="unknown comparison op '>='"):
+            CheckRecord("x", 3.0, 1.0, ">=")
 
 
 class TestExperimentReport:
@@ -71,7 +84,7 @@ class TestExperimentReport:
     def test_duplicate_names_rejected(self):
         with pytest.raises(ValueError, match="duplicate"):
             self._report(
-                records=(check_le("a", 0.0, 1.0), CheckRecord("a", 0.0, 0.0, ">=", True))
+                records=(check_le("a", 0.0, 1.0), check_flag("a", True))
             )
 
     def test_json_text_deterministic(self):
@@ -120,6 +133,12 @@ class TestExperimentReport:
         assert merged.config == {"left": {"x": 1}, "right": {"x": 1}}
         assert merged.seed == 7
         assert merged.aggregate_pass
+
+    def test_merge_rederives_each_verdict(self):
+        part = self._report(records=(check_le("a", 2.0, 1.0), check_le("b", 0.0, 1.0)))
+        merged = merge_reports("all", 7, {"p": part})
+        assert [(r.name, r.passed) for r in merged.records] == [("p.a", False), ("p.b", True)]
+        assert not merged.aggregate_pass
 
 
 # ---------------------------------------------------------------------------

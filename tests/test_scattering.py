@@ -1,5 +1,6 @@
 """Tests for the 1-d lattice scattering model and the determinant-phase identity."""
 
+import math
 import sys
 import threading
 import time
@@ -399,7 +400,7 @@ def _case_id(case) -> str:
 
 class TestTrackerBounds:
     @pytest.mark.parametrize("case", _TRACKER_CASES, ids=_case_id)
-    def test_evaluation_budget_and_no_refinement(self, case, monkeypatch):
+    def test_evaluation_count_is_exact_and_descending(self, case, monkeypatch):
         model, lam = case
         heights = []
         inner = scattering.scattering_determinant
@@ -410,10 +411,11 @@ class TestTrackerBounds:
 
         monkeypatch.setattr(scattering, "scattering_determinant", counted)
         ssf_scattering(model, lam)
-        n_sites = len(model.sites)
-        budget = 2 * n_sites * np.log(_h_start(model) / 2.0**-13) + len(scattering._EPS_LADDER) + 1
-        assert len(heights) <= budget
-        # a refined step re-reads a height above its first try
+        # one evaluation at the start, then ceil(ln(h_prev / h_k) / ln r) per target
+        log_ratio = math.log(math.exp(1.0 / (2.0 * len(model.sites))))
+        tops = (_h_start(model),) + scattering._EPS_LADDER
+        steps = [math.ceil(math.log(a / b) / log_ratio) for a, b in zip(tops, tops[1:])]
+        assert len(heights) == 1 + sum(steps)
         assert all(b < a for a, b in zip(heights, heights[1:]))
         assert heights[0] == _h_start(model) and heights[-1] == 2.0**-13
 

@@ -2,6 +2,7 @@
 
 import cmath
 import math
+import re
 import zlib
 
 import numpy as np
@@ -717,7 +718,7 @@ class TestPhaseTracking:
             return sum(math.atan2(h, aj) - math.atan2(h, bj) for aj, bj in zip(a, b))
 
         targets = [5.0, 0.5, 1e-3, 1e-6]
-        phases = track_determinant_phase(det_fn, 1e4, targets)
+        phases = track_determinant_phase(det_fn, 1e4, targets, 1.1)
         for t, p in zip(targets, phases):
             assert p == pytest.approx(expected(t), abs=1e-9)
         assert phases[-1] == pytest.approx(2.0 * math.pi, abs=1e-5)
@@ -731,11 +732,6 @@ class TestPhaseTracking:
         phases = track_determinant_phase(det_fn, 100.0, [0.1], max_ratio=1.001)
         assert phases[0] == pytest.approx(k / 0.1, abs=1e-9)
 
-    def test_targets_returned_in_input_order(self):
-        det_fn = lambda h: cmath.exp(1j / h)
-        out = track_determinant_phase(det_fn, 10.0, [0.5, 2.0, 1.0])
-        assert out == pytest.approx([2.0, 0.5, 1.0], abs=1e-9)
-
     def test_target_at_the_start_height_costs_no_second_evaluation(self):
         heights = []
 
@@ -747,13 +743,29 @@ class TestPhaseTracking:
         assert out == pytest.approx([0.5, 1.0], abs=1e-12)
         assert heights == [2.0, pytest.approx(2.0 ** 0.5), 1.0]
 
-    def test_rejects_target_above_start(self):
-        with pytest.raises(ValueError, match="below"):
-            track_determinant_phase(lambda h: 1.0, 1.0, [2.0])
+    def test_walks_equal_ratio_steps_down_each_segment(self):
+        heights = []
+
+        def det_fn(h):
+            heights.append(h)
+            return cmath.exp(0.1j / h)
+
+        out = track_determinant_phase(det_fn, 10.0, [0.5, 0.5, 0.1], max_ratio=2.0)
+        assert out == pytest.approx([0.2, 0.2, 1.0], abs=1e-12)
+        # ceil(ln 20 / ln 2) = 5 steps to 0.5, none to 0.5 again, 3 to 0.1
+        first = [10.0 * 0.05 ** (k / 5) for k in range(1, 6)]
+        second = [first[-1] * (0.1 / first[-1]) ** (k / 3) for k in range(1, 4)]
+        assert heights == [10.0] + first + second
+
+    def test_rejects_rising_targets_by_name(self):
+        with pytest.raises(ValueError, match=re.escape("h_targets[1]=2.0 above 1.0")):
+            track_determinant_phase(lambda h: 1.0, 4.0, [1.0, 2.0], 1.5)
+        with pytest.raises(ValueError, match=re.escape("h_targets[0]=2.0 above 1.0")):
+            track_determinant_phase(lambda h: 1.0, 1.0, [2.0], 1.5)
 
     def test_rejects_nonpositive_target(self):
         with pytest.raises(ValueError, match="positive"):
-            track_determinant_phase(lambda h: 1.0, 1.0, [0.0])
+            track_determinant_phase(lambda h: 1.0, 1.0, [0.0], 1.5)
 
     def test_rejects_bad_ratio(self):
         with pytest.raises(ValueError, match="max_ratio"):
@@ -761,14 +773,29 @@ class TestPhaseTracking:
 
     def test_vanishing_determinant_raises(self):
         with pytest.raises(BranchTrackingError, match="vanished"):
-            track_determinant_phase(lambda h: 0.0, 1.0, [0.5])
+            track_determinant_phase(lambda h: 0.0, 1.0, [0.5], 1.5)
 
-    def test_refinement_floor_raises(self):
-        # phase moves by ~25 rad between heights 2 and 1; a coarse floor
-        # forbids the subdivision needed to resolve it
-        det_fn = lambda h: cmath.exp(50j / h)
-        with pytest.raises(BranchTrackingError, match="floor"):
-            track_determinant_phase(det_fn, 2.0, [1.0], min_step=1.0)
+    def test_coarse_step_raises_naming_height_and_ratio(self):
+        # the phase moves by 2 rad between heights 2 and 1, in one step of
+        # ratio 2; a move of a full turn or more would alias unseen instead
+        heights = []
+
+        def det_fn(h):
+            heights.append(h)
+            return cmath.exp(4j / h)
+
+        with pytest.raises(BranchTrackingError, match=r"from height 2\.0 to 1\.0 .*max_ratio=2\.0"):
+            track_determinant_phase(det_fn, 2.0, [1.0], max_ratio=2.0)
+        assert heights == [2.0, 1.0]
+
+    def test_step_just_past_a_quarter_turn_raises(self):
+        # exp(i theta / h) turns by theta in the one step from 1 to 1/2
+        below = math.pi / 2.0 - 1e-9
+        out = track_determinant_phase(lambda h: cmath.exp(1j * below / h), 1.0, [0.5], 2.0)
+        assert out == pytest.approx([2.0 * below], abs=1e-12)
+        above = math.pi / 2.0 + 1e-9
+        with pytest.raises(BranchTrackingError, match="pi/2"):
+            track_determinant_phase(lambda h: cmath.exp(1j * above / h), 1.0, [0.5], 2.0)
 
 
 class TestDeterminantRoute:
