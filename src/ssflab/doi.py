@@ -231,8 +231,6 @@ class DoiKernel:
     def __post_init__(self):
         if self.mode not in ("direct", "factored"):
             raise ValueError(f"unknown kernel mode {self.mode!r}")
-        if self.f.derivative is None:
-            raise ValueError("kernel functions need attached first derivatives")
         z, m = _check_resolvent_args(self.z, self.m, "m", odd=True)
         object.__setattr__(self, "m", m)
         object.__setattr__(self, "z", z)
@@ -244,18 +242,12 @@ _DENOM_RTOL = 1e-13
 
 
 class _AxisValues(NamedTuple):
-    """One-variable kernel inputs on an axis (``None`` where a mode does not use them).
-
-    ``k_lim`` and ``dk_lim`` are the band limits at the axis points, for a
-    caller whose band entries are the diagonal of a grid on that axis.
-    """
+    """One-variable kernel inputs on an axis (``None`` where a mode does not use them)."""
 
     f: np.ndarray
     fp: Optional[np.ndarray]
     g: Optional[np.ndarray]
     gp: Optional[np.ndarray]
-    k_lim: Optional[np.ndarray] = None
-    dk_lim: Optional[np.ndarray] = None
 
     def take(self, index) -> "_AxisValues":
         return _AxisValues(*(None if v is None else v[index] for v in self))
@@ -280,8 +272,6 @@ def _band_limits(k: DoiKernel, x, dlambda: bool) -> tuple:
     gp = np.asarray(k.g.d1(x), dtype=complex)
     if not dlambda:
         return fp / gp, None
-    if k.f.derivative2 is None:
-        raise ValueError("diagonal kernel derivative needs second derivatives")
     fpp = np.asarray(k.f.d2(x), dtype=complex)
     gpp = np.asarray(k.g.d2(x), dtype=complex)
     return fp / gp, 0.5 * (fpp * gp - fp * gpp) / (gp * gp)
@@ -296,7 +286,7 @@ def _kernel_grid(
     at_mu: Optional[_AxisValues] = None,
     out: tuple = (None, None),
 ):
-    """``(K, dK/dx)`` on broadcastable real arguments (``dK/dx`` only with ``dlambda``).
+    """``(K, dK/dx)`` on broadcastable real arrays (``dK/dx`` only with ``dlambda``).
 
     Both come from one reciprocal ``R = 1 / (g(x) - g(y))`` per entry, as
     ``K = (f(x) - f(y)) R`` and ``dK/dx = (f'(x) - K g'(x)) R``.  The factored
@@ -305,11 +295,8 @@ def _kernel_grid(
     a grid costs O(N) function calls, or passed in ``at_lam`` and ``at_mu``
     (``at_lam`` with ``f'`` when ``dlambda``).  ``out`` may pass the arrays for
     ``K`` and ``dK/dx``.  Band entries get the derivative limits at their
-    midpoint; when every one lies on the diagonal and ``at_lam`` carries the
-    limits, they are read from it instead, since the midpoint of ``(x, x)``
-    is ``x`` exactly.
+    midpoint.
     """
-    scalar = np.isscalar(lam) and np.isscalar(mu)
     lam, mu = np.asarray(lam, dtype=float), np.asarray(mu, dtype=float)
     shape = np.broadcast_shapes(lam.shape, mu.shape)
     lam, mu = np.atleast_1d(lam, mu)  # in-place arithmetic below needs arrays
@@ -359,24 +346,15 @@ def _kernel_grid(
     band = np.unravel_index(np.flatnonzero(band), band.shape)
     if band[0].size:
         lam_b, mu_b = np.broadcast_arrays(lam, mu)
-        x, y = lam_b[band], mu_b[band]
-        if at_lam.k_lim is not None and np.array_equal(x, y):
-            k_band, dk_band = (
-                np.broadcast_to(v, lam_b.shape)[band] for v in (at_lam.k_lim, at_lam.dk_lim)
-            )
-        else:
-            k_band, dk_band = _band_limits(k, 0.5 * (x + y), dlambda)
+        k_band, dk_band = _band_limits(k, 0.5 * (lam_b[band] + mu_b[band]), dlambda)
         kv[band] = k_band
         if dlambda:
             dk[band] = dk_band
-    kv, dk = kv.reshape(shape), (None if dk is None else dk.reshape(shape))
-    if scalar:
-        return complex(kv), (None if dk is None else complex(dk))
-    return kv, dk
+    return kv.reshape(shape), (None if dk is None else dk.reshape(shape))
 
 
 def kernel_eval(k: DoiKernel, lam, mu):
-    """Evaluate the kernel on broadcastable real arguments."""
+    """Evaluate the kernel on broadcastable real arrays; a scalar pair gives a 0-d array."""
     return _kernel_grid(k, lam, mu)[0]
 
 
@@ -483,10 +461,7 @@ def kernel_hypotheses_report(k: DoiKernel, axis) -> KernelHypothesesReport:
     if not lam_inner.any():
         raise ValueError(f"the axis needs nodes within edge / 10 = {edge / 10.0:g} of 0")
 
-    # unless two nodes fall within the band of each other, the band entries
-    # are the diagonal, so the limits are taken once here, not per row block
-    k_lim, dk_lim = _band_limits(k, lam, dlambda=True)
-    at = _axis_values(k, lam, dlambda=True)._replace(k_lim=k_lim, dk_lim=dk_lim)
+    at = _axis_values(k, lam, dlambda=True)
     at_cols = at.take(np.s_[None, :])
     # row sups of |K| and |dK/dx|, over all columns and over the inner ones
     sup_k, sup_k_inner, sup_dk, sup_dk_inner = np.empty((4, lam.size))

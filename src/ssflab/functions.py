@@ -1,15 +1,15 @@
 """Scalar test functions with attached derivatives.
 
 A :class:`ScalarFunction` bundles a vectorized callable with its first and
-(optionally) second derivative so that trace-formula checks and
-double-operator-integral kernels can evaluate divided differences and
-derivative limits without numerical differentiation.
+second derivatives so that trace-formula checks and double-operator-integral
+kernels can evaluate divided differences and derivative limits without
+numerical differentiation.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 
@@ -19,7 +19,6 @@ __all__ = [
     "ScalarFunction",
     "bump_c2",
     "gaussian_bump",
-    "identity",
     "polynomial",
     "power_shift_inverse",
     "product",
@@ -32,38 +31,18 @@ __all__ = [
 
 @dataclass(frozen=True)
 class ScalarFunction:
-    """A scalar function of a real variable, with optional derivatives.
+    """A scalar function of a real variable with its first two derivatives.
 
-    ``value`` must accept numpy arrays elementwise.  ``derivative`` and
-    ``derivative2`` follow the same convention when present.
+    ``value``, ``d1`` and ``d2`` must each accept numpy arrays elementwise.
     """
 
     value: Callable
-    derivative: Optional[Callable] = None
-    derivative2: Optional[Callable] = None
+    d1: Callable
+    d2: Callable
     name: str = field(default="", compare=False)
 
     def __call__(self, x):
         return self.value(x)
-
-    def d1(self, x):
-        if self.derivative is None:
-            raise ValueError(f"function {self.name!r} has no attached derivative")
-        return self.derivative(x)
-
-    def d2(self, x):
-        if self.derivative2 is None:
-            raise ValueError(f"function {self.name!r} has no attached second derivative")
-        return self.derivative2(x)
-
-
-def identity() -> ScalarFunction:
-    return ScalarFunction(
-        value=lambda x: np.asarray(x, dtype=float) + 0.0,
-        derivative=lambda x: np.ones_like(np.asarray(x, dtype=float)),
-        derivative2=lambda x: np.zeros_like(np.asarray(x, dtype=float)),
-        name="identity",
-    )
 
 
 def polynomial(coeffs) -> ScalarFunction:
@@ -73,8 +52,8 @@ def polynomial(coeffs) -> ScalarFunction:
     d2 = np.polyder(c, 2)
     return ScalarFunction(
         value=lambda x, c=c: np.polyval(c, x),
-        derivative=lambda x, c=d1: np.polyval(c, x),
-        derivative2=lambda x, c=d2: np.polyval(c, x),
+        d1=lambda x, c=d1: np.polyval(c, x),
+        d2=lambda x, c=d2: np.polyval(c, x),
         name=f"poly[deg={c.size - 1}]",
     )
 
@@ -215,20 +194,18 @@ def bump_c2(r: float, height: float = 1.0) -> ScalarFunction:
 
 def product(f: ScalarFunction, g: ScalarFunction) -> ScalarFunction:
     """Pointwise product with Leibniz derivatives."""
-    der = None
-    if f.derivative is not None and g.derivative is not None:
-        der = lambda x: f.d1(x) * g(x) + f(x) * g.d1(x)  # noqa: E731
-    der2 = None
-    if f.derivative2 is not None and g.derivative2 is not None:
-        der2 = lambda x: f.d2(x) * g(x) + 2.0 * f.d1(x) * g.d1(x) + f(x) * g.d2(x)  # noqa: E731
-    return ScalarFunction(lambda x: f(x) * g(x), der, der2, name=f"({f.name}*{g.name})")
+    return ScalarFunction(
+        value=lambda x: f(x) * g(x),
+        d1=lambda x: f.d1(x) * g(x) + f(x) * g.d1(x),
+        d2=lambda x: f.d2(x) * g(x) + 2.0 * f.d1(x) * g.d1(x) + f(x) * g.d2(x),
+        name=f"({f.name}*{g.name})",
+    )
 
 
 def real_part(f: ScalarFunction) -> ScalarFunction:
     return ScalarFunction(
         value=lambda x: np.real(f(x)),
-        derivative=None if f.derivative is None else (lambda x: np.real(f.d1(x))),
-        derivative2=None if f.derivative2 is None else (lambda x: np.real(f.d2(x))),
+        d1=lambda x: np.real(f.d1(x)),
+        d2=lambda x: np.real(f.d2(x)),
         name=f"Re[{f.name}]",
     )
-

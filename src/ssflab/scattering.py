@@ -303,12 +303,12 @@ def band_sweep(
 # truncation oracle
 
 
-def _truncated_chain(model: LatticeScatteringModel, l_trunc: int) -> tuple:
-    """Diagonal and off-diagonal of the operator truncated to sites |n| <= l_trunc.
+# bound_state_count_below truncates the chain to the sites |n| <= _L_TRUNC
+_L_TRUNC = 2000
 
-    ``l_trunc`` must be an integer >= 1.
-    """
-    l_trunc = _check_int(l_trunc, "l_trunc", low=1)
+
+def _truncated_chain(model: LatticeScatteringModel, l_trunc: int) -> tuple:
+    """Diagonal and off-diagonal of the operator truncated to sites |n| <= l_trunc."""
     if model.support_radius >= l_trunc / 4:
         raise ValueError(
             f"truncation l_trunc={l_trunc} too small for support radius "
@@ -322,10 +322,8 @@ def _truncated_chain(model: LatticeScatteringModel, l_trunc: int) -> tuple:
     return diag, off
 
 
-def bound_state_count_below(
-    model: LatticeScatteringModel, lam: float, l_trunc: int = 2000
-) -> int:
-    """Number of discrete eigenvalues below ``lam`` (large-truncation count).
+def bound_state_count_below(model: LatticeScatteringModel, lam: float) -> int:
+    """Number of discrete eigenvalues below ``lam``, on the chain truncated at ``_L_TRUNC``.
 
     Only meaningful for finite ``lam < -2``: inside the band the truncation fills
     the spectrum densely.  Bisection finds only the eigenvalues in
@@ -335,7 +333,7 @@ def bound_state_count_below(
     if lam >= -2.0:
         raise ValueError(f"counting below the band needs lam < -2, got {lam}")
     below = eigvalsh_tridiagonal(
-        *_truncated_chain(model, l_trunc),
+        *_truncated_chain(model, _L_TRUNC),
         select="v",
         select_range=(-np.inf, np.nextafter(lam, -np.inf)),
     )

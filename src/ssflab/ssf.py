@@ -242,34 +242,31 @@ def _pulled_back_spectra(h: np.ndarray, a: float, powers: Sequence[int]):
         yield a + shifted, n * n * eps * (-2.0 * a) + y_err / slope
 
 
-def _invariance_shifts(h0, h, powers: Sequence[int]):
-    """:func:`ssf_via_invariance`'s ``(xi, radius)`` for each odd ``m`` in ``powers``.
+def ssf_via_invariance(h0, h, powers: Sequence[int]) -> list:
+    """Spectral shifts through the resolvent powers ``phi(H) = (H - a)^{-m}``, ``m`` in ``powers``.
 
-    The gates, ``a`` and each matrix's resolvent are shared by the powers.
+    The invariance principle (Yafaev, *Mathematical Scattering Theory*, ch. 8)
+    for the decreasing ``phi(lam) = (lam - a)^{-m}``, odd ``m >= 1``, with
+    ``a = -max(||H0||_inf, ||H||_inf) - 1`` below both spectra by Gershgorin:
+    no eigenvalue of ``H0`` or ``H`` is read.  Returns one ``(xi, radius)``
+    per power, in order, where ``radius`` is the largest radius of a
+    pulled-back eigenvalue and ``xi`` merges clusters within it.  Its term
+    ``n^2 eps (-2a)`` alone exceeds counting's radius
+    ``n^2 eps (max|lambda0| + max|lambda|)``.  The gates, ``a`` and each
+    matrix's factorization are shared by the powers.
     """
+    powers = [_check_int(m, f"powers[{i}]", low=1, odd=True) for i, m in enumerate(powers)]
     h0 = _check_hermitian(np.asarray(h0), "h0")
     h = _check_hermitian(np.asarray(h), "h")
     if h0.ndim != 2 or h0.shape != h.shape:
         raise ValueError(f"h0 and h must be matrices of one shape, got {h0.shape} and {h.shape}")
     a = _gershgorin_shift(h0, h)
+    out = []
     pulled = zip(_pulled_back_spectra(h0, a, powers), _pulled_back_spectra(h, a, powers))
     for (lam0, radius0), (lam, radius) in pulled:
         radius = float(max(radius0.max(), radius.max()))
-        yield _counting_jumps(lam0, lam, radius), radius
-
-
-def ssf_via_invariance(h0, h, m: int) -> tuple:
-    """Spectral shift through the resolvent power ``phi(H) = (H - a)^{-m}``.
-
-    The invariance principle (Yafaev, *Mathematical Scattering Theory*, ch. 8)
-    for the decreasing ``phi(lam) = (lam - a)^{-m}``, odd ``m >= 1``, with
-    ``a = -max(||H0||_inf, ||H||_inf) - 1`` below both spectra by Gershgorin:
-    no eigenvalue of ``H0`` or ``H`` is read.  Returns ``(xi, radius)``, where
-    ``radius`` is the largest radius of a pulled-back eigenvalue and ``xi``
-    merges clusters within it.  Its term ``n^2 eps (-2a)`` alone exceeds
-    counting's radius ``n^2 eps (max|lambda0| + max|lambda|)``.
-    """
-    return next(_invariance_shifts(h0, h, (_check_int(m, "m", low=1, odd=True),)))
+        out.append((_counting_jumps(lam0, lam, radius), radius))
+    return out
 
 
 def compare_at_resolved_points(a: StepFunction, b: StepFunction, radius: float) -> tuple:
@@ -278,7 +275,9 @@ def compare_at_resolved_points(a: StepFunction, b: StepFunction, radius: float) 
     The points are the midpoints of the gaps wider than ``4 * radius`` between
     the sorted breakpoints of both, ``radius`` the larger of the two routes'
     radii: farther than ``radius`` from every eigenvalue either route sees.
+    ``radius`` must be a finite number ``>= 0``.
     """
+    radius = _check_real(radius, "radius", "a finite number >= 0", lambda r: 0 <= r < math.inf)
     bps = np.union1d(a.breakpoints, b.breakpoints)
     mids = (0.5 * (bps[:-1] + bps[1:]))[bps[1:] - bps[:-1] > 4.0 * radius]
     return int(np.count_nonzero(a(mids) != b(mids))), int(mids.size)

@@ -108,7 +108,7 @@ def suite_trace_check(seed: int, params: dict) -> ExperimentReport:
             worst = max(worst, abs(lhs - rhs) / scale_ref)
         per_power = [
             ssf.compare_at_resolved_points(counting, xi, radius)
-            for xi, radius in ssf._invariance_shifts(h0, h, (3, 5))
+            for xi, radius in ssf.ssf_via_invariance(h0, h, (3, 5))
         ]
         return (worst, *np.sum(per_power, axis=0))
 
@@ -302,7 +302,7 @@ def suite_rm_cert(seed: int, params: dict) -> ExperimentReport:
         )
     # f(x) = x gives K = -(x - z)^3 (y - z)^3 / p, unbounded: both sups must
     # keep rising through the outer decade
-    growing = doi.DoiKernel(functions.identity(), _HYPOTHESES_M, 1j, mode="factored")
+    growing = doi.DoiKernel(functions.polynomial([1.0, 0.0]), _HYPOTHESES_M, 1j, mode="factored")
     rep = doi.kernel_hypotheses_report(growing, axis)
     either_settles = rep.sup_abs_rise <= 0.0 or rep.sup_weighted_dlambda_rise <= 0.0
     records.append(
@@ -454,7 +454,7 @@ def suite_birman_krein(seed: int, params: dict) -> ExperimentReport:
     attractive = scattering.LatticeScatteringModel.single_site(-1.5)
     for lam in (-2.25, -2.75):
         xi = scattering.ssf_scattering(attractive, lam)
-        count = scattering.bound_state_count_below(attractive, lam, l_trunc=2000)
+        count = scattering.bound_state_count_below(attractive, lam)
         records.append(
             check_le(
                 f"below_band.lam{lam:g}.count_deviation",

@@ -14,7 +14,7 @@ def random_unitary(rng: np.random.Generator, n: int) -> np.ndarray:
 
 
 def derivative_defect(f, points, step_scale: float = 1e-5) -> float:
-    """Worst relative mismatch between ``f.derivative`` and a central difference."""
+    """Worst relative mismatch between ``f.d1`` and a central difference."""
     pts = np.asarray(points, dtype=float)
     h = step_scale * np.maximum(1.0, np.abs(pts))
     fd = (np.asarray(f(pts + h)) - np.asarray(f(pts - h))) / (2.0 * h)

@@ -101,7 +101,8 @@ def test_criterion_02_invariance_principle_exact():
             h0 = random_hermitian(rng, dim)
             h = h0 + random_hermitian(rng, dim, scale=0.5)
             counting = ssf_counting(eig_hermitian(h0), eig_hermitian(h))
-            bad, seen = compare_at_resolved_points(counting, *ssf_via_invariance(h0, h, m))
+            [(xi, radius)] = ssf_via_invariance(h0, h, [m])
+            bad, seen = compare_at_resolved_points(counting, xi, radius)
             mismatches += bad
             compared += seen
     elapsed = time.monotonic() - t0
@@ -222,7 +223,7 @@ def test_criterion_06_kernel_hypotheses():
     axis = np.sort(np.concatenate([np.linspace(-10.0, 10.0, 401), tail, -tail]))
     rep = kernel_hypotheses_report(k, axis)
     growing = kernel_hypotheses_report(
-        DoiKernel(functions.identity(), 3, 1j, mode="factored"), axis
+        DoiKernel(functions.polynomial([1.0, 0.0]), 3, 1j, mode="factored"), axis
     )
     ok = (
         rep.sup_abs_rise <= 0.0

@@ -152,3 +152,27 @@ def test_no_unused_public_names():
             if not inspect.isclass(getattr(mod, name)) and name not in read
         ]
     assert not unused, f"exported, but used nowhere else: {', '.join(unused)}"
+
+
+LAYERS = ("ssf", "doi", "dirac", "scattering")
+
+
+def test_suites_read_no_private_name_of_a_layer():
+    # every route a suite runs goes through a public name, which the
+    # benchmark's tracer wraps; spectral's scalar gates are shared helpers
+    path = pathlib.Path(ssflab.__file__).parent / "suites.py"
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    private = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+            module, names = node.value.id, [node.attr]
+        elif isinstance(node, ast.ImportFrom) and node.level == 1:
+            module, names = node.module, [alias.name for alias in node.names]
+        else:
+            continue
+        private += [
+            f"{module}.{name} (line {node.lineno})"
+            for name in names
+            if module in LAYERS and name.startswith("_")
+        ]
+    assert private == []

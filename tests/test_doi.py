@@ -291,10 +291,14 @@ class TestDividedDifference:
         mu = 2.0 + 1e-9
         for mode in _MODES:
             k = _power_kernel(2, mode)
-            # inside the coincidence band: f'/g' at the midpoint, 2 g(midpoint)
+            # inside the coincidence band: f'/g' at the midpoint, 2 g(midpoint),
+            # and dK/dx = g'(midpoint), not g' at either argument
             mid = 0.5 * (lam + mu)
             assert kernel_eval(k, lam, mu) == pytest.approx(2 * complex(g(mid)), abs=1e-14)
             assert kernel_eval(k, lam, lam) == pytest.approx(2 * complex(g(lam)), abs=1e-14)
+            want = complex(g.d1(mid))
+            for x, y in ((lam, mu), (mu, lam)):
+                assert kernel_dlambda(k, x, y) == pytest.approx(want, abs=1e-14)
 
     def test_array_broadcast(self):
         lam = np.array([0.0, 1.0, 2.0])
@@ -372,14 +376,11 @@ class TestKernelEval:
         f = functions.gaussian_bump()
         with pytest.raises(ValueError, match="mode"):
             DoiKernel(f, 3, 2j, mode="mixed")
-        bare = functions.ScalarFunction(value=lambda x: x, name="bare")
-        with pytest.raises(ValueError, match="derivative"):
-            DoiKernel(bare, 3, 2j)
         with pytest.raises(ValueError, match="odd"):
             DoiKernel(f, 2, 1j)
         # g is derived from m and z, never passed
         with pytest.raises(TypeError):
-            DoiKernel(f, 3, 2j, g=functions.identity())
+            DoiKernel(f, 3, 2j, g=functions.polynomial([1.0, 0.0]))
 
     @pytest.mark.parametrize(
         "m, z",
@@ -441,8 +442,8 @@ class _CountingFunction:
         self.points = 0
         self.function = functions.ScalarFunction(
             value=self._counted(f.value),
-            derivative=self._counted(f.derivative),
-            derivative2=self._counted(f.derivative2),
+            d1=self._counted(f.d1),
+            d2=self._counted(f.d2),
             name=f.name,
         )
 
@@ -518,7 +519,7 @@ class TestKernelGrids:
     def test_denominator_out_of_float_range_raises(self, mode, x, y):
         # g(x) and g(y) underflow to 0 (direct), or p overflows (factored): the
         # ratio to its scale is NaN, which is a collision, not a NaN kernel
-        k = DoiKernel(functions.identity(), 3, 1j, mode=mode)
+        k = DoiKernel(functions.polynomial([1.0, 0.0]), 3, 1j, mode=mode)
         with pytest.raises(DegenerateKernelError, match="nan of its scale"):
             kernel_eval(k, x, y)
 
@@ -678,7 +679,7 @@ class TestKernelHypotheses:
     def test_region_split_covers_plane(self):
         # the rise compares the inner square |x|, |y| <= edge / 10 with the
         # whole grid; recomputed here from the kernel on both parts of the split
-        k = DoiKernel(functions.identity(), 3, 1j, mode="factored")
+        k = DoiKernel(functions.polynomial([1.0, 0.0]), 3, 1j, mode="factored")
         axis = self._axis()
         rep = kernel_hypotheses_report(k, axis)
         vals = np.abs(kernel_eval(k, axis[:, None], axis[None, :]))
@@ -692,7 +693,7 @@ class TestKernelHypotheses:
     def test_growing_kernel_is_not_settled(self):
         # f(x) = x: K = -(x - z)^3 (y - z)^3 / p grows without bound, so both
         # sups rise through the outer decade
-        k = DoiKernel(functions.identity(), 3, 1j, mode="factored")
+        k = DoiKernel(functions.polynomial([1.0, 0.0]), 3, 1j, mode="factored")
         rep = kernel_hypotheses_report(k, self._axis())
         assert rep.sup_abs_rise > 1e3
         assert rep.sup_weighted_dlambda_rise > 1e3
@@ -701,7 +702,7 @@ class TestKernelHypotheses:
     def _rm_cert_kernel(name):
         # rm-cert's two kernels and its growing f(x) = x control
         if name == "control":
-            return DoiKernel(functions.identity(), 3, 1j, mode="factored")
+            return DoiKernel(functions.polynomial([1.0, 0.0]), 3, 1j, mode="factored")
         return _rm_cert_kernels("factored")[name]
 
     @staticmethod
@@ -739,43 +740,6 @@ class TestKernelHypotheses:
         assert rep.dlambda_tail_exponent == pytest.approx(exponent, rel=1e-12, abs=0.0)
         if name == "control":
             assert abs_rise > 0.0 and weighted_rise > 0.0
-
-    @pytest.mark.parametrize("name", ["compact_support", "tail_power", "control"])
-    def test_band_limits_are_taken_once_per_report(self, name):
-        k = self._rm_cert_kernel(name)
-        calls = []
-        f = k.f
-        d2 = functions.ScalarFunction(
-            value=f.value,
-            derivative=f.derivative,
-            derivative2=lambda x: calls.append(np.size(x)) or f.derivative2(x),
-            name=f.name,
-        )
-        axis = suites._hypotheses_grid(3.0, 1e5, 401, 160)
-        assert axis.size // (doi._BLOCK_BYTES // (16 * axis.size)) > 1
-        want = kernel_hypotheses_report(k, axis)
-        got = kernel_hypotheses_report(dataclasses.replace(k, f=d2), axis)
-        assert calls == [axis.size]
-        assert got == want
-
-    @pytest.mark.parametrize("mode", ["direct", "factored"])
-    def test_band_entries_off_the_diagonal_keep_the_midpoint_limits(self, mode):
-        # 0.5 and 0.5 + 1e-9 lie in each other's band: the limit there is
-        # taken at the midpoint, not read from either axis node
-        k = _rm_cert_kernels(mode)["gaussian"]
-        axis = np.array([-3.0, 0.0, 0.5, 0.5 + 1e-9, 2.0])
-        at = doi._axis_values(k, axis, dlambda=True)
-        k_lim, dk_lim = doi._band_limits(k, axis, dlambda=True)
-        with_limits = at._replace(k_lim=k_lim, dk_lim=dk_lim)
-        rows, cols = axis[:, None], axis[None, :]
-        for at_lam in (with_limits, with_limits._replace(k_lim=k_lim + 1.0)):
-            got = doi._kernel_grid(k, rows, cols, True, at_lam.take(np.s_[:, None]))
-            want = doi._kernel_grid(k, rows, cols, True)
-            for g, w in zip(got, want):
-                np.testing.assert_array_equal(g, w)
-        # on the diagonal alone the axis values are used as passed
-        diag = doi._kernel_grid(k, axis, axis, True, with_limits._replace(k_lim=k_lim + 1.0))
-        np.testing.assert_array_equal(diag[0], k_lim + 1.0)
 
     def test_collision_past_the_first_block_raises(self):
         # (x - i)^3 takes one value at x = +sqrt(3) and x = -sqrt(3): that

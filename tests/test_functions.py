@@ -12,7 +12,7 @@ SAMPLE = np.array([-3.2, -1.1, -0.4, 0.0, 0.3, 0.9, 2.5, 4.0])
 @pytest.mark.parametrize(
     "f",
     [
-        fn.identity(),
+        fn.polynomial([1.0, 0.0]),
         fn.polynomial([0.2, -1.0, 0.0, 3.0]),
         fn.gaussian_bump(0.3, 0.8, 2.0),
         fn.squared_lorentzian(),
@@ -77,6 +77,13 @@ def test_resolvent_parts_are_real():
     assert np.isrealobj(f(x))
 
 
+def test_real_part_takes_the_real_part_of_each_derivative():
+    g = fn.resolvent_function(0.5 + 1j, 3)
+    f = fn.real_part(g)
+    for part, whole in ((f, g), (f.d1, g.d1), (f.d2, g.d2)):
+        np.testing.assert_array_equal(part(SAMPLE), np.real(whole(SAMPLE)))
+
+
 def test_bump_support_and_smooth_boundary():
     f = fn.bump_c2(2.0, height=3.0)
     assert f(0.0) == pytest.approx(3.0)
@@ -106,12 +113,11 @@ def test_cutoff_partition_with_bump():
     np.testing.assert_allclose(th(x) + (1.0 - th(x)), 1.0)
 
 
-def test_missing_derivative_raises():
-    bare = fn.ScalarFunction(value=lambda x: x)
-    with pytest.raises(ValueError):
-        bare.d1(0.0)
-    with pytest.raises(ValueError):
-        bare.d2(0.0)
+def test_both_derivatives_are_required():
+    with pytest.raises(TypeError):
+        fn.ScalarFunction(lambda x: x)
+    with pytest.raises(TypeError):
+        fn.ScalarFunction(lambda x: x, lambda x: np.ones_like(x))
 
 
 def test_product_leibniz_exact_on_polynomials():

@@ -21,6 +21,7 @@ HUGE = 10**400
 INTEGER = (True, NAN, INF, 0, -1, 2.5)
 POSITIVE = (True, NAN, INF, 0, -1, HUGE)
 FINITE = (True, NAN, INF, -INF, HUGE)
+NONNEGATIVE = (True, NAN, INF, -INF, -1.0, HUGE)
 SCHATTEN = (True, NAN, 0, -1, 0.5, HUGE)
 
 MODEL = dirac.LatticeModel(d=1, n=4, h=1.0, mass=1.0)
@@ -31,6 +32,7 @@ PERTURBATION = np.diag([0.5, 0.0])
 BAND = scattering.LatticeScatteringModel.single_site(0.5)
 BELOW = scattering.LatticeScatteringModel.single_site(-1.5)
 CERT_POLY = doi.CofactorPolynomial(3, 1j)
+XI = ssf.StepFunction([0.0, 1.0], [0, 1, 0])
 NEXT_MARGIN = float(np.nextafter(scattering.BAND_EDGE_MARGIN, 1.0))
 
 
@@ -115,10 +117,16 @@ GATED = [
         POSITIVE,
     ),
     (
-        "ssf.ssf_via_invariance.m",
-        "m",
-        lambda x: ssf.ssf_via_invariance(np.eye(2), np.eye(2), x),
+        "ssf.ssf_via_invariance.powers",
+        "powers[1]",
+        lambda x: ssf.ssf_via_invariance(np.eye(2), np.eye(2), [1, x]),
         INTEGER + (2,),
+    ),
+    (
+        "ssf.compare_at_resolved_points.radius",
+        "radius",
+        lambda x: ssf.compare_at_resolved_points(XI, XI, x),
+        NONNEGATIVE,
     ),
     (
         "ssf.ssf_via_determinant.lam",
@@ -230,12 +238,6 @@ GATED = [
         "lam",
         lambda x: scattering.bound_state_count_below(BELOW, x),
         FINITE,
-    ),
-    (
-        "scattering.bound_state_count_below.l_trunc",
-        "l_trunc",
-        lambda x: scattering.bound_state_count_below(BELOW, -2.25, x),
-        INTEGER,
     ),
 ]
 

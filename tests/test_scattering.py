@@ -468,14 +468,14 @@ class TestTruncationOracle:
     )
     def test_count_equals_full_spectrum_count(self, values):
         model = LatticeScatteringModel.centered(values)
-        l_trunc = 400
-        vals = truncated_eigenvalues(model, l_trunc)
+        # the oracle truncates where the count does
+        vals = truncated_eigenvalues(model, scattering._L_TRUNC)
         bound = vals[vals < -2.0]
         # just below and just above each bound state, where the count steps
         lams = [-2.0001, -2.05, -2.3, -2.9, -3.5, -5.0, *(bound - 1e-9), *(bound + 1e-9)]
         for lam in lams:
             want = int(np.searchsorted(vals, lam, side="left"))
-            assert bound_state_count_below(model, lam, l_trunc) == want, lam
+            assert bound_state_count_below(model, lam) == want, lam
 
     def test_count_rejects_band_points(self):
         with pytest.raises(ValueError, match="below the band"):
@@ -485,18 +485,6 @@ class TestTruncationOracle:
     def test_count_rejects_non_finite_lambda(self, lam):
         with pytest.raises(ValueError, match=f"lam must be a finite number, got lam={lam!r}"):
             bound_state_count_below(LatticeScatteringModel.single_site(-1.5), lam)
-
-    @pytest.mark.parametrize("l_trunc", [2000.5, 2000.0, True, 0, -3, "2000"])
-    def test_rejects_bad_truncation_naming_it(self, l_trunc):
-        # 2000.5 used to raise NumPy's TypeError, and True to count on a
-        # 3-site chain
-        model = LatticeScatteringModel.single_site(-1.5)
-        with pytest.raises(ValueError, match=r"integer >= 1, got l_trunc="):
-            bound_state_count_below(model, -2.25, l_trunc)
-
-    def test_accepts_numpy_integer_truncation(self):
-        model = LatticeScatteringModel.single_site(-1.5)
-        assert bound_state_count_below(model, -2.25, np.int64(400)) == 1
 
     def test_truncation_needs_room(self):
         model = LatticeScatteringModel.single_site(1.0, site=10)

@@ -242,7 +242,8 @@ class TestTraceFormula:
 def _matches_counting(h0, h, m):
     """``(mismatches, compared)`` of the invariance route against counting."""
     counting = ssf_counting(eig_hermitian(h0), eig_hermitian(h))
-    return compare_at_resolved_points(counting, *ssf_via_invariance(h0, h, m))
+    [(xi, radius)] = ssf_via_invariance(h0, h, [m])
+    return compare_at_resolved_points(counting, xi, radius)
 
 
 class TestInvariance:
@@ -264,7 +265,7 @@ class TestInvariance:
         lam0 = np.array([-1.3, -0.2, -0.2, -0.2, 0.25, 0.25, 0.9, 1.6])
         v = np.zeros((8, 8))
         v[1, 1] = v[4, 4] = 0.5
-        xi, radius = ssf_via_invariance(np.diag(lam0), np.diag(lam0) + v, m)
+        [(xi, radius)] = ssf_via_invariance(np.diag(lam0), np.diag(lam0) + v, [m])
         np.testing.assert_array_equal(xi.values, [0, 1, 2, 1, 0])
         np.testing.assert_allclose(xi.breakpoints, [-0.2, 0.25, 0.3, 0.75], rtol=0, atol=radius)
         assert _matches_counting(np.diag(lam0), np.diag(lam0) + v, m) == (0, 3)
@@ -287,7 +288,8 @@ class TestInvariance:
             basis = eig_hermitian(a0).eigenvectors[:, rng.choice(n, size=2, replace=False)]
             v = basis @ random_hermitian(rng, 2) @ basis.conj().T
         counting = ssf_counting(eig_hermitian(a0), eig_hermitian(a0 + v))
-        bad, compared = compare_at_resolved_points(counting, *ssf_via_invariance(a0, a0 + v, m))
+        [(xi, radius)] = ssf_via_invariance(a0, a0 + v, [m])
+        bad, compared = compare_at_resolved_points(counting, xi, radius)
         assert bad == 0
         # a step of xi is a gap both routes must resolve
         assert compared >= 1 or counting.is_zero
@@ -306,7 +308,7 @@ class TestInvariance:
         monkeypatch.setattr(spectral, "eig_hermitian", forbidden)
         monkeypatch.setattr(ssf, "eig_hermitian", forbidden)
         monkeypatch.setattr(np.linalg, "eigh", forbidden)
-        xi, radius = ssf_via_invariance(h0, h, 3)
+        [(xi, radius)] = ssf_via_invariance(h0, h, [3])
         monkeypatch.undo()
         counting = ssf_counting(eig_hermitian(h0), eig_hermitian(h))
         assert compare_at_resolved_points(counting, xi, radius) == want
@@ -334,19 +336,20 @@ class TestInvariance:
             h0 = random_hermitian(rng, n)
             h = h0 + random_hermitian(rng, n, scale=0.4)
             d0, d = eig_hermitian(h0), eig_hermitian(h)
-            for m in (1, 3, 5):
-                _, radius = ssf_via_invariance(h0, h, m)
+            for _, radius in ssf_via_invariance(h0, h, [1, 3, 5]):
                 assert radius >= ssf._cluster_radius(d0.eigenvalues, d.eigenvalues)
 
     def test_shared_powers_equal_one_call_per_power(self):
         # trace-check takes m = 3 and 5 from one factorization per matrix;
-        # each must be exactly what a call at that power alone gives
+        # each must be exactly what a call at that power alone gives, in order
         rng = rng_from(909)
         for n in (2, 8, 24):
             h0 = random_hermitian(rng, n)
             h = h0 + random_hermitian(rng, n, scale=0.4)
-            for (xi, radius), m in zip(ssf._invariance_shifts(h0, h, (1, 3, 5)), (1, 3, 5)):
-                alone, alone_radius = ssf_via_invariance(h0, h, m)
+            shared = ssf_via_invariance(h0, h, [1, 3, 5])
+            assert len(shared) == 3
+            for (xi, radius), m in zip(shared, (1, 3, 5)):
+                [(alone, alone_radius)] = ssf_via_invariance(h0, h, [m])
                 assert radius == alone_radius
                 np.testing.assert_array_equal(xi.breakpoints, alone.breakpoints)
                 np.testing.assert_array_equal(xi.values, alone.values)
@@ -356,25 +359,28 @@ class TestInvariance:
         # (H - a)^-5, 2001^-5 ~ 3e-17, is below its rounding error
         h = np.diag([-1000.0, 1000.0])
         with pytest.raises(ValueError, match="too ill-conditioned"):
-            ssf_via_invariance(h, h, 5)
-        xi, _ = ssf_via_invariance(h, h, 1)
+            ssf_via_invariance(h, h, [5])
+        # one power past the limit refuses the whole list
+        with pytest.raises(ValueError, match=r"\(H - a\)\^-5"):
+            ssf_via_invariance(h, h, [1, 5])
+        [(xi, _)] = ssf_via_invariance(h, h, [1])
         assert xi.is_zero
 
     def test_rejects_shape_mismatch_naming_both_shapes(self):
         with pytest.raises(ValueError, match=r"\(2, 2\) and \(3, 3\)"):
-            ssf_via_invariance(np.eye(2), np.eye(3), 3)
+            ssf_via_invariance(np.eye(2), np.eye(3), [3])
         # a stack of matrices passes the Hermitian gate, square over its
         # last two axes; it used to fail inside a broadcast naming neither
         stack = np.stack([np.eye(3), 2.0 * np.eye(3)])
         with pytest.raises(ValueError, match=r"\(2, 3, 3\) and \(2, 3, 3\)"):
-            ssf_via_invariance(stack, stack, 3)
+            ssf_via_invariance(stack, stack, [3])
 
     def test_rejects_non_hermitian_input_by_name(self):
         bad = np.array([[0.0, 1.0], [0.0, 0.0]])
         with pytest.raises(ValueError, match="h0 is not Hermitian"):
-            ssf_via_invariance(bad, np.eye(2), 3)
+            ssf_via_invariance(bad, np.eye(2), [3])
         with pytest.raises(ValueError, match="h is not Hermitian"):
-            ssf_via_invariance(np.eye(2), bad, 3)
+            ssf_via_invariance(np.eye(2), bad, [3])
 
     @pytest.mark.parametrize("m", [3, 5, 7, 9])
     def test_six_fold_cluster_at_inv_sqrt7(self, m):
@@ -449,8 +455,7 @@ class TestClusteredSpectra:
         np.testing.assert_array_equal(xi.values, [0, 1, 0])
         # the resolvent-power route merges the shared pair within its wider
         # radius, which grows like 1 / phi'
-        for m in (3, 5):
-            mapped, radius = ssf_via_invariance(np.diag(lam0), np.diag(lam), m)
+        for mapped, radius in ssf_via_invariance(np.diag(lam0), np.diag(lam), [3, 5]):
             assert radius >= 30 * np.spacing(10.0)
             np.testing.assert_array_equal(mapped.values, xi.values)
             np.testing.assert_allclose(mapped.breakpoints, xi.breakpoints, rtol=0, atol=radius)
@@ -894,8 +899,8 @@ class TestAdversarialProperties:
         d0, d, v = pair
         direct = ssf_counting(d0, d)
         h0 = d0.reconstruct()
-        for m in (3, 5):
-            bad, compared = compare_at_resolved_points(direct, *ssf_via_invariance(h0, h0 + v, m))
+        for m, (xi, radius) in zip((3, 5), ssf_via_invariance(h0, h0 + v, [3, 5])):
+            bad, compared = compare_at_resolved_points(direct, xi, radius)
             assert bad == 0, m
             assert compared >= 1 or direct.is_zero, m
 
