@@ -741,6 +741,47 @@ class TestKernelHypotheses:
         if name == "control":
             assert abs_rise > 0.0 and weighted_rise > 0.0
 
+    @pytest.mark.parametrize("name", ["compact_support", "tail_power", "control"])
+    def test_report_does_not_depend_on_the_block_size(self, name, monkeypatch):
+        # each entry is computed alone, band entries included, so one row per
+        # block and the whole grid in one block give the default report bit for bit
+        k = self._rm_cert_kernel(name)
+        axis = suites._hypotheses_grid(3.0, 1e5, 201, 80)
+        want = kernel_hypotheses_report(k, axis)
+        for block_bytes in (16 * axis.size, 16 * axis.size * axis.size):
+            monkeypatch.setattr(doi, "_BLOCK_BYTES", block_bytes)
+            assert kernel_hypotheses_report(k, axis) == want, block_bytes
+
+    @pytest.mark.parametrize("mode", ["direct", "factored"])
+    def test_band_entries_off_the_diagonal_keep_the_midpoint_limits(self, mode):
+        # 0.5 and 0.5 + 1e-9 lie in each other's band: the limit there is
+        # taken at the midpoint, not at either axis node
+        k = _rm_cert_kernels(mode)["gaussian"]
+        axis = np.array([-3.0, 0.0, 0.5, 0.5 + 1e-9, 2.0])
+        rows, cols = axis[:, None], axis[None, :]
+        band = doi._coincidence_band(rows, cols)
+        assert band[2, 3] and band[3, 2]
+        assert np.count_nonzero(band) == axis.size + 2
+        mid = 0.5 * (rows + cols)[band]
+        k_lim, dk_lim = doi._band_limits(k, mid, dlambda=True)
+        # the pair's midpoint limits differ from those at either of its nodes
+        pair = doi._band_limits(k, 0.5 * (axis[2] + axis[3]), dlambda=True)
+        for node in axis[2:4]:
+            at_node = doi._band_limits(k, node, dlambda=True)
+            assert pair[0] != at_node[0] and pair[1] != at_node[1]
+        # the axis values taken once, as the report passes them, or per call
+        at = doi._axis_values(k, axis, dlambda=True)
+        passed = doi._kernel_grid(
+            k, rows, cols, True, at.take(np.s_[:, None]), at.take(np.s_[None, :])
+        )
+        for kv, dk in (passed, doi._kernel_grid(k, rows, cols, True)):
+            np.testing.assert_array_equal(kv[band], k_lim)
+            np.testing.assert_array_equal(dk[band], dk_lim)
+        # on the diagonal the midpoint is the node itself
+        diag = doi._band_limits(k, axis, dlambda=True)
+        np.testing.assert_array_equal(np.diag(passed[0]), diag[0])
+        np.testing.assert_array_equal(np.diag(passed[1]), diag[1])
+
     def test_collision_past_the_first_block_raises(self):
         # (x - i)^3 takes one value at x = +sqrt(3) and x = -sqrt(3): that
         # pair sits at the end of the axis, rows away from the first block

@@ -113,11 +113,14 @@ def test_cutoff_partition_with_bump():
     np.testing.assert_allclose(th(x) + (1.0 - th(x)), 1.0)
 
 
-def test_both_derivatives_are_required():
-    with pytest.raises(TypeError):
-        fn.ScalarFunction(lambda x: x)
-    with pytest.raises(TypeError):
-        fn.ScalarFunction(lambda x: x, lambda x: np.ones_like(x))
+@pytest.mark.parametrize(
+    "given, missing",
+    [({}, "'d1' and 'd2'"), ({"d1": np.ones_like}, "'d2'"), ({"d2": np.zeros_like}, "'d1'")],
+    ids=["neither", "d1_only", "d2_only"],
+)
+def test_both_derivatives_are_required(given, missing):
+    with pytest.raises(TypeError, match=f"required positional arguments?: {missing}$"):
+        fn.ScalarFunction(lambda x: x, **given)
 
 
 def test_product_leibniz_exact_on_polynomials():

@@ -477,6 +477,14 @@ class TestTruncationOracle:
             want = int(np.searchsorted(vals, lam, side="left"))
             assert bound_state_count_below(model, lam) == want, lam
 
+    def test_count_truncates_at_the_module_constant(self, monkeypatch):
+        # a site at n = 10 needs a truncation past 40: the count reads _L_TRUNC
+        model = LatticeScatteringModel.single_site(-1.5, site=10)
+        assert bound_state_count_below(model, -2.25) == 1
+        monkeypatch.setattr(scattering, "_L_TRUNC", 40)
+        with pytest.raises(ValueError, match="truncation l_trunc=40 too small"):
+            bound_state_count_below(model, -2.25)
+
     def test_count_rejects_band_points(self):
         with pytest.raises(ValueError, match="below the band"):
             bound_state_count_below(LatticeScatteringModel.single_site(-1.5), -2.0)

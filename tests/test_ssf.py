@@ -339,20 +339,33 @@ class TestInvariance:
             for _, radius in ssf_via_invariance(h0, h, [1, 3, 5]):
                 assert radius >= ssf._cluster_radius(d0.eigenvalues, d.eigenvalues)
 
-    def test_shared_powers_equal_one_call_per_power(self):
+    @pytest.mark.parametrize("powers", [(1, 3, 5), (5, 1, 3), (3, 3)], ids=str)
+    def test_shared_powers_equal_one_call_per_power(self, powers):
         # trace-check takes m = 3 and 5 from one factorization per matrix;
-        # each must be exactly what a call at that power alone gives, in order
+        # each must be exactly what a call at that power alone gives, in the
+        # order given, unsorted or repeated
         rng = rng_from(909)
         for n in (2, 8, 24):
             h0 = random_hermitian(rng, n)
             h = h0 + random_hermitian(rng, n, scale=0.4)
-            shared = ssf_via_invariance(h0, h, [1, 3, 5])
-            assert len(shared) == 3
-            for (xi, radius), m in zip(shared, (1, 3, 5)):
+            shared = ssf_via_invariance(h0, h, list(powers))
+            assert len(shared) == len(powers)
+            for (xi, radius), m in zip(shared, powers):
                 [(alone, alone_radius)] = ssf_via_invariance(h0, h, [m])
                 assert radius == alone_radius
                 np.testing.assert_array_equal(xi.breakpoints, alone.breakpoints)
                 np.testing.assert_array_equal(xi.values, alone.values)
+
+    def test_accepts_numpy_integer_powers(self):
+        rng = rng_from(910)
+        h0 = random_hermitian(rng, 6)
+        h = h0 + random_hermitian(rng, 6, scale=0.4)
+        got = ssf_via_invariance(h0, h, np.array([3, 5], dtype=np.int64))
+        want = ssf_via_invariance(h0, h, [3, 5])
+        assert [radius for _, radius in got] == [radius for _, radius in want]
+        for (xi, _), (alone, _) in zip(got, want):
+            np.testing.assert_array_equal(xi.breakpoints, alone.breakpoints)
+            np.testing.assert_array_equal(xi.values, alone.values)
 
     def test_refuses_a_power_too_ill_conditioned_to_pull_back(self):
         # cond(H - a) = 2001: at m = 5 the smallest eigenvalue of
