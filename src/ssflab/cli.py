@@ -3,8 +3,8 @@
 Subcommands map one-to-one onto the verification suites.  Configuration
 merges three layers: built-in defaults, an optional JSON config file, and
 command-line flags (flags win).  Exit status is 0 when every check passed,
-1 when any check failed, and 2 for configuration errors; validation
-messages always name the offending field.
+1 when any check failed, and 2 for configuration errors, whose messages
+always name the offending field, or for an ``--out`` path it cannot write.
 """
 
 from __future__ import annotations
@@ -220,7 +220,7 @@ def _load_config(path: str) -> dict:
         raise ConfigError("config", f"invalid JSON in {path}: {exc}")
     if not isinstance(obj, dict):
         raise ConfigError("config", "top level must be a JSON object")
-    allowed = {"seed", "jobs"} | set(_SCHEMA)
+    allowed = {"seed"} | set(_SCHEMA)
     unknown = set(obj) - allowed
     if unknown:
         raise ConfigError(sorted(unknown)[0], "unknown configuration section")
@@ -236,14 +236,12 @@ def _resolve(args) -> tuple:
     if seed is None:
         seed = file_cfg.get("seed", 0)
     seed = _gated(_check_int, "seed", seed, low=0)
-    jobs = getattr(args, "jobs", None)  # only `all` has the flag
-    if jobs is None:
-        jobs = file_cfg.get("jobs", 1)
-    jobs = _gated(_check_int, "jobs", jobs, low=1)
+    # only `all` has --jobs; it selects nothing, but a bad value is still an error
+    _gated(_check_int, "jobs", getattr(args, "jobs", 1), low=1)
     sections = {
         name: _validate_section(name, file_cfg.get(name, {})) for name in _SCHEMA
     }
-    return seed, jobs, sections
+    return seed, sections
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -265,8 +263,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", default=None, help="JSON configuration file")
         p.add_argument("--seed", type=int, default=None, help="master seed")
         if name == "all":
-            jobs_help = "2 or more runs dirac-schatten on a worker thread (default 1)"
-            p.add_argument("--jobs", type=int, default=None, help=jobs_help)
+            p.add_argument("--jobs", type=int, default=1, help="has no effect (default 1)")
         p.add_argument("--out", default=None, help="write the payload to this path")
         p.add_argument(
             "--format",
@@ -280,11 +277,11 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        seed, jobs, sections = _resolve(args)
+        seed, sections = _resolve(args)
         t0 = time.perf_counter()
         # a suite finds some values out of reach only as it runs
         if args.subcommand == "all":
-            report = suite_all(seed, sections, jobs)
+            report = suite_all(seed, sections)
         else:
             report = SUITE_RUNNERS[args.subcommand](seed, sections[args.subcommand])
         elapsed = time.perf_counter() - t0
@@ -294,8 +291,12 @@ def main(argv=None) -> int:
 
     payload = report.json_text() if args.format == "json" else report.csv_text()
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(payload)
+        try:
+            with open(args.out, "w", encoding="utf-8") as fh:
+                fh.write(payload)
+        except OSError as exc:
+            print(f"ssflab: cannot write --out {args.out}: {exc.strerror}", file=sys.stderr)
+            return 2
     else:
         sys.stdout.write(payload)
     print(f"{report.summary_text()}elapsed: {elapsed:.2f} s", file=sys.stderr)

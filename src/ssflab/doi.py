@@ -493,8 +493,8 @@ def kernel_hypotheses_report(k: DoiKernel, axis) -> KernelHypothesesReport:
         part = float(inner_rows.max(where=lam_inner, initial=0.0))
         return (whole - part) / max(part, ABS_FLOOR)
 
-    top = kernel_eval(k, np.full_like(lam, edge), lam)
-    bot = kernel_eval(k, np.full_like(lam, -edge), lam)
+    # the rows x = edge and x = -edge take f on their two points only
+    top, bot = _kernel_grid(k, np.array([[edge], [-edge]]), lam[None, :], at_mu=at_cols)[0]
     limit_mismatch = float(np.abs(top - bot).max())
 
     # tail decay of sup_y |dK/dx| against |x|, fitted on the outer decade

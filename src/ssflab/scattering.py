@@ -53,7 +53,7 @@ class LatticeScatteringModel:
     Sites are integers (a bool or non-integral site is rejected), and values
     pass the finite gate.  The site distance matrix and the gaps between
     consecutive sites are built once, at construction, and are read-only, so
-    threads may share a model.
+    a caller's threads may share a model; the suites themselves run on one.
     """
 
     sites: tuple

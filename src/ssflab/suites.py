@@ -4,17 +4,10 @@ Every suite takes a seed and a validated parameter dict, and returns an
 :class:`~ssflab.reports.ExperimentReport`.  All randomness derives from
 ``(seed, suite tag, trial index)`` streams, so reports are deterministic for
 fixed configuration.
-
-Threads only pay for work that releases the GIL, and ssflab uses them at one
-level: with ``jobs >= 2``, :func:`suite_all` runs dirac-schatten (dense
-LAPACK work) on one worker thread while the calling thread runs the other
-four suites, whose trials are pure-Python work that holds the GIL.  Nothing
-else starts a thread.
 """
 
 from __future__ import annotations
 
-import concurrent.futures
 import math
 import sys
 
@@ -475,42 +468,19 @@ def suite_birman_krein(seed: int, params: dict) -> ExperimentReport:
 # ---------------------------------------------------------------------------
 
 
-def suite_all(seed: int, all_params: dict, jobs: int = 1) -> ExperimentReport:
-    """Every suite, merged in fixed order.
+def suite_all(seed: int, all_params: dict) -> ExperimentReport:
+    """Every suite, run in fixed order on the calling thread and merged.
 
-    With ``jobs >= 2`` dirac-schatten runs on one worker thread beside the
-    other four on the calling thread.  rm-cert stays on the calling thread:
-    on a pool thread its kernel grids land in another malloc arena and raise
-    the peak RSS.  The runners are read by their module-level names, not
-    from :data:`SUITE_RUNNERS`, so a wrapper set on the module sees each call.
+    The runners are read by their module-level names, not from
+    :data:`SUITE_RUNNERS`, so a wrapper set on the module sees each call.
     """
-
-    def run(runner, name):
-        return runner(seed, all_params[name])
-
-    if jobs <= 1:
-        parts = {
-            "trace": run(suite_trace_check, "trace-check"),
-            "doi": run(suite_doi_check, "doi-check"),
-            "cert": run(suite_rm_cert, "rm-cert"),
-            "dirac": run(suite_dirac_schatten, "dirac-schatten"),
-            "bk": run(suite_birman_krein, "birman-krein"),
-        }
-    else:
-        with concurrent.futures.ThreadPoolExecutor(max_workers=1) as ex:
-            dirac_part = ex.submit(run, suite_dirac_schatten, "dirac-schatten")
-            try:
-                parts = {
-                    "trace": run(suite_trace_check, "trace-check"),
-                    "doi": run(suite_doi_check, "doi-check"),
-                    "cert": run(suite_rm_cert, "rm-cert"),
-                    "bk": run(suite_birman_krein, "birman-krein"),
-                }
-            finally:
-                # read the result even when a suite above raised, so an
-                # error on the worker thread is never dropped
-                dirac = dirac_part.result()
-            parts["dirac"] = dirac
+    parts = {
+        "trace": suite_trace_check(seed, all_params["trace-check"]),
+        "doi": suite_doi_check(seed, all_params["doi-check"]),
+        "cert": suite_rm_cert(seed, all_params["rm-cert"]),
+        "dirac": suite_dirac_schatten(seed, all_params["dirac-schatten"]),
+        "bk": suite_birman_krein(seed, all_params["birman-krein"]),
+    }
     return merge_reports("all", seed, parts)
 
 

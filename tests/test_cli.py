@@ -230,28 +230,16 @@ class TestCliRuns:
         assert json.loads(captured.out)["aggregate_pass"] is False
         assert "FAIL" in captured.err
 
-    # a single subcommand takes `jobs` from the config file only, and must
-    # produce the same payload whatever its value
-
-    def test_jobs_do_not_change_payload(self, tmp_path):
-        outs = []
-        for jobs in (1, 2):
-            cfg = _write_config(tmp_path, {**TINY_DOI, "jobs": jobs}, f"doi_{jobs}.json")
-            out = tmp_path / f"doi_{jobs}.json.out"
-            assert main(["doi-check", "--config", cfg, "--seed", "7", "--out", str(out)]) == 0
-            outs.append(out.read_bytes())
-        assert outs[0] == outs[1]
-
-    def test_jobs_do_not_change_dirac_payload(self, tmp_path):
-        outs = []
-        for jobs in (1, 2):
-            cfg = _write_config(tmp_path, {**TINY_DIRAC, "jobs": jobs}, f"dirac_{jobs}.json")
-            out = tmp_path / f"dirac_{jobs}.json.out"
-            rc = main(["dirac-schatten", "--config", cfg, "--out", str(out)])
-            assert rc in (0, 1)
-            outs.append(out.read_bytes())
-        assert json.loads(outs[0])["subcommand"] == "dirac-schatten"
-        assert outs[0] == outs[1]
+    def test_unwritable_out_exits_2_and_names_the_path(self, tmp_path, capsys):
+        cfg = _write_config(tmp_path, TINY_TRACE)
+        out = tmp_path / "missing" / "report.json"
+        assert main(["trace-check", "--config", cfg, "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert (
+            f"ssflab: cannot write --out {out}: No such file or directory" in captured.err
+        )
+        assert not out.parent.exists()
 
     def test_repeat_run_bit_identical(self, tmp_path):
         cfg = _write_config(tmp_path, TINY_TRACE)
@@ -297,13 +285,13 @@ class TestAllScheduling:
 
     @pytest.mark.parametrize("jobs", [1, 2])
     def test_threads_of_suites_and_refinement_studies(self, tmp_path, monkeypatch, jobs):
+        # --jobs selects nothing: every suite and every dirac call runs on
+        # the calling thread, the suites in their fixed order
         calls = []  # (what, thread ident)
-        lock = threading.Lock()
 
         def recorded(what, fn):
             def wrapper(*args, **kwargs):
-                with lock:
-                    calls.append((what, threading.get_ident()))
+                calls.append((what, threading.get_ident()))
                 return fn(*args, **kwargs)
 
             return wrapper
@@ -315,23 +303,11 @@ class TestAllScheduling:
         cfg = _write_config(tmp_path, TINY_ALL)
         assert main(["all", "--config", cfg, "--jobs", str(jobs)]) in (0, 1)
 
-        main_ident = threading.get_ident()
-        suite_calls = [(w, t) for w, t in calls if w in _SUITE_NAMES]
-        identities = [t for w, t in calls if w == "resolvent_power_difference"]
-        studies = [t for w, t in calls if w == "schatten_refinement_study"]
-        assert sorted(w for w, _ in suite_calls) == sorted(_SUITE_NAMES)
-        assert len(identities) == 2 and len(studies) == 6
-        (dirac_ident,) = [t for w, t in suite_calls if w == "suite_dirac_schatten"]
-        others = {t for w, t in suite_calls if w != "suite_dirac_schatten"}
-        assert others == {main_ident}
-        # dirac-schatten's identity cases and studies run on its own thread
-        assert set(identities) | set(studies) == {dirac_ident}
-        if jobs == 1:
-            assert [w for w, _ in suite_calls] == list(_SUITE_NAMES)
-            assert {t for _, t in calls} == {main_ident}
-        else:
-            assert dirac_ident != main_ident
-            assert {t for _, t in calls} == {main_ident, dirac_ident}
+        assert [w for w, _ in calls if w in _SUITE_NAMES] == list(_SUITE_NAMES)
+        dirac_calls = [w for w, _ in calls if w not in _SUITE_NAMES]
+        assert dirac_calls.count("resolvent_power_difference") == 2
+        assert dirac_calls.count("schatten_refinement_study") == 6
+        assert {t for _, t in calls} == {threading.get_ident()}
 
     @pytest.mark.parametrize("jobs", [1, 2])
     def test_elapsed_is_at_most_the_wall_of_the_call(self, tmp_path, capsys, jobs):
@@ -339,23 +315,14 @@ class TestAllScheduling:
         elapsed, wall = _timed_main(["all", "--config", cfg, "--jobs", str(jobs)], capsys)
         assert 0.0 < elapsed <= wall
 
-    def test_elapsed_counts_overlapping_suites_once(self, monkeypatch, capsys):
-        # every suite sleeps 0.1 s; at jobs=2 dirac-schatten's sleep overlaps
-        # the other four, so the parts' sleeps add up to more than the wall
-        parts = []
+    def test_suite_error_propagates_and_stops_the_run(self, monkeypatch):
+        ran = []
         for name in _SUITE_NAMES:
-            monkeypatch.setattr(suites, name, _fake_suite(name, parts))
-        elapsed, wall = _timed_main(["all", "--jobs", "2"], capsys)
-        assert len(parts) == 5
-        assert elapsed <= wall < sum(parts)
-
-    @pytest.mark.parametrize("also_failing", [None, "suite_rm_cert"])
-    def test_worker_thread_error_is_raised(self, monkeypatch, also_failing):
-        failing = {"suite_dirac_schatten", also_failing}
-        for name in _SUITE_NAMES:
-            monkeypatch.setattr(suites, name, _fake_suite(name, [], fail=name in failing))
-        with pytest.raises(RuntimeError, match="suite_dirac_schatten failed"):
-            suites.suite_all(0, _EMPTY_SECTIONS, 2)
+            fail = name == "suite_rm_cert"
+            monkeypatch.setattr(suites, name, _fake_suite(name, ran, fail=fail))
+        with pytest.raises(RuntimeError, match="suite_rm_cert failed"):
+            suites.suite_all(0, _EMPTY_SECTIONS)
+        assert ran == ["suite_trace_check", "suite_doi_check", "suite_rm_cert"]
 
 
 _EMPTY_SECTIONS = dict.fromkeys(
@@ -377,21 +344,18 @@ def _timed_main(argv, capsys):
     return float(match.group(1)), round(wall, 2)
 
 
-def _fake_suite(name, elapsed, fail=False):
-    """A suite runner that sleeps 0.1 s, then raises or returns one record."""
+def _fake_suite(name, ran, fail=False):
+    """A suite runner that appends its name to ``ran``, then raises or returns one record."""
 
     def run(seed, params):
-        t0 = time.perf_counter()
-        time.sleep(0.1)
+        ran.append(name)
         if fail:
             raise RuntimeError(f"{name} failed")
-        dt = time.perf_counter() - t0
-        elapsed.append(dt)
         return ExperimentReport(
             subcommand=name,
             seed=seed,
             config={},
-            records=(check_info("slept", 0.1),),
+            records=(check_info("ran", 1.0),),
         )
 
     return run
@@ -578,17 +542,20 @@ class TestCliConfigErrors:
         assert f"field '{field}'" in capsys.readouterr().err
 
     def test_jobs_belongs_to_all_only(self, tmp_path, capsys):
-        # --jobs is a flag of `all` alone; the config file's `jobs` is still
-        # validated for every subcommand, as each section is
-        cfg = _write_config(tmp_path, {"jobs": 0})
+        # --jobs is a flag of `all` alone, and the config file has no `jobs`
+        # key: a config that sets it is an unknown section for every subcommand
+        cfg = _write_config(tmp_path, {"jobs": 2})
         for name in ("trace-check", "doi-check", "rm-cert", "dirac-schatten", "birman-krein"):
             with pytest.raises(SystemExit) as exc:
                 main([name, "--jobs", "2"])
             assert exc.value.code == 2
             assert "--jobs" in capsys.readouterr().err
+        for name in cli._SUBCOMMANDS:
             assert main([name, "--config", cfg]) == 2
-            assert "field 'jobs'" in capsys.readouterr().err
-        assert main(["all", "--config", cfg]) == 2
+            err = capsys.readouterr().err
+            assert "ssflab: config error: field 'jobs': unknown configuration section" in err
+        # the flag selects nothing, but is still an integer >= 1
+        assert main(["all", "--jobs", "0"]) == 2
         assert "field 'jobs'" in capsys.readouterr().err
 
     def test_unknown_subcommand_exits(self):
@@ -618,7 +585,6 @@ def _potential(entry):
 # (field path, config with the value x at that field, bad values)
 CONFIG_FIELDS = [
     ("seed", lambda x: {"seed": x}, INTEGER + (-1,)),
-    ("jobs", lambda x: {"jobs": x}, INTEGER + (0,)),
     ("trace-check.dims[1]", lambda x: {"trace-check": {"dims": [2, x]}}, INTEGER),
     ("trace-check.trials", _section("trace-check", "trials"), INTEGER),
     ("trace-check.det_trials", _section("trace-check", "det_trials"), INTEGER),
@@ -716,7 +682,7 @@ def test_config_scalar_rejects_and_names_the_field(tmp_path, capsys, field, give
 def test_config_scalar_table_covers_every_schema_field():
     covered = {re.match(r"[\w-]+(\.\w+)?", field).group() for field, _, _ in CONFIG_FIELDS}
     schema = {f"{section}.{key}" for section, keys in cli._SCHEMA.items() for key in keys}
-    assert schema | {"seed", "jobs"} == covered
+    assert schema | {"seed"} == covered
 
 
 def test_module_entry_point(tmp_path):

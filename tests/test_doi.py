@@ -504,6 +504,23 @@ class TestKernelGrids:
         # the grid plus the two edge rows, each N pairs with one band entry
         assert counted_f.points <= 7 * n + 2 * (band + 2)
 
+    @pytest.mark.parametrize("mode", ["direct", "factored"])
+    def test_hypotheses_report_takes_f_on_the_axis_and_the_two_edges(self, mode):
+        # f once on the N axis nodes for the grid, then once on x = +-edge
+        # for the two limit rows, whose columns reuse the axis values
+        n = 300
+        axis = np.linspace(-5.0, 5.0, n)
+        f = functions.gaussian_bump(0.1, 1.0, 1.0)
+        points = []
+
+        def value(x):
+            points.append(np.size(x))
+            return f(x)
+
+        counted = functions.ScalarFunction(value, f.d1, f.d2, name=f.name)
+        kernel_hypotheses_report(DoiKernel(counted, 3, 2j, mode=mode), axis)
+        assert sum(points) == n + 2
+
     @pytest.mark.parametrize("fn", [kernel_eval, kernel_dlambda])
     @pytest.mark.parametrize("mode, match", [("direct", "denominator"), ("factored", "cofactor")])
     def test_off_band_collision_raises_on_grids(self, fn, mode, match):

@@ -282,7 +282,8 @@ class TestScatteringDeterminant:
             scattering_determinant(model, z)
 
     def test_threads_sharing_a_model_agree_with_serial(self):
-        # the suites fan out over threads that share frozen models
+        # a frozen model is public API: a caller's threads may share one,
+        # though the suites run on one thread
         model = LatticeScatteringModel.centered([0.3, -0.2, 0.5, 0.1, -0.4])
         zs = [complex(lam, h) for lam in np.linspace(-1.9, 1.9, 20) for h in (1e-3, 0.5)]
         serial = [scattering_determinant(model, z) for z in zs]
