@@ -241,6 +241,14 @@ class TestCliRuns:
         )
         assert not out.parent.exists()
 
+    def test_out_that_is_a_directory_exits_2(self, tmp_path, capsys):
+        cfg = _write_config(tmp_path, TINY_TRACE)
+        assert main(["trace-check", "--config", cfg, "--out", str(tmp_path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"ssflab: cannot write --out {tmp_path}: Is a directory" in captured.err
+        assert tmp_path.is_dir()
+
     def test_repeat_run_bit_identical(self, tmp_path):
         cfg = _write_config(tmp_path, TINY_TRACE)
         out1 = tmp_path / "a.json"
@@ -557,6 +565,23 @@ class TestCliConfigErrors:
         # the flag selects nothing, but is still an integer >= 1
         assert main(["all", "--jobs", "0"]) == 2
         assert "field 'jobs'" in capsys.readouterr().err
+
+    # the `jobs` gate the config table checked lives on the flag alone now: an
+    # integer below 1 reaches it, anything else argparse refuses first
+    @pytest.mark.parametrize("value", ["0", "-1"])
+    def test_jobs_flag_below_one_names_the_field(self, capsys, value):
+        assert main(["all", "--jobs", value]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "ssflab: config error: field 'jobs': " in captured.err
+        assert f"jobs={value}" in captured.err
+
+    @pytest.mark.parametrize("value", ["2.5", "nan", "inf", "true"])
+    def test_jobs_flag_not_an_integer_exits(self, capsys, value):
+        with pytest.raises(SystemExit) as exc:
+            main(["all", "--jobs", value])
+        assert exc.value.code == 2
+        assert "--jobs: invalid int value" in capsys.readouterr().err
 
     def test_unknown_subcommand_exits(self):
         with pytest.raises(SystemExit):
