@@ -18,6 +18,7 @@ from functools import partial
 from .scattering import _check_band_margin
 from .spectral import _check_finite, _check_int, _check_positive
 from .suites import _DET_POINTS_MAX, SUITE_RUNNERS, ConfigError, _check_grid_edge, suite_all
+from .suites import _cert_tag, _mz_tag
 
 __all__ = ["main"]
 
@@ -79,6 +80,8 @@ def _mz_list(field, value):
             raise ConfigError(f"{field}[{i}]", "expected an object with 'm' and 'z'")
         _no_unknown_keys(f"{field}[{i}]", entry, {"m", "z"})
         m = _gated(_check_int, f"{field}[{i}].m", entry.get("m"), low=1, odd=True)
+        if any(_mz_tag(m) == _mz_tag(e["m"]) for e in parsed):
+            raise ConfigError(f"{field}[{i}].m", f"repeats the record tag {_mz_tag(m)!r}")
         z = _complex_pair(f"{field}[{i}].z", entry.get("z"))
         parsed.append({"m": m, "z": z})
     return parsed
@@ -100,6 +103,8 @@ def _cert_list(field, value):
             _gated(_check_positive, f"{field}[{i}][{j}]", row[j])
             for j in range(1, _CERT_ARITY)
         ]
+        if any(_cert_tag(m, *rest) == _cert_tag(*e) for e in parsed):
+            raise ConfigError(f"{field}[{i}]", f"repeats the record tag {_cert_tag(m, *rest)!r}")
         parsed.append([m] + rest)
     return parsed
 

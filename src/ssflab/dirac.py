@@ -499,8 +499,6 @@ def _horner_expansion(
 
 @dataclass(frozen=True)
 class PowerDifferenceReport:
-    residual: float
-    scale: float
     relative_residual: float
 
 
@@ -541,12 +539,7 @@ def resolvent_power_difference(
 
     residual = float(np.abs(diff).max())
     del diff
-    scale = max(float(np.abs(lhs).max()), ABS_FLOOR)
-    return PowerDifferenceReport(
-        residual=residual,
-        scale=scale,
-        relative_residual=residual / scale,
-    )
+    return PowerDifferenceReport(residual / max(float(np.abs(lhs).max()), ABS_FLOOR))
 
 
 # ---------------------------------------------------------------------------
@@ -561,10 +554,8 @@ class FactorizationReport:
     feasible: bool
     p1: Optional[float]
     p2: Optional[float]
-    norm_left: Optional[float]
     norm_mid: Optional[float]
     norm_right: Optional[float]
-    product_bound: Optional[float]
     direct_trace_norm: float
     holder_ok: Optional[bool]
     factorization_residual: float
@@ -628,15 +619,14 @@ def weighted_factorization_report(
     del product, direct
 
     # an infeasible budget has no Hoelder pairing: its fields stay None
-    p1 = p2 = norm_left = norm_mid = norm_right = product_bound = holder_ok = None
+    p1 = p2 = norm_mid = norm_right = holder_ok = None
     if feasible:
         p1 = budget / u1
         p2 = budget / u2
         norm_left = schatten_norm(singular_values(left), p1)
         norm_mid = float(np.linalg.norm(mid, ord=2, axis=(1, 2)).max())
         norm_right = schatten_norm(_weighted_resolvent_profile(model, r2, j, z), p2)
-        product_bound = norm_left * norm_mid * norm_right
-        holder_ok = bool(direct_trace <= product_bound * (1.0 + 1e-9))
+        holder_ok = bool(direct_trace <= norm_left * norm_mid * norm_right * (1.0 + 1e-9))
     return FactorizationReport(
         r1=r1,
         r2=r2,
@@ -644,10 +634,8 @@ def weighted_factorization_report(
         feasible=feasible,
         p1=p1,
         p2=p2,
-        norm_left=norm_left,
         norm_mid=norm_mid,
         norm_right=norm_right,
-        product_bound=product_bound,
         direct_trace_norm=direct_trace,
         holder_ok=holder_ok,
         factorization_residual=factorization_residual,

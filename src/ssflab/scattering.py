@@ -50,18 +50,17 @@ _EPS_LADDER = tuple(2.0 ** (-k) for k in range(4, 14))
 class LatticeScatteringModel:
     """Real potential with finite support on the integer lattice.
 
-    Sites are integers (a bool or non-integral site is rejected), and values
-    pass the finite gate.  The site distance matrix and the gaps between
-    consecutive sites are built once, at construction, and are read-only, so
-    a caller's threads may share a model; the suites themselves run on one.
+    Each site passes the integer gate and each value the finite gate.  The
+    site distance matrix and the gaps between consecutive sites are built
+    once, at construction, and are read-only, so a caller's threads may share
+    a model; the suites themselves run on one.
     """
 
     sites: tuple
     values: tuple
 
     def __post_init__(self):
-        site_arr = _integer_sites(self.sites)
-        sites = tuple(int(n) for n in site_arr)
+        sites = tuple(_check_int(n, f"sites[{i}]") for i, n in enumerate(self.sites))
         values = tuple(_check_finite(v, f"values[{i}]") for i, v in enumerate(self.values))
         if len(sites) != len(values) or len(sites) == 0:
             raise ValueError("sites and values must be non-empty and equal length")
@@ -69,6 +68,7 @@ class LatticeScatteringModel:
             raise ValueError("sites must be strictly increasing")
         object.__setattr__(self, "sites", sites)
         object.__setattr__(self, "values", values)
+        site_arr = np.array(sites, dtype=int)
         distance = np.abs(site_arr[:, None] - site_arr[None, :])
         distance.flags.writeable = False
         object.__setattr__(self, "_distance", distance)
@@ -91,20 +91,6 @@ class LatticeScatteringModel:
     @property
     def strength(self) -> float:
         return max(abs(v) for v in self.values)
-
-
-def _integer_sites(sites) -> np.ndarray:
-    """Lattice sites as an integer array; a bool or non-integral site is
-    rejected by name rather than truncated to a neighbouring site."""
-    arr = np.asarray(sites, dtype=object)
-    for site in arr.flat:
-        try:
-            integral = not isinstance(site, (bool, np.bool_)) and int(site) == site
-        except (TypeError, ValueError, OverflowError):
-            integral = False
-        if not integral:
-            raise ValueError(f"lattice sites must be integers, got site={site!r}")
-    return arr.astype(int)
 
 
 def _lattice_root(z: complex) -> complex:

@@ -160,32 +160,18 @@ class SpectralDecomposition:
         return (u * self.eigenvalues) @ u.conj().T
 
 
-def _fix_column_phases(vecs: np.ndarray) -> None:
-    # Phase convention: the largest-modulus entry of each eigenvector is made
-    # real and positive (first such index wins).  Within numerically
-    # degenerate clusters the subspace basis is whatever LAPACK returned,
-    # which is deterministic for bitwise-identical input.
-    idx = np.argmax(np.abs(vecs), axis=0)
-    lead = vecs[idx, np.arange(vecs.shape[1])]
-    mags = np.abs(lead)
-    phases = np.where(mags > 0.0, lead / np.where(mags > 0.0, mags, 1.0), 1.0)
-    vecs *= phases.conj()
-
-
 def eig_hermitian(matrix) -> SpectralDecomposition:
     """Full eigendecomposition of a Hermitian matrix.
 
     ``matrix`` is any square array; it passes the Hermitian input gate and
     is read as complex, so a complex array is not copied.  Eigenvalues come
-    back ascending; eigenvector phases are fixed so the result is
-    deterministic for fixed input.
+    back ascending; eigenvector phases are LAPACK's, fixed for fixed input,
+    and no reader depends on them: each forms ``U f(Lambda) U*`` or ``U* T U0``.
     """
     m = np.asarray(matrix, dtype=complex)
     if m.ndim != 2:
         raise NotHermitianError(f"matrix must be a square 2-d array, got shape {m.shape}")
-    vals, vecs = np.linalg.eigh(_check_hermitian(m, "matrix"))
-    _fix_column_phases(vecs)
-    return SpectralDecomposition(vals, vecs)
+    return SpectralDecomposition(*np.linalg.eigh(_check_hermitian(m, "matrix")))
 
 
 def apply_function(decomposition: SpectralDecomposition, f) -> np.ndarray:
@@ -256,19 +242,18 @@ def singular_values(matrix) -> SingularValueProfile:
     m = np.asarray(m, dtype=float if np.isrealobj(m) else complex)
     if m.ndim != 2:
         raise ValueError(f"expected a matrix, got shape {m.shape}")
-    vals = np.linalg.svd(m, compute_uv=False)
-    return SingularValueProfile(np.maximum(vals, 0.0))
+    return SingularValueProfile(np.linalg.svd(m, compute_uv=False))
 
 
-def schatten_norm(profile, p: float) -> float:
+def schatten_norm(profile: SingularValueProfile, p: float) -> float:
     """Schatten p-norm ``(sum s_i^p)^(1/p)``; ``p = inf`` gives the largest value.
 
-    Accepts a :class:`SingularValueProfile` or a raw matrix.  ``p`` follows
-    the Schatten-order rule: ``p < 1`` is not a norm.
+    ``profile`` is the matrix's :func:`singular_values`.  ``p`` follows the
+    Schatten-order rule: ``p < 1`` is not a norm.
     """
-    p = _check_schatten_order(p)
     if not isinstance(profile, SingularValueProfile):
-        profile = singular_values(profile)
+        raise TypeError(f"profile must be a SingularValueProfile, got {type(profile).__name__}")
+    p = _check_schatten_order(p)
     s = profile.values
     if s.size == 0 or s[0] == 0.0:
         return 0.0

@@ -155,6 +155,11 @@ def suite_trace_check(seed: int, params: dict) -> ExperimentReport:
 # doi-check
 
 
+def _mz_tag(m: int) -> str:
+    """The record tag of a doi-check ``mz_list`` entry; it names ``m`` alone."""
+    return f"m{m}"
+
+
 def suite_doi_check(seed: int, params: dict) -> ExperimentReport:
     dim = params["dim"]
     trials = params["trials"]
@@ -163,7 +168,7 @@ def suite_doi_check(seed: int, params: dict) -> ExperimentReport:
 
     records = []
     for m, z in configs:
-        tag = f"m{m}"
+        tag = _mz_tag(m)
 
         def one_trial(idx: int, m=m, z=z):
             regenerations = 0
@@ -246,16 +251,20 @@ def _hypotheses_grid(inner: float, outer: float, n_inner: int, n_tail: int):
     return np.concatenate([-pos[::-1], np.linspace(-inner, inner, n_inner), pos])
 
 
+def _cert_tag(m: int, r: float, a: float) -> str:
+    """The record tag of an rm-cert certificate row ``[m, r, a]``."""
+    return f"m{m}_r{r:g}_a{a:g}"
+
+
 def suite_rm_cert(seed: int, params: dict) -> ExperimentReport:
     records = []
 
     for kind, region_type in (("bounded", doi.BoundedRegion), ("exterior", doi.ExteriorRegion)):
         for m, r, a in params[f"{kind}_certs"]:
-            p = doi.CofactorPolynomial(int(m), complex(0.0, a))
+            p = doi.CofactorPolynomial(m, complex(0.0, a))
             cert = doi.cofactor_lower_bound_cert(p, region_type(r))
-            records.append(
-                check_gt(f"{kind}.m{int(m)}_r{r:g}_a{a:g}.lower_bound", cert.lower_bound, 0.0)
-            )
+            name = f"{kind}.{_cert_tag(m, r, a)}.lower_bound"
+            records.append(check_gt(name, cert.lower_bound, 0.0))
 
     # violated largeness/smallness conditions must visibly fail
     ctrl_b = doi.cofactor_lower_bound_cert(
@@ -378,15 +387,11 @@ def suite_dirac_schatten(seed: int, params: dict) -> ExperimentReport:
     rng = rng_from(seed, _DIRAC_TAG, 777)
     v4 = dirac.random_decaying_potential(model, rng, params["decay_c"], params["rho"])
     rep4 = dirac.weighted_factorization_report(model, v4, params["k"], mpow, z)
-    records.append(check_flag("factorization.rho4.feasible", rep4.feasible))
-    records.append(check_flag("factorization.rho4.holder_ok", bool(rep4.holder_ok)))
-    records.append(
-        check_le(
-            "factorization.rho4.residual_rel",
-            rep4.factorization_residual / max(rep4.direct_trace_norm, 1e-30),
-            1e-9,
-        )
-    )
+    tag = f"factorization.rho{params['rho']:g}"
+    records.append(check_flag(f"{tag}.feasible", rep4.feasible))
+    records.append(check_flag(f"{tag}.holder_ok", bool(rep4.holder_ok)))
+    residual_rel = rep4.factorization_residual / max(rep4.direct_trace_norm, 1e-30)
+    records.append(check_le(f"{tag}.residual_rel", residual_rel, 1e-9))
     v1 = dirac.random_decaying_potential(model, rng, params["decay_c"], 1.0)
     rep1 = dirac.weighted_factorization_report(model, v1, params["k"], mpow, z)
     records.append(check_flag("factorization.rho_eq_d.infeasible", rep1.feasible, False))

@@ -444,6 +444,68 @@ class TestCliConfigErrors:
         assert rc == 2
         assert f"field '{field}'" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "section, given, field",
+        [
+            # both entries would name their records identity.m3.*
+            (
+                "doi-check",
+                {"mz_list": [{"m": 3, "z": [0.0, 2.0]}, {"m": 3, "z": [0.0, 3.0]}]},
+                "doi-check.mz_list[1].m",
+            ),
+            # a record name keeps 6 significant digits of r and a
+            (
+                "rm-cert",
+                {"bounded_certs": [[3, 1.0, 10.0], [3, 1.0000001, 10.0]]},
+                "rm-cert.bounded_certs[1]",
+            ),
+            (
+                "rm-cert",
+                {"exterior_certs": [[5, 1.0, 0.01], [3, 1.0, 0.01], [3, 1.0, 0.01]]},
+                "rm-cert.exterior_certs[2]",
+            ),
+        ],
+    )
+    def test_entries_of_one_record_name_exit_2_before_any_suite_runs(
+        self, tmp_path, capsys, monkeypatch, section, given, field
+    ):
+        # such a run used to end in a traceback and exit 1 once the suite
+        # had run and its report met two records of one name
+        ran = []
+        for name in _SUITE_NAMES:
+            monkeypatch.setattr(suites, name, _fake_suite(name, ran))
+        monkeypatch.setitem(suites.SUITE_RUNNERS, section, _fake_suite(section, ran))
+        cfg = _write_config(tmp_path, {section: given})
+        for subcommand in (section, "all"):
+            assert main([subcommand, "--config", cfg]) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert f"field '{field}': repeats the record tag " in captured.err
+        assert ran == []
+
+    def test_entries_apart_in_their_record_names_run(self):
+        # the CLI's repeat check and the suite name records by one tag
+        rows = [[3, 1.0, 10.0], [3, 1.00001, 10.0]]
+        params = cli._validate_section("rm-cert", {"bounded_certs": rows})
+        names = {r.name for r in suites.suite_rm_cert(0, params).records}
+        for row in rows:
+            assert f"bounded.{suites._cert_tag(*row)}.lower_bound" in names
+        assert "bounded.m3_r1.00001_a10.lower_bound" in names
+
+    @pytest.mark.parametrize("rho, tag", [(3.0, "rho3"), (2.5, "rho2.5"), (4.0, "rho4")])
+    def test_factorization_records_name_the_configured_rho(self, rho, tag):
+        # they were named rho4 whatever rho was
+        given = {**TINY_DIRAC["dirac-schatten"], "rho": rho}
+        params = cli._validate_section("dirac-schatten", given)
+        names = {r.name for r in suites.suite_dirac_schatten(7, params).records}
+        factorization = {n for n in names if n.startswith("factorization.rho")}
+        assert factorization == {
+            f"factorization.{tag}.feasible",
+            f"factorization.{tag}.holder_ok",
+            f"factorization.{tag}.residual_rel",
+            "factorization.rho_eq_d.infeasible",
+        }
+
     @pytest.mark.parametrize("points", [33, 1000])
     def test_det_points_past_the_candidate_count_names_the_field(self, tmp_path, capsys, points):
         # a determinant trial pairs two 8 x 8 matrices: at most 16 counting

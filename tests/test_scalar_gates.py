@@ -49,7 +49,12 @@ def _decay(**field):
 # (module.function parameter, parameter name in the message, call, bad values)
 GATED = [
     ("spectral.resolvent_power.k", "k", lambda x: spectral.resolvent_power(D, 1j, x), INTEGER),
-    ("spectral.schatten_norm.p", "p", lambda x: spectral.schatten_norm(np.eye(2), x), SCHATTEN),
+    (
+        "spectral.schatten_norm.p",
+        "p",
+        lambda x: spectral.schatten_norm(spectral.singular_values(np.eye(2)), x),
+        SCHATTEN,
+    ),
     ("dirac.LatticeModel.d", "d", lambda x: _lattice(d=x), INTEGER + (4,)),
     ("dirac.LatticeModel.n", "n", lambda x: _lattice(n=x), INTEGER + (5,)),
     ("dirac.LatticeModel.h", "h", lambda x: _lattice(h=x), POSITIVE),
@@ -218,6 +223,13 @@ GATED = [
         lambda x: scattering.band_sweep(BAND, 3, margin=x),
         # one rounding step above the band-edge guard leaves the same grid end
         (True, NAN, INF, scattering.BAND_EDGE_MARGIN, NEXT_MARGIN, 2.0),
+    ),
+    (
+        "scattering.LatticeScatteringModel.sites",
+        "sites[0]",
+        lambda x: scattering.LatticeScatteringModel.single_site(0.5, x),
+        # any integer is a site: an integral float is not
+        tuple(v for v in INTEGER if v not in (0, -1)) + (3.0,),
     ),
     (
         "scattering.LatticeScatteringModel.values",

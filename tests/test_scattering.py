@@ -1,6 +1,7 @@
 """Tests for the 1-d lattice scattering model and the determinant-phase identity."""
 
 import math
+import re
 import sys
 import threading
 import time
@@ -81,18 +82,23 @@ class TestModel:
         with pytest.raises(ValueError):
             LatticeScatteringModel(sites, values)
 
-    @pytest.mark.parametrize("bad", [0.5, 1.7, True, np.bool_(False), float("nan"), "0"])
+    @pytest.mark.parametrize("bad", [0.5, 1.7, 3.0, True, np.bool_(False), float("nan"), "0"])
     def test_rejects_non_integer_sites_naming_them(self, bad):
         # such sites used to be truncated: (0.5, 1.7) became (0, 1), True became 1
-        with pytest.raises(ValueError, match=r"lattice sites must be integers, got site="):
+        message = re.escape(f"sites[0] must be an integer, got sites[0]={bad!r}")
+        with pytest.raises(ValueError, match=message):
             LatticeScatteringModel((bad, 5), (1.0, 2.0))
-        with pytest.raises(ValueError, match=r"got site="):
+        with pytest.raises(ValueError, match=message):
             LatticeScatteringModel.single_site(0.7, site=bad)
 
-    def test_accepts_integral_sites_of_any_numeric_type(self):
-        m = LatticeScatteringModel((np.int64(-2), 3.0, 10**6), (1.0, 2.0, 3.0))
+    def test_sites_follow_the_integer_gate(self):
+        # Python and NumPy integers pass as ints; an integral float does not,
+        # as the README's scalar rules and the CLI's site gate say
+        m = LatticeScatteringModel((np.int64(-2), np.int32(3), 10**6), (1.0, 2.0, 3.0))
         assert m.sites == (-2, 3, 10**6)
         assert all(type(n) is int for n in m.sites)
+        with pytest.raises(ValueError, match=re.escape("got sites[1]=3.0")):
+            LatticeScatteringModel((-2, 3.0), (1.0, 2.0))
 
 
 # ---------------------------------------------------------------------------
@@ -129,7 +135,8 @@ class TestFreeGreen:
     def test_rejects_non_integer_sites(self, n, m):
         # the kernel reads only a model's sites, which are integers: a
         # fractional site used to give the value at a truncated distance
-        with pytest.raises(ValueError, match=r"lattice sites must be integers, got site="):
+        match = r"sites\[[01]\] must be an integer, got sites\[[01]\]="
+        with pytest.raises(ValueError, match=match):
             LatticeScatteringModel((n, m), (1.0, 1.0))
 
     def test_difference_equation(self):

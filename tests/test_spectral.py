@@ -9,10 +9,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from helpers import random_unitary
 
-from ssflab.functions import polynomial, resolvent_function
+from ssflab.doi import DoiKernel, doi_apply
+from ssflab.functions import gaussian_bump, polynomial, resolvent_function
 from ssflab.spectral import (
     HERMITICITY_RTOL,
     NotHermitianError,
+    SpectralDecomposition,
     _check_hermitian,
     _hermiticity_defect,
     apply_function,
@@ -83,10 +85,10 @@ class TestHermitianGate:
 
 
 def test_eig_peak_memory_near_two_dense_matrices():
-    # neither the input nor the eigenvectors are copied on the way to eigh
-    # or through the phase fix: the peak is two dense matrices, M* and M - M*
-    # in the Hermiticity check, then eigh's eigenvectors and the decomposition's
-    # read-only copy (4.0 when the input and the phase-fixed vectors were copies)
+    # neither the input nor the eigenvectors are copied on the way to eigh:
+    # the peak is two dense matrices, M* and M - M* in the Hermiticity check,
+    # then eigh's eigenvectors and the decomposition's read-only copy (4.0
+    # when the input and the eigenvectors were copies)
     a = random_hermitian(rng_from(6), 256)
     tracemalloc.start()
     try:
@@ -107,11 +109,38 @@ def test_eig_sorted_and_reconstructs():
     np.testing.assert_allclose(gram, np.eye(9), atol=1e-12)
 
 
-def test_eig_deterministic_phases():
+def test_eig_gives_identical_bits_for_one_input():
+    # the eigenvector phases are LAPACK's: fixed for a fixed input
     a = random_hermitian(rng_from(1), 7)
     d1 = eig_hermitian(a)
-    d2 = eig_hermitian(a.copy())
-    np.testing.assert_array_equal(d1.eigenvectors, d2.eigenvectors)
+    for d2 in (eig_hermitian(a), eig_hermitian(a.copy())):
+        assert d1.eigenvalues.tobytes() == d2.eigenvalues.tobytes()
+        assert d1.eigenvectors.tobytes() == d2.eigenvectors.tobytes()
+
+
+def test_eigenvector_readers_ignore_column_phases():
+    # every reader forms U f(Lambda) U* or U* T U0: a unit phase on each
+    # eigenvector column changes none of them
+    rng = rng_from(3)
+    d0 = eig_hermitian(random_hermitian(rng, 9))
+    d = eig_hermitian(random_hermitian(rng, 9))
+    t = rng.standard_normal((9, 9)) + 1j * rng.standard_normal((9, 9))
+
+    def rephased(dec):
+        phases = np.exp(2j * np.pi * rng.uniform(size=dec.dim))
+        return SpectralDecomposition(dec.eigenvalues, dec.eigenvectors * phases)
+
+    p0, p = rephased(d0), rephased(d)
+    f = resolvent_function(0.3 + 1j, 2)
+    k = DoiKernel(gaussian_bump(), 3, 2j)
+    pairs = [
+        (d.reconstruct(), p.reconstruct()),
+        (apply_function(d, f), apply_function(p, f)),
+        (doi_apply(d0, d, k, t), doi_apply(p0, p, k, t)),
+    ]
+    for want, got in pairs:
+        assert not np.array_equal(want, got)
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-13)
 
 
 def test_apply_function_polynomial_oracle():
@@ -207,12 +236,15 @@ def test_singular_values_of_real_matrix_take_the_real_svd():
 
 
 def test_schatten_norm_known_values():
-    m = np.diag([3.0, 4.0])
-    assert schatten_norm(m, 1) == pytest.approx(7.0)
-    assert schatten_norm(m, 2) == pytest.approx(5.0)
-    assert schatten_norm(m, np.inf) == pytest.approx(4.0)
+    sv = singular_values(np.diag([3.0, 4.0]))
+    assert schatten_norm(sv, 1) == pytest.approx(7.0)
+    assert schatten_norm(sv, 2) == pytest.approx(5.0)
+    assert schatten_norm(sv, np.inf) == pytest.approx(4.0)
     with pytest.raises(ValueError):
-        schatten_norm(m, 0.5)
+        schatten_norm(sv, 0.5)
+    # a raw matrix is refused, not decomposed on the way in
+    with pytest.raises(TypeError, match="profile must be a SingularValueProfile, got ndarray"):
+        schatten_norm(np.diag([3.0, 4.0]), 1)
 
 
 def test_schatten_holder_inequality():
@@ -221,8 +253,8 @@ def test_schatten_holder_inequality():
         q = p / (p - 1.0)
         a = rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8))
         b = rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8))
-        lhs = schatten_norm(a @ b, 1)
-        rhs = schatten_norm(a, p) * schatten_norm(b, q)
+        lhs = schatten_norm(singular_values(a @ b), 1)
+        rhs = schatten_norm(singular_values(a), p) * schatten_norm(singular_values(b), q)
         assert lhs <= rhs + 1e-10
 
 
