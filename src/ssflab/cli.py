@@ -15,7 +15,7 @@ import sys
 import time
 from functools import partial
 
-from .scattering import _check_band_margin
+from .scattering import _check_band_margin, _check_site
 from .spectral import _check_finite, _check_int, _check_positive
 from .suites import _DET_POINTS_MAX, SUITE_RUNNERS, ConfigError, _check_grid_edge, suite_all
 from .suites import _cert_tag, _mz_tag
@@ -122,7 +122,7 @@ def _potential_list(field, value):
             val = _gated(_check_finite, f"{here}.value", entry.get("value"))
             if val == 0.0:
                 raise ConfigError(f"{here}.value", "potential must be nonzero")
-            site = _gated(_check_int, f"{here}.site", entry.get("site", 0))
+            site = _gated(_check_site, f"{here}.site", entry.get("site", 0))
             parsed.append({"kind": "single", "value": val, "site": site})
         elif kind == "centered":
             _no_unknown_keys(here, entry, {"kind", "values"})

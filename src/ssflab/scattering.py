@@ -46,11 +46,21 @@ BAND_EDGE_MARGIN = 1e-3
 _EPS_LADDER = tuple(2.0 ** (-k) for k in range(4, 14))
 
 
+def _check_site(value, name: str) -> int:
+    """A lattice site: an integer below ``2^62`` in magnitude, so that every
+    distance between two sites fits an int64."""
+    site = _check_int(value, name)
+    if not abs(site) < 2**62:
+        rule = "an integer below 2**62 in magnitude"
+        raise ValueError(f"{name} must be {rule}, got {name}={value!r}")
+    return site
+
+
 @dataclass(frozen=True)
 class LatticeScatteringModel:
     """Real potential with finite support on the integer lattice.
 
-    Each site passes the integer gate and each value the finite gate.  The
+    Each site passes the site rule and each value the finite gate.  The
     site distance matrix and the gaps between consecutive sites are built
     once, at construction, and are read-only, so a caller's threads may share
     a model; the suites themselves run on one.
@@ -60,7 +70,7 @@ class LatticeScatteringModel:
     values: tuple
 
     def __post_init__(self):
-        sites = tuple(_check_int(n, f"sites[{i}]") for i, n in enumerate(self.sites))
+        sites = tuple(_check_site(n, f"sites[{i}]") for i, n in enumerate(self.sites))
         values = tuple(_check_finite(v, f"values[{i}]") for i, v in enumerate(self.values))
         if len(sites) != len(values) or len(sites) == 0:
             raise ValueError("sites and values must be non-empty and equal length")
@@ -218,14 +228,17 @@ def ssf_scattering(model: LatticeScatteringModel, lam: float) -> float:
       every eigenvalue ``mu`` of ``V G0_SS`` has ``|mu| <= s / h <= 1 / (2L)``
       and ``|arg D| <= L arcsin(s / h) <= pi / 6 < pi / 4``: the principal
       value there is the continuous branch that vanishes as ``h -> inf``.
-    - Height-ratio cap ``exp(1 / (2L))``.  ``V`` has rank at most ``L``, so
-      ``|xi| <= L`` and, by Krein's trace formula
-      ``d log D / dz = Tr(R0(z) - R(z)) = int xi(t) (t - z)^-2 dt``,
-      ``|d arg D / d ln h| <= h L int |t - z|^-2 dt = pi L``.  A step of
-      ratio ``exp(1 / (2L))`` moves the phase by less than ``pi / 2`` (``xi``
-      vanishes above the spectrum, so the bound is strict), so no step slips
-      and none reaches the quarter turn at which the tracker raises
-      ``ssf.BranchTrackingError``.
+    - Height-ratio cap ``exp(3 / (2L))``.  With ``u = (t - lam) / h``,
+      Krein's trace formula ``d log D / dz = int xi(t) (t - z)^-2 dt`` gives
+      ``d arg D / d ln h = int xi(lam + h u) (u^2 - 1) / (u^2 + 1)^2 du``.
+      The kernel integrates to 0 and its absolute value to 2, so the rate
+      is at most ``2 || xi - c ||_inf`` for every constant ``c``.  ``V`` has
+      ``n+`` positive and ``n-`` negative values, ``n+ + n- <= L``, so by
+      monotonicity and the chain rule ``xi`` lies in ``[-n-, n+]``; ``c`` at
+      its midpoint bounds the rate by ``L``.  A step of ratio
+      ``exp(3 / (2L))`` then turns the phase by at most ``3 / 2 < pi / 2``,
+      so no step slips and none reaches the quarter turn at which the
+      tracker raises ``ssf.BranchTrackingError``.
     """
     lam = _check_finite(lam, "lam")
     n_sites = len(model.sites)
@@ -234,7 +247,7 @@ def ssf_scattering(model: LatticeScatteringModel, lam: float) -> float:
     def det_at(h):
         return scattering_determinant(model, lam + 1j * h)
 
-    ratio = math.exp(1.0 / (2.0 * n_sites))
+    ratio = math.exp(3.0 / (2.0 * n_sites))
     phases = track_determinant_phase(det_at, h_start, _EPS_LADDER, max_ratio=ratio)
     return _richardson_two_point(_EPS_LADDER, phases) / np.pi
 

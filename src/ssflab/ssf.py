@@ -360,7 +360,8 @@ def track_determinant_phase(
     small increment and is not seen; ``max_ratio`` must rule it out.
     Returns the tracked phase at each target.
 
-    ``scattering.ssf_scattering`` proves its start height and ratio cap.
+    ``scattering.ssf_scattering`` proves its start height and, from Krein's
+    trace formula, its ratio cap ``exp(3 / (2L))`` for ``L`` support sites.
     """
     h = _check_positive(h_start, "h_start")
     max_ratio = _check_real(

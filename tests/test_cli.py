@@ -740,7 +740,8 @@ CONFIG_FIELDS = [
     (
         "birman-krein.potentials[0].site",
         lambda x: _potential({"kind": "single", "value": 0.5, "site": x}),
-        INTEGER,
+        # a site of 10**30 used to end in an OverflowError traceback (exit 1)
+        INTEGER + (10**30, 2**62, -(2**62)),
     ),
     (
         "birman-krein.potentials[0].values[2]",

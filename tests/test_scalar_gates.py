@@ -228,8 +228,9 @@ GATED = [
         "scattering.LatticeScatteringModel.sites",
         "sites[0]",
         lambda x: scattering.LatticeScatteringModel.single_site(0.5, x),
-        # any integer is a site: an integral float is not
-        tuple(v for v in INTEGER if v not in (0, -1)) + (3.0,),
+        # any integer below 2**62 in magnitude is a site, so every distance
+        # between two sites fits an int64: an integral float is not
+        tuple(v for v in INTEGER if v not in (0, -1)) + (3.0, 10**30, 2**62, -(2**62)),
     ),
     (
         "scattering.LatticeScatteringModel.values",

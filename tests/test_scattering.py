@@ -100,6 +100,13 @@ class TestModel:
         with pytest.raises(ValueError, match=re.escape("got sites[1]=3.0")):
             LatticeScatteringModel((-2, 3.0), (1.0, 2.0))
 
+    def test_the_widest_site_pair_keeps_its_distance(self):
+        # a site must be below 2**62 in magnitude, so the distance of the
+        # widest pair fits an int64; (-2**62, 2**62) used to wrap to -2**63
+        lo, hi = 1 - 2**62, 2**62 - 1
+        m = LatticeScatteringModel((lo, hi), (1.0, 2.0))
+        assert int(m._distance[0, 1]) == hi - lo
+
 
 # ---------------------------------------------------------------------------
 # free resolvent
@@ -420,12 +427,32 @@ class TestTrackerBounds:
         monkeypatch.setattr(scattering, "scattering_determinant", counted)
         ssf_scattering(model, lam)
         # one evaluation at the start, then ceil(ln(h_prev / h_k) / ln r) per target
-        log_ratio = math.log(math.exp(1.0 / (2.0 * len(model.sites))))
+        log_ratio = math.log(math.exp(3.0 / (2.0 * len(model.sites))))
         tops = (_h_start(model),) + scattering._EPS_LADDER
         steps = [math.ceil(math.log(a / b) / log_ratio) for a, b in zip(tops, tops[1:])]
         assert len(heights) == 1 + sum(steps)
         assert all(b < a for a, b in zip(heights, heights[1:]))
         assert heights[0] == _h_start(model) and heights[-1] == 2.0**-13
+
+    @pytest.mark.parametrize("case", _TRACKER_CASES, ids=_case_id)
+    def test_each_step_turns_by_at_most_the_proved_rate(self, case, monkeypatch):
+        # the ratio cap rests on |d arg D / d ln h| <= n+ + n-, the number of
+        # nonzero values: each step's principal increment keeps to that rate
+        model, lam = case
+        walk = []
+        inner = scattering.scattering_determinant
+
+        def recorded(m, z):
+            val = inner(m, z)
+            walk.append((z.imag, val))
+            return val
+
+        monkeypatch.setattr(scattering, "scattering_determinant", recorded)
+        ssf_scattering(model, lam)
+        rate = sum(v != 0.0 for v in model.values)
+        for (h_prev, d_prev), (h_next, d_next) in zip(walk, walk[1:]):
+            turn = abs(np.angle(d_next / d_prev))
+            assert turn <= rate * math.log(h_prev / h_next) + 1e-12, (h_prev, h_next)
 
     @pytest.mark.parametrize("case", _TRACKER_CASES, ids=_case_id)
     def test_start_is_on_the_principal_branch(self, case):
