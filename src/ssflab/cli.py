@@ -15,6 +15,7 @@ import sys
 import time
 from functools import partial
 
+from .dirac import _check_refinement
 from .scattering import _check_band_margin, _check_site
 from .spectral import _check_finite, _check_int, _check_positive
 from .suites import _DET_POINTS_MAX, SUITE_RUNNERS, ConfigError, _check_grid_edge, suite_all
@@ -44,15 +45,20 @@ def _expect_list(field, value, min_len=1):
     return list(value)
 
 
-def _int_list(low, even=False, min_len=1):
+def _int_list(low, even=False):
     def check(field, value):
-        out = _expect_list(field, value, min_len)
+        out = _expect_list(field, value)
         return [
             _gated(_check_int, f"{field}[{i}]", v, low=low, even=even)
             for i, v in enumerate(out)
         ]
 
     return check
+
+
+def _refinement_list(field, value):
+    """Lattice sizes, each through the size gate, then the studies' refinement rule."""
+    return _gated(_check_refinement, field, _int_list(low=2, even=True)(field, value))
 
 
 def _complex_pair(field, value):
@@ -173,10 +179,10 @@ _SCHEMA = {
         "decay_c": (1.0, partial(_gated, _check_positive)),
         "rho": (4.0, partial(_gated, _check_positive)),
         "v0_bound": (0.3, partial(_gated, _check_positive)),
-        "refinement_n_list": ([64, 128, 256], _int_list(low=2, even=True, min_len=2)),
+        "refinement_n_list": ([64, 128, 256], _refinement_list),
         "law_h": (1.5, partial(_gated, _check_positive)),
         "factorization_n": (32, partial(_gated, _check_int, low=2, even=True)),
-        "decay_n_list": ([64, 128], _int_list(low=2, even=True, min_len=2)),
+        "decay_n_list": ([64, 128], _refinement_list),
     },
     "birman-krein": {
         "band_points": (20, partial(_gated, _check_int, low=1)),

@@ -424,6 +424,21 @@ class RefinementStudy:
 _STAB_RTOL = 0.05
 
 
+def _check_refinement(n_list: Sequence[int], name: str = "n_list") -> list:
+    """The lattice sizes of a refinement study: at least two, each larger than
+    the one before, so that every step of the study refines."""
+    sizes = list(n_list)
+    if len(sizes) < 2:
+        raise ValueError(f"{name} needs at least two lattice sizes, got {name}={sizes!r}")
+    for i in range(1, len(sizes)):
+        if not sizes[i] > sizes[i - 1]:
+            raise ValueError(
+                f"{name} must be strictly increasing, got {name}[{i}]={sizes[i]!r} "
+                f"after {name}[{i - 1}]={sizes[i - 1]!r}"
+            )
+    return sizes
+
+
 def schatten_refinement_study(
     d: int,
     r: float,
@@ -441,10 +456,9 @@ def schatten_refinement_study(
     slow position-space tails of weakly decaying weights much faster at the
     same sizes.  A norm is flagged stabilized when the last refinement step
     moves it by at most 5% relatively; flagged growing when it increases at
-    every step.
+    every step.  ``n_list`` must hold at least two sizes, strictly increasing.
     """
-    if len(n_list) < 2:
-        raise ValueError("refinement study needs at least two lattice sizes")
+    n_list = _check_refinement(n_list)
     norms_by_p = {float(p): [] for p in p_list}
     for n in n_list:
         model = LatticeModel(d=d, n=n, h=balanced_spacing(n) if h is None else h, mass=mass)
@@ -735,10 +749,10 @@ def commutator_decay_study(d: int, r: float, n_list: Sequence[int], mass: float 
     columns converge sitewise and their fitted constant should settle;
     shrinking the spacing instead would keep reshaping the kernel near the
     origin.  Returns (sup_constants, stable flag): stable when the last two
-    agree within 20% relatively.
+    agree within 20% relatively.  ``n_list`` must hold at least two sizes,
+    strictly increasing.
     """
-    if len(n_list) < 2:
-        raise ValueError("commutator decay study needs at least two lattice sizes")
+    n_list = _check_refinement(n_list)
     sups = []
     for n in n_list:
         model = LatticeModel(d=d, n=n, h=_DECAY_STUDY_H, mass=mass)

@@ -42,9 +42,6 @@ __all__ = [
 
 BAND_EDGE_MARGIN = 1e-3
 
-# the heights 2^-k, k = 4..13, at which the tracked phase is read
-_EPS_LADDER = tuple(2.0 ** (-k) for k in range(4, 14))
-
 
 def _check_site(value, name: str) -> int:
     """A lattice site: an integer below ``2^62`` in magnitude, so that every
@@ -107,17 +104,21 @@ def _lattice_root(z: complex) -> complex:
     """The root of ``w + 1/w = z`` inside the unit disk.
 
     Rejects a non-finite ``z``, and ``z`` on the band ``[-2, 2]``, where both
-    roots sit on the unit circle and the resolvent has no meaning.
+    roots sit on the unit circle and the resolvent has no meaning.  With
+    ``u = z / 2`` the roots are ``u +- sqrt(u - 1) sqrt(u + 1)``, with
+    product 1.  The sign of the larger modulus adds two terms that do not
+    cancel and gives the outer root; the inner root is its reciprocal.
+    Nothing squares ``z``, so a large ``|z|`` neither overflows nor loses
+    digits, as ``(z - sqrt(z^2 - 4)) / 2`` would.
     """
     z = complex(z)
     if not cmath.isfinite(z):
         raise ValueError(f"z must be finite, got z={z}")
     if z.imag == 0.0 and abs(z.real) <= 2.0:
         raise ValueError(f"z={z} lies on the spectral band [-2, 2]")
-    disc = cmath.sqrt(z * z - 4.0)
-    w1 = (z + disc) / 2.0
-    w2 = (z - disc) / 2.0
-    return w1 if abs(w1) < abs(w2) else w2
+    u = z / 2.0
+    root = cmath.sqrt(u - 1.0) * cmath.sqrt(u + 1.0)
+    return 1.0 / max(u + root, u - root, key=abs)
 
 
 def _check_band_margin(value, name: str) -> float:
@@ -215,19 +216,22 @@ def ssf_scattering(model: LatticeScatteringModel, lam: float) -> float:
     """Spectral shift at ``lam`` from the tracked determinant phase.
 
     The phase of ``D(z) = det(I + V G0_SS(z))`` is followed down the
-    vertical line ``z = lam + i h`` to the heights ``2^-4 .. 2^-13``, then
-    Richardson-extrapolated to the real axis from the last two.  Inside the
-    band the result is generically non-integer; below the band it approaches
-    minus the count of discrete eigenvalues below ``lam``.  A non-finite
-    ``lam`` is rejected.
+    vertical line ``z = lam + i h`` to the two heights ``2^-12 / g`` and
+    ``2^-13 / g``, then Richardson-extrapolated to the real axis from them.
+    ``g`` is the largest gap between consecutive support sites (1 for a
+    single site): ``xi`` varies on the scale ``1 / g``, and the
+    extrapolation's next error term with it.  Inside the band the result is
+    generically non-integer; below the band it approaches minus the count of
+    discrete eigenvalues below ``lam``.  A non-finite ``lam`` is rejected.
 
     With ``L`` support sites and strength ``s = max |v|``, the tracker's two
-    inputs are proved, not tuned:
+    inputs are proved, not tuned, and neither proof reads the two heights:
 
-    - Start height ``max(2 L s, 2^-4)``.  ``|| G0_SS(z) || <= 1 / Im z``, so
-      every eigenvalue ``mu`` of ``V G0_SS`` has ``|mu| <= s / h <= 1 / (2L)``
-      and ``|arg D| <= L arcsin(s / h) <= pi / 6 < pi / 4``: the principal
-      value there is the continuous branch that vanishes as ``h -> inf``.
+    - Start height ``max(2 L s, 2^-12 / g)``.  ``|| G0_SS(z) || <= 1 / Im z``,
+      so every eigenvalue ``mu`` of ``V G0_SS`` has
+      ``|mu| <= s / h <= 1 / (2L)`` and
+      ``|arg D| <= L arcsin(s / h) <= pi / 6 < pi / 4``: the principal value
+      there is the continuous branch that vanishes as ``h -> inf``.
     - Height-ratio cap ``exp(3 / (2L))``.  With ``u = (t - lam) / h``,
       Krein's trace formula ``d log D / dz = int xi(t) (t - z)^-2 dt`` gives
       ``d arg D / d ln h = int xi(lam + h u) (u^2 - 1) / (u^2 + 1)^2 du``.
@@ -242,14 +246,16 @@ def ssf_scattering(model: LatticeScatteringModel, lam: float) -> float:
     """
     lam = _check_finite(lam, "lam")
     n_sites = len(model.sites)
-    h_start = max(2.0 * n_sites * model.strength, _EPS_LADDER[0])
+    gap = max(model._gaps, default=1)
+    heights = [2.0**-12 / gap, 2.0**-13 / gap]
+    h_start = max(2.0 * n_sites * model.strength, heights[0])
 
     def det_at(h):
         return scattering_determinant(model, lam + 1j * h)
 
     ratio = math.exp(3.0 / (2.0 * n_sites))
-    phases = track_determinant_phase(det_at, h_start, _EPS_LADDER, max_ratio=ratio)
-    return _richardson_two_point(_EPS_LADDER, phases) / np.pi
+    phases = track_determinant_phase(det_at, h_start, heights, max_ratio=ratio)
+    return _richardson_two_point(heights, phases) / np.pi
 
 
 @dataclass(frozen=True)

@@ -14,7 +14,7 @@ also provides the invariance-principle route through the resolvent power
 ``(H - a)^{-m}``, ``a`` below both spectra, which reads no eigenvalue; the
 perturbation-determinant route ``xi = Im log det(I + V (H0-z)^{-1}) / pi``
 with its branch read from tridiagonal pivots; and, for a determinant known
-only by value, a phase walk down a fixed ladder of heights that raises
+only by value, a phase walk down to the given heights that raises
 :class:`BranchTrackingError` on a step of a quarter turn or more.
 """
 
@@ -54,7 +54,8 @@ __all__ = [
 
 
 class BranchTrackingError(RuntimeError):
-    """Raised when a tracked phase step reaches a quarter turn, or the determinant vanishes."""
+    """Raised when a tracked phase step reaches a quarter turn, or the determinant
+    vanishes or is not finite."""
 
 
 # ---------------------------------------------------------------------------
@@ -357,8 +358,10 @@ def track_determinant_phase(
     target at the current height costs no evaluation.  An increment of
     ``pi / 2`` or more raises :class:`BranchTrackingError`: ``max_ratio`` is
     too coarse there.  A step that turns by a full turn or more aliases to a
-    small increment and is not seen; ``max_ratio`` must rule it out.
-    Returns the tracked phase at each target.
+    small increment and is not seen; ``max_ratio`` must rule it out.  A
+    determinant that vanishes or is not finite raises
+    :class:`BranchTrackingError` naming its height.  Returns the tracked
+    phase at each target.
 
     ``scattering.ssf_scattering`` proves its start height and, from Krein's
     trace formula, its ratio cap ``exp(3 / (2L))`` for ``L`` support sites.
@@ -375,9 +378,15 @@ def track_determinant_phase(
                 f"got h_targets[{i}]={target!r} above {above!r}"
             )
 
-    val = complex(det_fn(h))
-    if val == 0.0:
-        raise BranchTrackingError(f"determinant vanished at starting height {h}")
+    def evaluate(height):
+        val = complex(det_fn(height))
+        if val == 0.0:
+            raise BranchTrackingError(f"determinant vanished at height {height}")
+        if not cmath.isfinite(val):
+            raise BranchTrackingError(f"determinant is not finite at height {height}: {val}")
+        return val
+
+    val = evaluate(h)
     phase = cmath.phase(val)
     out = []
     for target in targets:
@@ -385,9 +394,7 @@ def track_determinant_phase(
         n = math.ceil(math.log(top / target) / math.log(max_ratio))
         for k in range(1, n + 1):
             nxt = top * (target / top) ** (k / n)
-            nxt_val = complex(det_fn(nxt))
-            if nxt_val == 0.0:
-                raise BranchTrackingError(f"determinant vanished at height {nxt}")
+            nxt_val = evaluate(nxt)
             inc = cmath.phase(nxt_val / val)
             if not abs(inc) < math.pi / 2.0:
                 raise BranchTrackingError(
@@ -400,14 +407,9 @@ def track_determinant_phase(
     return out
 
 
-# the determinant route reads heights near / 2^k, k = 1.._EPS_DEPTH, where
-# near is the distance from lam to either spectrum
-_EPS_DEPTH = 8
-
-
 def _richardson_two_point(eps: Sequence[float], vals: Sequence[float]) -> float:
-    ea, eb = float(eps[-2]), float(eps[-1])
-    xa, xb = float(vals[-2]), float(vals[-1])
+    """The value at height 0 of the line through the two points ``(eps[i], vals[i])``."""
+    (ea, eb), (xa, xb) = eps, vals
     return (ea * xb - eb * xa) / (ea - eb)
 
 
@@ -420,10 +422,11 @@ def ssf_via_determinant(
     """Spectral shift at ``lam`` through the boundary phase of the determinant.
 
     The continuous phase of ``det(I + V (H0 - z)^{-1})`` is a sum of pivot
-    arguments, read at ``z = lam + i * eps`` for the heights
-    ``eps = near / 2^k``, ``k = 1..8``, where ``near`` is the distance from
-    ``lam`` to either spectrum, and Richardson-extrapolated (two-point, linear
-    order) to the real axis.  A non-finite ``lam``, or one within
+    arguments, read at ``z = lam + i * eps`` for the two heights
+    ``eps = near / 2^7`` and ``near / 2^8``, where ``near`` is the distance
+    from ``lam`` to either spectrum, and Richardson-extrapolated (two-point,
+    linear order) to the real axis.  Each height's phase is a sum of its own,
+    so no higher height is needed.  A non-finite ``lam``, or one within
     ``jump_margin`` of either spectrum (a jump point), is rejected, and so is
     a ``jump_margin`` that is not finite and positive.  ``V`` is
     validated and ``H0 + V`` reduced to tridiagonal form once; each height
@@ -442,7 +445,7 @@ def ssf_via_determinant(
         raise ValueError(
             f"lambda={lam} is within {jump_margin:g} of an eigenvalue (jump point)"
         )
-    eps = [near / 2.0**k for k in range(1, _EPS_DEPTH + 1)]
+    eps = [near / 2.0**7, near / 2.0**8]
     log_det = _determinant_on_vertical_line(d0, h, lam)
     xi_vals = [log_det(e).imag / math.pi for e in eps]
     return _richardson_two_point(eps, xi_vals)

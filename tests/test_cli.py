@@ -767,6 +767,19 @@ def test_config_scalar_rejects_and_names_the_field(tmp_path, capsys, field, give
     assert f"={value!r}" in err
 
 
+@pytest.mark.parametrize("key", ["refinement_n_list", "decay_n_list"])
+@pytest.mark.parametrize("sizes", [[64, 64], [128, 64], [64, 128, 96]])
+def test_study_sizes_that_do_not_refine_name_the_field(tmp_path, capsys, key, sizes):
+    # such a list used to run: at [64, 64] every *_stabilizes check and
+    # sup_stable passed with nothing refined
+    cfg = _write_config(tmp_path, {"dirac-schatten": {key: sizes}})
+    assert main(["dirac-schatten", "--config", cfg]) == 2
+    err = capsys.readouterr().err
+    i = next(i for i in range(1, len(sizes)) if not sizes[i] > sizes[i - 1])
+    assert f"ssflab: config error: field 'dirac-schatten.{key}': " in err
+    assert f"got {key}[{i}]={sizes[i]!r} after {key}[{i - 1}]={sizes[i - 1]!r}" in err
+
+
 def test_config_scalar_table_covers_every_schema_field():
     covered = {re.match(r"[\w-]+(\.\w+)?", field).group() for field, _, _ in CONFIG_FIELDS}
     schema = {f"{section}.{key}" for section, keys in cli._SCHEMA.items() for key in keys}

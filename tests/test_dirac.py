@@ -976,3 +976,19 @@ class TestCommutatorDecay:
     def test_near_field_constant_is_positive(self):
         sup = dirac._commutator_near_constant(_model(n=16, h=1.5), 1.0)
         assert type(sup) is float and sup > 0
+
+
+@pytest.mark.parametrize(
+    "study",
+    [
+        lambda n_list: commutator_decay_study(1, 1.0, n_list),
+        lambda n_list: schatten_refinement_study(1, 1.0, 1, 1j, [1.0], n_list),
+    ],
+    ids=["commutator_decay", "schatten_refinement"],
+)
+@pytest.mark.parametrize("n_list, i", [([16, 16], 1), ([32, 16], 1), ([16, 32, 32], 2)])
+def test_refinement_studies_refine(study, n_list, i):
+    # a repeated or falling size used to be studied: [64, 64] passed every
+    # stability flag with nothing refined
+    with pytest.raises(ValueError, match=re.escape(f"got n_list[{i}]={n_list[i]} after")):
+        study(n_list)

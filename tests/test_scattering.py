@@ -21,6 +21,7 @@ from ssflab.scattering import (
     scattering_determinant,
     ssf_scattering,
 )
+from ssflab.ssf import _richardson_two_point, track_determinant_phase
 from ssflab.utils import rng_from
 
 from helpers import truncated_eigenvalues
@@ -124,6 +125,25 @@ class TestFreeGreen:
             w = scattering._lattice_root(z)
             assert abs(w) < 1.0
             assert w + 1.0 / w == pytest.approx(z, abs=1e-12)
+
+    @pytest.mark.parametrize("size", [1e4, 1e8, 1e150, 1e300])
+    def test_root_keeps_its_digits_far_from_the_band(self, size):
+        # (z - sqrt(z^2 - 4)) / 2 lost the inner root to cancellation: its
+        # relative error was 5.4e-9 at |z| = 1e4 and 0.34 at 1e8; past 1e154
+        # z^2 overflowed
+        eps = np.finfo(float).eps
+        for angle in np.linspace(-np.pi, np.pi, 13):
+            z = complex(size * np.cos(angle), size * np.sin(angle))
+            w = scattering._lattice_root(z)
+            assert abs(w) < 1.0
+            assert abs(w + 1.0 / w - z) <= 4.0 * eps * abs(z), angle
+
+    @pytest.mark.parametrize("value", [1e4, 1e150, 1e300, -1e300])
+    def test_a_strong_site_keeps_the_identity(self, value):
+        # at 1e150 the inner root rounded to 0 and the tracker's first
+        # determinant divided by it; at 1e160 it came back as nan
+        record = birman_krein_point(LatticeScatteringModel.single_site(value), 0.5)
+        assert math.isfinite(record.residual) and record.residual <= 1e-5
 
     @pytest.mark.parametrize("z", [0.0, 1.0, -2.0, 2.0])
     def test_rejects_band_points(self, z):
@@ -326,14 +346,27 @@ class TestScatteringDeterminant:
 
 
 class TestSsfScattering:
-    def test_epsilon_halving_is_stable(self, monkeypatch):
+    def test_epsilon_halving_is_stable(self):
+        # the route's two heights 2^-12, 2^-13, against the two heights halved
         model = LatticeScatteringModel.centered([0.3, -0.2, 0.5])
-        assert scattering._EPS_LADDER == tuple(2.0 ** (-k) for k in range(4, 14))
-        base = [ssf_scattering(model, lam) for lam in (-1.2, 0.1, 1.4)]
-        monkeypatch.setattr(scattering, "_EPS_LADDER", tuple(2.0 ** (-k) for k in range(5, 15)))
-        halved = [ssf_scattering(model, lam) for lam in (-1.2, 0.1, 1.4)]
-        for a, b in zip(base, halved):
-            assert abs(a - b) <= 1e-7
+        halved = [2.0**-13, 2.0**-14]
+        for lam in (-1.2, 0.1, 1.4):
+            phases = track_determinant_phase(
+                lambda h: scattering_determinant(model, lam + 1j * h),
+                _h_start(model),
+                halved,
+                max_ratio=math.exp(3.0 / (2.0 * len(model.sites))),
+            )
+            base = ssf_scattering(model, lam)
+            assert abs(base - _richardson_two_point(halved, phases) / np.pi) <= 1e-7
+
+    @pytest.mark.parametrize("gap", [20, 100, 500])
+    def test_far_apart_sites_keep_the_identity(self, gap):
+        # with heights that ignored the gap the residual grew as gap^2:
+        # 2.2e-5, 7.9e-4 and 2.1e-2 at these gaps
+        model = LatticeScatteringModel((0, gap), (0.5, 0.3))
+        grid = np.linspace(-1.9, 1.9, 9)
+        assert max(birman_krein_point(model, float(lam)).residual for lam in grid) <= 1e-5
 
     @pytest.mark.parametrize("lam", [float("nan"), float("inf"), -float("inf")])
     def test_rejects_non_finite_lambda(self, lam):
@@ -404,8 +437,14 @@ def _tracker_cases() -> list:
 _TRACKER_CASES = _tracker_cases()
 
 
+def _read_heights(model: LatticeScatteringModel) -> list:
+    """The two heights the route extrapolates from, scaled by the largest gap."""
+    gap = max((b - a for a, b in zip(model.sites, model.sites[1:])), default=1)
+    return [2.0**-12 / gap, 2.0**-13 / gap]
+
+
 def _h_start(model: LatticeScatteringModel) -> float:
-    return max(2.0 * len(model.sites) * model.strength, 2.0**-4)
+    return max(2.0 * len(model.sites) * model.strength, _read_heights(model)[0])
 
 
 def _case_id(case) -> str:
@@ -428,11 +467,11 @@ class TestTrackerBounds:
         ssf_scattering(model, lam)
         # one evaluation at the start, then ceil(ln(h_prev / h_k) / ln r) per target
         log_ratio = math.log(math.exp(3.0 / (2.0 * len(model.sites))))
-        tops = (_h_start(model),) + scattering._EPS_LADDER
+        tops = [_h_start(model)] + _read_heights(model)
         steps = [math.ceil(math.log(a / b) / log_ratio) for a, b in zip(tops, tops[1:])]
         assert len(heights) == 1 + sum(steps)
         assert all(b < a for a, b in zip(heights, heights[1:]))
-        assert heights[0] == _h_start(model) and heights[-1] == 2.0**-13
+        assert heights[0] == _h_start(model) and heights[-1] == _read_heights(model)[1]
 
     @pytest.mark.parametrize("case", _TRACKER_CASES, ids=_case_id)
     def test_each_step_turns_by_at_most_the_proved_rate(self, case, monkeypatch):
@@ -470,16 +509,18 @@ class TestTrackerBounds:
 
         def recorded(det_fn, h_start, targets, max_ratio):
             phases = inner(det_fn, h_start, targets, max_ratio=max_ratio)
-            calls.append((det_fn, phases))
+            calls.append((det_fn, targets, phases))
             return phases
 
         monkeypatch.setattr(scattering, "track_determinant_phase", recorded)
         ssf_scattering(model, lam)
-        (det_fn, phases), = calls
+        (det_fn, targets, phases), = calls
+        # the tracker is given the two heights the extrapolation reads, no more
+        assert list(targets) == _read_heights(model)
         reference = inner(
             det_fn,
             1e4 * (1.0 + model.strength),
-            scattering._EPS_LADDER,
+            targets,
             max_ratio=np.exp(1.0 / (40.0 * len(model.sites))),
         )
         np.testing.assert_allclose(phases, reference, rtol=0.0, atol=1e-12)

@@ -603,10 +603,10 @@ def _lambdas(d0, d):
 
 
 def _route_heights(d0, d, lam):
-    """The heights the determinant route reads: the distance from ``lam`` to
-    either spectrum, halved 1 to 8 times."""
+    """The two heights the determinant route reads: the distance from ``lam``
+    to either spectrum, halved 7 and 8 times."""
     near = min(np.abs(d0.eigenvalues - lam).min(), np.abs(d.eigenvalues - lam).min())
-    return [float(near) / 2.0**k for k in range(1, 9)]
+    return [float(near) / 2.0**7, float(near) / 2.0**8]
 
 
 _DET_CASES = [("random", n) for n in (1, 2, 8, 32, 64)] + [
@@ -793,6 +793,16 @@ class TestPhaseTracking:
         with pytest.raises(BranchTrackingError, match="vanished"):
             track_determinant_phase(lambda h: 0.0, 1.0, [0.5], 1.5)
 
+    @pytest.mark.parametrize("bad", [complex("nan+0j"), complex("inf+0j"), complex(1.0, -np.inf)])
+    @pytest.mark.parametrize("h_start", [0.5, 1.0], ids=["at_start", "on_the_way"])
+    def test_non_finite_determinant_raises_naming_the_height(self, bad, h_start):
+        # such a value used to pass for a phase step of nan rad, blamed on max_ratio
+        def det_fn(h):
+            return bad if h <= 0.5 else 1.0 + 0.0j
+
+        with pytest.raises(BranchTrackingError, match=r"not finite at height 0\.5"):
+            track_determinant_phase(det_fn, h_start, [0.5], 1.5)
+
     def test_coarse_step_raises_naming_height_and_ratio(self):
         # the phase moves by 2 rad between heights 2 and 1, in one step of
         # ratio 2; a move of a full turn or more would alias unseen instead
@@ -863,7 +873,7 @@ class TestDeterminantRoute:
 
     def test_default_schedule_is_gap_halving(self, monkeypatch):
         # H0 = diag(0, 2) and V = diag(0, 1): the point 0.5 is 0.5 from both
-        # spectra, so the route reads 0.5 / 2^k, k = 1..8
+        # spectra, so the route reads 0.5 / 2^7 and 0.5 / 2^8, and only them
         d0 = eig_hermitian(np.diag([0.0, 2.0]))
         heights = []
         build = ssf._determinant_on_vertical_line
@@ -874,7 +884,7 @@ class TestDeterminantRoute:
 
         monkeypatch.setattr(ssf, "_determinant_on_vertical_line", logged)
         assert ssf_via_determinant(d0, np.diag([0.0, 1.0]), 0.5) == pytest.approx(0.0, abs=1e-6)
-        assert heights == [0.5 / 2.0**k for k in range(1, 9)]
+        assert heights == [0.5 / 2.0**7, 0.5 / 2.0**8]
 
 
 # ---------------------------------------------------------------------------
