@@ -16,7 +16,7 @@ import time
 from functools import partial
 
 from .dirac import _check_refinement
-from .scattering import _check_band_margin, _check_site
+from .scattering import _check_band_margin, _check_site, _check_value
 from .spectral import _check_finite, _check_int, _check_positive
 from .suites import _DET_POINTS_MAX, SUITE_RUNNERS, ConfigError, _check_grid_edge, suite_all
 from .suites import _cert_tag, _mz_tag
@@ -125,7 +125,7 @@ def _potential_list(field, value):
         kind = entry.get("kind")
         if kind == "single":
             _no_unknown_keys(here, entry, {"kind", "value", "site"})
-            val = _gated(_check_finite, f"{here}.value", entry.get("value"))
+            val = _gated(_check_value, f"{here}.value", entry.get("value"), n_sites=1, gap=1)
             if val == 0.0:
                 raise ConfigError(f"{here}.value", "potential must be nonzero")
             site = _gated(_check_site, f"{here}.site", entry.get("site", 0))
@@ -133,7 +133,10 @@ def _potential_list(field, value):
         elif kind == "centered":
             _no_unknown_keys(here, entry, {"kind", "values"})
             vals = _expect_list(f"{here}.values", entry.get("values"))
-            vals = [_gated(_check_finite, f"{here}.values[{j}]", v) for j, v in enumerate(vals)]
+            vals = [
+                _gated(_check_value, f"{here}.values[{j}]", v, n_sites=len(vals), gap=1)
+                for j, v in enumerate(vals)
+            ]
             parsed.append({"kind": "centered", "values": vals})
         else:
             raise ConfigError(f"{here}.kind", "expected 'single' or 'centered'")

@@ -18,6 +18,7 @@ resolvent power, which are distinct parameters throughout.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -364,6 +365,47 @@ def perturbed_hamiltonian(
 # weighted-resolvent Schatten studies
 
 
+def _parity_blocks(kernel: np.ndarray, weights: np.ndarray):
+    """The diagonal blocks of ``w C`` in the even/odd basis of each axis.
+
+    ``kernel`` (the even kernel ``c`` of the circulant ``C``) and ``weights``
+    (the reflection-invariant ``w``) are ``(n,)*d`` arrays indexed by
+    coordinates mod N.  Sector ``sigma`` in ``{+1, -1}^d`` has the
+    representatives ``0 .. N/2`` on an even axis and ``1 .. N/2 - 1`` on an
+    odd one, and the entry
+
+        w(a) prod_j t(a_j) t(b_j) / 2
+             * sum_{eps in {+-1}^d} (prod_{j: eps_j = -1} sigma_j) c(a - eps b)
+
+    with ``t = 1`` at the fixed coordinates 0 and ``N/2`` and ``sqrt 2``
+    elsewhere; the sum over ``eps`` is taken one axis at a time.  A sector
+    with no representative (an odd axis at N = 2) yields nothing.
+    """
+    n, d = kernel.shape[0], kernel.ndim
+    half = n // 2
+    even, odd = np.arange(half + 1), np.arange(1, half)
+    t_even = np.full(half + 1, np.sqrt(2.0))
+    t_even[[0, -1]] = 1.0
+    t_scale = np.outer(t_even, t_even) / 2.0
+    rows_first = [*range(0, 2 * d, 2), *range(1, 2 * d, 2)]
+    for signs in itertools.product((1, -1), repeat=d):
+        reps = [even if sign > 0 else odd for sign in signs]
+        if any(a.size == 0 for a in reps):
+            continue
+        block = kernel
+        for j, (a, sign) in enumerate(zip(reps, signs)):
+            # axis j of the kernel becomes the pair (a_j, b_j) at axes 2j, 2j + 1
+            block = np.take(block, (a[:, None] - a) % n, axis=2 * j) + sign * np.take(
+                block, (a[:, None] + a) % n, axis=2 * j
+            )
+            if sign > 0:
+                block *= t_scale.reshape(t_scale.shape + (1,) * (d - j - 1))
+        size = int(np.prod([a.size for a in reps]))
+        block = block.transpose(rows_first).reshape(size, size)
+        block *= weights[np.ix_(*reps)].reshape(size, 1)
+        yield block
+
+
 def _weighted_resolvent_profile(
     model: LatticeModel, r: float, k: int, z: complex
 ) -> SingularValueProfile:
@@ -374,22 +416,27 @@ def _weighted_resolvent_profile(
     the singular values of ``W |R0^k|``.  The symbol squares to ``E^2 I``, so
     ``|R0^k|`` has the scalar symbol ``(E^2 + y^2)^{-k/2}``: a function of
     ``|xi|^2``, even on the FFT grid (the Nyquist row maps to itself), whose
-    kernel is real.  Hence ``W |R0^k|`` is ``(w C) (x) I_s`` with ``w`` the
-    site weights and ``C`` a real symmetric circulant: one real ``N^d x N^d``
-    SVD, each value repeated ``s`` times.  Any other ``z`` takes the SVD of
-    the dense complex ``s N^d x s N^d`` matrix.  Expects a validated ``z``
-    and ``k``.
+    kernel is real and even in every coordinate.  Hence ``W |R0^k|`` is
+    ``(w C) (x) I_s`` with ``w`` the site weights, a function of ``|x|``,
+    and ``C`` a real symmetric circulant, and every axis reflection commutes
+    with ``w C``.  Its 2^d parity sectors (:func:`_parity_blocks`) hold at
+    most ``(N/2 + 1)^d`` sites each (``N/2 + 1`` and ``N/2 - 1`` at d = 1):
+    one real SVD per sector, built from the kernel without the dense
+    ``N^d x N^d`` matrix, about ``4^d`` times fewer flops than one SVD of
+    ``w C``.  The values are merged in descending order and each repeated
+    ``s`` times.  Any other ``z`` takes the SVD of the dense complex
+    ``s N^d x s N^d`` matrix.  Expects a validated ``z`` and ``k``.
     """
     if z.real != 0.0:
         return singular_values(
             _weight_diagonal(model, r)[:, None] * free_resolvent_power(model, z, k)
         )
-    w = _site_weights(model, r)
+    # site index i holds the coordinate i - N/2; the sectors index coordinates mod N
+    w = np.fft.ifftshift(_site_weights(model, r).reshape((model.n,) * model.d))
     _, energy = _symbol_grid(model)
-    modulus = (energy**2 + z.imag**2) ** (-k / 2.0)
-    kernel = _block_circulant(model, modulus[..., None, None]).real
-    sv = singular_values(w[:, None] * kernel)
-    return SingularValueProfile(np.repeat(sv.values, model.spinor_dim))
+    kernel = np.fft.ifftn((energy**2 + z.imag**2) ** (-k / 2.0)).real
+    values = np.concatenate([singular_values(b).values for b in _parity_blocks(kernel, w)])
+    return SingularValueProfile(np.repeat(np.sort(values)[::-1], model.spinor_dim))
 
 
 def weighted_resolvent_schatten(
@@ -404,9 +451,12 @@ def weighted_resolvent_schatten(
     The predicted singular-value decay exponent is ``min(r, k) / d``; the
     corresponding summability threshold is ``p > d / min(r, k)``.  ``z`` and
     every ``p`` are validated before any assembly.  At ``Re z = 0`` the
-    singular values come from one real SVD of the ``N^d``-site kernel of
-    ``|R0^k|``, each repeated over the ``s`` spinor components; any other
-    ``z`` takes the SVD of the dense complex ``s N^d``-row matrix.
+    singular values come from ``2^d`` real SVDs, one per parity sector of
+    the weighted ``N^d``-site kernel of ``|R0^k|``, each with at most
+    ``(N/2 + 1)^d`` rows (about ``4^d`` times fewer flops than one SVD of
+    the site matrix), and each value is repeated over the ``s`` spinor
+    components; any other ``z`` takes the SVD of the dense complex
+    ``s N^d``-row matrix.
     """
     z, k = _check_resolvent_args(z, k)
     orders = [_check_schatten_order(p) for p in p_list]

@@ -19,11 +19,11 @@ from __future__ import annotations
 
 import cmath
 import math
+import sys
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy.linalg import eigvalsh_tridiagonal
 
 from .spectral import _check_finite, _check_int, _check_real
 from .ssf import _richardson_two_point, track_determinant_phase
@@ -53,14 +53,28 @@ def _check_site(value, name: str) -> int:
     return site
 
 
+def _check_value(value, name: str, n_sites: int, gap: int) -> float:
+    """A potential value ``v`` for a model of ``n_sites`` support sites whose
+    largest gap is ``gap``: ``2 L |v| g 2^13`` must be a finite double, since
+    the phase walk of :func:`ssf_scattering` descends from ``2 L |v|`` to
+    ``2^-13 / g`` and takes the logarithm of their ratio."""
+    scale = 2.0**14 * n_sites * gap
+    rule = (
+        f"a finite number with 2 L |v| g 2**13 finite (|v| up to about "
+        f"{sys.float_info.max / scale:.4g} for L={n_sites} sites, largest gap g={gap})"
+    )
+    return _check_real(value, name, rule, lambda v: math.isfinite(v * scale))
+
+
 @dataclass(frozen=True)
 class LatticeScatteringModel:
     """Real potential with finite support on the integer lattice.
 
-    Each site passes the site rule and each value the finite gate.  The
-    site distance matrix and the gaps between consecutive sites are built
-    once, at construction, and are read-only, so a caller's threads may share
-    a model; the suites themselves run on one.
+    Each site passes the site rule and each value the strength rule, which
+    keeps the scattering route's phase walk finite.  The site distance
+    matrix and the gaps between consecutive sites are built once, at
+    construction, and are read-only, so a caller's threads may share a
+    model; the suites themselves run on one.
     """
 
     sites: tuple
@@ -68,18 +82,23 @@ class LatticeScatteringModel:
 
     def __post_init__(self):
         sites = tuple(_check_site(n, f"sites[{i}]") for i, n in enumerate(self.sites))
-        values = tuple(_check_finite(v, f"values[{i}]") for i, v in enumerate(self.values))
+        values = tuple(self.values)
         if len(sites) != len(values) or len(sites) == 0:
             raise ValueError("sites and values must be non-empty and equal length")
         if any(b <= a for a, b in zip(sites, sites[1:])):
             raise ValueError("sites must be strictly increasing")
+        gaps = tuple(b - a for a, b in zip(sites, sites[1:]))
+        gap = max(gaps, default=1)
+        values = tuple(
+            _check_value(v, f"values[{i}]", len(sites), gap) for i, v in enumerate(values)
+        )
         object.__setattr__(self, "sites", sites)
         object.__setattr__(self, "values", values)
         site_arr = np.array(sites, dtype=int)
         distance = np.abs(site_arr[:, None] - site_arr[None, :])
         distance.flags.writeable = False
         object.__setattr__(self, "_distance", distance)
-        object.__setattr__(self, "_gaps", tuple(b - a for a, b in zip(sites, sites[1:])))
+        object.__setattr__(self, "_gaps", gaps)
 
     @classmethod
     def single_site(cls, value: float, site: int = 0) -> "LatticeScatteringModel":
@@ -305,41 +324,40 @@ def band_sweep(
 
 
 # ---------------------------------------------------------------------------
-# truncation oracle
-
-
-# bound_state_count_below truncates the chain to the sites |n| <= _L_TRUNC
-_L_TRUNC = 2000
-
-
-def _truncated_chain(model: LatticeScatteringModel, l_trunc: int) -> tuple:
-    """Diagonal and off-diagonal of the operator truncated to sites |n| <= l_trunc."""
-    if model.support_radius >= l_trunc / 4:
-        raise ValueError(
-            f"truncation l_trunc={l_trunc} too small for support radius "
-            f"{model.support_radius} (need support < l_trunc/4)"
-        )
-    n_sites = 2 * l_trunc + 1
-    diag = np.zeros(n_sites)
-    for site, value in zip(model.sites, model.values):
-        diag[site + l_trunc] = value
-    off = np.ones(n_sites - 1)
-    return diag, off
+# bound states below the band
 
 
 def bound_state_count_below(model: LatticeScatteringModel, lam: float) -> int:
-    """Number of discrete eigenvalues below ``lam``, on the chain truncated at ``_L_TRUNC``.
+    """Number of discrete eigenvalues strictly below a finite ``lam < -2``, exactly.
 
-    Only meaningful for finite ``lam < -2``: inside the band the truncation fills
-    the spectrum densely.  Bisection finds only the eigenvalues in
-    ``(-inf, nextafter(lam, -inf)]``, that is strictly below ``lam``.
+    Below the band ``H0 - lam`` is positive definite, so by Haynsworth's
+    inertia additivity over the sites off the support, ``H - lam`` has as
+    many negative eigenvalues as the L x L tridiagonal ``c K^-1 + V`` of
+    :func:`scattering_determinant`, whose ``w`` is now real, in ``(-1, 0)``,
+    with ``c = w - 1/w > 0``.  Its pivots ``c q_k f_k`` have the signs of the
+    ratios ``f_k`` of the same recurrence (``c q_k > 0``), so by Sylvester's
+    law of inertia the count is the number of negative ``f_k``: O(L) scalar
+    operations, whatever the gaps between sites.  A zero pivot (``lam`` an
+    eigenvalue of a leading block) takes its limit from just below ``lam``,
+    where ``c K^-1`` grows: it is positive and the next pivot tends to
+    ``-inf``; a ratio that overflows keeps its sign and the limit of the
+    next carry.  Inside the band the count has no meaning and is refused.
     """
     lam = _check_finite(lam, "lam")
     if lam >= -2.0:
         raise ValueError(f"counting below the band needs lam < -2, got {lam}")
-    below = eigvalsh_tridiagonal(
-        *_truncated_chain(model, _L_TRUNC),
-        select="v",
-        select_range=(-np.inf, np.nextafter(lam, -np.inf)),
-    )
-    return int(below.size)
+    w = _lattice_root(lam).real
+    c = w - 1.0 / w
+    w2 = w * w
+    count = 0
+    carry = 0.0
+    for v, gap in zip(model.values, model._gaps):
+        r2 = w2**gap
+        e = v / c + carry
+        ratio = 1.0 + e * (1.0 - r2)
+        count += ratio < 0.0
+        if ratio == 0.0:
+            carry = -math.inf
+        else:
+            carry = r2 / (1.0 - r2) if math.isinf(e) else r2 * e / ratio
+    return count + (1.0 + model.values[-1] / c + carry < 0.0)

@@ -3,7 +3,7 @@
 import numpy as np
 import scipy.linalg
 
-from ssflab import dirac, scattering
+from ssflab import dirac
 
 
 def random_unitary(rng: np.random.Generator, n: int) -> np.ndarray:
@@ -29,9 +29,26 @@ def potential_operator(v) -> np.ndarray:
     return scipy.linalg.block_diag(*v.site_matrices)
 
 
+def truncated_chain(model, l_trunc: int) -> tuple:
+    """Diagonal and off-diagonal of the operator truncated to sites |n| <= l_trunc."""
+    if model.support_radius >= l_trunc / 4:
+        raise ValueError(
+            f"truncation l_trunc={l_trunc} too small for support radius "
+            f"{model.support_radius} (need support < l_trunc/4)"
+        )
+    n_sites = 2 * l_trunc + 1
+    diag = np.zeros(n_sites)
+    for site, value in zip(model.sites, model.values):
+        diag[site + l_trunc] = value
+    return diag, np.ones(n_sites - 1)
+
+
 def truncated_eigenvalues(model, l_trunc: int) -> np.ndarray:
-    """Eigenvalues of the perturbed operator truncated to sites |n| <= l_trunc."""
-    return scipy.linalg.eigvalsh_tridiagonal(*scattering._truncated_chain(model, l_trunc))
+    """Eigenvalues below the band ``[-2, 2]`` of the perturbed operator truncated
+    to sites |n| <= l_trunc: the oracle for ``scattering.bound_state_count_below``."""
+    return scipy.linalg.eigvalsh_tridiagonal(
+        *truncated_chain(model, l_trunc), select="v", select_range=(-np.inf, -2.0)
+    )
 
 
 def zero_potential(model) -> dirac.MatrixPotential:

@@ -735,7 +735,8 @@ CONFIG_FIELDS = [
     (
         "birman-krein.potentials[0].value",
         lambda x: _potential({"kind": "single", "value": x}),
-        REAL,
+        # 1e307 used to end in an OverflowError traceback (exit 1)
+        REAL + (1e307, -1e307),
     ),
     (
         "birman-krein.potentials[0].site",
@@ -746,7 +747,7 @@ CONFIG_FIELDS = [
     (
         "birman-krein.potentials[0].values[2]",
         lambda x: _potential({"kind": "centered", "values": [0.1, 0.2, x]}),
-        REAL,
+        REAL + (1e307,),
     ),
 ]
 

@@ -1,5 +1,6 @@
 """Tests for the lattice Dirac operator, weights and Schatten machinery."""
 
+import itertools
 import re
 import tracemalloc
 
@@ -732,11 +733,11 @@ class TestWeightedResolvent:
         with pytest.raises(ValueError, match=r"finite with Im z != 0, got z="):
             weighted_resolvent_schatten(_model(n=8), 1.0, 1, z, [1.0])
 
-    @pytest.mark.parametrize("d, n", [(1, 32), (2, 8), (3, 4)])
+    @pytest.mark.parametrize("d, n", [(1, 32), (2, 8), (3, 4), (1, 6), (2, 6), (2, 2)])
     @pytest.mark.parametrize("r, k", [(1.0, 1), (1.5, 2), (2.0, 3)])
     @pytest.mark.parametrize("z", [1j, 2.5j, -0.7j])
     def test_imaginary_z_profile_matches_dense_svd(self, d, n, r, k, z):
-        # at Re z = 0 the profile comes from the real site-kernel SVD; the
+        # at Re z = 0 the profile comes from the real parity-sector SVDs; the
         # oracle is the dense complex SVD, and the tolerance is the backward
         # error of the two SVDs
         model = LatticeModel(d=d, n=n, h=0.9, mass=0.8)
@@ -748,20 +749,77 @@ class TestWeightedResolvent:
         tol = 2 * model.total_dim * np.finfo(float).eps * want[0]
         assert np.abs(got - want).max() <= tol
 
-    @pytest.mark.parametrize("d, n", [(1, 16), (2, 4), (3, 4)])
+    @pytest.mark.parametrize("d, n", [(3, 6), (3, 8), (2, 16)])
+    def test_imaginary_z_profile_matches_the_site_matrix_svd(self, d, n):
+        # at sizes where the dense complex SVD takes seconds (order 2048 at
+        # d = 3, N = 8), the oracle is one real SVD of the dense N^d-site
+        # matrix w C, each value repeated over the s spinor components
+        model = LatticeModel(d=d, n=n, h=0.9, mass=0.8)
+        got = dirac._weighted_resolvent_profile(model, 1.5, 2, 2.5j).values
+        _, energy = dirac._symbol_grid(model)
+        circulant = dirac._block_circulant(model, ((energy**2 + 6.25) ** -1.0)[..., None, None])
+        site_matrix = dirac._site_weights(model, 1.5)[:, None] * circulant.real
+        want = np.repeat(np.linalg.svd(site_matrix, compute_uv=False), model.spinor_dim)
+        tol = 2 * model.total_dim * np.finfo(float).eps * want[0]
+        assert np.abs(got - want).max() <= tol
+
+    @pytest.mark.parametrize("d, n", [(1, 16), (2, 4), (3, 4), (2, 6), (2, 2)])
     def test_imaginary_z_svds_are_site_sized(self, monkeypatch, d, n):
+        # one real SVD per parity sector, each at most (N/2 + 1)^d square,
+        # the sector sizes summing to the N^d sites; no dense site matrix.
+        # At N = 2 an odd axis has no representative, so only the even
+        # sector remains
         model = _model(d=d, n=n)
         shapes = []
         singular_values = dirac.singular_values
 
         def recording(matrix):
             shapes.append(np.shape(matrix))
+            assert np.isrealobj(matrix)
             return singular_values(matrix)
 
+        def forbidden(*args, **kwargs):
+            raise AssertionError("the dense block circulant was built")
+
         monkeypatch.setattr(dirac, "singular_values", recording)
+        monkeypatch.setattr(dirac, "_block_circulant", forbidden)
         norms = weighted_resolvent_schatten(model, 1.0, 2, -1j, [1.0, 2.0])
-        assert shapes and max(rows for rows, _ in shapes) <= model.n_sites
+        assert len(shapes) == (2 if n > 2 else 1) ** d
+        assert all(rows == cols <= (n // 2 + 1) ** d for rows, cols in shapes)
+        assert sum(rows for rows, _ in shapes) == model.n_sites
+        if d == 1:
+            assert sorted(shapes) == [(n // 2 - 1,) * 2, (n // 2 + 1,) * 2]
         assert norms[1.0] > norms[2.0] > 0
+
+    @pytest.mark.parametrize("d, n", [(1, 6), (2, 4), (3, 4)])
+    def test_parity_blocks_are_the_sector_compressions(self, d, n):
+        # oracle: the dense w C on coordinates mod N, compressed onto the
+        # orthonormal even/odd basis of each axis; the sectors' cross blocks
+        # vanish, since every axis reflection commutes with w C
+        model = _model(d=d, n=n)
+        w = np.fft.ifftshift(dirac._site_weights(model, 1.5).reshape((n,) * d))
+        _, energy = dirac._symbol_grid(model)
+        kernel = np.fft.ifftn((energy**2 + 0.49) ** -1.0).real
+        coords = np.stack(np.meshgrid(*([np.arange(n)] * d), indexing="ij"), -1).reshape(-1, d)
+        diff = np.mod(coords[:, None, :] - coords[None, :, :], n)
+        dense = w.reshape(-1, 1) * kernel[tuple(diff.transpose(2, 0, 1))]
+        eye = np.eye(n)
+        even = [eye[0]] + [(eye[a] + eye[-a]) / np.sqrt(2) for a in range(1, n // 2)] + [eye[n // 2]]
+        odd = [(eye[a] - eye[-a]) / np.sqrt(2) for a in range(1, n // 2)]
+        bases = []
+        for signs in itertools.product((1, -1), repeat=d):
+            basis = np.ones((1, 1))
+            for sign in signs:
+                basis = np.kron(basis, np.array(even if sign > 0 else odd).T)
+            bases.append(basis)
+        blocks = list(dirac._parity_blocks(kernel, w))
+        assert len(blocks) == len(bases)
+        tol = 8 * np.finfo(float).eps * np.abs(dense).max()
+        for i, left in enumerate(bases):
+            for j, right in enumerate(bases):
+                want = left.T @ dense @ right
+                got = blocks[i] if i == j else np.zeros_like(want)
+                assert np.abs(got - want).max() <= tol, (i, j)
 
     @pytest.mark.parametrize("r, k", [(1.0, 1), (2.0, 1)])
     def test_exponent_prediction(self, r, k):

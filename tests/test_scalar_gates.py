@@ -236,13 +236,14 @@ GATED = [
         "scattering.LatticeScatteringModel.values",
         "values[0]",
         scattering.LatticeScatteringModel.single_site,
-        FINITE,
+        # a value past the strength rule used to crash the phase walk
+        FINITE + (1e307, -1e307),
     ),
     (
         "scattering.LatticeScatteringModel.centered.values",
         "values[1]",
         lambda x: scattering.LatticeScatteringModel.centered([0.5, x, 0.5]),
-        FINITE,
+        FINITE + (1e307,),
     ),
     ("scattering.s_matrix.lam", "lam", lambda x: scattering.s_matrix(BAND, x), FINITE),
     ("scattering.ssf_scattering.lam", "lam", lambda x: scattering.ssf_scattering(BAND, x), FINITE),

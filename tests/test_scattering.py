@@ -101,6 +101,33 @@ class TestModel:
         with pytest.raises(ValueError, match=re.escape("got sites[1]=3.0")):
             LatticeScatteringModel((-2, 3.0), (1.0, 2.0))
 
+    @pytest.mark.parametrize("value", [1e307, -1e307, 1e308])
+    def test_a_value_past_the_strength_rule_is_refused_by_name(self, value):
+        # 1e307 used to end in a bare OverflowError in the phase walk, and
+        # 1e308 in a ValueError naming the walk's internal h_start
+        rule = "values[0] must be a finite number with 2 L |v| g 2**13 finite"
+        with pytest.raises(ValueError, match=re.escape(rule) + ".*" + re.escape(f"={value!r}")):
+            LatticeScatteringModel.single_site(value)
+
+    def test_the_strength_rule_reads_the_sites_and_the_largest_gap(self):
+        assert LatticeScatteringModel((0, 1), (1.0, 1e300)).strength == 1e300
+        with pytest.raises(ValueError, match=re.escape("L=2 sites, largest gap g=1099511627776")):
+            LatticeScatteringModel((0, 2**40), (1.0, 1e300))
+        # 2 L |v| 2**13 at L = 3: 1e304 passes alone and is refused among three
+        LatticeScatteringModel.single_site(1e304)
+        with pytest.raises(ValueError, match=re.escape("got values[1]=1e+304")):
+            LatticeScatteringModel.centered([0.5, 1e304, 0.5])
+
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_the_largest_admitted_value_keeps_the_identity(self, sign):
+        # the rule is the walk's own: at the largest value it admits, the
+        # walk stays finite and the identity holds
+        value = sign * sys.float_info.max / 2.0**14
+        with pytest.raises(ValueError, match="values"):
+            LatticeScatteringModel.single_site(float(np.nextafter(value, 2.0 * value)))
+        record = birman_krein_point(LatticeScatteringModel.single_site(value), 0.5)
+        assert math.isfinite(record.residual) and record.residual <= 1e-5
+
     def test_the_widest_site_pair_keeps_its_distance(self):
         # a site must be below 2**62 in magnitude, so the distance of the
         # widest pair fits an int64; (-2**62, 2**62) used to wrap to -2**63
@@ -526,6 +553,11 @@ class TestTrackerBounds:
         np.testing.assert_allclose(phases, reference, rtol=0.0, atol=1e-12)
 
 
+def _chain_count(model: LatticeScatteringModel, lam: float) -> int:
+    """Oracle: eigenvalues of the chain truncated at |n| <= 2000 strictly below ``lam``."""
+    return int(np.searchsorted(truncated_eigenvalues(model, 2000), lam, side="left"))
+
+
 class TestTruncationOracle:
     def test_bound_state_location(self):
         vals = truncated_eigenvalues(LatticeScatteringModel.single_site(-1.5), 2000)
@@ -538,14 +570,19 @@ class TestTruncationOracle:
         assert bound_state_count_below(model, -2.25) == 1
         assert bound_state_count_below(model, -2.75) == 0
 
+    def test_counts_strictly_below(self):
+        # the bound state of -1.5 sits at -2.5 exactly, where the last pivot is 0
+        model = LatticeScatteringModel.single_site(-1.5)
+        assert bound_state_count_below(model, -2.5) == 0
+        assert bound_state_count_below(model, float(np.nextafter(-2.5, 0.0))) == 1
+
     @pytest.mark.parametrize(
         "values",
         [[-1.5], [1.5], [-0.8, -1.2, 0.5], [-3.0, 2.0, -2.5, 0.3], [2.5, -0.4, 3.0]],
     )
     def test_count_equals_full_spectrum_count(self, values):
         model = LatticeScatteringModel.centered(values)
-        # the oracle truncates where the count does
-        vals = truncated_eigenvalues(model, scattering._L_TRUNC)
+        vals = truncated_eigenvalues(model, 2000)
         bound = vals[vals < -2.0]
         # just below and just above each bound state, where the count steps
         lams = [-2.0001, -2.05, -2.3, -2.9, -3.5, -5.0, *(bound - 1e-9), *(bound + 1e-9)]
@@ -553,13 +590,61 @@ class TestTruncationOracle:
             want = int(np.searchsorted(vals, lam, side="left"))
             assert bound_state_count_below(model, lam) == want, lam
 
-    def test_count_truncates_at_the_module_constant(self, monkeypatch):
-        # a site at n = 10 needs a truncation past 40: the count reads _L_TRUNC
-        model = LatticeScatteringModel.single_site(-1.5, site=10)
+    def test_random_models_match_the_truncated_chain(self):
+        # 1-11 sites with gaps, strengths 0.5-6 of either sign, below-band
+        # points away from the oracle's eigenvalues
+        rng = rng_from(11)
+        for _ in range(100):
+            n_sites = int(rng.integers(1, 12))
+            sites = np.sort(rng.choice(np.arange(-60, 61), size=n_sites, replace=False))
+            values = rng.uniform(0.5, 6.0, n_sites) * rng.choice([-1.0, 1.0], n_sites)
+            model = LatticeScatteringModel(tuple(sites.tolist()), tuple(values.tolist()))
+            vals = truncated_eigenvalues(model, 2000)
+            for lam in rng.uniform(-9.0, -2.0001, 8):
+                if np.all(np.abs(vals - lam) > 1e-7):
+                    want = int(np.searchsorted(vals, lam, side="left"))
+                    assert bound_state_count_below(model, float(lam)) == want, (model, lam)
+
+    @pytest.mark.parametrize("v2", [-3.0, -0.7, 0.7, 3.0])
+    def test_a_zero_pivot_counts_as_its_limit_from_below(self, v2):
+        # at lam = -2.5 (w = -1/2, c = 3/2) the value -2 at a site one step
+        # before the next gives the first pivot ratio 1 - (4/3)(3/4) = 0
+        # exactly; it counts as positive and the next one as negative
+        for model in (
+            LatticeScatteringModel((0, 1), (-2.0, v2)),
+            LatticeScatteringModel((0, 1, 3), (-2.0, v2, -1.0)),
+        ):
+            assert bound_state_count_below(model, -2.5) == _chain_count(model, -2.5)
+
+    @pytest.mark.parametrize("site", [10, 10**6, 2**61])
+    def test_far_site_counts_exactly(self, site):
+        # no truncation: a site anywhere below 2**62 counts as one at 0 does
+        model = LatticeScatteringModel.single_site(-1.5, site=site)
         assert bound_state_count_below(model, -2.25) == 1
-        monkeypatch.setattr(scattering, "_L_TRUNC", 40)
-        with pytest.raises(ValueError, match="truncation l_trunc=40 too small"):
-            bound_state_count_below(model, -2.25)
+        assert bound_state_count_below(model, -2.75) == 0
+
+    def test_far_apart_sites_count_exactly(self):
+        # two wells 10**6 apart bind two states, each at -2.5 to many digits
+        model = LatticeScatteringModel((-(10**6), 10**6), (-1.5, -1.5))
+        assert bound_state_count_below(model, -2.25) == 2
+        assert bound_state_count_below(model, -2.6) == 0
+        assert ssf_scattering(model, -2.25) == pytest.approx(-2.0, abs=1e-6)
+        # each well alone binds at -2.5 exactly; coupled, the pair splits by
+        # about 4^-(10^6), below any double, and the lower state is below -2.5:
+        # the first pivot is exactly 0 there and its limit counts that state
+        assert bound_state_count_below(model, -2.5) == 1
+        assert bound_state_count_below(model, float(np.nextafter(-2.5, 0.0))) == 2
+
+    @pytest.mark.parametrize(
+        "values, want",
+        [((5e303, -1.5), 1), ((-1.5, 5e303), 1), ((5e303, -0.5), 0), ((-5e303, -0.5), 1)],
+    )
+    def test_an_overflowing_pivot_ratio_keeps_its_sign(self, values, want):
+        # 1e-10 below the band c is about 2e-5, so v / c overflows for
+        # |v| = 5e303; a huge repulsive site walls off a half-line, where
+        # -1.5 binds a state (at -1.5 - 1/1.5) and -0.5 does not
+        model = LatticeScatteringModel((0, 1), values)
+        assert bound_state_count_below(model, -2.0 - 1e-10) == want
 
     def test_count_rejects_band_points(self):
         with pytest.raises(ValueError, match="below the band"):
@@ -569,11 +654,6 @@ class TestTruncationOracle:
     def test_count_rejects_non_finite_lambda(self, lam):
         with pytest.raises(ValueError, match=f"lam must be a finite number, got lam={lam!r}"):
             bound_state_count_below(LatticeScatteringModel.single_site(-1.5), lam)
-
-    def test_truncation_needs_room(self):
-        model = LatticeScatteringModel.single_site(1.0, site=10)
-        with pytest.raises(ValueError, match="truncation"):
-            truncated_eigenvalues(model, 20)
 
 
 # ---------------------------------------------------------------------------
