@@ -770,22 +770,22 @@ def _commutator_near_constant(model: LatticeModel, r: float) -> float:
     envelope ``<x>^-(r+1)`` at that column's site, so a flat weighted profile
     means the columns obey the envelope.  The constant is the max of the
     weighted profile over columns within distance 10 of the origin (clipped
-    to 40% of the torus radius).  The free operator is nonlocal on the
-    lattice, so the far-field columns outgrow the envelope and only the
-    near-field constant is a meaningful stand-in for the continuum bound.
+    to 40% of the torus radius), and only those columns are formed.  The
+    free operator is nonlocal on the lattice, so the far-field columns
+    outgrow the envelope and only the near-field constant is a meaningful
+    stand-in for the continuum bound.
     """
-    h00 = free_hamiltonian(model)
     w = _weight_diagonal(model, r)
-    comm = h00 * w[None, :] - w[:, None] * h00
     dist = model.site_distances()
-    s = model.spinor_dim
-    dim = model.total_dim
-
-    cols = comm.reshape(dim, model.n_sites, s).transpose(1, 0, 2)
-    raw = np.linalg.svd(cols, compute_uv=False)[:, 0]
-    weighted = raw * (1.0 + dist**2) ** ((r + 1) / 2.0)
     near = dist <= min(_NEAR_WINDOW, 0.4 * float(dist.max()))
-    return float(weighted[near].max())
+    s = model.spinor_dim
+    cols = np.repeat(near, s)
+    h_near = free_hamiltonian(model)[:, cols]
+    comm = h_near * w[None, cols] - w[:, None] * h_near
+    blocks = comm.reshape(model.total_dim, -1, s).transpose(1, 0, 2)
+    raw = np.linalg.svd(blocks, compute_uv=False)[:, 0]
+    weighted = raw * (1.0 + dist[near] ** 2) ** ((r + 1) / 2.0)
+    return float(weighted.max())
 
 
 _DECAY_STUDY_H = 1.5

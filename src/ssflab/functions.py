@@ -170,24 +170,24 @@ def smoothstep_cutoff(r: float) -> ScalarFunction:
     return ScalarFunction(val, der, der2, name=f"cutoff[r={r}]")
 
 
-def bump_c2(r: float, height: float = 1.0) -> ScalarFunction:
-    """C^2 bump ``height * (1 - (x/r)^2)^3`` supported on ``[-r, r]``."""
-    r, a = _check_positive(r, "r"), _check_finite(height, "height")
+def bump_c2(r: float) -> ScalarFunction:
+    """C^2 bump ``(1 - (x/r)^2)^3`` supported on ``[-r, r]``."""
+    r = _check_positive(r, "r")
 
     def val(x):
         u = np.asarray(x, dtype=float) / r
         core = (1.0 - u * u) ** 3
-        return a * np.where(np.abs(u) < 1.0, core, 0.0)
+        return np.where(np.abs(u) < 1.0, core, 0.0)
 
     def der(x):
         u = np.asarray(x, dtype=float) / r
         core = -6.0 * u * (1.0 - u * u) ** 2 / r
-        return a * np.where(np.abs(u) < 1.0, core, 0.0)
+        return np.where(np.abs(u) < 1.0, core, 0.0)
 
     def der2(x):
         u = np.asarray(x, dtype=float) / r
         core = (1.0 - u * u) * (30.0 * u * u - 6.0) / (r * r)
-        return a * np.where(np.abs(u) < 1.0, core, 0.0)
+        return np.where(np.abs(u) < 1.0, core, 0.0)
 
     return ScalarFunction(val, der, der2, name=f"bump[r={r}]")
 

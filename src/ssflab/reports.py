@@ -6,7 +6,9 @@ comparison op and pass flag, nothing else; the flag is derived from the
 other three, never given.  JSON serialization is
 deterministic for identical inputs: keys are sorted, records are sorted by
 name, and a report holds no wall-clock timing.  Optional named tables carry
-plot-ready per-point data for sweep subcommands.
+plot-ready per-point data for sweep subcommands; they are in the JSON
+payload only.  CSV carries the check records of any report, one row each,
+with the JSON records' fields in their order.
 """
 
 from __future__ import annotations
@@ -122,21 +124,15 @@ class ExperimentReport:
                           allow_nan=False) + "\n"
 
     def csv_text(self) -> str:
-        """Plot-ready CSV: the single table if there is exactly one, else records."""
-        lines = [f"# schema_version={SCHEMA_VERSION}"]
-        if len(self.tables) == 1:
-            (rows,) = self.tables.values()
-            cols = list(rows[0].keys())
-            lines.append(",".join(cols))
-            for row in rows:
-                lines.append(",".join(_csv_cell(row[c]) for c in cols))
-        else:
-            lines.append("name,value,threshold,op,passed")
-            for r in self.records:
-                thr = "" if r.threshold is None else repr(r.threshold)
-                lines.append(
-                    f"{r.name},{_csv_cell(r.value)},{thr},{r.op},{int(r.passed)}"
-                )
+        """The check records as CSV, one row each: ``name,value,threshold,op,passed``.
+
+        Values and thresholds are ``repr`` of the float (an ``info`` record's
+        threshold is empty) and ``passed`` is 0 or 1.  Tables are not written.
+        """
+        lines = [f"# schema_version={SCHEMA_VERSION}", "name,value,threshold,op,passed"]
+        for r in self.records:
+            thr = "" if r.threshold is None else repr(r.threshold)
+            lines.append(f"{r.name},{r.value!r},{thr},{r.op},{int(r.passed)}")
         return "\n".join(lines) + "\n"
 
     def summary_text(self) -> str:
@@ -155,14 +151,6 @@ class ExperimentReport:
             f"/{len(self.records)} checks"
         )
         return "\n".join(lines) + "\n"
-
-
-def _csv_cell(value) -> str:
-    if isinstance(value, bool):
-        return str(int(value))
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
 
 
 def merge_reports(subcommand: str, seed: int, parts: dict) -> ExperimentReport:

@@ -1,9 +1,9 @@
 """Dense Hermitian linear algebra substrate.
 
 Eigendecompositions, the matrix functional calculus, resolvent powers,
-singular values, Schatten norms, and determinants of ``I + M``.  Everything
-downstream (eigenvalue-counting step functions, double operator integrals,
-lattice Dirac models) is built on the operations in this module.
+singular values and Schatten norms.  Everything downstream
+(eigenvalue-counting step functions, double operator integrals, lattice
+Dirac models) is built on the operations in this module.
 
 All container types are immutable after construction and all operations are
 pure functions of their inputs.
@@ -23,7 +23,6 @@ __all__ = [
     "SingularValueProfile",
     "SpectralDecomposition",
     "apply_function",
-    "det_id_plus",
     "eig_hermitian",
     "resolvent_power",
     "schatten_norm",
@@ -261,24 +260,3 @@ def schatten_norm(profile: SingularValueProfile, p: float) -> float:
         return float(s[0])
     top = float(s[0])
     return top * float(np.sum((s / top) ** p)) ** (1.0 / p)
-
-
-def det_id_plus(matrix) -> complex:
-    """``det(I + M)`` via a stable LU-based factorization (sign + log-modulus).
-
-    ``M`` is read as complex and copied once, into ``I + M``; a matrix that
-    is not square, is empty or has a non-finite entry is rejected.
-    """
-    m = np.asarray(matrix, dtype=complex)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {m.shape}")
-    if m.shape[0] == 0:
-        raise ValueError("matrix must have dimension >= 1")
-    if not np.isfinite(m).all():
-        raise ValueError("matrix entries must be finite")
-    shifted = m.copy()
-    shifted[np.diag_indices_from(shifted)] += 1.0
-    sign, logabs = np.linalg.slogdet(shifted)
-    if np.isneginf(logabs):
-        return 0.0 + 0.0j
-    return complex(sign * np.exp(logabs))

@@ -1,5 +1,6 @@
 """Tests for report serialization and the command-line entry point."""
 
+import csv
 import importlib
 import json
 import re
@@ -110,14 +111,6 @@ class TestExperimentReport:
         assert lines[0] == "# schema_version=1"
         assert lines[1] == "name,value,threshold,op,passed"
         assert len(lines) == 4
-
-    def test_csv_single_table_mode(self):
-        rows = [{"x": 1.0, "flag": True}, {"x": 2.5, "flag": False}]
-        rep = self._report(tables={"sweep": rows})
-        lines = rep.csv_text().strip().split("\n")
-        assert lines[1] == "x,flag"
-        assert lines[2] == "1.0,1"
-        assert lines[3] == "2.5,0"
 
     def test_summary_lines(self):
         text = self._report().summary_text()
@@ -267,6 +260,34 @@ TINY_ALL = {
         "potentials": [{"kind": "single", "value": 0.7, "site": 0}],
     },
 }
+
+
+@pytest.mark.parametrize(
+    "subcommand", ["trace-check", "doi-check", "rm-cert", "dirac-schatten", "birman-krein", "all"]
+)
+def test_csv_rows_are_the_json_records_in_order(tmp_path, subcommand):
+    # a report with exactly one table used to get that table as its CSV, so
+    # `birman-krein` and `all` wrote their sweep rows and no check record
+    cfg = _write_config(tmp_path, TINY_ALL)
+    text = {}
+    for fmt in ("json", "csv"):
+        out = tmp_path / f"report.{fmt}"
+        assert main([subcommand, "--config", cfg, "--format", fmt, "--out", str(out)]) in (0, 1)
+        text[fmt] = out.read_text()
+    want = [
+        [
+            r["name"],
+            repr(r["value"]),
+            "" if r["threshold"] is None else repr(r["threshold"]),
+            r["op"],
+            str(int(r["passed"])),
+        ]
+        for r in json.loads(text["json"])["records"]
+    ]
+    lines = text["csv"].splitlines()
+    assert lines[:2] == ["# schema_version=1", "name,value,threshold,op,passed"]
+    assert want and list(csv.reader(lines[2:])) == want
+
 
 _SUITE_NAMES = (
     "suite_trace_check",

@@ -1035,6 +1035,39 @@ class TestCommutatorDecay:
         sup = dirac._commutator_near_constant(_model(n=16, h=1.5), 1.0)
         assert type(sup) is float and sup > 0
 
+    @pytest.mark.parametrize(
+        "d, n, r, near_sites",
+        [(1, 64, 1.0, 13), (1, 128, 1.0, 13), (1, 16, 2.0, 7), (2, 12, 0.5, 37)],
+    )
+    def test_decomposes_only_the_near_column_blocks(self, monkeypatch, d, n, r, near_sites):
+        # every site's column block used to be formed and decomposed (64 of
+        # them at n = 64), though the constant reads only the near window's
+        model = _model(d=d, n=n, h=1.5)
+        want = _full_column_near_constant(model, r)
+        shapes = []
+        svd = np.linalg.svd
+
+        def recording(a, *args, **kwargs):
+            shapes.append(np.shape(a))
+            return svd(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", recording)
+        got = dirac._commutator_near_constant(model, r)
+        assert shapes == [(near_sites, model.total_dim, model.spinor_dim)]
+        assert got == want
+
+
+def _full_column_near_constant(model, r):
+    """The near-window constant from every site's column block of the commutator."""
+    h00 = dirac.free_hamiltonian(model)
+    w = dirac._weight_diagonal(model, r)
+    comm = h00 * w[None, :] - w[:, None] * h00
+    dist = model.site_distances()
+    blocks = comm.reshape(model.total_dim, model.n_sites, model.spinor_dim).transpose(1, 0, 2)
+    weighted = np.linalg.svd(blocks, compute_uv=False)[:, 0] * (1.0 + dist**2) ** ((r + 1) / 2.0)
+    near = dist <= min(10.0, 0.4 * float(dist.max()))
+    return float(weighted[near].max())
+
 
 @pytest.mark.parametrize(
     "study",

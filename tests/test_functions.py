@@ -85,8 +85,8 @@ def test_real_part_takes_the_real_part_of_each_derivative():
 
 
 def test_bump_support_and_smooth_boundary():
-    f = fn.bump_c2(2.0, height=3.0)
-    assert f(0.0) == pytest.approx(3.0)
+    f = fn.bump_c2(2.0)
+    assert f(0.0) == 1.0
     assert f(2.0) == 0.0 and f(-2.5) == 0.0
     # C^2 at the support edge: both derivatives vanish from inside
     eps = 1e-7

@@ -190,7 +190,6 @@ GATED = [
     ),
     ("functions.smoothstep_cutoff.r", "r", functions.smoothstep_cutoff, POSITIVE),
     ("functions.bump_c2.r", "r", functions.bump_c2, POSITIVE),
-    ("functions.bump_c2.height", "height", lambda x: functions.bump_c2(1.0, x), FINITE),
     (
         "functions.gaussian_bump.width",
         "width",

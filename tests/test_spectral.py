@@ -18,7 +18,6 @@ from ssflab.spectral import (
     _check_hermitian,
     _hermiticity_defect,
     apply_function,
-    det_id_plus,
     eig_hermitian,
     resolvent_power,
     schatten_norm,
@@ -256,48 +255,6 @@ def test_schatten_holder_inequality():
         lhs = schatten_norm(singular_values(a @ b), 1)
         rhs = schatten_norm(singular_values(a), p) * schatten_norm(singular_values(b), q)
         assert lhs <= rhs + 1e-10
-
-
-def test_det_id_plus_multiplicativity():
-    rng = rng_from(7)
-    a = 0.3 * (rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6)))
-    b = 0.3 * (rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6)))
-    lhs = det_id_plus(a + b + a @ b)
-    rhs = det_id_plus(a) * det_id_plus(b)
-    assert abs(lhs - rhs) <= 1e-9 * abs(rhs)
-
-
-def test_det_id_plus_peak_memory_one_dense_copy():
-    # the input is read in place and copied once, into I + M (2.63 dense
-    # matrices of peak when it was copied, added to a real identity, and the
-    # sum formed as a third matrix)
-    rng = rng_from(8)
-    a = 0.01 * (rng.standard_normal((256, 256)) + 1j * rng.standard_normal((256, 256)))
-    want = np.linalg.slogdet(np.eye(256) + a)
-    tracemalloc.start()
-    try:
-        got = det_id_plus(a)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak / a.nbytes <= 1.5
-    assert got == want[0] * np.exp(want[1])
-
-
-@pytest.mark.parametrize(
-    "bad, match",
-    [
-        (np.zeros((2, 3)), "square"),
-        (np.zeros(4), "square"),
-        (np.zeros((0, 0)), "dimension"),
-        (np.array([[0.0, np.nan], [0.0, 0.0]]), "finite"),
-        (np.array([[np.inf, 0.0], [0.0, 0.0]]), "finite"),
-    ],
-    ids=["non_square", "vector", "empty", "nan", "inf"],
-)
-def test_det_id_plus_rejects(bad, match):
-    with pytest.raises(ValueError, match=match):
-        det_id_plus(bad)
 
 
 @settings(max_examples=25, deadline=None)

@@ -529,6 +529,53 @@ class TestPerturbationDeterminant:
             want = np.linalg.det(a0 + v - z * eye) / np.linalg.det(a0 - z * eye)
             assert got == pytest.approx(want, rel=1e-9)
 
+    def test_chain_rule_through_an_intermediate_operator(self):
+        # det(I + (V1 + V2) R0) = det(I + V1 R0) det(I + V2 R1), R1 the
+        # resolvent of H0 + V1
+        rng = rng_from(56)
+        for trial in range(5):
+            dim = int(rng.integers(2, 9))
+            a0 = random_hermitian(rng, dim)
+            v1 = random_hermitian(rng, dim, scale=0.5)
+            v2 = random_hermitian(rng, dim, scale=0.5)
+            z = complex(rng.uniform(-2, 2), rng.uniform(0.5, 3))
+            d0 = eig_hermitian(a0)
+            whole = perturbation_determinant(d0, v1 + v2, z)
+            first = perturbation_determinant(d0, v1, z)
+            second = perturbation_determinant(eig_hermitian(a0 + v1), v2, z)
+            assert whole == pytest.approx(first * second, rel=1e-9)
+
+    def test_conjugate_point_gives_the_conjugate(self):
+        rng = rng_from(57)
+        d0 = eig_hermitian(random_hermitian(rng, 6))
+        v = random_hermitian(rng, 6, scale=0.5)
+        z = complex(0.4, 0.8)
+        got = perturbation_determinant(d0, v, z.conjugate())
+        assert got == pytest.approx(perturbation_determinant(d0, v, z).conjugate(), rel=1e-12)
+
+    def test_rank_one_perturbation_is_one_plus_a_resolvent_entry(self):
+        # det(I + a e e* R0) = 1 + a <e, R0 e>
+        rng = rng_from(58)
+        a0 = random_hermitian(rng, 5)
+        d0 = eig_hermitian(a0)
+        v = np.zeros((5, 5))
+        v[2, 2] = 0.7
+        z = complex(-0.3, 0.6)
+        want = 1.0 + 0.7 * np.linalg.inv(a0 - z * np.eye(5))[2, 2]
+        assert perturbation_determinant(d0, v, z) == pytest.approx(want, rel=1e-12)
+
+    def test_leaves_its_inputs_unchanged(self):
+        # I + V R0 is formed in place, on the product, never on V or H0's factors
+        rng = rng_from(59)
+        d0 = eig_hermitian(random_hermitian(rng, 6))
+        v = random_hermitian(rng, 6, scale=0.5)
+        before = (v.copy(), d0.eigenvalues.copy(), d0.eigenvectors.copy())
+        first = perturbation_determinant(d0, v, 0.2 + 1j)
+        assert np.array_equal(v, before[0])
+        assert np.array_equal(d0.eigenvalues, before[1])
+        assert np.array_equal(d0.eigenvectors, before[2])
+        assert perturbation_determinant(d0, v, 0.2 + 1j) == first
+
     def test_rejects_non_hermitian_perturbation(self):
         d0 = eig_hermitian(np.eye(3))
         v = np.zeros((3, 3))
@@ -554,14 +601,15 @@ class TestPerturbationDeterminant:
     @pytest.mark.parametrize("route", [perturbation_determinant, ssf_via_determinant])
     def test_rejects_non_finite_perturbation_before_any_product(self, monkeypatch, bad, route):
         # an infinite entry makes the Hermiticity defect NaN, which used to
-        # pass the check; the error then came from det_id_plus and named
-        # neither V nor the entry
+        # pass the check; the error then came from the determinant of I + V R0
+        # and named neither V nor the entry
         def forbidden(*args, **kwargs):
             raise AssertionError("a product was formed before V was checked")
 
         d0 = eig_hermitian(np.diag([0.0, 1.0, 2.0]))
-        for name in ("resolvent_power", "det_id_plus", "eig_hermitian"):
+        for name in ("resolvent_power", "eig_hermitian"):
             monkeypatch.setattr(ssf, name, forbidden)
+        monkeypatch.setattr(np.linalg, "slogdet", forbidden)
         monkeypatch.setattr(SpectralDecomposition, "reconstruct", forbidden)
         v = np.zeros((3, 3))
         v[1, 2] = v[2, 1] = bad
