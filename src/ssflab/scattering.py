@@ -26,7 +26,7 @@ from typing import Sequence
 import numpy as np
 
 from .spectral import _check_finite, _check_int, _check_real
-from .ssf import _richardson_two_point, track_determinant_phase
+from .ssf import _richardson_two_point
 
 __all__ = [
     "BAND_EDGE_MARGIN",
@@ -36,7 +36,7 @@ __all__ = [
     "birman_krein_point",
     "bound_state_count_below",
     "s_matrix",
-    "scattering_determinant",
+    "scattering_log_determinant",
     "ssf_scattering",
 ]
 
@@ -55,9 +55,11 @@ def _check_site(value, name: str) -> int:
 
 def _check_value(value, name: str, n_sites: int, gap: int) -> float:
     """A potential value ``v`` for a model of ``n_sites`` support sites whose
-    largest gap is ``gap``: ``2 L |v| g 2^13`` must be a finite double, since
-    the phase walk of :func:`ssf_scattering` descends from ``2 L |v|`` to
-    ``2^-13 / g`` and takes the logarithm of their ratio."""
+    largest gap is ``gap``: ``2 L |v| g 2^13`` must be a finite double.  So at
+    the lowest height ``h = 2^-13 / g`` that :func:`ssf_scattering` reads,
+    ``2 L |v| / h`` is finite, and each term ``v / c`` of the pivot recurrence
+    of :func:`scattering_log_determinant` is at most ``|v| / h`` in modulus,
+    since ``|1 / c| = |G0(z)_nn| <= 1 / Im z``."""
     scale = 2.0**14 * n_sites * gap
     rule = (
         f"a finite number with 2 L |v| g 2**13 finite (|v| up to about "
@@ -71,10 +73,8 @@ class LatticeScatteringModel:
     """Real potential with finite support on the integer lattice.
 
     Each site passes the site rule and each value the strength rule, which
-    keeps the scattering route's phase walk finite.  The site distance
-    matrix and the gaps between consecutive sites are built once, at
-    construction, and are read-only, so a caller's threads may share a
-    model; the suites themselves run on one.
+    keeps the scattering route's pivot recurrence finite.  The gaps between
+    consecutive sites are built once, at construction.
     """
 
     sites: tuple
@@ -94,10 +94,6 @@ class LatticeScatteringModel:
         )
         object.__setattr__(self, "sites", sites)
         object.__setattr__(self, "values", values)
-        site_arr = np.array(sites, dtype=int)
-        distance = np.abs(site_arr[:, None] - site_arr[None, :])
-        distance.flags.writeable = False
-        object.__setattr__(self, "_distance", distance)
         object.__setattr__(self, "_gaps", gaps)
 
     @classmethod
@@ -109,10 +105,6 @@ class LatticeScatteringModel:
         """Values laid out symmetrically around the origin."""
         half = len(values) // 2
         return cls(tuple(range(-half, len(values) - half)), values)
-
-    @property
-    def support_radius(self) -> int:
-        return max(abs(n) for n in self.sites)
 
     @property
     def strength(self) -> float:
@@ -160,12 +152,8 @@ def _kappa(lam: float) -> float:
 
 def _support_green(model: LatticeScatteringModel, w: complex) -> np.ndarray:
     """Free resolvent kernel ``w^{|n-m|} / (w - 1/w)`` on the potential support."""
-    return w**model._distance / (w - 1.0 / w)
-
-
-def _boundary_green(model: LatticeScatteringModel, lam: float) -> np.ndarray:
-    # limit of the |w| < 1 branch from the upper half plane: w = exp(-i kappa)
-    return _support_green(model, np.exp(-1j * _kappa(lam)))
+    sites = np.array(model.sites, dtype=int)
+    return w ** np.abs(sites[:, None] - sites[None, :]) / (w - 1.0 / w)
 
 
 def s_matrix(model: LatticeScatteringModel, lam: float) -> np.ndarray:
@@ -179,23 +167,25 @@ def s_matrix(model: LatticeScatteringModel, lam: float) -> np.ndarray:
     kappa = _kappa(lam)
     sites = np.asarray(model.sites, dtype=int)
     v = np.asarray(model.values, dtype=float)
-    g = _boundary_green(model, lam)
+    # limit of the |w| < 1 branch from the upper half plane: w = exp(-i kappa)
+    g = _support_green(model, np.exp(-1j * kappa))
     ls = np.eye(len(sites), dtype=complex) + g * v[None, :]
     prefactor = 1.0 / (2j * np.sin(kappa))
 
     # one factorization serves the left- and the right-incident wave
-    incident = np.stack([np.exp(-1j * kappa * sites), np.exp(1j * kappa * sites)], axis=1)
-    psi1, psi2 = np.linalg.solve(ls, incident).T
-    t1 = 1.0 + prefactor * np.sum(np.exp(1j * kappa * sites) * v * psi1)
-    r1 = prefactor * np.sum(np.exp(-1j * kappa * sites) * v * psi1)
-    t2 = 1.0 + prefactor * np.sum(np.exp(-1j * kappa * sites) * v * psi2)
-    r2 = prefactor * np.sum(np.exp(1j * kappa * sites) * v * psi2)
+    channel = np.exp(1j * kappa * sites)
+    incident = channel.conj()
+    psi1, psi2 = np.linalg.solve(ls, np.stack([incident, channel], axis=1)).T
+    t1 = 1.0 + prefactor * np.sum(channel * v * psi1)
+    r1 = prefactor * np.sum(incident * v * psi1)
+    t2 = 1.0 + prefactor * np.sum(incident * v * psi2)
+    r2 = prefactor * np.sum(channel * v * psi2)
 
     return np.array([[t1, r2], [r1, t2]], dtype=complex)
 
 
-def scattering_determinant(model: LatticeScatteringModel, z: complex) -> complex:
-    """Perturbation determinant ``det(I + V G0_SS(z))`` on the potential support.
+def scattering_log_determinant(model: LatticeScatteringModel, z: complex) -> complex:
+    """``log D(z)`` of ``D = det(I + V G0_SS(z))`` on the potential support.
 
     Defined for ``Im z > 0``; any other ``z`` is rejected by name.  With
     ``w = _lattice_root(z)`` and ``c = w - 1/w`` the support Green function is
@@ -209,10 +199,20 @@ def scattering_determinant(model: LatticeScatteringModel, z: complex) -> complex
     ``cK^-1 + V`` the pivots ``c q_k f_k``, with the ratio ``f_k`` obeying the
     cancellation-free recurrence ``e_1 = v_1 / c``,
     ``f_k = 1 + e_k (1 - r_k^2)`` (``r_L = 0``), and
-    ``e_(k+1) = v_(k+1) / c + r_k^2 e_k / f_k``; so ``D = prod f_k``.  No
-    pivot vanishes: for ``Im z > 0``, ``G0_SS^-1 = H0_SS - z - Sigma_S`` has a
-    negative definite imaginary part, and so has every Schur complement.
-    The cost is O(L) scalar operations, whatever the gaps between sites.
+    ``e_(k+1) = v_(k+1) / c + r_k^2 e_k / f_k``; so ``D = prod f_k``, and the
+    cost is O(L) scalar operations, whatever the gaps between sites.
+
+    The branch: for ``Im z > 0``, ``G0_SS^-1 = H0_SS - z - Sigma_S`` has a
+    negative definite imaginary part, and so has every Schur complement of
+    ``cK^-1`` and of ``cK^-1 + V`` (F. Zhang, *The Schur Complement and Its
+    Applications*, Springer 2005).  So every pivot lies in the open lower
+    half plane, none vanishes, and ``Arg(c q_k f_k) - Arg(c q_k)`` lies in
+    ``(-pi, pi)``: it is the principal ``Arg f_k``, and the principal
+    ``Log f_k`` is exactly ``Log(c q_k f_k) - Log(c q_k)``.  The pivots move
+    continuously with ``z`` and never leave the lower half plane, where the
+    principal log is continuous, and every ``f_k -> 1`` as ``z -> +i inf``;
+    so ``sum_k Log f_k`` is the continuous branch of ``log D`` that vanishes
+    at ``+i inf``.  The sum has no product to overflow.
     """
     z = complex(z)
     if not z.imag > 0.0:
@@ -220,60 +220,34 @@ def scattering_determinant(model: LatticeScatteringModel, z: complex) -> complex
     w = _lattice_root(z)
     c = w - 1.0 / w
     w2 = w * w
-    det = 1.0
+    log_det = 0j
     carry = 0.0
     for v, gap in zip(model.values, model._gaps):
         r2 = w2**gap
         e = v / c + carry
         ratio = 1.0 + e * (1.0 - r2)
-        det *= ratio
+        log_det += cmath.log(ratio)
         carry = r2 * e / ratio
-    return det * (1.0 + model.values[-1] / c + carry)
+    return log_det + cmath.log(1.0 + model.values[-1] / c + carry)
 
 
 def ssf_scattering(model: LatticeScatteringModel, lam: float) -> float:
-    """Spectral shift at ``lam`` from the tracked determinant phase.
+    """Spectral shift at ``lam`` from the boundary phase of the determinant.
 
-    The phase of ``D(z) = det(I + V G0_SS(z))`` is followed down the
-    vertical line ``z = lam + i h`` to the two heights ``2^-12 / g`` and
-    ``2^-13 / g``, then Richardson-extrapolated to the real axis from them.
-    ``g`` is the largest gap between consecutive support sites (1 for a
-    single site): ``xi`` varies on the scale ``1 / g``, and the
-    extrapolation's next error term with it.  Inside the band the result is
-    generically non-integer; below the band it approaches minus the count of
-    discrete eigenvalues below ``lam``.  A non-finite ``lam`` is rejected.
-
-    With ``L`` support sites and strength ``s = max |v|``, the tracker's two
-    inputs are proved, not tuned, and neither proof reads the two heights:
-
-    - Start height ``max(2 L s, 2^-12 / g)``.  ``|| G0_SS(z) || <= 1 / Im z``,
-      so every eigenvalue ``mu`` of ``V G0_SS`` has
-      ``|mu| <= s / h <= 1 / (2L)`` and
-      ``|arg D| <= L arcsin(s / h) <= pi / 6 < pi / 4``: the principal value
-      there is the continuous branch that vanishes as ``h -> inf``.
-    - Height-ratio cap ``exp(3 / (2L))``.  With ``u = (t - lam) / h``,
-      Krein's trace formula ``d log D / dz = int xi(t) (t - z)^-2 dt`` gives
-      ``d arg D / d ln h = int xi(lam + h u) (u^2 - 1) / (u^2 + 1)^2 du``.
-      The kernel integrates to 0 and its absolute value to 2, so the rate
-      is at most ``2 || xi - c ||_inf`` for every constant ``c``.  ``V`` has
-      ``n+`` positive and ``n-`` negative values, ``n+ + n- <= L``, so by
-      monotonicity and the chain rule ``xi`` lies in ``[-n-, n+]``; ``c`` at
-      its midpoint bounds the rate by ``L``.  A step of ratio
-      ``exp(3 / (2L))`` then turns the phase by at most ``3 / 2 < pi / 2``,
-      so no step slips and none reaches the quarter turn at which the
-      tracker raises ``ssf.BranchTrackingError``.
+    ``Im log D(z) / pi``, with ``log D`` the pivot-log sum of
+    :func:`scattering_log_determinant`, is read at ``z = lam + i h`` for the
+    two heights ``h = 2^-12 / g`` and ``2^-13 / g`` and Richardson-extrapolated
+    to the real axis from them.  ``g`` is the largest gap between consecutive
+    support sites (1 for a single site): ``xi`` varies on the scale ``1 / g``,
+    and the extrapolation's next error term with it.  Inside the band the
+    result is generically non-integer; below the band it approaches minus the
+    count of discrete eigenvalues below ``lam``.  A non-finite ``lam`` is
+    rejected.
     """
     lam = _check_finite(lam, "lam")
-    n_sites = len(model.sites)
     gap = max(model._gaps, default=1)
     heights = [2.0**-12 / gap, 2.0**-13 / gap]
-    h_start = max(2.0 * n_sites * model.strength, heights[0])
-
-    def det_at(h):
-        return scattering_determinant(model, lam + 1j * h)
-
-    ratio = math.exp(3.0 / (2.0 * n_sites))
-    phases = track_determinant_phase(det_at, h_start, heights, max_ratio=ratio)
+    phases = [scattering_log_determinant(model, lam + 1j * h).imag for h in heights]
     return _richardson_two_point(heights, phases) / np.pi
 
 
@@ -290,8 +264,10 @@ def birman_krein_point(model: LatticeScatteringModel, lam: float) -> BirmanKrein
     """Both sides of the determinant-phase identity at one band point.
 
     ``det S`` comes from the Lippmann-Schwinger scattering solve at the band
-    boundary value; ``xi`` comes from the epsilon-tracked determinant phase.
-    The two computations share nothing but the potential.
+    boundary value; ``xi`` comes from the pivot-log phase of the perturbation
+    determinant at two heights above the band, extrapolated to it
+    (:func:`ssf_scattering`).  The two computations share nothing but the
+    potential.
     """
     s = s_matrix(model, lam)
     xi = ssf_scattering(model, lam)
@@ -333,7 +309,7 @@ def bound_state_count_below(model: LatticeScatteringModel, lam: float) -> int:
     Below the band ``H0 - lam`` is positive definite, so by Haynsworth's
     inertia additivity over the sites off the support, ``H - lam`` has as
     many negative eigenvalues as the L x L tridiagonal ``c K^-1 + V`` of
-    :func:`scattering_determinant`, whose ``w`` is now real, in ``(-1, 0)``,
+    :func:`scattering_log_determinant`, whose ``w`` is now real, in ``(-1, 0)``,
     with ``c = w - 1/w > 0``.  Its pivots ``c q_k f_k`` have the signs of the
     ratios ``f_k`` of the same recurrence (``c q_k > 0``), so by Sylvester's
     law of inertia the count is the number of negative ``f_k``: O(L) scalar

@@ -13,9 +13,9 @@ whose right-hand side is evaluated exactly interval-by-interval.  The module
 also provides the invariance-principle route through the resolvent power
 ``(H - a)^{-m}``, ``a`` below both spectra, which reads no eigenvalue; the
 perturbation-determinant route ``xi = Im log det(I + V (H0-z)^{-1}) / pi``
-with its branch read from tridiagonal pivots; and, for a determinant known
-only by value, a phase walk down to the given heights that raises
-:class:`BranchTrackingError` on a step of a quarter turn or more.
+with its branch read from tridiagonal pivots, and the two-point Richardson
+step that both phase routes (this one and ``scattering.ssf_scattering``)
+take to the real axis.
 """
 
 from __future__ import annotations
@@ -40,7 +40,6 @@ from .spectral import (
 )
 
 __all__ = [
-    "BranchTrackingError",
     "StepFunction",
     "compare_at_resolved_points",
     "perturbation_determinant",
@@ -48,13 +47,7 @@ __all__ = [
     "ssf_via_determinant",
     "ssf_via_invariance",
     "trace_formula_sides",
-    "track_determinant_phase",
 ]
-
-
-class BranchTrackingError(RuntimeError):
-    """Raised when a tracked phase step reaches a quarter turn, or the determinant
-    vanishes or is not finite."""
 
 
 # ---------------------------------------------------------------------------
@@ -183,11 +176,10 @@ def trace_formula_sides(
 
     ``xi`` is the pair's spectral shift, as :func:`ssf_counting` builds it.
     The integral side is a finite sum: on each interval between consecutive
-    breakpoints the step value multiplies the increment of ``f``.
+    breakpoints the step value multiplies the increment of ``f``; with no
+    breakpoint (a zero ``xi``) the sum is empty and gives ``0j``.
     """
     lhs = complex(np.sum(np.asarray(f(d.eigenvalues))) - np.sum(np.asarray(f(d0.eigenvalues))))
-    if xi.is_zero:
-        return lhs, 0.0 + 0.0j
     fb = np.asarray(f(xi.breakpoints))
     inner = xi.values[1:-1]
     rhs = complex(np.sum(inner * np.diff(fb)))
@@ -342,70 +334,6 @@ def _determinant_on_vertical_line(d0: SpectralDecomposition, h: np.ndarray, lam:
         return acc
 
     return log_det
-
-
-def track_determinant_phase(
-    det_fn, h_start: float, h_targets: Sequence[float], max_ratio: float
-) -> list:
-    """Continuously tracked ``Im log det`` along a descending vertical path.
-
-    The scattering route's tracker, for a determinant known only by value.
-    ``det_fn(h)`` evaluates the determinant at height ``h`` above the real
-    axis.  The walk starts at ``h_start``, where the principal value of the
-    phase must be the continuous branch, and goes down through the targets,
-    which must be non-increasing.  Each segment from ``top`` to ``target``
-    takes ``n = ceil(ln(top / target) / ln max_ratio)`` equal ratio steps, at
-    ``top * (target / top)^(k / n)``, and sums their principal increments; a
-    target at the current height costs no evaluation.  An increment of
-    ``pi / 2`` or more raises :class:`BranchTrackingError`: ``max_ratio`` is
-    too coarse there.  A step that turns by a full turn or more aliases to a
-    small increment and is not seen; ``max_ratio`` must rule it out.  A
-    determinant that vanishes or is not finite raises
-    :class:`BranchTrackingError` naming its height.  Returns the tracked
-    phase at each target.
-
-    ``scattering.ssf_scattering`` proves its start height and, from Krein's
-    trace formula, its ratio cap ``exp(3 / (2L))`` for ``L`` support sites.
-    """
-    h = _check_positive(h_start, "h_start")
-    max_ratio = _check_real(
-        max_ratio, "max_ratio", "a finite number > 1", lambda r: 1.0 < r < math.inf
-    )
-    targets = [_check_positive(t, f"h_targets[{i}]") for i, t in enumerate(h_targets)]
-    for i, (above, target) in enumerate(zip([h] + targets, targets)):
-        if target > above:
-            raise ValueError(
-                f"h_targets must be non-increasing from h_start={h!r}, "
-                f"got h_targets[{i}]={target!r} above {above!r}"
-            )
-
-    def evaluate(height):
-        val = complex(det_fn(height))
-        if val == 0.0:
-            raise BranchTrackingError(f"determinant vanished at height {height}")
-        if not cmath.isfinite(val):
-            raise BranchTrackingError(f"determinant is not finite at height {height}: {val}")
-        return val
-
-    val = evaluate(h)
-    phase = cmath.phase(val)
-    out = []
-    for target in targets:
-        top = h
-        n = math.ceil(math.log(top / target) / math.log(max_ratio))
-        for k in range(1, n + 1):
-            nxt = top * (target / top) ** (k / n)
-            nxt_val = evaluate(nxt)
-            inc = cmath.phase(nxt_val / val)
-            if not abs(inc) < math.pi / 2.0:
-                raise BranchTrackingError(
-                    f"phase step of {inc:.3g} rad from height {h} to {nxt} is not below "
-                    f"pi/2: max_ratio={max_ratio!r} is too coarse there"
-                )
-            phase += inc
-            h, val = nxt, nxt_val
-        out.append(phase)
-    return out
 
 
 def _richardson_two_point(eps: Sequence[float], vals: Sequence[float]) -> float:

@@ -1,5 +1,8 @@
 """Helpers shared by the test modules (not part of the ssflab API)."""
 
+import cmath
+import math
+
 import numpy as np
 import scipy.linalg
 
@@ -31,10 +34,11 @@ def potential_operator(v) -> np.ndarray:
 
 def truncated_chain(model, l_trunc: int) -> tuple:
     """Diagonal and off-diagonal of the operator truncated to sites |n| <= l_trunc."""
-    if model.support_radius >= l_trunc / 4:
+    radius = max(abs(n) for n in model.sites)
+    if radius >= l_trunc / 4:
         raise ValueError(
             f"truncation l_trunc={l_trunc} too small for support radius "
-            f"{model.support_radius} (need support < l_trunc/4)"
+            f"{radius} (need support < l_trunc/4)"
         )
     n_sites = 2 * l_trunc + 1
     diag = np.zeros(n_sites)
@@ -49,6 +53,31 @@ def truncated_eigenvalues(model, l_trunc: int) -> np.ndarray:
     return scipy.linalg.eigvalsh_tridiagonal(
         *truncated_chain(model, l_trunc), select="v", select_range=(-np.inf, -2.0)
     )
+
+
+def walked_phases(det_fn, h_top: float, heights, max_ratio: float) -> list:
+    """Continuous ``arg det_fn(h)`` at each of the non-increasing ``heights``,
+    walked down from ``h_top``: the oracle for a determinant phase.
+
+    The walk takes the principal phase at ``h_top`` and adds the principal
+    increment of each step; the steps to each height have equal ratios of
+    at most ``max_ratio``.  The caller picks ``h_top`` high enough that the
+    principal value there is the branch that vanishes at ``+i inf``, and
+    ``max_ratio`` fine enough that no step turns by half a turn or more.
+    """
+    top = h_top
+    val = complex(det_fn(top))
+    phase = cmath.phase(val)
+    out = []
+    for h in heights:
+        steps = max(1, math.ceil(math.log(top / h) / math.log(max_ratio)))
+        for t in np.geomspace(top, h, steps + 1)[1:]:
+            nxt = complex(det_fn(float(t)))
+            phase += cmath.phase(nxt / val)
+            val = nxt
+        top = h
+        out.append(phase)
+    return out
 
 
 def zero_potential(model) -> dirac.MatrixPotential:

@@ -122,7 +122,7 @@ def _readme_names() -> set:
 
 def _benchmark_names() -> set:
     """Names the benchmark's sources read, also as a dotted string such as the
-    tracer's ``"ssf.track_determinant_phase"`` or a binding's ``"check_le"``."""
+    tracer's ``"ssf.perturbation_determinant"`` or a binding's ``"check_le"``."""
     read = set()
     for path in sorted((ROOT / "perfbench").rglob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"))

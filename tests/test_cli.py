@@ -789,6 +789,20 @@ def test_config_scalar_rejects_and_names_the_field(tmp_path, capsys, field, give
     assert f"={value!r}" in err
 
 
+def test_huge_values_of_both_signs_pass_birman_krein(tmp_path):
+    # these values pass the strength rule; the product of the pivot ratios
+    # used to overflow while the phase was read, and the run exited 1 with a
+    # traceback
+    cfg = _write_config(
+        tmp_path, _potential({"kind": "centered", "values": [3e303, -3e303, 3e303]})
+    )
+    out = tmp_path / "out.json"
+    assert main(["birman-krein", "--seed", "7", "--config", cfg, "--out", str(out)]) == 0
+    payload = json.loads(out.read_text())
+    assert payload["aggregate_pass"] is True
+    assert len(payload["records"]) == 4
+
+
 @pytest.mark.parametrize("key", ["refinement_n_list", "decay_n_list"])
 @pytest.mark.parametrize("sizes", [[64, 64], [128, 64], [64, 128, 96]])
 def test_study_sizes_that_do_not_refine_name_the_field(tmp_path, capsys, key, sizes):

@@ -145,24 +145,6 @@ GATED = [
         lambda x: ssf.ssf_via_determinant(D, PERTURBATION, 0.25, jump_margin=x),
         POSITIVE,
     ),
-    (
-        "ssf.track_determinant_phase.h_start",
-        "h_start",
-        lambda x: ssf.track_determinant_phase(lambda h: 1.0, x, [], 1.5),
-        POSITIVE,
-    ),
-    (
-        "ssf.track_determinant_phase.h_targets",
-        "h_targets[1]",
-        lambda x: ssf.track_determinant_phase(lambda h: 1.0, 1.0, [0.5, x], 1.5),
-        POSITIVE,
-    ),
-    (
-        "ssf.track_determinant_phase.max_ratio",
-        "max_ratio",
-        lambda x: ssf.track_determinant_phase(lambda h: 1.0, 1.0, [0.5], x),
-        (True, NAN, INF, 0, -1, 1, 1.0, HUGE),
-    ),
     ("doi.CofactorPolynomial.m", "m", lambda x: doi.CofactorPolynomial(x, 1j), INTEGER + (2,)),
     (
         "doi.resolvent_cutoff_split.m",
@@ -235,7 +217,7 @@ GATED = [
         "scattering.LatticeScatteringModel.values",
         "values[0]",
         scattering.LatticeScatteringModel.single_site,
-        # a value past the strength rule used to crash the phase walk
+        # a value past the strength rule used to crash the scattering route
         FINITE + (1e307, -1e307),
     ),
     (

@@ -1,5 +1,6 @@
 """Tests for the 1-d lattice scattering model and the determinant-phase identity."""
 
+import cmath
 import math
 import re
 import sys
@@ -8,8 +9,9 @@ import time
 
 import numpy as np
 import pytest
+import scipy.linalg
 
-from ssflab import cli, scattering, suites
+from ssflab import cli, scattering, spectral, suites
 from ssflab.scattering import (
     BAND_EDGE_MARGIN,
     BirmanKreinRecord,
@@ -18,13 +20,13 @@ from ssflab.scattering import (
     birman_krein_point,
     bound_state_count_below,
     s_matrix,
-    scattering_determinant,
+    scattering_log_determinant,
     ssf_scattering,
 )
-from ssflab.ssf import _richardson_two_point, track_determinant_phase
+from ssflab.ssf import _richardson_two_point
 from ssflab.utils import rng_from
 
-from helpers import truncated_eigenvalues
+from helpers import truncated_eigenvalues, walked_phases
 
 
 def _truncated_free(l_trunc: int) -> np.ndarray:
@@ -48,6 +50,31 @@ def _dense_determinant(model: LatticeScatteringModel, z: complex) -> complex:
     return complex(np.linalg.det(np.eye(len(model.sites)) + np.asarray(model.values)[:, None] * g))
 
 
+def _determinant(model: LatticeScatteringModel, z: complex) -> complex:
+    """``D(z)`` as the exponential of the route's pivot-log sum."""
+    return cmath.exp(scattering_log_determinant(model, z))
+
+
+def _pivot_log_sum(model: LatticeScatteringModel, z: complex) -> complex:
+    """Oracle: ``sum_k [Log p_k - Log p0_k]`` over the LU pivots, taken without
+    pivoting, of ``cK^-1 + V`` and of ``cK^-1``, each tridiagonal built entry
+    by entry; also asserts that every pivot lies in the open lower half plane."""
+    w = scattering._lattice_root(z)
+    c = w - 1.0 / w
+    r = [w ** (b - a) for a, b in zip(model.sites, model.sites[1:])]
+    q = [1.0] + [1.0 / (1.0 - ri * ri) for ri in r] + [1.0]
+    diag = [c * (q[i] + q[i + 1] - 1.0) for i in range(len(model.sites))]
+    off_sq = [0.0] + [(c * ri * qi) ** 2 for ri, qi in zip(r, q[1:])]
+    total = 0j
+    pivot = pivot0 = 1.0
+    for a, b2, v in zip(diag, off_sq, model.values):
+        pivot = a + v - b2 / pivot
+        pivot0 = a - b2 / pivot0
+        assert pivot.imag < 0.0 and pivot0.imag < 0.0, (pivot, pivot0)
+        total += cmath.log(pivot) - cmath.log(pivot0)
+    return total
+
+
 # ---------------------------------------------------------------------------
 # model construction
 
@@ -56,14 +83,12 @@ class TestModel:
     def test_single_site(self):
         m = LatticeScatteringModel.single_site(0.7, site=3)
         assert m.sites == (3,) and m.values == (0.7,)
-        assert m.support_radius == 3
         assert m.strength == 0.7
 
     def test_centered(self):
         m = LatticeScatteringModel.centered([0.1, -0.2, 0.3, 0.4, 0.5])
         assert m.sites == (-2, -1, 0, 1, 2)
         assert m.strength == 0.5
-        assert m.support_radius == 2
 
     def test_centered_even_length(self):
         m = LatticeScatteringModel.centered([1.0, 2.0])
@@ -103,8 +128,8 @@ class TestModel:
 
     @pytest.mark.parametrize("value", [1e307, -1e307, 1e308])
     def test_a_value_past_the_strength_rule_is_refused_by_name(self, value):
-        # 1e307 used to end in a bare OverflowError in the phase walk, and
-        # 1e308 in a ValueError naming the walk's internal h_start
+        # 1e307 used to end in a bare OverflowError inside the route, and
+        # 1e308 in a ValueError that named neither the value nor the rule
         rule = "values[0] must be a finite number with 2 L |v| g 2**13 finite"
         with pytest.raises(ValueError, match=re.escape(rule) + ".*" + re.escape(f"={value!r}")):
             LatticeScatteringModel.single_site(value)
@@ -120,8 +145,8 @@ class TestModel:
 
     @pytest.mark.parametrize("sign", [1.0, -1.0])
     def test_the_largest_admitted_value_keeps_the_identity(self, sign):
-        # the rule is the walk's own: at the largest value it admits, the
-        # walk stays finite and the identity holds
+        # at the largest value the rule admits, the pivot recurrence stays
+        # finite at the route's heights and the identity holds
         value = sign * sys.float_info.max / 2.0**14
         with pytest.raises(ValueError, match="values"):
             LatticeScatteringModel.single_site(float(np.nextafter(value, 2.0 * value)))
@@ -130,10 +155,20 @@ class TestModel:
 
     def test_the_widest_site_pair_keeps_its_distance(self):
         # a site must be below 2**62 in magnitude, so the distance of the
-        # widest pair fits an int64; (-2**62, 2**62) used to wrap to -2**63
+        # widest pair fits an int64; (-2**62, 2**62) used to wrap to -2**63,
+        # and w = 1/2 raised to it overflows where the true power underflows
         lo, hi = 1 - 2**62, 2**62 - 1
-        m = LatticeScatteringModel((lo, hi), (1.0, 2.0))
-        assert int(m._distance[0, 1]) == hi - lo
+        g = scattering._support_green(LatticeScatteringModel((lo, hi), (1.0, 2.0)), 0.5)
+        np.testing.assert_array_equal(g, np.diag([1.0 / (0.5 - 2.0)] * 2))
+
+    def test_huge_values_of_both_signs_keep_the_identity(self):
+        # the product of the pivot ratios overflowed here, in the walk that
+        # read its phase: birman_krein_point raised at every band point
+        model = LatticeScatteringModel.centered([3e303, -3e303, 3e303])
+        for lam in (-1.9, -0.7, 0.3, 1.6):
+            assert math.isfinite(abs(scattering_log_determinant(model, complex(lam, 2.0**-13))))
+            record = birman_krein_point(model, lam)
+            assert math.isfinite(record.residual) and record.residual <= 1e-5
 
 
 # ---------------------------------------------------------------------------
@@ -167,7 +202,7 @@ class TestFreeGreen:
 
     @pytest.mark.parametrize("value", [1e4, 1e150, 1e300, -1e300])
     def test_a_strong_site_keeps_the_identity(self, value):
-        # at 1e150 the inner root rounded to 0 and the tracker's first
+        # at 1e150 the inner root rounded to 0 and the route's first
         # determinant divided by it; at 1e160 it came back as nan
         record = birman_krein_point(LatticeScatteringModel.single_site(value), 0.5)
         assert math.isfinite(record.residual) and record.residual <= 1e-5
@@ -283,7 +318,60 @@ class TestSMatrix:
 # perturbation determinant and spectral shift
 
 
+def _default_potentials() -> list:
+    return [suites._build_potential(s) for s in cli._SCHEMA["birman-krein"]["potentials"][0]]
+
+
+def _adversarial_models(seed: int) -> list:
+    """Strong, many-site, wide-gap and weak potentials, seeded."""
+    rng = rng_from(seed)
+
+    def chain(n_sites, gap_hi, scale):
+        gaps = rng.integers(1, gap_hi + 1, size=n_sites - 1)
+        sites = np.concatenate([[0], np.cumsum(gaps)]) - int(rng.integers(0, 10))
+        values = scale * rng.uniform(-1.0, 1.0, size=n_sites)
+        return LatticeScatteringModel(tuple(int(n) for n in sites), tuple(values))
+
+    return [
+        chain(int(rng.integers(1, 5)), 1, 20.0),
+        chain(int(rng.integers(8, 12)), 3, 3.0),
+        chain(int(rng.integers(2, 7)), 29, 5.0),
+        chain(int(rng.integers(1, 4)), 2, 0.02),
+    ]
+
+
+def _phase_cases() -> list:
+    """(model, lam) pairs: lam inside, below and above the band."""
+    cases = [(m, lam) for m in _default_potentials() for lam in (-1.7, 0.3, 1.9, -2.6, 2.4)]
+    for seed in (2701, 2702, 2703):
+        rng = rng_from(seed)
+        for model in _adversarial_models(seed):
+            reach = 2.0 * model.strength + 1.0
+            cases += [
+                (model, float(rng.uniform(-1.9, 1.9))),
+                (model, float(-2.01 - rng.uniform(0.0, reach))),
+                (model, float(2.01 + rng.uniform(0.0, reach))),
+            ]
+    return cases
+
+
+_PHASE_CASES = _phase_cases()
+
+
+def _read_heights(model: LatticeScatteringModel) -> list:
+    """The two heights the route extrapolates from, scaled by the largest gap."""
+    gap = max((b - a for a, b in zip(model.sites, model.sites[1:])), default=1)
+    return [2.0**-12 / gap, 2.0**-13 / gap]
+
+
+def _case_id(case) -> str:
+    model, lam = case
+    return f"L{len(model.sites)}-s{model.strength:.3g}-lam{lam:.3g}"
+
+
 class TestScatteringDeterminant:
+    """``exp`` of the pivot-log sum against the dense ``det(I + V G0_SS)``."""
+
     def test_matches_truncated_operator_determinant(self):
         model = LatticeScatteringModel.centered([0.4, -0.3, 0.2])
         z = 0.3 + 1.1j
@@ -293,7 +381,7 @@ class TestScatteringDeterminant:
         idx = [s + l_trunc for s in model.sites]
         v = np.asarray(model.values)
         small = np.eye(len(idx)) + v[:, None] * g0[np.ix_(idx, idx)]
-        assert scattering_determinant(model, z) == pytest.approx(
+        assert _determinant(model, z) == pytest.approx(
             complex(np.linalg.det(small)), abs=1e-8
         )
 
@@ -301,7 +389,7 @@ class TestScatteringDeterminant:
         model = LatticeScatteringModel((-3, 0, 1, 4), (0.7, -1.1, 0.4, 2.0))
         for z in (0.3 + 1e-3j, -1.9 + 0.2j, 2.5 + 1e-6j, -3.0 + 4.0j):
             want = _dense_determinant(model, z)
-            assert scattering_determinant(model, z) == pytest.approx(want, rel=1e-13)
+            assert _determinant(model, z) == pytest.approx(want, rel=1e-13)
 
     def test_gaps_inner_root_and_denominator_all_count(self):
         # unequal gaps, both signs, points near and off the band: fails if the
@@ -312,46 +400,46 @@ class TestScatteringDeterminant:
         for lam in (-3.1, -1.7, -0.2, 0.9, 1.95, 2.6):
             for h in (1e-4, 0.05, 1.5):
                 z = complex(lam, h)
-                assert scattering_determinant(model, z) == pytest.approx(
+                assert _determinant(model, z) == pytest.approx(
                     _dense_determinant(model, z), rel=1e-13
                 )
-                assert scattering_determinant(zero, z) == pytest.approx(1.0, abs=1e-14)
+                assert _determinant(zero, z) == pytest.approx(1.0, abs=1e-14)
 
     def test_far_apart_sites_cost_no_more_than_near_ones(self):
         gap = 10**6
         model = LatticeScatteringModel((0, gap), (0.7, -1.3))
         # heights where |w^gap| < 1e-200: the two sites decouple
         for z in (0.3 + 1e-3j, -2.5 + 0.5j, 1.9 + 1e-2j):
-            assert scattering_determinant(model, z) == pytest.approx(
+            assert _determinant(model, z) == pytest.approx(
                 _dense_determinant(model, z), rel=1e-13
             )
         # heights where |w^gap| is 0.35-0.95: w^gap carries the rounding of w
         # amplified by the gap, in the oracle as in the recurrence
         for z in (-1.75 + 1e-6j, -0.5 + 1e-7j, 0.75 + 1e-6j, 1.75 + 1e-7j):
-            assert scattering_determinant(model, z) == pytest.approx(
+            assert _determinant(model, z) == pytest.approx(
                 _dense_determinant(model, z), rel=gap * np.finfo(float).eps
             )
         t0 = time.perf_counter()
         for _ in range(1000):
-            scattering_determinant(model, 0.3 + 1e-6j)
+            _determinant(model, 0.3 + 1e-6j)
         assert time.perf_counter() - t0 < 0.25
 
     @pytest.mark.parametrize("z", [0.3 - 0.5j, 3.0, -2.5 + 0j, 0.5 - 1e-12j, complex("nan+nanj")])
     def test_rejects_points_off_the_upper_half_plane(self, z):
         model = LatticeScatteringModel.centered([0.3, -0.2, 0.5])
         with pytest.raises(ValueError, match=r"needs Im z > 0, got z="):
-            scattering_determinant(model, z)
+            _determinant(model, z)
 
     def test_threads_sharing_a_model_agree_with_serial(self):
-        # a frozen model is public API: a caller's threads may share one,
-        # though the suites run on one thread
+        # a frozen model holds only its sites, values and gaps: threads that
+        # share one get the serial values
         model = LatticeScatteringModel.centered([0.3, -0.2, 0.5, 0.1, -0.4])
         zs = [complex(lam, h) for lam in np.linspace(-1.9, 1.9, 20) for h in (1e-3, 0.5)]
-        serial = [scattering_determinant(model, z) for z in zs]
+        serial = [_determinant(model, z) for z in zs]
         results = [None] * 6
 
         def work(i):
-            results[i] = [scattering_determinant(model, z) for z in zs for _ in range(5)]
+            results[i] = [_determinant(model, z) for z in zs for _ in range(5)]
 
         old = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
@@ -369,7 +457,34 @@ class TestScatteringDeterminant:
 
     def test_zero_potential_determinant_is_one(self):
         model = LatticeScatteringModel.single_site(0.0)
-        assert scattering_determinant(model, 1j) == pytest.approx(1.0, abs=1e-14)
+        assert _determinant(model, 1j) == pytest.approx(1.0, abs=1e-14)
+
+    @pytest.mark.parametrize("case", _PHASE_CASES, ids=_case_id)
+    def test_pivot_ratio_logs_sum_to_the_pivot_log_differences(self, case):
+        # Arg of each pivot ratio is the difference of two pivot Args in the
+        # open lower half plane, so Log f_k = Log(c q_k f_k) - Log(c q_k)
+        model, lam = case
+        for h in (1e-5, 2.0**-13, 0.01, 1.0):
+            z = complex(lam, h)
+            got = scattering_log_determinant(model, z)
+            assert got == pytest.approx(_pivot_log_sum(model, z), rel=0.0, abs=1e-9), h
+
+    @pytest.mark.parametrize("case", _PHASE_CASES, ids=_case_id)
+    def test_phase_is_the_branch_walked_down_from_high_up(self, case):
+        # the dense determinant, known only by value, walked down from a
+        # height where |arg D| <= L arcsin(s / h) is tiny; Krein's trace
+        # formula bounds |d arg D / d ln h| by L, so each step of ratio
+        # exp(1 / (4L)) turns by at most 1/4
+        model, lam = case
+        heights = _read_heights(model)
+        walked = walked_phases(
+            lambda h: _dense_determinant(model, lam + 1j * h),
+            1e3 * len(model.sites) * (1.0 + model.strength),
+            heights,
+            max_ratio=math.exp(1.0 / (4.0 * len(model.sites))),
+        )
+        got = [scattering_log_determinant(model, lam + 1j * h).imag for h in heights]
+        np.testing.assert_allclose(got, walked, rtol=0.0, atol=1e-9)
 
 
 class TestSsfScattering:
@@ -378,12 +493,7 @@ class TestSsfScattering:
         model = LatticeScatteringModel.centered([0.3, -0.2, 0.5])
         halved = [2.0**-13, 2.0**-14]
         for lam in (-1.2, 0.1, 1.4):
-            phases = track_determinant_phase(
-                lambda h: scattering_determinant(model, lam + 1j * h),
-                _h_start(model),
-                halved,
-                max_ratio=math.exp(3.0 / (2.0 * len(model.sites))),
-            )
+            phases = [scattering_log_determinant(model, lam + 1j * h).imag for h in halved]
             base = ssf_scattering(model, lam)
             assert abs(base - _richardson_two_point(halved, phases) / np.pi) <= 1e-7
 
@@ -413,144 +523,39 @@ class TestSsfScattering:
 
     def test_two_bound_states_below_leave_the_principal_range(self):
         # two deep wells bind two states below -2.5: the phase there is -2 pi,
-        # which no principal value can give, so the branch must be tracked
+        # which no principal value of D can give, only the sum of pivot logs
         model = LatticeScatteringModel.centered([-3.0, 0.5, -3.0])
         xi = ssf_scattering(model, -2.5)
         assert xi == pytest.approx(-2.0, abs=1e-6)
         assert xi == pytest.approx(-bound_state_count_below(model, -2.5), abs=1e-6)
 
+    def test_reads_no_count_no_scattering_matrix_and_no_eigensolver(self, monkeypatch):
+        # the route must stay independent of the two it is checked against:
+        # the exact count below the band and the scattering matrix on it
+        model = LatticeScatteringModel.centered([-3.0, 0.5, -3.0])
+        lams = (-2.5, -1.1, 0.4, 2.3)
+        want = [ssf_scattering(model, lam) for lam in lams]
 
-# ---------------------------------------------------------------------------
-# the tracker's start height and step cap, derived from rank V
+        def forbidden(*args, **kwargs):
+            raise AssertionError("the scattering route read another route")
 
-
-def _default_potentials() -> list:
-    return [suites._build_potential(s) for s in cli._SCHEMA["birman-krein"]["potentials"][0]]
-
-
-def _adversarial_models(seed: int) -> list:
-    """Strong, many-site, wide-gap and weak potentials, seeded."""
-    rng = rng_from(seed)
-
-    def chain(n_sites, gap_hi, scale):
-        gaps = rng.integers(1, gap_hi + 1, size=n_sites - 1)
-        sites = np.concatenate([[0], np.cumsum(gaps)]) - int(rng.integers(0, 10))
-        values = scale * rng.uniform(-1.0, 1.0, size=n_sites)
-        return LatticeScatteringModel(tuple(int(n) for n in sites), tuple(values))
-
-    return [
-        chain(int(rng.integers(1, 5)), 1, 20.0),
-        chain(int(rng.integers(8, 12)), 3, 3.0),
-        chain(int(rng.integers(2, 7)), 29, 5.0),
-        chain(int(rng.integers(1, 4)), 2, 0.02),
-    ]
-
-
-def _tracker_cases() -> list:
-    """(model, lam) pairs: lam inside, below and above the band."""
-    cases = [(m, lam) for m in _default_potentials() for lam in (-1.7, 0.3, 1.9, -2.6, 2.4)]
-    for seed in (2701, 2702, 2703):
-        rng = rng_from(seed)
-        for model in _adversarial_models(seed):
-            reach = 2.0 * model.strength + 1.0
-            cases += [
-                (model, float(rng.uniform(-1.9, 1.9))),
-                (model, float(-2.01 - rng.uniform(0.0, reach))),
-                (model, float(2.01 + rng.uniform(0.0, reach))),
-            ]
-    return cases
-
-
-_TRACKER_CASES = _tracker_cases()
-
-
-def _read_heights(model: LatticeScatteringModel) -> list:
-    """The two heights the route extrapolates from, scaled by the largest gap."""
-    gap = max((b - a for a, b in zip(model.sites, model.sites[1:])), default=1)
-    return [2.0**-12 / gap, 2.0**-13 / gap]
-
-
-def _h_start(model: LatticeScatteringModel) -> float:
-    return max(2.0 * len(model.sites) * model.strength, _read_heights(model)[0])
-
-
-def _case_id(case) -> str:
-    model, lam = case
-    return f"L{len(model.sites)}-s{model.strength:.3g}-lam{lam:.3g}"
-
-
-class TestTrackerBounds:
-    @pytest.mark.parametrize("case", _TRACKER_CASES, ids=_case_id)
-    def test_evaluation_count_is_exact_and_descending(self, case, monkeypatch):
-        model, lam = case
-        heights = []
-        inner = scattering.scattering_determinant
-
-        def counted(m, z):
-            heights.append(z.imag)
-            return inner(m, z)
-
-        monkeypatch.setattr(scattering, "scattering_determinant", counted)
-        ssf_scattering(model, lam)
-        # one evaluation at the start, then ceil(ln(h_prev / h_k) / ln r) per target
-        log_ratio = math.log(math.exp(3.0 / (2.0 * len(model.sites))))
-        tops = [_h_start(model)] + _read_heights(model)
-        steps = [math.ceil(math.log(a / b) / log_ratio) for a, b in zip(tops, tops[1:])]
-        assert len(heights) == 1 + sum(steps)
-        assert all(b < a for a, b in zip(heights, heights[1:]))
-        assert heights[0] == _h_start(model) and heights[-1] == _read_heights(model)[1]
-
-    @pytest.mark.parametrize("case", _TRACKER_CASES, ids=_case_id)
-    def test_each_step_turns_by_at_most_the_proved_rate(self, case, monkeypatch):
-        # the ratio cap rests on |d arg D / d ln h| <= n+ + n-, the number of
-        # nonzero values: each step's principal increment keeps to that rate
-        model, lam = case
-        walk = []
-        inner = scattering.scattering_determinant
-
-        def recorded(m, z):
-            val = inner(m, z)
-            walk.append((z.imag, val))
-            return val
-
-        monkeypatch.setattr(scattering, "scattering_determinant", recorded)
-        ssf_scattering(model, lam)
-        rate = sum(v != 0.0 for v in model.values)
-        for (h_prev, d_prev), (h_next, d_next) in zip(walk, walk[1:]):
-            turn = abs(np.angle(d_next / d_prev))
-            assert turn <= rate * math.log(h_prev / h_next) + 1e-12, (h_prev, h_next)
-
-    @pytest.mark.parametrize("case", _TRACKER_CASES, ids=_case_id)
-    def test_start_is_on_the_principal_branch(self, case):
-        model, lam = case
-        h = _h_start(model)
-        phase = abs(np.angle(scattering_determinant(model, lam + 1j * h)))
-        assert phase <= len(model.sites) * np.arcsin(min(1.0, model.strength / h)) + 1e-15
-        assert phase <= np.pi / 4
-
-    @pytest.mark.parametrize("case", _TRACKER_CASES, ids=_case_id)
-    def test_ladder_phases_match_a_finer_tracker_from_higher_up(self, case, monkeypatch):
-        model, lam = case
-        calls = []
-        inner = scattering.track_determinant_phase
-
-        def recorded(det_fn, h_start, targets, max_ratio):
-            phases = inner(det_fn, h_start, targets, max_ratio=max_ratio)
-            calls.append((det_fn, targets, phases))
-            return phases
-
-        monkeypatch.setattr(scattering, "track_determinant_phase", recorded)
-        ssf_scattering(model, lam)
-        (det_fn, targets, phases), = calls
-        # the tracker is given the two heights the extrapolation reads, no more
-        assert list(targets) == _read_heights(model)
-        reference = inner(
-            det_fn,
-            1e4 * (1.0 + model.strength),
-            targets,
-            max_ratio=np.exp(1.0 / (40.0 * len(model.sites))),
-        )
-        np.testing.assert_allclose(phases, reference, rtol=0.0, atol=1e-12)
+        for owner, name in (
+            (scattering, "bound_state_count_below"),
+            (scattering, "s_matrix"),
+            (spectral, "eig_hermitian"),
+            (np.linalg, "eig"),
+            (np.linalg, "eigh"),
+            (np.linalg, "eigvals"),
+            (np.linalg, "eigvalsh"),
+            (scipy.linalg, "eig"),
+            (scipy.linalg, "eigh"),
+            (scipy.linalg, "eigvals"),
+            (scipy.linalg, "eigvalsh"),
+            (scipy.linalg, "eigh_tridiagonal"),
+            (scipy.linalg, "eigvalsh_tridiagonal"),
+        ):
+            monkeypatch.setattr(owner, name, forbidden)
+        assert [ssf_scattering(model, lam) for lam in lams] == want
 
 
 def _chain_count(model: LatticeScatteringModel, lam: float) -> int:

@@ -1,8 +1,7 @@
-"""Tests for spectral shift construction, trace identity and branch tracking."""
+"""Tests for spectral shift construction, the trace identity and the determinant route."""
 
 import cmath
 import math
-import re
 import zlib
 
 import numpy as np
@@ -10,12 +9,11 @@ import pytest
 import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from helpers import random_unitary
+from helpers import random_unitary, walked_phases
 
 from ssflab import functions, spectral, ssf
 from ssflab.spectral import SpectralDecomposition, eig_hermitian
 from ssflab.ssf import (
-    BranchTrackingError,
     StepFunction,
     compare_at_resolved_points,
     perturbation_determinant,
@@ -23,7 +21,6 @@ from ssflab.ssf import (
     ssf_via_determinant,
     ssf_via_invariance,
     trace_formula_sides,
-    track_determinant_phase,
 )
 from ssflab.utils import random_hermitian, random_rank_k_hermitian, rng_from
 
@@ -681,8 +678,8 @@ class TestDeterminantOnVerticalLine:
                 ratio = np.linalg.det(h - z * eye) / np.linalg.det(h0 - z * eye)
                 assert got == pytest.approx(ratio, rel=1e-9)
 
-    def test_phase_equals_the_tracked_phase_at_the_default_heights(self):
-        # the tracker, fed only the principal values exp(log_det), rebuilds the
+    def test_phase_equals_the_walked_phase_at_the_default_heights(self):
+        # a walk fed only the principal values exp(log_det) rebuilds the
         # continuous branch from a ratio-capped ladder; winding speed is at
         # most (d0.dim + d.dim) / h, so the cap keeps each step under pi/4
         widest = 0.0
@@ -690,29 +687,19 @@ class TestDeterminantOnVerticalLine:
             d0, v = _determinant_case(kind, n)
             h = d0.reconstruct() + v
             d = eig_hermitian(h)
-            h_start = 10.0 * max(np.abs(d0.eigenvalues).max(), np.abs(d.eigenvalues).max(), 1.0)
+            h_top = 10.0 * max(np.abs(d0.eigenvalues).max(), np.abs(d.eigenvalues).max(), 1.0)
             ratio = math.exp(math.pi / (4.0 * 2 * n))
             for lam in _lambdas(d0, d):
                 eps = _route_heights(d0, d, lam)
                 log_det = ssf._determinant_on_vertical_line(d0, h, lam)
-                tracked = track_determinant_phase(
-                    lambda t: cmath.exp(log_det(t)), h_start + abs(lam), eps, max_ratio=ratio
+                walked = walked_phases(
+                    lambda t: cmath.exp(log_det(t)), h_top + abs(lam), eps, max_ratio=ratio
                 )
-                for e, want in zip(eps, tracked):
+                for e, want in zip(eps, walked):
                     assert log_det(e).imag == pytest.approx(want, abs=1e-12), (kind, n, lam, e)
                     widest = max(widest, abs(want))
         # some point has |xi| >= 1 with its phase outside the principal range
         assert widest > math.pi
-
-    def test_route_never_tracks(self, monkeypatch):
-        def forbidden(*args, **kwargs):
-            raise AssertionError("ssf_via_determinant called the phase tracker")
-
-        monkeypatch.setattr(ssf, "track_determinant_phase", forbidden)
-        d0, v = _determinant_case("degenerate", 32)
-        d = eig_hermitian(d0.reconstruct() + v)
-        lam = _lambdas(d0, d)[0]
-        assert abs(ssf_via_determinant(d0, v, lam) - ssf_counting(d0, d)(lam)) < 1e-6
 
     def test_size_64_point_matches_counting(self):
         d0, v = _determinant_case("random", 64)
@@ -763,115 +750,6 @@ class TestDeterminantOnVerticalLine:
             ssf_via_determinant(d0, v, 0.5)
         with pytest.raises(ValueError, match="shape"):
             ssf_via_determinant(d0, np.eye(2), 0.5)
-
-
-class TestPhaseTracking:
-    def test_tracks_full_turn_of_rational_factors(self):
-        # the model det(h) = prod (a_j + ih) / (b_j + ih) is exactly the shape
-        # a perturbation determinant takes on a vertical line; its continuous
-        # phase is a sum of atan2 terms and approaches 2 pi here while the
-        # principal value returns to ~0
-        a = [-1.0, -2.0, 3.0]
-        b = [1.0, 2.0, 3.0]
-
-        def det_fn(h):
-            out = 1.0 + 0.0j
-            for aj, bj in zip(a, b):
-                out *= (aj + 1j * h) / (bj + 1j * h)
-            return out
-
-        def expected(h):
-            return sum(math.atan2(h, aj) - math.atan2(h, bj) for aj, bj in zip(a, b))
-
-        targets = [5.0, 0.5, 1e-3, 1e-6]
-        phases = track_determinant_phase(det_fn, 1e4, targets, 1.1)
-        for t, p in zip(targets, phases):
-            assert p == pytest.approx(expected(t), abs=1e-9)
-        assert phases[-1] == pytest.approx(2.0 * math.pi, abs=1e-5)
-        assert abs(cmath.phase(det_fn(1e-6))) < 1e-5
-
-    def test_tracks_many_turns_under_tight_ratio(self):
-        # synthetic winding exp(i k / h) accelerates as h drops, so the step
-        # ratio must be tightened by hand to keep raw increments principal
-        k = 10.0
-        det_fn = lambda h: cmath.exp(1j * k / h)
-        phases = track_determinant_phase(det_fn, 100.0, [0.1], max_ratio=1.001)
-        assert phases[0] == pytest.approx(k / 0.1, abs=1e-9)
-
-    def test_target_at_the_start_height_costs_no_second_evaluation(self):
-        heights = []
-
-        def det_fn(h):
-            heights.append(h)
-            return cmath.exp(1j / h)
-
-        out = track_determinant_phase(det_fn, 2.0, [2.0, 1.0], max_ratio=1.5)
-        assert out == pytest.approx([0.5, 1.0], abs=1e-12)
-        assert heights == [2.0, pytest.approx(2.0 ** 0.5), 1.0]
-
-    def test_walks_equal_ratio_steps_down_each_segment(self):
-        heights = []
-
-        def det_fn(h):
-            heights.append(h)
-            return cmath.exp(0.1j / h)
-
-        out = track_determinant_phase(det_fn, 10.0, [0.5, 0.5, 0.1], max_ratio=2.0)
-        assert out == pytest.approx([0.2, 0.2, 1.0], abs=1e-12)
-        # ceil(ln 20 / ln 2) = 5 steps to 0.5, none to 0.5 again, 3 to 0.1
-        first = [10.0 * 0.05 ** (k / 5) for k in range(1, 6)]
-        second = [first[-1] * (0.1 / first[-1]) ** (k / 3) for k in range(1, 4)]
-        assert heights == [10.0] + first + second
-
-    def test_rejects_rising_targets_by_name(self):
-        with pytest.raises(ValueError, match=re.escape("h_targets[1]=2.0 above 1.0")):
-            track_determinant_phase(lambda h: 1.0, 4.0, [1.0, 2.0], 1.5)
-        with pytest.raises(ValueError, match=re.escape("h_targets[0]=2.0 above 1.0")):
-            track_determinant_phase(lambda h: 1.0, 1.0, [2.0], 1.5)
-
-    def test_rejects_nonpositive_target(self):
-        with pytest.raises(ValueError, match="positive"):
-            track_determinant_phase(lambda h: 1.0, 1.0, [0.0], 1.5)
-
-    def test_rejects_bad_ratio(self):
-        with pytest.raises(ValueError, match="max_ratio"):
-            track_determinant_phase(lambda h: 1.0, 1.0, [0.5], max_ratio=1.0)
-
-    def test_vanishing_determinant_raises(self):
-        with pytest.raises(BranchTrackingError, match="vanished"):
-            track_determinant_phase(lambda h: 0.0, 1.0, [0.5], 1.5)
-
-    @pytest.mark.parametrize("bad", [complex("nan+0j"), complex("inf+0j"), complex(1.0, -np.inf)])
-    @pytest.mark.parametrize("h_start", [0.5, 1.0], ids=["at_start", "on_the_way"])
-    def test_non_finite_determinant_raises_naming_the_height(self, bad, h_start):
-        # such a value used to pass for a phase step of nan rad, blamed on max_ratio
-        def det_fn(h):
-            return bad if h <= 0.5 else 1.0 + 0.0j
-
-        with pytest.raises(BranchTrackingError, match=r"not finite at height 0\.5"):
-            track_determinant_phase(det_fn, h_start, [0.5], 1.5)
-
-    def test_coarse_step_raises_naming_height_and_ratio(self):
-        # the phase moves by 2 rad between heights 2 and 1, in one step of
-        # ratio 2; a move of a full turn or more would alias unseen instead
-        heights = []
-
-        def det_fn(h):
-            heights.append(h)
-            return cmath.exp(4j / h)
-
-        with pytest.raises(BranchTrackingError, match=r"from height 2\.0 to 1\.0 .*max_ratio=2\.0"):
-            track_determinant_phase(det_fn, 2.0, [1.0], max_ratio=2.0)
-        assert heights == [2.0, 1.0]
-
-    def test_step_just_past_a_quarter_turn_raises(self):
-        # exp(i theta / h) turns by theta in the one step from 1 to 1/2
-        below = math.pi / 2.0 - 1e-9
-        out = track_determinant_phase(lambda h: cmath.exp(1j * below / h), 1.0, [0.5], 2.0)
-        assert out == pytest.approx([2.0 * below], abs=1e-12)
-        above = math.pi / 2.0 + 1e-9
-        with pytest.raises(BranchTrackingError, match="pi/2"):
-            track_determinant_phase(lambda h: cmath.exp(1j * above / h), 1.0, [0.5], 2.0)
 
 
 class TestDeterminantRoute:
