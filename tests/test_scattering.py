@@ -486,6 +486,25 @@ class TestScatteringDeterminant:
         got = [scattering_log_determinant(model, lam + 1j * h).imag for h in heights]
         np.testing.assert_allclose(got, walked, rtol=0.0, atol=1e-9)
 
+    @pytest.mark.parametrize("case", _PHASE_CASES, ids=_case_id)
+    def test_exponential_matches_the_dense_determinant(self, case):
+        model, lam = case
+        for h in (1e-5, *_read_heights(model), 0.01, 1.0):
+            z = complex(lam, h)
+            assert _determinant(model, z) == pytest.approx(_dense_determinant(model, z), rel=1e-13), h
+
+    @pytest.mark.parametrize("case", _PHASE_CASES, ids=_case_id)
+    def test_vanishes_high_up_within_the_resolvent_bound(self, case):
+        # the eigenvalues mu_j of V G0_SS(z) have |mu_j| <= s / Im z < 1 on the
+        # whole ray from z to +i inf, so the branch that vanishes there is
+        # sum_j Log(1 + mu_j), of modulus at most -L log(1 - s / Im z); a branch
+        # off by a turn, or a phase not summed from pivots, breaks the bound
+        model, lam = case
+        n_sites = len(model.sites)
+        for ratio in (0.5, 0.125, 1e-6):
+            got = scattering_log_determinant(model, complex(lam, model.strength / ratio))
+            assert abs(got) <= -n_sites * math.log1p(-ratio) * (1.0 + 1e-12), ratio
+
 
 class TestSsfScattering:
     def test_epsilon_halving_is_stable(self):
@@ -528,6 +547,22 @@ class TestSsfScattering:
         xi = ssf_scattering(model, -2.5)
         assert xi == pytest.approx(-2.0, abs=1e-6)
         assert xi == pytest.approx(-bound_state_count_below(model, -2.5), abs=1e-6)
+
+    @pytest.mark.parametrize("case", _PHASE_CASES, ids=_case_id)
+    def test_xi_meets_the_count_off_the_band_and_det_s_on_it(self, case):
+        # below the band xi is minus the count of eigenvalues below lam; above
+        # it, plus the count above lam, which is the count of H_{-V} below
+        # -lam, since (-1)^n maps H_V to -H_{-V}; on the band det S is
+        # exp(-2 pi i xi) within the suite's residual bound
+        model, lam = case
+        xi = ssf_scattering(model, lam)
+        if lam < -2.0:
+            assert xi == pytest.approx(-bound_state_count_below(model, lam), abs=1e-5)
+        elif lam > 2.0:
+            mirror = LatticeScatteringModel(model.sites, tuple(-v for v in model.values))
+            assert xi == pytest.approx(bound_state_count_below(mirror, -lam), abs=1e-5)
+        else:
+            assert birman_krein_point(model, lam).residual <= 1e-5
 
     def test_reads_no_count_no_scattering_matrix_and_no_eigensolver(self, monkeypatch):
         # the route must stay independent of the two it is checked against:
