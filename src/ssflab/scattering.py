@@ -17,7 +17,6 @@ left-incident wave is ``exp(-i kappa n)`` (positive group velocity for the
 
 from __future__ import annotations
 
-import cmath
 import math
 import sys
 from dataclasses import dataclass
@@ -41,6 +40,8 @@ __all__ = [
 ]
 
 BAND_EDGE_MARGIN = 1e-3
+# stacked L x L support matrices per batch of band points, 32 MB of complex
+_BATCH_ENTRIES = 2**21
 
 
 def _check_site(value, name: str) -> int:
@@ -111,49 +112,81 @@ class LatticeScatteringModel:
         return max(abs(v) for v in self.values)
 
 
-def _lattice_root(z: complex) -> complex:
-    """The root of ``w + 1/w = z`` inside the unit disk.
+def _lattice_root(z):
+    """The root of ``w + 1/w = z`` inside the unit disk, at each point of ``z``.
 
-    Rejects a non-finite ``z``, and ``z`` on the band ``[-2, 2]``, where both
-    roots sit on the unit circle and the resolvent has no meaning.  With
-    ``u = z / 2`` the roots are ``u +- sqrt(u - 1) sqrt(u + 1)``, with
-    product 1.  The sign of the larger modulus adds two terms that do not
-    cancel and gives the outer root; the inner root is its reciprocal.
-    Nothing squares ``z``, so a large ``|z|`` neither overflows nor loses
-    digits, as ``(z - sqrt(z^2 - 4)) / 2`` would.
+    ``z`` is a complex number or an array of them; the roots come back in its
+    shape.  Rejects a non-finite ``z``, and ``z`` on the band ``[-2, 2]``,
+    where both roots sit on the unit circle and the resolvent has no meaning;
+    the error names the first such point.  With ``u = z / 2`` the roots are
+    ``u +- sqrt(u - 1) sqrt(u + 1)``, with product 1.  The sign of the larger
+    modulus adds two terms that do not cancel and gives the outer root; the
+    inner root is its reciprocal.  Nothing squares ``z``, so a large ``|z|``
+    neither overflows nor loses digits, as ``(z - sqrt(z^2 - 4)) / 2`` would.
     """
-    z = complex(z)
-    if not cmath.isfinite(z):
-        raise ValueError(f"z must be finite, got z={z}")
-    if z.imag == 0.0 and abs(z.real) <= 2.0:
-        raise ValueError(f"z={z} lies on the spectral band [-2, 2]")
+    z = np.asarray(z, dtype=complex)
+    bad = ~np.isfinite(z)
+    if bad.any():
+        raise ValueError(f"z must be finite, got z={complex(z[bad][0])}")
+    bad = (z.imag == 0.0) & (np.abs(z.real) <= 2.0)
+    if bad.any():
+        raise ValueError(f"z={complex(z[bad][0])} lies on the spectral band [-2, 2]")
     u = z / 2.0
-    root = cmath.sqrt(u - 1.0) * cmath.sqrt(u + 1.0)
-    return 1.0 / max(u + root, u - root, key=abs)
+    root = np.sqrt(u - 1.0) * np.sqrt(u + 1.0)
+    return 1.0 / np.where(np.abs(u + root) >= np.abs(u - root), u + root, u - root)
 
 
 def _check_band_margin(value, name: str) -> float:
     """The band-sweep margin rule: a finite ``BAND_EDGE_MARGIN < margin < 2``,
-    the lower end taken on the grid end ``2 - margin`` as :func:`_kappa` takes
-    it (one rounding step above ``BAND_EDGE_MARGIN`` gives the same end)."""
+    the lower end taken on the grid end ``2 - margin`` as :func:`_band_point`
+    takes it (one rounding step above ``BAND_EDGE_MARGIN`` gives the same end)."""
     rule = f"a finite number in ({BAND_EDGE_MARGIN:g}, 2)"
     return _check_real(value, name, rule, lambda m: m < 2.0 and 2.0 - m < 2.0 - BAND_EDGE_MARGIN)
 
 
-def _kappa(lam: float) -> float:
+def _band_point(lam: float) -> np.ndarray:
+    """A finite band point ``lam`` off the edge margin, as a 1-point array."""
     lam = _check_finite(lam, "lam")
     if not (abs(lam) < 2.0 - BAND_EDGE_MARGIN):
         raise ValueError(
             f"lam={lam} too close to the band edges (margin {BAND_EDGE_MARGIN:g}); "
             "resolvent boundary values degenerate there"
         )
-    return float(np.arccos(lam / 2.0))
+    return np.array([lam])
 
 
-def _support_green(model: LatticeScatteringModel, w: complex) -> np.ndarray:
-    """Free resolvent kernel ``w^{|n-m|} / (w - 1/w)`` on the potential support."""
+def _support_green(model: LatticeScatteringModel, w) -> np.ndarray:
+    """Free resolvent kernel ``w^{|n-m|} / (w - 1/w)`` on the potential support;
+    an array ``w`` of shape ``(N, 1, 1)`` gives ``N`` kernels, stacked."""
     sites = np.array(model.sites, dtype=int)
     return w ** np.abs(sites[:, None] - sites[None, :]) / (w - 1.0 / w)
+
+
+def _s_matrices(model: LatticeScatteringModel, lam: np.ndarray) -> np.ndarray:
+    """The scattering matrices at the band points of the 1-d array ``lam``,
+    stacked in shape ``(lam.size, 2, 2)``.
+
+    With ``lam = 2 cos(kappa)``, the Lippmann-Schwinger systems of all
+    points, each with its left- and right-incident wave, go to one batched
+    solve.
+    """
+    kappa = np.arccos(lam / 2.0)
+    sites = np.asarray(model.sites, dtype=int)
+    v = np.asarray(model.values, dtype=float)
+    # limit of the |w| < 1 branch from the upper half plane: w = exp(-i kappa)
+    g = _support_green(model, np.exp(-1j * kappa)[:, None, None])
+    ls = np.eye(len(sites), dtype=complex) + g * v
+    prefactor = 1.0 / (2j * np.sin(kappa))
+
+    channel = np.exp(1j * kappa[:, None] * sites)
+    incident = channel.conj()
+    psi = np.linalg.solve(ls, np.stack([incident, channel], axis=-1))
+    psi1, psi2 = psi[..., 0], psi[..., 1]
+    t1 = 1.0 + prefactor * np.sum(channel * v * psi1, axis=-1)
+    r1 = prefactor * np.sum(incident * v * psi1, axis=-1)
+    t2 = 1.0 + prefactor * np.sum(incident * v * psi2, axis=-1)
+    r2 = prefactor * np.sum(channel * v * psi2, axis=-1)
+    return np.stack([np.stack([t1, r2], axis=-1), np.stack([r1, t2], axis=-1)], axis=-2)
 
 
 def s_matrix(model: LatticeScatteringModel, lam: float) -> np.ndarray:
@@ -164,24 +197,33 @@ def s_matrix(model: LatticeScatteringModel, lam: float) -> np.ndarray:
     scattered-wave asymptotics of the Lippmann-Schwinger solution on the
     potential support.
     """
-    kappa = _kappa(lam)
-    sites = np.asarray(model.sites, dtype=int)
-    v = np.asarray(model.values, dtype=float)
-    # limit of the |w| < 1 branch from the upper half plane: w = exp(-i kappa)
-    g = _support_green(model, np.exp(-1j * kappa))
-    ls = np.eye(len(sites), dtype=complex) + g * v[None, :]
-    prefactor = 1.0 / (2j * np.sin(kappa))
+    return _s_matrices(model, _band_point(lam))[0]
 
-    # one factorization serves the left- and the right-incident wave
-    channel = np.exp(1j * kappa * sites)
-    incident = channel.conj()
-    psi1, psi2 = np.linalg.solve(ls, np.stack([incident, channel], axis=1)).T
-    t1 = 1.0 + prefactor * np.sum(channel * v * psi1)
-    r1 = prefactor * np.sum(incident * v * psi1)
-    t2 = 1.0 + prefactor * np.sum(incident * v * psi2)
-    r2 = prefactor * np.sum(channel * v * psi2)
 
-    return np.array([[t1, r2], [r1, t2]], dtype=complex)
+def _log_determinants(model: LatticeScatteringModel, z: np.ndarray) -> np.ndarray:
+    """``log D`` at each point of the array ``z``, every ``Im z > 0``: the
+    recurrence of :func:`scattering_log_determinant` run on arrays."""
+    w = _lattice_root(z)
+    c = w - 1.0 / w
+    w2 = w * w
+    log_det = np.zeros(z.shape, dtype=complex)
+    carry = 0.0
+    for v, gap in zip(model.values, model._gaps):
+        r2 = w2**gap
+        e = v / c + carry
+        ratio = 1.0 + e * (1.0 - r2)
+        log_det += np.log(ratio)
+        carry = r2 * e / ratio
+    return log_det + np.log(1.0 + model.values[-1] / c + carry)
+
+
+def _ssf_values(model: LatticeScatteringModel, lam: np.ndarray) -> np.ndarray:
+    """:func:`ssf_scattering` at each point of the 1-d array ``lam``, from one
+    call of :func:`_log_determinants` on all its ``2 * lam.size`` heights."""
+    gap = max(model._gaps, default=1)
+    heights = [2.0**-12 / gap, 2.0**-13 / gap]
+    phases = _log_determinants(model, lam[:, None] + 1j * np.array(heights)).imag
+    return _richardson_two_point(heights, phases.T) / np.pi
 
 
 def scattering_log_determinant(model: LatticeScatteringModel, z: complex) -> complex:
@@ -217,18 +259,7 @@ def scattering_log_determinant(model: LatticeScatteringModel, z: complex) -> com
     z = complex(z)
     if not z.imag > 0.0:
         raise ValueError(f"the scattering determinant needs Im z > 0, got z={z}")
-    w = _lattice_root(z)
-    c = w - 1.0 / w
-    w2 = w * w
-    log_det = 0j
-    carry = 0.0
-    for v, gap in zip(model.values, model._gaps):
-        r2 = w2**gap
-        e = v / c + carry
-        ratio = 1.0 + e * (1.0 - r2)
-        log_det += cmath.log(ratio)
-        carry = r2 * e / ratio
-    return log_det + cmath.log(1.0 + model.values[-1] / c + carry)
+    return complex(_log_determinants(model, np.array(z)))
 
 
 def ssf_scattering(model: LatticeScatteringModel, lam: float) -> float:
@@ -245,10 +276,7 @@ def ssf_scattering(model: LatticeScatteringModel, lam: float) -> float:
     rejected.
     """
     lam = _check_finite(lam, "lam")
-    gap = max(model._gaps, default=1)
-    heights = [2.0**-12 / gap, 2.0**-13 / gap]
-    phases = [scattering_log_determinant(model, lam + 1j * h).imag for h in heights]
-    return _richardson_two_point(heights, phases) / np.pi
+    return float(_ssf_values(model, np.array([lam]))[0])
 
 
 @dataclass(frozen=True)
@@ -260,6 +288,20 @@ class BirmanKreinRecord:
     unitarity: float
 
 
+def _birman_krein_records(model: LatticeScatteringModel, lam: np.ndarray) -> list:
+    """One :class:`BirmanKreinRecord` per point of the 1-d array ``lam``, each
+    inside the band and off its edge margin: one run of each batched kernel."""
+    s = _s_matrices(model, lam)
+    xi = _ssf_values(model, lam)
+    det_s = np.linalg.det(s)
+    residual = np.abs(det_s - np.exp(-2j * np.pi * xi))
+    unitarity = np.abs(np.swapaxes(s.conj(), -1, -2) @ s - np.eye(2)).max(axis=(-2, -1))
+    return [
+        BirmanKreinRecord(float(a), complex(d), float(x), float(r), float(u))
+        for a, d, x, r, u in zip(lam, det_s, xi, residual, unitarity)
+    ]
+
+
 def birman_krein_point(model: LatticeScatteringModel, lam: float) -> BirmanKreinRecord:
     """Both sides of the determinant-phase identity at one band point.
 
@@ -267,19 +309,9 @@ def birman_krein_point(model: LatticeScatteringModel, lam: float) -> BirmanKrein
     boundary value; ``xi`` comes from the pivot-log phase of the perturbation
     determinant at two heights above the band, extrapolated to it
     (:func:`ssf_scattering`).  The two computations share nothing but the
-    potential.
+    potential.  It is :func:`band_sweep`'s computation at one point.
     """
-    s = s_matrix(model, lam)
-    xi = ssf_scattering(model, lam)
-    det_s = complex(np.linalg.det(s))
-    residual = abs(det_s - np.exp(-2j * np.pi * xi))
-    return BirmanKreinRecord(
-        lam=float(lam),
-        det_s=det_s,
-        xi=xi,
-        residual=float(residual),
-        unitarity=float(np.abs(s.conj().T @ s - np.eye(2)).max()),
-    )
+    return _birman_krein_records(model, _band_point(lam))[0]
 
 
 def band_sweep(
@@ -291,12 +323,20 @@ def band_sweep(
 
     ``margin`` is the distance of the grid ends from the band edges ``-2``
     and ``2``; it must exceed :data:`BAND_EDGE_MARGIN` and stay below 2, so
-    the grid runs from left to right.
+    the grid runs from left to right.  The grid goes to the batched kernels
+    in one piece, or in pieces of at most ``_BATCH_ENTRIES`` entries of
+    stacked support matrices; each record equals
+    :func:`birman_krein_point`'s at its point, bit for bit.
     """
     n_points = _check_int(n_points, "n_points", low=1)
     margin = _check_band_margin(margin, "margin")
     grid = np.linspace(-2.0 + margin, 2.0 - margin, n_points)
-    return [birman_krein_point(model, float(lam)) for lam in grid]
+    step = max(1, _BATCH_ENTRIES // len(model.sites) ** 2)
+    return [
+        rec
+        for start in range(0, n_points, step)
+        for rec in _birman_krein_records(model, grid[start : start + step])
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -322,7 +362,7 @@ def bound_state_count_below(model: LatticeScatteringModel, lam: float) -> int:
     lam = _check_finite(lam, "lam")
     if lam >= -2.0:
         raise ValueError(f"counting below the band needs lam < -2, got {lam}")
-    w = _lattice_root(lam).real
+    w = float(_lattice_root(lam).real)
     c = w - 1.0 / w
     w2 = w * w
     count = 0

@@ -35,7 +35,6 @@ from .spectral import (
     _check_int,
     _check_positive,
     _check_real,
-    eig_hermitian,
     resolvent_power,
 )
 
@@ -300,12 +299,15 @@ def perturbation_determinant(d0: SpectralDecomposition, v, z: complex) -> comple
     return complex(sign * np.exp(logabs))
 
 
-def _determinant_on_vertical_line(d0: SpectralDecomposition, h: np.ndarray, lam: float):
+def _determinant_on_vertical_line(
+    d0: SpectralDecomposition, diag: np.ndarray, off: np.ndarray, lam: float
+):
     """``height -> log det(I + V (H0 - z)^{-1})`` at ``z = lam + i * height``.
 
-    ``h`` is ``H = H0 + V``.  One unitary reduction (LAPACK ``zhetrd``, the
-    lower triangle, as ``eigh`` reads it) gives a real symmetric tridiagonal
-    ``T`` with ``det(H - z) = det(T - z)``, so each height costs O(n):
+    ``diag`` and ``off`` are the diagonal and off-diagonal of the real
+    symmetric tridiagonal ``T`` that one unitary reduction of ``H = H0 + V``
+    gives (LAPACK ``zhetrd``).  ``det(H - z) = det(T - z)``, so each height
+    costs O(n):
 
         det(I + V (H0 - z)^{-1}) = det(T - z) / prod_i (lambda0_i - z)
                                  = exp(sum_k log(p_k / (lambda0_k - z))),
@@ -319,7 +321,6 @@ def _determinant_on_vertical_line(d0: SpectralDecomposition, h: np.ndarray, lam:
     The eigenvalues of ``H`` are never used, which keeps this route
     independent of eigenvalue counting.
     """
-    _, diag, off, _, _ = lapack.zhetrd(h, lower=1)
     shifted = (diag - lam).tolist()
     off_sq = [0.0] + (off * off).tolist()
     shifted0 = (d0.eigenvalues - lam).tolist()
@@ -358,23 +359,28 @@ def ssf_via_determinant(
     so no higher height is needed.  A non-finite ``lam``, or one within
     ``jump_margin`` of either spectrum (a jump point), is rejected, and so is
     a ``jump_margin`` that is not finite and positive.  ``V`` is
-    validated and ``H0 + V`` reduced to tridiagonal form once; each height
-    then costs O(n).
+    validated and ``H0 + V`` reduced to its tridiagonal ``T`` once; each
+    height then costs O(n).  The eigenvalues of ``H0 + V``, which only guard
+    jump points and give ``near``, are those of ``T`` from LAPACK ``dsterf``:
+    O(n^2) with no eigenvectors.  No eigenvalue enters the phase.
     """
     lam = _check_finite(lam, "lam")
     jump_margin = _check_positive(jump_margin, "jump_margin")
     v = _validate_perturbation(d0, v)
-    h = d0.reconstruct() + v
-    d = eig_hermitian(h)
+    _, diag, off, _, _ = lapack.zhetrd(d0.reconstruct() + v, lower=1)
+    # at n = 1 the wrapper still wants one off-diagonal entry
+    spec, info = lapack.dsterf(diag, off if off.size else np.zeros(1))
+    if info != 0:
+        raise np.linalg.LinAlgError(f"dsterf did not converge ({info} off-diagonals left)")
     near = min(
         float(np.min(np.abs(d0.eigenvalues - lam))),
-        float(np.min(np.abs(d.eigenvalues - lam))),
+        float(np.min(np.abs(spec - lam))),
     )
     if near < jump_margin:
         raise ValueError(
             f"lambda={lam} is within {jump_margin:g} of an eigenvalue (jump point)"
         )
     eps = [near / 2.0**7, near / 2.0**8]
-    log_det = _determinant_on_vertical_line(d0, h, lam)
+    log_det = _determinant_on_vertical_line(d0, diag, off, lam)
     xi_vals = [log_det(e).imag / math.pi for e in eps]
     return _richardson_two_point(eps, xi_vals)

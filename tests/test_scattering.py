@@ -577,6 +577,7 @@ class TestSsfScattering:
         for owner, name in (
             (scattering, "bound_state_count_below"),
             (scattering, "s_matrix"),
+            (scattering, "_s_matrices"),
             (spectral, "eig_hermitian"),
             (np.linalg, "eig"),
             (np.linalg, "eigh"),
@@ -728,6 +729,45 @@ class TestBirmanKrein:
         assert records[0].lam == pytest.approx(-1.9)
         assert records[-1].lam == pytest.approx(1.9)
         assert all(isinstance(r, BirmanKreinRecord) for r in records)
+
+    @pytest.mark.parametrize(
+        "model",
+        _default_potentials()
+        + [
+            LatticeScatteringModel((0, 500), (0.6, -0.4)),
+            LatticeScatteringModel.centered([3e303, -3e303, 3e303]),
+        ],
+        ids=["single+0.7", "single-0.7", "centered1", "centered2", "centered3", "gap500", "huge"],
+    )
+    @pytest.mark.parametrize("pieces", [False, True], ids=["one_batch", "pieces_of_3"])
+    def test_sweep_is_the_point_record_at_each_grid_point(self, monkeypatch, model, pieces):
+        # one code path: each sweep record is birman_krein_point's at its grid
+        # point, bit for bit, also when the grid goes in pieces
+        def bits(rec):
+            parts = (rec.lam, rec.det_s.real, rec.det_s.imag, rec.xi, rec.residual, rec.unitarity)
+            return tuple(float(x).hex() for x in parts)
+
+        if pieces:
+            monkeypatch.setattr(scattering, "_BATCH_ENTRIES", 3 * len(model.sites) ** 2)
+        grid = np.linspace(-1.95, 1.95, 40)
+        swept = band_sweep(model, 40, 0.05)
+        assert [bits(rec) for rec in swept] == [
+            bits(birman_krein_point(model, float(lam))) for lam in grid
+        ]
+
+    def test_sweep_runs_each_kernel_once_on_the_whole_grid(self, monkeypatch):
+        model = LatticeScatteringModel.centered([0.3, -0.2, 0.5, 0.1, -0.4])
+        shapes = []
+        for name in ("_s_matrices", "_log_determinants"):
+            kernel = getattr(scattering, name)
+
+            def counted(model, points, kernel=kernel, name=name):
+                shapes.append((name, points.shape))
+                return kernel(model, points)
+
+            monkeypatch.setattr(scattering, name, counted)
+        band_sweep(model, 40, 0.05)
+        assert shapes == [("_s_matrices", (40,)), ("_log_determinants", (40, 2))]
 
     def test_band_sweep_validation(self):
         model = LatticeScatteringModel.single_site(0.4)

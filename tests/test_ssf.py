@@ -303,7 +303,8 @@ class TestInvariance:
         h = h0 + random_hermitian(rng, 12, scale=0.4)
         want = _matches_counting(h0, h, 3)
         monkeypatch.setattr(spectral, "eig_hermitian", forbidden)
-        monkeypatch.setattr(ssf, "eig_hermitian", forbidden)
+        # ssf imports no eig_hermitian; one imported again is forbidden too
+        monkeypatch.setattr(ssf, "eig_hermitian", forbidden, raising=False)
         monkeypatch.setattr(np.linalg, "eigh", forbidden)
         [(xi, radius)] = ssf_via_invariance(h0, h, [3])
         monkeypatch.undo()
@@ -604,8 +605,8 @@ class TestPerturbationDeterminant:
             raise AssertionError("a product was formed before V was checked")
 
         d0 = eig_hermitian(np.diag([0.0, 1.0, 2.0]))
-        for name in ("resolvent_power", "eig_hermitian"):
-            monkeypatch.setattr(ssf, name, forbidden)
+        monkeypatch.setattr(ssf, "resolvent_power", forbidden)
+        monkeypatch.setattr(ssf, "eig_hermitian", forbidden, raising=False)
         monkeypatch.setattr(np.linalg, "slogdet", forbidden)
         monkeypatch.setattr(SpectralDecomposition, "reconstruct", forbidden)
         v = np.zeros((3, 3))
@@ -654,6 +655,36 @@ def _route_heights(d0, d, lam):
     return [float(near) / 2.0**7, float(near) / 2.0**8]
 
 
+def _assert_route_heights(heights, d0, d, lam):
+    """``heights`` are :func:`_route_heights` up to the rounding of ``H``'s
+    eigenvalues.  The route takes them from its tridiagonal ``T`` by
+    ``dsterf``, ``d`` from ``H`` by ``eigh``: each set lies within the
+    backward-error radius ``n^2 eps max|lambda|`` of the exact eigenvalues
+    (``ssf._cluster_radius``), so the distance to them moves by at most twice
+    that, and each height by that halved 7 or 8 times."""
+    eps = float(np.finfo(float).eps)
+    shift = 2.0 * d.dim**2 * eps * float(np.abs(d.eigenvalues).max())
+    want = _route_heights(d0, d, lam)
+    assert heights[0] == pytest.approx(want[0], rel=0.0, abs=shift / 2.0**7)
+    assert heights[1] == heights[0] / 2.0
+
+
+def _reduced(h):
+    """``(diag, off)`` of the tridiagonal that ``zhetrd`` reduces ``h`` to, as
+    the determinant route reduces ``H0 + V``."""
+    _, diag, off, _, _ = scipy.linalg.lapack.zhetrd(h, lower=1)
+    return diag, off
+
+
+_EIGENSOLVERS = (
+    (spectral, "eig_hermitian"),
+    (ssf, "eig_hermitian"),
+    (np.linalg, "eigh"),
+    (np.linalg, "eigvalsh"),
+    (scipy.linalg, "eigh"),
+    (scipy.linalg, "eigvalsh"),
+)
+
 _DET_CASES = [("random", n) for n in (1, 2, 8, 32, 64)] + [
     (kind, n) for kind in ("degenerate", "invariant") for n in (2, 8, 32, 64)
 ]
@@ -670,7 +701,7 @@ class TestDeterminantOnVerticalLine:
         d = eig_hermitian(h)
         eye = np.eye(n)
         for lam in _lambdas(d0, d):
-            log_det = ssf._determinant_on_vertical_line(d0, h, lam)
+            log_det = ssf._determinant_on_vertical_line(d0, *_reduced(h), lam)
             for height in np.geomspace(1e-8, 1e3, 12):
                 z = lam + 1j * height
                 got = cmath.exp(log_det(height))
@@ -691,7 +722,7 @@ class TestDeterminantOnVerticalLine:
             ratio = math.exp(math.pi / (4.0 * 2 * n))
             for lam in _lambdas(d0, d):
                 eps = _route_heights(d0, d, lam)
-                log_det = ssf._determinant_on_vertical_line(d0, h, lam)
+                log_det = ssf._determinant_on_vertical_line(d0, *_reduced(h), lam)
                 walked = walked_phases(
                     lambda t: cmath.exp(log_det(t)), h_top + abs(lam), eps, max_ratio=ratio
                 )
@@ -720,15 +751,8 @@ class TestDeterminantOnVerticalLine:
 
         def guarded(*args, **kwargs):
             # eigensolvers are forbidden from the closure's construction on
-            for owner, name in (
-                (spectral, "eig_hermitian"),
-                (ssf, "eig_hermitian"),
-                (np.linalg, "eigh"),
-                (np.linalg, "eigvalsh"),
-                (scipy.linalg, "eigh"),
-                (scipy.linalg, "eigvalsh"),
-            ):
-                monkeypatch.setattr(owner, name, forbidden)
+            for owner, name in _EIGENSOLVERS:
+                monkeypatch.setattr(owner, name, forbidden, raising=False)
             log_det = build(*args, **kwargs)
 
             def logged(height):
@@ -739,8 +763,34 @@ class TestDeterminantOnVerticalLine:
 
         monkeypatch.setattr(ssf, "_determinant_on_vertical_line", guarded)
         xi = ssf_via_determinant(d0, v, lam)
-        assert heights == _route_heights(d0, d, lam)
+        _assert_route_heights(heights, d0, d, lam)
         assert abs(xi - expected) < 1e-6
+
+    @pytest.mark.parametrize("kind,n", _DET_CASES)
+    def test_reads_no_eigensolver_at_all(self, monkeypatch, kind, n):
+        # the jump guard and the heights read the eigenvalues of H from the
+        # route's own tridiagonal: no eigensolver runs from the call's start
+        d0, v = _determinant_case(kind, n)
+        d = eig_hermitian(d0.reconstruct() + v)
+        points = _lambdas(d0, d)
+        expected = [ssf_counting(d0, d)(lam) for lam in points]
+        heights = []
+        build = ssf._determinant_on_vertical_line
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("an eigensolver ran in the determinant route")
+
+        def logged(*args):
+            log_det = build(*args)
+            return lambda height: heights.append(height) or log_det(height)
+
+        for owner, name in _EIGENSOLVERS:
+            monkeypatch.setattr(owner, name, forbidden, raising=False)
+        monkeypatch.setattr(ssf, "_determinant_on_vertical_line", logged)
+        for lam, want in zip(points, expected):
+            heights.clear()
+            assert abs(ssf_via_determinant(d0, v, lam) - want) < 1e-6, (kind, n, lam)
+            _assert_route_heights(heights, d0, d, lam)
 
     def test_route_validates_the_perturbation(self):
         d0 = eig_hermitian(np.diag([0.0, 1.0, 2.0]))
@@ -778,6 +828,31 @@ class TestDeterminantRoute:
         v = np.diag([0.5, 0.0])
         with pytest.raises(ValueError, match="jump"):
             ssf_via_determinant(d0, v, 0.0)
+
+    @pytest.mark.parametrize("offset", [0.0, 4e-7, -4e-7])
+    def test_rejects_a_point_near_an_eigenvalue_of_h_alone(self, offset):
+        # a full V moves every eigenvalue; the one of H taken here is at
+        # least 0.05 from every eigenvalue of H0, so only the guard's H side,
+        # read from the route's tridiagonal, can refuse the point
+        rng = rng_from(78)
+        a0 = random_hermitian(rng, 6)
+        v = random_hermitian(rng, 6, scale=0.5)
+        d0, d = eig_hermitian(a0), eig_hermitian(a0 + v)
+        far = np.abs(d.eigenvalues[:, None] - d0.eigenvalues[None, :]).min(axis=1)
+        assert np.count_nonzero(v) == v.size and far.max() >= 0.05
+        lam = float(d.eigenvalues[np.argmax(far)]) + offset
+        with pytest.raises(ValueError, match="jump point"):
+            ssf_via_determinant(d0, v, lam)
+        # the point 2e-6 off is not a jump point, and the route reads it
+        lam = float(d.eigenvalues[np.argmax(far)]) + 2e-6
+        assert abs(ssf_via_determinant(d0, v, lam) - ssf_counting(d0, d)(lam)) < 1e-6
+
+    def test_refuses_eigenvalues_that_did_not_converge(self, monkeypatch):
+        d0 = eig_hermitian(np.diag([0.0, 1.0]))
+        # LAPACK's info > 0: that many off-diagonals did not reach zero
+        monkeypatch.setattr(scipy.linalg.lapack, "dsterf", lambda d, e: (d.copy(), 1))
+        with pytest.raises(np.linalg.LinAlgError, match="dsterf did not converge"):
+            ssf_via_determinant(d0, np.diag([0.5, 0.0]), 0.25)
 
     @pytest.mark.parametrize("lam", [float("nan"), float("inf"), -float("inf")])
     def test_rejects_non_finite_lambda(self, lam):
