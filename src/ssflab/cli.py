@@ -157,7 +157,6 @@ _SCHEMA = {
     "doi-check": {
         "dim": (12, partial(_gated, _check_int, low=2)),
         "trials": (50, partial(_gated, _check_int, low=1)),
-        "split_trials": (10, partial(_gated, _check_int, low=1)),
         "mz_list": (
             [{"m": 3, "z": [0.0, 2.0]}, {"m": 5, "z": [0.0, 3.0]}],
             _mz_list,
@@ -266,7 +265,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="subcommand", required=True)
     descriptions = {
         "trace-check": "trace formula, invariance and determinant routes",
-        "doi-check": "double operator integral identities and cutoff splits",
+        "doi-check": "double operator integral identities and kernels",
         "rm-cert": "cofactor lower-bound certificates and kernel hypotheses",
         "dirac-schatten": "lattice Dirac resolvent-power and Schatten checks",
         "birman-krein": "scattering determinant versus spectral shift on the band",

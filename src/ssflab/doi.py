@@ -29,23 +29,19 @@ from typing import NamedTuple, Optional, Union
 
 import numpy as np
 
-from .functions import ScalarFunction, resolvent_function, smoothstep_cutoff
+from .functions import ScalarFunction, resolvent_function
 from .spectral import (
     ABS_FLOOR,
     SpectralDecomposition,
-    _check_int,
     _check_positive,
     _check_resolvent_args,
     apply_function,
-    schatten_norm,
-    singular_values,
 )
 
 __all__ = [
     "AntidiagonalCollisionError",
     "BoundedRegion",
     "CofactorPolynomial",
-    "CutoffSplitReport",
     "DegenerateKernelError",
     "DoiKernel",
     "ExteriorRegion",
@@ -56,7 +52,6 @@ __all__ = [
     "doi_identity_residual",
     "kernel_eval",
     "kernel_hypotheses_report",
-    "resolvent_cutoff_split",
 ]
 
 
@@ -511,81 +506,4 @@ def kernel_hypotheses_report(k: DoiKernel, axis) -> KernelHypothesesReport:
         sup_weighted_dlambda_rise=rise(sup_w, sup_w_inner),
         limit_mismatch=limit_mismatch,
         dlambda_tail_exponent=exponent,
-    )
-
-
-# ---------------------------------------------------------------------------
-# cutoff decomposition of the transformed resolvent
-
-
-def _bump_power(x, m: int, r: float) -> np.ndarray:
-    """Odd, strictly increasing C^2 map equal to ``x^m`` for ``|x| >= r``.
-
-    With ``k = (m - 1) / 2`` and ``c = (m - 1) / 7^k``,
-
-        phi(x) = x^m + c r^(m-1) x (1 - x^2/r^2)^3    for |x| < r.
-
-    The correction is odd with a triple zero at ``+-r``, so value, slope and
-    curvature match ``x^m`` there.  With ``u = x^2/r^2`` the slope is
-    ``r^(m-1) [m u^k + c (1-u)^2 (1-7u)]``.  For ``u <= 1/7`` both terms are
-    ``>= 0`` and the slope at 0 is ``c r^(m-1) > 0``; for ``1/7 < u < 1`` put
-    ``v = 7u``: ``c (1-u)^2 (7u-1) < 2k 7^-k (v-1) < (2k+1) 7^-k v^k = m u^k``.
-    ``m = 1`` gives ``c = 0``, the identity.
-    """
-    x = np.asarray(x, dtype=float)
-    u = (x / r) ** 2
-    amplitude = (m - 1) / 7.0 ** ((m - 1) // 2) * r ** (m - 1)
-    return x**m + np.where(u < 1.0, amplitude * x * (1.0 - u) ** 3, 0.0)
-
-
-@dataclass(frozen=True)
-class CutoffSplitReport:
-    residual: float
-    scale: float
-    relative_residual: float
-    trace_norm_total: float
-    trace_norm_inner: float
-    trace_norm_outer: float
-
-
-def resolvent_cutoff_split(
-    d0: SpectralDecomposition, d: SpectralDecomposition, m: int, r: float
-) -> CutoffSplitReport:
-    """Split ``(phi(H)-i)^{-1} - (phi(H0)-i)^{-1}`` by a smooth cutoff.
-
-    With ``theta`` vanishing on ``[-r, r]`` and equal to 1 outside
-    ``[-2r, 2r]``, and ``phi`` the map :func:`_bump_power` equal to ``x^m``
-    beyond ``r``, the transformed resolvent difference decomposes exactly into
-    an inner part driven by ``(1-theta)/(phi - i)`` and an outer part driven
-    by ``theta/(x^m - i)``.  Reports the max-entry residual of the
-    decomposition and the trace norms of all three differences.
-    """
-    m = _check_int(m, "m", low=1, odd=True)
-    theta = smoothstep_cutoff(r)
-
-    def whole(x):
-        return 1.0 / (np.asarray(_bump_power(x, m, r), dtype=complex) - 1j)
-
-    def inner(x):
-        return (1.0 - np.asarray(theta(x), dtype=complex)) / (
-            np.asarray(_bump_power(x, m, r), dtype=complex) - 1j
-        )
-
-    def outer(x):
-        return np.asarray(theta(x), dtype=complex) / (
-            np.asarray(x, dtype=complex) ** m - 1j
-        )
-
-    lhs = apply_function(d, whole) - apply_function(d0, whole)
-    t_inner = apply_function(d, inner) - apply_function(d0, inner)
-    t_outer = apply_function(d, outer) - apply_function(d0, outer)
-    residual = float(np.abs(lhs - (t_inner + t_outer)).max())
-    scale = max(float(np.abs(lhs).max()), ABS_FLOOR)
-    return CutoffSplitReport(
-        residual=residual,
-        scale=scale,
-        relative_residual=residual / scale,
-        trace_norm_total=schatten_norm(singular_values(lhs), 1),
-        trace_norm_inner=schatten_norm(singular_values(t_inner), 1),
-        trace_norm_outer=schatten_norm(singular_values(t_outer), 1),
     )

@@ -107,10 +107,6 @@ class LatticeScatteringModel:
         half = len(values) // 2
         return cls(tuple(range(-half, len(values) - half)), values)
 
-    @property
-    def strength(self) -> float:
-        return max(abs(v) for v in self.values)
-
 
 def _lattice_root(z):
     """The root of ``w + 1/w = z`` inside the unit disk, at each point of ``z``.

@@ -97,10 +97,6 @@ class StepFunction:
             return int(out)
         return out
 
-    @property
-    def is_zero(self) -> bool:
-        return self.breakpoints.size == 0
-
 
 def _cluster_radius(spec0: np.ndarray, spec: np.ndarray) -> float:
     """Largest gap between two computed copies of one exact eigenvalue.

@@ -163,7 +163,6 @@ def _mz_tag(m: int) -> str:
 def suite_doi_check(seed: int, params: dict) -> ExperimentReport:
     dim = params["dim"]
     trials = params["trials"]
-    split_trials = params["split_trials"]
     configs = [(int(c["m"]), complex(c["z"][0], c["z"][1])) for c in params["mz_list"]]
 
     records = []
@@ -211,13 +210,17 @@ def suite_doi_check(seed: int, params: dict) -> ExperimentReport:
     agree = float((np.abs(vd - vf) / np.maximum(np.abs(vd), 1e-30)).max())
     records.append(check_le("kernel.direct_vs_factored_rel", agree, 1e-9))
 
-    def one_split(idx: int):
-        rng = rng_from(seed, _DOI_TAG, 5000 + idx)
-        d0, d, *_ = _random_pair(rng, 10, 0.3)
-        return doi.resolvent_cutoff_split(d0, d, 3, 1.0).residual
-
-    split_results = [one_split(idx) for idx in range(split_trials)]
-    records.append(check_le("cutoff_split.max_residual", max(split_results), 1e-10))
+    # both modes against the closed form: f = g^2 gives K(x, y) = g(x) + g(y),
+    # 2 g(x) on the diagonal; the pairs above plus the diagonal of their x
+    x = np.concatenate([lam[keep], lam])
+    y = np.concatenate([mu[keep], lam])
+    worst = 0.0
+    for mode in ("direct", "factored"):
+        k = doi.DoiKernel(functions.resolvent_function(2j, 6), 3, 2j, mode=mode)
+        gx, gy = k.g(x), k.g(y)
+        err = np.abs(doi.kernel_eval(k, x, y) - (gx + gy)) / (np.abs(gx) + np.abs(gy))
+        worst = max(worst, float(err.max()))
+    records.append(check_le("kernel.closed_form_rel", worst, 1e-9))
 
     return ExperimentReport(
         subcommand="doi-check",

@@ -154,6 +154,25 @@ def test_no_unused_public_names():
     assert not unused, f"exported, but used nowhere else: {', '.join(unused)}"
 
 
+def test_no_unused_public_methods():
+    # the rule above, for the public methods and properties of every class:
+    # one that no module of the package, README or the benchmark reads is
+    # dead.  Dataclass fields are annotations, not methods, and stay exempt
+    trees = {path.stem: ast.parse(path.read_text(encoding="utf-8")) for path in SOURCES}
+    read = (_readme_names() | _benchmark_names()).union(*map(_names_read, trees.values()))
+    unused = sorted(
+        f"{stem}.{cls.name}.{node.name}"
+        for stem, tree in trees.items()
+        for cls in ast.walk(tree)
+        if isinstance(cls, ast.ClassDef)
+        for node in cls.body
+        if isinstance(node, ast.FunctionDef)
+        and not node.name.startswith("_")
+        and node.name not in read
+    )
+    assert not unused, f"public, but read nowhere: {', '.join(unused)}"
+
+
 LAYERS = ("ssf", "doi", "dirac", "scattering")
 
 

@@ -163,7 +163,6 @@ TINY_DOI = {
     "doi-check": {
         "dim": 8,
         "trials": 4,
-        "split_trials": 2,
         "mz_list": [{"m": 3, "z": [0.0, 2.0]}],
     }
 }
@@ -632,6 +631,13 @@ class TestCliConfigErrors:
         assert main(["rm-cert", "--config", cfg]) == 2
         assert f"field '{field}'" in capsys.readouterr().err
 
+    def test_removed_split_trials_names_the_field(self, tmp_path, capsys):
+        # the cutoff split is gone, and its trial count with it
+        cfg = _write_config(tmp_path, {"doi-check": {"split_trials": 10}})
+        assert main(["doi-check", "--config", cfg]) == 2
+        err = capsys.readouterr().err
+        assert "ssflab: config error: field 'doi-check.split_trials': unknown parameter" in err
+
     def test_jobs_belongs_to_all_only(self, tmp_path, capsys):
         # --jobs is a flag of `all` alone, and the config file has no `jobs`
         # key: a config that sets it is an unknown section for every subcommand
@@ -699,7 +705,6 @@ CONFIG_FIELDS = [
     ("trace-check.det_points", _section("trace-check", "det_points"), INTEGER),
     ("doi-check.dim", _section("doi-check", "dim"), INTEGER),
     ("doi-check.trials", _section("doi-check", "trials"), INTEGER),
-    ("doi-check.split_trials", _section("doi-check", "split_trials"), INTEGER),
     (
         "doi-check.mz_list[0].m",
         lambda x: {"doi-check": {"mz_list": [{"m": x, "z": [0.0, 2.0]}]}},

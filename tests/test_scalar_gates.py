@@ -147,18 +147,6 @@ GATED = [
     ),
     ("doi.CofactorPolynomial.m", "m", lambda x: doi.CofactorPolynomial(x, 1j), INTEGER + (2,)),
     (
-        "doi.resolvent_cutoff_split.m",
-        "m",
-        lambda x: doi.resolvent_cutoff_split(D, D, x, 1.0),
-        INTEGER + (2,),
-    ),
-    (
-        "doi.resolvent_cutoff_split.r",
-        "r",
-        lambda x: doi.resolvent_cutoff_split(D, D, 3, x),
-        POSITIVE,
-    ),
-    (
         "doi.BoundedRegion.r",
         "r",
         lambda x: doi.cofactor_lower_bound_cert(CERT_POLY, doi.BoundedRegion(x)),

@@ -83,12 +83,10 @@ class TestModel:
     def test_single_site(self):
         m = LatticeScatteringModel.single_site(0.7, site=3)
         assert m.sites == (3,) and m.values == (0.7,)
-        assert m.strength == 0.7
 
     def test_centered(self):
         m = LatticeScatteringModel.centered([0.1, -0.2, 0.3, 0.4, 0.5])
         assert m.sites == (-2, -1, 0, 1, 2)
-        assert m.strength == 0.5
 
     def test_centered_even_length(self):
         m = LatticeScatteringModel.centered([1.0, 2.0])
@@ -135,7 +133,7 @@ class TestModel:
             LatticeScatteringModel.single_site(value)
 
     def test_the_strength_rule_reads_the_sites_and_the_largest_gap(self):
-        assert LatticeScatteringModel((0, 1), (1.0, 1e300)).strength == 1e300
+        assert LatticeScatteringModel((0, 1), (1.0, 1e300)).values == (1.0, 1e300)
         with pytest.raises(ValueError, match=re.escape("L=2 sites, largest gap g=1099511627776")):
             LatticeScatteringModel((0, 2**40), (1.0, 1e300))
         # 2 L |v| 2**13 at L = 3: 1e304 passes alone and is refused among three
@@ -346,7 +344,7 @@ def _phase_cases() -> list:
     for seed in (2701, 2702, 2703):
         rng = rng_from(seed)
         for model in _adversarial_models(seed):
-            reach = 2.0 * model.strength + 1.0
+            reach = 2.0 * max(map(abs, model.values)) + 1.0
             cases += [
                 (model, float(rng.uniform(-1.9, 1.9))),
                 (model, float(-2.01 - rng.uniform(0.0, reach))),
@@ -366,7 +364,7 @@ def _read_heights(model: LatticeScatteringModel) -> list:
 
 def _case_id(case) -> str:
     model, lam = case
-    return f"L{len(model.sites)}-s{model.strength:.3g}-lam{lam:.3g}"
+    return f"L{len(model.sites)}-s{max(map(abs, model.values)):.3g}-lam{lam:.3g}"
 
 
 class TestScatteringDeterminant:
@@ -479,7 +477,7 @@ class TestScatteringDeterminant:
         heights = _read_heights(model)
         walked = walked_phases(
             lambda h: _dense_determinant(model, lam + 1j * h),
-            1e3 * len(model.sites) * (1.0 + model.strength),
+            1e3 * len(model.sites) * (1.0 + max(map(abs, model.values))),
             heights,
             max_ratio=math.exp(1.0 / (4.0 * len(model.sites))),
         )
@@ -500,9 +498,9 @@ class TestScatteringDeterminant:
         # sum_j Log(1 + mu_j), of modulus at most -L log(1 - s / Im z); a branch
         # off by a turn, or a phase not summed from pivots, breaks the bound
         model, lam = case
-        n_sites = len(model.sites)
+        n_sites, strength = len(model.sites), max(map(abs, model.values))
         for ratio in (0.5, 0.125, 1e-6):
-            got = scattering_log_determinant(model, complex(lam, model.strength / ratio))
+            got = scattering_log_determinant(model, complex(lam, strength / ratio))
             assert abs(got) <= -n_sites * math.log1p(-ratio) * (1.0 + 1e-12), ratio
 
 
