@@ -299,6 +299,59 @@ class TestDividedDifference:
             for x, y in ((lam, mu), (mu, lam)):
                 assert kernel_dlambda(k, x, y) == pytest.approx(want, abs=1e-14)
 
+    # f = g^power for odd m and two shifts: K and dK/dx have closed forms in
+    # g(x), g(y) and g'(x), so each mode is held to the truth, not to the other
+    _CLOSED_FORM_CASES = pytest.mark.parametrize(
+        "power, m, z, mode",
+        [
+            (power, m, z, mode)
+            for power in (2, 3)
+            for m in (1, 3, 5)
+            for z in (2j, -1 + 0.5j)
+            for mode in _MODES
+        ],
+    )
+
+    @_CLOSED_FORM_CASES
+    def test_power_kernel_is_its_closed_form_off_the_band(self, power, m, z, mode):
+        # K = g(x) + g(y) and dK/dx = g'(x) for power 2; K = g(x)^2 + g(x) g(y)
+        # + g(y)^2 and dK/dx = (2 g(x) + g(y)) g'(x) for power 3; each error is
+        # relative to the sum of the moduli of the closed form's terms
+        g = functions.resolvent_function(z, m)
+        rng = rng_from(61, power, m)
+        lam = rng.uniform(-4.0, 4.0, size=400)
+        mu = rng.uniform(-4.0, 4.0, size=400)
+        keep = np.abs(lam - mu) > 2e-5 * (1 + np.abs(lam))
+        lam, mu = lam[keep], mu[keep]
+        kv, dk = doi._kernel_grid(_power_kernel(power, mode, m, z), lam, mu, dlambda=True)
+        gx, gy, gpx = g(lam), g(mu), g.d1(lam)
+        if power == 2:
+            want, scale = gx + gy, np.abs(gx) + np.abs(gy)
+            dwant, dscale = gpx, np.abs(gpx)
+        else:
+            want = gx * gx + gx * gy + gy * gy
+            scale = np.abs(gx) ** 2 + np.abs(gx * gy) + np.abs(gy) ** 2
+            dwant, dscale = (2 * gx + gy) * gpx, (2 * np.abs(gx) + np.abs(gy)) * np.abs(gpx)
+        assert np.max(np.abs(kv - want) / scale) < 1e-12
+        # dK/dx = (f'(x) - K g'(x)) / (g(x) - g(y)) cancels as y -> x, so its
+        # rounding is held on the pairs at least 0.1 apart
+        far = np.abs(lam - mu) > 0.1
+        assert np.count_nonzero(far) > 350
+        assert np.max(np.abs(dk - dwant)[far] / dscale[far]) < 1e-11
+
+    @_CLOSED_FORM_CASES
+    def test_power_kernel_is_its_closed_form_on_the_diagonal(self, power, m, z, mode):
+        # the band limits f'/g' = power g^(power-1) and, from the band's
+        # (f'' g' - f' g'') / (2 g'^2), dK/dx = C(power, 2) g^(power-2) g'
+        g = functions.resolvent_function(z, m)
+        x = rng_from(62, power, m).uniform(-4.0, 4.0, size=200)
+        kv, dk = doi._kernel_grid(_power_kernel(power, mode, m, z), x, x, dlambda=True)
+        gx, gpx = g(x), g.d1(x)
+        want = power * gx ** (power - 1)
+        dwant = (power * (power - 1) // 2) * gx ** (power - 2) * gpx
+        assert np.max(np.abs(kv - want) / np.abs(want)) < 1e-14
+        assert np.max(np.abs(dk - dwant) / np.abs(dwant)) < 1e-14
+
     def test_array_broadcast(self):
         lam = np.array([0.0, 1.0, 2.0])
         gl = functions.resolvent_function(1j, 1)(lam)
