@@ -16,17 +16,26 @@ perturbation-determinant route ``xi = Im log det(I + V (H0-z)^{-1}) / pi``
 with its branch read from tridiagonal pivots, and the two-point Richardson
 step that both phase routes (this one and ``scattering.ssf_scattering``)
 take to the real axis.
+
+scipy supplies only the LAPACK routines ``zhetrd``, ``dsterf`` and
+``ztrtri``.  They are loaded from scipy's ``_flapack`` extension file, so
+``import ssflab`` does not import the ``scipy.linalg`` package, which takes
+far longer and more memory than the extension itself.
 """
 
 from __future__ import annotations
 
 import cmath
+import importlib.machinery
+import importlib.util
 import math
+import os
+import sys
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy.linalg import lapack
+import scipy
 
 from .spectral import (
     SpectralDecomposition,
@@ -47,6 +56,32 @@ __all__ = [
     "ssf_via_invariance",
     "trace_formula_sides",
 ]
+
+
+def _load_flapack():
+    """scipy's LAPACK extension module, loaded from its file.
+
+    A module already imported under ``scipy.linalg._flapack`` is reused;
+    otherwise the one loaded here is registered under that name, so a later
+    ``import scipy.linalg`` exports these very routines.  No package
+    ``__init__`` of ``scipy.linalg`` runs.
+    """
+    name = "scipy.linalg._flapack"
+    if name in sys.modules:
+        return sys.modules[name]
+    folder = os.path.join(scipy.__path__[0], "linalg")
+    for suffix in importlib.machinery.EXTENSION_SUFFIXES:
+        path = os.path.join(folder, "_flapack" + suffix)
+        if os.path.isfile(path):
+            spec = importlib.util.spec_from_file_location(name, path)
+            module = importlib.util.module_from_spec(spec)
+            spec.loader.exec_module(module)
+            sys.modules[name] = module
+            return module
+    raise ImportError(f"scipy's LAPACK extension _flapack is not in {folder}", name=name)
+
+
+_flapack = _load_flapack()
 
 
 # ---------------------------------------------------------------------------
@@ -212,7 +247,7 @@ def _pulled_back_spectra(h: np.ndarray, a: float, powers: Sequence[int]):
     n = h.shape[0]
     eps = float(np.finfo(float).eps)
     # trtri fails only on a zero diagonal, which a Cholesky factor never has
-    inv, _ = lapack.ztrtri(np.linalg.cholesky(h - a * np.eye(n)), lower=1)
+    inv, _ = _flapack.ztrtri(np.linalg.cholesky(h - a * np.eye(n)), lower=1)
     resolvent = inv.conj().T @ inv
     for m in powers:
         y = np.linalg.eigvalsh(np.linalg.matrix_power(resolvent, m))
@@ -363,9 +398,9 @@ def ssf_via_determinant(
     lam = _check_finite(lam, "lam")
     jump_margin = _check_positive(jump_margin, "jump_margin")
     v = _validate_perturbation(d0, v)
-    _, diag, off, _, _ = lapack.zhetrd(d0.reconstruct() + v, lower=1)
+    _, diag, off, _, _ = _flapack.zhetrd(d0.reconstruct() + v, lower=1)
     # at n = 1 the wrapper still wants one off-diagonal entry
-    spec, info = lapack.dsterf(diag, off if off.size else np.zeros(1))
+    spec, info = _flapack.dsterf(diag, off if off.size else np.zeros(1))
     if info != 0:
         raise np.linalg.LinAlgError(f"dsterf did not converge ({info} off-diagonals left)")
     near = min(

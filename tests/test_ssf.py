@@ -1,7 +1,13 @@
 """Tests for spectral shift construction, the trace identity and the determinant route."""
 
 import cmath
+import json
 import math
+import os
+import pathlib
+import re
+import subprocess
+import sys
 import zlib
 
 import numpy as np
@@ -848,7 +854,7 @@ class TestDeterminantRoute:
     def test_refuses_eigenvalues_that_did_not_converge(self, monkeypatch):
         d0 = eig_hermitian(np.diag([0.0, 1.0]))
         # LAPACK's info > 0: that many off-diagonals did not reach zero
-        monkeypatch.setattr(scipy.linalg.lapack, "dsterf", lambda d, e: (d.copy(), 1))
+        monkeypatch.setattr(ssf._flapack, "dsterf", lambda d, e: (d.copy(), 1))
         with pytest.raises(np.linalg.LinAlgError, match="dsterf did not converge"):
             ssf_via_determinant(d0, np.diag([0.5, 0.0]), 0.25)
 
@@ -912,6 +918,60 @@ def _adversarial_pairs(draw):
 
 
 _PROPERTY_SETTINGS = settings(max_examples=40, deadline=None)
+
+
+def _in_fresh_interpreter(code):
+    """The JSON that ``code`` prints when run by a new interpreter that
+    imports this ssflab."""
+    src = str(pathlib.Path(ssf.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=path),
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout)
+
+
+_LAPACK_ROUTINES = ("zhetrd", "dsterf", "ztrtri")
+
+
+class TestLapackLoader:
+    """ssf loads scipy's LAPACK extension by file, not through scipy.linalg."""
+
+    def test_import_leaves_out_scipy_linalg_and_what_it_pulls_in(self):
+        # scipy.linalg's array-API shim imports numpy.f2py, numpy.testing and
+        # numpy.ma, which cost most of that package's import time
+        heavy = ["scipy.linalg", "numpy.f2py", "numpy.testing", "numpy.ma"]
+        code = (
+            "import json, sys, ssflab\n"
+            f"print(json.dumps([m for m in {heavy!r} if m in sys.modules]))"
+        )
+        assert _in_fresh_interpreter(code) == []
+
+    @pytest.mark.parametrize("first", ["ssflab", "scipy.linalg"])
+    def test_routines_are_scipys_in_either_import_order(self, first):
+        second = "scipy.linalg" if first == "ssflab" else "ssflab"
+        code = (
+            "import importlib, json, sys\n"
+            f"importlib.import_module({first!r})\n"
+            f"importlib.import_module({second!r})\n"
+            "from scipy.linalg import lapack\n"
+            "from ssflab import ssf\n"
+            f"names = {_LAPACK_ROUTINES!r}\n"
+            "same = [getattr(ssf._flapack, n) is getattr(lapack, n) for n in names]\n"
+            "print(json.dumps(same + [sys.modules['scipy.linalg._flapack'] is ssf._flapack]))"
+        )
+        assert _in_fresh_interpreter(code) == [True] * 4
+
+    def test_missing_extension_is_an_import_error_naming_the_folder(self, monkeypatch, tmp_path):
+        monkeypatch.delitem(sys.modules, "scipy.linalg._flapack")
+        monkeypatch.setattr(scipy, "__path__", [str(tmp_path)])
+        with pytest.raises(ImportError, match=re.escape(str(tmp_path / "linalg"))):
+            ssf._load_flapack()
 
 
 class TestAdversarialProperties:
