@@ -25,7 +25,7 @@ from typing import Sequence
 import numpy as np
 
 from .spectral import _check_finite, _check_int, _check_real
-from .ssf import _richardson_two_point
+from .ssf import _boundary_value
 
 __all__ = [
     "BAND_EDGE_MARGIN",
@@ -215,11 +215,13 @@ def _log_determinants(model: LatticeScatteringModel, z: np.ndarray) -> np.ndarra
 
 def _ssf_values(model: LatticeScatteringModel, lam: np.ndarray) -> np.ndarray:
     """:func:`ssf_scattering` at each point of the 1-d array ``lam``, from one
-    call of :func:`_log_determinants` on all its ``2 * lam.size`` heights."""
+    call of :func:`_log_determinants` on all its ``4 * lam.size`` heights."""
     gap = max(model._gaps, default=1)
-    heights = [2.0**-12 / gap, 2.0**-13 / gap]
-    phases = _log_determinants(model, lam[:, None] + 1j * np.array(heights)).imag
-    return _richardson_two_point(heights, phases.T) / np.pi
+    heights = 2.0 ** -np.arange(10, 14) / gap
+    phases = _log_determinants(model, lam[:, None] + 1j * heights).imag
+    band = np.abs(lam) < 2.0
+    powers = (1, np.where(band, 2, 3), np.where(band, 3, 5))
+    return _boundary_value(phases.T, powers) / np.pi
 
 
 def scattering_log_determinant(model: LatticeScatteringModel, z: complex) -> complex:
@@ -263,10 +265,12 @@ def ssf_scattering(model: LatticeScatteringModel, lam: float) -> float:
 
     ``Im log D(z) / pi``, with ``log D`` the pivot-log sum of
     :func:`scattering_log_determinant`, is read at ``z = lam + i h`` for the
-    two heights ``h = 2^-12 / g`` and ``2^-13 / g`` and Richardson-extrapolated
-    to the real axis from them.  ``g`` is the largest gap between consecutive
-    support sites (1 for a single site): ``xi`` varies on the scale ``1 / g``,
-    and the extrapolation's next error term with it.  Inside the band the
+    four heights ``h = 2^-10 / g, ..., 2^-13 / g`` and taken to the real
+    axis by a Richardson table that removes ``h``, ``h^2`` and ``h^3`` on the
+    band, and ``h``, ``h^3`` and ``h^5`` off it, where the phase is odd in
+    ``h``.  ``g`` is the largest gap between consecutive support sites (1 for
+    a single site): ``xi`` varies on the scale ``1 / g``, and the
+    extrapolation's next error term with it.  Inside the band the
     result is generically non-integer; below the band it approaches minus the
     count of discrete eigenvalues below ``lam``.  A non-finite ``lam`` is
     rejected.
@@ -303,7 +307,7 @@ def birman_krein_point(model: LatticeScatteringModel, lam: float) -> BirmanKrein
 
     ``det S`` comes from the Lippmann-Schwinger scattering solve at the band
     boundary value; ``xi`` comes from the pivot-log phase of the perturbation
-    determinant at two heights above the band, extrapolated to it
+    determinant at four heights above the band, extrapolated to it
     (:func:`ssf_scattering`).  The two computations share nothing but the
     potential.  It is :func:`band_sweep`'s computation at one point.
     """

@@ -13,9 +13,9 @@ whose right-hand side is evaluated exactly interval-by-interval.  The module
 also provides the invariance-principle route through the resolvent power
 ``(H - a)^{-m}``, ``a`` below both spectra, which reads no eigenvalue; the
 perturbation-determinant route ``xi = Im log det(I + V (H0-z)^{-1}) / pi``
-with its branch read from tridiagonal pivots, and the two-point Richardson
-step that both phase routes (this one and ``scattering.ssf_scattering``)
-take to the real axis.
+with its branch read from tridiagonal pivots, and the Richardson table that
+both phase routes (this one and ``scattering.ssf_scattering``) take to the
+real axis.
 
 scipy supplies only the LAPACK routines ``zhetrd``, ``dsterf`` and
 ``ztrtri``.  They are loaded from scipy's ``_flapack`` extension file, so
@@ -368,34 +368,45 @@ def _determinant_on_vertical_line(
     return log_det
 
 
-def _richardson_two_point(eps: Sequence[float], vals: Sequence[float]) -> float:
-    """The value at height 0 of the line through the two points ``(eps[i], vals[i])``."""
-    (ea, eb), (xa, xb) = eps, vals
-    return (ea * xb - eb * xa) / (ea - eb)
+def _boundary_value(phases: Sequence, powers: Sequence):
+    """The height-0 limit of the phases ``T(h), T(h/2), T(h/4), ...``: the
+    ratio-1/2 Richardson table, whose column for ``p`` replaces neighbours by
+    ``(2^p T(h/2) - T(h)) / (2^p - 1)`` and so removes the ``h^p`` term.
+    ``phases`` has one entry more than ``powers``; in plain arithmetic, an
+    entry of either may be a float or an array over points."""
+    column = list(phases)
+    for p in powers:
+        column = [(2.0**p * b - a) / (2.0**p - 1.0) for a, b in zip(column, column[1:])]
+    return column[0]
 
 
 def ssf_via_determinant(
     d0: SpectralDecomposition,
     v,
-    lam: float,
+    lam,
     jump_margin: float = 1e-6,
-) -> float:
-    """Spectral shift at ``lam`` through the boundary phase of the determinant.
+):
+    """Spectral shift at ``lam``, a point or a 1-d array of them, through the
+    boundary phase of the determinant; a float for a point, else an array.
 
     The continuous phase of ``det(I + V (H0 - z)^{-1})`` is a sum of pivot
-    arguments, read at ``z = lam + i * eps`` for the two heights
-    ``eps = near / 2^7`` and ``near / 2^8``, where ``near`` is the distance
-    from ``lam`` to either spectrum, and Richardson-extrapolated (two-point,
-    linear order) to the real axis.  Each height's phase is a sum of its own,
-    so no higher height is needed.  A non-finite ``lam``, or one within
-    ``jump_margin`` of either spectrum (a jump point), is rejected, and so is
-    a ``jump_margin`` that is not finite and positive.  ``V`` is
-    validated and ``H0 + V`` reduced to its tridiagonal ``T`` once; each
-    height then costs O(n).  The eigenvalues of ``H0 + V``, which only guard
-    jump points and give ``near``, are those of ``T`` from LAPACK ``dsterf``:
+    arguments, read at ``z = lam + i * eps`` for the three heights
+    ``eps = near / 2^7``, ``near / 2^8`` and ``near / 2^9``, where ``near`` is
+    the distance from ``lam`` to either spectrum.  Off both spectra the phase
+    is odd in ``eps`` plus a constant, so the Richardson table removes its
+    ``eps`` and ``eps^3`` terms.  Each height's phase is a sum of its own, so
+    no other height is needed.  A non-finite point, or one within
+    ``jump_margin`` of either spectrum (a jump point), is rejected by name,
+    and so is a ``jump_margin`` that is not finite and positive.  ``V`` is
+    validated and ``H0 + V`` reduced to its tridiagonal ``T`` once per call;
+    each height then costs O(n), and each point keeps the value a call with
+    it alone gives.  The eigenvalues of ``H0 + V``, which only guard jump
+    points and give ``near``, are those of ``T`` from LAPACK ``dsterf``:
     O(n^2) with no eigenvectors.  No eigenvalue enters the phase.
     """
-    lam = _check_finite(lam, "lam")
+    single = np.ndim(lam) == 0
+    names = ["lam"] if single else [f"lam[{i}]" for i in range(len(lam))]
+    points = [_check_finite(x, name) for x, name in zip([lam] if single else lam, names)]
     jump_margin = _check_positive(jump_margin, "jump_margin")
     v = _validate_perturbation(d0, v)
     _, diag, off, _, _ = _flapack.zhetrd(d0.reconstruct() + v, lower=1)
@@ -403,15 +414,17 @@ def ssf_via_determinant(
     spec, info = _flapack.dsterf(diag, off if off.size else np.zeros(1))
     if info != 0:
         raise np.linalg.LinAlgError(f"dsterf did not converge ({info} off-diagonals left)")
-    near = min(
-        float(np.min(np.abs(d0.eigenvalues - lam))),
-        float(np.min(np.abs(spec - lam))),
-    )
-    if near < jump_margin:
-        raise ValueError(
-            f"lambda={lam} is within {jump_margin:g} of an eigenvalue (jump point)"
+    values = []
+    for name, point in zip(names, points):
+        near = min(
+            float(np.min(np.abs(d0.eigenvalues - point))),
+            float(np.min(np.abs(spec - point))),
         )
-    eps = [near / 2.0**7, near / 2.0**8]
-    log_det = _determinant_on_vertical_line(d0, diag, off, lam)
-    xi_vals = [log_det(e).imag / math.pi for e in eps]
-    return _richardson_two_point(eps, xi_vals)
+        if near < jump_margin:
+            raise ValueError(
+                f"{name}={point} is within {jump_margin:g} of an eigenvalue (jump point)"
+            )
+        log_det = _determinant_on_vertical_line(d0, diag, off, point)
+        phases = [log_det(near / 2.0**k).imag / math.pi for k in (7, 8, 9)]
+        values.append(_boundary_value(phases, (1, 3)))
+    return values[0] if single else np.array(values)

@@ -146,7 +146,7 @@ def _write_config(tmp_path, payload, name="config.json"):
 
 TINY_TRACE = {
     "seed": 3,
-    "trace-check": {"trials": 3, "dims": [2, 3], "det_trials": 1, "det_points": 2},
+    "trace-check": {"trials": 3, "dims": [2, 3], "det_trials": 1},
 }
 
 TINY_DIRAC = {
@@ -526,56 +526,29 @@ class TestCliConfigErrors:
             "factorization.rho_eq_d.infeasible",
         }
 
-    @pytest.mark.parametrize("points", [33, 1000])
-    def test_det_points_past_the_candidate_count_names_the_field(self, tmp_path, capsys, points):
-        # a determinant trial pairs two 8 x 8 matrices: at most 16 counting
-        # breakpoints, so 2 outer, 15 midpoint and 15 three-quarter candidates
-        cfg = _write_config(tmp_path, {"trace-check": {"det_points": points}})
-        assert main(["trace-check", "--config", cfg]) == 2
-        err = capsys.readouterr().err
-        assert (
-            f"field 'trace-check.det_points': det_points must be an integer in 1..32, "
-            f"got det_points={points}" in err
-        )
-
-    def test_det_points_past_a_trial_admissible_points_raises(self):
-        # at seed 7 one candidate of determinant trial 8 lies within 1e-3 of
-        # a spectrum, so that trial places 31 points
-        given = {"trials": 1, "dims": [2], "det_trials": 9, "det_points": 32}
-        params = cli._validate_section("trace-check", given)
-        message = (
-            "field 'trace-check.det_points': determinant trial 8 has 31 admissible "
-            "points, fewer than the 32 requested"
-        )
-        with pytest.raises(suites.ConfigError, match=message) as caught:
-            suites.suite_trace_check(7, params)
-        assert caught.value.field == "trace-check.det_points"
-
-    def test_det_points_past_a_trial_admissible_points_exits_2(self, tmp_path, capsys):
-        # the same shortfall through the CLI is a config error, not a traceback
-        given = {"trials": 1, "dims": [2], "det_trials": 9, "det_points": 32}
-        cfg = _write_config(tmp_path, {"trace-check": given})
-        assert main(["trace-check", "--seed", "7", "--config", cfg]) == 2
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert (
-            "ssflab: config error: field 'trace-check.det_points': determinant trial 8 "
-            "has 31 admissible points" in captured.err
-        )
-
-    def test_det_points_runs_exactly_the_requested_points(self, monkeypatch):
-        calls = []
+    def test_determinant_trials_read_every_admissible_point_in_one_call(self, monkeypatch):
+        sizes = []
         route = suites.ssf.ssf_via_determinant
 
-        def counted(*args, **kwargs):
-            calls.append(args[2])
-            return route(*args, **kwargs)
+        def counted(d0, v, lam):
+            sizes.append(lam.shape)
+            return route(d0, v, lam)
 
         monkeypatch.setattr(suites.ssf, "ssf_via_determinant", counted)
-        given = {"trials": 1, "dims": [2], "det_trials": 9, "det_points": 31}
+        given = {"trials": 1, "dims": [2], "det_trials": 9}
         report = suites.suite_trace_check(7, cli._validate_section("trace-check", given))
         assert report.aggregate_pass
-        assert len(calls) == 9 * 31
+        # a trial pairs two 8 x 8 matrices: 16 counting breakpoints give 2
+        # outer, 15 midpoint and 15 three-quarter candidates, and at seed 7 one
+        # candidate of trial 8 lies within 1e-3 of a spectrum
+        assert sizes == [(32,)] * 8 + [(31,)]
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_determinant_trials_meet_the_count_at_every_point(self, seed):
+        # the two-height line missed the count by about 8e-8 at these seeds
+        params = cli._validate_section("trace-check", {"trials": 1, "dims": [2]})
+        records = {r.name: r.value for r in suites.suite_trace_check(seed, params).records}
+        assert records["determinant.max_counting_deviation"] <= 1e-11
 
     def test_counting_spectral_shift_is_built_once_per_pair(self, monkeypatch):
         # the five trace sides and both invariance comparisons of a trial
@@ -637,6 +610,13 @@ class TestCliConfigErrors:
         assert main(["doi-check", "--config", cfg]) == 2
         err = capsys.readouterr().err
         assert "ssflab: config error: field 'doi-check.split_trials': unknown parameter" in err
+
+    def test_removed_det_points_names_the_field(self, tmp_path, capsys):
+        # a determinant trial reads every admissible point, so it takes no count
+        cfg = _write_config(tmp_path, {"trace-check": {"det_points": 8}})
+        assert main(["trace-check", "--config", cfg]) == 2
+        err = capsys.readouterr().err
+        assert "ssflab: config error: field 'trace-check.det_points': unknown parameter" in err
 
     def test_jobs_belongs_to_all_only(self, tmp_path, capsys):
         # --jobs is a flag of `all` alone, and the config file has no `jobs`
@@ -702,7 +682,6 @@ CONFIG_FIELDS = [
     ("trace-check.dims[1]", lambda x: {"trace-check": {"dims": [2, x]}}, INTEGER),
     ("trace-check.trials", _section("trace-check", "trials"), INTEGER),
     ("trace-check.det_trials", _section("trace-check", "det_trials"), INTEGER),
-    ("trace-check.det_points", _section("trace-check", "det_points"), INTEGER),
     ("doi-check.dim", _section("doi-check", "dim"), INTEGER),
     ("doi-check.trials", _section("doi-check", "trials"), INTEGER),
     (

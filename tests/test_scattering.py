@@ -23,7 +23,7 @@ from ssflab.scattering import (
     scattering_log_determinant,
     ssf_scattering,
 )
-from ssflab.ssf import _richardson_two_point
+from ssflab.ssf import _boundary_value
 from ssflab.utils import rng_from
 
 from helpers import truncated_eigenvalues, walked_phases
@@ -357,9 +357,9 @@ _PHASE_CASES = _phase_cases()
 
 
 def _read_heights(model: LatticeScatteringModel) -> list:
-    """The two heights the route extrapolates from, scaled by the largest gap."""
+    """The four heights the route extrapolates from, scaled by the largest gap."""
     gap = max((b - a for a, b in zip(model.sites, model.sites[1:])), default=1)
-    return [2.0**-12 / gap, 2.0**-13 / gap]
+    return [2.0**-k / gap for k in (10, 11, 12, 13)]
 
 
 def _case_id(case) -> str:
@@ -506,13 +506,13 @@ class TestScatteringDeterminant:
 
 class TestSsfScattering:
     def test_epsilon_halving_is_stable(self):
-        # the route's two heights 2^-12, 2^-13, against the two heights halved
+        # the route's four heights 2^-10 .. 2^-13, against the four halved
         model = LatticeScatteringModel.centered([0.3, -0.2, 0.5])
-        halved = [2.0**-13, 2.0**-14]
+        halved = [2.0**-k for k in (11, 12, 13, 14)]
         for lam in (-1.2, 0.1, 1.4):
             phases = [scattering_log_determinant(model, lam + 1j * h).imag for h in halved]
             base = ssf_scattering(model, lam)
-            assert abs(base - _richardson_two_point(halved, phases) / np.pi) <= 1e-7
+            assert abs(base - _boundary_value(phases, (1, 2, 3)) / np.pi) <= 1e-10
 
     @pytest.mark.parametrize("gap", [20, 100, 500])
     def test_far_apart_sites_keep_the_identity(self, gap):
@@ -533,6 +533,14 @@ class TestSsfScattering:
         model = LatticeScatteringModel.single_site(-1.5)
         assert ssf_scattering(model, -2.25) == pytest.approx(-1.0, abs=1e-6)
         assert ssf_scattering(model, -2.75) == pytest.approx(0.0, abs=1e-6)
+
+    @pytest.mark.parametrize("delta", [1e-2, -1e-2])
+    def test_resolves_the_count_near_a_bound_state(self, delta):
+        # 0.01 from the bound state at -2.5 the two-height line missed the
+        # count by 1.2e-6; the table's odd powers off the band meet 1e-9
+        model = LatticeScatteringModel.single_site(-1.5)
+        lam = -2.5 + delta
+        assert abs(ssf_scattering(model, lam) + bound_state_count_below(model, lam)) <= 1e-9
 
     def test_repulsive_potential_has_no_bound_state_below(self):
         model = LatticeScatteringModel.single_site(1.5)
@@ -755,17 +763,27 @@ class TestBirmanKrein:
 
     def test_sweep_runs_each_kernel_once_on_the_whole_grid(self, monkeypatch):
         model = LatticeScatteringModel.centered([0.3, -0.2, 0.5, 0.1, -0.4])
-        shapes = []
+        shapes, read = [], []
         for name in ("_s_matrices", "_log_determinants"):
             kernel = getattr(scattering, name)
 
             def counted(model, points, kernel=kernel, name=name):
                 shapes.append((name, points.shape))
+                read.append(points)
                 return kernel(model, points)
 
             monkeypatch.setattr(scattering, name, counted)
         band_sweep(model, 40, 0.05)
-        assert shapes == [("_s_matrices", (40,)), ("_log_determinants", (40, 2))]
+        assert shapes == [("_s_matrices", (40,)), ("_log_determinants", (40, 4))]
+        # each point reads the four heights down to 2^-13 / g, the lowest the
+        # strength rule keeps every pivot term finite at
+        assert (read[1].imag == _read_heights(model)).all()
+
+    def test_sweep_near_the_band_edges_meets_the_suite_bound(self):
+        # at margin 0.01 the two-height line left residuals up to 9.3e-5 on
+        # the suite's potentials, past the suite's 1e-5 bound
+        for model in _default_potentials():
+            assert max(rec.residual for rec in band_sweep(model, 20, 0.01)) <= 1e-5
 
     def test_band_sweep_validation(self):
         model = LatticeScatteringModel.single_site(0.4)

@@ -653,10 +653,10 @@ def _lambdas(d0, d):
 
 
 def _route_heights(d0, d, lam):
-    """The two heights the determinant route reads: the distance from ``lam``
-    to either spectrum, halved 7 and 8 times."""
+    """The three heights the determinant route reads: the distance from
+    ``lam`` to either spectrum, halved 7, 8 and 9 times."""
     near = min(np.abs(d0.eigenvalues - lam).min(), np.abs(d.eigenvalues - lam).min())
-    return [float(near) / 2.0**7, float(near) / 2.0**8]
+    return [float(near) / 2.0**k for k in (7, 8, 9)]
 
 
 def _assert_route_heights(heights, d0, d, lam):
@@ -665,12 +665,12 @@ def _assert_route_heights(heights, d0, d, lam):
     ``dsterf``, ``d`` from ``H`` by ``eigh``: each set lies within the
     backward-error radius ``n^2 eps max|lambda|`` of the exact eigenvalues
     (``ssf._cluster_radius``), so the distance to them moves by at most twice
-    that, and each height by that halved 7 or 8 times."""
+    that, and each height by that halved 7, 8 or 9 times."""
     eps = float(np.finfo(float).eps)
     shift = 2.0 * d.dim**2 * eps * float(np.abs(d.eigenvalues).max())
     want = _route_heights(d0, d, lam)
     assert heights[0] == pytest.approx(want[0], rel=0.0, abs=shift / 2.0**7)
-    assert heights[1] == heights[0] / 2.0
+    assert heights[1:] == [heights[0] / 2.0, heights[0] / 4.0]
 
 
 def _reduced(h):
@@ -796,6 +796,26 @@ class TestDeterminantOnVerticalLine:
             assert abs(ssf_via_determinant(d0, v, lam) - want) < 1e-6, (kind, n, lam)
             _assert_route_heights(heights, d0, d, lam)
 
+    @pytest.mark.parametrize("kind,n", _DET_CASES)
+    def test_an_array_call_is_the_point_calls_bit_for_bit(self, kind, n):
+        # one reduction of H0 + V for all the points; each point keeps its
+        # own near, heights and pivot sums
+        d0, v = _determinant_case(kind, n)
+        points = _lambdas(d0, eig_hermitian(d0.reconstruct() + v))
+        single = [ssf_via_determinant(d0, v, lam) for lam in points]
+        assert all(isinstance(x, float) for x in single)
+        got = ssf_via_determinant(d0, v, np.array(points))
+        assert [x.hex() for x in got.tolist()] == [x.hex() for x in single]
+
+    def test_an_array_names_its_jump_point_and_its_non_finite_point(self):
+        d0 = eig_hermitian(np.diag([0.0, 1.0]))
+        v = np.diag([0.5, 0.0])
+        jump = "lam[1]=0.5 is within 1e-06 of an eigenvalue (jump point)"
+        with pytest.raises(ValueError, match=re.escape(jump)):
+            ssf_via_determinant(d0, v, np.array([0.25, 0.5, 0.75]))
+        with pytest.raises(ValueError, match=re.escape("lam[2] must be a finite number")):
+            ssf_via_determinant(d0, v, np.array([0.25, 0.75, np.nan]))
+
     def test_route_validates_the_perturbation(self):
         d0 = eig_hermitian(np.diag([0.0, 1.0, 2.0]))
         v = np.zeros((3, 3))
@@ -804,6 +824,26 @@ class TestDeterminantOnVerticalLine:
             ssf_via_determinant(d0, v, 0.5)
         with pytest.raises(ValueError, match="shape"):
             ssf_via_determinant(d0, np.eye(2), 0.5)
+
+
+class TestBoundaryValue:
+    """The Richardson table both phase routes take to the real axis."""
+
+    def test_the_odd_table_is_exact_on_odd_polynomials(self):
+        # T(h) = c + a h + b h^3 at h = 1/2, 1/4, 1/8: the powers (1, 3) remove
+        # both terms, while (1, 2) leaves an eighth of the cubic one, b h^3 / 8
+        def phases(c, a, b):
+            return [c + a * h + b * h**3 for h in (0.5, 0.25, 0.125)]
+
+        assert ssf._boundary_value(phases(0.75, 2.0, 4.0), (1, 3)) == pytest.approx(0.75, abs=1e-15)
+        assert ssf._boundary_value(phases(0.75, 2.0, 4.0), (1, 2)) == pytest.approx(0.75 + 0.0625)
+
+    def test_entries_and_powers_may_be_arrays_over_points(self):
+        # each point reads its own powers: (1, 2) at the first, (1, 3) at the second
+        h = np.array([0.5, 0.25, 0.125])
+        rows = [1.0 + h + h**2, -2.0 + h + h**3]
+        got = ssf._boundary_value(np.array(rows).T, (1, np.array([2, 3])))
+        np.testing.assert_allclose(got, [1.0, -2.0], rtol=0.0, atol=1e-15)
 
 
 class TestDeterminantRoute:
@@ -878,7 +918,8 @@ class TestDeterminantRoute:
 
     def test_default_schedule_is_gap_halving(self, monkeypatch):
         # H0 = diag(0, 2) and V = diag(0, 1): the point 0.5 is 0.5 from both
-        # spectra, so the route reads 0.5 / 2^7 and 0.5 / 2^8, and only them
+        # spectra, so the route reads 0.5 / 2^7, 0.5 / 2^8 and 0.5 / 2^9, and
+        # only them
         d0 = eig_hermitian(np.diag([0.0, 2.0]))
         heights = []
         build = ssf._determinant_on_vertical_line
@@ -889,7 +930,7 @@ class TestDeterminantRoute:
 
         monkeypatch.setattr(ssf, "_determinant_on_vertical_line", logged)
         assert ssf_via_determinant(d0, np.diag([0.0, 1.0]), 0.5) == pytest.approx(0.0, abs=1e-6)
-        assert heights == [0.5 / 2.0**7, 0.5 / 2.0**8]
+        assert heights == [0.5 / 2.0**7, 0.5 / 2.0**8, 0.5 / 2.0**9]
 
 
 # ---------------------------------------------------------------------------
